@@ -17,11 +17,8 @@ Both give the identical first-order law
 with zeta = omega_21 t0 - arg(c1* c2); its maximum over zeta for an equal
 superposition equals sqrt of the from-ground second-order term.
 
-Amplitude normalization is 1/(hbar v0) per transition amplitude everywhere
-("bare"); the alternative with an extra 1/(2 pi) per amplitude, which
-appears in some derivations of the modulated and multi-electron formulas,
-is available via prefactor="two_pi" for auditing.  The grid solvers decide
-between the two: they reproduce the bare convention.
+Amplitude normalization is 1/(hbar v0) per transition amplitude everywhere;
+the grid solvers reproduce it.
 """
 
 from __future__ import annotations
@@ -40,15 +37,6 @@ from feberi.qew import ModulationSpectrum, gamma_parameter
 
 class RegimeWarning(UserWarning):
     """A closed form is being used outside its validity regime."""
-
-
-PREFACTOR_CONVENTIONS = ("bare", "two_pi")
-
-
-def _amp_scale(convention: str) -> float:
-    if convention not in PREFACTOR_CONVENTIONS:
-        raise DomainError(f"unknown prefactor convention {convention!r}")
-    return 1.0 if convention == "bare" else 1.0 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -85,8 +73,7 @@ def overlap_integral(p_rec: float, sigma_p0: float, t0: float,
     return math.exp(-0.5 * g * g) * cmath.exp(-1j * omega_ij * t0)
 
 
-def p2_from_ground(coupling: DipoleCoupling, kin: ElectronKinematics | None = None,
-                   prefactor: str = "bare") -> float:
+def p2_from_ground(coupling: DipoleCoupling, kin: ElectronKinematics | None = None) -> float:
     """Excitation probability from the ground state, |Mt(p_rec)|^2/(hbar v0)^2.
 
     Independent of the wavepacket size.  Warns beyond 0.1 where first-order
@@ -94,7 +81,6 @@ def p2_from_ground(coupling: DipoleCoupling, kin: ElectronKinematics | None = No
     """
     kin = kin or coupling.kin
     amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
-    amp *= _amp_scale(prefactor)
     p2 = amp * amp
     if p2 > 0.1:
         warnings.warn(f"p2 = {p2:.3g} > 0.1: perturbative validity exceeded",
@@ -103,16 +89,12 @@ def p2_from_ground(coupling: DipoleCoupling, kin: ElectronKinematics | None = No
 
 
 def dp1_superposition(coupling: DipoleCoupling, kin: ElectronKinematics,
-                      state: TlsState, t0: float, sigma_et: float,
-                      model: str = "momentum", prefactor: str = "bare") -> float:
+                      state: TlsState, t0: float, sigma_et: float) -> float:
     """First-order increment (2/hbar v0)|Mt||c1 c2| e^{-Gamma^2/2} sin(zeta).
 
-    The momentum and Born models predict the identical form; ``model`` is
-    recorded for bookkeeping only.  Returns 0 for a non-superposition state
-    (no dipole phase to beat against).
+    The momentum and Born models predict the identical form.  Returns 0 for
+    a non-superposition state (no dipole phase to beat against).
     """
-    if model not in ("momentum", "born"):
-        raise DomainError(f"unknown model {model!r}")
     if abs(state.c1) == 0.0 or abs(state.c2) == 0.0:
         warnings.warn("state has no dipole phase; first-order increment is 0",
                       RegimeWarning)
@@ -121,13 +103,11 @@ def dp1_superposition(coupling: DipoleCoupling, kin: ElectronKinematics,
     gam = gamma_parameter(tls.omega_21, sigma_et)
     zeta = bloch_phase(state, t0, tls.omega_21)
     amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
-    amp *= _amp_scale(prefactor)
     return 2.0 * amp * abs(state.c1) * abs(state.c2) * math.exp(-0.5 * gam * gam) \
         * math.sin(zeta)
 
 
-def dp2_born(coupling: DipoleCoupling, kin: ElectronKinematics,
-             sigma_et: float, prefactor: str = "bare") -> float:
+def dp2_born(coupling: DipoleCoupling, kin: ElectronKinematics, sigma_et: float) -> float:
     """Second-order increment of the probabilistic model, with e^{-Gamma^2} decay.
 
     Valid in the near-point-particle regime Gamma < 1; beyond it the
@@ -141,7 +121,7 @@ def dp2_born(coupling: DipoleCoupling, kin: ElectronKinematics,
         warnings.warn(f"Gamma = {gam:.3g} > 1: outside the short-packet regime; "
                       "the size-independent from-ground value governs here",
                       RegimeWarning)
-    return p2_from_ground(coupling, kin, prefactor=prefactor) * math.exp(-gam * gam)
+    return p2_from_ground(coupling, kin) * math.exp(-gam * gam)
 
 
 def nearest_harmonic(omega_21: float, omega_b: float) -> tuple[int, tuple[str, ...]]:
@@ -160,7 +140,7 @@ def nearest_harmonic(omega_21: float, omega_b: float) -> tuple[int, tuple[str, .
 def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
                          spectrum: ModulationSpectrum, sigma_et: float,
                          omega_21: float, state: TlsState, t_mod: float,
-                         t_0k: float, prefactor: str = "bare") -> TransitionIncrement:
+                         t_0k: float) -> TransitionIncrement:
     """Resonant increments of a density-modulated packet.
 
     Only the bunching harmonic n nearest omega_21/omega_b contributes
@@ -178,7 +158,7 @@ def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
     res1 = math.exp(-0.5 * (detuning * sigma_et) ** 2)
     f_n = spectrum.coefficient(n)
     mt = m_tilde(coupling.recoil_momentum, coupling)
-    amp = _amp_scale(prefactor) / (HBAR_EV_FS * kin.v0)
+    amp = 1.0 / (HBAR_EV_FS * kin.v0)
     # second order: |amplitude|^2
     dp2 = (amp * abs(mt) * abs(state.c1) * abs(f_n) * res1) ** 2
     # first order: 2 Re[c2* dc2], dc2 = amp/i * c1 Mt f_n* e^{i detuning t_0k} e^{i n w_b t_mod} res1
@@ -193,7 +173,7 @@ MULTI_QEW_VARIANTS = ("point_train", "modulated_correlated")
 
 def multi_qew_p2(n_electrons: int, coupling: DipoleCoupling,
                  kin: ElectronKinematics, sigma_et: float, variant: str,
-                 f_n: complex | None = None, prefactor: str = "bare") -> float:
+                 f_n: complex | None = None) -> float:
     """N^2-scaled upper-level probability of a phase-correlated train.
 
     "point_train": periodic near-point packets at a subharmonic of the
@@ -209,8 +189,7 @@ def multi_qew_p2(n_electrons: int, coupling: DipoleCoupling,
     if variant not in MULTI_QEW_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     gam = gamma_parameter(coupling.tls.omega_21, sigma_et)
-    amp = _amp_scale(prefactor) * abs(m_tilde(coupling.recoil_momentum, coupling)) \
-        / (HBAR_EV_FS * kin.v0)
+    amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
     if variant == "point_train":
         single = amp * amp * math.exp(-gam * gam)
     else:

@@ -33,6 +33,7 @@ from scipy.signal import fftconvolve
 
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
+from feberi.grid import interaction_window
 from feberi.qew import ModulationSpectrum, ResolutionError
 
 
@@ -77,7 +78,7 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
                       omega_21: float, transit_factor: float = 10.0,
                       sigma_factor: float = 6.0,
                       points_per_scale: int = 100) -> np.ndarray:
-    """Uniform grid t0 +- (10 t_r + 6 sigma_et), step = min scale / points_per_scale.
+    """Uniform grid over the interaction window, step = min scale / points_per_scale.
 
     The step resolves the transit time, the packet duration and the TLS
     period, so an RK4 step of two grid intervals meets the
@@ -88,7 +89,7 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
     if sigma_et > 0.0:
         scales.append(sigma_et)
     step = min(scales) / points_per_scale
-    half = transit_factor * t_r + sigma_factor * sigma_et
+    half = interaction_window(sigma_et, t_r, 0.0, transit_factor, sigma_factor)[1]
     n = int(math.ceil(half / step))
     return t0 + step * np.arange(-n, n + 1)
 
@@ -121,12 +122,14 @@ def _convolved_kernel(coupling: DipoleCoupling, tau: np.ndarray, sigma_et: float
 
 
 def interaction_profile(coupling: DipoleCoupling, sigma_et: float,
-                        grid: np.ndarray, t0: float | None = None) -> InteractionProfile:
+                        grid: np.ndarray, t0: float | None = None,
+                        transit_factor: float = 10.0,
+                        sigma_factor: float = 6.0) -> InteractionProfile:
     """Convolve the spatial kernel with the packet's temporal profile.
 
     ``grid`` is the absolute time grid (uniform); ``t0`` defaults to its
-    midpoint.  Preconditions: the grid spans at least
-    +-(10 t_r + 6 sigma_et) around t0 with step <= min(t_r, sigma_et)/20.
+    midpoint.  Preconditions: the grid spans the interaction window of the
+    given factors around t0 with step <= min(t_r, sigma_et)/20.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 8:
@@ -140,8 +143,8 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     limit = min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0
     if h > limit * (1.0 + 1e-9):
         raise ResolutionError(f"profile step {h:.3g} fs exceeds {limit:.3g} fs")
-    half_needed = 10.0 * t_r + 6.0 * sigma_et
-    if grid[0] > t0 - half_needed + 1e-12 or grid[-1] < t0 + half_needed - 1e-12:
+    lo, hi = interaction_window(sigma_et, t_r, t0, transit_factor, sigma_factor)
+    if grid[0] > lo + 1e-12 or grid[-1] < hi - 1e-12:
         raise ResolutionError("profile grid does not span the interaction window")
     vals = np.real(_convolved_kernel(coupling, grid - t0, sigma_et))
     return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
@@ -329,9 +332,19 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
 
 # -- electron trains -------------------------------------------------------------------
 
+def _point_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: float,
+                  transit_factor: float, sigma_factor: float) -> tuple[np.ndarray, float]:
+    """(window propagator, window half-width) of a packet arriving at t = 0."""
+    factors = {"transit_factor": transit_factor, "sigma_factor": sigma_factor}
+    grid = profile_time_grid(coupling, sigma_et_point, 0.0, omega_21, **factors)
+    profile = interaction_profile(coupling, sigma_et_point, grid, t0=0.0, **factors)
+    return window_propagator(profile, omega_21), float(grid[-1])
+
+
 def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
                    coupling: DipoleCoupling, sigma_et_point: float,
-                   omega_21: float) -> np.ndarray:
+                   omega_21: float, transit_factor: float = 10.0,
+                   sigma_factor: float = 6.0) -> np.ndarray:
     """P2 after each electron of a train of near-point packets.
 
     Each electron applies the cached window propagator conjugated by the
@@ -340,10 +353,8 @@ def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
     frame absorbs the free evolution).  Warns if consecutive windows overlap
     (the sequential model assumes they do not).
     """
-    grid = profile_time_grid(coupling, sigma_et_point, 0.0, omega_21)
-    profile = interaction_profile(coupling, sigma_et_point, grid, t0=0.0)
-    u0 = window_propagator(profile, omega_21)
-    window_half = float(grid[-1])
+    u0, window_half = _point_window(coupling, sigma_et_point, omega_21,
+                                    transit_factor, sigma_factor)
     gaps = np.diff(schedule.times)
     if np.any(gaps < 2.0 * window_half):
         warnings.warn(
@@ -361,7 +372,9 @@ def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
 
 
 def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCoupling,
-                            sigma_et_point: float, omega_21: float) -> np.ndarray:
+                            sigma_et_point: float, omega_21: float,
+                            transit_factor: float = 10.0,
+                            sigma_factor: float = 6.0) -> np.ndarray:
     """P2 sequences for many schedules of equal length, evolved jointly.
 
     Returns shape (n_schedules, n_electrons).  Same physics as
@@ -370,9 +383,7 @@ def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCouplin
     """
     schedules = list(schedules)
     times = np.stack([s.times for s in schedules])      # (S, N)
-    grid = profile_time_grid(coupling, sigma_et_point, 0.0, omega_21)
-    profile = interaction_profile(coupling, sigma_et_point, grid, t0=0.0)
-    u0 = window_propagator(profile, omega_21)
+    u0, _ = _point_window(coupling, sigma_et_point, omega_21, transit_factor, sigma_factor)
     s = np.tile(np.array([[state0.c1], [state0.c2]], dtype=complex), (1, len(schedules)))
     p2 = np.empty(times.T.shape)                         # (N, S)
     for k, t_k in enumerate(times.T):

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -23,10 +24,11 @@ import numpy as np
 from feberi import __version__
 from feberi.born_dynamics import StepSizeError
 from feberi.core import DomainError
+from feberi.grid import MomentumGrid, build_grid
 from feberi.qew import ResolutionError, TruncationError, gamma_parameter
 from feberi.scenarios import SCENARIOS, ScenarioResult, physics_bundle, run_scenario
 from feberi.solver_density import AssemblyError, write_rho_b_bin
-from feberi.solver_momentum import InstabilityError, MomentumGrid, build_grid
+from feberi.solver_momentum import InstabilityError
 
 log = logging.getLogger("feberi")
 
@@ -57,8 +59,6 @@ _COMMON_SCHEMA = {
         "window_sigma_factor": ("float", None, 6.0),
         "time_samples": ("int", None, 300),
         "assembly": ("choice", ["spectral", "dft"], "spectral"),
-        "transform_convention": ("choice", ["fourier", "reduced"], "fourier"),
-        "prefactor_convention": ("choice", ["bare", "two_pi"], "bare"),
         "dump_rho_b": ("bool", None, False),
         "profile_points_per_scale": ("int", None, 100),
     },
@@ -99,7 +99,7 @@ _SWEEP_SCHEMAS = {
         "mean_spacing_periods": ("float", None, 3.0),
         "correlated_electrons": ("int", None, 20),
         "random_electrons": ("int", None, 400),
-        "ensemble_seeds": ("int", None, 64),
+        "ensemble_seeds": ("int", None, 256),
         "sigma_et_point_fs": ("float", None, 0.0),  # 0 = use the bunch width
     },
     "solver_crosscheck": {
@@ -315,6 +315,17 @@ def validate_config(cfg: dict) -> list[str]:
 
 # -- entry point ---------------------------------------------------------------------------
 
+def non_finite_leaves(obj, path: str = "summary") -> list[str]:
+    """Paths of the NaN/inf numbers in a nested summary (JSON cannot hold them)."""
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in non_finite_leaves(v, f"{path}.{k}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj) for p in non_finite_leaves(v, f"{path}[{i}]")]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return [path]
+    return []
+
+
 _NUMERICAL_ERRORS = (DomainError, ResolutionError, TruncationError, AssemblyError,
                      StepSizeError, InstabilityError, np.linalg.LinAlgError,
                      FloatingPointError)
@@ -370,6 +381,11 @@ def main(argv=None) -> int:
         result = run_scenario(cfg, jobs=args.jobs)
     except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)
+        return 3
+    bad = non_finite_leaves(result.summary)
+    if bad:
+        log.error("numerical failure: non-finite summary values at %s; nothing written",
+                  ", ".join(bad))
         return 3
     out_dir = Path(cfg["run"]["output_dir"])
     files = write_result(result, out_dir)

@@ -10,23 +10,15 @@ and their Fourier transforms with the e^{-i p z / hbar} sign convention
     Mt_perp(p) =    (e^2 r21 / 4 pi eps0) (2/gamma)  (|p|/hbar) K1(|p| r_perp / hbar gamma)
 
 The constants in the closed forms are pinned by direct quadrature of the
-spatial kernels (see tests); an alternative "reduced" normalization, which
-divides the parallel form by 2 and the transverse form by 2*gamma*sqrt(2*pi)
-(matching some tabulated half-line transforms), is retained behind
-``DipoleCoupling.transform_convention`` for auditability.
-
-K0 and K1 are implemented in-house as Chebyshev fits (no external
-special-function dependency in the hot path), validated against the
-integral representation K_n(x) = int_0^inf exp(-x cosh t) cosh(n t) dt.
+spatial kernels (see tests).  K0 and K1 come from ``scipy.special``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from scipy.special import k0, k1
 
 from feberi.core import (
     COULOMB_EV_NM,
@@ -38,199 +30,45 @@ from feberi.core import (
 )
 
 # -- modified Bessel functions K0, K1 -----------------------------------------
-# Chebyshev fits of the smooth auxiliary functions; max relative error of the
-# fits is < 2e-15 on their domains (x in (0, 2] and [2, 700]).
-#
-#   x <= 2:  K0(x) = cheb(x^2/2 - 1; _K0_SMALL) - log(x/2) * I0(x)
-#            K1(x) = [cheb(x^2/2 - 1; _K1_SMALL) + x*log(x/2)*I1(x)] / x
-#   x >= 2:  K0(x) = exp(-x)/sqrt(x) * cheb(4/x - 1; _K0_LARGE)
-#            K1(x) = exp(-x)/sqrt(x) * cheb(4/x - 1; _K1_LARGE)
-
-_K0_SMALL = (
-    -0.2676636966169514,
-    0.3442898999246285,
-    0.0359799365153615,
-    0.001264615411446926,
-    2.286212103119452e-05,
-    2.5347910790261494e-07,
-    1.904516377220209e-09,
-    1.0349695257633625e-11,
-    4.2598161427910826e-14,
-    1.3744654358807508e-16,
-    3.5708965285083736e-19,
-    7.631643660116437e-22,
-)
-
-_K1_SMALL = (
-    0.7626501136694739,
-    -0.3531559607765449,
-    -0.12261118082265715,
-    -0.006975723859639864,
-    -0.0001730288957513052,
-    -2.4334061415659684e-06,
-    -2.213387630734726e-08,
-    -1.4114883926335278e-10,
-    -6.666901694199329e-13,
-    -2.427449850519366e-15,
-    -7.023863479386288e-18,
-    -1.6543275155100994e-20,
-)
-
-_K0_LARGE = (
-    1.2201515410329777,
-    -0.0314481013119645,
-    0.0015698838857300533,
-    -0.00012849549581627802,
-    1.39498137188765e-05,
-    -1.8317555227191195e-06,
-    2.766813639445015e-07,
-    -4.660489897687948e-08,
-    8.574034017414225e-09,
-    -1.6975345093890614e-09,
-    3.5773972814003283e-10,
-    -7.957489244477396e-11,
-    1.8559491149549264e-11,
-    -4.514597883374519e-12,
-    1.1403405882073441e-12,
-    -2.9800969231481784e-13,
-    8.032890775068375e-14,
-    -2.2275133267462965e-14,
-    6.340076476276646e-15,
-    -1.848593377920907e-15,
-    5.5120559994043335e-16,
-    -1.6782311257549006e-16,
-    5.2103917776435543e-17,
-    -1.6475805939842632e-17,
-    5.3004337711773354e-18,
-    -1.7331712005821001e-18,
-    5.755109202882729e-19,
-    -1.9390956053183555e-19,
-    6.624610534536147e-20,
-)
-
-_K1_LARGE = (
-    1.3603130952422213,
-    0.10392373657681724,
-    -0.002857816859622779,
-    0.00019521551847135162,
-    -1.936197974166083e-05,
-    2.406484947837217e-06,
-    -3.5019606030878126e-07,
-    5.7410841254500495e-08,
-    -1.0345762465678097e-08,
-    2.0150497551970347e-09,
-    -4.1903547593419254e-10,
-    9.218315187605315e-11,
-    -2.129967838427791e-11,
-    5.139639673482343e-12,
-    -1.2891739609498229e-12,
-    3.348419666052243e-13,
-    -8.976705182010146e-14,
-    2.4771544242195988e-14,
-    -7.0198370892147685e-15,
-    2.038703166239861e-15,
-    -6.057047270643018e-16,
-    1.8380935752430455e-16,
-    -5.689462849193648e-17,
-    1.7940510478863572e-17,
-    -5.7567444820733025e-18,
-    1.8778651901623268e-18,
-    -6.22164528735261e-19,
-    2.0919125269831136e-19,
-    -7.132712908341102e-20,
-)
 
 
-def _bessel_i0_small(x):
-    """Power series for I0(x), adequate to machine precision for x <= 2."""
-    q = 0.25 * x * x
-    term = np.ones_like(q)
-    out = np.ones_like(q)
-    for k in range(1, 18):
-        term = term * q / (k * k)
-        out = out + term
-    return out
-
-
-def _bessel_i1_small(x):
-    """Power series for I1(x), adequate to machine precision for x <= 2."""
-    q = 0.25 * x * x
-    term = np.ones_like(q)
-    out = np.ones_like(q)
-    for k in range(1, 18):
-        term = term * q / (k * (k + 1))
-        out = out + term
-    return 0.5 * x * out
-
-
-def _k_eval(x, small_coeffs, large_coeffs, order: int):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+def _bessel_k(fn, x):
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
         raise DomainError("modified Bessel K defined here for x > 0 only")
-    out = np.empty_like(x)
-    lo = x <= 2.0
-    hi = ~lo
-    if np.any(lo):
-        xl = x[lo]
-        u = 0.5 * xl * xl - 1.0
-        if order == 0:
-            out[lo] = chebval(u, small_coeffs) - np.log(0.5 * xl) * _bessel_i0_small(xl)
-        else:
-            out[lo] = (chebval(u, small_coeffs)
-                       + xl * np.log(0.5 * xl) * _bessel_i1_small(xl)) / xl
-    if np.any(hi):
-        xh = x[hi]
-        u = 4.0 / xh - 1.0
-        # exp underflows to 0 past x ~ 745, as required
-        out[hi] = np.exp(-xh) / np.sqrt(xh) * chebval(u, large_coeffs)
-    return out
+    out = fn(arr)
+    return float(out) if np.isscalar(x) else out
 
 
 def bessel_k0(x):
     """Modified Bessel function of the second kind, order 0 (x > 0).
 
-    Accepts scalars or arrays; relative error < 1e-13 on [1e-6, 700],
-    underflows to 0 well beyond.
+    Accepts scalars or arrays; underflows to 0 past x ~ 742.
     """
-    out = _k_eval(x, _K0_SMALL, _K0_LARGE, order=0)
-    return float(out) if np.isscalar(x) else out
+    return _bessel_k(k0, x)
 
 
 def bessel_k1(x):
     """Modified Bessel function of the second kind, order 1 (x > 0)."""
-    out = _k_eval(x, _K1_SMALL, _K1_LARGE, order=1)
-    return float(out) if np.isscalar(x) else out
+    return _bessel_k(k1, x)
 
 
 # -- dipole coupling -----------------------------------------------------------
 
-TRANSFORM_CONVENTIONS = ("fourier", "reduced")
-
-
 @dataclass(frozen=True)
 class DipoleCoupling:
-    """Bundle of TLS, geometry and kinematics defining the coupling kernels.
-
-    ``transform_convention``:
-      * "fourier" (default): momentum kernels equal the full-line Fourier
-        transform of the spatial kernels (quadrature-verified).
-      * "reduced": parallel kernel divided by 2 and transverse kernel by
-        2*gamma*sqrt(2*pi); kept only for auditing alternative tabulations.
-    """
+    """Bundle of TLS, geometry and kinematics defining the coupling kernels."""
 
     tls: TlsSpec
     geometry: InteractionGeometry
     kin: ElectronKinematics
     orientation: str = ""
-    transform_convention: str = "fourier"
 
     def __post_init__(self):
         if not self.orientation:
             object.__setattr__(self, "orientation", self.tls.orientation)
         if self.orientation not in ("parallel", "transverse"):
             raise DomainError(f"unknown orientation {self.orientation!r}")
-        if self.transform_convention not in TRANSFORM_CONVENTIONS:
-            raise DomainError(f"unknown transform convention {self.transform_convention!r}")
 
     @property
     def prefactor(self) -> float:
@@ -282,18 +120,9 @@ def m_tilde(p, coupling: DipoleCoupling):
         if np.any(nz):
             vals[nz] = (2.0 / g**2) * (absp[nz] / HBAR_EV_FS) * bessel_k0(x[nz])
         out[:] = -1j * pref * np.sign(p) * vals
-        if coupling.transform_convention == "reduced":
-            out *= 0.5
     else:
         vals = np.full_like(absp, 2.0 / (rp * 1.0))   # limit of (2/g)(|p|/hbar)K1 -> 2/r_perp
         if np.any(nz):
             vals[nz] = (2.0 / g) * (absp[nz] / HBAR_EV_FS) * bessel_k1(x[nz])
         out[:] = pref * vals
-        if coupling.transform_convention == "reduced":
-            out /= 2.0 * g * math.sqrt(2.0 * math.pi)
     return complex(out[0]) if scalar else out
-
-
-def m_tilde_at_recoil(coupling: DipoleCoupling) -> complex:
-    """Mt evaluated at the recoil momentum -E_gap/v0."""
-    return m_tilde(coupling.recoil_momentum, coupling)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import jv
@@ -29,9 +28,8 @@ from feberi.core import (
     DomainError,
     ElectronKinematics,
 )
-
-if TYPE_CHECKING:  # avoid a runtime import cycle with solver_momentum
-    from feberi.solver_momentum import MomentumGrid
+from feberi.coulomb import DipoleCoupling
+from feberi.grid import MomentumGrid, build_grid
 
 
 class TruncationError(ValueError):
@@ -176,7 +174,17 @@ def _edge_tail_mass(center: float, sigma: float, p_lo: float, p_hi: float) -> fl
     return 0.5 * (math.erfc(a) + math.erfc(b))
 
 
-def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: "MomentumGrid") -> np.ndarray:
+def grid_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
+                  n: int) -> MomentumGrid:
+    """Grid sized for a wavepacket spec plus the coupling's recoil headroom."""
+    if isinstance(spec, ModulatedQewSpec):
+        extra = spec.sideband_count * spec.delta_p
+        return build_grid(spec.base.kin, spec.base.sigma_p0,
+                          coupling.recoil_momentum, n, extra_halfwidth=extra)
+    return build_grid(spec.kin, spec.sigma_p0, coupling.recoil_momentum, n)
+
+
+def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: MomentumGrid) -> np.ndarray:
     """Discrete momentum amplitudes c_{p_n} of a Gaussian packet.
 
     Carries the arrival phase exp(+i E(p) t0 / hbar) so that the centroid
@@ -195,7 +203,7 @@ def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: "MomentumGrid") ->
     return c / math.sqrt(norm)
 
 
-def modulated_momentum_amplitudes(spec: ModulatedQewSpec, grid: "MomentumGrid") -> np.ndarray:
+def modulated_momentum_amplitudes(spec: ModulatedQewSpec, grid: MomentumGrid) -> np.ndarray:
     """Discrete momentum amplitudes of a modulated packet (sideband comb).
 
     Sideband n is a Gaussian at p0 + n*delta_p with weight J_n(2|g|) and

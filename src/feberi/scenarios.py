@@ -29,10 +29,12 @@ from feberi.core import (
     wrap_phase,
 )
 from feberi.coulomb import DipoleCoupling
+from feberi.grid import interaction_window
 from feberi.qew import (
     GaussianQewSpec,
     ModulatedQewSpec,
     gamma_parameter,
+    grid_for_spec,
     modulation_fourier_coefficients,
     optimal_drift_time,
     tooth_sigma_et,
@@ -67,19 +69,20 @@ def physics_bundle(cfg: dict):
     tls = TlsSpec.from_lab(phys["energy_gap_ev"], phys["dipole_debye"],
                            phys["orientation"])
     geo = InteractionGeometry.from_kinematics(phys["impact_parameter_nm"], kin)
-    coupling = DipoleCoupling(tls, geo, kin,
-                              transform_convention=cfg["numerics"]["transform_convention"])
-    return kin, tls, geo, coupling
+    return kin, tls, geo, DipoleCoupling(tls, geo, kin)
+
+
+def window_factors(cfg: dict) -> dict:
+    """The configured interaction-window factors, as keyword arguments."""
+    num = cfg["numerics"]
+    return {"transit_factor": num["window_transit_factor"],
+            "sigma_factor": num["window_sigma_factor"]}
 
 
 def base_metadata(cfg: dict, kin, tls, geo) -> dict:
     return {
         "tool_version": __version__,
         "config": cfg,
-        "conventions": {
-            "m_tilde": cfg["numerics"]["transform_convention"],
-            "amplitude_prefactor": cfg["numerics"]["prefactor_convention"],
-        },
         "derived": {
             "gamma": kin.gamma,
             "beta": kin.beta,
@@ -104,8 +107,7 @@ def run_fig3_ground(cfg: dict) -> ScenarioResult:
     kin, tls, geo, coupling = physics_bundle(cfg)
     num = cfg["numerics"]
     fractions = cfg["sweep"]["sigma_et_over_period"]
-    pref = num["prefactor_convention"]
-    p2_ref = analytic.p2_from_ground(coupling, kin, prefactor=pref)
+    p2_ref = analytic.p2_from_ground(coupling, kin)
 
     series = []
     plateaus = {}
@@ -113,9 +115,7 @@ def run_fig3_ground(cfg: dict) -> ScenarioResult:
     for frac in fractions:
         sigma = frac * tls.period
         spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-        window = sm.interaction_window(sigma, geo.transit_time, 0.0,
-                                       num["window_transit_factor"],
-                                       num["window_sigma_factor"])
+        window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
         traj = sd.run_qew_interaction(
             spec, TlsState.ground(), coupling, tls, n=num["grid_points"],
             window=window, n_samples=num["time_samples"],
@@ -160,7 +160,6 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
     energy balance is violated only transiently."""
     kin, tls, geo, coupling = physics_bundle(cfg)
     num = cfg["numerics"]
-    pref = num["prefactor_convention"]
     fractions = cfg["sweep"]["sigma_et_over_period"]
     zeta = cfg["sweep"]["zeta_over_pi"] * math.pi
     phi = math.pi / 2.0
@@ -174,9 +173,7 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
     for frac in fractions:
         sigma = frac * tls.period
         spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
-        window = sm.interaction_window(sigma, geo.transit_time, t0,
-                                       num["window_transit_factor"],
-                                       num["window_sigma_factor"])
+        window = interaction_window(sigma, geo.transit_time, t0, **window_factors(cfg))
         traj = sd.run_qew_interaction(
             spec, state, coupling, tls, n=num["grid_points"], window=window,
             n_samples=num["time_samples"], mode=num["assembly"])
@@ -201,10 +198,9 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
             warnings.simplefilter("ignore", analytic.RegimeWarning)
             # net second order = (p1 - p2) * single-electron rate: upward
             # gain from c1 minus stimulated downward loss from c2
-            pred = analytic.dp1_superposition(coupling, kin, state, t0, sigma,
-                                              prefactor=pref) \
+            pred = analytic.dp1_superposition(coupling, kin, state, t0, sigma) \
                 + (abs(state.c1) ** 2 - abs(state.c2) ** 2) \
-                * analytic.dp2_born(coupling, kin, sigma, prefactor=pref)
+                * analytic.dp2_born(coupling, kin, sigma)
         increments[f"{frac:g}"] = {
             "numeric": float(traj.p2[-1] - traj.p2[0]),
             "analytic": pred,
@@ -231,11 +227,9 @@ def _fig56_point(args: tuple) -> tuple[float, list[float]]:
     num = cfg["numerics"]
     sigma = gamma / tls.omega_21
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    grid = sm.grid_for_spec(spec, coupling, num["grid_points"])
+    grid = grid_for_spec(spec, coupling, num["grid_points"])
     h = sd.assemble_hamiltonian(grid, kin, coupling, tls, mode=num["assembly"])
-    window = sm.interaction_window(sigma, geo.transit_time, 0.0,
-                                   num["window_transit_factor"],
-                                   num["window_sigma_factor"])
+    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
     zetas = np.arange(cfg["sweep"]["zeta_points"]) / cfg["sweep"]["zeta_points"] * TWO_PI
     out = []
     for zeta in zetas:
@@ -251,8 +245,6 @@ def run_fig56_phase_size_sweep(cfg: dict, jobs: int = 1) -> ScenarioResult:
     """Increment vs (arrival phase, packet size): sinusoidal in zeta with an
     exp(-Gamma^2/2) envelope; fits the two-term law."""
     kin, tls, geo, coupling = physics_bundle(cfg)
-    num = cfg["numerics"]
-    pref = num["prefactor_convention"]
     gammas = cfg["sweep"]["gamma_values"]
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
@@ -286,8 +278,7 @@ def run_fig56_phase_size_sweep(cfg: dict, jobs: int = 1) -> ScenarioResult:
     # predicted A: first-order increment of an equal superposition at
     # zeta = pi/2 and vanishing size
     amp_pred = analytic.dp1_superposition(
-        coupling, kin, TlsState.equatorial(0.0), math.pi / 2 / tls.omega_21,
-        0.0, prefactor=pref)
+        coupling, kin, TlsState.equatorial(0.0), math.pi / 2 / tls.omega_21, 0.0)
     max_by_gamma = np.max(np.abs(table), axis=1)
     columns = {"zeta [rad]": zetas}
     for g, row in zip(g_arr, table):
@@ -322,14 +313,13 @@ def _resonance_spot(args: tuple) -> dict:
     tls = TlsSpec(energy_gap=w21 * HBAR_EV_FS,
                   dipole_magnitude=tls0.dipole_magnitude,
                   orientation=tls0.orientation)
-    coupling = DipoleCoupling(tls, geo, kin,
-                              transform_convention=cfg["numerics"]["transform_convention"])
+    coupling = DipoleCoupling(tls, geo, kin)
     base = GaussianQewSpec.from_duration(kin, sigma_env, t0=0.0)
     mspec = ModulatedQewSpec(base=base, g=sw["modulation_g"], omega_b=omega_b,
                              drift_time=optimal_drift_time(kin, omega_b,
                                                            sw["modulation_g"]))
     spectrum = modulation_fourier_coefficients(mspec, sw["harmonic_order"])
-    grid = bd.profile_time_grid(coupling, sigma_env, 0.0, tls.omega_21)
+    grid = bd.profile_time_grid(coupling, sigma_env, 0.0, tls.omega_21, **window_factors(cfg))
     prof = bd.modulated_interaction_profile(coupling, sigma_env, spectrum, 0.0,
                                             grid, t0=0.0,
                                             max_harmonic=harmonic + 6)
@@ -337,8 +327,7 @@ def _resonance_spot(args: tuple) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         inc = analytic.modulated_increments(
-            coupling, kin, spectrum, sigma_env, tls.omega_21, TlsState.ground(),
-            0.0, 0.0, prefactor=cfg["numerics"]["prefactor_convention"])
+            coupling, kin, spectrum, sigma_env, tls.omega_21, TlsState.ground(), 0.0, 0.0)
     return {"detuning_over_inv_sigma": detune_over_sigma,
             "omega_21": w21, "born_dp2": float(traj.p2[-1]),
             "analytic_dp2": inc.dp2}
@@ -348,7 +337,6 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
     """Second-order increment vs TLS frequency: Gaussian peaks at the
     bunching harmonics with 1/e half-width 1/sigma_et."""
     kin, tls0, geo, _ = physics_bundle(cfg)
-    num = cfg["numerics"]
     sw = cfg["sweep"]
     sigma_env = sw["envelope_sigma_et_fs"]
     harmonic = sw["harmonic"]
@@ -370,13 +358,11 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
             tls = TlsSpec(energy_gap=w21 * HBAR_EV_FS,
                           dipole_magnitude=tls0.dipole_magnitude,
                           orientation=tls0.orientation)
-            coupling = DipoleCoupling(tls, geo, kin,
-                                      transform_convention=num["transform_convention"])
+            coupling = DipoleCoupling(tls, geo, kin)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 inc = analytic.modulated_increments(
-                    coupling, kin, spectrum, sigma_env, w21, TlsState.ground(),
-                    0.0, 0.0, prefactor=num["prefactor_convention"])
+                    coupling, kin, spectrum, sigma_env, w21, TlsState.ground(), 0.0, 0.0)
             dp2[i] = inc.dp2
         # ln dp2 = const - (w - center)^2 sigma_fit^2 -> 1/e halfwidth = 1/sigma_fit
         # fit only where this harmonic dominates (inside |detuning| <= 3/sigma,
@@ -432,15 +418,12 @@ def run_fig8_single_point(cfg: dict) -> ScenarioResult:
     kin, tls, geo, coupling = physics_bundle(cfg)
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
-    grid = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21,
-                                transit_factor=cfg["numerics"]["window_transit_factor"],
-                                sigma_factor=cfg["numerics"]["window_sigma_factor"],
+    grid = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21, **window_factors(cfg),
                                 points_per_scale=cfg["numerics"]["profile_points_per_scale"])
-    prof = bd.interaction_profile(coupling, sigma, grid, t0=0.0)
+    prof = bd.interaction_profile(coupling, sigma, grid, t0=0.0, **window_factors(cfg))
     traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21,
                          n_records=cfg["numerics"]["time_samples"])
-    p2_ref = analytic.p2_from_ground(coupling, kin,
-                                     prefactor=cfg["numerics"]["prefactor_convention"])
+    p2_ref = analytic.p2_from_ground(coupling, kin)
     series = [SeriesData(
         name="occupations",
         columns={"t [fs]": traj.times, "P1": traj.p1, "P2": traj.p2,
@@ -483,7 +466,7 @@ def run_fig9_buildup(cfg: dict, jobs: int = 1) -> ScenarioResult:
     sched_c = bd.arrival_schedule("correlated", n_corr, omega_b,
                                   mean_spacing=mean_spacing, seed=seed)
     p2_corr = bd.simulate_train(TlsState.ground(), sched_c, coupling, sigma_pt,
-                                tls.omega_21)
+                                tls.omega_21, **window_factors(cfg))
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)
 
@@ -493,7 +476,7 @@ def run_fig9_buildup(cfg: dict, jobs: int = 1) -> ScenarioResult:
                                      mean_spacing=mean_spacing, seed=s)
                  for s in seeds]
     ens = bd.simulate_train_ensemble(TlsState.ground(), schedules, coupling,
-                                     sigma_pt, tls.omega_21)
+                                     sigma_pt, tls.omega_21, **window_factors(cfg))
     p2_rand = ens.mean(axis=0)
     n_axis_r = np.arange(1, n_rand + 1)
     b_lin, r2_lin = bd.linear_fit(n_axis_r, p2_rand)
@@ -538,10 +521,8 @@ def run_solver_crosscheck(cfg: dict) -> ScenarioResult:
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    grid = sm.grid_for_spec(spec, coupling, num["grid_points"])
-    window = sm.interaction_window(sigma, geo.transit_time, 0.0,
-                                   num["window_transit_factor"],
-                                   num["window_sigma_factor"])
+    grid = grid_for_spec(spec, coupling, num["grid_points"])
+    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
 
     state0 = sm.initial_amplitudes(grid, spec, TlsState.ground(), window[0])
     dt = sm.default_time_step(grid, coupling, tls)

@@ -35,9 +35,9 @@ import numpy as np
 
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
 from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_tilde
-from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, \
+from feberi.grid import MomentumGrid, interaction_window, toeplitz_kernel
+from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, grid_for_spec, \
     modulated_momentum_amplitudes
-from feberi.solver_momentum import MomentumGrid, grid_for_spec, interaction_window
 
 
 class AssemblyError(ValueError):
@@ -78,10 +78,6 @@ class HamiltonianAssembly:
             self._eig = (w, v)
         return self._eig
 
-    def interaction_part(self) -> np.ndarray:
-        """H_I = H_IB (x) H_IP as a (2N, 2N) matrix (TLS-major)."""
-        return np.kron(self.h_ib, self.h_ip)
-
 
 def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
                          coupling: DipoleCoupling, tls: TlsSpec,
@@ -98,11 +94,7 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
 
     aliasing = 0.0
     if mode == "spectral":
-        k = np.arange(n)
-        col = m_tilde(k * grid.dp, coupling) / r21
-        row = m_tilde(-k * grid.dp, coupling) / r21
-        from scipy.linalg import toeplitz
-        h_ip = grid.dp * toeplitz(col, row) / (2.0 * math.pi * HBAR_EV_FS)
+        h_ip = grid.dp * (toeplitz_kernel(grid, coupling) / r21) / (2.0 * math.pi * HBAR_EV_FS)
     else:
         dz = 2.0 * math.pi * HBAR_EV_FS / (n * grid.dp)
         z = (np.arange(n) - n / 2) * dz
@@ -123,8 +115,7 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
         v = np.exp(-1j * np.outer(p, z) / HBAR_EV_FS) / math.sqrt(n)
         h_ip = (v * f_z[None, :]) @ v.conj().T
 
-    h_int = np.kron(h_ib, h_ip)
-    h_total = h_int.copy()
+    h_total = np.kron(h_ib, h_ip)
     diag = (h0b[:, None] + h0f[None, :]).reshape(-1)
     h_total[np.arange(2 * n), np.arange(2 * n)] += diag
     herm_err = float(np.max(np.abs(h_total - h_total.conj().T)))
@@ -308,8 +299,9 @@ def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
     p2 = a[1].sum(axis=0)
     e_free = np.einsum("n,ins->s", h.h0f, a)
     e_bound = h.h0b[0] * p1 + h.h0b[1] * p2
-    h_int = h.interaction_part()
-    e_int = np.real(np.einsum("ks,ks->s", states.conj(), h_int @ states))
+    # <H_IB (x) H_IP> = 2 r21 Re<psi_1| h_ip psi_2>, h_ip Hermitian
+    e_int = 2.0 * h.h_ib[0, 1].real * np.real(
+        np.einsum("ns,ns->s", psi[0].conj(), h.h_ip @ psi[1]))
     norm = p1 + p2
     rho_b = None
     if collect_rho_b:
@@ -358,7 +350,7 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
         h = assemble_hamiltonian(grid, base0.kin, coupling, tls, mode="spectral")
     grid = h.grid
     if window_half is None:
-        window_half = 10.0 * coupling.geometry.transit_time + 6.0 * base0.sigma_et
+        window_half = interaction_window(base0.sigma_et, coupling.geometry.transit_time, 0.0)[1]
 
     rho_b = np.array(rho_b0, dtype=complex)
     if abs(np.trace(rho_b) - 1.0) > 1e-9:

@@ -19,79 +19,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
+from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
+from feberi.grid import MomentumGrid, interaction_window, toeplitz_kernel
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, \
-    gaussian_momentum_amplitudes, modulated_momentum_amplitudes
+    gaussian_momentum_amplitudes, grid_for_spec, modulated_momentum_amplitudes
 
 
 class InstabilityError(RuntimeError):
     """The integration produced NaNs (step size far too large)."""
-
-
-# -- momentum grid ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Uniform momentum grid of n points covering p0 +- p_cutoff.
-
-    points[k] = p0 - p_cutoff + k*dp with dp = 2*p_cutoff/n (ascending;
-    the +p_cutoff endpoint is excluded, matching a periodic Fourier pairing
-    with the conjugate z-grid of span 2*pi*hbar/dp).
-    """
-
-    n: int
-    p0: float
-    p_cutoff: float
-    initial_tail_mass: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 64 or self.n % 2:
-            raise DomainError(f"grid size must be even and >= 64, got {self.n}")
-        if self.p_cutoff <= 0.0:
-            raise DomainError("p_cutoff must be > 0")
-
-    @property
-    def dp(self) -> float:
-        return 2.0 * self.p_cutoff / self.n
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.p0 - self.p_cutoff + self.dp * np.arange(self.n)
-
-    @property
-    def z_span(self) -> float:
-        """Span of the conjugate position grid, 2*pi*hbar/dp, in nm."""
-        return 2.0 * math.pi * HBAR_EV_FS / self.dp
-
-
-def build_grid(kin: ElectronKinematics, sigma_p0: float, p_rec: float, n: int,
-               extra_halfwidth: float = 0.0) -> MomentumGrid:
-    """Grid sized to hold the packet and its recoil sidestep.
-
-    p_cutoff = max(8*sigma_p0, 6*|p_rec|) + extra_halfwidth.  Raises if the
-    initial Gaussian leaves more than 1e-8 outside the grid (it cannot, by
-    construction, unless extra_halfwidth is abused negative).
-    """
-    if sigma_p0 <= 0.0:
-        raise DomainError("sigma_p0 must be > 0")
-    p_cutoff = max(8.0 * sigma_p0, 6.0 * abs(p_rec)) + extra_halfwidth
-    tail = math.erfc(p_cutoff / (math.sqrt(2.0) * sigma_p0))
-    if tail > 1e-8:
-        raise DomainError(f"grid tail mass {tail:.3g} > 1e-8; enlarge p_cutoff")
-    return MomentumGrid(n=n, p0=kin.p0, p_cutoff=p_cutoff, initial_tail_mass=tail)
-
-
-def grid_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
-                  n: int) -> MomentumGrid:
-    """Convenience: grid sized for a wavepacket spec plus recoil headroom."""
-    if isinstance(spec, ModulatedQewSpec):
-        extra = spec.sideband_count * spec.delta_p
-        return build_grid(spec.base.kin, spec.base.sigma_p0,
-                          coupling.recoil_momentum, n, extra_halfwidth=extra)
-    return build_grid(spec.kin, spec.sigma_p0, coupling.recoil_momentum, n)
 
 
 # -- entangled amplitudes ----------------------------------------------------------
@@ -121,34 +58,6 @@ def initial_amplitudes(grid: MomentumGrid, spec: GaussianQewSpec | ModulatedQewS
     else:
         c = gaussian_momentum_amplitudes(spec, grid)
     return EntangledAmplitudes(v1=state.c1 * c, v2=state.c2 * c, t=t_start)
-
-
-# -- coupling matrix ----------------------------------------------------------------
-
-def _toeplitz_mtilde(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
-    """Dense matrix Mt(p_m - p_n); Toeplitz by construction."""
-    k = np.arange(grid.n)
-    col = m_tilde(k * grid.dp, coupling)         # Mt(+m dp)
-    row = m_tilde(-k * grid.dp, coupling)        # Mt(-n dp)
-    return toeplitz(col, row)
-
-
-def coupling_matrix(grid: MomentumGrid, t: float, coupling: DipoleCoupling,
-                    tls: TlsSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(U12, U21) at time t; U{ij}[m, n] couples c_{j,p_n} into dc_{i,p_m}/dt.
-
-    U21 = -(U12)^dagger elementwise, the pairing that conserves the total
-    norm.
-    """
-    kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
-    mt = _toeplitz_mtilde(grid, coupling)
-    energies = coupling.kin.dispersion(grid.points)
-    ph = np.exp(1j * energies * t / HBAR_EV_FS)  # e^{+i E_m t/hbar}
-    core = (ph[:, None] * mt) * ph.conj()[None, :]
-    w21 = tls.energy_gap / HBAR_EV_FS
-    u12 = kappa * np.exp(-1j * w21 * t) * core
-    u21 = kappa * np.exp(+1j * w21 * t) * core
-    return u12, u21
 
 
 # -- integration ---------------------------------------------------------------------
@@ -192,7 +101,7 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     n_steps = max(1, int(math.ceil((t_end - t_start) / dt)))
     dt = (t_end - t_start) / n_steps
 
-    mt = _toeplitz_mtilde(grid, coupling)
+    mt = toeplitz_kernel(grid, coupling)
     energies = coupling.kin.dispersion(grid.points)
     w_phase = energies / HBAR_EV_FS
     w21 = tls.energy_gap / HBAR_EV_FS
@@ -250,14 +159,6 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
         times=np.asarray(times), p1=np.asarray(p1s), p2=np.asarray(p2s),
         e_free=np.asarray(efs), norm=norms_arr,
         final=EntangledAmplitudes(v1=v1, v2=v2, t=t), method=method, dt=dt)
-
-
-def interaction_window(sigma_et: float, transit_t: float, t0: float,
-                       transit_factor: float = 10.0,
-                       sigma_factor: float = 6.0) -> tuple[float, float]:
-    """Integration bounds t0 +- (transit_factor*t_r + sigma_factor*sigma_et)."""
-    half = transit_factor * transit_t + sigma_factor * sigma_et
-    return (t0 - half, t0 + half)
 
 
 def run_gaussian_scenario(spec: GaussianQewSpec | ModulatedQewSpec, state: TlsState,

@@ -16,7 +16,7 @@ from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, InteractionGeometry, TlsSpec, TlsState, \
     kinematics_from_kev
 from feberi.coulomb import DipoleCoupling, bessel_k0, bessel_k1, m_spatial, m_tilde
-from feberi.qew import GaussianQewSpec
+from feberi.qew import GaussianQewSpec, grid_for_spec
 from feberi.scenarios import run_fig56_phase_size_sweep, run_fig9_buildup, \
     run_modulated_resonance, run_solver_crosscheck
 
@@ -197,24 +197,37 @@ def test_criterion_08_modulated_resonance():
             f"width dev {dev_w:.2e}, born spot dev {dev_b:.2e}")
 
 
-def test_criterion_09_n_squared_buildup():
-    t_start = time.time()
-    cfg = default_config("fig9_buildup")
-    res = run_fig9_buildup(cfg)
-    s = res.summary
-    elapsed = time.time() - t_start
+def _buildup_gates(cfg: dict, s: dict) -> tuple[bool, str]:
+    """Criterion-9 thresholds on a fig9_buildup summary."""
     ratio = s["p2_ratio_20_over_1"]
     cross_dev = abs(s["crossing_n_random"] / s["crossing_expected"] - 1.0)
     ok = (s["quadratic_r_squared"] >= 0.99
           and abs(ratio / 400.0 - 1.0) <= 0.08
           and cfg["sweep"]["ensemble_seeds"] >= 32
           and s["linear_r_squared"] >= 0.95
-          and cross_dev <= 0.25
-          and elapsed < 300.0)
-    _report(9, "N^2 buildup and crossing", ok,
-            f"quad R^2 {s['quadratic_r_squared']:.6f}, ratio {ratio:.1f}, "
-            f"lin R^2 {s['linear_r_squared']:.3f}, crossing dev {cross_dev:.2f}, "
-            f"{elapsed:.0f}s")
+          and cross_dev <= 0.25)
+    return ok, (f"quad R^2 {s['quadratic_r_squared']:.6f}, ratio {ratio:.1f}, "
+                f"lin R^2 {s['linear_r_squared']:.3f}, crossing dev {cross_dev:.2f}")
+
+
+def test_criterion_09_n_squared_buildup():
+    t_start = time.time()
+    cfg = default_config("fig9_buildup")
+    res = run_fig9_buildup(cfg)
+    elapsed = time.time() - t_start
+    ok, detail = _buildup_gates(cfg, res.summary)
+    _report(9, "N^2 buildup and crossing", ok and elapsed < 300.0,
+            f"{detail}, {elapsed:.0f}s")
+
+
+@pytest.mark.parametrize("seed", [13, 36])
+def test_criterion_09_default_ensemble_seed_independent(seed):
+    # at 64 ensemble members these seeds failed the random-train gates
+    # (linear R^2 0.934 / 0.939, crossing deviation 0.43 / 0.11)
+    cfg = default_config("fig9_buildup")
+    cfg["run"]["seed"] = seed
+    ok, detail = _buildup_gates(cfg, run_fig9_buildup(cfg).summary)
+    assert ok, f"seed {seed}: {detail}"
 
 
 def test_criterion_10_unitarity_suite(bundle, ground_runs):
@@ -223,7 +236,7 @@ def test_criterion_10_unitarity_suite(bundle, ground_runs):
 
     # density evolutions: trace and purity to 1e-9 (mixed state explicit)
     spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=0.0)
-    grid = sm.grid_for_spec(spec, coupling, 128)
+    grid = grid_for_spec(spec, coupling, 128)
     h = sd.assemble_hamiltonian(grid, kin, coupling, tls)
     psi_a = sd.initial_joint_vector(grid, spec, TlsState.ground(), -1.0,
                                     tls.energy_gap)

@@ -17,9 +17,11 @@ from feberi.analytic import (
     p2_from_ground,
     recoil_momentum,
 )
+from feberi.born_dynamics import evolve_tls, interaction_profile, profile_time_grid
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.qew import ModulationSpectrum, gamma_parameter
+from feberi.qew import GaussianQewSpec, ModulationSpectrum, gamma_parameter
+from feberi.solver_momentum import run_gaussian_scenario
 
 
 class TestRecoil:
@@ -89,10 +91,6 @@ class TestP2FromGround:
         with pytest.warns(RegimeWarning):
             p2_from_ground(c, kin)
 
-    def test_two_pi_convention(self, coupling, kin):
-        assert p2_from_ground(coupling, kin, prefactor="two_pi") == pytest.approx(
-            p2_from_ground(coupling, kin) / (2 * math.pi) ** 2, rel=1e-12)
-
 
 class TestDp1Superposition:
     def test_zero_at_zero_phase(self, coupling, kin):
@@ -131,11 +129,21 @@ class TestDp1Superposition:
         with pytest.warns(RegimeWarning):
             assert dp1_superposition(coupling, kin, TlsState.ground(), 0.0, 0.1) == 0.0
 
-    def test_models_agree(self, coupling, kin):
+    def test_models_agree(self, coupling, kin, tls):
+        # the momentum-space grid solver and the time-domain Born model give
+        # the same increment, which is the closed form's first-order law
         state = TlsState.equatorial(1.0)
-        a = dp1_superposition(coupling, kin, state, 0.3, 0.1, model="momentum")
-        b = dp1_superposition(coupling, kin, state, 0.3, 0.1, model="born")
-        assert a == b
+        t0, sigma = 0.3, 0.05 * tls.period
+        spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
+        traj_m = run_gaussian_scenario(spec, state, coupling, tls, n=128)
+        grid = profile_time_grid(coupling, sigma, t0, tls.omega_21)
+        prof = interaction_profile(coupling, sigma, grid, t0=t0)
+        traj_b = evolve_tls(state, prof, tls.omega_21)
+        a = traj_m.p2[-1] - traj_m.p2[0]
+        b = traj_b.p2[-1] - traj_b.p2[0]
+        assert a == pytest.approx(b, rel=1e-4)
+        assert a == pytest.approx(dp1_superposition(coupling, kin, state, t0, sigma),
+                                  rel=1e-3)
 
 
 class TestDp2Born:

@@ -83,6 +83,31 @@ class TestCommands:
                 "[physics]\nbeam_energy_kev = 0\n")   # beta = 0: no transit
         assert main(["run", str(write(tmp_path, text))]) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_summary_not_written(self, tmp_path, caplog):
+        # one scan point leaves the resonance-width fit undefined (NaN)
+        out = tmp_path / "o"
+        text = ("[run]\nscenario = modulated_resonance\n"
+                f"output_dir = {out}\n\n"
+                "[sweep]\nscan_points = 1\nborn_check = false\n")
+        assert main(["run", str(write(tmp_path, text))]) == 3
+        assert "non-finite" in caplog.text
+        assert not out.exists()
+
+    def test_window_factors_honoured_by_fig8(self, tmp_path):
+        out = tmp_path / "o"
+        text = ("[run]\nscenario = fig8_single_point\n"
+                f"output_dir = {out}\n\n"
+                "[numerics]\nwindow_transit_factor = 5\n")
+        assert main(["run", str(write(tmp_path, text))]) == 0
+        data = json.loads((out / "summary.json").read_text())
+        assert data["summary"]["norm_drift"] < 1e-6
+
+    def test_removed_convention_keys_rejected(self, tmp_path):
+        for key in ("transform_convention = reduced", "prefactor_convention = two_pi"):
+            text = f"[run]\nscenario = fig3_ground\n\n[numerics]\n{key}\n"
+            assert main(["run", str(write(tmp_path, text))]) == 2
+
     def test_run_writes_files(self, tmp_path):
         out = tmp_path / "out"
         cfg = write(tmp_path, MINIMAL.format(out=out))
@@ -92,8 +117,6 @@ class TestCommands:
         svg = (out / "occupations.svg").read_text()
         assert svg.startswith("<svg")
         data = json.loads((out / "summary.json").read_text())
-        assert data["metadata"]["conventions"]["m_tilde"] == "fourier"
-        assert data["metadata"]["conventions"]["amplitude_prefactor"] == "bare"
         assert data["metadata"]["derived"]["transit_time"]["value_as"] == \
             pytest.approx(8.2749, abs=1e-3)
         header = (out / "results_occupations.csv").read_text().splitlines()[0]

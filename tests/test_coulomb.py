@@ -136,18 +136,6 @@ class TestMomentumKernel:
         np.testing.assert_allclose(vals_par, vals_par[0], rtol=1e-12)
         np.testing.assert_allclose(vals_perp, vals_perp[0], rtol=1e-12)
 
-    def test_reduced_convention_flag(self, tls, geometry, kin):
-        base = DipoleCoupling(tls, geometry, kin)
-        red = DipoleCoupling(tls, geometry, kin, transform_convention="reduced")
-        p = 0.05
-        assert m_tilde(p, red) == pytest.approx(
-            m_tilde(p, base) / (2.0 * kin.gamma * math.sqrt(2.0 * math.pi)), rel=1e-14)
-        base_par = DipoleCoupling(tls, geometry, kin, orientation="parallel")
-        red_par = DipoleCoupling(tls, geometry, kin, orientation="parallel",
-                                 transform_convention="reduced")
-        assert m_tilde(p, red_par) == pytest.approx(m_tilde(p, base_par) / 2.0,
-                                                    rel=1e-14)
-
     def test_value_at_recoil(self, coupling):
         # frozen: |Mt(p_rec)| for the reference parameters
         assert abs(m_tilde(coupling.recoil_momentum, coupling)) == pytest.approx(

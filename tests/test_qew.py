@@ -18,7 +18,7 @@ from feberi.qew import (
     sideband_cutoff,
     tooth_sigma_et,
 )
-from feberi.solver_momentum import MomentumGrid, build_grid
+from feberi.grid import MomentumGrid, build_grid
 
 
 @pytest.fixture

@@ -23,7 +23,8 @@ from feberi.solver_density import (
     sequential_multi_qew,
     write_rho_b_bin,
 )
-from feberi.solver_momentum import MomentumGrid, build_grid, grid_for_spec
+from feberi.grid import MomentumGrid, build_grid
+from feberi.qew import grid_for_spec
 from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train
 
 

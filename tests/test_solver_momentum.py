@@ -5,16 +5,12 @@ import pytest
 
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.qew import GaussianQewSpec, gaussian_momentum_amplitudes
+from feberi.grid import MomentumGrid, build_grid, interaction_window, toeplitz_kernel
+from feberi.qew import GaussianQewSpec, gaussian_momentum_amplitudes, grid_for_spec
 from feberi.solver_momentum import (
-    MomentumGrid,
-    build_grid,
-    coupling_matrix,
     default_time_step,
-    grid_for_spec,
     initial_amplitudes,
     integrate,
-    interaction_window,
     run_gaussian_scenario,
 )
 
@@ -48,37 +44,55 @@ class TestGrid:
         assert m2 == pytest.approx(spec.sigma_p0**2, rel=1e-3)
 
 
+def _kappa(g):
+    return g.dp / (2.0j * math.pi * HBAR_EV_FS**2)
+
+
 class TestCouplingMatrix:
-    def test_anti_hermitian_pairing(self, coupling, coupling_parallel, tls, kin, spec):
+    """The shared Toeplitz kernel Mt(p_m - p_n) is both solvers' coupling matrix."""
+
+    def test_anti_hermitian_pairing(self, coupling, coupling_parallel, spec):
+        # kappa is imaginary, so U21 = -U12^dagger holds iff the kernel is Hermitian
         g = grid_for_spec(spec, coupling, 64)
         for cpl in (coupling, coupling_parallel):
-            u12, u21 = coupling_matrix(g, 0.37, cpl, tls)
-            np.testing.assert_allclose(u21, -u12.conj().T, rtol=1e-12, atol=1e-20)
+            mt = toeplitz_kernel(g, cpl)
+            np.testing.assert_allclose(mt, mt.conj().T, rtol=1e-12, atol=1e-20)
+            u = _kappa(g) * mt
+            np.testing.assert_allclose(u, -u.conj().T, rtol=1e-12, atol=1e-20)
 
-    def test_phase_free_at_t0(self, coupling, tls, kin, spec):
+    def test_phase_free_at_t0(self, coupling, spec):
         g = grid_for_spec(spec, coupling, 64)
-        u12, _ = coupling_matrix(g, 0.0, coupling, tls)
-        kappa = g.dp / (2.0j * math.pi * HBAR_EV_FS**2)
         k = np.arange(64)
-        expected = kappa * m_tilde((k[:, None] - k[None, :]) * g.dp, coupling)
-        np.testing.assert_allclose(u12, expected, rtol=1e-12)
+        expected = _kappa(g) * m_tilde((k[:, None] - k[None, :]) * g.dp, coupling)
+        np.testing.assert_allclose(_kappa(g) * toeplitz_kernel(g, coupling), expected,
+                                   rtol=1e-12)
 
-    def test_toeplitz_structure(self, coupling, tls, spec):
+    def test_toeplitz_structure(self, coupling, coupling_parallel, spec):
         g = grid_for_spec(spec, coupling, 64)
-        u12, _ = coupling_matrix(g, 0.0, coupling, tls)
-        np.testing.assert_allclose(np.diag(u12, 3), np.full(61, u12[3, 0]), rtol=1e-12)
+        for cpl in (coupling, coupling_parallel):
+            mt = toeplitz_kernel(g, cpl)
+            for d in (3, -5):
+                diag = np.diag(mt, d)
+                np.testing.assert_allclose(diag, np.full(64 - abs(d), diag[0]), rtol=1e-12)
 
     def test_integrator_uses_same_generator(self, coupling, tls, spec):
-        # two explicit Euler steps with the assembled matrices reproduce
-        # integrate(method="euler") exactly
+        # two explicit Euler steps with matrices built from the shared kernel
+        # reproduce integrate(method="euler") exactly
         g = grid_for_spec(spec, coupling, 64)
         s0 = initial_amplitudes(g, spec, TlsState.equatorial(0.4), -0.5)
         dt = 0.015625    # binary-exact so the span is exactly two steps
         traj = integrate(s0, (-0.5, -0.5 + 2 * dt), dt, g, coupling, tls,
                          method="euler", n_records=2)
+        mt = toeplitz_kernel(g, coupling)
+        w = coupling.kin.dispersion(g.points) / HBAR_EV_FS
+        w21 = tls.energy_gap / HBAR_EV_FS
         v1, v2 = s0.v1.copy(), s0.v2.copy()
         for k in range(2):
-            u12, u21 = coupling_matrix(g, -0.5 + k * dt, coupling, tls)
+            t = -0.5 + k * dt
+            ph = np.exp(1j * w * t)
+            core = _kappa(g) * (ph[:, None] * mt) * ph.conj()[None, :]
+            u12 = np.exp(-1j * w21 * t) * core
+            u21 = np.exp(+1j * w21 * t) * core
             v1, v2 = v1 + dt * (u12 @ v2), v2 + dt * (u21 @ v1)
         np.testing.assert_allclose(traj.final.v1, v1, rtol=1e-12)
         np.testing.assert_allclose(traj.final.v2, v2, rtol=1e-12)
