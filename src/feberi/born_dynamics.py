@@ -16,6 +16,12 @@ Schrodinger problem with E2 > E1; it reproduces the first-order increment
 +sin(zeta) law and matches the grid solvers.  It also makes the pair norm
 conserving for any real profile.)
 
+The drive is prescribed, so the equations are linear and each fixed-step
+RK4 step is a 2x2 matrix.  The step matrices of a segment are built in one
+vectorized pass and multiplied by a pairwise tree reduction (an associative
+ordered product); segments end at the recorded time points and are at most
+SEGMENT_STEPS long, which bounds the temporaries.
+
 For electron trains the per-window propagator is computed once and reused:
 shifting the arrival time by t_K only conjugates the window propagator by
 diag(1, e^{i w21 t_K}), which is what makes N^2-coherent buildup at the
@@ -39,6 +45,10 @@ from feberi.qew import ModulationSpectrum, ResolutionError
 
 class StepSizeError(RuntimeError):
     """Integrator step too coarse: norm drifted beyond tolerance."""
+
+
+# RK4 steps multiplied per segment: bounds the (2, 2, steps) temporaries
+SEGMENT_STEPS = 4096
 
 
 # -- interaction profiles ---------------------------------------------------------
@@ -95,30 +105,32 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
 
 
 def _convolved_kernel(coupling: DipoleCoupling, tau: np.ndarray, sigma_et: float,
-                      oscillation: float = 0.0,
-                      kernel_halfwidth_tr: float = 200.0) -> np.ndarray:
-    """integral du M(v0 u) e^{-i oscillation u} f_et(tau - u) on the tau grid.
+                      comb=None, kernel_halfwidth_tr: float = 200.0) -> np.ndarray:
+    """integral du M(v0 u) f_et(tau - u) c(tau - u) on the tau grid.
 
-    For sigma_et below one grid step the Gaussian acts as a delta and the
-    bare kernel is returned.  The kernel is truncated at
-    +-kernel_halfwidth_tr * t_r (relative tail ~ (2 halfwidth^2)^-1).
+    ``comb`` maps times s (relative to tau = 0) to the real density weight
+    c(s); None means c = 1.  For sigma_et below one grid step the Gaussian
+    acts as a delta and the bare kernel times c(0) is returned.  The kernel
+    is truncated at +-kernel_halfwidth_tr * t_r (relative tail
+    ~ (2 halfwidth^2)^-1).
     """
     h = float(tau[1] - tau[0])
     v0 = coupling.kin.v0
     if sigma_et < h:
-        vals = m_spatial(v0 * tau, coupling).astype(complex)
-        if oscillation != 0.0:
-            vals = vals * np.exp(-1j * oscillation * tau)
-        return vals
+        vals = m_spatial(v0 * tau, coupling)
+        return vals if comb is None else vals * comb(np.zeros(1))
     t_r = coupling.geometry.transit_time
     m = int(math.ceil(kernel_halfwidth_tr * t_r / h))
     u = h * np.arange(-m, m + 1)
+    # a complex transform on purpose: the transverse profile's tails are ~4e-4
+    # of its peak, and there the real FFT's rounding breaks evenness by
+    # 1.3e-12 relative where the complex one stays below 1e-12
     kern = m_spatial(v0 * u, coupling).astype(complex)
-    if oscillation != 0.0:
-        kern = kern * np.exp(-1j * oscillation * u)
     ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau, tau[-1] + h * np.arange(1, m + 1)])
-    gauss = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
-    return fftconvolve(gauss, kern, mode="valid") * h
+    density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
+    if comb is not None:
+        density *= comb(ext)
+    return np.real(fftconvolve(density, kern, mode="valid")) * h
 
 
 def interaction_profile(coupling: DipoleCoupling, sigma_et: float,
@@ -146,7 +158,7 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     lo, hi = interaction_window(sigma_et, t_r, t0, transit_factor, sigma_factor)
     if grid[0] > lo + 1e-12 or grid[-1] < hi - 1e-12:
         raise ResolutionError("profile grid does not span the interaction window")
-    vals = np.real(_convolved_kernel(coupling, grid - t0, sigma_et))
+    vals = _convolved_kernel(coupling, grid - t0, sigma_et)
     return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
                               sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
                               prefactor=kernel_prefactor(coupling))
@@ -159,27 +171,27 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     """Profile of a density-modulated packet: envelope times bunching comb.
 
     The packet density carries the periodic factor
-    f_mod(t - z/v0 - t_mod) = sum_m f_m e^{i m w_b (t - z/v0 - t_mod)}, so each
-    harmonic contributes an oscillating copy of the kernel convolution:
+    f_mod(t - z/v0 - t_mod) = sum_m f_m e^{i m w_b (t - z/v0 - t_mod)}.  The
+    kernel is real, so the harmonics add up before the convolution: the
+    profile is the kernel convolved once with the bunched temporal density,
 
-        f(tau) = sum_m f_m e^{i m w_b (tau + t0 - t_mod)} *
-                 integral du M(v0 u) e^{-i m w_b u} f_et(tau - u).
+        f(tau) = integral du M(v0 u) f_et(tau - u) c(tau - u),
+        c(s) = Re[f_0 + 2 sum_{m>=1} f_m e^{i m w_b (s + t0 - t_mod)}].
 
     ``max_harmonic`` truncates the sum (default: the spectrum's order).
     """
     grid = np.asarray(grid, dtype=float)
     if t0 is None:
         t0 = float(grid[len(grid) // 2])
-    tau = grid - t0
     m_top = spectrum.order if max_harmonic is None else min(max_harmonic, spectrum.order)
-    vals = np.zeros(grid.shape, dtype=float)
-    for m in range(0, m_top + 1):
-        f_m = spectrum.coefficient(m)
-        if abs(f_m) == 0.0:
-            continue
-        conv = _convolved_kernel(coupling, tau, sigma_et, oscillation=m * spectrum.omega_b)
-        term = f_m * np.exp(1j * m * spectrum.omega_b * (tau + t0 - t_mod)) * conv
-        vals += np.real(term) if m == 0 else 2.0 * np.real(term)
+    coeffs = np.array([spectrum.coefficient(m) for m in range(m_top + 1)], dtype=complex)
+    coeffs[1:] *= 2.0
+
+    def comb(s: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * spectrum.omega_b * (s + t0 - t_mod))
+        return np.real(np.polynomial.polynomial.polyval(z, coeffs))
+
+    vals = _convolved_kernel(coupling, grid - t0, sigma_et, comb=comb)
     t_r = coupling.geometry.transit_time
     return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
                               sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
@@ -205,14 +217,48 @@ class TlsTrajectory:
         return np.abs(self.c2) ** 2
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a[..., j] @ b[..., j] of 2x2 matrices stacked along the last axis."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _step_matrices(w2: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step matrices, shape (2, 2, n), of dv/dt = A(t) v over n steps.
+
+    A = [[0, -conj(w)], [w, 0]] with w = ``w2`` sampled at every half-step
+    (2n + 1 values).  For a linear system the RK4 step is exactly the matrix
+    P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t), K2 = A(t + dt/2)(I + dt/2 K1),
+    K3 = A(t + dt/2)(I + dt/2 K2), K4 = A(t + dt)(I + dt K3).
+    """
+    a = np.zeros((2, 2, len(w2)), dtype=complex)
+    a[0, 1] = -np.conj(w2)
+    a[1, 0] = w2
+    a0, ah, a1 = a[..., :-1:2], a[..., 1::2], a[..., 2::2]
+    eye = np.eye(2)[:, :, None]
+    k2 = _mul(ah, eye + 0.5 * dt * a0)
+    k3 = _mul(ah, eye + 0.5 * dt * k2)
+    k4 = _mul(a1, eye + dt * k3)
+    return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ordered_product(m: np.ndarray) -> np.ndarray:
+    """m[..., -1] @ ... @ m[..., 1] @ m[..., 0] by pairwise tree reduction."""
+    while m.shape[-1] > 1:
+        paired = _mul(m[..., 1::2], m[..., :-1:2])
+        m = np.concatenate([paired, m[..., -1:]], axis=-1) if m.shape[-1] % 2 else paired
+    return m[..., 0]
+
+
 def _rk4_columns(profile: InteractionProfile, omega_21: float,
                  cols: np.ndarray, n_records: int = 0):
     """Advance TLS columns through the profile with fixed-step RK4.
 
     ``cols`` has shape (2, k): k independent amplitude pairs evolved jointly
     (k = 1 for a state, k = 2 for the window propagator).  The RK4 step is
-    two profile samples, with midpoints on the odd samples.  Returns
-    (record_indices, trajectory array (steps+1, 2, k), final (2, k)).
+    two profile samples, with midpoints on the odd samples.  The steps
+    between record points are multiplied into one matrix, at most
+    SEGMENT_STEPS steps at a time.  Returns (record_indices, trajectory
+    array (records, 2, k), final (2, k)).
     """
     f = profile.values
     t = profile.times
@@ -223,26 +269,17 @@ def _rk4_columns(profile: InteractionProfile, omega_21: float,
     dt = 2.0 * profile.step
     # drive coefficients at every half-step: w2 drives C2, -conj(w2) drives C1
     w2 = f * np.exp(1j * omega_21 * t) / (1j * HBAR_EV_FS)
-    v = cols.astype(complex).copy()
     rec_every = max(1, n_steps // n_records) if n_records else n_steps + 1
-    rec_idx = [0]
-    rec = [v.copy()]
-
-    def deriv(k_half, state):
-        w = w2[k_half]
-        return np.stack([-np.conj(w) * state[1], w * state[0]])
-
-    for s in range(n_steps):
-        i = 2 * s
-        k1 = deriv(i, v)
-        k2 = deriv(i + 1, v + 0.5 * dt * k1)
-        k3 = deriv(i + 1, v + 0.5 * dt * k2)
-        k4 = deriv(i + 2, v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (s + 1) % rec_every == 0 or s == n_steps - 1:
-            rec_idx.append(2 * (s + 1))
-            rec.append(v.copy())
-    return np.asarray(rec_idx), np.asarray(rec), v
+    rec_steps = np.unique(np.r_[0, np.arange(rec_every, n_steps + 1, rec_every), n_steps])
+    recorded = set(rec_steps.tolist())
+    bounds = np.union1d(rec_steps, np.arange(0, n_steps, SEGMENT_STEPS))
+    v = cols.astype(complex)
+    rec = [v]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        v = _ordered_product(_step_matrices(w2[2 * lo:2 * hi + 1], dt)) @ v
+        if hi in recorded:
+            rec.append(v)
+    return 2 * rec_steps, np.asarray(rec), v
 
 
 def evolve_tls(state0: TlsState, profile: InteractionProfile, omega_21: float,
@@ -333,10 +370,12 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
 # -- electron trains -------------------------------------------------------------------
 
 def _point_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: float,
-                  transit_factor: float, sigma_factor: float) -> tuple[np.ndarray, float]:
+                  transit_factor: float, sigma_factor: float,
+                  points_per_scale: int) -> tuple[np.ndarray, float]:
     """(window propagator, window half-width) of a packet arriving at t = 0."""
     factors = {"transit_factor": transit_factor, "sigma_factor": sigma_factor}
-    grid = profile_time_grid(coupling, sigma_et_point, 0.0, omega_21, **factors)
+    grid = profile_time_grid(coupling, sigma_et_point, 0.0, omega_21, **factors,
+                             points_per_scale=points_per_scale)
     profile = interaction_profile(coupling, sigma_et_point, grid, t0=0.0, **factors)
     return window_propagator(profile, omega_21), float(grid[-1])
 
@@ -344,7 +383,7 @@ def _point_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: flo
 def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
                    coupling: DipoleCoupling, sigma_et_point: float,
                    omega_21: float, transit_factor: float = 10.0,
-                   sigma_factor: float = 6.0) -> np.ndarray:
+                   sigma_factor: float = 6.0, points_per_scale: int = 100) -> np.ndarray:
     """P2 after each electron of a train of near-point packets.
 
     Each electron applies the cached window propagator conjugated by the
@@ -354,7 +393,7 @@ def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
     (the sequential model assumes they do not).
     """
     u0, window_half = _point_window(coupling, sigma_et_point, omega_21,
-                                    transit_factor, sigma_factor)
+                                    transit_factor, sigma_factor, points_per_scale)
     gaps = np.diff(schedule.times)
     if np.any(gaps < 2.0 * window_half):
         warnings.warn(
@@ -374,7 +413,8 @@ def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
 def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCoupling,
                             sigma_et_point: float, omega_21: float,
                             transit_factor: float = 10.0,
-                            sigma_factor: float = 6.0) -> np.ndarray:
+                            sigma_factor: float = 6.0,
+                            points_per_scale: int = 100) -> np.ndarray:
     """P2 sequences for many schedules of equal length, evolved jointly.
 
     Returns shape (n_schedules, n_electrons).  Same physics as
@@ -383,7 +423,8 @@ def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCouplin
     """
     schedules = list(schedules)
     times = np.stack([s.times for s in schedules])      # (S, N)
-    u0, _ = _point_window(coupling, sigma_et_point, omega_21, transit_factor, sigma_factor)
+    u0, _ = _point_window(coupling, sigma_et_point, omega_21, transit_factor, sigma_factor,
+                          points_per_scale)
     s = np.tile(np.array([[state0.c1], [state0.c2]], dtype=complex), (1, len(schedules)))
     p2 = np.empty(times.T.shape)                         # (N, S)
     for k, t_k in enumerate(times.T):

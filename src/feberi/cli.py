@@ -16,6 +16,7 @@ import configparser
 import json
 import logging
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -39,73 +40,77 @@ class ConfigError(ValueError):
 
 # -- schema ---------------------------------------------------------------------------
 
+# (kind, choices, default, bound).  Every float must be finite and every list
+# non-empty; a bound "> x" or ">= x" also applies to each value (list items too).
 _COMMON_SCHEMA = {
     "run": {
-        "scenario": ("choice", sorted(SCENARIOS), None),
-        "seed": ("int", None, 12345),
-        "output_dir": ("str", None, "out"),
+        "scenario": ("choice", sorted(SCENARIOS), None, None),
+        "seed": ("int", None, 12345, ">= 0"),
+        "output_dir": ("str", None, "out", None),
     },
     "physics": {
-        "beam_energy_kev": ("float", None, 200.0),
-        "impact_parameter_nm": ("float", None, 2.4),
-        "energy_gap_ev": ("float", None, 2.0),
-        "dipole_debye": ("float", None, 5.0),
-        "orientation": ("choice", ["parallel", "transverse"], "transverse"),
+        "beam_energy_kev": ("float", None, 200.0, "> 0"),
+        "impact_parameter_nm": ("float", None, 2.4, "> 0"),
+        "energy_gap_ev": ("float", None, 2.0, "> 0"),
+        "dipole_debye": ("float", None, 5.0, "> 0"),
+        "orientation": ("choice", ["parallel", "transverse"], "transverse", None),
     },
     "numerics": {
-        "grid_points": ("int", None, 256),
-        "integrator": ("choice", ["rk4", "euler"], "rk4"),
-        "window_transit_factor": ("float", None, 10.0),
-        "window_sigma_factor": ("float", None, 6.0),
-        "time_samples": ("int", None, 300),
-        "assembly": ("choice", ["spectral", "dft"], "spectral"),
-        "dump_rho_b": ("bool", None, False),
-        "profile_points_per_scale": ("int", None, 100),
+        "grid_points": ("int", None, 256, None),   # validate reports a bad size
+        "integrator": ("choice", ["rk4", "euler"], "rk4", None),
+        "window_transit_factor": ("float", None, 10.0, "> 0"),
+        "window_sigma_factor": ("float", None, 6.0, ">= 0"),
+        "time_samples": ("int", None, 300, ">= 2"),
+        "assembly": ("choice", ["spectral", "dft"], "spectral", None),
+        "dump_rho_b": ("bool", None, False, None),
+        "profile_points_per_scale": ("int", None, 100, ">= 1"),
     },
 }
 
 _SWEEP_SCHEMAS = {
     "fig3_ground": {
-        "sigma_et_over_period": ("float_list", None, [0.1, 0.3, 1.0]),
+        "sigma_et_over_period": ("float_list", None, [0.1, 0.3, 1.0], "> 0"),
     },
     "fig4_superposition": {
-        "sigma_et_over_period": ("float_list", None, [0.1, 0.3, 1.0]),
-        "zeta_over_pi": ("float", None, 0.5),
+        "sigma_et_over_period": ("float_list", None, [0.1, 0.3, 1.0], "> 0"),
+        "zeta_over_pi": ("float", None, 0.5, None),
     },
     "fig56_phase_size_sweep": {
         "gamma_values": ("float_list", None,
-                         [0.1, 0.3, 0.6, 0.9, 1.2, 1.5, 2.0, 2.8, 3.8]),
-        "zeta_points": ("int", None, 16),
+                         [0.1, 0.3, 0.6, 0.9, 1.2, 1.5, 2.0, 2.8, 3.8], "> 0"),
+        "zeta_points": ("int", None, 16, ">= 3"),   # the sin(zeta) fit needs sin != 0
     },
     "modulated_resonance": {
-        "modulation_g": ("float", None, 4.0),
-        "harmonic": ("int", None, 2),
-        "envelope_sigma_et_fs": ("float", None, 5.0),
-        "harmonic_order": ("int", None, 24),
-        "scan_points": ("int", None, 41),
-        "scan_halfwidth_inv_sigma": ("float", None, 4.0),
-        "scan_harmonics": ("int_list", None, [1, 2, 3]),
-        "born_check": ("bool", None, True),
-        "spot_check_detunings": ("float_list", None, [0.0, 0.5, 1.0]),
+        "modulation_g": ("float", None, 4.0, "> 0"),
+        "harmonic": ("int", None, 2, ">= 1"),
+        "envelope_sigma_et_fs": ("float", None, 5.0, "> 0"),
+        "harmonic_order": ("int", None, 24, ">= 1"),
+        "scan_points": ("int", None, 41, ">= 1"),
+        "scan_halfwidth_inv_sigma": ("float", None, 4.0, "> 0"),
+        "scan_harmonics": ("int_list", None, [1, 2, 3], ">= 1"),
+        "born_check": ("bool", None, True, None),
+        "spot_check_detunings": ("float_list", None, [0.0, 0.5, 1.0], None),
     },
     "fig8_single_point": {
-        "sigma_et_over_period": ("float_list", None, [0.015]),
+        "sigma_et_over_period": ("float_list", None, [0.015], ">= 0"),
     },
     "fig9_buildup": {
-        "harmonic": ("int", None, 2),
-        "modulation_g": ("float", None, 4.0),
-        "envelope_sigma_et_fs": ("float", None, 10.0),
-        "harmonic_order": ("int", None, 32),
-        "mean_spacing_periods": ("float", None, 3.0),
-        "correlated_electrons": ("int", None, 20),
-        "random_electrons": ("int", None, 400),
-        "ensemble_seeds": ("int", None, 256),
-        "sigma_et_point_fs": ("float", None, 0.0),  # 0 = use the bunch width
+        "harmonic": ("int", None, 2, ">= 1"),
+        "modulation_g": ("float", None, 4.0, "> 0"),
+        "envelope_sigma_et_fs": ("float", None, 10.0, "> 0"),
+        "harmonic_order": ("int", None, 32, ">= 1"),
+        "mean_spacing_periods": ("float", None, 3.0, "> 0"),
+        "correlated_electrons": ("int", None, 20, ">= 1"),
+        "random_electrons": ("int", None, 400, ">= 1"),
+        "ensemble_seeds": ("int", None, 256, ">= 1"),
+        "sigma_et_point_fs": ("float", None, 0.0, ">= 0"),  # 0 = use the bunch width
     },
     "solver_crosscheck": {
-        "sigma_et_over_period": ("float_list", None, [0.1]),
+        "sigma_et_over_period": ("float_list", None, [0.1], "> 0"),
     },
 }
+
+_BOUND_OPS = {">": operator.gt, ">=": operator.ge}
 
 
 def default_config(scenario: str) -> dict:
@@ -118,6 +123,20 @@ def default_config(scenario: str) -> dict:
            for section, keys in schema.items()}
     cfg["run"]["scenario"] = scenario
     return cfg
+
+
+def _check_range(value, kind: str, bound: str | None, where: str) -> None:
+    """Reject empty lists, non-finite floats and values outside ``bound``."""
+    items = value if kind.endswith("_list") else [value]
+    if not items:
+        raise ConfigError(f"{where}: needs at least one value")
+    for x in items:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ConfigError(f"{where}: must be finite, got {x!r}")
+        if bound is not None:
+            op, limit = bound.split()
+            if not _BOUND_OPS[op](x, float(limit)):
+                raise ConfigError(f"{where}: must be {bound}, got {x!r}")
 
 
 def _parse_value(raw: str, kind: str, choices, where: str):
@@ -198,10 +217,10 @@ def load_config(path) -> dict:
                 raise ConfigError(
                     f"{path}:{ln}: unknown key {key!r} in [{section}] for "
                     f"scenario {scenario}")
-            kind, choices, _default = schema[section][key]
-            ln = lines.get((section, key), 0)
-            cfg[section][key] = _parse_value(raw, kind, choices,
-                                             f"{path}:{ln}: [{section}] {key}")
+            kind, choices, _default, bound = schema[section][key]
+            where = f"{path}:{lines.get((section, key), 0)}: [{section}] {key}"
+            cfg[section][key] = _parse_value(raw, kind, choices, where)
+            _check_range(cfg[section][key], kind, bound, where)
     return cfg
 
 

@@ -79,6 +79,12 @@ def window_factors(cfg: dict) -> dict:
             "sigma_factor": num["window_sigma_factor"]}
 
 
+def profile_grid_args(cfg: dict) -> dict:
+    """Keyword arguments of a Born profile grid: window factors and resolution."""
+    return {**window_factors(cfg),
+            "points_per_scale": cfg["numerics"]["profile_points_per_scale"]}
+
+
 def base_metadata(cfg: dict, kin, tls, geo) -> dict:
     return {
         "tool_version": __version__,
@@ -319,7 +325,7 @@ def _resonance_spot(args: tuple) -> dict:
                              drift_time=optimal_drift_time(kin, omega_b,
                                                            sw["modulation_g"]))
     spectrum = modulation_fourier_coefficients(mspec, sw["harmonic_order"])
-    grid = bd.profile_time_grid(coupling, sigma_env, 0.0, tls.omega_21, **window_factors(cfg))
+    grid = bd.profile_time_grid(coupling, sigma_env, 0.0, tls.omega_21, **profile_grid_args(cfg))
     prof = bd.modulated_interaction_profile(coupling, sigma_env, spectrum, 0.0,
                                             grid, t0=0.0,
                                             max_harmonic=harmonic + 6)
@@ -418,8 +424,7 @@ def run_fig8_single_point(cfg: dict) -> ScenarioResult:
     kin, tls, geo, coupling = physics_bundle(cfg)
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
-    grid = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21, **window_factors(cfg),
-                                points_per_scale=cfg["numerics"]["profile_points_per_scale"])
+    grid = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
     prof = bd.interaction_profile(coupling, sigma, grid, t0=0.0, **window_factors(cfg))
     traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21,
                          n_records=cfg["numerics"]["time_samples"])
@@ -466,7 +471,7 @@ def run_fig9_buildup(cfg: dict, jobs: int = 1) -> ScenarioResult:
     sched_c = bd.arrival_schedule("correlated", n_corr, omega_b,
                                   mean_spacing=mean_spacing, seed=seed)
     p2_corr = bd.simulate_train(TlsState.ground(), sched_c, coupling, sigma_pt,
-                                tls.omega_21, **window_factors(cfg))
+                                tls.omega_21, **profile_grid_args(cfg))
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)
 
@@ -476,7 +481,7 @@ def run_fig9_buildup(cfg: dict, jobs: int = 1) -> ScenarioResult:
                                      mean_spacing=mean_spacing, seed=s)
                  for s in seeds]
     ens = bd.simulate_train_ensemble(TlsState.ground(), schedules, coupling,
-                                     sigma_pt, tls.omega_21, **window_factors(cfg))
+                                     sigma_pt, tls.omega_21, **profile_grid_args(cfg))
     p2_rand = ens.mean(axis=0)
     n_axis_r = np.arange(1, n_rand + 1)
     b_lin, r2_lin = bd.linear_fit(n_axis_r, p2_rand)

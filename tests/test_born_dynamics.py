@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feberi.analytic import dp1_superposition, p2_from_ground
 from feberi.born_dynamics import (
+    SEGMENT_STEPS,
     ArrivalSchedule,
     InteractionProfile,
     StepSizeError,
@@ -17,9 +20,10 @@ from feberi.born_dynamics import (
     quadratic_fit,
     simulate_train,
     simulate_train_ensemble,
+    _rk4_columns,
     window_propagator,
 )
-from feberi.core import TWO_PI, DomainError, TlsState
+from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
 from feberi.qew import ResolutionError
 
 
@@ -135,6 +139,84 @@ class TestEvolveTls:
             evolve_tls(TlsState.equatorial(0.1), prof, tls.omega_21)
 
 
+def reference_rk4_columns(profile, omega_21, cols, n_records=0):
+    """The per-step RK4 loop: one vector step per pair of profile samples."""
+    f, t = profile.values, profile.times
+    if len(f) % 2 == 0:
+        f, t = f[:-1], t[:-1]
+    n_steps = (len(f) - 1) // 2
+    dt = 2.0 * profile.step
+    w2 = f * np.exp(1j * omega_21 * t) / (1j * HBAR_EV_FS)
+    v = cols.astype(complex).copy()
+    rec_every = max(1, n_steps // n_records) if n_records else n_steps + 1
+    rec_idx, rec = [0], [v.copy()]
+
+    def deriv(k_half, state):
+        w = w2[k_half]
+        return np.stack([-np.conj(w) * state[1], w * state[0]])
+
+    for s in range(n_steps):
+        i = 2 * s
+        k1 = deriv(i, v)
+        k2 = deriv(i + 1, v + 0.5 * dt * k1)
+        k3 = deriv(i + 1, v + 0.5 * dt * k2)
+        k4 = deriv(i + 2, v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (s + 1) % rec_every == 0 or s == n_steps - 1:
+            rec_idx.append(2 * (s + 1))
+            rec.append(v.copy())
+    return np.asarray(rec_idx), np.asarray(rec), v
+
+
+def random_profile(n_samples, seed, amplitude=0.2):
+    """Profile of n_samples random values in eV on a 1 fs window."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(-0.5, 0.5, n_samples)
+    return InteractionProfile(times=t, values=amplitude * rng.standard_normal(n_samples),
+                              orientation="transverse", sigma_bar_et=1.0, t0=0.0,
+                              t_r=1.0, prefactor=1.0)
+
+
+class TestStepMatrixPropagator:
+    # odd and even sample counts; the longest spans two segments
+    @pytest.mark.parametrize("n_samples", [9, 10, 1001, 1000, 2 * SEGMENT_STEPS + 7])
+    @pytest.mark.parametrize("n_records", [0, 1, 7, 200, 10**6])
+    def test_matches_per_step_loop(self, n_samples, n_records):
+        prof = random_profile(n_samples, seed=n_samples)
+        cols = np.array([[0.6, 1.0], [0.8j, 0.0]])
+        idx, rec, final = _rk4_columns(prof, 3.0, cols, n_records=n_records)
+        ref_idx, ref_rec, ref_final = reference_rk4_columns(prof, 3.0, cols, n_records)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_allclose(rec, ref_rec, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12)
+
+    def test_evolve_tls_records_match_loop(self, coupling, tls):
+        grid = profile_time_grid(coupling, 0.1, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, 0.1, grid, t0=0.0)
+        state = TlsState.equatorial(0.4)
+        traj = evolve_tls(state, prof, tls.omega_21, n_records=37)
+        idx, rec, _ = reference_rk4_columns(prof, tls.omega_21,
+                                            np.array([[state.c1], [state.c2]]), 37)
+        np.testing.assert_array_equal(traj.times, prof.times[idx])
+        np.testing.assert_allclose(traj.c2, rec[:, 1, 0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_half=st.integers(100, 3000), omega_21=st.floats(0.5, 5.0),
+       amps=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
+       centers=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+       width=st.floats(0.02, 0.2))
+def test_window_propagator_unitary_on_smooth_profiles(n_half, omega_21, amps, centers,
+                                                       width):
+    t = np.linspace(-1.0, 1.0, 2 * n_half + 1)
+    vals = sum(a * np.exp(-((t - c) ** 2) / (2.0 * width**2))
+               for a, c in zip(amps, centers))
+    prof = InteractionProfile(times=t, values=vals, orientation="transverse",
+                              sigma_bar_et=1.0, t0=0.0, t_r=1.0, prefactor=1.0)
+    u = window_propagator(prof, omega_21)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-6)
+
+
 class TestArrivalSchedule:
     def test_correlated_locked_to_period(self, tls):
         omega_b = tls.omega_21 / 2.0
@@ -230,6 +312,18 @@ class TestTrains:
         for i, s in enumerate(scheds):
             one = simulate_train(TlsState.ground(), s, coupling, 0.08, tls.omega_21)
             np.testing.assert_allclose(ens[i], one, rtol=1e-12)
+
+    def test_points_per_scale_sets_window_grid(self, coupling, tls, omega_b):
+        t_b = TWO_PI / omega_b
+        sched = arrival_schedule("correlated", 5, omega_b, mean_spacing=3 * t_b, seed=2)
+        fine, coarse = (simulate_train(TlsState.ground(), sched, coupling, 0.08,
+                                       tls.omega_21, points_per_scale=pps)
+                        for pps in (100, 50))
+        ens = simulate_train_ensemble(TlsState.ground(), [sched], coupling, 0.08,
+                                      tls.omega_21, points_per_scale=50)
+        assert not np.array_equal(fine, coarse)
+        np.testing.assert_allclose(coarse, fine, rtol=1e-4)
+        np.testing.assert_allclose(ens[0], coarse, rtol=1e-12)
 
     def test_overlap_warning(self, coupling, tls, omega_b):
         sched = ArrivalSchedule(times=np.array([0.0, 0.05]), kind="random",

@@ -80,8 +80,27 @@ class TestCommands:
     def test_numerical_error_exit_code(self, tmp_path):
         text = ("[run]\nscenario = fig8_single_point\n"
                 f"output_dir = {tmp_path / 'o'}\n\n"
-                "[physics]\nbeam_energy_kev = 0\n")   # beta = 0: no transit
+                "[numerics]\nprofile_points_per_scale = 10\n")   # profile too coarse
         assert main(["run", str(write(tmp_path, text))]) == 3
+
+    @pytest.mark.parametrize("scenario, section, entry", [
+        ("fig9_buildup", "sweep", "ensemble_seeds = 0"),
+        ("fig56_phase_size_sweep", "sweep", "zeta_points = 0"),
+        ("fig3_ground", "sweep", "sigma_et_over_period ="),
+        ("fig8_single_point", "physics", "impact_parameter_nm = nan"),
+        ("fig8_single_point", "numerics", "profile_points_per_scale = 0"),
+        ("fig8_single_point", "physics", "energy_gap_ev = -1"),
+        ("fig8_single_point", "physics", "beam_energy_kev = 0"),
+        ("fig9_buildup", "sweep", "correlated_electrons = 0"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, caplog, scenario,
+                                                section, entry):
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                f"[{section}]\n{entry}\n")
+        assert main(["run", str(write(tmp_path, text))]) == 2
+        assert f":6: [{section}] {entry.split()[0]}: " in caplog.text
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_summary_not_written(self, tmp_path, caplog):

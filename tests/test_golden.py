@@ -4,6 +4,10 @@ Each ``golden/<scenario>.json`` holds the config overrides of one run and the
 summary it produced when recorded.  A refactor must reproduce every summary
 leaf within RTOL/ATOL (the pair the benchmark's reference check uses).
 
+The summaries are computed in one child process with BLAS pinned to one
+thread: some leaves are differences of nearly equal numbers, and a BLAS
+thread count changes their rounding by more than RTOL.
+
 Re-record (only when a change of numbers is intended and documented):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,17 +15,21 @@ Re-record (only when a change of numbers is intended and documented):
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import feberi
 from feberi.cli import default_config
 from feberi.scenarios import SCENARIOS, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-6
 ATOL = 1e-12
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SMALL = {"grid_points": 128, "time_samples": 100}
 GOLDEN_CONFIGS = {
@@ -63,15 +71,32 @@ def _summary(overrides: dict, scenario: str) -> dict:
                                  default=float))
 
 
+def single_thread_summaries() -> dict:
+    """Summaries of every golden config, from a child process on one BLAS thread."""
+    env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
+    src = str(Path(feberi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, __file__, "--print"], env=env,
+                         capture_output=True, text=True, timeout=600)
+    if out.returncode:
+        raise RuntimeError(f"golden child process failed:\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def summaries():
+    return single_thread_summaries()
+
+
 def test_every_scenario_locked():
     assert set(GOLDEN_CONFIGS) == set(SCENARIOS)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_CONFIGS))
-def test_summary_matches_golden(scenario):
+def test_summary_matches_golden(scenario, summaries):
     golden = json.loads((GOLDEN_DIR / f"{scenario}.json").read_text(encoding="utf-8"))
     assert golden["overrides"] == GOLDEN_CONFIGS[scenario]
-    got = dict(_leaves(_summary(golden["overrides"], scenario)))
+    got = dict(_leaves(summaries[scenario]))
     want = dict(_leaves(golden["summary"]))
     assert got.keys() == want.keys()
     bad = []
@@ -86,9 +111,13 @@ def test_summary_matches_golden(scenario):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--print"]:
+        json.dump({name: _summary(o, name) for name, o in GOLDEN_CONFIGS.items()},
+                  sys.stdout)
+        sys.exit(0)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, overrides in GOLDEN_CONFIGS.items():
-        payload = {"overrides": overrides, "summary": _summary(overrides, name)}
+    for name, summary in single_thread_summaries().items():
+        payload = {"overrides": GOLDEN_CONFIGS[name], "summary": summary}
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)

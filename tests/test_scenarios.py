@@ -31,3 +31,19 @@ def test_metadata_records_transit():
     assert tt["value_as"] == pytest.approx(8.2749, abs=1e-3)
     assert "note" in tt
     assert "runtime_s" in meta
+
+
+def test_profile_points_per_scale_reaches_born_spot_checks():
+    # the small modulated_resonance config of the golden lock, at two profile
+    # resolutions: the Born spot check moves, and stays within criterion 8
+    spots = {}
+    for pps in (50, 100):
+        cfg = default_config("modulated_resonance")
+        cfg["physics"]["impact_parameter_nm"] = 9.6
+        cfg["numerics"]["profile_points_per_scale"] = pps
+        cfg["sweep"].update({"harmonic": 1, "envelope_sigma_et_fs": 2.5, "scan_points": 11,
+                             "spot_check_detunings": [0.0]})
+        spots[pps] = run_scenario(cfg).summary["born_spot_checks"][0]
+    assert spots[50]["born_dp2"] != spots[100]["born_dp2"]
+    for spot in spots.values():
+        assert abs(spot["born_dp2"] / spot["analytic_dp2"] - 1.0) <= 0.15
