@@ -16,16 +16,20 @@ Schrodinger problem with E2 > E1; it reproduces the first-order increment
 +sin(zeta) law and matches the grid solvers.  It also makes the pair norm
 conserving for any real profile.)
 
+Both profile builders, plain and density-modulated, sample on their own
+profile_time_grid (window factors and points per scale as arguments) and
+raise ResolutionError when its step exceeds min(t_r, sigma_et)/20.
+
 The drive is prescribed, so the equations are linear and each fixed-step
 RK4 step is a 2x2 matrix.  The step matrices of a segment are built in one
 vectorized pass and multiplied by a pairwise tree reduction (an associative
 ordered product); segments end at the recorded time points and are at most
 SEGMENT_STEPS long, which bounds the temporaries.
 
-For electron trains the per-window propagator is computed once and reused:
-shifting the arrival time by t_K only conjugates the window propagator by
-diag(1, e^{i w21 t_K}), which is what makes N^2-coherent buildup at the
-resonance w21 = n*w_b arrival comb exact.
+Electron trains run through one engine, simulate_train_ensemble (a single
+train is an ensemble of one).  The window propagator is computed once:
+shifting the arrival time by t_K only conjugates it by diag(1, e^{i w21 t_K}),
+which makes N^2-coherent buildup on the resonant arrival comb exact.
 """
 
 from __future__ import annotations
@@ -104,70 +108,62 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
     return t0 + step * np.arange(-n, n + 1)
 
 
-def _convolved_kernel(coupling: DipoleCoupling, tau: np.ndarray, sigma_et: float,
-                      comb=None, kernel_halfwidth_tr: float = 200.0) -> np.ndarray:
-    """integral du M(v0 u) f_et(tau - u) c(tau - u) on the tau grid.
+def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: float,
+             transit_factor: float, sigma_factor: float, points_per_scale: int,
+             comb, kernel_halfwidth_tr: float = 200.0) -> InteractionProfile:
+    """integral du M(v0 u) f_et(tau - u) c(tau - u), tau = t - t0, on the
+    ``profile_time_grid`` of the same arguments.
 
+    Raises ResolutionError if the step exceeds min(t_r, sigma_et)/20.
     ``comb`` maps times s (relative to tau = 0) to the real density weight
-    c(s); None means c = 1.  For sigma_et below one grid step the Gaussian
-    acts as a delta and the bare kernel times c(0) is returned.  The kernel
-    is truncated at +-kernel_halfwidth_tr * t_r (relative tail
-    ~ (2 halfwidth^2)^-1).
+    c(s).  For sigma_et below one grid step the Gaussian acts as a delta and
+    the bare kernel times c(0) is returned.  The kernel is truncated at
+    +-kernel_halfwidth_tr * t_r (relative tail ~ (2 halfwidth^2)^-1).
     """
+    grid = profile_time_grid(coupling, sigma_et, t0, omega_21, transit_factor,
+                             sigma_factor, points_per_scale)
+    tau = grid - t0
     h = float(tau[1] - tau[0])
-    v0 = coupling.kin.v0
-    if sigma_et < h:
-        vals = m_spatial(v0 * tau, coupling)
-        return vals if comb is None else vals * comb(np.zeros(1))
     t_r = coupling.geometry.transit_time
-    m = int(math.ceil(kernel_halfwidth_tr * t_r / h))
-    u = h * np.arange(-m, m + 1)
-    # a complex transform on purpose: the transverse profile's tails are ~4e-4
-    # of its peak, and there the real FFT's rounding breaks evenness by
-    # 1.3e-12 relative where the complex one stays below 1e-12
-    kern = m_spatial(v0 * u, coupling).astype(complex)
-    ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau, tau[-1] + h * np.arange(1, m + 1)])
-    density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
-    if comb is not None:
-        density *= comb(ext)
-    return np.real(fftconvolve(density, kern, mode="valid")) * h
-
-
-def interaction_profile(coupling: DipoleCoupling, sigma_et: float,
-                        grid: np.ndarray, t0: float | None = None,
-                        transit_factor: float = 10.0,
-                        sigma_factor: float = 6.0) -> InteractionProfile:
-    """Convolve the spatial kernel with the packet's temporal profile.
-
-    ``grid`` is the absolute time grid (uniform); ``t0`` defaults to its
-    midpoint.  Preconditions: the grid spans the interaction window of the
-    given factors around t0 with step <= min(t_r, sigma_et)/20.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 8:
-        raise DomainError("profile grid must be a 1-d array")
-    h = float(grid[1] - grid[0])
-    if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * h):
-        raise DomainError("profile grid must be uniform")
-    t_r = coupling.geometry.transit_time
-    if t0 is None:
-        t0 = float(grid[len(grid) // 2])
     limit = min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0
     if h > limit * (1.0 + 1e-9):
         raise ResolutionError(f"profile step {h:.3g} fs exceeds {limit:.3g} fs")
-    lo, hi = interaction_window(sigma_et, t_r, t0, transit_factor, sigma_factor)
-    if grid[0] > lo + 1e-12 or grid[-1] < hi - 1e-12:
-        raise ResolutionError("profile grid does not span the interaction window")
-    vals = _convolved_kernel(coupling, grid - t0, sigma_et)
+    v0 = coupling.kin.v0
+    if sigma_et < h:
+        vals = m_spatial(v0 * tau, coupling) * comb(np.zeros(1))
+    else:
+        m = int(math.ceil(kernel_halfwidth_tr * t_r / h))
+        u = h * np.arange(-m, m + 1)
+        # a complex transform on purpose: the transverse profile's tails are ~4e-4
+        # of its peak, and there the real FFT's rounding breaks evenness by
+        # 1.3e-12 relative where the complex one stays below 1e-12
+        kern = m_spatial(v0 * u, coupling).astype(complex)
+        ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau,
+                              tau[-1] + h * np.arange(1, m + 1)])
+        density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
+        density *= comb(ext)
+        vals = np.real(fftconvolve(density, kern, mode="valid")) * h
     return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
                               sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
                               prefactor=kernel_prefactor(coupling))
 
 
+def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
+                        omega_21: float, transit_factor: float = 10.0,
+                        sigma_factor: float = 6.0,
+                        points_per_scale: int = 100) -> InteractionProfile:
+    """The spatial kernel convolved with the packet's temporal profile."""
+    return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
+                    points_per_scale, np.ones_like)
+
+
 def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
                                   spectrum: ModulationSpectrum, t_mod: float,
-                                  grid: np.ndarray, t0: float | None = None,
-                                  max_harmonic: int | None = None) -> InteractionProfile:
+                                  t0: float, omega_21: float,
+                                  max_harmonic: int | None = None,
+                                  transit_factor: float = 10.0,
+                                  sigma_factor: float = 6.0,
+                                  points_per_scale: int = 100) -> InteractionProfile:
     """Profile of a density-modulated packet: envelope times bunching comb.
 
     The packet density carries the periodic factor
@@ -180,9 +176,6 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
 
     ``max_harmonic`` truncates the sum (default: the spectrum's order).
     """
-    grid = np.asarray(grid, dtype=float)
-    if t0 is None:
-        t0 = float(grid[len(grid) // 2])
     m_top = spectrum.order if max_harmonic is None else min(max_harmonic, spectrum.order)
     coeffs = np.array([spectrum.coefficient(m) for m in range(m_top + 1)], dtype=complex)
     coeffs[1:] *= 2.0
@@ -191,11 +184,8 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
         z = np.exp(1j * spectrum.omega_b * (s + t0 - t_mod))
         return np.real(np.polynomial.polynomial.polyval(z, coeffs))
 
-    vals = _convolved_kernel(coupling, grid - t0, sigma_et, comb=comb)
-    t_r = coupling.geometry.transit_time
-    return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
-                              sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
-                              prefactor=kernel_prefactor(coupling))
+    return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
+                    points_per_scale, comb)
 
 
 # -- TLS evolution -------------------------------------------------------------------
@@ -369,63 +359,33 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
 
 # -- electron trains -------------------------------------------------------------------
 
-def _point_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: float,
-                  transit_factor: float, sigma_factor: float,
-                  points_per_scale: int) -> tuple[np.ndarray, float]:
-    """(window propagator, window half-width) of a packet arriving at t = 0."""
-    factors = {"transit_factor": transit_factor, "sigma_factor": sigma_factor}
-    grid = profile_time_grid(coupling, sigma_et_point, 0.0, omega_21, **factors,
-                             points_per_scale=points_per_scale)
-    profile = interaction_profile(coupling, sigma_et_point, grid, t0=0.0, **factors)
-    return window_propagator(profile, omega_21), float(grid[-1])
-
-
-def simulate_train(state0: TlsState, schedule: ArrivalSchedule,
-                   coupling: DipoleCoupling, sigma_et_point: float,
-                   omega_21: float, transit_factor: float = 10.0,
-                   sigma_factor: float = 6.0, points_per_scale: int = 100) -> np.ndarray:
-    """P2 after each electron of a train of near-point packets.
-
-    Each electron applies the cached window propagator conjugated by the
-    arrival phase diag(1, e^{i w21 t_K}); this is exactly sequential RK4
-    window evolution with free TLS rotation between windows (the rotating
-    frame absorbs the free evolution).  Warns if consecutive windows overlap
-    (the sequential model assumes they do not).
-    """
-    u0, window_half = _point_window(coupling, sigma_et_point, omega_21,
-                                    transit_factor, sigma_factor, points_per_scale)
-    gaps = np.diff(schedule.times)
-    if np.any(gaps < 2.0 * window_half):
-        warnings.warn(
-            f"interaction windows overlap (min gap {gaps.min():.3g} fs < "
-            f"{2 * window_half:.3g} fs); sequential model is approximate here",
-            RuntimeWarning)
-    s = np.array([state0.c1, state0.c2], dtype=complex)
-    p2 = np.empty(len(schedule.times))
-    for k, t_k in enumerate(schedule.times):
-        ph = np.exp(1j * omega_21 * t_k)
-        d = np.array([1.0, ph])
-        s = d * (u0 @ (d.conj() * s))
-        p2[k] = abs(s[1]) ** 2
-    return p2
-
-
 def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCoupling,
                             sigma_et_point: float, omega_21: float,
                             transit_factor: float = 10.0,
                             sigma_factor: float = 6.0,
                             points_per_scale: int = 100) -> np.ndarray:
-    """P2 sequences for many schedules of equal length, evolved jointly.
+    """P2 after each electron of trains of near-point packets, evolved jointly.
 
-    Returns shape (n_schedules, n_electrons).  Same physics as
-    simulate_train, with the window propagator shared and the per-electron
-    phase conjugation applied across the whole ensemble at once.
+    ``schedules`` holds arrival schedules of equal length; returns shape
+    (n_schedules, n_electrons).  Each electron applies the window propagator
+    of a packet arriving at t = 0, conjugated by the arrival phase
+    diag(1, e^{i w21 t_K}); this is exactly sequential RK4 window evolution
+    with free TLS rotation between windows (the rotating frame absorbs the
+    free evolution).  Warns if consecutive windows of any schedule overlap
+    (the sequential model assumes they do not).
     """
-    schedules = list(schedules)
     times = np.stack([s.times for s in schedules])      # (S, N)
-    u0, _ = _point_window(coupling, sigma_et_point, omega_21, transit_factor, sigma_factor,
-                          points_per_scale)
-    s = np.tile(np.array([[state0.c1], [state0.c2]], dtype=complex), (1, len(schedules)))
+    profile = interaction_profile(coupling, sigma_et_point, 0.0, omega_21,
+                                  transit_factor, sigma_factor, points_per_scale)
+    u0 = window_propagator(profile, omega_21)
+    window = 2.0 * float(profile.times[-1])
+    gaps = np.diff(times, axis=1)
+    if np.any(gaps < window):
+        warnings.warn(
+            f"interaction windows overlap (min gap {gaps.min():.3g} fs < "
+            f"{window:.3g} fs); sequential model is approximate here",
+            RuntimeWarning)
+    s = np.tile(np.array([[state0.c1], [state0.c2]], dtype=complex), (1, len(times)))
     p2 = np.empty(times.T.shape)                         # (N, S)
     for k, t_k in enumerate(times.T):
         ph = np.exp(1j * omega_21 * t_k)
@@ -451,6 +411,10 @@ def linear_fit(n: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
 
 
 def r_squared(y: np.ndarray, model: np.ndarray) -> float:
+    """Coefficient of determination.  Data without variance give 1.0 for an
+    exact model and NaN otherwise (a NaN model included)."""
     ss_res = float(np.sum((y - model) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    if ss_tot > 0:
+        return 1.0 - ss_res / ss_tot
+    return 1.0 if ss_res == 0.0 else math.nan

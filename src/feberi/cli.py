@@ -5,8 +5,8 @@ sections.  Parsing is strict: unknown keys are rejected with their line
 numbers, every physical default equals the reference parameter set
 (200 keV beam, 2.4 nm impact parameter, 2 eV gap, 5 Debye transverse
 dipole).  Results go to files only (CSV per series, summary.json, SVG
-plots); logs go to stderr.  Exit codes: 0 ok, 2 config error, 3 numerical
-failure.
+plots); logs go to stderr.  Exit codes: 0 ok, 2 config error (an
+unwritable output_dir included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ def load_config(path) -> dict:
     """Parse and validate a config file into the effective config dict."""
     text = Path(path).read_text(encoding="utf-8")
     lines = _key_lines(text)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a "%" in a value (say, a path) is a literal character
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -407,7 +408,11 @@ def main(argv=None) -> int:
                   ", ".join(bad))
         return 3
     out_dir = Path(cfg["run"]["output_dir"])
-    files = write_result(result, out_dir)
+    try:
+        files = write_result(result, out_dir)
+    except OSError as exc:
+        log.error("cannot write results to %s: %s", out_dir, exc)
+        return 2
     for f in files:
         log.info("wrote %s", f)
     return 0

@@ -33,6 +33,7 @@ from feberi.grid import interaction_window
 from feberi.qew import (
     GaussianQewSpec,
     ModulatedQewSpec,
+    ModulationSpectrum,
     gamma_parameter,
     grid_for_spec,
     modulation_fourier_coefficients,
@@ -83,6 +84,17 @@ def profile_grid_args(cfg: dict) -> dict:
     """Keyword arguments of a Born profile grid: window factors and resolution."""
     return {**window_factors(cfg),
             "points_per_scale": cfg["numerics"]["profile_points_per_scale"]}
+
+
+def bunched_spectrum(cfg: dict, kin, tls) -> ModulationSpectrum:
+    """Bunching harmonics of the configured modulated packet, with
+    omega_b = omega_21 / harmonic and the optimal drift time."""
+    sw = cfg["sweep"]
+    omega_b = tls.omega_21 / sw["harmonic"]
+    base = GaussianQewSpec.from_duration(kin, sw["envelope_sigma_et_fs"], t0=0.0)
+    mspec = ModulatedQewSpec(base=base, g=sw["modulation_g"], omega_b=omega_b,
+                             drift_time=optimal_drift_time(kin, omega_b, sw["modulation_g"]))
+    return modulation_fourier_coefficients(mspec, sw["harmonic_order"])
 
 
 def base_metadata(cfg: dict, kin, tls, geo) -> dict:
@@ -311,24 +323,17 @@ def _resonance_spot(args: tuple) -> dict:
     """Worker: one Born-dynamics check of the resonance curve at a detuning."""
     cfg, detune_over_sigma = args
     kin, tls0, geo, _ = physics_bundle(cfg)
-    sw = cfg["sweep"]
-    sigma_env = sw["envelope_sigma_et_fs"]
-    harmonic = sw["harmonic"]
-    omega_b = tls0.omega_21 / harmonic
-    w21 = harmonic * omega_b + detune_over_sigma / sigma_env
+    sigma_env = cfg["sweep"]["envelope_sigma_et_fs"]
+    harmonic = cfg["sweep"]["harmonic"]
+    spectrum = bunched_spectrum(cfg, kin, tls0)
+    w21 = harmonic * spectrum.omega_b + detune_over_sigma / sigma_env
     tls = TlsSpec(energy_gap=w21 * HBAR_EV_FS,
                   dipole_magnitude=tls0.dipole_magnitude,
                   orientation=tls0.orientation)
     coupling = DipoleCoupling(tls, geo, kin)
-    base = GaussianQewSpec.from_duration(kin, sigma_env, t0=0.0)
-    mspec = ModulatedQewSpec(base=base, g=sw["modulation_g"], omega_b=omega_b,
-                             drift_time=optimal_drift_time(kin, omega_b,
-                                                           sw["modulation_g"]))
-    spectrum = modulation_fourier_coefficients(mspec, sw["harmonic_order"])
-    grid = bd.profile_time_grid(coupling, sigma_env, 0.0, tls.omega_21, **profile_grid_args(cfg))
-    prof = bd.modulated_interaction_profile(coupling, sigma_env, spectrum, 0.0,
-                                            grid, t0=0.0,
-                                            max_harmonic=harmonic + 6)
+    prof = bd.modulated_interaction_profile(coupling, sigma_env, spectrum, 0.0, 0.0,
+                                            tls.omega_21, max_harmonic=harmonic + 6,
+                                            **profile_grid_args(cfg))
     traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -345,18 +350,12 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
     kin, tls0, geo, _ = physics_bundle(cfg)
     sw = cfg["sweep"]
     sigma_env = sw["envelope_sigma_et_fs"]
-    harmonic = sw["harmonic"]
-    omega_b = tls0.omega_21 / harmonic
-    base = GaussianQewSpec.from_duration(kin, sigma_env, t0=0.0)
-    g_mod = sw["modulation_g"]
-    mspec = ModulatedQewSpec(base=base, g=g_mod, omega_b=omega_b,
-                             drift_time=optimal_drift_time(kin, omega_b, g_mod))
-    spectrum = modulation_fourier_coefficients(mspec, sw["harmonic_order"])
+    spectrum = bunched_spectrum(cfg, kin, tls0)
 
     series = []
     widths = {}
     for n_h in sw["scan_harmonics"]:
-        center = n_h * omega_b
+        center = n_h * spectrum.omega_b
         span = sw["scan_halfwidth_inv_sigma"] / sigma_env
         w_scan = center + np.linspace(-span, span, sw["scan_points"])
         dp2 = np.empty_like(w_scan)
@@ -408,7 +407,7 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
             }))
 
     summary = {
-        "omega_b_rad_fs": omega_b,
+        "omega_b_rad_fs": spectrum.omega_b,
         "fitted_widths": widths,
         "born_spot_checks": spots,
         "bunch_sigma_et_fs": tooth_sigma_et(spectrum),
@@ -424,8 +423,7 @@ def run_fig8_single_point(cfg: dict) -> ScenarioResult:
     kin, tls, geo, coupling = physics_bundle(cfg)
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
-    grid = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
-    prof = bd.interaction_profile(coupling, sigma, grid, t0=0.0, **window_factors(cfg))
+    prof = bd.interaction_profile(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
     traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21,
                          n_records=cfg["numerics"]["time_samples"])
     p2_ref = analytic.p2_from_ground(coupling, kin)
@@ -449,7 +447,7 @@ def run_fig8_single_point(cfg: dict) -> ScenarioResult:
 
 # -- scenario: correlated vs random trains -------------------------------------------------
 
-def run_fig9_buildup(cfg: dict, jobs: int = 1) -> ScenarioResult:
+def run_fig9_buildup(cfg: dict) -> ScenarioResult:
     """N^2 buildup of a modulation-locked train vs linear growth of a random one."""
     kin, tls, geo, coupling = physics_bundle(cfg)
     sw = cfg["sweep"]
@@ -460,18 +458,13 @@ def run_fig9_buildup(cfg: dict, jobs: int = 1) -> ScenarioResult:
 
     sigma_pt = sw["sigma_et_point_fs"]
     if sigma_pt <= 0.0:   # default: the bunch width of the modulated packet
-        base = GaussianQewSpec.from_duration(kin, sw["envelope_sigma_et_fs"], t0=0.0)
-        mspec = ModulatedQewSpec(base=base, g=sw["modulation_g"], omega_b=omega_b,
-                                 drift_time=optimal_drift_time(kin, omega_b,
-                                                               sw["modulation_g"]))
-        sigma_pt = tooth_sigma_et(modulation_fourier_coefficients(
-            mspec, sw["harmonic_order"]))
+        sigma_pt = tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
 
     n_corr = sw["correlated_electrons"]
     sched_c = bd.arrival_schedule("correlated", n_corr, omega_b,
                                   mean_spacing=mean_spacing, seed=seed)
-    p2_corr = bd.simulate_train(TlsState.ground(), sched_c, coupling, sigma_pt,
-                                tls.omega_21, **profile_grid_args(cfg))
+    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), [sched_c], coupling, sigma_pt,
+                                         tls.omega_21, **profile_grid_args(cfg))[0]
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)
 

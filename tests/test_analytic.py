@@ -17,7 +17,7 @@ from feberi.analytic import (
     p2_from_ground,
     recoil_momentum,
 )
-from feberi.born_dynamics import evolve_tls, interaction_profile, profile_time_grid
+from feberi.born_dynamics import evolve_tls, interaction_profile
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.qew import GaussianQewSpec, ModulationSpectrum, gamma_parameter
@@ -136,8 +136,7 @@ class TestDp1Superposition:
         t0, sigma = 0.3, 0.05 * tls.period
         spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
         traj_m = run_gaussian_scenario(spec, state, coupling, tls, n=128)
-        grid = profile_time_grid(coupling, sigma, t0, tls.omega_21)
-        prof = interaction_profile(coupling, sigma, grid, t0=t0)
+        prof = interaction_profile(coupling, sigma, t0, tls.omega_21)
         traj_b = evolve_tls(state, prof, tls.omega_21)
         a = traj_m.p2[-1] - traj_m.p2[0]
         b = traj_b.p2[-1] - traj_b.p2[0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,22 +17,24 @@ from feberi.born_dynamics import (
     interaction_profile,
     kernel_prefactor,
     linear_fit,
+    modulated_interaction_profile,
     profile_time_grid,
     quadratic_fit,
-    simulate_train,
+    r_squared,
     simulate_train_ensemble,
     _rk4_columns,
     window_propagator,
 )
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
-from feberi.qew import ResolutionError
+from feberi.grid import interaction_window
+from feberi.qew import ModulationSpectrum, ResolutionError
 
 
 class TestInteractionProfile:
     def test_parallel_odd_zero_integral(self, coupling_parallel, tls):
         sigma = 0.05
-        grid = profile_time_grid(coupling_parallel, sigma, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling_parallel, sigma, grid, t0=0.0)
+        prof = interaction_profile(coupling_parallel, sigma, 0.0, tls.omega_21)
+        grid = prof.times
         mid = len(grid) // 2
         assert prof.values[mid] == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(prof.values, -prof.values[::-1], atol=1e-16)
@@ -40,15 +43,14 @@ class TestInteractionProfile:
 
     def test_transverse_even_positive(self, coupling, tls):
         sigma = 0.05
-        grid = profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, sigma, grid, t0=0.0)
+        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         np.testing.assert_allclose(prof.values, prof.values[::-1], rtol=1e-12)
         assert np.all(prof.values > 0.0)
 
     def test_point_limit_peak(self, coupling, tls):
         # sigma -> 0: bare kernel, peak K at t = t0
-        grid = profile_time_grid(coupling, 0.0, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, 0.0, grid, t0=0.0)
+        prof = interaction_profile(coupling, 0.0, 0.0, tls.omega_21)
+        grid = prof.times
         assert prof.values.max() == pytest.approx(kernel_prefactor(coupling), rel=1e-12)
         assert grid[int(np.argmax(prof.values))] == 0.0
 
@@ -56,27 +58,45 @@ class TestInteractionProfile:
         # Gaussian smoothing preserves the kernel integral 2*K*t_r (up to
         # the analytic window-truncation factor T/sqrt(T^2+1))
         sigma = 0.1 * tls.period
-        grid = profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, sigma, grid, t0=0.0)
+        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+        grid = prof.times
         t_r = geometry.transit_time
         t_bar = float(grid[-1]) / t_r
         expected = 2.0 * kernel_prefactor(coupling) * t_r \
             * t_bar / math.sqrt(t_bar**2 + 1.0)
         assert np.trapezoid(prof.values, grid) == pytest.approx(expected, rel=2e-3)
 
-    def test_grid_validation(self, coupling, tls):
-        sigma = 0.05
-        good = profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
+    def test_grid_validation(self, coupling, tls, geometry):
+        # the builder samples the window grid of its own factors, and one
+        # rule bounds its step: min(t_r, sigma_et)/20 (here t_r/20)
+        sigma, t0 = 0.05, 0.3
+        factors = {"transit_factor": 5.0, "sigma_factor": 2.0}
+        prof = interaction_profile(coupling, sigma, t0, tls.omega_21, **factors)
+        np.testing.assert_array_equal(
+            prof.times, profile_time_grid(coupling, sigma, t0, tls.omega_21, **factors))
+        lo, hi = interaction_window(sigma, geometry.transit_time, t0, 5.0, 2.0)
+        assert prof.times[0] <= lo and prof.times[-1] >= hi
+        interaction_profile(coupling, sigma, t0, tls.omega_21, points_per_scale=20)
         with pytest.raises(ResolutionError):
-            interaction_profile(coupling, sigma, good[::40], t0=0.0)  # too coarse
-        short = good[len(good) // 2 - 5: len(good) // 2 + 5]
+            interaction_profile(coupling, sigma, t0, tls.omega_21, points_per_scale=19)
+
+    def test_modulated_profile_shares_grid_and_resolution_rule(self, coupling, tls):
+        # a spectrum with f_0 only leaves the density unbunched: the modulated
+        # builder then reproduces the plain profile on the same grid
+        flat = ModulationSpectrum(f_m=np.array([0.0, 1.0, 0.0], dtype=complex),
+                                  omega_b=tls.omega_21 / 2.0)
+        sigma = 0.5
+        plain = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+        mod = modulated_interaction_profile(coupling, sigma, flat, 0.0, 0.0, tls.omega_21)
+        np.testing.assert_array_equal(mod.times, plain.times)
+        np.testing.assert_array_equal(mod.values, plain.values)
         with pytest.raises(ResolutionError):
-            interaction_profile(coupling, sigma, short, t0=0.0)
+            modulated_interaction_profile(coupling, sigma, flat, 0.0, 0.0, tls.omega_21,
+                                          points_per_scale=10)
 
     def test_sigma_bar_recorded(self, coupling, tls, geometry):
         sigma = 0.08
-        grid = profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, sigma, grid, t0=0.0)
+        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         assert prof.sigma_bar_et == pytest.approx(sigma / geometry.transit_time,
                                                   rel=1e-12)
 
@@ -95,16 +115,14 @@ class TestEvolveTls:
 
     def test_norm_conservation(self, coupling, tls):
         sigma = 0.1 * tls.period
-        grid = profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, sigma, grid, t0=0.0)
+        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         traj = evolve_tls(TlsState.equatorial(1.2), prof, tls.omega_21)
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
 
     def test_ground_matches_closed_form(self, coupling, kin, tls):
         # near-point packet: Born P2 approaches the size-independent value
         sigma = 0.015 * tls.period
-        grid = profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, sigma, grid, t0=0.0)
+        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         traj = evolve_tls(TlsState.ground(), prof, tls.omega_21)
         assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling, kin), rel=0.02)
 
@@ -114,15 +132,13 @@ class TestEvolveTls:
         t0 = math.pi / tls.omega_21
         for frac in (0.05, 0.1, 0.15):
             sigma = frac * tls.period
-            grid = profile_time_grid(coupling, sigma, t0, tls.omega_21)
-            prof = interaction_profile(coupling, sigma, grid, t0=t0)
+            prof = interaction_profile(coupling, sigma, t0, tls.omega_21)
             traj = evolve_tls(state, prof, tls.omega_21)
             pred = dp1_superposition(coupling, kin, state, t0, sigma)
             assert traj.p2[-1] - traj.p2[0] == pytest.approx(pred, rel=0.05)
 
     def test_window_propagator_unitary(self, coupling, tls):
-        grid = profile_time_grid(coupling, 0.1, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, 0.1, grid, t0=0.0)
+        prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
         u = window_propagator(prof, tls.omega_21)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-9)
 
@@ -191,8 +207,7 @@ class TestStepMatrixPropagator:
         np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12)
 
     def test_evolve_tls_records_match_loop(self, coupling, tls):
-        grid = profile_time_grid(coupling, 0.1, 0.0, tls.omega_21)
-        prof = interaction_profile(coupling, 0.1, grid, t0=0.0)
+        prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
         state = TlsState.equatorial(0.4)
         traj = evolve_tls(state, prof, tls.omega_21, n_records=37)
         idx, rec, _ = reference_rk4_columns(prof, tls.omega_21,
@@ -215,6 +230,17 @@ def test_window_propagator_unitary_on_smooth_profiles(n_half, omega_21, amps, ce
                               sigma_bar_et=1.0, t0=0.0, t_r=1.0, prefactor=1.0)
     u = window_propagator(prof, omega_21)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-6)
+
+
+class TestRSquared:
+    def test_constant_data_exact_model(self):
+        y = np.full(5, 0.3)
+        assert r_squared(y, y.copy()) == 1.0
+
+    def test_constant_data_nan_or_wrong_model(self):
+        y = np.full(5, 0.3)
+        assert math.isnan(r_squared(y, np.full(5, np.nan)))
+        assert math.isnan(r_squared(y, y + 1e-3))
 
 
 class TestArrivalSchedule:
@@ -250,6 +276,24 @@ class TestArrivalSchedule:
             arrival_schedule("bursty", 5, tls.omega_21)
 
 
+def train(sched, coupling, sigma_pt, omega_21, **kw):
+    """P2 after each electron of one train from ground: an ensemble of one."""
+    return simulate_train_ensemble(TlsState.ground(), [sched], coupling, sigma_pt,
+                                   omega_21, **kw)[0]
+
+
+def reference_train(state0, schedule, u0, omega_21):
+    """The per-electron loop: the window propagator u0 conjugated by each
+    arrival phase diag(1, e^{i w21 t_K}), applied in turn."""
+    s = np.array([state0.c1, state0.c2], dtype=complex)
+    p2 = np.empty(len(schedule.times))
+    for k, t_k in enumerate(schedule.times):
+        d = np.array([1.0, np.exp(1j * omega_21 * t_k)])
+        s = d * (u0 @ (d.conj() * s))
+        p2[k] = abs(s[1]) ** 2
+    return p2
+
+
 class TestTrains:
     @pytest.fixture
     def omega_b(self, tls):
@@ -263,10 +307,8 @@ class TestTrains:
         sched = ArrivalSchedule(times=np.array([t_k]), kind="periodic", seed=0,
                                 omega_b=omega_b, t_0l=0.0)
         sigma_pt = 0.08
-        p2 = simulate_train(TlsState.ground(), sched, coupling, sigma_pt,
-                            tls.omega_21)
-        grid = profile_time_grid(coupling, sigma_pt, t_k, tls.omega_21)
-        prof = interaction_profile(coupling, sigma_pt, grid, t0=t_k)
+        p2 = train(sched, coupling, sigma_pt, tls.omega_21)
+        prof = interaction_profile(coupling, sigma_pt, t_k, tls.omega_21)
         traj = evolve_tls(TlsState.ground(), prof, tls.omega_21)
         assert p2[0] == pytest.approx(traj.p2[-1], rel=1e-9)
 
@@ -274,7 +316,7 @@ class TestTrains:
         t_b = TWO_PI / omega_b
         sched = arrival_schedule("correlated", 20, omega_b, mean_spacing=3 * t_b,
                                  seed=1)
-        p2 = simulate_train(TlsState.ground(), sched, coupling, 0.08, tls.omega_21)
+        p2 = train(sched, coupling, 0.08, tls.omega_21)
         n = np.arange(1, 21)
         _, r2 = quadratic_fit(n, p2)
         assert r2 >= 0.99
@@ -283,14 +325,10 @@ class TestTrains:
     def test_resonant_buildup_seed_independent(self, coupling, tls, omega_b):
         # at exact resonance the random comb integers cancel out
         t_b = TWO_PI / omega_b
-        a = simulate_train(TlsState.ground(),
-                           arrival_schedule("correlated", 12, omega_b,
-                                            mean_spacing=3 * t_b, seed=4),
-                           coupling, 0.08, tls.omega_21)
-        b = simulate_train(TlsState.ground(),
-                           arrival_schedule("correlated", 12, omega_b,
-                                            mean_spacing=5 * t_b, seed=99),
-                           coupling, 0.08, tls.omega_21)
+        a = train(arrival_schedule("correlated", 12, omega_b, mean_spacing=3 * t_b, seed=4),
+                  coupling, 0.08, tls.omega_21)
+        b = train(arrival_schedule("correlated", 12, omega_b, mean_spacing=5 * t_b, seed=99),
+                  coupling, 0.08, tls.omega_21)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_random_mean_linear(self, coupling, tls, omega_b):
@@ -307,26 +345,44 @@ class TestTrains:
         t_b = TWO_PI / omega_b
         scheds = [arrival_schedule("random", 10, omega_b, mean_spacing=3 * t_b,
                                    seed=s) for s in (3, 8)]
-        ens = simulate_train_ensemble(TlsState.ground(), scheds, coupling, 0.08,
-                                      tls.omega_21)
+        state0 = TlsState.equatorial(0.9)
+        ens = simulate_train_ensemble(state0, scheds, coupling, 0.08, tls.omega_21)
+        u0 = window_propagator(interaction_profile(coupling, 0.08, 0.0, tls.omega_21),
+                               tls.omega_21)
+        assert ens.shape == (2, 10)
         for i, s in enumerate(scheds):
-            one = simulate_train(TlsState.ground(), s, coupling, 0.08, tls.omega_21)
-            np.testing.assert_allclose(ens[i], one, rtol=1e-12)
+            np.testing.assert_allclose(ens[i], reference_train(state0, s, u0, tls.omega_21),
+                                       rtol=1e-12)
 
     def test_points_per_scale_sets_window_grid(self, coupling, tls, omega_b):
         t_b = TWO_PI / omega_b
         sched = arrival_schedule("correlated", 5, omega_b, mean_spacing=3 * t_b, seed=2)
-        fine, coarse = (simulate_train(TlsState.ground(), sched, coupling, 0.08,
-                                       tls.omega_21, points_per_scale=pps)
+        fine, coarse = (train(sched, coupling, 0.08, tls.omega_21, points_per_scale=pps)
                         for pps in (100, 50))
-        ens = simulate_train_ensemble(TlsState.ground(), [sched], coupling, 0.08,
-                                      tls.omega_21, points_per_scale=50)
+        prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
+        u0 = window_propagator(prof, tls.omega_21)
         assert not np.array_equal(fine, coarse)
         np.testing.assert_allclose(coarse, fine, rtol=1e-4)
-        np.testing.assert_allclose(ens[0], coarse, rtol=1e-12)
+        np.testing.assert_allclose(
+            coarse, reference_train(TlsState.ground(), sched, u0, tls.omega_21), rtol=1e-12)
 
     def test_overlap_warning(self, coupling, tls, omega_b):
         sched = ArrivalSchedule(times=np.array([0.0, 0.05]), kind="random",
                                 seed=0, omega_b=omega_b, t_0l=0.0)
         with pytest.warns(RuntimeWarning, match="overlap"):
-            simulate_train(TlsState.ground(), sched, coupling, 0.08, tls.omega_21)
+            train(sched, coupling, 0.08, tls.omega_21)
+
+    def test_ensemble_warns_if_any_schedule_overlaps(self, coupling, tls, omega_b):
+        # windows are +-(10 t_r + 6 sigma) ~ 0.56 fs wide: 10 fs gaps are
+        # clear, one 0.05 fs gap in the second schedule is not
+        clear = ArrivalSchedule(times=np.array([0.0, 10.0, 20.0]), kind="random",
+                                seed=0, omega_b=omega_b, t_0l=0.0)
+        tight = ArrivalSchedule(times=np.array([0.0, 10.0, 10.05]), kind="random",
+                                seed=1, omega_b=omega_b, t_0l=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_train_ensemble(TlsState.ground(), [clear, clear], coupling, 0.08,
+                                    tls.omega_21)
+        with pytest.warns(RuntimeWarning, match="min gap 0.05 fs"):
+            simulate_train_ensemble(TlsState.ground(), [clear, tight], coupling, 0.08,
+                                    tls.omega_21)

@@ -83,6 +83,31 @@ class TestCommands:
                 "[numerics]\nprofile_points_per_scale = 10\n")   # profile too coarse
         assert main(["run", str(write(tmp_path, text))]) == 3
 
+    def test_modulated_profile_too_coarse_exit_code(self, tmp_path, caplog):
+        # the modulated Born spot checks obey the same profile resolution rule
+        out = tmp_path / "o"
+        text = ("[run]\nscenario = modulated_resonance\n"
+                f"output_dir = {out}\n\n"
+                "[numerics]\nprofile_points_per_scale = 10\n\n"
+                "[sweep]\nscan_points = 11\nspot_check_detunings = 0\n")
+        assert main(["run", str(write(tmp_path, text))]) == 3
+        assert "profile step" in caplog.text
+        assert not out.exists()
+
+    def test_unwritable_output_dir_exit_code(self, tmp_path, caplog):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "o"
+        text = MINIMAL.format(out=out)
+        assert main(["run", str(write(tmp_path, text))]) == 2
+        assert f"cannot write results to {out}" in caplog.text
+
+    def test_percent_in_value_is_literal(self, tmp_path):
+        out = tmp_path / "out%1"
+        cfg = write(tmp_path, MINIMAL.format(out=out))
+        assert load_config(cfg)["run"]["output_dir"] == str(out)
+        assert main(["validate", str(cfg)]) == 0
+
     @pytest.mark.parametrize("scenario, section, entry", [
         ("fig9_buildup", "sweep", "ensemble_seeds = 0"),
         ("fig56_phase_size_sweep", "sweep", "zeta_points = 0"),

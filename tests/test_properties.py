@@ -1,10 +1,16 @@
-"""Property tests of the coupling kernel and the shared Toeplitz builder."""
+"""Property tests: coupling kernel, shared Toeplitz builder, phase wrapping
+and config parsing."""
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feberi.core import InteractionGeometry, TlsSpec, kinematics_from_kev
+from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
+from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.grid import MomentumGrid, toeplitz_kernel
 
@@ -42,3 +48,59 @@ def test_toeplitz_kernel_hermitian(orientation, half_n, dp):
     assert mt.shape == (n, n)
     np.testing.assert_array_equal(mt, mt.conj().T)
     np.testing.assert_array_equal(mt[1:, 1:], mt[:-1, :-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_phase_range(x):
+    w = wrap_phase(x)
+    assert 0.0 <= w < TWO_PI
+
+
+# INI fragments: known and unknown sections and keys, values from the schema's
+# vocabulary and arbitrary text (a "%" and inline comments included)
+_SECTIONS = ["physics", "numerics", "sweep", "DEFAULT", "extras"]
+_KEYS = sorted({k for sec in _COMMON_SCHEMA.values() for k in sec}
+               | {k for sec in _SWEEP_SCHEMAS.values() for k in sec} | {"bogus"})
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+_INI_CHARS = st.text(alphabet="%()#;=:[]{}$ \t0123456789.,-+eE_nafitrux", max_size=12)
+_VALUES = st.one_of(
+    st.sampled_from(sorted(_SWEEP_SCHEMAS) + ["nan", "-1", "0", "1e400", "true",
+                                               "1, 2 3", "%", "%(x)s", "1 # c", ""]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    _INI_CHARS,
+    _TEXT)
+_ENTRIES = st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", ":", " = "]),
+                     _VALUES).map("".join)
+_LINES = st.one_of(_ENTRIES, st.sampled_from(_SECTIONS).map(lambda s: f"[{s}]"))
+
+
+def _line_key(line: str) -> str:
+    """Option or section name of a line: no duplicates, which INI rejects."""
+    return line.partition("=")[0].partition(":")[0].strip().lower()
+
+
+_SCENARIO_LINE = st.sampled_from(sorted(_SWEEP_SCHEMAS)).map("[run]\nscenario = {}".format)
+# mostly a valid scenario line, so that most texts get past it to the schema
+_HEADERS = st.one_of(_SCENARIO_LINE, _SCENARIO_LINE, _SCENARIO_LINE,
+                     st.sampled_from(["", "[run]"]), _TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_HEADERS, lines=st.lists(_LINES, max_size=10, unique_by=_line_key))
+@example(header="[run]\nscenario = fig8_single_point", lines=["output_dir = out%1"])
+def test_any_ini_text_is_config_or_config_error(header, lines):
+    text = "\n".join([header] + lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+    assert set(cfg) == {"run", "physics", "numerics", "sweep"}
+    for section in cfg.values():
+        for value in section.values():
+            if isinstance(value, float):
+                assert math.isfinite(value)

@@ -25,7 +25,7 @@ from feberi.solver_density import (
 )
 from feberi.grid import MomentumGrid, build_grid
 from feberi.qew import grid_for_spec
-from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train
+from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble
 
 
 @pytest.fixture
@@ -235,8 +235,8 @@ class TestSequentialTrain:
                                          n=128)
         _, r2 = quadratic_fit(np.arange(1, 7), p2_seq)
         assert r2 > 0.999
-        p2_born = simulate_train(TlsState.ground(), sched, coupling, sigma_pt,
-                                 tls.omega_21)
+        p2_born = simulate_train_ensemble(TlsState.ground(), [sched], coupling, sigma_pt,
+                                          tls.omega_21)[0]
         np.testing.assert_allclose(p2_seq[-1], p2_born[-1], rtol=0.10)
 
     def test_random_mean_linear(self, coupling, tls, kin):
