@@ -308,19 +308,10 @@ SCHEDULE_KINDS = ("correlated", "random", "periodic")
 
 @dataclass(frozen=True)
 class ArrivalSchedule:
-    """Electron arrival times t_K (fs), strictly increasing.
-
-    kind "correlated": t_K = t_0l + n_K T_b with random ascending integers
-    n_K (arrivals locked to the modulation phase); "random": continuous
-    uniform gaps with no phase relation; "periodic": exact comb of period
-    T_b.
-    """
+    """Electron arrival times t_K (fs), strictly increasing, and the comb
+    indices n_K of a phase-locked schedule (None for a random one)."""
 
     times: np.ndarray
-    kind: str
-    seed: int
-    omega_b: float
-    t_0l: float
     n_k: np.ndarray | None = None
 
     def __post_init__(self):
@@ -330,7 +321,13 @@ class ArrivalSchedule:
 
 def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
                      mean_spacing: float | None = None, seed: int = 0) -> ArrivalSchedule:
-    """Deterministic (seeded) arrival schedule of n electrons."""
+    """Deterministic (seeded) arrival schedule of n electrons.
+
+    kind "correlated": t_K = t_0l + n_K T_b with random ascending integers
+    n_K (arrivals locked to the modulation phase); "random": continuous
+    uniform gaps with no phase relation; "periodic": exact comb of period
+    T_b.
+    """
     if kind not in SCHEDULE_KINDS:
         raise DomainError(f"unknown schedule kind {kind!r}")
     if n < 1:
@@ -353,8 +350,7 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
         gaps = rng.uniform(0.5, 1.5, size=n) * mean_spacing
         n_k = None
         times = t_0l + np.cumsum(gaps)
-    return ArrivalSchedule(times=times, kind=kind, seed=seed, omega_b=omega_b,
-                           t_0l=t_0l, n_k=n_k)
+    return ArrivalSchedule(times=times, n_k=n_k)
 
 
 # -- electron trains -------------------------------------------------------------------

@@ -112,6 +112,10 @@ _SWEEP_SCHEMAS = {
 
 _BOUND_OPS = {">": operator.gt, ">=": operator.ge}
 
+# (key, op, other key): [sweep] rules across two keys, checked where both exist.
+# A bunched spectrum cut below the resonant harmonic has no resonance to scan.
+_SWEEP_RULES = (("harmonic_order", ">=", "harmonic"),)
+
 
 def default_config(scenario: str) -> dict:
     """Effective config of a scenario with every key at its default."""
@@ -222,6 +226,13 @@ def load_config(path) -> dict:
             where = f"{path}:{lines.get((section, key), 0)}: [{section}] {key}"
             cfg[section][key] = _parse_value(raw, kind, choices, where)
             _check_range(cfg[section][key], kind, bound, where)
+
+    sweep = cfg["sweep"]
+    for key, op, other in _SWEEP_RULES:
+        if key in sweep and other in sweep and not _BOUND_OPS[op](sweep[key], sweep[other]):
+            ln = lines.get(("sweep", key)) or lines.get(("sweep", other), 0)
+            raise ConfigError(f"{path}:{ln}: [sweep] {key}: must be {op} {other} "
+                              f"({sweep[other]!r}), got {sweep[key]!r}")
     return cfg
 
 

@@ -1,8 +1,10 @@
 """Discretization decisions shared by the grid solvers and the Born model.
 
 * the uniform momentum grid (``MomentumGrid``, ``build_grid``);
-* the Toeplitz kernel matrix Mt(p_m - p_n) that couples grid momenta in both
-  the amplitude solver and the density-matrix assembly;
+* the Toeplitz kernel Mt(p_m - p_n) that couples grid momenta in both
+  the amplitude solver and the density-matrix assembly: one sample of Mt at
+  the 2n grid differences feeds the dense matrix (for the assembly) and its
+  O(n log n) product through a circulant embedding (for the amplitude RK4);
 * the interaction window t0 +- (transit_factor*t_r + sigma_factor*sigma_et)
   that bounds every time integration and every interaction profile.
 """
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.linalg import toeplitz
 
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics
@@ -70,14 +73,42 @@ def build_grid(kin: ElectronKinematics, sigma_p0: float, p_rec: float, n: int,
     return MomentumGrid(n=n, p0=kin.p0, p_cutoff=p_cutoff, initial_tail_mass=tail)
 
 
+def _kernel_samples(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
+    """Mt(k*dp) for k = 0..n-1, -n..-1 (FFT order), in eV*nm.
+
+    This is the first column of the length-2n circulant that embeds the
+    Toeplitz kernel; the k = -n sample is never read by a product.
+    """
+    n = grid.n
+    k = np.concatenate([np.arange(n), np.arange(-n, 0)])
+    return m_tilde(k * grid.dp, coupling)
+
+
 def toeplitz_kernel(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
     """Dense matrix Mt(p_m - p_n) in eV*nm; Toeplitz by construction.
 
     Hermitian for both orientations: Mt is real and even (transverse) or
     imaginary and odd (parallel).
     """
-    k = np.arange(grid.n)
-    return toeplitz(m_tilde(k * grid.dp, coupling), m_tilde(-k * grid.dp, coupling))
+    s = _kernel_samples(grid, coupling)
+    return toeplitz(s[:grid.n], np.concatenate([s[:1], s[:grid.n:-1]]))
+
+
+def toeplitz_product(grid: MomentumGrid, coupling: DipoleCoupling):
+    """x -> toeplitz_kernel(grid, coupling) @ x along the last axis of x.
+
+    The Toeplitz matrix is the leading block of a length-2n circulant, so
+    the product is a zero-padded circular convolution: one FFT of x, one
+    multiplication by the circulant's spectrum (computed here, once) and
+    one inverse FFT, O(n log n) per row of x instead of O(n^2).
+    """
+    n = grid.n
+    spectrum = fft.fft(_kernel_samples(grid, coupling))
+
+    def product(x: np.ndarray) -> np.ndarray:
+        return fft.ifft(spectrum * fft.fft(x, n=2 * n, axis=-1), axis=-1)[..., :n]
+
+    return product
 
 
 def interaction_window(sigma_et: float, t_r: float, t0: float,

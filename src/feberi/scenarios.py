@@ -252,9 +252,9 @@ def _fig56_point(args: tuple) -> tuple[float, list[float]]:
     out = []
     for zeta in zetas:
         state = TlsState.equatorial(wrap_phase(-zeta))   # t0 = 0: zeta = -phi
+        # only the window's end points are read: evolve just those two samples
         traj = sd.run_qew_interaction(spec, state, coupling, tls, h=h,
-                                      window=window,
-                                      n_samples=num["time_samples"])
+                                      window=window, n_samples=2)
         out.append(float(traj.p2[-1] - traj.p2[0]))
     return gamma, out
 

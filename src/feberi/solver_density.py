@@ -7,8 +7,14 @@ TLS-major index i*N + n.  The full Hamiltonian
 
 is time independent: the electron "moves" only through its momentum-space
 phases, and the wavepacket's arrival time is encoded in the initial state.
-Evolution is exact via one Hermitian eigendecomposition per assembly,
+Evolution is exact via one eigendecomposition per assembly,
 rho(t) = U rho U^dagger with U = V exp(-i Lambda t/hbar) V^dagger.
+
+H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
+is real symmetric (transverse) or i times real antisymmetric (parallel), so
+in the TLS gauge S = diag(1, phi) (x) IN, phi = 1 or i respectively, the
+matrix S^dagger H S is exactly real symmetric.  ``h_total`` holds that
+matrix, its eigenvectors are real, and the evolution applies S at its edges.
 
 Two assembly modes for the momentum-space interaction kernel H_IP:
 
@@ -52,9 +58,10 @@ class HamiltonianAssembly:
 
     h0f: (N,) free-electron dispersion on the grid, eV.
     h0b: (2,) TLS level energies (0, E_gap), eV.
-    h_ip: (N, N) momentum-space kernel matrix, eV/nm (dipole factored out).
-    h_ib: (2, 2) dipole matrix, off-diagonal r21 in nm.
-    h_total: (2N, 2N) Hermitian total.
+    h_ip: (N, N) Hermitian momentum-space kernel matrix, eV/nm (dipole factored out).
+    h_ib: (2, 2) real dipole matrix, off-diagonal r21 in nm.
+    h_total: (2N, 2N) real symmetric S^dagger H S, float64.
+    gauge: phi of S = diag(1, phi) (x) IN; H = S h_total S^dagger.
     """
 
     grid: MomentumGrid
@@ -64,6 +71,7 @@ class HamiltonianAssembly:
     h_ib: np.ndarray
     h_total: np.ndarray
     mode: str
+    gauge: complex
     aliasing_estimate: float = 0.0
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -72,17 +80,21 @@ class HamiltonianAssembly:
         return self.grid.n
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (eigenvalues, eigenvectors) of h_total."""
+        """Cached (eigenvalues, real eigenvectors) of h_total."""
         if self._eig is None:
             w, v = np.linalg.eigh(self.h_total)
             self._eig = (w, v)
         return self._eig
 
+    def gauge_diagonal(self) -> np.ndarray:
+        """Diagonal of S = diag(1, phi) (x) IN, shape (2N,)."""
+        return np.repeat(np.array([1.0, self.gauge], dtype=complex), self.n)
+
 
 def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
                          coupling: DipoleCoupling, tls: TlsSpec,
                          mode: str = "spectral") -> HamiltonianAssembly:
-    """Build the total joint Hamiltonian; Hermitian by construction."""
+    """Build the joint Hamiltonian, stored real symmetric in the TLS gauge."""
     if mode not in ("spectral", "dft"):
         raise DomainError(f"unknown assembly mode {mode!r}")
     n = grid.n
@@ -90,7 +102,7 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
     h0f = np.real(kin.dispersion(p))
     h0b = np.array([0.0, tls.energy_gap])
     r21 = tls.dipole_length
-    h_ib = np.array([[0.0, r21], [r21, 0.0]], dtype=complex)
+    h_ib = np.array([[0.0, r21], [r21, 0.0]])
 
     aliasing = 0.0
     if mode == "spectral":
@@ -99,6 +111,10 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
         dz = 2.0 * math.pi * HBAR_EV_FS / (n * grid.dp)
         z = (np.arange(n) - n / 2) * dz
         f_z = COULOMB_EV_NM * coupling.spatial_kernel_unit(z)
+        # the lone Nyquist sample z = -n/2 dz is also +n/2 dz on the periodic
+        # grid: its parity-symmetric value keeps h_ip real (even kernel) or
+        # imaginary (odd kernel), as the gauge needs
+        f_z[0] = 0.5 * (f_z[0] + COULOMB_EV_NM * coupling.spatial_kernel_unit(-z[0]))
         # kernel mass outside the representable span
         span = n * dz
         r_over_g = coupling.geometry.r_perp / kin.gamma
@@ -115,15 +131,33 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
         v = np.exp(-1j * np.outer(p, z) / HBAR_EV_FS) / math.sqrt(n)
         h_ip = (v * f_z[None, :]) @ v.conj().T
 
-    h_total = np.kron(h_ib, h_ip)
-    diag = (h0b[:, None] + h0f[None, :]).reshape(-1)
-    h_total[np.arange(2 * n), np.arange(2 * n)] += diag
-    herm_err = float(np.max(np.abs(h_total - h_total.conj().T)))
-    if herm_err > 1e-10 * max(1.0, float(np.max(np.abs(h_total)))):
-        raise AssemblyError(f"assembled Hamiltonian not Hermitian (err {herm_err:.2e})")
-    h_total = 0.5 * (h_total + h_total.conj().T)
+    scale = float(np.max(np.abs(h_ip)))
+    herm_err = float(np.max(np.abs(h_ip - h_ip.conj().T)))
+    if herm_err > 1e-10 * scale:
+        raise AssemblyError(f"assembled kernel not Hermitian (err {herm_err:.2e})")
+    h_ip = 0.5 * (h_ip + h_ip.conj().T)
+    # S^dagger (H_IB (x) H_IP) S has the off-diagonal blocks r21 phi h_ip and
+    # its transpose; phi h_ip is real up to the residue checked here
+    gauge = 1j if coupling.orientation == "parallel" else 1.0
+    gauged = gauge * h_ip
+    residue = float(np.max(np.abs(gauged.imag)))
+    if residue > 1e-10 * scale:
+        raise AssemblyError(f"kernel not real in the TLS gauge (residue {residue:.2e})")
+
+    h_total = np.zeros((2 * n, 2 * n))
+    h_total[:n, n:] = r21 * gauged.real
+    h_total[n:, :n] = h_total[:n, n:].T
+    h_total.flat[::2 * n + 1] = (h0b[:, None] + h0f[None, :]).reshape(-1)
     return HamiltonianAssembly(grid=grid, h0f=h0f, h0b=h0b, h_ip=h_ip, h_ib=h_ib,
-                               h_total=h_total, mode=mode, aliasing_estimate=aliasing)
+                               h_total=h_total, mode=mode, gauge=gauge,
+                               aliasing_estimate=aliasing)
+
+
+def _real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for real a and complex x, as one real GEMM on a float view of x."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    out = a @ x.view(np.float64).reshape(x.shape[0], -1)
+    return out.view(np.complex128).reshape((a.shape[0],) + x.shape[1:])
 
 
 # -- states -------------------------------------------------------------------------
@@ -201,7 +235,8 @@ def evolve(rho0: JointDensityMatrix, h: HamiltonianAssembly, t: float) -> JointD
         raise DomainError("evolution time must be >= 0")
     w, v = h.eigensystem()
     phases = np.exp(-1j * w * t / HBAR_EV_FS)
-    u = (v * phases[None, :]) @ v.conj().T
+    s = h.gauge_diagonal()
+    u = s[:, None] * _real_matmul(v, phases[:, None] * v.T) * s.conj()   # S U_gauge S†
     return JointDensityMatrix(rho=u @ rho0.rho @ u.conj().T, grid=rho0.grid)
 
 
@@ -211,10 +246,11 @@ def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
     Returns shape (2N,) for scalar t, else (2N, len(t)).
     """
     w, v = h.eigensystem()
-    coeff = v.conj().T @ psi0
+    s = h.gauge_diagonal()
+    coeff = _real_matmul(v.T, s.conj() * psi0)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     phases = np.exp(-1j * np.outer(w, t_arr) / HBAR_EV_FS)
-    out = v @ (phases * coeff[:, None])
+    out = s[:, None] * _real_matmul(v, phases * coeff[:, None])
     return out[:, 0] if np.isscalar(t) else out
 
 
@@ -300,7 +336,7 @@ def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
     e_free = np.einsum("n,ins->s", h.h0f, a)
     e_bound = h.h0b[0] * p1 + h.h0b[1] * p2
     # <H_IB (x) H_IP> = 2 r21 Re<psi_1| h_ip psi_2>, h_ip Hermitian
-    e_int = 2.0 * h.h_ib[0, 1].real * np.real(
+    e_int = 2.0 * h.h_ib[0, 1] * np.real(
         np.einsum("ns,ns->s", psi[0].conj(), h.h_ip @ psi[1]))
     norm = p1 + p2
     rho_b = None

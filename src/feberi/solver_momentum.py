@@ -8,8 +8,10 @@ grid momentum p (free phases factored out), giving the coupled system
 
 with the quadratic free dispersion E_p.  The coupling matrix is Toeplitz in
 (m - n) and its time dependence factorizes into diagonal phase vectors, so
-one step costs two dense mat-vecs.  A fixed-step RK4 integrator is the
-default; the plain forward-Euler update is retained as a reference mode.
+one right-hand side is one Toeplitz product of the stacked pair (c_1, c_2),
+done by FFT through a circulant embedding in O(N log N).  A fixed-step RK4
+integrator is the default; the plain forward-Euler update is retained as a
+reference mode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, interaction_window, toeplitz_kernel
+from feberi.grid import MomentumGrid, interaction_window, toeplitz_product
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, \
     gaussian_momentum_amplitudes, grid_for_spec, modulated_momentum_amplitudes
 
@@ -101,53 +103,48 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     n_steps = max(1, int(math.ceil((t_end - t_start) / dt)))
     dt = (t_end - t_start) / n_steps
 
-    mt = toeplitz_kernel(grid, coupling)
+    mt_product = toeplitz_product(grid, coupling)
     energies = coupling.kin.dispersion(grid.points)
     w_phase = energies / HBAR_EV_FS
     w21 = tls.energy_gap / HBAR_EV_FS
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
 
-    def rhs(t, v1, v2):
+    def rhs(t, v):
+        # v = (c_1, c_2) stacked: d c_1 couples to c_2 and d c_2 to c_1
         ph = np.exp(1j * w_phase * t)
-        y2 = ph * (mt @ (ph.conj() * v2))
-        y1 = ph * (mt @ (ph.conj() * v1))
+        y = ph * mt_product(ph.conj() * v)
         rot = np.exp(-1j * w21 * t)
-        return kappa * rot * y2, kappa * np.conj(rot) * y1
+        return kappa * np.array([[rot], [np.conj(rot)]]) * y[::-1]
 
-    v1 = state0.v1.astype(complex).copy()
-    v2 = state0.v2.astype(complex).copy()
+    v = np.array([state0.v1, state0.v2], dtype=complex)
 
     record_every = max(1, n_steps // max(1, n_records))
     times, p1s, p2s, efs, norms = [], [], [], [], []
 
-    def record(t, v1, v2):
-        a1 = np.abs(v1) ** 2
-        a2 = np.abs(v2) ** 2
+    def record(t, v):
+        a = np.abs(v) ** 2
         times.append(t)
-        p1s.append(np.sum(a1) * grid.dp)
-        p2s.append(np.sum(a2) * grid.dp)
-        efs.append(np.sum(energies * (a1 + a2)) * grid.dp)
+        p1s.append(np.sum(a[0]) * grid.dp)
+        p2s.append(np.sum(a[1]) * grid.dp)
+        efs.append(np.sum(energies * (a[0] + a[1])) * grid.dp)
         norms.append(p1s[-1] + p2s[-1])
 
-    record(t_start, v1, v2)
+    record(t_start, v)
     t = t_start
     for step in range(n_steps):
         if method == "euler":
-            k1a, k1b = rhs(t, v1, v2)
-            v1 = v1 + dt * k1a
-            v2 = v2 + dt * k1b
+            v = v + dt * rhs(t, v)
         else:
-            k1a, k1b = rhs(t, v1, v2)
-            k2a, k2b = rhs(t + 0.5 * dt, v1 + 0.5 * dt * k1a, v2 + 0.5 * dt * k1b)
-            k3a, k3b = rhs(t + 0.5 * dt, v1 + 0.5 * dt * k2a, v2 + 0.5 * dt * k2b)
-            k4a, k4b = rhs(t + dt, v1 + dt * k3a, v2 + dt * k3b)
-            v1 = v1 + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            v2 = v2 + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            k1 = rhs(t, v)
+            k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
+            k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
+            k4 = rhs(t + dt, v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_start + (step + 1) * dt
         if (step + 1) % record_every == 0 or step == n_steps - 1:
-            if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+            if not np.all(np.isfinite(v)):
                 raise InstabilityError(f"non-finite amplitudes at t = {t}")
-            record(t, v1, v2)
+            record(t, v)
 
     norms_arr = np.asarray(norms)
     drift = float(np.max(np.abs(norms_arr - norms_arr[0])))
@@ -158,7 +155,7 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     return MomentumTrajectory(
         times=np.asarray(times), p1=np.asarray(p1s), p2=np.asarray(p2s),
         e_free=np.asarray(efs), norm=norms_arr,
-        final=EntangledAmplitudes(v1=v1, v2=v2, t=t), method=method, dt=dt)
+        final=EntangledAmplitudes(v1=v[0], v2=v[1], t=t), method=method, dt=dt)
 
 
 def run_gaussian_scenario(spec: GaussianQewSpec | ModulatedQewSpec, state: TlsState,

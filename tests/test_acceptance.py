@@ -133,6 +133,16 @@ def test_criterion_05_solver_crosscheck():
     _report(5, "amplitude vs density solver", ok, f"relative difference {rel:.2e}")
 
 
+def test_criterion_05_solver_crosscheck_parallel_large_grid():
+    # the parallel dipole runs the density solver's i-phase gauge branch
+    cfg = default_config("solver_crosscheck")
+    cfg["numerics"]["grid_points"] = 1024
+    cfg["physics"]["orientation"] = "parallel"
+    rel = run_solver_crosscheck(cfg).summary["final_rel_difference"]
+    _report(5, "amplitude vs density solver, parallel, N = 1024", rel <= 1e-3,
+            f"relative difference {rel:.2e}")
+
+
 def test_criterion_06_matrix_element_oracles(bundle):
     kin, tls, geo, coupling = bundle
 

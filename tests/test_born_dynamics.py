@@ -268,8 +268,7 @@ class TestArrivalSchedule:
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(DomainError):
-            ArrivalSchedule(times=np.array([0.0, 1.0, 1.0]), kind="random",
-                            seed=0, omega_b=1.0, t_0l=0.0)
+            ArrivalSchedule(times=np.array([0.0, 1.0, 1.0]))
 
     def test_unknown_kind(self, tls):
         with pytest.raises(DomainError):
@@ -304,8 +303,7 @@ class TestTrains:
         # the shifted arrival time
         t_b = TWO_PI / omega_b
         t_k = 7.0 * t_b + 0.0  # on the comb
-        sched = ArrivalSchedule(times=np.array([t_k]), kind="periodic", seed=0,
-                                omega_b=omega_b, t_0l=0.0)
+        sched = ArrivalSchedule(times=np.array([t_k]))
         sigma_pt = 0.08
         p2 = train(sched, coupling, sigma_pt, tls.omega_21)
         prof = interaction_profile(coupling, sigma_pt, t_k, tls.omega_21)
@@ -366,19 +364,16 @@ class TestTrains:
         np.testing.assert_allclose(
             coarse, reference_train(TlsState.ground(), sched, u0, tls.omega_21), rtol=1e-12)
 
-    def test_overlap_warning(self, coupling, tls, omega_b):
-        sched = ArrivalSchedule(times=np.array([0.0, 0.05]), kind="random",
-                                seed=0, omega_b=omega_b, t_0l=0.0)
+    def test_overlap_warning(self, coupling, tls):
+        sched = ArrivalSchedule(times=np.array([0.0, 0.05]))
         with pytest.warns(RuntimeWarning, match="overlap"):
             train(sched, coupling, 0.08, tls.omega_21)
 
-    def test_ensemble_warns_if_any_schedule_overlaps(self, coupling, tls, omega_b):
+    def test_ensemble_warns_if_any_schedule_overlaps(self, coupling, tls):
         # windows are +-(10 t_r + 6 sigma) ~ 0.56 fs wide: 10 fs gaps are
         # clear, one 0.05 fs gap in the second schedule is not
-        clear = ArrivalSchedule(times=np.array([0.0, 10.0, 20.0]), kind="random",
-                                seed=0, omega_b=omega_b, t_0l=0.0)
-        tight = ArrivalSchedule(times=np.array([0.0, 10.0, 10.05]), kind="random",
-                                seed=1, omega_b=omega_b, t_0l=0.0)
+        clear = ArrivalSchedule(times=np.array([0.0, 10.0, 20.0]))
+        tight = ArrivalSchedule(times=np.array([0.0, 10.0, 10.05]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate_train_ensemble(TlsState.ground(), [clear, clear], coupling, 0.08,

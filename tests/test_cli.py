@@ -127,6 +127,21 @@ class TestCommands:
         assert f":6: [{section}] {entry.split()[0]}: " in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["modulated_resonance", "fig9_buildup"])
+    @pytest.mark.parametrize("entries, line", [
+        ("harmonic_order = 1", 6),               # below the default harmonic = 2
+        ("harmonic = 40", 6),                    # above the default order
+        ("harmonic = 3\nharmonic_order = 2", 7),
+    ])
+    def test_harmonic_order_below_harmonic_is_config_error(self, tmp_path, caplog,
+                                                           scenario, entries, line):
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                f"[sweep]\n{entries}\n")
+        assert main(["run", str(write(tmp_path, text))]) == 2
+        assert f":{line}: [sweep] harmonic_order: must be >= harmonic" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_summary_not_written(self, tmp_path, caplog):
         # one scan point leaves the resonance-width fit undefined (NaN)

@@ -1,5 +1,5 @@
-"""Property tests: coupling kernel, shared Toeplitz builder, phase wrapping
-and config parsing."""
+"""Property tests: coupling kernel, shared Toeplitz builder and its FFT
+product, phase wrapping and config parsing."""
 
 import math
 import tempfile
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
 from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, toeplitz_kernel
+from feberi.grid import MomentumGrid, toeplitz_kernel, toeplitz_product
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -48,6 +48,23 @@ def test_toeplitz_kernel_hermitian(orientation, half_n, dp):
     assert mt.shape == (n, n)
     np.testing.assert_array_equal(mt, mt.conj().T)
     np.testing.assert_array_equal(mt[1:, 1:], mt[:-1, :-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(orientation=orientations, half_n=st.integers(32, 320),
+       dp=st.floats(min_value=1e-5, max_value=0.5), rows=st.sampled_from([0, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_toeplitz_product_equals_dense(orientation, half_n, dp, rows, seed):
+    # rows = 0: one vector; else a stack of vectors along the last axis
+    n = 2 * half_n
+    grid = MomentumGrid(n=n, p0=KIN.p0, p_cutoff=0.5 * n * dp)
+    rng = np.random.default_rng(seed)
+    shape = (rows, n) if rows else (n,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = x @ toeplitz_kernel(grid, COUPLINGS[orientation]).T
+    got = toeplitz_product(grid, COUPLINGS[orientation])(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=300, deadline=None)

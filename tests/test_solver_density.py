@@ -98,6 +98,82 @@ class TestAssembly:
             assemble_hamiltonian(assembly.grid, kin, coupling, tls, mode="exact")
 
 
+def physical_hamiltonian(h):
+    """kron(H_IB, H_IP) + diag(H0B (+) H0F), complex Hermitian, built directly."""
+    full = np.kron(h.h_ib, h.h_ip)
+    full[np.diag_indices_from(full)] += (h.h0b[:, None] + h.h0f[None, :]).reshape(-1)
+    return full
+
+
+class TestRealGauge:
+    """h_total is S^dagger H S, real symmetric, for both orientations and modes."""
+
+    @pytest.fixture(params=[("transverse", "spectral"), ("transverse", "dft"),
+                            ("parallel", "spectral"), ("parallel", "dft")],
+                    ids=lambda p: "-".join(p))
+    def gauged(self, request, kin, tls, geometry, spec):
+        orientation, mode = request.param
+        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
+        # a kernel-resolving cutoff keeps the dft assembly alias-free
+        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
+        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
+                          extra_halfwidth=extra)
+        return cpl, assemble_hamiltonian(grid, kin, cpl, tls, mode=mode)
+
+    def test_real_symmetric(self, gauged):
+        _, h = gauged
+        assert h.h_total.dtype == np.float64
+        np.testing.assert_array_equal(h.h_total, h.h_total.T)
+
+    def test_gauge_recovers_physical_hamiltonian(self, gauged):
+        cpl, h = gauged
+        assert h.gauge == (1j if cpl.orientation == "parallel" else 1.0)
+        s = h.gauge_diagonal()
+        full = physical_hamiltonian(h)
+        np.testing.assert_allclose(s[:, None] * h.h_total * s.conj(), full,
+                                   rtol=0, atol=1e-15 * np.max(np.abs(full)))
+
+    def test_eigenvalues_match_complex_eigh(self, gauged):
+        _, h = gauged
+        w_complex = np.linalg.eigvalsh(physical_hamiltonian(h))
+        w_real, v = h.eigensystem()
+        assert v.dtype == np.float64
+        assert np.max(np.abs(w_real - w_complex)) <= 1e-12 * np.max(np.abs(w_complex))
+
+    def test_evolve_vector_keeps_norm(self, gauged, spec, tls):
+        _, h = gauged
+        psi = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                   tls.energy_gap)
+        states = evolve_vector(psi, h, np.linspace(0.0, 2.0, 7))
+        np.testing.assert_allclose(np.linalg.norm(states, axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_matches_complex_propagator(self, gauged, spec, tls):
+        # the gauged real path equals exp(-i H t/hbar) psi of the physical matrix
+        _, h = gauged
+        psi = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                   tls.energy_gap)
+        w, v = np.linalg.eigh(physical_hamiltonian(h))
+        t = 1.3
+        want = v @ (np.exp(-1j * w * t / HBAR_EV_FS) * (v.conj().T @ psi))
+        np.testing.assert_allclose(evolve_vector(psi, h, t), want, rtol=0, atol=1e-10)
+
+    def test_kernel_off_the_gauge_rejected(self, kin, tls, geometry, spec):
+        # an odd kernel with an even admixture is neither real nor imaginary
+        # in momentum space: the real gauge cannot hold it
+        class Skewed(DipoleCoupling):
+            def spatial_kernel_unit(self, z):
+                return super().spatial_kernel_unit(z) \
+                    + 1e-3 * DipoleCoupling.spatial_kernel_unit(
+                        DipoleCoupling(tls, geometry, kin, "transverse"), z)
+
+        cpl = Skewed(tls, geometry, kin, orientation="parallel")
+        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
+        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
+                          extra_halfwidth=extra)
+        with pytest.raises(AssemblyError, match="TLS gauge"):
+            assemble_hamiltonian(grid, kin, cpl, tls, mode="dft")
+
+
 class TestEvolution:
     def test_t_zero_identity(self, assembly, spec, tls):
         psi = initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
