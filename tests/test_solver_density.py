@@ -148,7 +148,7 @@ class TestRealGauge:
         np.testing.assert_allclose(np.linalg.norm(states, axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_matches_complex_propagator(self, gauged, spec, tls):
-        # the gauged real path equals exp(-i H t/hbar) psi of the physical matrix
+        # both gauged real paths equal exp(-i H t/hbar) of the physical matrix
         _, h = gauged
         psi = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
                                    tls.energy_gap)
@@ -156,6 +156,9 @@ class TestRealGauge:
         t = 1.3
         want = v @ (np.exp(-1j * w * t / HBAR_EV_FS) * (v.conj().T @ psi))
         np.testing.assert_allclose(evolve_vector(psi, h, t), want, rtol=0, atol=1e-10)
+        rho = JointDensityMatrix(rho=np.outer(psi, psi.conj()), grid=h.grid)
+        np.testing.assert_allclose(evolve(rho, h, t).rho, np.outer(want, want.conj()),
+                                   rtol=0, atol=1e-10)
 
     def test_kernel_off_the_gauge_rejected(self, kin, tls, geometry, spec):
         # an odd kernel with an even admixture is neither real nor imaginary
