@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
@@ -142,7 +142,9 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
                               tau[-1] + h * np.arange(1, m + 1)])
         density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
         density *= comb(ext)
-        vals = np.real(fftconvolve(density, kern, mode="valid")) * h
+        size = fft.next_fast_len(len(density) + len(kern) - 1)
+        full = fft.ifft(fft.fft(density, size) * fft.fft(kern, size))
+        vals = np.real(full[len(kern) - 1:len(density)]) * h   # the "valid" part
     return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
                               sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
                               prefactor=kernel_prefactor(coupling))

@@ -5,8 +5,9 @@ sections.  Parsing is strict: unknown keys are rejected with their line
 numbers, every physical default equals the reference parameter set
 (200 keV beam, 2.4 nm impact parameter, 2 eV gap, 5 Debye transverse
 dipole).  Results go to files only (CSV per series, summary.json, SVG
-plots); logs go to stderr.  Exit codes: 0 ok, 2 config error (an
-unwritable output_dir included), 3 numerical failure.
+plots); logs go to stderr.  Exit codes: 0 ok, 2 config error (a grid
+size that `validate` flags and an unwritable output_dir included),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ _BOUND_OPS = {">": operator.gt, ">=": operator.ge}
 # (key, op, other key): [sweep] rules across two keys, checked where both exist.
 # A bunched spectrum cut below the resonant harmonic has no resonance to scan.
 _SWEEP_RULES = (("harmonic_order", ">=", "harmonic"),)
+
+# (section, key, scenarios): a key every scenario accepts but only these act
+# on; elsewhere a value other than the default would be silently ignored.
+_SCENARIO_ONLY = (("numerics", "dump_rho_b", ("fig3_ground",)),)
 
 
 def default_config(scenario: str) -> dict:
@@ -233,6 +238,12 @@ def load_config(path) -> dict:
             ln = lines.get(("sweep", key)) or lines.get(("sweep", other), 0)
             raise ConfigError(f"{path}:{ln}: [sweep] {key}: must be {op} {other} "
                               f"({sweep[other]!r}), got {sweep[key]!r}")
+    for section, key, scenarios in _SCENARIO_ONLY:
+        if scenario not in scenarios and cfg[section][key] != schema[section][key][2]:
+            ln = lines.get((section, key), 0)
+            raise ConfigError(f"{path}:{ln}: [{section}] {key} = {cfg[section][key]!r} "
+                              f"has no effect in scenario {scenario}; only "
+                              f"{', '.join(scenarios)} uses it")
     return cfg
 
 
@@ -294,6 +305,15 @@ def write_result(result: ScenarioResult, out_dir: Path) -> list[Path]:
 
 # -- validation report -------------------------------------------------------------------
 
+def _grid_error(n: int) -> str | None:
+    """The report line for a grid size no solver can build, else None."""
+    try:
+        MomentumGrid(n=n, p0=0.0, p_cutoff=1.0)
+    except DomainError as exc:
+        return f"ERROR grid: {exc}"
+    return None
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Dry-run checks; returns a list of report lines (violations flagged)."""
     report = []
@@ -303,11 +323,7 @@ def validate_config(cfg: dict) -> list[str]:
     report.append(f"scenario: {cfg['run']['scenario']}")
     report.append(f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
                   f"omega21={tls.omega_21:.4f} rad/fs t_r={geo.transit_time * 1e3:.3f} as")
-    try:
-        MomentumGrid(n=n, p0=kin.p0, p_cutoff=1.0)
-        report.append(f"grid points: {n} (ok)")
-    except DomainError as exc:
-        report.append(f"ERROR grid: {exc}")
+    report.append(_grid_error(n) or f"grid points: {n} (ok)")
 
     sweep = cfg["sweep"]
     sigma_fracs = sweep.get("sigma_et_over_period", [])
@@ -405,6 +421,11 @@ def main(argv=None) -> int:
         cfg["run"]["seed"] = args.seed
     if args.out is not None:
         cfg["run"]["output_dir"] = args.out
+
+    grid_error = _grid_error(cfg["numerics"]["grid_points"])
+    if grid_error:
+        log.error("%s: %s", args.config, grid_error)
+        return 2
 
     log.info("running scenario %s (seed %d)", cfg["run"]["scenario"],
              cfg["run"]["seed"])

@@ -10,8 +10,8 @@ Internal unit system (used everywhere in this package):
 
 With these units hbar = 0.6582... eV*fs and c = 299.79... nm/fs, so all
 quantities of a nanometer-scale, femtosecond-scale scattering problem stay
-near unity.  Public constructors accept laboratory units (keV, Debye,
-attoseconds) and convert exactly once at the boundary.
+near unity.  Public constructors accept laboratory units (keV, Debye) and
+convert exactly once at the boundary.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class DomainError(ValueError):
 
 def kev_to_ev(x: float) -> float:
     return 1000.0 * x
-
-
-def attoseconds_to_fs(x: float) -> float:
-    return 1e-3 * x
 
 
 def fs_to_attoseconds(x: float) -> float:
@@ -91,15 +87,6 @@ class ElectronKinematics:
     beta: float
     v0: float
     p0: float
-
-    @property
-    def rest_energy(self) -> float:
-        return ME_C2_EV
-
-    @property
-    def total_energy(self) -> float:
-        """gamma*m*c^2 in eV."""
-        return self.gamma * ME_C2_EV
 
     def dispersion(self, p):
         """Free energy E(p) - gamma*m*c^2, quadratic expansion about p0.

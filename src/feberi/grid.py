@@ -2,9 +2,10 @@
 
 * the uniform momentum grid (``MomentumGrid``, ``build_grid``);
 * the Toeplitz kernel Mt(p_m - p_n) that couples grid momenta in both
-  the amplitude solver and the density-matrix assembly: one sample of Mt at
-  the 2n grid differences feeds the dense matrix (for the assembly) and its
-  O(n log n) product through a circulant embedding (for the amplitude RK4);
+  the amplitude solver and the density-matrix assembly.  It is the leading
+  block of a circulant, so one first column (Mt at the 2n grid differences)
+  gives both the dense block (for the assembly) and its O(n log n) FFT
+  product (for the amplitude RK4);
 * the interaction window t0 +- (transit_factor*t_r + sigma_factor*sigma_et)
   that bounds every time integration and every interaction profile.
 """
@@ -15,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
-from scipy.linalg import toeplitz
 
-from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics
+from feberi.core import DomainError, ElectronKinematics
 from feberi.coulomb import DipoleCoupling, m_tilde
 
 
@@ -50,11 +51,6 @@ class MomentumGrid:
     def points(self) -> np.ndarray:
         return self.p0 - self.p_cutoff + self.dp * np.arange(self.n)
 
-    @property
-    def z_span(self) -> float:
-        """Span of the conjugate position grid, 2*pi*hbar/dp, in nm."""
-        return 2.0 * math.pi * HBAR_EV_FS / self.dp
-
 
 def build_grid(kin: ElectronKinematics, sigma_p0: float, p_rec: float, n: int,
                extra_halfwidth: float = 0.0) -> MomentumGrid:
@@ -73,15 +69,23 @@ def build_grid(kin: ElectronKinematics, sigma_p0: float, p_rec: float, n: int,
     return MomentumGrid(n=n, p0=kin.p0, p_cutoff=p_cutoff, initial_tail_mass=tail)
 
 
-def _kernel_samples(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
+def kernel_column(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
     """Mt(k*dp) for k = 0..n-1, -n..-1 (FFT order), in eV*nm.
 
     This is the first column of the length-2n circulant that embeds the
-    Toeplitz kernel; the k = -n sample is never read by a product.
+    Toeplitz kernel; the k = -n sample is never read.
     """
     n = grid.n
     k = np.concatenate([np.arange(n), np.arange(-n, 0)])
     return m_tilde(k * grid.dp, coupling)
+
+
+def circulant_block(column: np.ndarray, n: int) -> np.ndarray:
+    """T[i, j] = column[(i - j) mod len(column)]: the leading n x n block of
+    the circulant with first column ``column`` (len(column) >= n)."""
+    lags = np.concatenate([column[len(column) - n + 1:], column[:n]])   # i - j = 1-n..n-1
+    # row i holds the lags i, i-1, .., i-n+1: a length-n window of the reversed lags
+    return sliding_window_view(lags[::-1], n)[::-1].copy()
 
 
 def toeplitz_kernel(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
@@ -90,8 +94,7 @@ def toeplitz_kernel(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
     Hermitian for both orientations: Mt is real and even (transverse) or
     imaginary and odd (parallel).
     """
-    s = _kernel_samples(grid, coupling)
-    return toeplitz(s[:grid.n], np.concatenate([s[:1], s[:grid.n:-1]]))
+    return circulant_block(kernel_column(grid, coupling), grid.n)
 
 
 def toeplitz_product(grid: MomentumGrid, coupling: DipoleCoupling):
@@ -103,7 +106,7 @@ def toeplitz_product(grid: MomentumGrid, coupling: DipoleCoupling):
     one inverse FFT, O(n log n) per row of x instead of O(n^2).
     """
     n = grid.n
-    spectrum = fft.fft(_kernel_samples(grid, coupling))
+    spectrum = fft.fft(kernel_column(grid, coupling))
 
     def product(x: np.ndarray) -> np.ndarray:
         return fft.ifft(spectrum * fft.fft(x, n=2 * n, axis=-1), axis=-1)[..., :n]

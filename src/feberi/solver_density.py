@@ -22,10 +22,11 @@ Two assembly modes for the momentum-space interaction kernel H_IP:
   built from the closed-form momentum kernel; alias-free and exactly the
   matrix the amplitude solver uses, at any grid size.
 * "dft": F diag(f(z_l)) F^dagger with the spatial kernel sampled on the
-  conjugate z-grid (span 2 pi hbar/dp).  Faithful to the discrete-Fourier
-  construction but accurate only when the z-grid resolves the kernel, i.e.
-  when p_cutoff exceeds the kernel's spectral width hbar*gamma/r_perp by a
-  comfortable factor; aliasing is estimated and reported.
+  conjugate z-grid (span 2 pi hbar/dp), which is a circulant from one FFT
+  of f(z_l).  Faithful to the discrete-Fourier construction but accurate
+  only when the z-grid resolves the kernel, i.e. when p_cutoff exceeds the
+  kernel's spectral width hbar*gamma/r_perp by a comfortable factor;
+  aliasing is estimated and reported.
 
 A pure-state fast path is used whenever the initial state is pure (or a
 rank-k mixture, evolved as k vectors).
@@ -38,10 +39,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
 from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, interaction_window, toeplitz_kernel
+from feberi.grid import MomentumGrid, circulant_block, interaction_window, kernel_column
 from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, grid_for_spec, \
     modulated_momentum_amplitudes
 
@@ -98,15 +100,14 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
     if mode not in ("spectral", "dft"):
         raise DomainError(f"unknown assembly mode {mode!r}")
     n = grid.n
-    p = grid.points
-    h0f = np.real(kin.dispersion(p))
+    h0f = np.real(kin.dispersion(grid.points))
     h0b = np.array([0.0, tls.energy_gap])
     r21 = tls.dipole_length
     h_ib = np.array([[0.0, r21], [r21, 0.0]])
 
     aliasing = 0.0
     if mode == "spectral":
-        h_ip = grid.dp * (toeplitz_kernel(grid, coupling) / r21) / (2.0 * math.pi * HBAR_EV_FS)
+        column = grid.dp * (kernel_column(grid, coupling) / r21) / (2.0 * math.pi * HBAR_EV_FS)
     else:
         dz = 2.0 * math.pi * HBAR_EV_FS / (n * grid.dp)
         z = (np.arange(n) - n / 2) * dz
@@ -128,24 +129,30 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
         if aliasing > 1e-2:
             warnings.warn(f"dft assembly aliasing estimate {aliasing:.2e}; "
                           "increase p_cutoff or use spectral mode", RuntimeWarning)
-        v = np.exp(-1j * np.outer(p, z) / HBAR_EV_FS) / math.sqrt(n)
-        h_ip = (v * f_z[None, :]) @ v.conj().T
+        # sum_l f_l e^{-i (p_m - p_k) z_l/hbar}/n depends on m - k only, since
+        # dp dz/hbar = 2 pi/n; the offset z_0 = -n/2 dz gives the sign (-1)^(m-k)
+        column = (-1.0) ** np.arange(n) * fft.fft(f_z) / n
 
-    scale = float(np.max(np.abs(h_ip)))
-    herm_err = float(np.max(np.abs(h_ip - h_ip.conj().T)))
+    # the 2n - 1 lags m - k that the block reads, in FFT order; the spectral
+    # column's k = -n sample is not among them and has no parity partner
+    lags = np.concatenate([column[:n], column[len(column) - n + 1:]])
+    mirror = lags[-np.arange(lags.size)].conj()     # the same lags of h_ip^dagger
+    scale = float(np.max(np.abs(lags)))
+    herm_err = float(np.max(np.abs(lags - mirror)))
     if herm_err > 1e-10 * scale:
         raise AssemblyError(f"assembled kernel not Hermitian (err {herm_err:.2e})")
-    h_ip = 0.5 * (h_ip + h_ip.conj().T)
+    lags = 0.5 * (lags + mirror)
     # S^dagger (H_IB (x) H_IP) S has the off-diagonal blocks r21 phi h_ip and
     # its transpose; phi h_ip is real up to the residue checked here
     gauge = 1j if coupling.orientation == "parallel" else 1.0
-    gauged = gauge * h_ip
+    gauged = gauge * lags
     residue = float(np.max(np.abs(gauged.imag)))
     if residue > 1e-10 * scale:
         raise AssemblyError(f"kernel not real in the TLS gauge (residue {residue:.2e})")
+    h_ip = circulant_block(lags, n)
 
     h_total = np.zeros((2 * n, 2 * n))
-    h_total[:n, n:] = r21 * gauged.real
+    h_total[:n, n:] = circulant_block(r21 * gauged.real, n)
     h_total[n:, :n] = h_total[:n, n:].T
     h_total.flat[::2 * n + 1] = (h0b[:, None] + h0f[None, :]).reshape(-1)
     return HamiltonianAssembly(grid=grid, h0f=h0f, h0b=h0b, h_ip=h_ip, h_ib=h_ib,

@@ -26,6 +26,7 @@ from feberi.born_dynamics import (
     window_propagator,
 )
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
+from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.grid import interaction_window
 from feberi.qew import ModulationSpectrum, ResolutionError
 
@@ -46,6 +47,25 @@ class TestInteractionProfile:
         prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         np.testing.assert_allclose(prof.values, prof.values[::-1], rtol=1e-12)
         assert np.all(prof.values > 0.0)
+
+    @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+    @pytest.mark.parametrize("sigma_over_period", [0.05, 1.0])
+    def test_convolution_equals_fftconvolve(self, kin, tls, geometry, orientation,
+                                            sigma_over_period):
+        # the valid-mode convolution as scipy.signal computes it, bit for bit
+        from scipy.signal import fftconvolve
+
+        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
+        sigma = sigma_over_period * tls.period
+        prof = interaction_profile(cpl, sigma, 0.0, tls.omega_21)
+        tau, h = prof.times, prof.step
+        m = int(math.ceil(200.0 * geometry.transit_time / h))
+        kern = m_spatial(kin.v0 * (h * np.arange(-m, m + 1)), cpl).astype(complex)
+        ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau,
+                              tau[-1] + h * np.arange(1, m + 1)])
+        density = np.exp(-(ext**2) / (2.0 * sigma**2)) / (math.sqrt(TWO_PI) * sigma)
+        want = np.real(fftconvolve(density, kern, mode="valid")) * h
+        np.testing.assert_array_equal(prof.values, want)
 
     def test_point_limit_peak(self, coupling, tls):
         # sigma -> 0: bare kernel, peak K at t = t0

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import feberi
 from feberi.cli import ConfigError, load_config, main
+from feberi.scenarios import SCENARIOS
 from feberi.solver_density import read_rho_b_bin
 
 
@@ -142,6 +148,30 @@ class TestCommands:
         assert f":{line}: [sweep] harmonic_order: must be >= harmonic" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid_points", [17, 2, 4, 62])
+    def test_bad_grid_is_config_error(self, tmp_path, caplog, grid_points):
+        # the run applies validate's grid check before any solver sees the size
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = fig3_ground\noutput_dir = {out}\n\n"
+                f"[numerics]\ngrid_points = {grid_points}\n")
+        cfg = write(tmp_path, text)
+        assert main(["run", str(cfg)]) == 2
+        assert f"{cfg}: ERROR grid: grid size must be even and >= 64, got {grid_points}" \
+            in caplog.text
+        assert "running scenario" not in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - {"fig3_ground"}))
+    def test_dump_rho_b_without_dump_is_config_error(self, tmp_path, caplog, scenario):
+        # only fig3_ground writes rho_b_*.bin; elsewhere the key would be ignored
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                "[numerics]\ndump_rho_b = true\n")
+        assert main(["run", str(write(tmp_path, text))]) == 2
+        assert ":6: [numerics] dump_rho_b = True has no effect in scenario " \
+            f"{scenario}; only fig3_ground uses it" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_summary_not_written(self, tmp_path, caplog):
         # one scan point leaves the resonance-width fit undefined (NaN)
@@ -238,3 +268,16 @@ class TestCommands:
         assert rho.shape == (40, 2, 2)
         np.testing.assert_allclose(np.trace(rho, axis1=1, axis2=2), 1.0, atol=1e-9)
         assert dt > 0.0
+
+
+def test_entry_point_imports_no_heavy_scipy():
+    # the CLI and the scenarios need only scipy.fft and scipy.special
+    code = ("import sys, feberi.cli, feberi.scenarios; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.linalg', 'scipy.stats') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    src = str(Path(feberi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -1,18 +1,20 @@
-"""Property tests: coupling kernel, shared Toeplitz builder and its FFT
-product, phase wrapping and config parsing."""
+"""Property tests: coupling kernel, the circulant block builder, the shared
+Toeplitz kernel and its FFT product, phase wrapping and config parsing."""
 
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
 from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, toeplitz_kernel, toeplitz_product
+from feberi.grid import MomentumGrid, circulant_block, toeplitz_kernel, toeplitz_product
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -48,6 +50,29 @@ def test_toeplitz_kernel_hermitian(orientation, half_n, dp):
     assert mt.shape == (n, n)
     np.testing.assert_array_equal(mt, mt.conj().T)
     np.testing.assert_array_equal(mt[1:, 1:], mt[:-1, :-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_circulant_block_equals_toeplitz_and_circulant(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    # a length-2n column: the Toeplitz matrix with lags c[k] and c[-k]
+    want = toeplitz(c[:n], np.concatenate([c[:1], c[:n:-1]]))
+    np.testing.assert_array_equal(circulant_block(c, n), want)
+    # a length-n column: the full circulant
+    i = np.arange(n)
+    np.testing.assert_array_equal(circulant_block(c[:n], n), c[(i[:, None] - i) % n])
+
+
+@pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_toeplitz_kernel_equals_scipy_toeplitz(orientation, n):
+    grid = MomentumGrid(n=n, p0=KIN.p0, p_cutoff=0.5 * n * 0.01)
+    s = m_tilde(grid.dp * np.concatenate([np.arange(n), np.arange(-n, 0)]),
+                COUPLINGS[orientation])
+    want = toeplitz(s[:n], np.concatenate([s[:1], s[:n:-1]]))
+    np.testing.assert_array_equal(toeplitz_kernel(grid, COUPLINGS[orientation]), want)
 
 
 @settings(max_examples=60, deadline=None)

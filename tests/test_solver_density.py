@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
-from feberi.coulomb import DipoleCoupling, m_spatial
+from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec
 from feberi.solver_density import (
     AssemblyError,
@@ -86,6 +86,34 @@ class TestAssembly:
         assert err < 1e-4
         assert h_dft.aliasing_estimate < 1e-4
 
+    @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_dft_mode_is_the_dense_fourier_product(self, kin, tls, geometry, spec,
+                                                   orientation, n):
+        # h_ip is exactly circulant and equals F diag(f(z_l)) F^dagger
+        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
+        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
+        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, n,
+                          extra_halfwidth=extra)
+        h_ip = assemble_hamiltonian(grid, kin, cpl, tls, mode="dft").h_ip
+        np.testing.assert_array_equal(np.roll(h_ip, (1, 1), axis=(0, 1)), h_ip)
+        want = dense_dft_kernel(grid, cpl)
+        assert np.max(np.abs(h_ip - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_dft_kernel_exactly_hermitian(self, kin, tls, geometry, spec):
+        # a complex-typed kernel takes the FFT's complex path, whose spectrum is
+        # conjugate-symmetric only to rounding; h_ip is still exactly Hermitian
+        class ComplexTyped(DipoleCoupling):
+            def spatial_kernel_unit(self, z):
+                return super().spatial_kernel_unit(z).astype(complex)
+
+        cpl = ComplexTyped(tls, geometry, kin)
+        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
+        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
+                          extra_halfwidth=extra)
+        h_ip = assemble_hamiltonian(grid, kin, cpl, tls, mode="dft").h_ip
+        np.testing.assert_array_equal(h_ip, h_ip.conj().T)
+
     def test_dft_mode_span_guard(self, kin, tls, geometry):
         # huge momentum cutoff -> tiny z-span -> kernel does not fit
         cpl = DipoleCoupling(tls, geometry, kin)
@@ -96,6 +124,18 @@ class TestAssembly:
     def test_unknown_mode(self, assembly, kin, tls, coupling):
         with pytest.raises(DomainError):
             assemble_hamiltonian(assembly.grid, kin, coupling, tls, mode="exact")
+
+
+def dense_dft_kernel(grid, coupling):
+    """The dft kernel as the dense O(N^3) product (v * f_z) @ v^dagger, symmetrized."""
+    n = grid.n
+    dz = TWO_PI * HBAR_EV_FS / (n * grid.dp)
+    z = (np.arange(n) - n / 2) * dz
+    f_z = COULOMB_EV_NM * coupling.spatial_kernel_unit(z)
+    f_z[0] = 0.5 * (f_z[0] + COULOMB_EV_NM * coupling.spatial_kernel_unit(-z[0]))
+    v = np.exp(-1j * np.outer(grid.points, z) / HBAR_EV_FS) / math.sqrt(n)
+    h = (v * f_z[None, :]) @ v.conj().T
+    return 0.5 * (h + h.conj().T)
 
 
 def physical_hamiltonian(h):
