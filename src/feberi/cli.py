@@ -7,7 +7,7 @@ numbers, every physical default equals the reference parameter set
 dipole).  Results go to files only (CSV per series, summary.json, SVG
 plots); logs go to stderr.  Exit codes: 0 ok, 2 config error (a grid
 size that `validate` flags and an unwritable output_dir included),
-3 numerical failure.
+3 numerical failure (in `validate` too, when the physics cannot be built).
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ import numpy as np
 from feberi import __version__
 from feberi.born_dynamics import StepSizeError
 from feberi.core import DomainError
-from feberi.grid import MomentumGrid, build_grid
-from feberi.qew import ResolutionError, TruncationError, gamma_parameter
-from feberi.scenarios import SCENARIOS, ScenarioResult, physics_bundle, run_scenario
-from feberi.solver_density import AssemblyError, write_rho_b_bin
+from feberi.grid import MomentumGrid
+from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
+    grid_for_spec
+from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, physics_bundle, \
+    run_scenario
+from feberi.solver_density import AssemblyError, PropagationError, write_rho_b_bin
 from feberi.solver_momentum import InstabilityError
 
 log = logging.getLogger("feberi")
@@ -315,7 +317,10 @@ def _grid_error(n: int) -> str | None:
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """Dry-run checks; returns a list of report lines (violations flagged)."""
+    """Dry-run checks; returns a list of report lines (violations flagged).
+
+    Raises DomainError if the physics cannot be built.
+    """
     report = []
     kin, tls, geo, coupling = physics_bundle(cfg)
     num = cfg["numerics"]
@@ -337,19 +342,23 @@ def validate_config(cfg: dict) -> list[str]:
             line += "; WARNING: outside the short-packet validity of the " \
                     "probabilistic closed forms (size-independent law governs)"
         report.append(line)
-        try:
-            from feberi.qew import GaussianQewSpec
-            spec = GaussianQewSpec.from_duration(kin, sigma)
-            build_grid(kin, spec.sigma_p0, coupling.recoil_momentum, n)
-        except DomainError as exc:
-            report.append(f"ERROR grid sizing at sigma_et={frac:g} T21: {exc}")
     for gam in sweep.get("gamma_values", []):
         if gam > 1.0:
             report.append(f"Gamma = {gam:g}: wave regime (size-independent law governs)")
-
-    mem = (2 * n) ** 2 * 16 * 4 / 1e6
-    report.append(f"estimated peak memory: {mem:.0f} MB "
-                  f"(joint matrices {2 * n} x {2 * n})")
+    if cfg["run"]["scenario"] in GRID_SCENARIOS:
+        sizes = [(f"sigma_et={frac:g} T21", frac * tls.period) for frac in sigma_fracs]
+        sizes += [(f"Gamma={gam:g}", gam / tls.omega_21)
+                  for gam in sweep.get("gamma_values", [])]
+        for label, sigma in sizes:
+            try:
+                grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, n)
+            except DomainError as exc:
+                report.append(f"ERROR grid sizing at {label}: {exc}")
+        # what a grid run holds: h_total (float64), h_ip (complex), sampled states
+        samples = num["time_samples"]
+        mem = ((2 * n) ** 2 * 8 + n * n * 16 + 2 * n * samples * 16) / 1e6
+        report.append(f"estimated peak memory: {mem:.0f} MB (h_total {2 * n} x {2 * n}, "
+                      f"h_ip {n} x {n}, {samples} sampled states)")
     report.append(f"window factors: transit x{num['window_transit_factor']:g}, "
                   f"sigma x{num['window_sigma_factor']:g}")
     t_r_w = geo.transit_time * tls.omega_21
@@ -374,8 +383,8 @@ def non_finite_leaves(obj, path: str = "summary") -> list[str]:
 
 
 _NUMERICAL_ERRORS = (DomainError, ResolutionError, TruncationError, AssemblyError,
-                     StepSizeError, InstabilityError, np.linalg.LinAlgError,
-                     FloatingPointError)
+                     PropagationError, StepSizeError, InstabilityError,
+                     np.linalg.LinAlgError, FloatingPointError)
 
 
 def main(argv=None) -> int:
@@ -413,7 +422,12 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "validate":
-        for line in validate_config(cfg):
+        try:
+            report = validate_config(cfg)
+        except DomainError as exc:
+            print(f"ERROR physics: {exc}")
+            return 3
+        for line in report:
             print(line)
         return 0
 

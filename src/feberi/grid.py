@@ -4,8 +4,9 @@
 * the Toeplitz kernel Mt(p_m - p_n) that couples grid momenta in both
   the amplitude solver and the density-matrix assembly.  It is the leading
   block of a circulant, so one first column (Mt at the 2n grid differences)
-  gives both the dense block (for the assembly) and its O(n log n) FFT
-  product (for the amplitude RK4);
+  gives both the dense block (``circulant_block``, for the assembly) and
+  its O(n log n) FFT product (``circulant_product``, for the amplitude RK4
+  and the density solver's Chebyshev propagator);
 * the interaction window t0 +- (transit_factor*t_r + sigma_factor*sigma_et)
   that bounds every time integration and every interaction profile.
 """
@@ -97,21 +98,29 @@ def toeplitz_kernel(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
     return circulant_block(kernel_column(grid, coupling), grid.n)
 
 
-def toeplitz_product(grid: MomentumGrid, coupling: DipoleCoupling):
-    """x -> toeplitz_kernel(grid, coupling) @ x along the last axis of x.
+def circulant_product(column: np.ndarray, n: int):
+    """x -> circulant_block(column, n) @ x along the last axis of x, by FFT.
 
-    The Toeplitz matrix is the leading block of a length-2n circulant, so
-    the product is a zero-padded circular convolution: one FFT of x, one
-    multiplication by the circulant's spectrum (computed here, once) and
-    one inverse FFT, O(n log n) per row of x instead of O(n^2).
+    The block is the leading n x n block of the circulant with first column
+    ``column``, so the product is a circular convolution of x zero-padded to
+    len(column): one FFT of x, one multiplication by the circulant's spectrum
+    (computed here, once) and one inverse FFT, O(n log n) per row of x instead
+    of O(n^2).  Leading axes of ``column`` hold a stack of columns, applied to
+    the matching rows of x.
     """
-    n = grid.n
-    spectrum = fft.fft(kernel_column(grid, coupling))
+    size = column.shape[-1]
+    spectrum = fft.fft(column, axis=-1)
 
     def product(x: np.ndarray) -> np.ndarray:
-        return fft.ifft(spectrum * fft.fft(x, n=2 * n, axis=-1), axis=-1)[..., :n]
+        return fft.ifft(spectrum * fft.fft(x, n=size, axis=-1), axis=-1)[..., :n]
 
     return product
+
+
+def toeplitz_product(grid: MomentumGrid, coupling: DipoleCoupling):
+    """x -> toeplitz_kernel(grid, coupling) @ x along the last axis of x, by FFT
+    on the length-2n circulant that embeds the Toeplitz matrix."""
+    return circulant_product(kernel_column(grid, coupling), grid.n)
 
 
 def interaction_window(sigma_et: float, t_r: float, t0: float,

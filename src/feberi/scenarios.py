@@ -239,7 +239,13 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
 # -- scenario: arrival-phase x size sweep ----------------------------------------------
 
 def _fig56_point(args: tuple) -> tuple[float, list[float]]:
-    """Worker: increments over the zeta grid at one Gamma (one shared grid)."""
+    """Worker: increments over the zeta grid at one Gamma (one shared grid).
+
+    The joint state is linear in the TLS amplitudes (c1, c2), so the two
+    basis starts |1> (x) free and |2> (x) free are propagated to the window
+    end once, and each zeta's final P2 is the quadratic form c^dagger G c of
+    the Gram matrix G of their upper-level parts.
+    """
     cfg, gamma = args
     kin, tls, geo, coupling = physics_bundle(cfg)
     num = cfg["numerics"]
@@ -247,15 +253,18 @@ def _fig56_point(args: tuple) -> tuple[float, list[float]]:
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
     grid = grid_for_spec(spec, coupling, num["grid_points"])
     h = sd.assemble_hamiltonian(grid, kin, coupling, tls, mode=num["assembly"])
-    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
+    t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
+    upper = np.stack([
+        sd.evolve_vector(sd.initial_joint_vector(grid, spec, basis, t_start, tls.energy_gap),
+                         h, t_end - t_start)[grid.n:]
+        for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0))], axis=1)
+    gram = upper.conj().T @ upper
     zetas = np.arange(cfg["sweep"]["zeta_points"]) / cfg["sweep"]["zeta_points"] * TWO_PI
     out = []
     for zeta in zetas:
         state = TlsState.equatorial(wrap_phase(-zeta))   # t0 = 0: zeta = -phi
-        # only the window's end points are read: evolve just those two samples
-        traj = sd.run_qew_interaction(spec, state, coupling, tls, h=h,
-                                      window=window, n_samples=2)
-        out.append(float(traj.p2[-1] - traj.p2[0]))
+        c = np.array([state.c1, state.c2])
+        out.append(float(np.real(c.conj() @ gram @ c)) - state.p2)
     return gamma, out
 
 
@@ -573,6 +582,9 @@ SCENARIOS = {
 }
 
 PARALLEL_SCENARIOS = {"fig56_phase_size_sweep", "modulated_resonance"}
+# the scenarios that build a momentum grid (and run a grid solver)
+GRID_SCENARIOS = {"fig3_ground", "fig4_superposition", "fig56_phase_size_sweep",
+                  "solver_crosscheck"}
 
 
 def run_scenario(cfg: dict, jobs: int = 1) -> ScenarioResult:

@@ -7,8 +7,16 @@ TLS-major index i*N + n.  The full Hamiltonian
 
 is time independent: the electron "moves" only through its momentum-space
 phases, and the wavepacket's arrival time is encoded in the initial state.
-Evolution is exact via one eigendecomposition per assembly,
-rho(t) = U rho U^dagger with U = V exp(-i Lambda t/hbar) V^dagger.
+
+A pure state is propagated matrix-free: exp(-i H t/hbar) psi for every
+sampled t comes from one Chebyshev expansion (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
+coupling applied by FFT on the assembly's own kernel column.  Its order
+grows with the spectral half-width times the longest time.  Above
+MAX_CHEBYSHEV_ORDER, for mixed states (``evolve``) and for electron trains
+(many windows under one Hamiltonian), evolution goes through one cached
+eigendecomposition instead, rho(t) = U rho U^dagger with
+U = V exp(-i Lambda t/hbar) V^dagger.
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -27,9 +35,6 @@ Two assembly modes for the momentum-space interaction kernel H_IP:
   only when the z-grid resolves the kernel, i.e. when p_cutoff exceeds the
   kernel's spectral width hbar*gamma/r_perp by a comfortable factor;
   aliasing is estimated and reported.
-
-A pure-state fast path is used whenever the initial state is pure (or a
-rank-k mixture, evolved as k vectors).
 """
 
 from __future__ import annotations
@@ -43,13 +48,18 @@ from scipy import fft
 
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
 from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, circulant_block, interaction_window, kernel_column
+from feberi.grid import MomentumGrid, circulant_block, circulant_product, \
+    interaction_window, kernel_column
 from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, grid_for_spec, \
     modulated_momentum_amplitudes
 
 
 class AssemblyError(ValueError):
     """The z-grid cannot represent the interaction kernel faithfully."""
+
+
+class PropagationError(ArithmeticError):
+    """A propagated state's norm drifted from the initial state's."""
 
 
 # -- Hamiltonian assembly -----------------------------------------------------------
@@ -63,6 +73,8 @@ class HamiltonianAssembly:
     h_ip: (N, N) Hermitian momentum-space kernel matrix, eV/nm (dipole factored out).
     h_ib: (2, 2) real dipole matrix, off-diagonal r21 in nm.
     h_total: (2N, 2N) real symmetric S^dagger H S, float64.
+    coupling_column: (2N,) real first column of the length-2N circulant whose
+        leading N x N block is h_total's upper-right block r21 phi h_ip.
     gauge: phi of S = diag(1, phi) (x) IN; H = S h_total S^dagger.
     """
 
@@ -72,6 +84,7 @@ class HamiltonianAssembly:
     h_ip: np.ndarray
     h_ib: np.ndarray
     h_total: np.ndarray
+    coupling_column: np.ndarray
     mode: str
     gauge: complex
     aliasing_estimate: float = 0.0
@@ -150,14 +163,18 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
     if residue > 1e-10 * scale:
         raise AssemblyError(f"kernel not real in the TLS gauge (residue {residue:.2e})")
     h_ip = circulant_block(lags, n)
+    # the gauged coupling block in a length-2n circulant (slot k = -n unread)
+    column = np.zeros(2 * n)
+    column[:n] = r21 * gauged.real[:n]
+    column[n + 1:] = r21 * gauged.real[n:]
 
     h_total = np.zeros((2 * n, 2 * n))
-    h_total[:n, n:] = circulant_block(r21 * gauged.real, n)
+    h_total[:n, n:] = circulant_block(column, n)
     h_total[n:, :n] = h_total[:n, n:].T
     h_total.flat[::2 * n + 1] = (h0b[:, None] + h0f[None, :]).reshape(-1)
     return HamiltonianAssembly(grid=grid, h0f=h0f, h0b=h0b, h_ip=h_ip, h_ib=h_ib,
-                               h_total=h_total, mode=mode, gauge=gauge,
-                               aliasing_estimate=aliasing)
+                               h_total=h_total, coupling_column=column, mode=mode,
+                               gauge=gauge, aliasing_estimate=aliasing)
 
 
 def _real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -236,28 +253,127 @@ def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: flo
 
 # -- evolution ----------------------------------------------------------------------
 
+def _propagator(h: HamiltonianAssembly, t: float) -> np.ndarray:
+    """(2N, 2N) U = S V e^{-i Lambda t/hbar} V^T S^dagger from the cached eigensystem."""
+    w, v = h.eigensystem()
+    phases = np.exp(-1j * w * t / HBAR_EV_FS)
+    s = h.gauge_diagonal()
+    return s[:, None] * _real_matmul(v, phases[:, None] * v.T) * s.conj()
+
+
 def evolve(rho0: JointDensityMatrix, h: HamiltonianAssembly, t: float) -> JointDensityMatrix:
     """Unitary evolution rho(t) = U rho0 U^dagger, U = V e^{-i Lambda t/hbar} V†."""
     if t < 0.0:
         raise DomainError("evolution time must be >= 0")
-    w, v = h.eigensystem()
-    phases = np.exp(-1j * w * t / HBAR_EV_FS)
-    s = h.gauge_diagonal()
-    u = s[:, None] * _real_matmul(v, phases[:, None] * v.T) * s.conj()   # S U_gauge S†
+    u = _propagator(h, t)
     return JointDensityMatrix(rho=u @ rho0.rho @ u.conj().T, grid=rho0.grid)
 
 
-def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
-    """Pure-state fast path; t may be a scalar or an array of times.
+# Chebyshev orders above this go to the eigendecomposition: the expansion's
+# cost grows with the window (order ~ spectral half-width x longest time),
+# eigh's does not.  Chosen from measured crossovers, recorded in CHANGES.md.
+MAX_CHEBYSHEV_ORDER = 2048
+_CHEBYSHEV_BLOCK = 64     # recurrence vectors accumulated by one GEMM
+NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])    # i^k by k mod 4, exactly
 
+
+def _spectral_bounds(h: HamiltonianAssembly) -> tuple[float, float]:
+    """(centre, half-width) of an interval that holds the spectrum of h_total.
+
+    h_total is its diagonal plus the coupling blocks, whose norm is the N x N
+    block's, at most its circulant's, max |fft(coupling_column)|; by Weyl the
+    spectrum lies within the diagonal's range widened by that much.
+    """
+    diag = h.h_total.diagonal()
+    reach = float(np.max(np.abs(fft.fft(h.coupling_column))))
+    lo, hi = float(diag.min()) - reach, float(diag.max()) + reach
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def _chebyshev_points(r_max: float) -> int:
+    """Chebyshev points that resolve exp(-i r x) on [-1, 1] for |r| <= r_max:
+    J_k(r) is far below rounding beyond k = r + 12 r^(1/3) + 32."""
+    return fft.next_fast_len(int(math.ceil(r_max + 12.0 * r_max ** (1.0 / 3.0) + 32.0)))
+
+
+def _chebyshev_coefficients(r: np.ndarray, m: int) -> np.ndarray:
+    """(K, len(r)) table b_k(r) = eps_k J_k(r), real, with
+    exp(-i r x) = sum_k (-i)^k b_k(r) T_k(x) on [-1, 1] (Jacobi-Anger).
+
+    (-i)^k b_k(r) is the cosine series of exp(-i r cos theta): one DCT-II of
+    its samples at m Chebyshev points.  Trailing orders at or below 1e-16 for
+    every r are trimmed.
+    """
+    theta = math.pi * (np.arange(m) + 0.5) / m
+    c = fft.dct(np.exp(-1j * np.outer(r, np.cos(theta))), type=2, axis=-1) / m
+    c[:, 0] *= 0.5
+    bessel = (c * _I_POWERS[np.arange(m) % 4]).real.T
+    kept = np.flatnonzero(np.max(np.abs(bessel), axis=1) > 1e-16)
+    return bessel[:kept[-1] + 1]
+
+
+def _chebyshev_series(h: HamiltonianAssembly, psi: np.ndarray, centre: float,
+                      half: float, bessel: np.ndarray) -> np.ndarray:
+    """Rows sum_k (-i)^k bessel[k, j] T_k(X) psi, X = (h_total - centre)/half,
+    one per column j of the Bessel table: shape (bessel.shape[1], 2N).
+
+    X v is the shifted diagonal times v plus the two coupling blocks (the
+    circulant column and its transpose) applied by FFT.  The recurrence
+    vectors, rotated by (-i)^k, are accumulated by one real GEMM per block
+    against the real Bessel table.
+    """
+    n = h.n
+    col = h.coupling_column
+    coupling = circulant_product(np.stack([col, np.roll(col[::-1], 1)]) / half, n)
+    diag = (h.h_total.diagonal() - centre) / half
+
+    def x_times(v):
+        return diag * v + coupling(v.reshape(2, n)[::-1]).reshape(-1)
+
+    order = bessel.shape[0]
+    out = np.zeros((bessel.shape[1], psi.size), dtype=complex)
+    block = np.empty((min(order, _CHEBYSHEV_BLOCK), psi.size), dtype=complex)
+    prev, cur = psi, psi
+    for start in range(0, order, _CHEBYSHEV_BLOCK):
+        stop = min(start + _CHEBYSHEV_BLOCK, order)
+        for k in range(start, stop):
+            if k == 1:
+                cur = x_times(psi)
+            elif k > 1:
+                prev, cur = cur, 2.0 * x_times(cur) - prev
+            block[k - start] = _I_POWERS[-k % 4] * cur
+        out += _real_matmul(bessel[start:stop].T, block[:stop - start])
+    return out
+
+
+def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
+    """exp(-i H t/hbar) psi0; t may be a scalar or an array of times.
+
+    One Chebyshev expansion serves every t; above MAX_CHEBYSHEV_ORDER the
+    cached eigendecomposition does.  Raises PropagationError if a state's
+    norm drifts from psi0's by more than NORM_DRIFT_TOL.
     Returns shape (2N,) for scalar t, else (2N, len(t)).
     """
-    w, v = h.eigensystem()
     s = h.gauge_diagonal()
-    coeff = _real_matmul(v.T, s.conj() * psi0)
+    psi = s.conj() * psi0
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phases = np.exp(-1j * np.outer(w, t_arr) / HBAR_EV_FS)
-    out = s[:, None] * _real_matmul(v, phases * coeff[:, None])
+    centre, half = _spectral_bounds(h)
+    r = half * t_arr / HBAR_EV_FS
+    m = _chebyshev_points(float(np.max(np.abs(r))))
+    if m <= MAX_CHEBYSHEV_ORDER:
+        rows = _chebyshev_series(h, psi, centre, half, _chebyshev_coefficients(r, m))
+        out = (rows * np.exp(-1j * centre * t_arr / HBAR_EV_FS)[:, None]).T
+    else:
+        w, v = h.eigensystem()
+        phases = np.exp(-1j * np.outer(w, t_arr) / HBAR_EV_FS)
+        out = _real_matmul(v, phases * _real_matmul(v.T, psi)[:, None])
+    out = s[:, None] * out
+    norm0 = float(np.linalg.norm(psi0))
+    drift = float(np.max(np.abs(np.linalg.norm(out, axis=0) - norm0)))
+    if not drift <= NORM_DRIFT_TOL * norm0:
+        raise PropagationError(f"propagated norm drifted by {drift:.2e} "
+                               f"from the initial {norm0:.6g}")
     return out[:, 0] if np.isscalar(t) else out
 
 
@@ -309,21 +425,16 @@ class DensityTrajectory:
 
 
 def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: TlsSpec,
-                        n: int = 256, h: HamiltonianAssembly | None = None,
-                        window: tuple[float, float] | None = None,
+                        n: int = 256, window: tuple[float, float] | None = None,
                         n_samples: int = 300, collect_rho_b: bool = False,
                         mode: str = "spectral") -> DensityTrajectory:
     """Evolve one wavepacket past the TLS and sample observables.
 
-    The window defaults to t0 +- (10 t_r + 6 sigma_et).  The assembly ``h``
-    may be passed in to reuse its eigendecomposition across runs that share
-    the grid and coupling (e.g. arrival-phase sweeps).
+    The window defaults to t0 +- (10 t_r + 6 sigma_et).
     """
     base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
-    if h is None:
-        grid = grid_for_spec(spec, coupling, n)
-        h = assemble_hamiltonian(grid, base.kin, coupling, tls, mode=mode)
-    grid = h.grid
+    grid = grid_for_spec(spec, coupling, n)
+    h = assemble_hamiltonian(grid, base.kin, coupling, tls, mode=mode)
     if window is None:
         window = interaction_window(base.sigma_et, coupling.geometry.transit_time, base.t0)
     t_start, t_end = window
@@ -408,6 +519,9 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
                 f"closer than {2 * window_half}")
 
     w21 = tls.energy_gap / HBAR_EV_FS
+    # every electron spends the same window under the same Hamiltonian: one
+    # propagator, from one eigendecomposition, serves the whole train
+    u_window = _propagator(h, 2.0 * window_half)
     p2_seq = []
     t_clock = arrivals[0] - window_half
     for spec, t0k in zip(qews, arrivals):
@@ -424,9 +538,7 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
         for lam, u in zip(evals, evecs.T):
             if lam < 1e-14:
                 continue
-            psi0 = joint_vector(free, u)
-            psi1 = evolve_vector(psi0, h, 2.0 * window_half)
-            new_rho += lam * partial_trace_bound(psi1)
+            new_rho += lam * partial_trace_bound(u_window @ joint_vector(free, u))
         rho_b = new_rho
         t_clock = t_start + 2.0 * window_half
         p2_seq.append(float(np.real(rho_b[1, 1])))

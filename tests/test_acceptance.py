@@ -143,6 +143,18 @@ def test_criterion_05_solver_crosscheck_parallel_large_grid():
             f"relative difference {rel:.2e}")
 
 
+@pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+def test_criterion_05_solver_crosscheck_n2048(orientation):
+    # matrix-free density propagation makes the 4096-dimensional joint problem
+    # affordable: no (2N)^3 decomposition
+    cfg = default_config("solver_crosscheck")
+    cfg["numerics"]["grid_points"] = 2048
+    cfg["physics"]["orientation"] = orientation
+    rel = run_solver_crosscheck(cfg).summary["final_rel_difference"]
+    _report(5, f"amplitude vs density solver, {orientation}, N = 2048", rel <= 1e-3,
+            f"relative difference {rel:.2e}")
+
+
 def test_criterion_06_matrix_element_oracles(bundle):
     kin, tls, geo, coupling = bundle
 

@@ -256,6 +256,52 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "WARNING" in out and "wave" in out
 
+    def test_validate_physics_error_exit_code(self, tmp_path, capsys):
+        # gamma rounds to 1: no transit time, so no physics to validate; the
+        # run of the same config exits 3 too
+        text = ("[run]\nscenario = fig8_single_point\n"
+                f"output_dir = {tmp_path / 'o'}\n\n"
+                "[physics]\nbeam_energy_kev = 1e-300\n")
+        cfg = write(tmp_path, text)
+        assert main(["validate", str(cfg)]) == 3
+        assert capsys.readouterr().out.startswith("ERROR physics: beta = 0")
+        assert main(["run", str(cfg)]) == 3
+
+    def test_validate_point_limit_builds_no_grid(self, tmp_path, capsys):
+        # sigma_et = 0 is the point limit of fig8, which `run` completes: no
+        # momentum grid is sized for it
+        text = ("[run]\nscenario = fig8_single_point\n\n"
+                "[sweep]\nsigma_et_over_period = 0\n")
+        assert main(["validate", str(write(tmp_path, text))]) == 0
+        out = capsys.readouterr().out
+        assert "ERROR" not in out
+        assert out.splitlines()[-1] == "valid"
+
+    def test_validate_memory_estimate(self, tmp_path, capsys):
+        # h_total (2N)^2 float64 + h_ip N^2 complex + 2N x 300 complex states
+        text = ("[run]\nscenario = fig56_phase_size_sweep\n\n"
+                "[numerics]\ngrid_points = 1024\n\n"
+                "[sweep]\ngamma_values = 0.3, 1.2\n")
+        assert main(["validate", str(write(tmp_path, text))]) == 0
+        out = capsys.readouterr().out
+        assert "estimated peak memory: 60 MB (h_total 2048 x 2048, h_ip 1024 x 1024, " \
+               "300 sampled states)" in out
+        assert out.splitlines()[-1] == "valid"
+
+    def test_norm_drift_exit_code(self, tmp_path, caplog, monkeypatch):
+        # a propagation that loses its norm is a numerical failure: exit 3,
+        # nothing written
+        from feberi import solver_density
+        bounds = solver_density._spectral_bounds
+        monkeypatch.setattr(solver_density, "_spectral_bounds",
+                            lambda h: (bounds(h)[0], 0.5 * bounds(h)[1]))
+        out = tmp_path / "o"
+        text = ("[run]\nscenario = solver_crosscheck\n"
+                f"output_dir = {out}\n\n[numerics]\ngrid_points = 64\n")
+        assert main(["run", str(write(tmp_path, text))]) == 3
+        assert "norm drifted" in caplog.text
+        assert not out.exists()
+
     def test_rho_b_dump(self, tmp_path):
         out = tmp_path / "o"
         text = ("[run]\nscenario = fig3_ground\n"

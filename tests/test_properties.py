@@ -14,7 +14,8 @@ from scipy.linalg import toeplitz
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
 from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, circulant_block, toeplitz_kernel, toeplitz_product
+from feberi.grid import MomentumGrid, circulant_block, circulant_product, toeplitz_kernel, \
+    toeplitz_product
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -63,6 +64,23 @@ def test_circulant_block_equals_toeplitz_and_circulant(n, seed):
     # a length-n column: the full circulant
     i = np.arange(n)
     np.testing.assert_array_equal(circulant_block(c[:n], n), c[(i[:, None] - i) % n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 80), extra=st.integers(0, 80), stacked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_circulant_product_equals_block(n, extra, stacked, seed):
+    # any column length from n (the full circulant) up; a stack of two
+    # columns applies each to its own row of x
+    rng = np.random.default_rng(seed)
+    shape = (2, n + extra) if stacked else (n + extra,)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = rng.standard_normal(shape[:-1] + (n,)) + 1j * rng.standard_normal(shape[:-1] + (n,))
+    got = circulant_product(c, n)(x)
+    want = np.array([circulant_block(col, n) @ row
+                     for col, row in zip(c.reshape(-1, n + extra), x.reshape(-1, n))])
+    assert got.shape == x.shape
+    assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("orientation", ["transverse", "parallel"])

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from feberi import solver_density
+from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec
+from feberi.scenarios import physics_bundle, run_scenario
 from feberi.solver_density import (
+    MAX_CHEBYSHEV_ORDER,
     AssemblyError,
     JointDensityMatrix,
+    PropagationError,
+    _chebyshev_points,
+    _spectral_bounds,
     assemble_hamiltonian,
     energy_accounting,
     evolve,
@@ -23,7 +30,7 @@ from feberi.solver_density import (
     sequential_multi_qew,
     write_rho_b_bin,
 )
-from feberi.grid import MomentumGrid, build_grid
+from feberi.grid import MomentumGrid, build_grid, interaction_window
 from feberi.qew import grid_for_spec
 from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble
 
@@ -145,20 +152,56 @@ def physical_hamiltonian(h):
     return full
 
 
+@pytest.fixture(params=[("transverse", "spectral"), ("transverse", "dft"),
+                        ("parallel", "spectral"), ("parallel", "dft")],
+                ids=lambda p: "-".join(p))
+def gauged(request, kin, tls, geometry, spec):
+    """(coupling, assembly) for both orientations and both assembly modes."""
+    orientation, mode = request.param
+    cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
+    # a kernel-resolving cutoff keeps the dft assembly alias-free
+    extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
+    grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
+                      extra_halfwidth=extra)
+    return cpl, assemble_hamiltonian(grid, kin, cpl, tls, mode=mode)
+
+
+def eigh_reference(psi, h, t):
+    """exp(-i H t/hbar) psi through a fresh eigh of the gauged h_total."""
+    w, v = np.linalg.eigh(h.h_total)
+    s = h.gauge_diagonal()
+    phases = np.exp(-1j * np.outer(w, np.atleast_1d(t)) / HBAR_EV_FS)
+    out = s[:, None] * (v @ (phases * (v.T @ (s.conj() * psi))[:, None]))
+    return out[:, 0] if np.isscalar(t) else out
+
+
+def taylor_reference(h, psi, t):
+    """exp(-i H t/hbar) psi by Taylor steps in extended precision (long double).
+
+    The real symmetric h_total is shifted by its diagonal's midpoint (a global
+    phase), and each step keeps |H dt/hbar| <= 2 and sums terms to 1e-24.
+    """
+    ld = np.longdouble
+    diag = h.h_total.diagonal()
+    shift = 0.5 * (diag.max() + diag.min())
+    mat = (h.h_total.astype(ld) - ld(shift) * np.eye(diag.size, dtype=ld)) / ld(HBAR_EV_FS)
+    bound = float(np.max(np.sum(np.abs(mat), axis=1)))     # >= the spectral norm
+    steps = math.ceil(bound * t / 2.0)
+    dt = ld(t) / steps
+    gauged_psi = h.gauge_diagonal().conj() * psi
+    x = np.stack([gauged_psi.real, gauged_psi.imag]).astype(ld)   # (re, im)
+    for _ in range(steps):
+        term, k = x, 0
+        while np.max(np.abs(term)) > 1e-24:
+            k += 1
+            # -i mat dt / k on (re, im)
+            term = np.stack([mat @ term[1], -(mat @ term[0])]) * (dt / k)
+            x = x + term
+    return x
+
+
 class TestRealGauge:
     """h_total is S^dagger H S, real symmetric, for both orientations and modes."""
-
-    @pytest.fixture(params=[("transverse", "spectral"), ("transverse", "dft"),
-                            ("parallel", "spectral"), ("parallel", "dft")],
-                    ids=lambda p: "-".join(p))
-    def gauged(self, request, kin, tls, geometry, spec):
-        orientation, mode = request.param
-        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
-        # a kernel-resolving cutoff keeps the dft assembly alias-free
-        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
-        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
-                          extra_halfwidth=extra)
-        return cpl, assemble_hamiltonian(grid, kin, cpl, tls, mode=mode)
 
     def test_real_symmetric(self, gauged):
         _, h = gauged
@@ -215,6 +258,74 @@ class TestRealGauge:
                           extra_halfwidth=extra)
         with pytest.raises(AssemblyError, match="TLS gauge"):
             assemble_hamiltonian(grid, kin, cpl, tls, mode="dft")
+
+
+class TestChebyshev:
+    """evolve_vector's Chebyshev expansion against the eigendecomposition."""
+
+    @pytest.mark.parametrize("r_max", [60.0, 500.0, 1460.0])
+    def test_matches_eigh(self, gauged, spec, tls, r_max):
+        # r_max = half-width x longest time / hbar sets the expansion order,
+        # here from about 140 to 1650
+        _, h = gauged
+        psi = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                   tls.energy_gap)
+        t_end = r_max * HBAR_EV_FS / _spectral_bounds(h)[1]
+        assert 100 <= _chebyshev_points(r_max) <= MAX_CHEBYSHEV_ORDER
+        for t in (t_end, np.linspace(0.0, t_end, 37)):
+            got = evolve_vector(psi, h, t)
+            want = eigh_reference(psi, h, t)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert h._eig is None       # nothing was decomposed
+
+    def test_spectral_bounds_hold_the_spectrum(self, gauged):
+        _, h = gauged
+        centre, half = _spectral_bounds(h)
+        w = np.linalg.eigvalsh(h.h_total)
+        assert centre - half <= w[0] and w[-1] <= centre + half
+
+    def test_eigh_fallback_above_ceiling(self, assembly, spec, tls):
+        psi = initial_joint_vector(assembly.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                   tls.energy_gap)
+        r_max = float(MAX_CHEBYSHEV_ORDER)
+        assert _chebyshev_points(r_max) > MAX_CHEBYSHEV_ORDER
+        t = np.array([0.5, 1.0]) * r_max * HBAR_EV_FS / _spectral_bounds(assembly)[1]
+        got = evolve_vector(psi, assembly, t)
+        assert assembly._eig is not None
+        np.testing.assert_allclose(got, eigh_reference(psi, assembly, t), rtol=0, atol=1e-12)
+
+    def test_norm_drift_raises(self, assembly, spec, tls, monkeypatch):
+        # a half-width below the spectrum's: the expansion diverges
+        bounds = solver_density._spectral_bounds
+        monkeypatch.setattr(solver_density, "_spectral_bounds",
+                            lambda h: (bounds(h)[0], 0.5 * bounds(h)[1]))
+        psi = initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
+                                   tls.energy_gap)
+        with pytest.raises(PropagationError, match="norm"):
+            evolve_vector(psi, assembly, 2.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+def test_fig3_plateau_against_extended_precision():
+    # fig3's golden config at sigma = 0.3 T21 (N = 128, 100 samples): the
+    # final P2 of the scenario agrees to 1e-13 relative with a long-double
+    # Taylor propagation of the same matrix; an eigh path misses by 2e-12
+    cfg = default_config("fig3_ground")
+    cfg["numerics"].update({"grid_points": 128, "time_samples": 100})
+    cfg["sweep"]["sigma_et_over_period"] = [0.3]
+    p2 = run_scenario(cfg).summary["plateau_p2"]["0.3"]
+
+    kin, tls, geo, coupling = physics_bundle(cfg)
+    sigma = 0.3 * tls.period
+    spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), kin, coupling, tls)
+    t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0)
+    psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
+    x = taylor_reference(h, psi0, t_end - t_start)
+    p2_ref = float(np.sum(x[:, h.n:] ** 2))
+    assert p2 == pytest.approx(p2_ref, rel=1e-13, abs=0.0)
 
 
 class TestEvolution:
