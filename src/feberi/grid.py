@@ -5,8 +5,8 @@
   the amplitude solver and the density-matrix assembly.  It is the leading
   block of a circulant, so one first column (Mt at the 2n grid differences)
   gives both the dense block (``circulant_block``, for the assembly) and
-  its O(n log n) FFT product (``circulant_product``, for the amplitude RK4
-  and the density solver's Chebyshev propagator);
+  its O(n log n) FFT product (``circulant_product``, the one product that
+  the amplitude RK4 and the density solver's Chebyshev propagator share);
 * the interaction window t0 +- (transit_factor*t_r + sigma_factor*sigma_et)
   that bounds every time integration and every interaction profile.
 """
@@ -107,20 +107,33 @@ def circulant_product(column: np.ndarray, n: int):
     (computed here, once) and one inverse FFT, O(n log n) per row of x instead
     of O(n^2).  Leading axes of ``column`` hold a stack of columns, applied to
     the matching rows of x.
+
+    ``product(x, left=None, right=None, out=None)`` returns
+    left * (block @ (right * x)), the diagonal factors broadcast against x's
+    shape, written into ``out`` if given.  x, times ``right``, goes straight
+    into a zero-padded buffer kept between calls (one per leading shape of x,
+    its upper part never written), so a call allocates only the transform.
     """
     size = column.shape[-1]
     spectrum = fft.fft(column, axis=-1)
+    padded = {}
 
-    def product(x: np.ndarray) -> np.ndarray:
-        return fft.ifft(spectrum * fft.fft(x, n=size, axis=-1), axis=-1)[..., :n]
+    def product(x: np.ndarray, left=None, right=None, out=None) -> np.ndarray:
+        buf = padded.get(x.shape[:-1])
+        if buf is None:
+            buf = padded[x.shape[:-1]] = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+        if right is None:
+            buf[..., :n] = x
+        else:
+            np.multiply(x, right, out=buf[..., :n])
+        y = fft.fft(buf, axis=-1)
+        y *= spectrum
+        y = fft.ifft(y, axis=-1, overwrite_x=True)[..., :n]
+        if left is None and out is None:
+            return y
+        return np.multiply(y, 1.0 if left is None else left, out=out)
 
     return product
-
-
-def toeplitz_product(grid: MomentumGrid, coupling: DipoleCoupling):
-    """x -> toeplitz_kernel(grid, coupling) @ x along the last axis of x, by FFT
-    on the length-2n circulant that embeds the Toeplitz matrix."""
-    return circulant_product(kernel_column(grid, coupling), grid.n)
 
 
 def interaction_window(sigma_et: float, t_r: float, t0: float,

@@ -275,6 +275,7 @@ def evolve(rho0: JointDensityMatrix, h: HamiltonianAssembly, t: float) -> JointD
 MAX_CHEBYSHEV_ORDER = 2048
 _CHEBYSHEV_BLOCK = 64     # recurrence vectors accumulated by one GEMM
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
+TRIM_BESSEL = 1e-16       # Chebyshev coefficients below this are dropped
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])    # i^k by k mod 4, exactly
 
 
@@ -302,15 +303,32 @@ def _chebyshev_coefficients(r: np.ndarray, m: int) -> np.ndarray:
     exp(-i r x) = sum_k (-i)^k b_k(r) T_k(x) on [-1, 1] (Jacobi-Anger).
 
     (-i)^k b_k(r) is the cosine series of exp(-i r cos theta): one DCT-II of
-    its samples at m Chebyshev points.  Trailing orders at or below 1e-16 for
-    every r are trimmed.
+    its samples at m Chebyshev points.  The table ends at the last order
+    that Kapteyn's inequality cannot hold below TRIM_BESSEL for every r.
     """
     theta = math.pi * (np.arange(m) + 0.5) / m
     c = fft.dct(np.exp(-1j * np.outer(r, np.cos(theta))), type=2, axis=-1) / m
     c[:, 0] *= 0.5
     bessel = (c * _I_POWERS[np.arange(m) % 4]).real.T
-    kept = np.flatnonzero(np.max(np.abs(bessel), axis=1) > 1e-16)
-    return bessel[:kept[-1] + 1]
+    return bessel[:_kept_orders(float(np.max(np.abs(r))), m)]
+
+
+def _kept_orders(r_max: float, m: int) -> int:
+    """Orders 0..K-1 to keep of m: beyond them |eps_k J_k(r)| <= TRIM_BESSEL
+    for every |r| <= r_max, by Kapteyn's inequality (DLMF 10.14.8): for
+    0 < r <= k,
+
+        |J_k(r)| <= z^k exp(k s) / (1 + s)^k,   z = r/k,  s = sqrt(1 - z^2),
+
+    a bound that grows with r.  The ratio of consecutive bounds, z/(1 + s),
+    is below 1 and falls with k, so the dropped tail is a few TRIM_BESSEL.
+    """
+    k = np.arange(1, m)
+    z = np.clip(r_max / k, 1e-300, 1.0)
+    s = np.sqrt(1.0 - z * z)
+    log_bound = math.log(2.0) + k * (np.log(z) + s - np.log1p(s))
+    above = np.flatnonzero(log_bound > math.log(TRIM_BESSEL))
+    return int(k[above[-1]]) + 1 if above.size else 1
 
 
 def _chebyshev_series(h: HamiltonianAssembly, psi: np.ndarray, centre: float,
@@ -444,6 +462,9 @@ def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: Tl
     return _observables(times, states, h, collect_rho_b)
 
 
+_SAMPLE_BLOCK = 64     # sample columns per FFT batch of the interaction energy
+
+
 def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
                  collect_rho_b: bool) -> DensityTrajectory:
     n = h.n
@@ -453,9 +474,16 @@ def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
     p2 = a[1].sum(axis=0)
     e_free = np.einsum("n,ins->s", h.h0f, a)
     e_bound = h.h0b[0] * p1 + h.h0b[1] * p2
-    # <H_IB (x) H_IP> = 2 r21 Re<psi_1| h_ip psi_2>, h_ip Hermitian
-    e_int = 2.0 * h.h_ib[0, 1] * np.real(
-        np.einsum("ns,ns->s", psi[0].conj(), h.h_ip @ psi[1]))
+    # <H_IB (x) H_IP> = 2 r21 Re<psi_1| h_ip psi_2>, h_ip Hermitian; h_ip psi_2
+    # by FFT on the coupling column, which holds r21 phi h_ip, a block of
+    # sample columns at a time to bound the transforms' memory
+    r21 = h.h_ib[0, 1]
+    h_ip_times = circulant_product(h.coupling_column / (r21 * h.gauge), n)
+    e_int = np.empty(psi.shape[-1])
+    for start in range(0, e_int.size, _SAMPLE_BLOCK):
+        cols = slice(start, start + _SAMPLE_BLOCK)
+        e_int[cols] = 2.0 * r21 * np.real(np.einsum(
+            "sn,sn->s", psi[0, :, cols].T.conj(), h_ip_times(psi[1, :, cols].T)))
     norm = p1 + p2
     rho_b = None
     if collect_rho_b:

@@ -12,10 +12,29 @@ one right-hand side is one Toeplitz product of the stacked pair (c_1, c_2),
 done by FFT through a circulant embedding in O(N log N).  A fixed-step RK4
 integrator is the default; the plain forward-Euler update is retained as a
 reference mode.
+
+Stage kernel.  With ph(t) = exp(i E_p t/hbar), a stage is
+
+    k = outward(t) * (Mt @ (inward(t) * (c_2, c_1))),
+    inward = conj(ph),  outward = scale * (exp(-i w21 t), exp(+i w21 t)) (x) ph,
+
+one call of ``grid.circulant_product``: the prefactor dp/(2 pi i hbar^2) is
+folded into the circulant's spectrum once, the inward factor is written
+straight into its zero-padded buffer and the outward factor, which carries
+the TLS rotation and the step scale, multiplies the truncated inverse
+transform into a preallocated stage array.  The stage arithmetic is in place.
+
+Phase schedule.  Step k runs from t_k = t_start + k dt to t_{k+1}; its
+stages need ph at t_k, t_k + dt/2 and t_{k+1}.  ph(t_{k+1}) is the step's one
+exp, evaluated at t_{k+1} itself, and its factors serve that step's k4 and
+the next step's k1.  The midpoint phase is ph(t_k) * exp(i E_p dt/(2 hbar)),
+the half-step vector built once: one rounding per step, no recurrence that
+carries rounding from step to step.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +43,7 @@ import numpy as np
 
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, interaction_window, toeplitz_product
+from feberi.grid import MomentumGrid, circulant_product, interaction_window, kernel_column
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, \
     gaussian_momentum_amplitudes, grid_for_spec, modulated_momentum_amplitudes
 
@@ -103,20 +122,33 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     n_steps = max(1, int(math.ceil((t_end - t_start) / dt)))
     dt = (t_end - t_start) / n_steps
 
-    mt_product = toeplitz_product(grid, coupling)
     energies = coupling.kin.dispersion(grid.points)
-    w_phase = energies / HBAR_EV_FS
+    iw = 1j * (energies / HBAR_EV_FS)
     w21 = tls.energy_gap / HBAR_EV_FS
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
+    product = circulant_product(kappa * kernel_column(grid, coupling), grid.n)
+    # a stage is k = scale * f(t, u).  rk4 takes scale = dt/2, so its stages
+    # are evaluated at v + k1, v + k2 and v + 2 k3, and the step adds
+    # (k1 + 2 k2 + 2 k3 + k4)/3, one product with the stacked stages; euler
+    # takes scale = dt and adds k1
+    scale = 0.5 * dt if method == "rk4" else dt
+    half_step = np.exp(iw * (0.5 * dt))
 
-    def rhs(t, v):
-        # v = (c_1, c_2) stacked: d c_1 couples to c_2 and d c_2 to c_1
-        ph = np.exp(1j * w_phase * t)
-        y = ph * mt_product(ph.conj() * v)
-        rot = np.exp(-1j * w21 * t)
-        return kappa * np.array([[rot], [np.conj(rot)]]) * y[::-1]
+    def factors(t, ph):
+        """(inward, outward) at time t, from ph = exp(i w t): f(t, u) is
+        outward * (Mt @ (inward * u[::-1])), the TLS rotation in outward."""
+        rot = scale * cmath.exp(-1j * w21 * t)
+        return ph.conj(), np.array([[rot], [rot.conjugate()]]) * ph
+
+    def stage(u, at, out):
+        inward, outward = at
+        return product(u[::-1], left=outward, right=inward, out=out)
 
     v = np.array([state0.v1, state0.v2], dtype=complex)
+    ks = np.empty((4,) + v.shape, dtype=complex)
+    k1, k2, k3, k4 = ks
+    u = np.empty_like(v)
+    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) / 3.0
 
     record_every = max(1, n_steps // max(1, n_records))
     times, p1s, p2s, efs, norms = [], [], [], [], []
@@ -131,16 +163,23 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
 
     record(t_start, v)
     t = t_start
+    ph = np.exp(iw * t)
+    now = factors(t, ph)
     for step in range(n_steps):
-        if method == "euler":
-            v = v + dt * rhs(t, v)
-        else:
-            k1 = rhs(t, v)
-            k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
-            k4 = rhs(t + dt, v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stage(v, now, k1)
+        if method == "rk4":
+            mid = factors(t + 0.5 * dt, ph * half_step)
+        # the step's one exp, into ph: its factors serve this k4 and the next k1
         t = t_start + (step + 1) * dt
+        now = factors(t, np.exp(np.multiply(iw, t, out=ph), out=ph))
+        if method == "euler":
+            v += k1
+        else:
+            stage(np.add(v, k1, out=u), mid, k2)
+            stage(np.add(v, k2, out=u), mid, k3)
+            np.multiply(k3, 2.0, out=u)
+            stage(np.add(u, v, out=u), now, k4)
+            v += (weights @ ks.reshape(4, -1)).reshape(v.shape)
         if (step + 1) % record_every == 0 or step == n_steps - 1:
             if not np.all(np.isfinite(v)):
                 raise InstabilityError(f"non-finite amplitudes at t = {t}")

@@ -14,8 +14,8 @@ from scipy.linalg import toeplitz
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
 from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, circulant_block, circulant_product, toeplitz_kernel, \
-    toeplitz_product
+from feberi.grid import MomentumGrid, circulant_block, circulant_product, kernel_column, \
+    toeplitz_kernel
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -98,16 +98,27 @@ def test_toeplitz_kernel_equals_scipy_toeplitz(orientation, n):
        dp=st.floats(min_value=1e-5, max_value=0.5), rows=st.sampled_from([0, 1, 3]),
        seed=st.integers(0, 2**32 - 1))
 def test_toeplitz_product_equals_dense(orientation, half_n, dp, rows, seed):
-    # rows = 0: one vector; else a stack of vectors along the last axis
+    # rows = 0: one vector; else a stack of vectors along the last axis.  The
+    # product on the kernel column, with diagonal factors on both sides and
+    # an output array as the amplitude RK4 calls it, twice with one buffer
     n = 2 * half_n
     grid = MomentumGrid(n=n, p0=KIN.p0, p_cutoff=0.5 * n * dp)
     rng = np.random.default_rng(seed)
     shape = (rows, n) if rows else (n,)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = x @ toeplitz_kernel(grid, COUPLINGS[orientation]).T
-    got = toeplitz_product(grid, COUPLINGS[orientation])(x)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    product = circulant_product(kernel_column(grid, COUPLINGS[orientation]), n)
+    mt = toeplitz_kernel(grid, COUPLINGS[orientation])
+    for _ in range(2):
+        x, left = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                   for _ in range(2))
+        right = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        want = x @ mt.T
+        got = product(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = left * ((right * x) @ mt.T)
+        out = np.empty(shape, dtype=complex)
+        assert product(x, left=left, right=right, out=out) is out
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=300, deadline=None)

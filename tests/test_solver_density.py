@@ -16,6 +16,8 @@ from feberi.solver_density import (
     JointDensityMatrix,
     PropagationError,
     _chebyshev_points,
+    _kept_orders,
+    _observables,
     _spectral_bounds,
     assemble_hamiltonian,
     energy_accounting,
@@ -295,6 +297,29 @@ class TestChebyshev:
         assert assembly._eig is not None
         np.testing.assert_allclose(got, eigh_reference(psi, assembly, t), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("r_max", [40.0, 100.0, 300.0, 1500.0])
+    def test_trim_drops_only_negligible_orders(self, r_max):
+        # every dropped coefficient eps_k J_k(r) is below 1e-16 for all
+        # |r| <= r_max, the rule trims every window, and it keeps at most a
+        # dozen orders more than the exact Bessel values would
+        from scipy.special import jv
+        m = _chebyshev_points(r_max)
+        kept = _kept_orders(r_max, m)
+        assert kept < m
+        k = np.arange(kept, m)[:, None]
+        r = np.linspace(0.0, r_max, 401)[None, :]
+        assert np.max(2.0 * np.abs(jv(k, r))) <= 1e-16
+        exact = np.flatnonzero(2.0 * np.abs(jv(np.arange(m), r_max)) > 1e-16)[-1]
+        assert kept - 1 - exact <= 12
+
+    def test_trim_moves_states_by_rounding_only(self, assembly, spec, tls, monkeypatch):
+        psi = initial_joint_vector(assembly.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                   tls.energy_gap)
+        t = np.linspace(0.0, 500.0 * HBAR_EV_FS / _spectral_bounds(assembly)[1], 37)
+        trimmed = evolve_vector(psi, assembly, t)
+        monkeypatch.setattr(solver_density, "_kept_orders", lambda r_max, m: m)
+        assert np.max(np.abs(evolve_vector(psi, assembly, t) - trimmed)) <= 1e-14
+
     def test_norm_drift_raises(self, assembly, spec, tls, monkeypatch):
         # a half-width below the spectrum's: the expansion diverges
         bounds = solver_density._spectral_bounds
@@ -326,6 +351,22 @@ def test_fig3_plateau_against_extended_precision():
     x = taylor_reference(h, psi0, t_end - t_start)
     p2_ref = float(np.sum(x[:, h.n:] ** 2))
     assert p2 == pytest.approx(p2_ref, rel=1e-13, abs=0.0)
+
+
+def test_interaction_energy_equals_dense_product(gauged, spec, tls):
+    # e_int by FFT on the coupling column, in blocks of sample columns (150
+    # samples: two full blocks and a partial one), against 2 r21 Re<psi_1|
+    # h_ip psi_2> with the dense h_ip
+    _, h = gauged
+    psi0 = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                tls.energy_gap)
+    times = np.linspace(-1.0, 1.0, 150)
+    states = evolve_vector(psi0, h, times + 1.0)
+    got = _observables(times, states, h, collect_rho_b=False).e_int
+    psi = states.reshape(2, h.n, -1)
+    want = 2.0 * h.h_ib[0, 1] * np.real(np.einsum("ns,ns->s", psi[0].conj(),
+                                                  h.h_ip @ psi[1]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEvolution:

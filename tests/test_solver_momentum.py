@@ -98,6 +98,74 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(traj.final.v2, v2, rtol=1e-12)
 
 
+def reference_integrate(state0, t_span, dt, grid, coupling, tls, method, n_records):
+    """The amplitude equations stepped as written: the dense kernel, and a
+    fresh exp of every phase at every stage.  Returns (times, p1, p2, e_free,
+    norm, final (v1, v2)) on integrate's step and record schedule."""
+    t_start, t_end = t_span
+    n_steps = max(1, math.ceil((t_end - t_start) / dt))
+    dt = (t_end - t_start) / n_steps
+    mt = toeplitz_kernel(grid, coupling)
+    energies = coupling.kin.dispersion(grid.points)
+    w = energies / HBAR_EV_FS
+    w21 = tls.energy_gap / HBAR_EV_FS
+
+    def rhs(t, v):
+        ph = np.exp(1j * w * t)
+        y = ph * ((ph.conj() * v) @ mt.T)
+        rot = np.exp(-1j * w21 * t)
+        return _kappa(grid) * np.array([[rot], [np.conj(rot)]]) * y[::-1]
+
+    def record(t, v):
+        a = np.abs(v) ** 2
+        p1, p2 = np.sum(a[0]) * grid.dp, np.sum(a[1]) * grid.dp
+        rows.append((t, p1, p2, np.sum(energies * (a[0] + a[1])) * grid.dp, p1 + p2))
+
+    record_every = max(1, n_steps // max(1, n_records))
+    v = np.array([state0.v1, state0.v2], dtype=complex)
+    rows = []
+    record(t_start, v)
+    t = t_start
+    for step in range(n_steps):
+        if method == "euler":
+            v = v + dt * rhs(t, v)
+        else:
+            k1 = rhs(t, v)
+            k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
+            k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
+            k4 = rhs(t + dt, v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t_start + (step + 1) * dt
+        if (step + 1) % record_every == 0 or step == n_steps - 1:
+            record(t, v)
+    return (*np.array(rows).T, v)
+
+
+class TestStageKernel:
+    """integrate's FFT stage kernel against the reference loop above."""
+
+    @pytest.mark.parametrize("state", [TlsState.ground(), TlsState.equatorial(0.4)],
+                             ids=["ground", "equatorial"])
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+    def test_matches_reference_loop(self, coupling, coupling_parallel, tls, spec,
+                                    orientation, method, state):
+        cpl = coupling if orientation == "transverse" else coupling_parallel
+        g = grid_for_spec(spec, cpl, 128)
+        win = interaction_window(spec.sigma_et, cpl.geometry.transit_time, 0.0)
+        s0 = initial_amplitudes(g, spec, state, win[0])
+        dt = (win[1] - win[0]) / 302
+        traj = integrate(s0, win, dt, g, cpl, tls, method=method, n_records=7)
+        times, p1, p2, e_free, norm, v = reference_integrate(
+            s0, win, dt, g, cpl, tls, method, 7)
+        n_steps = round((win[1] - win[0]) / traj.dt)
+        assert n_steps % (n_steps // 7) != 0    # the last record is off the schedule
+        np.testing.assert_array_equal(traj.times, times)
+        for got, want in ((traj.p1, p1), (traj.p2, p2), (traj.e_free, e_free),
+                          (traj.norm, norm), (traj.final.v1, v[0]), (traj.final.v2, v[1])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestIntegration:
     def test_negligible_coupling_static(self, geometry, kin, spec):
         tiny = TlsSpec.from_lab(2.0, 1e-8)
