@@ -31,7 +31,8 @@ from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_
     grid_for_spec
 from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, physics_bundle, \
     run_scenario
-from feberi.solver_density import AssemblyError, PropagationError, write_rho_b_bin
+from feberi.solver_density import MAX_CHEBYSHEV_ORDER, AssemblyError, PropagationError, \
+    write_rho_b_bin
 from feberi.solver_momentum import InstabilityError
 
 log = logging.getLogger("feberi")
@@ -128,8 +129,7 @@ def default_config(scenario: str) -> dict:
     """Effective config of a scenario with every key at its default."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    schema = dict(_COMMON_SCHEMA)
-    schema["sweep"] = _SWEEP_SCHEMAS[scenario]
+    schema = dict(_COMMON_SCHEMA, sweep=_SWEEP_SCHEMAS[scenario])
     cfg = {section: {k: spec[2] for k, spec in keys.items()}
            for section, keys in schema.items()}
     cfg["run"]["scenario"] = scenario
@@ -212,14 +212,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}:{ln}: unknown scenario {scenario!r}; "
                           f"known: {', '.join(sorted(SCENARIOS))}")
 
-    schema = dict(_COMMON_SCHEMA)
-    schema["sweep"] = _SWEEP_SCHEMAS[scenario]
-
-    cfg: dict = {}
-    for section, keys in schema.items():
-        cfg[section] = {k: spec[2] for k, spec in keys.items()}
-    cfg["run"]["scenario"] = scenario
-
+    schema = dict(_COMMON_SCHEMA, sweep=_SWEEP_SCHEMAS[scenario])
+    cfg = default_config(scenario)
     for section in parser.sections():
         if section not in schema:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -354,11 +348,12 @@ def validate_config(cfg: dict) -> list[str]:
                 grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, n)
             except DomainError as exc:
                 report.append(f"ERROR grid sizing at {label}: {exc}")
-        # what a grid run holds: h_total (float64), h_ip (complex), sampled states
+        # what a grid run holds: the sampled states and one leg's Chebyshev
+        # coefficient tables, complex; the assembly itself is O(N)
         samples = num["time_samples"]
-        mem = ((2 * n) ** 2 * 8 + n * n * 16 + 2 * n * samples * 16) / 1e6
-        report.append(f"estimated peak memory: {mem:.0f} MB (h_total {2 * n} x {2 * n}, "
-                      f"h_ip {n} x {n}, {samples} sampled states)")
+        mem = (2 * n + MAX_CHEBYSHEV_ORDER) * samples * 16 / 1e6
+        report.append(f"estimated peak memory: {mem:.0f} MB ({samples} sampled states of "
+                      f"{2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {samples})")
     report.append(f"window factors: transit x{num['window_transit_factor']:g}, "
                   f"sigma x{num['window_sigma_factor']:g}")
     t_r_w = geo.transit_time * tls.omega_21

@@ -3,10 +3,11 @@
 * the uniform momentum grid (``MomentumGrid``, ``build_grid``);
 * the Toeplitz kernel Mt(p_m - p_n) that couples grid momenta in both
   the amplitude solver and the density-matrix assembly.  It is the leading
-  block of a circulant, so one first column (Mt at the 2n grid differences)
-  gives both the dense block (``circulant_block``, for the assembly) and
-  its O(n log n) FFT product (``circulant_product``, the one product that
-  the amplitude RK4 and the density solver's Chebyshev propagator share);
+  block of a circulant, so one first column (``kernel_column``: Mt at the
+  2n grid differences) is its only stored form.  ``circulant_product`` is
+  its O(n log n) FFT product, the one product that the amplitude RK4 and
+  the density solver's Chebyshev propagator share; ``circulant_block`` is
+  the dense block, for an eigendecomposition and for the tests;
 * the interaction window t0 +- (transit_factor*t_r + sigma_factor*sigma_et)
   that bounds every time integration and every interaction profile.
 """
@@ -87,15 +88,6 @@ def circulant_block(column: np.ndarray, n: int) -> np.ndarray:
     lags = np.concatenate([column[len(column) - n + 1:], column[:n]])   # i - j = 1-n..n-1
     # row i holds the lags i, i-1, .., i-n+1: a length-n window of the reversed lags
     return sliding_window_view(lags[::-1], n)[::-1].copy()
-
-
-def toeplitz_kernel(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:
-    """Dense matrix Mt(p_m - p_n) in eV*nm; Toeplitz by construction.
-
-    Hermitian for both orientations: Mt is real and even (transverse) or
-    imaginary and odd (parallel).
-    """
-    return circulant_block(kernel_column(grid, coupling), grid.n)
 
 
 def circulant_product(column: np.ndarray, n: int):

@@ -176,12 +176,20 @@ def _edge_tail_mass(center: float, sigma: float, p_lo: float, p_hi: float) -> fl
 
 def grid_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
                   n: int) -> MomentumGrid:
-    """Grid sized for a wavepacket spec plus the coupling's recoil headroom."""
-    if isinstance(spec, ModulatedQewSpec):
-        extra = spec.sideband_count * spec.delta_p
-        return build_grid(spec.base.kin, spec.base.sigma_p0,
-                          coupling.recoil_momentum, n, extra_halfwidth=extra)
-    return build_grid(spec.kin, spec.sigma_p0, coupling.recoil_momentum, n)
+    """Grid sized for a wavepacket spec plus the coupling's recoil headroom.
+
+    Raises DomainError if the grid under-resolves the packet: its conjugate
+    z-span 2 pi hbar/dp must hold +-5 sigma_z0, i.e. sigma_p0 >= 10 dp/(4 pi).
+    """
+    base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
+    extra = spec.sideband_count * spec.delta_p if base is not spec else 0.0
+    grid = build_grid(base.kin, base.sigma_p0, coupling.recoil_momentum, n,
+                      extra_halfwidth=extra)
+    if base.sigma_p0 < 10.0 / (4.0 * math.pi) * grid.dp:
+        raise DomainError(f"{n} grid points under-resolve the packet: sigma_p0/dp = "
+                          f"{base.sigma_p0 / grid.dp:.3g} < {10.0 / (4.0 * math.pi):.3g}; "
+                          "raise grid_points")
+    return grid
 
 
 def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: MomentumGrid) -> np.ndarray:

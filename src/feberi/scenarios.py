@@ -12,7 +12,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -336,9 +336,7 @@ def _resonance_spot(args: tuple) -> dict:
     harmonic = cfg["sweep"]["harmonic"]
     spectrum = bunched_spectrum(cfg, kin, tls0)
     w21 = harmonic * spectrum.omega_b + detune_over_sigma / sigma_env
-    tls = TlsSpec(energy_gap=w21 * HBAR_EV_FS,
-                  dipole_magnitude=tls0.dipole_magnitude,
-                  orientation=tls0.orientation)
+    tls = replace(tls0, energy_gap=w21 * HBAR_EV_FS)
     coupling = DipoleCoupling(tls, geo, kin)
     prof = bd.modulated_interaction_profile(coupling, sigma_env, spectrum, 0.0, 0.0,
                                             tls.omega_21, max_harmonic=harmonic + 6,
@@ -369,9 +367,7 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
         w_scan = center + np.linspace(-span, span, sw["scan_points"])
         dp2 = np.empty_like(w_scan)
         for i, w21 in enumerate(w_scan):
-            tls = TlsSpec(energy_gap=w21 * HBAR_EV_FS,
-                          dipole_magnitude=tls0.dipole_magnitude,
-                          orientation=tls0.orientation)
+            tls = replace(tls0, energy_gap=w21 * HBAR_EV_FS)
             coupling = DipoleCoupling(tls, geo, kin)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

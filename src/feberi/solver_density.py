@@ -11,18 +11,19 @@ phases, and the wavepacket's arrival time is encoded in the initial state.
 A pure state is propagated matrix-free: exp(-i H t/hbar) psi for every
 sampled t comes from one Chebyshev expansion (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
-coupling applied by FFT on the assembly's own kernel column.  Its order
-grows with the spectral half-width times the longest time.  Above
-MAX_CHEBYSHEV_ORDER, for mixed states (``evolve``) and for electron trains
-(many windows under one Hamiltonian), evolution goes through one cached
-eigendecomposition instead, rho(t) = U rho U^dagger with
-U = V exp(-i Lambda t/hbar) V^dagger.
+coupling applied by FFT on the assembly's own kernel column; a window too
+long for MAX_CHEBYSHEV_ORDER orders runs as legs, each restarting from the
+state at the end of the last.  Mixed states (``evolve``) and electron trains
+(many windows under one Hamiltonian) go through one cached
+eigendecomposition of the dense ``h_total`` instead, rho(t) = U rho U^dagger
+with U = V exp(-i Lambda t/hbar) V^dagger.
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
 in the TLS gauge S = diag(1, phi) (x) IN, phi = 1 or i respectively, the
-matrix S^dagger H S is exactly real symmetric.  ``h_total`` holds that
-matrix, its eigenvectors are real, and the evolution applies S at its edges.
+matrix S^dagger H S is exactly real symmetric; the assembly stores only its
+diagonal and its coupling block's kernel column, the eigenvectors of
+``h_total`` are real, and the evolution applies S at its edges.
 
 Two assembly modes for the momentum-space interaction kernel H_IP:
 
@@ -66,26 +67,23 @@ class PropagationError(ArithmeticError):
 
 @dataclass
 class HamiltonianAssembly:
-    """Pieces and total of the joint Hamiltonian (rest energy subtracted).
+    """Pieces of the joint Hamiltonian (rest energy subtracted), O(N) storage.
 
     h0f: (N,) free-electron dispersion on the grid, eV.
     h0b: (2,) TLS level energies (0, E_gap), eV.
-    h_ip: (N, N) Hermitian momentum-space kernel matrix, eV/nm (dipole factored out).
     h_ib: (2, 2) real dipole matrix, off-diagonal r21 in nm.
-    h_total: (2N, 2N) real symmetric S^dagger H S, float64.
     coupling_column: (2N,) real first column of the length-2N circulant whose
-        leading N x N block is h_total's upper-right block r21 phi h_ip.
+        leading N x N block is the upper-right block r21 phi h_ip of
+        S^dagger H S, h_ip the Hermitian momentum-space kernel matrix in
+        eV/nm (dipole factored out).
     gauge: phi of S = diag(1, phi) (x) IN; H = S h_total S^dagger.
     """
 
     grid: MomentumGrid
     h0f: np.ndarray
     h0b: np.ndarray
-    h_ip: np.ndarray
     h_ib: np.ndarray
-    h_total: np.ndarray
     coupling_column: np.ndarray
-    mode: str
     gauge: complex
     aliasing_estimate: float = 0.0
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -93,6 +91,21 @@ class HamiltonianAssembly:
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """(2N,) diagonal of S^dagger H S: H0B (+) H0F, TLS-major."""
+        return (self.h0b[:, None] + self.h0f[None, :]).reshape(-1)
+
+    @property
+    def h_total(self) -> np.ndarray:
+        """(2N, 2N) real symmetric S^dagger H S, float64, built on each read."""
+        n = self.n
+        h = np.zeros((2 * n, 2 * n))
+        h[:n, n:] = circulant_block(self.coupling_column, n)
+        h[n:, :n] = h[:n, n:].T
+        h.flat[::2 * n + 1] = self.diagonal
+        return h
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (eigenvalues, real eigenvectors) of h_total."""
@@ -162,19 +175,13 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
     residue = float(np.max(np.abs(gauged.imag)))
     if residue > 1e-10 * scale:
         raise AssemblyError(f"kernel not real in the TLS gauge (residue {residue:.2e})")
-    h_ip = circulant_block(lags, n)
     # the gauged coupling block in a length-2n circulant (slot k = -n unread)
     column = np.zeros(2 * n)
     column[:n] = r21 * gauged.real[:n]
     column[n + 1:] = r21 * gauged.real[n:]
-
-    h_total = np.zeros((2 * n, 2 * n))
-    h_total[:n, n:] = circulant_block(column, n)
-    h_total[n:, :n] = h_total[:n, n:].T
-    h_total.flat[::2 * n + 1] = (h0b[:, None] + h0f[None, :]).reshape(-1)
-    return HamiltonianAssembly(grid=grid, h0f=h0f, h0b=h0b, h_ip=h_ip, h_ib=h_ib,
-                               h_total=h_total, coupling_column=column, mode=mode,
-                               gauge=gauge, aliasing_estimate=aliasing)
+    return HamiltonianAssembly(grid=grid, h0f=h0f, h0b=h0b, h_ib=h_ib,
+                               coupling_column=column, gauge=gauge,
+                               aliasing_estimate=aliasing)
 
 
 def _real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -206,12 +213,6 @@ class JointDensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
-    def validate(self, tol: float = 1e-10):
-        if abs(self.trace() - 1.0) > tol:
-            raise DomainError(f"trace {self.trace()} != 1")
-        if self.hermiticity_error() > tol:
-            raise DomainError("state not Hermitian")
-
 
 def schrodinger_qew_vector(grid: MomentumGrid, spec, t_start: float) -> np.ndarray:
     """Unit-norm free-electron vector at absolute time t_start.
@@ -232,11 +233,6 @@ def schrodinger_qew_vector(grid: MomentumGrid, spec, t_start: float) -> np.ndarr
     return w / np.linalg.norm(w)
 
 
-def joint_vector(free_vec: np.ndarray, tls_amplitudes: np.ndarray) -> np.ndarray:
-    """Product state kron(tls, free) in the TLS-major layout."""
-    return np.kron(np.asarray(tls_amplitudes, dtype=complex), free_vec)
-
-
 def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: float,
                          energy_gap: float) -> np.ndarray:
     """Product state with rotating-frame TLS amplitudes (c1, c2) given at t = 0.
@@ -248,7 +244,7 @@ def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: flo
     free = schrodinger_qew_vector(grid, spec, t_start)
     tls_vec = np.array([state.c1,
                         state.c2 * np.exp(-1j * energy_gap * t_start / HBAR_EV_FS)])
-    return joint_vector(free, tls_vec)
+    return np.kron(tls_vec, free)     # TLS-major layout
 
 
 # -- evolution ----------------------------------------------------------------------
@@ -269,9 +265,9 @@ def evolve(rho0: JointDensityMatrix, h: HamiltonianAssembly, t: float) -> JointD
     return JointDensityMatrix(rho=u @ rho0.rho @ u.conj().T, grid=rho0.grid)
 
 
-# Chebyshev orders above this go to the eigendecomposition: the expansion's
-# cost grows with the window (order ~ spectral half-width x longest time),
-# eigh's does not.  Chosen from measured crossovers, recorded in CHANGES.md.
+# Chebyshev points of one leg (order ~ spectral half-width x time), which
+# bound one leg's DCT and Bessel table per sampled time; a longer window is
+# cut into equal legs, each starting from the state at the end of the last.
 MAX_CHEBYSHEV_ORDER = 2048
 _CHEBYSHEV_BLOCK = 64     # recurrence vectors accumulated by one GEMM
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
@@ -286,7 +282,7 @@ def _spectral_bounds(h: HamiltonianAssembly) -> tuple[float, float]:
     block's, at most its circulant's, max |fft(coupling_column)|; by Weyl the
     spectrum lies within the diagonal's range widened by that much.
     """
-    diag = h.h_total.diagonal()
+    diag = h.diagonal
     reach = float(np.max(np.abs(fft.fft(h.coupling_column))))
     lo, hi = float(diag.min()) - reach, float(diag.max()) + reach
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -344,7 +340,7 @@ def _chebyshev_series(h: HamiltonianAssembly, psi: np.ndarray, centre: float,
     n = h.n
     col = h.coupling_column
     coupling = circulant_product(np.stack([col, np.roll(col[::-1], 1)]) / half, n)
-    diag = (h.h_total.diagonal() - centre) / half
+    diag = (h.diagonal - centre) / half
 
     def x_times(v):
         return diag * v + coupling(v.reshape(2, n)[::-1]).reshape(-1)
@@ -366,27 +362,43 @@ def _chebyshev_series(h: HamiltonianAssembly, psi: np.ndarray, centre: float,
 
 
 def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
-    """exp(-i H t/hbar) psi0; t may be a scalar or an array of times.
+    """exp(-i H t/hbar) psi0; t >= 0 may be a scalar or an array of times.
 
-    One Chebyshev expansion serves every t; above MAX_CHEBYSHEV_ORDER the
-    cached eigendecomposition does.  Raises PropagationError if a state's
-    norm drifts from psi0's by more than NORM_DRIFT_TOL.
+    One Chebyshev expansion serves every t of a leg.  A window longer than
+    MAX_CHEBYSHEV_ORDER orders is cut into equal legs, and each leg's
+    expansion starts from the state at the end of the one before; the last
+    leg ends at the latest t.  Raises PropagationError if a state's norm
+    drifts from psi0's by more than NORM_DRIFT_TOL.
     Returns shape (2N,) for scalar t, else (2N, len(t)).
     """
-    s = h.gauge_diagonal()
-    psi = s.conj() * psi0
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t_arr < 0.0):
+        raise DomainError("evolution times must be >= 0")
+    s = h.gauge_diagonal()
     centre, half = _spectral_bounds(h)
-    r = half * t_arr / HBAR_EV_FS
-    m = _chebyshev_points(float(np.max(np.abs(r))))
-    if m <= MAX_CHEBYSHEV_ORDER:
-        rows = _chebyshev_series(h, psi, centre, half, _chebyshev_coefficients(r, m))
-        out = (rows * np.exp(-1j * centre * t_arr / HBAR_EV_FS)[:, None]).T
-    else:
-        w, v = h.eigensystem()
-        phases = np.exp(-1j * np.outer(w, t_arr) / HBAR_EV_FS)
-        out = _real_matmul(v, phases * _real_matmul(v.T, psi)[:, None])
-    out = s[:, None] * out
+    t_max = float(np.max(t_arr))
+    r_max = half * t_max / HBAR_EV_FS
+    legs = max(1, math.ceil(r_max / MAX_CHEBYSHEV_ORDER))
+    while _chebyshev_points(r_max / legs) > MAX_CHEBYSHEV_ORDER:
+        legs += 1
+    span = t_max / legs
+    leg_of = np.searchsorted(span * np.arange(1, legs), t_arr, side="right")
+    start = s.conj() * psi0
+    rows = np.empty((t_arr.size, start.size), dtype=complex)
+    for leg in range(legs):
+        picked = np.flatnonzero(leg_of == leg)
+        offsets = t_arr[picked] - leg * span
+        if leg < legs - 1:
+            offsets = np.append(offsets, span)     # the next leg's start
+        r = half * offsets / HBAR_EV_FS
+        m = _chebyshev_points(float(np.max(np.abs(r))))
+        series = _chebyshev_series(h, start, centre, half, _chebyshev_coefficients(r, m))
+        if picked.size == t_arr.size:      # one leg: its rows are the output
+            rows = series
+        else:
+            rows[picked] = series[:picked.size]
+        start = series[-1]
+    out = s[:, None] * (rows * np.exp(-1j * centre * t_arr / HBAR_EV_FS)[:, None]).T
     norm0 = float(np.linalg.norm(psi0))
     drift = float(np.max(np.abs(np.linalg.norm(out, axis=0) - norm0)))
     if not drift <= NORM_DRIFT_TOL * norm0:
@@ -510,9 +522,7 @@ def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:
 # -- sequential multi-electron interaction ----------------------------------------------
 
 def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
-                         tls: TlsSpec, n: int = 128,
-                         h: HamiltonianAssembly | None = None,
-                         window_half: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         tls: TlsSpec, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Pass a train of wavepackets one at a time, carrying the TLS state.
 
     Each electron starts in a fresh product state rho_f (x) rho_b; after its
@@ -527,12 +537,9 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
     if not qews:
         raise DomainError("empty electron train")
     base0 = qews[0].base if isinstance(qews[0], ModulatedQewSpec) else qews[0]
-    if h is None:
-        grid = grid_for_spec(qews[0], coupling, n)
-        h = assemble_hamiltonian(grid, base0.kin, coupling, tls, mode="spectral")
-    grid = h.grid
-    if window_half is None:
-        window_half = interaction_window(base0.sigma_et, coupling.geometry.transit_time, 0.0)[1]
+    grid = grid_for_spec(qews[0], coupling, n)
+    h = assemble_hamiltonian(grid, base0.kin, coupling, tls, mode="spectral")
+    window_half = interaction_window(base0.sigma_et, coupling.geometry.transit_time, 0.0)[1]
 
     rho_b = np.array(rho_b0, dtype=complex)
     if abs(np.trace(rho_b) - 1.0) > 1e-9:
@@ -566,7 +573,7 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
         for lam, u in zip(evals, evecs.T):
             if lam < 1e-14:
                 continue
-            new_rho += lam * partial_trace_bound(u_window @ joint_vector(free, u))
+            new_rho += lam * partial_trace_bound(u_window @ np.kron(u, free))
         rho_b = new_rho
         t_clock = t_start + 2.0 * window_half
         p2_seq.append(float(np.real(rho_b[1, 1])))

@@ -278,15 +278,42 @@ class TestCommands:
         assert out.splitlines()[-1] == "valid"
 
     def test_validate_memory_estimate(self, tmp_path, capsys):
-        # h_total (2N)^2 float64 + h_ip N^2 complex + 2N x 300 complex states
+        # 300 complex states of 2N plus one leg's complex Chebyshev tables,
+        # 2048 orders x 300 samples: no dense matrix is held
         text = ("[run]\nscenario = fig56_phase_size_sweep\n\n"
                 "[numerics]\ngrid_points = 1024\n\n"
                 "[sweep]\ngamma_values = 0.3, 1.2\n")
         assert main(["validate", str(write(tmp_path, text))]) == 0
         out = capsys.readouterr().out
-        assert "estimated peak memory: 60 MB (h_total 2048 x 2048, h_ip 1024 x 1024, " \
-               "300 sampled states)" in out
+        assert "estimated peak memory: 20 MB (300 sampled states of 2048, " \
+               "Chebyshev tables 2048 x 300)" in out
         assert out.splitlines()[-1] == "valid"
+
+    @pytest.mark.parametrize("n, frac, ok", [(128, 1.0, True), (128, 1.5, False),
+                                             (128, 2.5, False), (256, 2.0, True)])
+    def test_validate_resolution_guard(self, tmp_path, capsys, n, frac, ok):
+        # the conjugate z-span must hold +-5 sigma_z0: sigma_p0/dp >= 0.80;
+        # 0.85 passes, 0.57 is rejected (at 2.5 T21 the plateau was 89% off)
+        text = ("[run]\nscenario = fig3_ground\n\n"
+                f"[numerics]\ngrid_points = {n}\n\n[sweep]\nsigma_et_over_period = {frac}\n")
+        assert main(["validate", str(write(tmp_path, text))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (lines[-1] == "valid") == ok
+        flagged = [ln for ln in lines if ln.startswith("ERROR")]
+        assert len(flagged) == (0 if ok else 1)
+        for line in flagged:
+            assert line.startswith(f"ERROR grid sizing at sigma_et={frac:g} T21: "
+                                   f"{n} grid points under-resolve the packet")
+
+    @pytest.mark.parametrize("frac, code", [(1.0, 0), (2.5, 3)])
+    def test_run_resolution_guard(self, tmp_path, caplog, frac, code):
+        out = tmp_path / "o"
+        text = ("[run]\nscenario = fig3_ground\n"
+                f"output_dir = {out}\n\n[numerics]\ngrid_points = 128\n"
+                f"time_samples = 20\n\n[sweep]\nsigma_et_over_period = {frac}\n")
+        assert main(["run", str(write(tmp_path, text))]) == code
+        assert out.exists() == (code == 0)
+        assert ("under-resolve the packet" in caplog.text) == (code == 3)
 
     def test_norm_drift_exit_code(self, tmp_path, caplog, monkeypatch):
         # a propagation that loses its norm is a numerical failure: exit 3,

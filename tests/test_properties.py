@@ -14,8 +14,7 @@ from scipy.linalg import toeplitz
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
 from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, circulant_block, circulant_product, kernel_column, \
-    toeplitz_kernel
+from feberi.grid import MomentumGrid, circulant_block, circulant_product, kernel_column
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -23,6 +22,12 @@ COUPLINGS = {
                       InteractionGeometry.from_kinematics(2.4, KIN), KIN)
     for o in ("parallel", "transverse")
 }
+
+
+def toeplitz_kernel(grid, coupling):
+    """Dense Mt(p_m - p_n) in eV*nm: the leading block of the kernel column's circulant."""
+    return circulant_block(kernel_column(grid, coupling), grid.n)
+
 
 orientations = st.sampled_from(sorted(COUPLINGS))
 momenta = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)

@@ -9,7 +9,7 @@ from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec
-from feberi.scenarios import physics_bundle, run_scenario
+from feberi.scenarios import physics_bundle, run_scenario, run_solver_crosscheck
 from feberi.solver_density import (
     MAX_CHEBYSHEV_ORDER,
     AssemblyError,
@@ -66,6 +66,7 @@ class TestAssembly:
         # random pairs against direct quadrature of the spatial kernel
         rng = np.random.default_rng(23)
         grid = assembly.grid
+        h_ip = kernel_matrix(assembly)
         r21 = tls.dipole_length
         for _ in range(20):
             m, n = rng.integers(0, grid.n, size=2)
@@ -76,8 +77,8 @@ class TestAssembly:
             cos_part, _ = quad(lambda z: m_spatial(z, coupling), 0, np.inf,
                                weight="cos", wvar=w, limlst=200, limit=400)
             ref = 2.0 * cos_part * grid.dp / (TWO_PI * HBAR_EV_FS * r21)
-            assert assembly.h_ip[m, n].real == pytest.approx(ref, rel=1e-4)
-            assert abs(assembly.h_ip[m, n].imag) < 1e-16
+            assert h_ip[m, n].real == pytest.approx(ref, rel=1e-4)
+            assert abs(h_ip[m, n].imag) < 1e-16
 
     def test_dft_mode_matches_spectral_near_diagonal(self, kin, tls, coupling, spec):
         # kernel-resolving momentum cutoff: the sampled-kernel DFT assembly
@@ -90,8 +91,9 @@ class TestAssembly:
         band = 40    # |m - n| <= band covers many recoil momenta
         k = np.arange(grid.n)
         mask = np.abs(k[:, None] - k[None, :]) <= band
-        scale = np.max(np.abs(h_spc.h_ip))
-        err = np.max(np.abs((h_dft.h_ip - h_spc.h_ip)[mask])) / scale
+        spc = kernel_matrix(h_spc)
+        scale = np.max(np.abs(spc))
+        err = np.max(np.abs((kernel_matrix(h_dft) - spc)[mask])) / scale
         assert err < 1e-4
         assert h_dft.aliasing_estimate < 1e-4
 
@@ -104,7 +106,7 @@ class TestAssembly:
         extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
         grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, n,
                           extra_halfwidth=extra)
-        h_ip = assemble_hamiltonian(grid, kin, cpl, tls, mode="dft").h_ip
+        h_ip = kernel_matrix(assemble_hamiltonian(grid, kin, cpl, tls, mode="dft"))
         np.testing.assert_array_equal(np.roll(h_ip, (1, 1), axis=(0, 1)), h_ip)
         want = dense_dft_kernel(grid, cpl)
         assert np.max(np.abs(h_ip - want)) <= 1e-10 * np.max(np.abs(want))
@@ -120,7 +122,7 @@ class TestAssembly:
         extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
         grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
                           extra_halfwidth=extra)
-        h_ip = assemble_hamiltonian(grid, kin, cpl, tls, mode="dft").h_ip
+        h_ip = kernel_matrix(assemble_hamiltonian(grid, kin, cpl, tls, mode="dft"))
         np.testing.assert_array_equal(h_ip, h_ip.conj().T)
 
     def test_dft_mode_span_guard(self, kin, tls, geometry):
@@ -133,6 +135,11 @@ class TestAssembly:
     def test_unknown_mode(self, assembly, kin, tls, coupling):
         with pytest.raises(DomainError):
             assemble_hamiltonian(assembly.grid, kin, coupling, tls, mode="exact")
+
+
+def kernel_matrix(h):
+    """The N x N kernel matrix h_ip, eV/nm, from the gauged block r21 phi h_ip of h_total."""
+    return h.h_total[:h.n, h.n:] / (h.h_ib[0, 1] * h.gauge)
 
 
 def dense_dft_kernel(grid, coupling):
@@ -149,7 +156,7 @@ def dense_dft_kernel(grid, coupling):
 
 def physical_hamiltonian(h):
     """kron(H_IB, H_IP) + diag(H0B (+) H0F), complex Hermitian, built directly."""
-    full = np.kron(h.h_ib, h.h_ip)
+    full = np.kron(h.h_ib, kernel_matrix(h))
     full[np.diag_indices_from(full)] += (h.h0b[:, None] + h.h0f[None, :]).reshape(-1)
     return full
 
@@ -262,6 +269,25 @@ class TestRealGauge:
             assemble_hamiltonian(grid, kin, cpl, tls, mode="dft")
 
 
+def test_assembly_stores_no_dense_matrix(kin, tls, coupling, spec):
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), kin, coupling, tls)
+    stored = {k: v.size for k, v in vars(h).items() if isinstance(v, np.ndarray)}
+    assert set(stored) == {"h0f", "h0b", "h_ib", "coupling_column"}
+    assert max(stored.values()) <= 2 * 1024
+    assert h._eig is None
+
+
+def test_grid_runs_never_build_the_dense_matrix(coupling, tls, spec, monkeypatch):
+    def refuse(h):
+        raise AssertionError("dense h_total built")
+
+    monkeypatch.setattr(solver_density.HamiltonianAssembly, "h_total", property(refuse))
+    traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=128)
+    assert traj.p2[-1] == pytest.approx(8.27e-7, rel=0.01)
+    summary = run_solver_crosscheck(default_config("solver_crosscheck")).summary
+    assert summary["final_rel_difference"] <= 1e-3
+
+
 class TestChebyshev:
     """evolve_vector's Chebyshev expansion against the eigendecomposition."""
 
@@ -287,15 +313,24 @@ class TestChebyshev:
         w = np.linalg.eigvalsh(h.h_total)
         assert centre - half <= w[0] and w[-1] <= centre + half
 
-    def test_eigh_fallback_above_ceiling(self, assembly, spec, tls):
+    def test_legs_match_eigh(self, assembly, spec, tls, monkeypatch):
+        # a window of 2.5 leg lengths runs as three expansions, each from the
+        # state at the end of the one before; nothing is decomposed
         psi = initial_joint_vector(assembly.grid, spec, TlsState.equatorial(0.7), -1.0,
                                    tls.energy_gap)
-        r_max = float(MAX_CHEBYSHEV_ORDER)
-        assert _chebyshev_points(r_max) > MAX_CHEBYSHEV_ORDER
-        t = np.array([0.5, 1.0]) * r_max * HBAR_EV_FS / _spectral_bounds(assembly)[1]
-        got = evolve_vector(psi, assembly, t)
-        assert assembly._eig is not None
-        np.testing.assert_allclose(got, eigh_reference(psi, assembly, t), rtol=0, atol=1e-12)
+        orders = []
+        series = solver_density._chebyshev_series
+        monkeypatch.setattr(solver_density, "_chebyshev_series",
+                            lambda *a: orders.append(a[-1].shape[0]) or series(*a))
+        r_max = 2.5 * MAX_CHEBYSHEV_ORDER
+        t_end = r_max * HBAR_EV_FS / _spectral_bounds(assembly)[1]
+        for t in (t_end, np.linspace(0.0, t_end, 37)):
+            got = evolve_vector(psi, assembly, t)
+            want = eigh_reference(psi, assembly, t)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(orders) == 6 and max(orders) <= MAX_CHEBYSHEV_ORDER
+        assert assembly._eig is None
 
     @pytest.mark.parametrize("r_max", [40.0, 100.0, 300.0, 1500.0])
     def test_trim_drops_only_negligible_orders(self, r_max):
@@ -365,7 +400,7 @@ def test_interaction_energy_equals_dense_product(gauged, spec, tls):
     got = _observables(times, states, h, collect_rho_b=False).e_int
     psi = states.reshape(2, h.n, -1)
     want = 2.0 * h.h_ib[0, 1] * np.real(np.einsum("ns,ns->s", psi[0].conj(),
-                                                  h.h_ip @ psi[1]))
+                                                  kernel_matrix(h) @ psi[1]))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

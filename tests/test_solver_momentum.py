@@ -5,7 +5,8 @@ import pytest
 
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, build_grid, interaction_window, toeplitz_kernel
+from feberi.grid import MomentumGrid, build_grid, circulant_block, interaction_window, \
+    kernel_column
 from feberi.qew import GaussianQewSpec, gaussian_momentum_amplitudes, grid_for_spec
 from feberi.solver_momentum import (
     default_time_step,
@@ -13,6 +14,11 @@ from feberi.solver_momentum import (
     integrate,
     run_gaussian_scenario,
 )
+
+
+def toeplitz_kernel(grid, coupling):
+    """Dense Mt(p_m - p_n) in eV*nm: the leading block of the kernel column's circulant."""
+    return circulant_block(kernel_column(grid, coupling), grid.n)
 
 
 @pytest.fixture
