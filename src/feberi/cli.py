@@ -26,14 +26,14 @@ import numpy as np
 from feberi import __version__
 from feberi.born_dynamics import StepSizeError
 from feberi.core import DomainError
-from feberi.grid import MomentumGrid
+from feberi.grid import MomentumGrid, interaction_window
 from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
     grid_for_spec
 from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, physics_bundle, \
-    run_scenario
-from feberi.solver_density import MAX_CHEBYSHEV_ORDER, AssemblyError, PropagationError, \
-    write_rho_b_bin
-from feberi.solver_momentum import InstabilityError
+    run_scenario, window_factors
+from feberi.solver_density import CHEBYSHEV_BLOCK, MAX_CHEBYSHEV_ORDER, AssemblyError, \
+    PropagationError, write_rho_b_bin
+from feberi.solver_momentum import InstabilityError, default_time_step, step_schedule
 
 log = logging.getLogger("feberi")
 
@@ -310,6 +310,30 @@ def _grid_error(n: int) -> str | None:
     return None
 
 
+def _propagated_states(cfg: dict, sizes: list[tuple[str, float]],
+                       grids: dict[str, MomentumGrid]) -> int:
+    """States that a grid scenario's largest propagation samples at once.
+
+    ``sizes`` are the (label, sigma_et) of the swept packets and ``grids``
+    the grids of those that have one.  fig56 propagates the Gammas of each
+    grid as one block, two basis starts per Gamma, to one time each;
+    solver_crosscheck samples at the momentum RK4's records; the others at
+    ``time_samples``.
+    """
+    scenario = cfg["run"]["scenario"]
+    if scenario == "fig56_phase_size_sweep":
+        shared = list(grids.values())
+        return 2 * max(map(shared.count, shared), default=0)
+    label, sigma = sizes[0] if sizes else (None, 0.0)
+    if scenario == "solver_crosscheck" and label in grids:
+        _, tls, geo, coupling = physics_bundle(cfg)
+        window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
+        steps, every = step_schedule(window, default_time_step(grids[label], coupling, tls),
+                                     cfg["numerics"]["time_samples"])
+        return 1 + math.ceil(steps / every)
+    return cfg["numerics"]["time_samples"]
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Dry-run checks; returns a list of report lines (violations flagged).
 
@@ -343,17 +367,22 @@ def validate_config(cfg: dict) -> list[str]:
         sizes = [(f"sigma_et={frac:g} T21", frac * tls.period) for frac in sigma_fracs]
         sizes += [(f"Gamma={gam:g}", gam / tls.omega_21)
                   for gam in sweep.get("gamma_values", [])]
+        grids = {}
         for label, sigma in sizes:
             try:
-                grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, n)
+                grids[label] = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma),
+                                             coupling, n)
             except DomainError as exc:
                 report.append(f"ERROR grid sizing at {label}: {exc}")
-        # what a grid run holds: the sampled states and one leg's Chebyshev
-        # coefficient tables, complex; the assembly itself is O(N)
-        samples = num["time_samples"]
-        mem = (2 * n + MAX_CHEBYSHEV_ORDER) * samples * 16 / 1e6
-        report.append(f"estimated peak memory: {mem:.0f} MB ({samples} sampled states of "
-                      f"{2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {samples})")
+        states = _propagated_states(cfg, sizes, grids)
+        # what a grid run holds: the sampled states, complex; one leg's real
+        # Chebyshev coefficient tables; the recurrence's block of orders and
+        # its GEMM batch; the assembly itself is O(N)
+        work = 2 * CHEBYSHEV_BLOCK
+        mem = (states * 2 * n * 16 + MAX_CHEBYSHEV_ORDER * states * 8 + work * 2 * n * 16) / 1e6
+        report.append(f"estimated peak memory: {mem:.0f} MB ({states} sampled states of "
+                      f"{2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {states}, "
+                      f"recurrence {work} x {2 * n})")
     report.append(f"window factors: transit x{num['window_transit_factor']:g}, "
                   f"sigma x{num['window_sigma_factor']:g}")
     t_r_w = geo.transit_time * tls.omega_21
@@ -394,7 +423,7 @@ def main(argv=None) -> int:
     ap_run = sub.add_parser("run", help="run a scenario config")
     ap_run.add_argument("config")
     ap_run.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweep points")
+                        help="worker processes for modulated_resonance's Born spot checks")
     ap_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     ap_run.add_argument("--out", default=None, help="override [run] output_dir")
 

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,13 +31,15 @@ class MomentumGrid:
 
     points[k] = p0 - p_cutoff + k*dp with dp = 2*p_cutoff/n (ascending;
     the +p_cutoff endpoint is excluded, matching a periodic Fourier pairing
-    with the conjugate z-grid of span 2*pi*hbar/dp).
+    with the conjugate z-grid of span 2*pi*hbar/dp).  Grids compare by their
+    points; ``initial_tail_mass`` records the packet a grid was sized for and
+    takes no part.
     """
 
     n: int
     p0: float
     p_cutoff: float
-    initial_tail_mass: float = 0.0
+    initial_tail_mass: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.n < 64 or self.n % 2:
@@ -103,22 +105,27 @@ def circulant_product(column: np.ndarray, n: int):
     ``product(x, left=None, right=None, out=None)`` returns
     left * (block @ (right * x)), the diagonal factors broadcast against x's
     shape, written into ``out`` if given.  x, times ``right``, goes straight
-    into a zero-padded buffer kept between calls (one per leading shape of x,
-    its upper part never written), so a call allocates only the transform.
+    into a zero-padded buffer kept between calls (the rows of the largest x
+    so far, of which a smaller x takes the leading ones), and both transforms
+    run in place there, so a call allocates nothing; without ``out`` the
+    result is a view of that buffer, valid until the next call.
     """
     size = column.shape[-1]
     spectrum = fft.fft(column, axis=-1)
-    padded = {}
+    padded = np.zeros((0, size), dtype=complex)
 
     def product(x: np.ndarray, left=None, right=None, out=None) -> np.ndarray:
-        buf = padded.get(x.shape[:-1])
-        if buf is None:
-            buf = padded[x.shape[:-1]] = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+        nonlocal padded
+        rows = x.size // n
+        if padded.shape[0] < rows:
+            padded = np.zeros((rows, size), dtype=complex)
+        buf = padded[:rows].reshape(x.shape[:-1] + (size,))
+        buf[..., n:] = 0.0
         if right is None:
             buf[..., :n] = x
         else:
             np.multiply(x, right, out=buf[..., :n])
-        y = fft.fft(buf, axis=-1)
+        y = fft.fft(buf, axis=-1, overwrite_x=True)
         y *= spectrum
         y = fft.ifft(y, axis=-1, overwrite_x=True)[..., :n]
         if left is None and out is None:

@@ -238,50 +238,67 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
 
 # -- scenario: arrival-phase x size sweep ----------------------------------------------
 
-def _fig56_point(args: tuple) -> tuple[float, list[float]]:
-    """Worker: increments over the zeta grid at one Gamma (one shared grid).
+def fig56_grid_groups(cfg: dict) -> list[list[float]]:
+    """The swept Gammas grouped by the momentum grid each one's packet needs.
+
+    A grid is set by (n, p0, p_cutoff), and every Gamma whose packet is
+    recoil-limited, p_cutoff = 6 |p_rec|, shares one: one assembly serves a
+    group.  Groups come in order of their first Gamma in the sweep.
+    """
+    kin, tls, _, coupling = physics_bundle(cfg)
+    groups: dict = {}
+    for gamma in cfg["sweep"]["gamma_values"]:
+        spec = GaussianQewSpec.from_duration(kin, gamma / tls.omega_21, t0=0.0)
+        grid = grid_for_spec(spec, coupling, cfg["numerics"]["grid_points"])
+        groups.setdefault(grid, []).append(gamma)
+    return list(groups.values())
+
+
+def _fig56_block(cfg: dict, gammas: list[float]) -> list[list[float]]:
+    """Increments over the zeta grid at Gammas that share one momentum grid.
 
     The joint state is linear in the TLS amplitudes (c1, c2), so the two
-    basis starts |1> (x) free and |2> (x) free are propagated to the window
-    end once, and each zeta's final P2 is the quadratic form c^dagger G c of
-    the Gram matrix G of their upper-level parts.
+    basis starts |1> (x) free and |2> (x) free of each Gamma are propagated
+    to that Gamma's window end, all of them as one block under one
+    assembly, and each zeta's final P2 is the quadratic form c^dagger G c of
+    the Gram matrix G of a Gamma's two upper-level parts.
     """
-    cfg, gamma = args
     kin, tls, geo, coupling = physics_bundle(cfg)
     num = cfg["numerics"]
-    sigma = gamma / tls.omega_21
-    spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    grid = grid_for_spec(spec, coupling, num["grid_points"])
+    specs, windows = [], []
+    for gamma in gammas:
+        sigma = gamma / tls.omega_21
+        specs.append(GaussianQewSpec.from_duration(kin, sigma, t0=0.0))
+        windows.append(interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg)))
+    grid = grid_for_spec(specs[0], coupling, num["grid_points"])
+    starts = np.array([sd.initial_joint_vector(grid, spec, basis, t_start, tls.energy_gap)
+                       for spec, (t_start, _) in zip(specs, windows)
+                       for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0))])
+    durations = np.repeat([t_end - t_start for t_start, t_end in windows], 2)
     h = sd.assemble_hamiltonian(grid, kin, coupling, tls, mode=num["assembly"])
-    t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
-    upper = np.stack([
-        sd.evolve_vector(sd.initial_joint_vector(grid, spec, basis, t_start, tls.energy_gap),
-                         h, t_end - t_start)[grid.n:]
-        for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0))], axis=1)
-    gram = upper.conj().T @ upper
+    upper = sd.evolve_vector(starts, h, durations)[:, grid.n:]
     zetas = np.arange(cfg["sweep"]["zeta_points"]) / cfg["sweep"]["zeta_points"] * TWO_PI
-    out = []
-    for zeta in zetas:
-        state = TlsState.equatorial(wrap_phase(-zeta))   # t0 = 0: zeta = -phi
-        c = np.array([state.c1, state.c2])
-        out.append(float(np.real(c.conj() @ gram @ c)) - state.p2)
-    return gamma, out
+    rows = []
+    for pair in upper.reshape(len(gammas), 2, grid.n):
+        gram = pair.conj() @ pair.T
+        row = []
+        for zeta in zetas:
+            state = TlsState.equatorial(wrap_phase(-zeta))   # t0 = 0: zeta = -phi
+            c = np.array([state.c1, state.c2])
+            row.append(float(np.real(c.conj() @ gram @ c)) - state.p2)
+        rows.append(row)
+    return rows
 
 
-def run_fig56_phase_size_sweep(cfg: dict, jobs: int = 1) -> ScenarioResult:
+def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
     """Increment vs (arrival phase, packet size): sinusoidal in zeta with an
     exp(-Gamma^2/2) envelope; fits the two-term law."""
     kin, tls, geo, coupling = physics_bundle(cfg)
-    gammas = cfg["sweep"]["gamma_values"]
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
-    points = [(cfg, g) for g in gammas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_fig56_point, points))
-    else:
-        rows = [_fig56_point(p) for p in points]
+    rows = [(g, row) for group in fig56_grid_groups(cfg)
+            for g, row in zip(group, _fig56_block(cfg, group))]
     rows.sort(key=lambda r: r[0])
 
     table = np.array([r[1] for r in rows])        # (n_gamma, n_zeta)
@@ -577,7 +594,7 @@ SCENARIOS = {
                           "amplitude-equation vs density-matrix solver agreement"),
 }
 
-PARALLEL_SCENARIOS = {"fig56_phase_size_sweep", "modulated_resonance"}
+PARALLEL_SCENARIOS = {"modulated_resonance"}
 # the scenarios that build a momentum grid (and run a grid solver)
 GRID_SCENARIOS = {"fig3_ground", "fig4_superposition", "fig56_phase_size_sweep",
                   "solver_crosscheck"}

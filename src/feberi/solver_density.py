@@ -11,9 +11,10 @@ phases, and the wavepacket's arrival time is encoded in the initial state.
 A pure state is propagated matrix-free: exp(-i H t/hbar) psi for every
 sampled t comes from one Chebyshev expansion (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
-coupling applied by FFT on the assembly's own kernel column; a window too
-long for MAX_CHEBYSHEV_ORDER orders runs as legs, each restarting from the
-state at the end of the last.  Mixed states (``evolve``) and electron trains
+coupling applied by FFT on the assembly's own kernel column, and a block of
+states under one Hamiltonian shares one recurrence; a window too long for
+MAX_CHEBYSHEV_ORDER orders runs as legs, each restarting from the state at
+the end of the last.  Mixed states (``evolve``) and electron trains
 (many windows under one Hamiltonian) go through one cached
 eigendecomposition of the dense ``h_total`` instead, rho(t) = U rho U^dagger
 with U = V exp(-i Lambda t/hbar) V^dagger.
@@ -269,7 +270,8 @@ def evolve(rho0: JointDensityMatrix, h: HamiltonianAssembly, t: float) -> JointD
 # bound one leg's DCT and Bessel table per sampled time; a longer window is
 # cut into equal legs, each starting from the state at the end of the last.
 MAX_CHEBYSHEV_ORDER = 2048
-_CHEBYSHEV_BLOCK = 64     # recurrence vectors accumulated by one GEMM
+CHEBYSHEV_BLOCK = 64      # recurrence vectors of a block, over all its rows
+_SAMPLE_BLOCK = 64        # sample columns per batch of a GEMM or an FFT
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
 TRIM_BESSEL = 1e-16       # Chebyshev coefficients below this are dropped
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])    # i^k by k mod 4, exactly
@@ -299,14 +301,20 @@ def _chebyshev_coefficients(r: np.ndarray, m: int) -> np.ndarray:
     exp(-i r x) = sum_k (-i)^k b_k(r) T_k(x) on [-1, 1] (Jacobi-Anger).
 
     (-i)^k b_k(r) is the cosine series of exp(-i r cos theta): one DCT-II of
-    its samples at m Chebyshev points.  The table ends at the last order
-    that Kapteyn's inequality cannot hold below TRIM_BESSEL for every r.
+    its samples at m Chebyshev points, taken _SAMPLE_BLOCK values of r at a
+    time to bound the complex samples' memory.  The table ends at the last
+    order that Kapteyn's inequality cannot hold below TRIM_BESSEL for every r.
     """
-    theta = math.pi * (np.arange(m) + 0.5) / m
-    c = fft.dct(np.exp(-1j * np.outer(r, np.cos(theta))), type=2, axis=-1) / m
-    c[:, 0] *= 0.5
-    bessel = (c * _I_POWERS[np.arange(m) % 4]).real.T
-    return bessel[:_kept_orders(float(np.max(np.abs(r))), m)]
+    cos_theta = np.cos(math.pi * (np.arange(m) + 0.5) / m)
+    table = np.empty((_kept_orders(float(np.max(np.abs(r))), m), r.size))
+    powers = _I_POWERS[np.arange(table.shape[0]) % 4]
+    for start in range(0, r.size, _SAMPLE_BLOCK):
+        cols = slice(start, start + _SAMPLE_BLOCK)
+        c = fft.dct(np.exp(-1j * np.outer(r[cols], cos_theta)), type=2, axis=-1,
+                    overwrite_x=True)[:, :table.shape[0]] / m
+        c[:, 0] *= 0.5
+        table[:, cols] = (c * powers).real.T
+    return table
 
 
 def _kept_orders(r_max: float, m: int) -> int:
@@ -327,84 +335,142 @@ def _kept_orders(r_max: float, m: int) -> int:
     return int(k[above[-1]]) + 1 if above.size else 1
 
 
-def _chebyshev_series(h: HamiltonianAssembly, psi: np.ndarray, centre: float,
-                      half: float, bessel: np.ndarray) -> np.ndarray:
-    """Rows sum_k (-i)^k bessel[k, j] T_k(X) psi, X = (h_total - centre)/half,
-    one per column j of the Bessel table: shape (bessel.shape[1], 2N).
+def _chebyshev_series(h: HamiltonianAssembly, starts: np.ndarray, centre: float,
+                      half: float, spans: list[slice], kept: np.ndarray,
+                      bessel: np.ndarray) -> np.ndarray:
+    """Rows sum_k (-i)^k bessel[k, j] T_k(X) starts[p] for the columns j in
+    spans[p] of the Bessel table, k < kept[p], X = (h_total - centre)/half:
+    shape (bessel.shape[1], 2N).
 
-    X v is the shifted diagonal times v plus the two coupling blocks (the
-    circulant column and its transpose) applied by FFT.  The recurrence
-    vectors, rotated by (-i)^k, are accumulated by one real GEMM per block
-    against the real Bessel table.
+    The rows of ``starts`` (m, 2N) share one recurrence.  They come ordered by
+    falling ``kept``, so the rows still running at order k are a leading
+    slice that shrinks as rows reach their own order.  The recurrence runs on
+    u_k = (-i)^k T_k(X) psi, u_{k+1} = -2i X u_k + u_{k-1}, whose X u is the
+    shifted diagonal times u plus the two coupling blocks (the circulant
+    column and its transpose) applied by FFT to the whole slice at once.
+    Each row's u_k are kept for a block of CHEBYSHEV_BLOCK / m orders and
+    added to its columns, _SAMPLE_BLOCK at a time, by one real GEMM against
+    the real Bessel table.
     """
+    m, size = starts.shape
     n = h.n
     col = h.coupling_column
-    coupling = circulant_product(np.stack([col, np.roll(col[::-1], 1)]) / half, n)
-    diag = (h.diagonal - centre) / half
-
-    def x_times(v):
-        return diag * v + coupling(v.reshape(2, n)[::-1]).reshape(-1)
-
+    coupling = circulant_product(np.stack([col, np.roll(col[::-1], 1)]) * (-2j / half), n)
+    # one diagonal row per state: a broadcast operand would make NumPy buffer
+    diag = np.tile((h.diagonal - centre) * (-2j / half), (m, 1))
     order = bessel.shape[0]
-    out = np.zeros((bessel.shape[1], psi.size), dtype=complex)
-    block = np.empty((min(order, _CHEBYSHEV_BLOCK), psi.size), dtype=complex)
-    prev, cur = psi, psi
-    for start in range(0, order, _CHEBYSHEV_BLOCK):
-        stop = min(start + _CHEBYSHEV_BLOCK, order)
+    active = np.count_nonzero(kept[:, None] > np.arange(order), axis=0)
+    out = np.zeros((bessel.shape[1], size), dtype=complex)
+    out_real = out.view(np.float64)
+    # orders k of a block sit in slots k mod width, so a block starts from
+    # the last two slots of the one before; width >= 3 keeps them unwritten.
+    # A slot holds all rows, so the recurrence works on contiguous arrays.
+    width = max(3, CHEBYSHEV_BLOCK // m)
+    ring = np.empty((width, m, size), dtype=complex)
+    for start in range(0, order, width):
+        stop = min(start + width, order)
         for k in range(start, stop):
+            a = active[k]
+            new = ring[k % width, :a]
+            if k == 0:
+                new[...] = starts
+                continue
+            u = ring[(k - 1) % width, :a]
+            np.multiply(u, diag[:a], out=new)
+            new.reshape(a, 2, n)[...] += coupling(u.reshape(a, 2, n)[:, ::-1])
             if k == 1:
-                cur = x_times(psi)
-            elif k > 1:
-                prev, cur = cur, 2.0 * x_times(cur) - prev
-            block[k - start] = _I_POWERS[-k % 4] * cur
-        out += _real_matmul(bessel[start:stop].T, block[:stop - start])
+                new *= 0.5
+            else:
+                new += ring[(k - 2) % width, :a]
+        for p in range(active[start]):
+            u = ring[:min(stop, kept[p]) - start, p].view(np.float64)
+            for first in range(spans[p].start, spans[p].stop, _SAMPLE_BLOCK):
+                cols = slice(first, min(first + _SAMPLE_BLOCK, spans[p].stop))
+                out_real[cols] += bessel[start:start + len(u), cols].T @ u
     return out
 
 
 def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
-    """exp(-i H t/hbar) psi0; t >= 0 may be a scalar or an array of times.
+    """exp(-i H t/hbar) psi0 for one state or a block of states, times >= 0.
 
-    One Chebyshev expansion serves every t of a leg.  A window longer than
-    MAX_CHEBYSHEV_ORDER orders is cut into equal legs, and each leg's
-    expansion starts from the state at the end of the one before; the last
-    leg ends at the latest t.  Raises PropagationError if a state's norm
-    drifts from psi0's by more than NORM_DRIFT_TOL.
-    Returns shape (2N,) for scalar t, else (2N, len(t)).
+    A state psi0 of shape (2N,) takes a scalar t or an array of T times and
+    gives (2N,) or (2N, T).  A block psi0 of shape (m, 2N) takes per-row
+    times t of shape (m,) or (m, T) and gives (m, 2N) or (m, 2N, T): row i
+    at the times t[i].  All rows share one Chebyshev recurrence, each
+    running to its own order.
+
+    A window longer than MAX_CHEBYSHEV_ORDER orders is cut into equal legs,
+    the block's longest row setting the schedule, and each leg's expansion
+    starts from the states at the end of the one before; a row stops after
+    the leg of its latest time.  The result is the only full-size array the
+    expansion holds (with legs, plus one leg's samples).  Raises
+    PropagationError if a state's norm drifts from its start's by more than
+    NORM_DRIFT_TOL.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0):
+    psi0 = np.asarray(psi0)
+    starts = np.atleast_2d(psi0)
+    m, size = starts.shape
+    t_arr = np.asarray(t, dtype=float)
+    fits = t_arr.ndim <= 1 if psi0.ndim == 1 else \
+        psi0.ndim == 2 and t_arr.ndim in (1, 2) and t_arr.shape[0] == m
+    if not fits:
+        raise DomainError(f"times of shape {t_arr.shape} do not fit states of "
+                          f"shape {psi0.shape}")
+    times = t_arr.reshape(m, -1)
+    if np.any(times < 0.0):
         raise DomainError("evolution times must be >= 0")
-    s = h.gauge_diagonal()
+    norm0 = np.repeat(np.linalg.norm(starts, axis=1), times.shape[1])
+    n = h.n
     centre, half = _spectral_bounds(h)
-    t_max = float(np.max(t_arr))
+    t_max = float(np.max(times))
     r_max = half * t_max / HBAR_EV_FS
     legs = max(1, math.ceil(r_max / MAX_CHEBYSHEV_ORDER))
     while _chebyshev_points(r_max / legs) > MAX_CHEBYSHEV_ORDER:
         legs += 1
     span = t_max / legs
-    leg_of = np.searchsorted(span * np.arange(1, legs), t_arr, side="right")
-    start = s.conj() * psi0
-    rows = np.empty((t_arr.size, start.size), dtype=complex)
+    leg_of = np.searchsorted(span * np.arange(1, legs), times, side="right")
+    last_leg = leg_of.max(axis=1)
+    gauge = h.gauge_diagonal()
+    out = None
+    if legs > 1:      # each leg's end states replace the rows of starts
+        out = np.empty(times.shape + (size,), dtype=complex)
+        starts = starts.astype(complex)
     for leg in range(legs):
-        picked = np.flatnonzero(leg_of == leg)
-        offsets = t_arr[picked] - leg * span
-        if leg < legs - 1:
-            offsets = np.append(offsets, span)     # the next leg's start
-        r = half * offsets / HBAR_EV_FS
-        m = _chebyshev_points(float(np.max(np.abs(r))))
-        series = _chebyshev_series(h, start, centre, half, _chebyshev_coefficients(r, m))
-        if picked.size == t_arr.size:      # one leg: its rows are the output
-            rows = series
+        rows = np.flatnonzero(last_leg >= leg)
+        picked = [np.flatnonzero(leg_of[i] == leg) for i in rows]
+        # each row's times in this leg, then the next leg's start if it goes on
+        offsets = [np.append(times[i, p] - leg * span, [span] if last_leg[i] > leg else [])
+                   for i, p in zip(rows, picked)]
+        r = [half * o / HBAR_EV_FS for o in offsets]
+        points = _chebyshev_points(max(float(np.max(ri)) for ri in r))
+        kept = np.array([_kept_orders(float(np.max(ri)), points) for ri in r])
+        ends = np.cumsum([ri.size for ri in r])
+        spans = [slice(e - ri.size, e) for e, ri in zip(ends, r)]
+        by_order = np.argsort(-kept, kind="stable")
+        series = _chebyshev_series(h, starts[rows[by_order]] * gauge.conj(), centre, half,
+                                   [spans[p] for p in by_order], kept[by_order],
+                                   _chebyshev_coefficients(np.concatenate(r), points))
+        if legs == 1:      # the series holds every row's times in order
+            out = series.reshape(times.shape + (size,))
         else:
-            rows[picked] = series[:picked.size]
-        start = series[-1]
-    out = s[:, None] * (rows * np.exp(-1j * centre * t_arr / HBAR_EV_FS)[:, None]).T
-    norm0 = float(np.linalg.norm(psi0))
-    drift = float(np.max(np.abs(np.linalg.norm(out, axis=0) - norm0)))
-    if not drift <= NORM_DRIFT_TOL * norm0:
-        raise PropagationError(f"propagated norm drifted by {drift:.2e} "
-                               f"from the initial {norm0:.6g}")
-    return out[:, 0] if np.isscalar(t) else out
+            for i, p, cols in zip(rows, picked, spans):
+                out[i, p] = series[cols][:p.size]
+                if last_leg[i] > leg:
+                    starts[i] = series[cols.stop - 1] * gauge
+    flat = out.reshape(-1, size)
+    flat *= np.exp(-1j * centre * times.reshape(-1) / HBAR_EV_FS)[:, None]
+    if h.gauge != 1.0:
+        flat[:, n:] *= h.gauge
+    norms = np.sqrt(np.einsum("ij,ij->i", flat.view(np.float64), flat.view(np.float64)))
+    drift = np.abs(norms - norm0)
+    if not np.all(drift <= NORM_DRIFT_TOL * norm0):
+        worst = int(np.argmax(drift / np.maximum(norm0, np.finfo(float).tiny)))
+        raise PropagationError(f"propagated norm drifted by {drift[worst]:.2e} "
+                               f"from the initial {norm0[worst]:.6g}")
+    out = out.transpose(0, 2, 1)       # (m, 2N, T), each state contiguous
+    if t_arr.ndim < psi0.ndim:
+        out = out[..., 0]
+    return out[0] if psi0.ndim == 1 else out
 
 
 def partial_trace_bound(state, n: int | None = None) -> np.ndarray:
@@ -472,9 +538,6 @@ def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: Tl
     times = np.linspace(t_start, t_end, n_samples)
     states = evolve_vector(psi0, h, times - t_start)
     return _observables(times, states, h, collect_rho_b)
-
-
-_SAMPLE_BLOCK = 64     # sample columns per FFT batch of the interaction energy
 
 
 def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,

@@ -106,6 +106,15 @@ def default_time_step(grid: MomentumGrid, coupling: DipoleCoupling, tls: TlsSpec
     return min(0.1 / omega_max, 1.0 / (50.0 * u_max))
 
 
+def step_schedule(t_span: tuple[float, float], dt: float,
+                  n_records: int) -> tuple[int, int]:
+    """(steps, record_every) of ``integrate`` over t_span: equal steps of at
+    most dt, and records at the start, at every record_every-th step and at
+    the last, 1 + ceil(steps / record_every) in all."""
+    steps = max(1, int(math.ceil((t_span[1] - t_span[0]) / dt)))
+    return steps, max(1, steps // max(1, n_records))
+
+
 def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: float,
               grid: MomentumGrid, coupling: DipoleCoupling, tls: TlsSpec,
               method: str = "rk4", n_records: int = 200) -> MomentumTrajectory:
@@ -119,7 +128,7 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     t_start, t_end = t_span
     if t_end <= t_start:
         raise DomainError("empty integration span")
-    n_steps = max(1, int(math.ceil((t_end - t_start) / dt)))
+    n_steps, record_every = step_schedule(t_span, dt, n_records)
     dt = (t_end - t_start) / n_steps
 
     energies = coupling.kin.dispersion(grid.points)
@@ -150,7 +159,6 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     u = np.empty_like(v)
     weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) / 3.0
 
-    record_every = max(1, n_steps // max(1, n_records))
     times, p1s, p2s, efs, norms = [], [], [], [], []
 
     def record(t, v):

@@ -278,16 +278,19 @@ class TestCommands:
         assert out.splitlines()[-1] == "valid"
 
     def test_validate_memory_estimate(self, tmp_path, capsys):
-        # 300 complex states of 2N plus one leg's complex Chebyshev tables,
-        # 2048 orders x 300 samples: no dense matrix is held
-        text = ("[run]\nscenario = fig56_phase_size_sweep\n\n"
-                "[numerics]\ngrid_points = 1024\n\n"
-                "[sweep]\ngamma_values = 0.3, 1.2\n")
-        assert main(["validate", str(write(tmp_path, text))]) == 0
-        out = capsys.readouterr().out
-        assert "estimated peak memory: 20 MB (300 sampled states of 2048, " \
-               "Chebyshev tables 2048 x 300)" in out
-        assert out.splitlines()[-1] == "valid"
+        # the states of the largest propagation, complex, plus one leg's real
+        # Chebyshev tables of up to 2048 orders and the recurrence's 128
+        # vectors: fig56's largest block holds the 6 recoil-limited Gammas'
+        # two basis starts at one time each; solver_crosscheck samples at the
+        # momentum RK4's 369 records, not at time_samples = 300
+        for scenario, states, mb in (("fig56_phase_size_sweep", 12, 5),
+                                     ("solver_crosscheck", 369, 22)):
+            text = f"[run]\nscenario = {scenario}\n\n[numerics]\ngrid_points = 1024\n"
+            assert main(["validate", str(write(tmp_path, text))]) == 0
+            out = capsys.readouterr().out
+            assert f"estimated peak memory: {mb} MB ({states} sampled states of 2048, " \
+                   f"Chebyshev tables 2048 x {states}, recurrence 128 x 2048)" in out
+            assert out.splitlines()[-1] == "valid"
 
     @pytest.mark.parametrize("n, frac, ok", [(128, 1.0, True), (128, 1.5, False),
                                              (128, 2.5, False), (256, 2.0, True)])

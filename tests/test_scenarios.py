@@ -6,8 +6,8 @@ from feberi.cli import ConfigError, default_config
 from feberi.core import TWO_PI, TlsState, wrap_phase
 from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec
-from feberi.scenarios import _fig56_point, physics_bundle, run_fig56_phase_size_sweep, \
-    run_scenario, window_factors
+from feberi.scenarios import _fig56_block, fig56_grid_groups, physics_bundle, \
+    run_modulated_resonance, run_scenario, window_factors
 
 
 def test_default_config_unknown_scenario():
@@ -15,17 +15,25 @@ def test_default_config_unknown_scenario():
         default_config("fig99")
 
 
+def small_resonance_config(detunings):
+    """modulated_resonance shrunk as in the golden lock: b = 9.6 nm, harmonic 1."""
+    cfg = default_config("modulated_resonance")
+    cfg["physics"]["impact_parameter_nm"] = 9.6
+    cfg["sweep"].update({"harmonic": 1, "envelope_sigma_et_fs": 2.5, "scan_points": 11,
+                         "spot_check_detunings": detunings})
+    return cfg
+
+
 def test_worker_pool_matches_serial():
-    cfg = default_config("fig56_phase_size_sweep")
-    cfg["sweep"]["gamma_values"] = [0.2, 0.8]
-    cfg["sweep"]["zeta_points"] = 4
-    cfg["numerics"]["grid_points"] = 128
-    serial = run_fig56_phase_size_sweep(cfg, jobs=1)
-    parallel = run_fig56_phase_size_sweep(cfg, jobs=2)
+    # the Born spot checks are the one computation --jobs spreads over processes
+    cfg = small_resonance_config([0.0, 1.0])
+    serial = run_modulated_resonance(cfg, jobs=1)
+    parallel = run_modulated_resonance(cfg, jobs=2)
     for s, p in zip(serial.series, parallel.series):
         for key in s.columns:
             np.testing.assert_array_equal(s.columns[key], p.columns[key])
     assert serial.summary == parallel.summary
+    assert len(serial.summary["born_spot_checks"]) == 2
 
 
 def per_zeta_increments(cfg, gamma):
@@ -51,9 +59,43 @@ def test_fig56_quadratic_form_equals_per_zeta_runs(orientation, gamma):
     cfg["physics"]["orientation"] = orientation
     cfg["numerics"]["grid_points"] = 128
     cfg["sweep"]["zeta_points"] = 7
-    got_gamma, got = _fig56_point((cfg, gamma))
-    assert got_gamma == gamma
+    [got] = _fig56_block(cfg, [gamma])
     np.testing.assert_allclose(got, per_zeta_increments(cfg, gamma), rtol=0, atol=1e-14)
+
+
+def test_fig56_block_equals_one_gamma_blocks():
+    # the recoil-limited Gammas share a grid; their block of six basis starts,
+    # each to its own window end, gives each Gamma's one-Gamma increments
+    cfg = default_config("fig56_phase_size_sweep")
+    cfg["numerics"]["grid_points"] = 128
+    cfg["sweep"]["zeta_points"] = 5
+    gammas = [3.8, 1.2, 2.0]
+    assert fig56_grid_groups({**cfg, "sweep": {**cfg["sweep"], "gamma_values": gammas}}) \
+        == [gammas]
+    for gamma, row in zip(gammas, _fig56_block(cfg, gammas)):
+        np.testing.assert_allclose(row, _fig56_block(cfg, [gamma])[0], rtol=0, atol=1e-14)
+
+
+def test_fig56_one_assembly_and_one_block_per_grid(monkeypatch):
+    # the 9 default Gammas need 4 grids: every Gamma >= 0.9 is recoil-limited
+    cfg = default_config("fig56_phase_size_sweep")
+    assert fig56_grid_groups(cfg) == [[0.1], [0.3], [0.6], [0.9, 1.2, 1.5, 2.0, 2.8, 3.8]]
+    calls = {"assemble": 0, "evolve": []}
+    assemble, evolve = sd.assemble_hamiltonian, sd.evolve_vector
+
+    def counted_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    def counted_evolve(psi0, h, t):
+        calls["evolve"].append(psi0.shape[0])
+        return evolve(psi0, h, t)
+
+    monkeypatch.setattr(sd, "assemble_hamiltonian", counted_assemble)
+    monkeypatch.setattr(sd, "evolve_vector", counted_evolve)
+    summary = run_scenario(cfg).summary
+    assert calls == {"assemble": 4, "evolve": [2, 2, 2, 12]}
+    assert summary["fit_residual_over_peak"] <= 0.10
 
 
 def test_metadata_records_transit():
@@ -71,11 +113,8 @@ def test_profile_points_per_scale_reaches_born_spot_checks():
     # resolutions: the Born spot check moves, and stays within criterion 8
     spots = {}
     for pps in (50, 100):
-        cfg = default_config("modulated_resonance")
-        cfg["physics"]["impact_parameter_nm"] = 9.6
+        cfg = small_resonance_config([0.0])
         cfg["numerics"]["profile_points_per_scale"] = pps
-        cfg["sweep"].update({"harmonic": 1, "envelope_sigma_et_fs": 2.5, "scan_points": 11,
-                             "spot_check_detunings": [0.0]})
         spots[pps] = run_scenario(cfg).summary["born_spot_checks"][0]
     assert spots[50]["born_dp2"] != spots[100]["born_dp2"]
     for spot in spots.values():

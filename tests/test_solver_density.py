@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from feberi.solver_density import (
     AssemblyError,
     JointDensityMatrix,
     PropagationError,
+    _chebyshev_coefficients,
     _chebyshev_points,
+    _chebyshev_series,
     _kept_orders,
     _observables,
     _spectral_bounds,
@@ -288,6 +291,26 @@ def test_grid_runs_never_build_the_dense_matrix(coupling, tls, spec, monkeypatch
     assert summary["final_rel_difference"] <= 1e-3
 
 
+def test_evolve_vector_holds_one_copy_of_the_states():
+    # solver_crosscheck at N = 1024: its 369 sampled states are 11.5 MiB, and
+    # the whole propagation holds little more than that one copy
+    cfg = default_config("solver_crosscheck")
+    kin, tls, geo, coupling = physics_bundle(cfg)
+    sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
+    spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), kin, coupling, tls)
+    t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0)
+    psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
+    tracemalloc.start()
+    try:
+        states = evolve_vector(psi0, h, np.linspace(0.0, t_end - t_start, 369))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.nbytes == 369 * 2048 * 16
+    assert peak <= 20 * 2**20
+
+
 class TestChebyshev:
     """evolve_vector's Chebyshev expansion against the eigendecomposition."""
 
@@ -331,6 +354,80 @@ class TestChebyshev:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert len(orders) == 6 and max(orders) <= MAX_CHEBYSHEV_ORDER
         assert assembly._eig is None
+
+    def test_block_equals_one_row_calls(self, gauged, spec, tls, monkeypatch):
+        # four rows out of Kapteyn order, each with its own norm, its own
+        # unsorted times and its own order, share one recurrence and give
+        # each row its one-row result
+        _, h = gauged
+        starts = np.array([initial_joint_vector(h.grid, spec, TlsState.equatorial(phi), -1.0,
+                                                tls.energy_gap) for phi in (0.3, 1.1, 2.0, 2.9)])
+        starts[2] *= 0.5
+        t_end = np.array([200.0, 900.0, 40.0, 500.0]) * HBAR_EV_FS / _spectral_bounds(h)[1]
+        times = t_end[:, None] * np.random.default_rng(5).uniform(0.0, 1.0, (4, 7))
+        times[:, 3] = t_end
+        kept = []
+        series = solver_density._chebyshev_series
+        monkeypatch.setattr(solver_density, "_chebyshev_series",
+                            lambda *a: kept.append(list(a[-2])) or series(*a))
+        block = evolve_vector(starts, h, times)
+        assert block.shape == (4, 2 * h.n, 7)
+        assert kept[0] == sorted(kept[0], reverse=True) and len(set(kept[0])) == 4
+        for i in range(4):
+            np.testing.assert_allclose(block[i], evolve_vector(starts[i], h, times[i]),
+                                       rtol=0, atol=1e-13)
+        ends = evolve_vector(starts, h, t_end)
+        assert ends.shape == (4, 2 * h.n)
+        for i in range(4):
+            np.testing.assert_allclose(ends[i], evolve_vector(starts[i], h, t_end[i]),
+                                       rtol=0, atol=1e-13)
+        # the narrowest ring, three orders per block, gives the same states
+        monkeypatch.setattr(solver_density, "CHEBYSHEV_BLOCK", 4)
+        np.testing.assert_allclose(evolve_vector(starts, h, times), block, rtol=0, atol=1e-13)
+
+    def test_series_stops_each_row_at_its_own_order(self, assembly, spec, tls):
+        # coefficients past a row's own Kapteyn order never reach its columns
+        starts = np.array([initial_joint_vector(assembly.grid, spec, TlsState.equatorial(phi),
+                                                -1.0, tls.energy_gap) for phi in (0.7, 1.9)])
+        centre, half = _spectral_bounds(assembly)
+        r = np.array([300.0, 60.0])
+        points = _chebyshev_points(300.0)
+        kept = np.array([_kept_orders(x, points) for x in r])
+        table = _chebyshev_coefficients(r, points)
+        poisoned = table.copy()
+        poisoned[kept[1]:, 1] = 1.0
+        spans = [slice(0, 1), slice(1, 2)]
+        want = _chebyshev_series(assembly, starts, centre, half, spans, kept, table)
+        np.testing.assert_array_equal(
+            _chebyshev_series(assembly, starts, centre, half, spans, kept, poisoned), want)
+        assert kept[1] < kept[0] == table.shape[0]
+
+    def test_block_rows_with_different_leg_counts(self, gauged, spec, tls, monkeypatch):
+        # the longest row sets two legs of 0.75 MAX_CHEBYSHEV_ORDER; the row
+        # that ends inside the first leg stops there, the others go on
+        _, h = gauged
+        starts = np.array([initial_joint_vector(h.grid, spec, TlsState.equatorial(phi), -1.0,
+                                                tls.energy_gap) for phi in (0.7, 1.9, 2.6)])
+        r_end = np.array([0.3, 1.5, 0.9]) * MAX_CHEBYSHEV_ORDER
+        times = np.linspace(0.0, 1.0, 9) * (r_end * HBAR_EV_FS / _spectral_bounds(h)[1])[:, None]
+        rows = []
+        series = solver_density._chebyshev_series
+        monkeypatch.setattr(solver_density, "_chebyshev_series",
+                            lambda *a: rows.append(a[1].shape[0]) or series(*a))
+        got = evolve_vector(starts, h, times)
+        assert rows == [3, 2]
+        for i in range(3):
+            np.testing.assert_allclose(got[i], eigh_reference(starts[i], h, times[i]),
+                                       rtol=0, atol=1e-12)
+        assert h._eig is None
+
+    def test_times_must_fit_the_states(self, assembly, spec, tls):
+        psi = initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
+                                   tls.energy_gap)
+        for states, t in ((psi, np.ones((2, 3))), (np.stack([psi, psi]), np.ones(3)),
+                          (np.stack([psi, psi]), 1.0), (np.stack([psi, psi]), np.ones((2, 3, 1)))):
+            with pytest.raises(DomainError, match="do not fit"):
+                evolve_vector(states, assembly, t)
 
     @pytest.mark.parametrize("r_max", [40.0, 100.0, 300.0, 1500.0])
     def test_trim_drops_only_negligible_orders(self, r_max):
