@@ -14,17 +14,15 @@ J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
 coupling applied by FFT on the assembly's own kernel column, and a block of
 states under one Hamiltonian shares one recurrence; a window too long for
 MAX_CHEBYSHEV_ORDER orders runs as legs, each restarting from the state at
-the end of the last.  Mixed states (``evolve``) and electron trains
-(many windows under one Hamiltonian) go through one cached
-eigendecomposition of the dense ``h_total`` instead, rho(t) = U rho U^dagger
-with U = V exp(-i Lambda t/hbar) V^dagger.
+the end of the last.  An electron train is a linear map of the TLS density
+matrix, read off one two-row block (``sequential_multi_qew``).
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
 in the TLS gauge S = diag(1, phi) (x) IN, phi = 1 or i respectively, the
 matrix S^dagger H S is exactly real symmetric; the assembly stores only its
-diagonal and its coupling block's kernel column, the eigenvectors of
-``h_total`` are real, and the evolution applies S at its edges.
+diagonal and its coupling block's kernel column, and the evolution applies S
+at its edges.
 
 Two assembly modes for the momentum-space interaction kernel H_IP:
 
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft
@@ -109,7 +107,10 @@ class HamiltonianAssembly:
         return h
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (eigenvalues, real eigenvectors) of h_total."""
+        """Cached (eigenvalues, real eigenvectors) of h_total.
+
+        The dense reference for tests: no solver path calls it.
+        """
         if self._eig is None:
             w, v = np.linalg.eigh(self.h_total)
             self._eig = (w, v)
@@ -185,35 +186,7 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
                                aliasing_estimate=aliasing)
 
 
-def _real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for real a and complex x, as one real GEMM on a float view of x."""
-    x = np.ascontiguousarray(x, dtype=complex)
-    out = a @ x.view(np.float64).reshape(x.shape[0], -1)
-    return out.view(np.complex128).reshape((a.shape[0],) + x.shape[1:])
-
-
 # -- states -------------------------------------------------------------------------
-
-@dataclass
-class JointDensityMatrix:
-    """(2N, 2N) joint state over {|p_n>} x {|1>, |2>}, unit trace."""
-
-    rho: np.ndarray
-    grid: MomentumGrid
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def purity(self) -> float:
-        # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
-        return float(np.real(np.sum(self.rho * self.rho.conj())))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho)[0])
-
 
 def schrodinger_qew_vector(grid: MomentumGrid, spec, t_start: float) -> np.ndarray:
     """Unit-norm free-electron vector at absolute time t_start.
@@ -249,22 +222,6 @@ def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: flo
 
 
 # -- evolution ----------------------------------------------------------------------
-
-def _propagator(h: HamiltonianAssembly, t: float) -> np.ndarray:
-    """(2N, 2N) U = S V e^{-i Lambda t/hbar} V^T S^dagger from the cached eigensystem."""
-    w, v = h.eigensystem()
-    phases = np.exp(-1j * w * t / HBAR_EV_FS)
-    s = h.gauge_diagonal()
-    return s[:, None] * _real_matmul(v, phases[:, None] * v.T) * s.conj()
-
-
-def evolve(rho0: JointDensityMatrix, h: HamiltonianAssembly, t: float) -> JointDensityMatrix:
-    """Unitary evolution rho(t) = U rho0 U^dagger, U = V e^{-i Lambda t/hbar} V†."""
-    if t < 0.0:
-        raise DomainError("evolution time must be >= 0")
-    u = _propagator(h, t)
-    return JointDensityMatrix(rho=u @ rho0.rho @ u.conj().T, grid=rho0.grid)
-
 
 # Chebyshev points of one leg (order ~ spectral half-width x time), which
 # bound one leg's DCT and Bessel table per sampled time; a longer window is
@@ -473,26 +430,10 @@ def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
     return out[0] if psi0.ndim == 1 else out
 
 
-def partial_trace_bound(state, n: int | None = None) -> np.ndarray:
-    """2x2 TLS density matrix from a joint pure vector or density matrix."""
-    if state.ndim == 1:
-        psi = state.reshape(2, -1)
-        return psi @ psi.conj().T
-    rho = state
-    m = rho.shape[0] // 2 if n is None else n
-    r = rho.reshape(2, m, 2, m)
-    return np.einsum("injn->ij", r)
-
-
-def partial_trace_free(state, n: int | None = None) -> np.ndarray:
-    """N x N free-electron density matrix from a joint pure vector or matrix."""
-    if state.ndim == 1:
-        psi = state.reshape(2, -1)
-        return psi.T @ psi.conj()
-    rho = state
-    m = rho.shape[0] // 2 if n is None else n
-    r = rho.reshape(2, m, 2, m)
-    return np.einsum("injm->nm", r)
+def partial_trace_bound(psi: np.ndarray) -> np.ndarray:
+    """2x2 TLS density matrix of a joint pure vector."""
+    psi = psi.reshape(2, -1)
+    return psi @ psi.conj().T
 
 
 # -- trajectories and observables ------------------------------------------------------
@@ -584,6 +525,30 @@ def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:
 
 # -- sequential multi-electron interaction ----------------------------------------------
 
+def _shape(spec):
+    """The packet with its arrival time zeroed: what a train keeps fixed."""
+    if isinstance(spec, ModulatedQewSpec):
+        return replace(spec, base=spec.base.with_arrival(0.0))
+    return spec.with_arrival(0.0)
+
+
+def _checked_tls_state(rho_b0) -> np.ndarray:
+    """rho_b0 as a complex 2x2 array; DomainError unless it is a density matrix."""
+    rho = np.asarray(rho_b0, dtype=complex)
+    if rho.shape != (2, 2):
+        raise DomainError(f"rho_b0 must be 2x2, got shape {rho.shape}")
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
+        raise DomainError("rho_b0 must be Hermitian")
+    if not abs(np.trace(rho) - 1.0) <= 1e-9:
+        raise DomainError("rho_b0 must have unit trace")
+    # the smaller eigenvalue of a Hermitian 2x2, in closed form
+    a, d = rho.diagonal().real
+    low = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(rho[0, 1]))
+    if not low >= -1e-12:
+        raise DomainError(f"rho_b0 must be positive semidefinite (eigenvalue {low:.3g})")
+    return rho
+
+
 def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
                          tls: TlsSpec, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Pass a train of wavepackets one at a time, carrying the TLS state.
@@ -592,23 +557,27 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
     window the electron is traced out and the TLS density matrix evolves
     freely (phase rotation) to the next window.  Interaction windows must
     not overlap, since the product-state reset assumes the previous electron
-    is gone.
+    is gone, and the packets may differ in nothing but their arrival time.
+
+    Every window then maps the TLS state by one linear channel,
+    rho_b -> sum_ij rho_ij K_ij with K_ij = Tr_F |phi_i><phi_j| and phi_i the
+    basis start |i> (x) free after one window: one block propagation of the
+    two basis starts serves the whole train.
 
     Returns (P2 after each electron, final 2x2 rho_b).
     """
     qews = list(qews)
     if not qews:
         raise DomainError("empty electron train")
+    rho_b = _checked_tls_state(rho_b0)
+    shape = _shape(qews[0])
+    if any(_shape(q) != shape for q in qews[1:]):
+        raise DomainError("train packets must differ only in their arrival time")
     base0 = qews[0].base if isinstance(qews[0], ModulatedQewSpec) else qews[0]
     grid = grid_for_spec(qews[0], coupling, n)
     h = assemble_hamiltonian(grid, base0.kin, coupling, tls, mode="spectral")
     window_half = interaction_window(base0.sigma_et, coupling.geometry.transit_time, 0.0)[1]
 
-    rho_b = np.array(rho_b0, dtype=complex)
-    if abs(np.trace(rho_b) - 1.0) > 1e-9:
-        raise DomainError("rho_b0 must have unit trace")
-
-    # window overlap check
     arrivals = [(q.base.t0 if isinstance(q, ModulatedQewSpec) else q.t0) for q in qews]
     for t_prev, t_next in zip(arrivals, arrivals[1:]):
         if t_next - t_prev < 2.0 * window_half:
@@ -616,30 +585,20 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
                 f"interaction windows overlap: arrivals {t_prev} and {t_next} "
                 f"closer than {2 * window_half}")
 
-    w21 = tls.energy_gap / HBAR_EV_FS
-    # every electron spends the same window under the same Hamiltonian: one
-    # propagator, from one eigendecomposition, serves the whole train
-    u_window = _propagator(h, 2.0 * window_half)
-    p2_seq = []
     t_clock = arrivals[0] - window_half
-    for spec, t0k in zip(qews, arrivals):
+    free = schrodinger_qew_vector(grid, qews[0], t_clock)
+    phi = evolve_vector(np.kron(np.eye(2), free), h, np.full(2, 2.0 * window_half))
+    phi = phi.reshape(2, 2, grid.n)
+    channel = np.einsum("ian,jbn->ijab", phi, phi.conj())
+    w21 = tls.energy_gap / HBAR_EV_FS
+    p2_seq = []
+    for t0k in arrivals:
         t_start = t0k - window_half
         # free TLS rotation over the gap since the previous window end
-        gap = t_start - t_clock
-        rho_b = rho_b.copy()
-        rho_b[0, 1] *= np.exp(1j * w21 * gap)
-        rho_b[1, 0] = np.conj(rho_b[0, 1])
-        free = schrodinger_qew_vector(grid, spec, t_start)
-        # rank decomposition of rho_b; evolve each pure branch
-        evals, evecs = np.linalg.eigh(rho_b)
-        new_rho = np.zeros((2, 2), dtype=complex)
-        for lam, u in zip(evals, evecs.T):
-            if lam < 1e-14:
-                continue
-            new_rho += lam * partial_trace_bound(u_window @ np.kron(u, free))
-        rho_b = new_rho
+        u = np.array([1.0, np.exp(-1j * w21 * (t_start - t_clock))])
+        rho_b = np.einsum("ij,ijab->ab", rho_b * np.outer(u, u.conj()), channel)
         t_clock = t_start + 2.0 * window_half
-        p2_seq.append(float(np.real(rho_b[1, 1])))
+        p2_seq.append(float(rho_b[1, 1].real))
     return np.asarray(p2_seq), rho_b
 
 

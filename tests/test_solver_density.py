@@ -9,12 +9,11 @@ from feberi import solver_density
 from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_spatial
-from feberi.qew import GaussianQewSpec
-from feberi.scenarios import physics_bundle, run_scenario, run_solver_crosscheck
+from feberi.qew import GaussianQewSpec, ModulatedQewSpec
+from feberi.scenarios import SCENARIOS, physics_bundle, run_scenario, run_solver_crosscheck
 from feberi.solver_density import (
     MAX_CHEBYSHEV_ORDER,
     AssemblyError,
-    JointDensityMatrix,
     PropagationError,
     _chebyshev_coefficients,
     _chebyshev_points,
@@ -24,11 +23,9 @@ from feberi.solver_density import (
     _spectral_bounds,
     assemble_hamiltonian,
     energy_accounting,
-    evolve,
     evolve_vector,
     initial_joint_vector,
     partial_trace_bound,
-    partial_trace_free,
     read_rho_b_bin,
     run_qew_interaction,
     schrodinger_qew_vector,
@@ -243,7 +240,7 @@ class TestRealGauge:
         np.testing.assert_allclose(np.linalg.norm(states, axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_matches_complex_propagator(self, gauged, spec, tls):
-        # both gauged real paths equal exp(-i H t/hbar) of the physical matrix
+        # the gauged real path equals exp(-i H t/hbar) of the physical matrix
         _, h = gauged
         psi = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
                                    tls.energy_gap)
@@ -251,9 +248,6 @@ class TestRealGauge:
         t = 1.3
         want = v @ (np.exp(-1j * w * t / HBAR_EV_FS) * (v.conj().T @ psi))
         np.testing.assert_allclose(evolve_vector(psi, h, t), want, rtol=0, atol=1e-10)
-        rho = JointDensityMatrix(rho=np.outer(psi, psi.conj()), grid=h.grid)
-        np.testing.assert_allclose(evolve(rho, h, t).rho, np.outer(want, want.conj()),
-                                   rtol=0, atol=1e-10)
 
     def test_kernel_off_the_gauge_rejected(self, kin, tls, geometry, spec):
         # an odd kernel with an even admixture is neither real nor imaginary
@@ -505,40 +499,37 @@ class TestEvolution:
     def test_t_zero_identity(self, assembly, spec, tls):
         psi = initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
                                    tls.energy_gap)
-        rho = JointDensityMatrix(rho=np.outer(psi, psi.conj()), grid=assembly.grid)
-        out = evolve(rho, assembly, 0.0)
-        np.testing.assert_allclose(out.rho, rho.rho, atol=1e-14)
+        np.testing.assert_allclose(evolve_vector(psi, assembly, 0.0), psi, atol=1e-14)
 
     def test_trace_purity_hermiticity_preserved(self, assembly, spec, tls):
-        # mixed state: trace, purity and hermiticity preserved to 1e-9
-        psi_a = initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
-                                     tls.energy_gap)
-        psi_b = initial_joint_vector(assembly.grid, spec, TlsState.equatorial(0.3),
-                                     -1.0, tls.energy_gap)
-        rho0 = 0.7 * np.outer(psi_a, psi_a.conj()) + 0.3 * np.outer(psi_b, psi_b.conj())
-        jdm = JointDensityMatrix(rho=rho0, grid=assembly.grid)
-        purity0 = jdm.purity()
-        out = evolve(jdm, assembly, 1.7)
-        assert out.trace() == pytest.approx(1.0, abs=1e-9)
-        assert out.purity() == pytest.approx(purity0, abs=1e-9)
-        assert out.hermiticity_error() < 1e-9
-        assert out.min_eigenvalue() > -1e-8
+        # mixed state 0.7/0.3 of two pure states, propagated as a 2-row block:
+        # trace, purity and hermiticity preserved to 1e-9.  The weighted Gram
+        # matrix sqrt(p_k p_l) <phi_k|phi_l> has the trace, the purity and the
+        # nonzero spectrum of rho = sum_k p_k |phi_k><phi_k|.
+        starts = np.stack([
+            initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
+                                 tls.energy_gap),
+            initial_joint_vector(assembly.grid, spec, TlsState.equatorial(0.3), -1.0,
+                                 tls.energy_gap)])
+        weights = np.sqrt([0.7, 0.3])[:, None]
 
-    def test_vector_path_matches_matrix_path(self, assembly, spec, tls):
-        psi = initial_joint_vector(assembly.grid, spec, TlsState.equatorial(1.0),
-                                   -1.0, tls.energy_gap)
-        t = 0.9
-        psi_t = evolve_vector(psi, assembly, t)
-        rho_t = evolve(JointDensityMatrix(rho=np.outer(psi, psi.conj()),
-                                          grid=assembly.grid), assembly, t)
-        np.testing.assert_allclose(np.outer(psi_t, psi_t.conj()), rho_t.rho,
-                                   atol=1e-12)
+        def gram(states):
+            return (weights * states).conj() @ (weights * states).T
 
-    def test_negative_time_rejected(self, assembly):
-        rho = JointDensityMatrix(rho=np.eye(2 * assembly.n) / (2 * assembly.n),
-                                 grid=assembly.grid)
+        g0 = gram(starts)
+        g = gram(evolve_vector(starts, assembly, np.full(2, 1.7)))
+        assert np.trace(g).real == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(np.abs(g) ** 2) == pytest.approx(np.sum(np.abs(g0) ** 2), abs=1e-9)
+        assert np.max(np.abs(g - g.conj().T)) < 1e-9
+        assert np.linalg.eigvalsh(g)[0] > -1e-8
+
+    def test_negative_time_rejected(self, assembly, spec, tls):
+        psi = initial_joint_vector(assembly.grid, spec, TlsState.ground(), -1.0,
+                                   tls.energy_gap)
         with pytest.raises(DomainError):
-            evolve(rho, assembly, -1.0)
+            evolve_vector(psi, assembly, -1.0)
+        with pytest.raises(DomainError):
+            evolve_vector(np.stack([psi, psi]), assembly, np.array([0.5, -1.0]))
 
 
 class TestPartialTraces:
@@ -549,8 +540,6 @@ class TestPartialTraces:
         rho_b = partial_trace_bound(psi)
         np.testing.assert_allclose(rho_b, np.outer(tls_vec, tls_vec.conj()),
                                    atol=1e-12)
-        rho_f = partial_trace_free(psi)
-        np.testing.assert_allclose(rho_f, np.outer(free, free.conj()), atol=1e-12)
 
     def test_occupations_sum_to_one(self, coupling, tls, spec):
         traj = run_qew_interaction(spec, TlsState.equatorial(0.2), coupling, tls,
@@ -564,13 +553,6 @@ class TestPartialTraces:
         evals = evals[evals > 1e-300]
         entropy = float(-np.sum(evals * np.log(evals)))
         assert entropy > 1e-7
-
-    def test_matrix_input(self, assembly, spec, tls):
-        psi = initial_joint_vector(assembly.grid, spec, TlsState.equatorial(0.5),
-                                   -1.0, tls.energy_gap)
-        rho = np.outer(psi, psi.conj())
-        np.testing.assert_allclose(partial_trace_bound(rho),
-                                   partial_trace_bound(psi), atol=1e-13)
 
 
 class TestScenario:
@@ -616,6 +598,40 @@ class TestScenario:
         # transient imbalance far above the ground-start one; settles after
         assert resid.max() > 50.0 * resid_g.max()
         assert resid[-1] <= 1e-3 * tls.energy_gap
+
+
+def eigh_train(rho_b0, qews, coupling, tls, n):
+    """The train through one dense window propagator, from an eigh of
+    h_total: each electron's TLS state is split into its eigenbranches, and
+    each branch is propagated as a pure state with that electron's packet."""
+    base = qews[0]
+    grid = grid_for_spec(base, coupling, n)
+    h = assemble_hamiltonian(grid, base.kin, coupling, tls)
+    window_half = interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0)[1]
+    w, v = np.linalg.eigh(h.h_total)
+    s = h.gauge_diagonal()
+    phases = np.exp(-1j * w * 2.0 * window_half / HBAR_EV_FS)
+    u_window = s[:, None] * (v @ (phases[:, None] * v.T)) * s.conj()
+    w21 = tls.energy_gap / HBAR_EV_FS
+    rho_b = np.array(rho_b0, dtype=complex)
+    p2_seq = []
+    t_clock = base.t0 - window_half
+    for spec in qews:
+        t_start = spec.t0 - window_half
+        rho_b[0, 1] *= np.exp(1j * w21 * (t_start - t_clock))
+        rho_b[1, 0] = np.conj(rho_b[0, 1])
+        free = schrodinger_qew_vector(grid, spec, t_start)
+        evals, evecs = np.linalg.eigh(rho_b)
+        rho_b = sum(lam * partial_trace_bound(u_window @ np.kron(u, free))
+                    for lam, u in zip(evals, evecs.T) if lam >= 1e-14)
+        t_clock = t_start + 2.0 * window_half
+        p2_seq.append(rho_b[1, 1].real)
+    return np.array(p2_seq), rho_b
+
+
+def _pure(state):
+    c = np.array([state.c1, state.c2])
+    return np.outer(c, c.conj())
 
 
 class TestSequentialTrain:
@@ -665,6 +681,69 @@ class TestSequentialTrain:
                 GaussianQewSpec.from_duration(kin, 0.1, t0=0.3)]
         with pytest.raises(DomainError):
             sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls, n=64)
+
+    @pytest.mark.parametrize("kind", ["correlated", "random"])
+    @pytest.mark.parametrize("rho_b0", [
+        _pure(TlsState.equatorial(0.7)),
+        np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
+    ], ids=["pure", "mixed"])
+    def test_channel_matches_eigh_train(self, coupling, tls, kin, kind, rho_b0):
+        omega_b = tls.omega_21 / 2.0
+        sched = arrival_schedule(kind, 20, omega_b, mean_spacing=3 * TWO_PI / omega_b,
+                                 seed=7)
+        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in sched.times]
+        p2_seq, rho_b = sequential_multi_qew(rho_b0, qews, coupling, tls, n=128)
+        p2_want, rho_want = eigh_train(rho_b0, qews, coupling, tls, n=128)
+        np.testing.assert_allclose(p2_seq, p2_want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rho_b, rho_want, rtol=0, atol=1e-12)
+
+    def test_mixed_packet_shapes_rejected(self, coupling, tls, kin):
+        # one grid and one window, sized from the first packet, would not
+        # fit the second: the train rejects it rather than answer wrongly
+        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0),
+                GaussianQewSpec.from_duration(kin, 1.0, t0=100.0)]
+        with pytest.raises(DomainError, match="arrival time"):
+            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls, n=64)
+        base = GaussianQewSpec.from_duration(kin, 10.0)
+        mods = [ModulatedQewSpec(base=base, g=1.0, omega_b=tls.omega_21 / 2.0),
+                ModulatedQewSpec(base=base.with_arrival(300.0), g=1.0,
+                                 omega_b=tls.omega_21 / 2.0, phi_b=0.5)]
+        with pytest.raises(DomainError, match="arrival time"):
+            sequential_multi_qew(np.diag([1.0, 0.0]), mods, coupling, tls, n=64)
+
+    def test_modulated_packets_differing_in_arrival_accepted(self, coupling, tls, kin):
+        # a g = 0 modulated train is its base packets' train
+        bases = [GaussianQewSpec.from_duration(kin, 5.0, t0=t) for t in (0.0, 100.0)]
+        mods = [ModulatedQewSpec(base=b, g=0.0, omega_b=tls.omega_21 / 2.0) for b in bases]
+        rho_b0 = _pure(TlsState.equatorial(0.7))
+        p2_mod, _ = sequential_multi_qew(rho_b0, mods, coupling, tls, n=512)
+        p2_base, _ = sequential_multi_qew(rho_b0, bases, coupling, tls, n=512)
+        np.testing.assert_allclose(p2_mod, p2_base, rtol=1e-12)
+
+    @pytest.mark.parametrize("rho_b0, reason", [
+        (np.eye(3) / 3.0, "2x2"),
+        (np.array([[1.0, 0.9], [0.0, 0.0]]), "Hermitian"),
+        (np.diag([1.5, -0.5]), "positive semidefinite"),
+    ], ids=["not-2x2", "not-hermitian", "not-psd"])
+    def test_invalid_rho_b0_rejected(self, coupling, tls, kin, rho_b0, reason):
+        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0)]
+        with pytest.raises(DomainError, match=f"rho_b0 must be {reason}"):
+            sequential_multi_qew(rho_b0, qews, coupling, tls, n=64)
+
+
+def test_no_scenario_or_train_calls_eigh(coupling, tls, kin, assembly, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(AssertionError):     # the patch reaches the dense reference
+        assembly.eigensystem()
+    for name in SCENARIOS:
+        run_scenario(default_config(name))
+    qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in (0.0, 20.0, 45.0)]
+    p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls, n=64)
+    assert np.all(p2_seq > 0.0)
 
 
 def test_rho_b_bin_round_trip(tmp_path):
