@@ -21,15 +21,28 @@ profile_time_grid (window factors and points per scale as arguments) and
 raise ResolutionError when its step exceeds min(t_r, sigma_et)/20.
 
 The drive is prescribed, so the equations are linear and each fixed-step
-RK4 step is a 2x2 matrix.  The step matrices of a segment are built in one
-vectorized pass and multiplied by a pairwise tree reduction (an associative
-ordered product); segments end at the recorded time points and are at most
-SEGMENT_STEPS long, which bounds the temporaries.
+RK4 step is a 2x2 matrix.  With A = [[0, -conj(w)], [w, 0]] every step
+matrix has the form [[alpha, -conj(beta)], [beta, conj(alpha)]], and so has
+every product of them (the SU(2) form, here without the unit determinant),
+so a step or a product is stored as the pair (alpha, beta).  With a, b, c the
+drive w at t, t + dt/2 and t + dt and k = b - (dt^2/4)|b|^2 a,
+
+    alpha = 1 - (dt^2/6)(conj(b) a + |b|^2 + conj(c) k),
+    beta = (dt/6)(a + 2b + 2k + c (1 - dt^2 |b|^2/2)),
+
+and a product (later 1, earlier 2) is alpha = alpha1 alpha2 - conj(beta1) beta2,
+beta = beta1 alpha2 + conj(alpha1) beta2.  The steps between recorded time
+points form a segment; chunks of whole segments, at most SEGMENT_STEPS steps
+each, are laid out as (segments, steps) arrays and reduced by one pairwise
+tree (an associative ordered product), and the segment products are then
+applied in order.  A segment longer than SEGMENT_STEPS is split into equal
+pieces, and short rows are padded with identity steps.
 
 Electron trains run through one engine, simulate_train_ensemble (a single
-train is an ensemble of one).  The window propagator is computed once:
-shifting the arrival time by t_K only conjugates it by diag(1, e^{i w21 t_K}),
-which makes N^2-coherent buildup on the resonant arrival comb exact.
+train is an ensemble of one), on the window that train_window builds once
+per run: shifting the arrival time by t_K only conjugates the window
+propagator by diag(1, e^{i w21 t_K}), which makes N^2-coherent buildup on the
+resonant arrival comb exact.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -51,7 +65,7 @@ class StepSizeError(RuntimeError):
     """Integrator step too coarse: norm drifted beyond tolerance."""
 
 
-# RK4 steps multiplied per segment: bounds the (2, 2, steps) temporaries
+# RK4 steps reduced at once: bounds the (segments, steps) temporaries
 SEGMENT_STEPS = 4096
 
 
@@ -209,36 +223,32 @@ class TlsTrajectory:
         return np.abs(self.c2) ** 2
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a[..., j] @ b[..., j] of 2x2 matrices stacked along the last axis."""
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
-
-
-def _step_matrices(w2: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step matrices, shape (2, 2, n), of dv/dt = A(t) v over n steps.
+def _step_pairs(w2: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 step matrices of dv/dt = A(t) v over n steps, as pairs (alpha, beta).
 
     A = [[0, -conj(w)], [w, 0]] with w = ``w2`` sampled at every half-step
-    (2n + 1 values).  For a linear system the RK4 step is exactly the matrix
-    P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t), K2 = A(t + dt/2)(I + dt/2 K1),
-    K3 = A(t + dt/2)(I + dt/2 K2), K4 = A(t + dt)(I + dt K3).
+    (2n + 1 values); step j is [[alpha_j, -conj(beta_j)], [beta_j, conj(alpha_j)]]
+    (module docstring).
     """
-    a = np.zeros((2, 2, len(w2)), dtype=complex)
-    a[0, 1] = -np.conj(w2)
-    a[1, 0] = w2
-    a0, ah, a1 = a[..., :-1:2], a[..., 1::2], a[..., 2::2]
-    eye = np.eye(2)[:, :, None]
-    k2 = _mul(ah, eye + 0.5 * dt * a0)
-    k3 = _mul(ah, eye + 0.5 * dt * k2)
-    k4 = _mul(a1, eye + dt * k3)
-    return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    a, b, c = w2[:-1:2], w2[1::2], w2[2::2]
+    bb = b.real**2 + b.imag**2
+    k = b - (0.25 * dt * dt) * bb * a
+    alpha = 1.0 - (dt * dt / 6.0) * (b.conj() * a + bb + c.conj() * k)
+    beta = (dt / 6.0) * (a + 2.0 * b + 2.0 * k + c * (1.0 - 0.5 * dt * dt * bb))
+    return alpha, beta
 
 
-def _ordered_product(m: np.ndarray) -> np.ndarray:
-    """m[..., -1] @ ... @ m[..., 1] @ m[..., 0] by pairwise tree reduction."""
-    while m.shape[-1] > 1:
-        paired = _mul(m[..., 1::2], m[..., :-1:2])
-        m = np.concatenate([paired, m[..., -1:]], axis=-1) if m.shape[-1] % 2 else paired
-    return m[..., 0]
+def _ordered_pairs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair of the ordered product (last step leftmost) along the last axis,
+    by pairwise tree reduction."""
+    while alpha.shape[-1] > 1:
+        a1, b1, a2, b2 = alpha[..., 1::2], beta[..., 1::2], alpha[..., :-1:2], beta[..., :-1:2]
+        a, b = a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
+        if alpha.shape[-1] % 2:
+            a = np.concatenate([a, alpha[..., -1:]], axis=-1)
+            b = np.concatenate([b, beta[..., -1:]], axis=-1)
+        alpha, beta = a, b
+    return alpha[..., 0], beta[..., 0]
 
 
 def _rk4_columns(profile: InteractionProfile, omega_21: float,
@@ -247,10 +257,12 @@ def _rk4_columns(profile: InteractionProfile, omega_21: float,
 
     ``cols`` has shape (2, k): k independent amplitude pairs evolved jointly
     (k = 1 for a state, k = 2 for the window propagator).  The RK4 step is
-    two profile samples, with midpoints on the odd samples.  The steps
-    between record points are multiplied into one matrix, at most
-    SEGMENT_STEPS steps at a time.  Returns (record_indices, trajectory
-    array (records, 2, k), final (2, k)).
+    two profile samples, with midpoints on the odd samples.  Records fall
+    every n_steps // n_records steps and at the end (only at the end for
+    n_records = 0).  Each segment between records is ``pieces`` rows of
+    ``width`` <= SEGMENT_STEPS steps, the last ones padded with identity
+    steps; chunks of at most SEGMENT_STEPS row slots are reduced at once.
+    Returns (record_indices, trajectory array (records, 2, k), final (2, k)).
     """
     f = profile.values
     t = profile.times
@@ -259,18 +271,34 @@ def _rk4_columns(profile: InteractionProfile, omega_21: float,
         t = t[:-1]
     n_steps = (len(f) - 1) // 2
     dt = 2.0 * profile.step
-    # drive coefficients at every half-step: w2 drives C2, -conj(w2) drives C1
-    w2 = f * np.exp(1j * omega_21 * t) / (1j * HBAR_EV_FS)
-    rec_every = max(1, n_steps // n_records) if n_records else n_steps + 1
-    rec_steps = np.unique(np.r_[0, np.arange(rec_every, n_steps + 1, rec_every), n_steps])
-    recorded = set(rec_steps.tolist())
-    bounds = np.union1d(rec_steps, np.arange(0, n_steps, SEGMENT_STEPS))
+    seg = max(1, n_steps // n_records if n_records else n_steps)   # steps per segment
+    pieces = -(-seg // SEGMENT_STEPS)         # rows per segment
+    width = -(-seg // pieces)                 # steps per row
+    n_rows = -(-n_steps // seg) * pieces
+    chunk = SEGMENT_STEPS // width            # rows reduced at once
     v = cols.astype(complex)
     rec = [v]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        v = _ordered_product(_step_matrices(w2[2 * lo:2 * hi + 1], dt)) @ v
-        if hi in recorded:
-            rec.append(v)
+    for r0 in range(0, n_rows, chunk):
+        r = np.arange(r0, min(r0 + chunk, n_rows))[:, None]
+        offset = (r % pieces) * width + np.arange(width)
+        step = (r // pieces) * seg + offset
+        valid = (offset < seg) & (step < n_steps)
+        alpha = np.ones(step.shape, dtype=complex)
+        beta = np.zeros(step.shape, dtype=complex)
+        if valid.any():       # the valid steps, row by row, are s0..s1-1
+            s0, s1 = 2 * int(step[valid][0]), 2 * int(step[valid][-1]) + 3
+            # drive coefficients at every half-step: w2 drives C2, -conj(w2) drives C1
+            w2 = f[s0:s1] * np.exp(1j * omega_21 * t[s0:s1]) / (1j * HBAR_EV_FS)
+            alpha[valid], beta[valid] = _step_pairs(w2, dt)
+        alpha, beta = _ordered_pairs(alpha, beta)
+        rows = np.empty((len(alpha), 2, 2), dtype=complex)
+        rows[:, 0, 0], rows[:, 0, 1] = alpha, -beta.conj()
+        rows[:, 1, 0], rows[:, 1, 1] = beta, alpha.conj()
+        for i, m in enumerate(rows, start=r0 + 1):
+            v = m @ v
+            if i % pieces == 0:
+                rec.append(v)
+    rec_steps = np.minimum(seg * np.arange(len(rec)), n_steps)
     return 2 * rec_steps, np.asarray(rec), v
 
 
@@ -357,11 +385,28 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
 
 # -- electron trains -------------------------------------------------------------------
 
-def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCoupling,
-                            sigma_et_point: float, omega_21: float,
-                            transit_factor: float = 10.0,
-                            sigma_factor: float = 6.0,
-                            points_per_scale: int = 100) -> np.ndarray:
+class TrainWindow(NamedTuple):
+    """One interaction window of a train's packets: the 2x2 propagator of a
+    packet arriving at t = 0, the window's length in fs, and the TLS
+    frequency the propagator was built for."""
+
+    propagator: np.ndarray
+    length: float
+    omega_21: float
+
+
+def train_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: float,
+                 transit_factor: float = 10.0, sigma_factor: float = 6.0,
+                 points_per_scale: int = 100) -> TrainWindow:
+    """The window of a near-point packet arriving at t = 0, built once per train
+    set: one interaction profile and one window propagator."""
+    profile = interaction_profile(coupling, sigma_et_point, 0.0, omega_21,
+                                  transit_factor, sigma_factor, points_per_scale)
+    return TrainWindow(window_propagator(profile, omega_21), 2.0 * float(profile.times[-1]),
+                       omega_21)
+
+
+def simulate_train_ensemble(state0: TlsState, schedules, window: TrainWindow) -> np.ndarray:
     """P2 after each electron of trains of near-point packets, evolved jointly.
 
     ``schedules`` holds arrival schedules of equal length; returns shape
@@ -373,20 +418,17 @@ def simulate_train_ensemble(state0: TlsState, schedules, coupling: DipoleCouplin
     (the sequential model assumes they do not).
     """
     times = np.stack([s.times for s in schedules])      # (S, N)
-    profile = interaction_profile(coupling, sigma_et_point, 0.0, omega_21,
-                                  transit_factor, sigma_factor, points_per_scale)
-    u0 = window_propagator(profile, omega_21)
-    window = 2.0 * float(profile.times[-1])
+    u0 = window.propagator
     gaps = np.diff(times, axis=1)
-    if np.any(gaps < window):
+    if np.any(gaps < window.length):
         warnings.warn(
             f"interaction windows overlap (min gap {gaps.min():.3g} fs < "
-            f"{window:.3g} fs); sequential model is approximate here",
+            f"{window.length:.3g} fs); sequential model is approximate here",
             RuntimeWarning)
     s = np.tile(np.array([[state0.c1], [state0.c2]], dtype=complex), (1, len(times)))
     p2 = np.empty(times.T.shape)                         # (N, S)
     for k, t_k in enumerate(times.T):
-        ph = np.exp(1j * omega_21 * t_k)
+        ph = np.exp(1j * window.omega_21 * t_k)
         s1 = u0[0, 0] * s[0] + u0[0, 1] * (np.conj(ph) * s[1])
         s2 = u0[1, 0] * s[0] + u0[1, 1] * (np.conj(ph) * s[1])
         s = np.stack([s1, ph * s2])

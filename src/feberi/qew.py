@@ -11,6 +11,14 @@ after a drift time the sideband phases align into a train of sharp density
 bunches spaced by one optical period.  The bunching harmonics f_m of that
 train are extracted numerically here by discrete Fourier analysis of the
 density with the slow envelope divided out (no closed form is used).
+
+One-period harmonic sums run as FFTs.  The extraction samples one period at
+s_j = (j/N - 1/2) T_b, so omega_b s_j = 2 pi j/N - pi and
+
+    f_m = e^{-i m omega_b t0} (-1)^m FFT(fmod)[m mod N] / N;
+
+the reconstruction on the same samples, and on the samples j T_b/N of
+tooth_sigma_et, is one inverse FFT of the zero-padded coefficients.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.special import jv
 
 from feberi.core import (
@@ -337,6 +346,16 @@ class ModulationSpectrum:
         return vals if vals.ndim else float(vals)
 
 
+def _period_samples(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Re sum_m c_m e^{2 pi i m j/n} for j = 0..n-1, with c_m = coeffs[m + M],
+    |m| <= M: one inverse FFT of the zero-padded (and, for 2M + 1 > n,
+    folded) coefficients."""
+    order = (len(coeffs) - 1) // 2
+    padded = np.zeros(n, dtype=complex)
+    np.add.at(padded, np.arange(-order, order + 1) % n, coeffs)
+    return fft.ifft(padded, norm="forward").real
+
+
 def modulation_fourier_coefficients(spec: ModulatedQewSpec, order: int) -> ModulationSpectrum:
     """Extract f_m for |m| <= order from the density at the interaction point.
 
@@ -357,15 +376,16 @@ def modulation_fourier_coefficients(spec: ModulatedQewSpec, order: int) -> Modul
     envelope = np.exp(-(s**2) / (2.0 * base.sigma_et**2))
     fmod = dens / envelope
     m = np.arange(-order, order + 1)
-    # f_m = <f(t) e^{-i m omega_b t}> over one period; t = t0 + s
-    phases = np.exp(-1j * np.outer(m, spec.omega_b * (base.t0 + s)))
-    coeffs = phases @ fmod / n_samp
-    f0 = coeffs[order].real
+    # f_m = <f(t) e^{-i m omega_b t}> over one period, t = t0 + s_j; the
+    # centered harmonics f_m e^{i m omega_b t0} = (-1)^m FFT(fmod)[m mod N]/N
+    centered = fft.fft(fmod, norm="forward")[m % n_samp] * (-1.0) ** m
+    f0 = centered[order].real
     if f0 <= 0.0:
         raise ResolutionError("non-positive mean modulation density")
-    coeffs = coeffs / f0
-    spectrum = ModulationSpectrum(f_m=coeffs, omega_b=spec.omega_b)
-    recon = spectrum.reconstruct(base.t0 + s)
+    centered /= f0
+    spectrum = ModulationSpectrum(f_m=centered * np.exp(-1j * m * spec.omega_b * base.t0),
+                                  omega_b=spec.omega_b)
+    recon = _period_samples(centered, n_samp)      # the reconstruction at t0 + s_j
     if np.min(recon) < -1e-6 * np.max(recon):
         raise ResolutionError(
             f"reconstructed modulation density dips to {np.min(recon):.3g}; "
@@ -374,22 +394,20 @@ def modulation_fourier_coefficients(spec: ModulatedQewSpec, order: int) -> Modul
 
 
 def tooth_sigma_et(spectrum: ModulationSpectrum, samples: int = 8192) -> float:
-    """Effective Gaussian duration (FWHM/2.355) of one density bunch, in fs."""
+    """Effective Gaussian duration (FWHM/2.355) of one density bunch, in fs.
+
+    Raises ResolutionError if the density never falls below half its peak:
+    such a comb has no half-maximum, hence no bunch width.
+    """
     t_b = TWO_PI / spectrum.omega_b
-    t = np.arange(samples) / samples * t_b
-    f = spectrum.reconstruct(t)
+    f = _period_samples(spectrum.f_m, samples)     # at t_j = j T_b / samples
     peak = int(np.argmax(f))
-    half = 0.5 * f[peak]
-    # walk out from the peak on the periodic grid
-    above = f >= half
-    width_samples = 0
-    i = peak
-    while above[i % samples] and width_samples < samples:
-        width_samples += 1
-        i += 1
-    i = peak - 1
-    while above[i % samples] and width_samples < samples:
-        width_samples += 1
-        i -= 1
+    above = np.roll(f >= 0.5 * f[peak], -peak)     # above[0] is the peak
+    if above.all():
+        raise ResolutionError(
+            f"no half-maximum: the bunched density never falls below "
+            f"{np.min(f) / f[peak]:.3g} of its peak, so the comb has no bunch width")
+    # the run of samples at or above half maximum around the peak, periodically
+    width_samples = int(np.argmin(above)) + int(np.argmin(above[::-1]))
     fwhm = width_samples * t_b / samples
     return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))

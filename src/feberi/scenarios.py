@@ -34,6 +34,7 @@ from feberi.qew import (
     GaussianQewSpec,
     ModulatedQewSpec,
     ModulationSpectrum,
+    ResolutionError,
     gamma_parameter,
     grid_for_spec,
     modulation_fourier_coefficients,
@@ -346,12 +347,12 @@ def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
 # -- scenario: modulated-packet resonance ------------------------------------------------
 
 def _resonance_spot(args: tuple) -> dict:
-    """Worker: one Born-dynamics check of the resonance curve at a detuning."""
-    cfg, detune_over_sigma = args
+    """Worker: one Born-dynamics check of the resonance curve at a detuning,
+    on the run's bunched spectrum."""
+    cfg, spectrum, detune_over_sigma = args
     kin, tls0, geo, _ = physics_bundle(cfg)
     sigma_env = cfg["sweep"]["envelope_sigma_et_fs"]
     harmonic = cfg["sweep"]["harmonic"]
-    spectrum = bunched_spectrum(cfg, kin, tls0)
     w21 = harmonic * spectrum.omega_b + detune_over_sigma / sigma_env
     tls = replace(tls0, energy_gap=w21 * HBAR_EV_FS)
     coupling = DipoleCoupling(tls, geo, kin)
@@ -413,7 +414,7 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
 
     spots = []
     if sw["born_check"]:
-        args = [(cfg, d) for d in sw["spot_check_detunings"]]
+        args = [(cfg, spectrum, d) for d in sw["spot_check_detunings"]]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as ex:
                 spots = list(ex.map(_resonance_spot, args))
@@ -480,13 +481,17 @@ def run_fig9_buildup(cfg: dict) -> ScenarioResult:
 
     sigma_pt = sw["sigma_et_point_fs"]
     if sigma_pt <= 0.0:   # default: the bunch width of the modulated packet
-        sigma_pt = tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
+        try:
+            sigma_pt = tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
+        except ResolutionError as exc:
+            raise ResolutionError(f"{exc}; sigma_et_point_fs = 0 asks for that width: "
+                                  "set sigma_et_point_fs > 0 or raise modulation_g") from exc
+    window = bd.train_window(coupling, sigma_pt, tls.omega_21, **profile_grid_args(cfg))
 
     n_corr = sw["correlated_electrons"]
     sched_c = bd.arrival_schedule("correlated", n_corr, omega_b,
                                   mean_spacing=mean_spacing, seed=seed)
-    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), [sched_c], coupling, sigma_pt,
-                                         tls.omega_21, **profile_grid_args(cfg))[0]
+    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), [sched_c], window)[0]
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)
 
@@ -495,8 +500,7 @@ def run_fig9_buildup(cfg: dict) -> ScenarioResult:
     schedules = [bd.arrival_schedule("random", n_rand, omega_b,
                                      mean_spacing=mean_spacing, seed=s)
                  for s in seeds]
-    ens = bd.simulate_train_ensemble(TlsState.ground(), schedules, coupling,
-                                     sigma_pt, tls.omega_21, **profile_grid_args(cfg))
+    ens = bd.simulate_train_ensemble(TlsState.ground(), schedules, window)
     p2_rand = ens.mean(axis=0)
     n_axis_r = np.arange(1, n_rand + 1)
     b_lin, r2_lin = bd.linear_fit(n_axis_r, p2_rand)

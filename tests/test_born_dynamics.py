@@ -22,9 +22,12 @@ from feberi.born_dynamics import (
     quadratic_fit,
     r_squared,
     simulate_train_ensemble,
+    train_window,
     _rk4_columns,
+    _step_pairs,
     window_propagator,
 )
+from feberi import born_dynamics
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.grid import interaction_window
@@ -204,6 +207,24 @@ def reference_rk4_columns(profile, omega_21, cols, n_records=0):
     return np.asarray(rec_idx), np.asarray(rec), v
 
 
+def dense_step_matrices(w2, dt):
+    """The RK4 step matrices, shape (2, 2, n), from the four stage matrices
+    K1 = A(t), K2 = A(t + dt/2)(I + dt/2 K1), K3 = A(t + dt/2)(I + dt/2 K2),
+    K4 = A(t + dt)(I + dt K3), with A = [[0, -conj(w)], [w, 0]]."""
+    def mul(a, b):
+        return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+    a = np.zeros((2, 2, len(w2)), dtype=complex)
+    a[0, 1] = -np.conj(w2)
+    a[1, 0] = w2
+    a0, ah, a1 = a[..., :-1:2], a[..., 1::2], a[..., 2::2]
+    eye = np.eye(2)[:, :, None]
+    k2 = mul(ah, eye + 0.5 * dt * a0)
+    k3 = mul(ah, eye + 0.5 * dt * k2)
+    k4 = mul(a1, eye + dt * k3)
+    return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def random_profile(n_samples, seed, amplitude=0.2):
     """Profile of n_samples random values in eV on a 1 fs window."""
     rng = np.random.default_rng(seed)
@@ -225,6 +246,38 @@ class TestStepMatrixPropagator:
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_allclose(rec, ref_rec, rtol=0, atol=1e-12)
         np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12)
+
+    # rows of at most 8 steps against segments of 33, 14, 100 and 30 steps:
+    # rows padded with identity steps, tails of 1 and 2 steps (whole rows of
+    # padding), 3-step segments two to a chunk, more records than steps; and
+    # at SEGMENT_STEPS itself, 3 S + 5 steps recorded every 1.5 S + 2 (a record
+    # interval that does not divide the steps): two rows per segment and a
+    # one-step tail
+    @pytest.mark.parametrize("segment_steps, n_samples, n_records", [
+        (8, 201, 3), (8, 202, 7), (8, 201, 0), (8, 61, 1), (8, 41, 6), (8, 3, 5),
+        (SEGMENT_STEPS, 6 * SEGMENT_STEPS + 11, 2)])
+    def test_rows_across_record_points(self, monkeypatch, segment_steps, n_samples,
+                                       n_records):
+        monkeypatch.setattr(born_dynamics, "SEGMENT_STEPS", segment_steps)
+        prof = random_profile(n_samples, seed=n_samples + n_records, amplitude=2.0)
+        cols = np.array([[0.6, 1.0], [0.8j, 0.0]])
+        idx, rec, final = _rk4_columns(prof, 3.0, cols, n_records=n_records)
+        ref_idx, ref_rec, ref_final = reference_rk4_columns(prof, 3.0, cols, n_records)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_allclose(rec, ref_rec, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12)
+
+    def test_step_pairs_match_dense_rk4(self, coupling, tls):
+        # the (alpha, beta) form against the four-stage matrices, on a random
+        # drive and on a real profile's drive
+        rng = np.random.default_rng(5)
+        prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
+        real = prof.values * np.exp(1j * tls.omega_21 * prof.times) / (1j * HBAR_EV_FS)
+        for w2, dt in ((3.0 * (rng.standard_normal(2001) + 1j * rng.standard_normal(2001)),
+                        0.05), (real[:len(real) // 2 * 2 - 1], 2.0 * prof.step)):
+            alpha, beta = _step_pairs(w2, dt)
+            pairs = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]])
+            np.testing.assert_allclose(pairs, dense_step_matrices(w2, dt), rtol=0, atol=1e-14)
 
     def test_evolve_tls_records_match_loop(self, coupling, tls):
         prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
@@ -297,8 +350,8 @@ class TestArrivalSchedule:
 
 def train(sched, coupling, sigma_pt, omega_21, **kw):
     """P2 after each electron of one train from ground: an ensemble of one."""
-    return simulate_train_ensemble(TlsState.ground(), [sched], coupling, sigma_pt,
-                                   omega_21, **kw)[0]
+    return simulate_train_ensemble(TlsState.ground(), [sched],
+                                   train_window(coupling, sigma_pt, omega_21, **kw))[0]
 
 
 def reference_train(state0, schedule, u0, omega_21):
@@ -353,8 +406,8 @@ class TestTrains:
         t_b = TWO_PI / omega_b
         schedules = [arrival_schedule("random", 60, omega_b, mean_spacing=3 * t_b,
                                       seed=100 + s) for s in range(24)]
-        ens = simulate_train_ensemble(TlsState.ground(), schedules, coupling,
-                                      0.08, tls.omega_21)
+        ens = simulate_train_ensemble(TlsState.ground(), schedules,
+                                      train_window(coupling, 0.08, tls.omega_21))
         mean = ens.mean(axis=0)
         _, r2 = linear_fit(np.arange(1, 61), mean)
         assert r2 >= 0.9
@@ -364,7 +417,8 @@ class TestTrains:
         scheds = [arrival_schedule("random", 10, omega_b, mean_spacing=3 * t_b,
                                    seed=s) for s in (3, 8)]
         state0 = TlsState.equatorial(0.9)
-        ens = simulate_train_ensemble(state0, scheds, coupling, 0.08, tls.omega_21)
+        ens = simulate_train_ensemble(state0, scheds, train_window(coupling, 0.08,
+                                                                   tls.omega_21))
         u0 = window_propagator(interaction_profile(coupling, 0.08, 0.0, tls.omega_21),
                                tls.omega_21)
         assert ens.shape == (2, 10)
@@ -394,10 +448,17 @@ class TestTrains:
         # clear, one 0.05 fs gap in the second schedule is not
         clear = ArrivalSchedule(times=np.array([0.0, 10.0, 20.0]))
         tight = ArrivalSchedule(times=np.array([0.0, 10.0, 10.05]))
+        window = train_window(coupling, 0.08, tls.omega_21)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            simulate_train_ensemble(TlsState.ground(), [clear, clear], coupling, 0.08,
-                                    tls.omega_21)
+            simulate_train_ensemble(TlsState.ground(), [clear, clear], window)
         with pytest.warns(RuntimeWarning, match="min gap 0.05 fs"):
-            simulate_train_ensemble(TlsState.ground(), [clear, tight], coupling, 0.08,
-                                    tls.omega_21)
+            simulate_train_ensemble(TlsState.ground(), [clear, tight], window)
+
+    def test_train_window_is_the_window_propagator(self, coupling, tls):
+        window = train_window(coupling, 0.08, tls.omega_21, points_per_scale=50)
+        prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
+        np.testing.assert_array_equal(window.propagator,
+                                      window_propagator(prof, tls.omega_21))
+        assert window.length == 2.0 * prof.times[-1]
+        assert window.omega_21 == tls.omega_21

@@ -318,6 +318,18 @@ class TestCommands:
         assert out.exists() == (code == 0)
         assert ("under-resolve the packet" in caplog.text) == (code == 3)
 
+    @pytest.mark.parametrize("scenario", ["fig9_buildup", "modulated_resonance"])
+    def test_comb_without_bunch_refused(self, tmp_path, caplog, scenario):
+        # at modulation_g = 0.1 (|f_1| = 0.15) the bunched density never falls
+        # to half its peak: there is no bunch width to report or train with
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                "[sweep]\nmodulation_g = 0.1\n")
+        assert main(["run", str(write(tmp_path, text))]) == 3
+        assert not (out / "summary.json").exists()
+        assert "no half-maximum" in caplog.text
+        assert ("sigma_et_point_fs" in caplog.text) == (scenario == "fig9_buildup")
+
     def test_norm_drift_exit_code(self, tmp_path, caplog, monkeypatch):
         # a propagation that loses its norm is a numerical failure: exit 3,
         # nothing written

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from feberi.core import HBAR_EV_FS, TWO_PI, DomainError
 from feberi.qew import (
     GaussianQewSpec,
     ModulatedQewSpec,
+    ModulationSpectrum,
+    ResolutionError,
     TruncationError,
+    _modulated_amplitude_comoving,
+    _period_samples,
     density_profile,
     gamma_parameter,
     gaussian_momentum_amplitudes,
@@ -234,7 +239,6 @@ class TestModulationSpectrum:
     def test_order_too_low_rings_negative(self, mod_spec):
         # a sharp comb truncated at low order reconstructs negative: the
         # resolution contract fires
-        from feberi.qew import ResolutionError
         with pytest.raises(ResolutionError):
             modulation_fourier_coefficients(mod_spec, 16)
 
@@ -251,3 +255,83 @@ class TestModulationSpectrum:
             coeff = np.mean(fmod * np.exp(1j * m * TWO_PI * z / lam))
             coeff /= np.mean(fmod)
             assert abs(coeff) == pytest.approx(abs(spect.coefficient(m)), rel=1e-2)
+
+
+def dense_fourier_coefficients(spec, order):
+    """The harmonic extraction as a dense (harmonics x samples) phase matrix,
+    without the positivity check."""
+    base = spec.base
+    n_samp = max(64 * order, 512)
+    s = (np.arange(n_samp) / n_samp - 0.5) * spec.period
+    dens = np.abs(_modulated_amplitude_comoving(spec, -base.kin.v0 * s)) ** 2
+    fmod = dens / np.exp(-(s**2) / (2.0 * base.sigma_et**2))
+    m = np.arange(-order, order + 1)
+    coeffs = np.exp(-1j * np.outer(m, spec.omega_b * (base.t0 + s))) @ fmod / n_samp
+    return coeffs / coeffs[order].real
+
+
+def dense_tooth_sigma_et(spectrum, samples=8192):
+    """The bunch width from the dense reconstruction and a walk from the peak."""
+    t_b = TWO_PI / spectrum.omega_b
+    f = spectrum.reconstruct(np.arange(samples) / samples * t_b)
+    peak = int(np.argmax(f))
+    above = f >= 0.5 * f[peak]
+    width, i = 0, peak
+    while above[i % samples]:
+        width, i = width + 1, i + 1
+    i = peak - 1
+    while above[i % samples]:
+        width, i = width + 1, i - 1
+    return width * t_b / samples / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+class TestHarmonicSumsByFft:
+    @pytest.mark.parametrize("order, g, t0", [(8, 0.5, 0.37), (24, 4.0, 1.3),
+                                              (32, 4.0, -0.8)])
+    def test_fft_extraction_equals_dense(self, kin, tls, order, g, t0):
+        omega_b = tls.omega_21 / 2.0
+        base = GaussianQewSpec.from_duration(kin, 10.0, t0=t0)
+        spec = ModulatedQewSpec(base=base, g=g, omega_b=omega_b,
+                                drift_time=optimal_drift_time(kin, omega_b, g))
+        spect = modulation_fourier_coefficients(spec, order)
+        np.testing.assert_allclose(spect.f_m, dense_fourier_coefficients(spec, order),
+                                   rtol=0, atol=1e-13)
+        # the positivity check's samples: the centered harmonics
+        # f_m e^{i m w_b t0} (-1)^m summed by one inverse FFT equal the
+        # reconstruction at t0 + s_j
+        n_samp = max(64 * order, 512)
+        m = np.arange(-order, order + 1)
+        centered = spect.f_m * np.exp(1j * m * omega_b * t0) * (-1.0) ** m
+        s = (np.arange(n_samp) / n_samp - 0.5) * spec.period
+        np.testing.assert_allclose(_period_samples(centered, n_samp),
+                                   spect.reconstruct(t0 + s), rtol=0, atol=1e-13)
+        assert tooth_sigma_et(spect) == pytest.approx(dense_tooth_sigma_et(spect),
+                                                      rel=1e-13)
+
+    @pytest.mark.parametrize("order, n", [(5, 64), (40, 64)])   # 81 > 64 harmonics fold
+    def test_period_samples_equal_the_dense_sum(self, order, n):
+        rng = np.random.default_rng(order)
+        c = rng.standard_normal(2 * order + 1) + 1j * rng.standard_normal(2 * order + 1)
+        phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(-order, order + 1)) / n)
+        np.testing.assert_allclose(_period_samples(c, n), np.real(phases @ c),
+                                   rtol=0, atol=1e-12)
+
+    def test_tooth_width_memory(self, mod_spec):
+        # the order-32 comb's width from 8192 samples: one padded transform,
+        # not an 8192 x 65 phase matrix (12.3 MiB)
+        spect = modulation_fourier_coefficients(mod_spec, 32)
+        tracemalloc.start()
+        try:
+            tooth_sigma_et(spect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    @pytest.mark.parametrize("f_1", [0.0, 0.15])
+    def test_comb_without_half_maximum_rejected(self, tls, f_1):
+        # 1 + 2 f_1 cos(w_b t) stays above half its peak for f_1 < 1/6
+        flat = ModulationSpectrum(f_m=np.array([f_1, 1.0, f_1], dtype=complex),
+                                  omega_b=tls.omega_21 / 2.0)
+        with pytest.raises(ResolutionError, match="no half-maximum"):
+            tooth_sigma_et(flat)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from feberi import solver_density as sd
+from feberi import born_dynamics as bd, scenarios, solver_density as sd
 from feberi.cli import ConfigError, default_config
 from feberi.core import TWO_PI, TlsState, wrap_phase
 from feberi.grid import interaction_window
@@ -119,3 +121,62 @@ def test_profile_points_per_scale_reaches_born_spot_checks():
     assert spots[50]["born_dp2"] != spots[100]["born_dp2"]
     for spot in spots.values():
         assert abs(spot["born_dp2"] / spot["analytic_dp2"] - 1.0) <= 0.15
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_fig9_one_window_per_run(monkeypatch):
+    # both trains, 20 locked electrons and 256 random schedules, share one
+    # profile and one window propagator
+    profiles = counted(monkeypatch, bd, "interaction_profile")
+    propagators = counted(monkeypatch, bd, "window_propagator")
+    summary = run_scenario(default_config("fig9_buildup")).summary
+    assert (len(profiles), len(propagators)) == (1, 1)
+    assert summary["quadratic_r_squared"] >= 0.99
+
+
+def test_modulated_resonance_one_spectrum_per_run(monkeypatch):
+    # the scans, the three default Born spot checks and the bunch width all
+    # read the one extracted spectrum
+    spectra = counted(monkeypatch, scenarios, "modulation_fourier_coefficients")
+    cfg = default_config("modulated_resonance")
+    summary = run_scenario(cfg).summary
+    assert len(summary["born_spot_checks"]) == len(cfg["sweep"]["spot_check_detunings"]) == 3
+    assert len(spectra) == 1
+
+
+def test_born_step_products_memory(monkeypatch):
+    # the benchmark's modulated_resonance spot check (b = 9.6 nm, zero
+    # detuning): evolve_tls on its 183k-sample profile builds step pairs
+    # chunk by chunk, so it holds no full-length complex drive array
+    peaks = []
+    evolve = bd.evolve_tls
+
+    def traced(state0, profile, omega_21, *args):
+        tracemalloc.start()
+        try:
+            out = evolve(state0, profile, omega_21, *args)
+            peaks.append((len(profile.values), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(bd, "evolve_tls", traced)
+    cfg = default_config("modulated_resonance")
+    cfg["physics"]["impact_parameter_nm"] = 9.6
+    cfg["sweep"]["spot_check_detunings"] = [0.0]
+    run_scenario(cfg)
+    [(samples, peak)] = peaks
+    assert samples == 183275
+    assert peak <= 6 * 2**20

@@ -34,7 +34,8 @@ from feberi.solver_density import (
 )
 from feberi.grid import MomentumGrid, build_grid, interaction_window
 from feberi.qew import grid_for_spec
-from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble
+from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble, \
+    train_window
 
 
 @pytest.fixture
@@ -654,8 +655,8 @@ class TestSequentialTrain:
                                          n=128)
         _, r2 = quadratic_fit(np.arange(1, 7), p2_seq)
         assert r2 > 0.999
-        p2_born = simulate_train_ensemble(TlsState.ground(), [sched], coupling, sigma_pt,
-                                          tls.omega_21)[0]
+        p2_born = simulate_train_ensemble(TlsState.ground(), [sched],
+                                          train_window(coupling, sigma_pt, tls.omega_21))[0]
         np.testing.assert_allclose(p2_seq[-1], p2_born[-1], rtol=0.10)
 
     def test_random_mean_linear(self, coupling, tls, kin):
