@@ -28,9 +28,9 @@ from feberi.born_dynamics import StepSizeError
 from feberi.core import DomainError
 from feberi.grid import MomentumGrid, interaction_window
 from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
-    grid_for_spec
-from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, physics_bundle, \
-    run_scenario, window_factors
+    grid_for_spec, tooth_sigma_et
+from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, bunched_spectrum, \
+    physics_bundle, point_sigma_et, run_scenario, window_factors
 from feberi.solver_density import CHEBYSHEV_BLOCK, MAX_CHEBYSHEV_ORDER, AssemblyError, \
     PropagationError, write_rho_b_bin
 from feberi.solver_momentum import InstabilityError, default_time_step, step_schedule
@@ -61,11 +61,9 @@ _COMMON_SCHEMA = {
     },
     "numerics": {
         "grid_points": ("int", None, 256, None),   # validate reports a bad size
-        "integrator": ("choice", ["rk4", "euler"], "rk4", None),
         "window_transit_factor": ("float", None, 10.0, "> 0"),
         "window_sigma_factor": ("float", None, 6.0, ">= 0"),
         "time_samples": ("int", None, 300, ">= 2"),
-        "assembly": ("choice", ["spectral", "dft"], "spectral", None),
         "dump_rho_b": ("bool", None, False, None),
         "profile_points_per_scale": ("int", None, 100, ">= 1"),
     },
@@ -341,9 +339,10 @@ def validate_config(cfg: dict) -> list[str]:
     """
     report = []
     kin, tls, geo, coupling = physics_bundle(cfg)
+    scenario = cfg["run"]["scenario"]
     num = cfg["numerics"]
     n = num["grid_points"]
-    report.append(f"scenario: {cfg['run']['scenario']}")
+    report.append(f"scenario: {scenario}")
     report.append(f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
                   f"omega21={tls.omega_21:.4f} rad/fs t_r={geo.transit_time * 1e3:.3f} as")
     report.append(_grid_error(n) or f"grid points: {n} (ok)")
@@ -363,7 +362,7 @@ def validate_config(cfg: dict) -> list[str]:
     for gam in sweep.get("gamma_values", []):
         if gam > 1.0:
             report.append(f"Gamma = {gam:g}: wave regime (size-independent law governs)")
-    if cfg["run"]["scenario"] in GRID_SCENARIOS:
+    if scenario in GRID_SCENARIOS:
         sizes = [(f"sigma_et={frac:g} T21", frac * tls.period) for frac in sigma_fracs]
         sizes += [(f"Gamma={gam:g}", gam / tls.omega_21)
                   for gam in sweep.get("gamma_values", [])]
@@ -383,6 +382,14 @@ def validate_config(cfg: dict) -> list[str]:
         report.append(f"estimated peak memory: {mem:.0f} MB ({states} sampled states of "
                       f"{2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {states}, "
                       f"recurrence {work} x {2 * n})")
+    try:    # the bunch width that the run needs, where it needs one
+        if scenario == "fig9_buildup":
+            report.append(f"point-packet sigma_et = {point_sigma_et(cfg, kin, tls):.4g} fs")
+        elif scenario == "modulated_resonance":
+            width = tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
+            report.append(f"bunch sigma_et = {width:.4g} fs")
+    except ResolutionError as exc:
+        report.append(f"ERROR bunch width: {exc}")
     report.append(f"window factors: transit x{num['window_transit_factor']:g}, "
                   f"sigma x{num['window_sigma_factor']:g}")
     t_r_w = geo.transit_time * tls.omega_21

@@ -98,6 +98,19 @@ def bunched_spectrum(cfg: dict, kin, tls) -> ModulationSpectrum:
     return modulation_fourier_coefficients(mspec, sw["harmonic_order"])
 
 
+def point_sigma_et(cfg: dict, kin, tls) -> float:
+    """fig9's point-packet duration: sigma_et_point_fs, or at 0 the bunch
+    width of the modulated packet (ResolutionError if the comb has none)."""
+    sigma_pt = cfg["sweep"]["sigma_et_point_fs"]
+    if sigma_pt > 0.0:
+        return sigma_pt
+    try:
+        return tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
+    except ResolutionError as exc:
+        raise ResolutionError(f"{exc}; sigma_et_point_fs = 0 asks for that width: "
+                              "set sigma_et_point_fs > 0 or raise modulation_g") from exc
+
+
 def base_metadata(cfg: dict, kin, tls, geo) -> dict:
     return {
         "tool_version": __version__,
@@ -138,7 +151,7 @@ def run_fig3_ground(cfg: dict) -> ScenarioResult:
         traj = sd.run_qew_interaction(
             spec, TlsState.ground(), coupling, tls, n=num["grid_points"],
             window=window, n_samples=num["time_samples"],
-            collect_rho_b=num["dump_rho_b"], mode=num["assembly"])
+            collect_rho_b=num["dump_rho_b"])
         acc = sd.energy_accounting(traj)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
         name = f"sigma_{frac:g}T21"
@@ -195,7 +208,7 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
         window = interaction_window(sigma, geo.transit_time, t0, **window_factors(cfg))
         traj = sd.run_qew_interaction(
             spec, state, coupling, tls, n=num["grid_points"], window=window,
-            n_samples=num["time_samples"], mode=num["assembly"])
+            n_samples=num["time_samples"])
         acc = sd.energy_accounting(traj)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
         name = f"sigma_{frac:g}T21"
@@ -276,7 +289,7 @@ def _fig56_block(cfg: dict, gammas: list[float]) -> list[list[float]]:
                        for spec, (t_start, _) in zip(specs, windows)
                        for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0))])
     durations = np.repeat([t_end - t_start for t_start, t_end in windows], 2)
-    h = sd.assemble_hamiltonian(grid, kin, coupling, tls, mode=num["assembly"])
+    h = sd.assemble_hamiltonian(grid, kin, coupling, tls)
     upper = sd.evolve_vector(starts, h, durations)[:, grid.n:]
     zetas = np.arange(cfg["sweep"]["zeta_points"]) / cfg["sweep"]["zeta_points"] * TWO_PI
     rows = []
@@ -376,6 +389,7 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
     sw = cfg["sweep"]
     sigma_env = sw["envelope_sigma_et_fs"]
     spectrum = bunched_spectrum(cfg, kin, tls0)
+    bunch_sigma = tooth_sigma_et(spectrum)    # refuses a comb without a bunch
 
     series = []
     widths = {}
@@ -433,7 +447,7 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
         "omega_b_rad_fs": spectrum.omega_b,
         "fitted_widths": widths,
         "born_spot_checks": spots,
-        "bunch_sigma_et_fs": tooth_sigma_et(spectrum),
+        "bunch_sigma_et_fs": bunch_sigma,
     }
     return ScenarioResult(series=series, summary=summary,
                           metadata=base_metadata(cfg, kin, tls0, geo))
@@ -479,13 +493,7 @@ def run_fig9_buildup(cfg: dict) -> ScenarioResult:
     t_b = TWO_PI / omega_b
     mean_spacing = sw["mean_spacing_periods"] * t_b
 
-    sigma_pt = sw["sigma_et_point_fs"]
-    if sigma_pt <= 0.0:   # default: the bunch width of the modulated packet
-        try:
-            sigma_pt = tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
-        except ResolutionError as exc:
-            raise ResolutionError(f"{exc}; sigma_et_point_fs = 0 asks for that width: "
-                                  "set sigma_et_point_fs > 0 or raise modulation_g") from exc
+    sigma_pt = point_sigma_et(cfg, kin, tls)
     window = bd.train_window(coupling, sigma_pt, tls.omega_21, **profile_grid_args(cfg))
 
     n_corr = sw["correlated_electrons"]
@@ -551,9 +559,9 @@ def run_solver_crosscheck(cfg: dict) -> ScenarioResult:
     state0 = sm.initial_amplitudes(grid, spec, TlsState.ground(), window[0])
     dt = sm.default_time_step(grid, coupling, tls)
     traj_a = sm.integrate(state0, window, dt, grid, coupling, tls,
-                          method=num["integrator"], n_records=num["time_samples"])
+                          n_records=num["time_samples"])
 
-    h = sd.assemble_hamiltonian(grid, kin, coupling, tls, mode=num["assembly"])
+    h = sd.assemble_hamiltonian(grid, kin, coupling, tls)
     psi0 = sd.initial_joint_vector(grid, spec, TlsState.ground(), window[0],
                                    tls.energy_gap)
     states = sd.evolve_vector(psi0, h, traj_a.times - window[0])
@@ -572,7 +580,7 @@ def run_solver_crosscheck(cfg: dict) -> ScenarioResult:
         "final_p2_density": float(traj_b.p2[-1]),
         "final_rel_difference": float(rel),
         "time_step_fs": traj_a.dt,
-        "integrator": num["integrator"],
+        "integrator": "rk4",
     }
     return ScenarioResult(series=series, summary=summary,
                           metadata=base_metadata(cfg, kin, tls, geo))

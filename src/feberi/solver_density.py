@@ -24,30 +24,21 @@ matrix S^dagger H S is exactly real symmetric; the assembly stores only its
 diagonal and its coupling block's kernel column, and the evolution applies S
 at its edges.
 
-Two assembly modes for the momentum-space interaction kernel H_IP:
-
-* "spectral" (default): Toeplitz matrix dp*Mt(p_m - p_n)/(2 pi hbar),
-  built from the closed-form momentum kernel; alias-free and exactly the
-  matrix the amplitude solver uses, at any grid size.
-* "dft": F diag(f(z_l)) F^dagger with the spatial kernel sampled on the
-  conjugate z-grid (span 2 pi hbar/dp), which is a circulant from one FFT
-  of f(z_l).  Faithful to the discrete-Fourier construction but accurate
-  only when the z-grid resolves the kernel, i.e. when p_cutoff exceeds the
-  kernel's spectral width hbar*gamma/r_perp by a comfortable factor;
-  aliasing is estimated and reported.
+The coupling block is the Toeplitz matrix dp*Mt(p_m - p_n)/(2 pi hbar) of
+the closed-form momentum kernel (``grid.kernel_column``): alias-free at any
+grid size and exactly the matrix the amplitude solver uses.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft
 
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
-from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_tilde
+from feberi.coulomb import DipoleCoupling
 from feberi.grid import MomentumGrid, circulant_block, circulant_product, \
     interaction_window, kernel_column
 from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, grid_for_spec, \
@@ -55,7 +46,7 @@ from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, grid_for_
 
 
 class AssemblyError(ValueError):
-    """The z-grid cannot represent the interaction kernel faithfully."""
+    """The kernel column is not Hermitian, or not real in the TLS gauge."""
 
 
 class PropagationError(ArithmeticError):
@@ -84,7 +75,6 @@ class HamiltonianAssembly:
     h_ib: np.ndarray
     coupling_column: np.ndarray
     gauge: complex
-    aliasing_estimate: float = 0.0
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -122,48 +112,18 @@ class HamiltonianAssembly:
 
 
 def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
-                         coupling: DipoleCoupling, tls: TlsSpec,
-                         mode: str = "spectral") -> HamiltonianAssembly:
+                         coupling: DipoleCoupling, tls: TlsSpec) -> HamiltonianAssembly:
     """Build the joint Hamiltonian, stored real symmetric in the TLS gauge."""
-    if mode not in ("spectral", "dft"):
-        raise DomainError(f"unknown assembly mode {mode!r}")
     n = grid.n
     h0f = np.real(kin.dispersion(grid.points))
     h0b = np.array([0.0, tls.energy_gap])
     r21 = tls.dipole_length
     h_ib = np.array([[0.0, r21], [r21, 0.0]])
+    column = grid.dp * (kernel_column(grid, coupling) / r21) / (2.0 * math.pi * HBAR_EV_FS)
 
-    aliasing = 0.0
-    if mode == "spectral":
-        column = grid.dp * (kernel_column(grid, coupling) / r21) / (2.0 * math.pi * HBAR_EV_FS)
-    else:
-        dz = 2.0 * math.pi * HBAR_EV_FS / (n * grid.dp)
-        z = (np.arange(n) - n / 2) * dz
-        f_z = COULOMB_EV_NM * coupling.spatial_kernel_unit(z)
-        # the lone Nyquist sample z = -n/2 dz is also +n/2 dz on the periodic
-        # grid: its parity-symmetric value keeps h_ip real (even kernel) or
-        # imaginary (odd kernel), as the gauge needs
-        f_z[0] = 0.5 * (f_z[0] + COULOMB_EV_NM * coupling.spatial_kernel_unit(-z[0]))
-        # kernel mass outside the representable span
-        span = n * dz
-        r_over_g = coupling.geometry.r_perp / kin.gamma
-        if span / 2 < 20.0 * r_over_g:
-            raise AssemblyError(
-                f"z-span {span:.3g} nm too small for kernel scale {r_over_g:.3g} nm")
-        # spectral leakage past the grid Nyquist momentum = aliasing estimate
-        mt_ref = np.max(np.abs(m_tilde(np.linspace(-grid.p_cutoff, grid.p_cutoff, 257),
-                                       coupling)))
-        aliasing = float(abs(m_tilde(2.0 * grid.p_cutoff, coupling)) / mt_ref)
-        if aliasing > 1e-2:
-            warnings.warn(f"dft assembly aliasing estimate {aliasing:.2e}; "
-                          "increase p_cutoff or use spectral mode", RuntimeWarning)
-        # sum_l f_l e^{-i (p_m - p_k) z_l/hbar}/n depends on m - k only, since
-        # dp dz/hbar = 2 pi/n; the offset z_0 = -n/2 dz gives the sign (-1)^(m-k)
-        column = (-1.0) ** np.arange(n) * fft.fft(f_z) / n
-
-    # the 2n - 1 lags m - k that the block reads, in FFT order; the spectral
-    # column's k = -n sample is not among them and has no parity partner
-    lags = np.concatenate([column[:n], column[len(column) - n + 1:]])
+    # the 2n - 1 lags m - k that the block reads, in FFT order; the column's
+    # k = -n sample is not among them and has no parity partner
+    lags = np.concatenate([column[:n], column[n + 1:]])
     mirror = lags[-np.arange(lags.size)].conj()     # the same lags of h_ip^dagger
     scale = float(np.max(np.abs(lags)))
     herm_err = float(np.max(np.abs(lags - mirror)))
@@ -182,8 +142,7 @@ def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
     column[:n] = r21 * gauged.real[:n]
     column[n + 1:] = r21 * gauged.real[n:]
     return HamiltonianAssembly(grid=grid, h0f=h0f, h0b=h0b, h_ib=h_ib,
-                               coupling_column=column, gauge=gauge,
-                               aliasing_estimate=aliasing)
+                               coupling_column=column, gauge=gauge)
 
 
 # -- states -------------------------------------------------------------------------
@@ -463,15 +422,15 @@ class DensityTrajectory:
 
 def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: TlsSpec,
                         n: int = 256, window: tuple[float, float] | None = None,
-                        n_samples: int = 300, collect_rho_b: bool = False,
-                        mode: str = "spectral") -> DensityTrajectory:
+                        n_samples: int = 300,
+                        collect_rho_b: bool = False) -> DensityTrajectory:
     """Evolve one wavepacket past the TLS and sample observables.
 
     The window defaults to t0 +- (10 t_r + 6 sigma_et).
     """
     base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
     grid = grid_for_spec(spec, coupling, n)
-    h = assemble_hamiltonian(grid, base.kin, coupling, tls, mode=mode)
+    h = assemble_hamiltonian(grid, base.kin, coupling, tls)
     if window is None:
         window = interaction_window(base.sigma_et, coupling.geometry.transit_time, base.t0)
     t_start, t_end = window
@@ -575,7 +534,7 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
         raise DomainError("train packets must differ only in their arrival time")
     base0 = qews[0].base if isinstance(qews[0], ModulatedQewSpec) else qews[0]
     grid = grid_for_spec(qews[0], coupling, n)
-    h = assemble_hamiltonian(grid, base0.kin, coupling, tls, mode="spectral")
+    h = assemble_hamiltonian(grid, base0.kin, coupling, tls)
     window_half = interaction_window(base0.sigma_et, coupling.geometry.transit_time, 0.0)[1]
 
     arrivals = [(q.base.t0 if isinstance(q, ModulatedQewSpec) else q.t0) for q in qews]

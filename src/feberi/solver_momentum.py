@@ -9,9 +9,8 @@ grid momentum p (free phases factored out), giving the coupled system
 with the quadratic free dispersion E_p.  The coupling matrix is Toeplitz in
 (m - n) and its time dependence factorizes into diagonal phase vectors, so
 one right-hand side is one Toeplitz product of the stacked pair (c_1, c_2),
-done by FFT through a circulant embedding in O(N log N).  A fixed-step RK4
-integrator is the default; the plain forward-Euler update is retained as a
-reference mode.
+done by FFT through a circulant embedding in O(N log N), and a fixed-step
+RK4 integrator advances the pair.
 
 Stage kernel.  With ph(t) = exp(i E_p t/hbar), a stage is
 
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +91,6 @@ class MomentumTrajectory:
     e_free: np.ndarray       # beam-frame mean free-electron energy (rest energy subtracted), eV
     norm: np.ndarray
     final: EntangledAmplitudes
-    method: str
     dt: float
 
 
@@ -117,14 +114,8 @@ def step_schedule(t_span: tuple[float, float], dt: float,
 
 def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: float,
               grid: MomentumGrid, coupling: DipoleCoupling, tls: TlsSpec,
-              method: str = "rk4", n_records: int = 200) -> MomentumTrajectory:
-    """Advance the amplitude pair over t_span and record populations/energy.
-
-    method "rk4" (default) or "euler" (the plain first-order update; its
-    norm drift is reported and warned about beyond 1e-4).
-    """
-    if method not in ("rk4", "euler"):
-        raise DomainError(f"unknown method {method!r}")
+              n_records: int = 200) -> MomentumTrajectory:
+    """Advance the amplitude pair over t_span by RK4 and record populations/energy."""
     t_start, t_end = t_span
     if t_end <= t_start:
         raise DomainError("empty integration span")
@@ -136,11 +127,10 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     w21 = tls.energy_gap / HBAR_EV_FS
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
     product = circulant_product(kappa * kernel_column(grid, coupling), grid.n)
-    # a stage is k = scale * f(t, u).  rk4 takes scale = dt/2, so its stages
-    # are evaluated at v + k1, v + k2 and v + 2 k3, and the step adds
-    # (k1 + 2 k2 + 2 k3 + k4)/3, one product with the stacked stages; euler
-    # takes scale = dt and adds k1
-    scale = 0.5 * dt if method == "rk4" else dt
+    # a stage is k = scale * f(t, u) with scale = dt/2, so the stages are
+    # evaluated at v + k1, v + k2 and v + 2 k3, and the step adds
+    # (k1 + 2 k2 + 2 k3 + k4)/3, one product with the stacked stages
+    scale = 0.5 * dt
     half_step = np.exp(iw * (0.5 * dt))
 
     def factors(t, ph):
@@ -175,40 +165,29 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     now = factors(t, ph)
     for step in range(n_steps):
         stage(v, now, k1)
-        if method == "rk4":
-            mid = factors(t + 0.5 * dt, ph * half_step)
+        mid = factors(t + 0.5 * dt, ph * half_step)
         # the step's one exp, into ph: its factors serve this k4 and the next k1
         t = t_start + (step + 1) * dt
         now = factors(t, np.exp(np.multiply(iw, t, out=ph), out=ph))
-        if method == "euler":
-            v += k1
-        else:
-            stage(np.add(v, k1, out=u), mid, k2)
-            stage(np.add(v, k2, out=u), mid, k3)
-            np.multiply(k3, 2.0, out=u)
-            stage(np.add(u, v, out=u), now, k4)
-            v += (weights @ ks.reshape(4, -1)).reshape(v.shape)
+        stage(np.add(v, k1, out=u), mid, k2)
+        stage(np.add(v, k2, out=u), mid, k3)
+        np.multiply(k3, 2.0, out=u)
+        stage(np.add(u, v, out=u), now, k4)
+        v += (weights @ ks.reshape(4, -1)).reshape(v.shape)
         if (step + 1) % record_every == 0 or step == n_steps - 1:
             if not np.all(np.isfinite(v)):
                 raise InstabilityError(f"non-finite amplitudes at t = {t}")
             record(t, v)
 
-    norms_arr = np.asarray(norms)
-    drift = float(np.max(np.abs(norms_arr - norms_arr[0])))
-    if method == "euler" and drift > 1e-4:
-        warnings.warn(f"Euler norm drift {drift:.2e} > 1e-4; reduce dt or use rk4",
-                      RuntimeWarning)
-
     return MomentumTrajectory(
         times=np.asarray(times), p1=np.asarray(p1s), p2=np.asarray(p2s),
-        e_free=np.asarray(efs), norm=norms_arr,
-        final=EntangledAmplitudes(v1=v[0], v2=v[1], t=t), method=method, dt=dt)
+        e_free=np.asarray(efs), norm=np.asarray(norms),
+        final=EntangledAmplitudes(v1=v[0], v2=v[1], t=t), dt=dt)
 
 
 def run_gaussian_scenario(spec: GaussianQewSpec | ModulatedQewSpec, state: TlsState,
                           coupling: DipoleCoupling, tls: TlsSpec, n: int = 256,
-                          method: str = "rk4", dt: float | None = None,
-                          n_records: int = 200) -> MomentumTrajectory:
+                          dt: float | None = None, n_records: int = 200) -> MomentumTrajectory:
     """One-call driver: grid, window, initial state, integrate."""
     base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
     grid = grid_for_spec(spec, coupling, n)
@@ -216,5 +195,4 @@ def run_gaussian_scenario(spec: GaussianQewSpec | ModulatedQewSpec, state: TlsSt
     state0 = initial_amplitudes(grid, spec, state, window[0])
     if dt is None:
         dt = default_time_step(grid, coupling, tls)
-    return integrate(state0, window, dt, grid, coupling, tls,
-                     method=method, n_records=n_records)
+    return integrate(state0, window, dt, grid, coupling, tls, n_records=n_records)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import feberi
+from feberi import scenarios
 from feberi.cli import ConfigError, load_config, main
 from feberi.scenarios import SCENARIOS
 from feberi.solver_density import read_rho_b_bin
@@ -193,7 +194,8 @@ class TestCommands:
         assert data["summary"]["norm_drift"] < 1e-6
 
     def test_removed_convention_keys_rejected(self, tmp_path):
-        for key in ("transform_convention = reduced", "prefactor_convention = two_pi"):
+        for key in ("transform_convention = reduced", "prefactor_convention = two_pi",
+                    "assembly = dft", "integrator = euler"):
             text = f"[run]\nscenario = fig3_ground\n\n[numerics]\n{key}\n"
             assert main(["run", str(write(tmp_path, text))]) == 2
 
@@ -319,16 +321,30 @@ class TestCommands:
         assert ("under-resolve the packet" in caplog.text) == (code == 3)
 
     @pytest.mark.parametrize("scenario", ["fig9_buildup", "modulated_resonance"])
-    def test_comb_without_bunch_refused(self, tmp_path, caplog, scenario):
+    def test_comb_without_bunch_refused(self, tmp_path, caplog, capsys, monkeypatch,
+                                        scenario):
         # at modulation_g = 0.1 (|f_1| = 0.15) the bunched density never falls
-        # to half its peak: there is no bunch width to report or train with
+        # to half its peak: there is no bunch width to report or train with.
+        # validate flags it, and run refuses it before any resonance scan
         out = tmp_path / "o"
-        text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
-                "[sweep]\nmodulation_g = 0.1\n")
-        assert main(["run", str(write(tmp_path, text))]) == 3
+        cfg = write(tmp_path, f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                              "[sweep]\nmodulation_g = 0.1\n")
+        assert main(["validate", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        flagged = [ln for ln in lines if ln.startswith("ERROR")]
+        assert len(flagged) == 1 and flagged[0].startswith("ERROR bunch width: ")
+        assert "no half-maximum" in flagged[0]
+        assert lines[-1] != "valid"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("resonance scan before the bunch width")
+
+        monkeypatch.setattr(scenarios.analytic, "modulated_increments", refuse)
+        assert main(["run", str(cfg)]) == 3
         assert not (out / "summary.json").exists()
         assert "no half-maximum" in caplog.text
         assert ("sigma_et_point_fs" in caplog.text) == (scenario == "fig9_buildup")
+        assert ("sigma_et_point_fs" in flagged[0]) == (scenario == "fig9_buildup")
 
     def test_norm_drift_exit_code(self, tmp_path, caplog, monkeypatch):
         # a propagation that loses its norm is a numerical failure: exit 3,

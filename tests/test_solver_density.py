@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from feberi import solver_density
 from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
-from feberi.coulomb import COULOMB_EV_NM, DipoleCoupling, m_spatial
+from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec
 from feberi.scenarios import SCENARIOS, physics_bundle, run_scenario, run_solver_crosscheck
 from feberi.solver_density import (
@@ -32,7 +32,7 @@ from feberi.solver_density import (
     sequential_multi_qew,
     write_rho_b_bin,
 )
-from feberi.grid import MomentumGrid, build_grid, interaction_window
+from feberi.grid import build_grid, interaction_window
 from feberi.qew import grid_for_spec
 from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble, \
     train_window
@@ -81,78 +81,21 @@ class TestAssembly:
             assert h_ip[m, n].real == pytest.approx(ref, rel=1e-4)
             assert abs(h_ip[m, n].imag) < 1e-16
 
-    def test_dft_mode_matches_spectral_near_diagonal(self, kin, tls, coupling, spec):
-        # kernel-resolving momentum cutoff: the sampled-kernel DFT assembly
-        # agrees with the closed-form Toeplitz one for physical transfers
-        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
-        grid = build_grid(kin, spec.sigma_p0, coupling.recoil_momentum, 512,
-                          extra_halfwidth=extra)
-        h_dft = assemble_hamiltonian(grid, kin, coupling, tls, mode="dft")
-        h_spc = assemble_hamiltonian(grid, kin, coupling, tls, mode="spectral")
-        band = 40    # |m - n| <= band covers many recoil momenta
-        k = np.arange(grid.n)
-        mask = np.abs(k[:, None] - k[None, :]) <= band
-        spc = kernel_matrix(h_spc)
-        scale = np.max(np.abs(spc))
-        err = np.max(np.abs((kernel_matrix(h_dft) - spc)[mask])) / scale
-        assert err < 1e-4
-        assert h_dft.aliasing_estimate < 1e-4
-
-    @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
-    @pytest.mark.parametrize("n", [256, 1024])
-    def test_dft_mode_is_the_dense_fourier_product(self, kin, tls, geometry, spec,
-                                                   orientation, n):
-        # h_ip is exactly circulant and equals F diag(f(z_l)) F^dagger
-        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
-        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
-        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, n,
-                          extra_halfwidth=extra)
-        h_ip = kernel_matrix(assemble_hamiltonian(grid, kin, cpl, tls, mode="dft"))
-        np.testing.assert_array_equal(np.roll(h_ip, (1, 1), axis=(0, 1)), h_ip)
-        want = dense_dft_kernel(grid, cpl)
-        assert np.max(np.abs(h_ip - want)) <= 1e-10 * np.max(np.abs(want))
-
-    def test_dft_kernel_exactly_hermitian(self, kin, tls, geometry, spec):
-        # a complex-typed kernel takes the FFT's complex path, whose spectrum is
-        # conjugate-symmetric only to rounding; h_ip is still exactly Hermitian
-        class ComplexTyped(DipoleCoupling):
-            def spatial_kernel_unit(self, z):
-                return super().spatial_kernel_unit(z).astype(complex)
-
-        cpl = ComplexTyped(tls, geometry, kin)
-        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
-        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
-                          extra_halfwidth=extra)
-        h_ip = kernel_matrix(assemble_hamiltonian(grid, kin, cpl, tls, mode="dft"))
-        np.testing.assert_array_equal(h_ip, h_ip.conj().T)
-
-    def test_dft_mode_span_guard(self, kin, tls, geometry):
-        # huge momentum cutoff -> tiny z-span -> kernel does not fit
-        cpl = DipoleCoupling(tls, geometry, kin)
-        grid = MomentumGrid(n=64, p0=kin.p0, p_cutoff=500.0)
-        with pytest.raises(AssemblyError):
-            assemble_hamiltonian(grid, kin, cpl, tls, mode="dft")
-
-    def test_unknown_mode(self, assembly, kin, tls, coupling):
-        with pytest.raises(DomainError):
-            assemble_hamiltonian(assembly.grid, kin, coupling, tls, mode="exact")
+    def test_kernel_not_hermitian_rejected(self, kin, tls, geometry, spec, monkeypatch):
+        # a real odd admixture to the real even transverse kernel:
+        # Mt(-q) != conj(Mt(q)), so no Hermitian block holds it
+        parallel = DipoleCoupling(tls, geometry, kin, "parallel")
+        column = solver_density.kernel_column
+        monkeypatch.setattr(solver_density, "kernel_column",
+                            lambda grid, cpl: column(grid, cpl) + 1e-3j * column(grid, parallel))
+        cpl = DipoleCoupling(tls, geometry, kin, "transverse")
+        with pytest.raises(AssemblyError, match="not Hermitian"):
+            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), kin, cpl, tls)
 
 
 def kernel_matrix(h):
     """The N x N kernel matrix h_ip, eV/nm, from the gauged block r21 phi h_ip of h_total."""
     return h.h_total[:h.n, h.n:] / (h.h_ib[0, 1] * h.gauge)
-
-
-def dense_dft_kernel(grid, coupling):
-    """The dft kernel as the dense O(N^3) product (v * f_z) @ v^dagger, symmetrized."""
-    n = grid.n
-    dz = TWO_PI * HBAR_EV_FS / (n * grid.dp)
-    z = (np.arange(n) - n / 2) * dz
-    f_z = COULOMB_EV_NM * coupling.spatial_kernel_unit(z)
-    f_z[0] = 0.5 * (f_z[0] + COULOMB_EV_NM * coupling.spatial_kernel_unit(-z[0]))
-    v = np.exp(-1j * np.outer(grid.points, z) / HBAR_EV_FS) / math.sqrt(n)
-    h = (v * f_z[None, :]) @ v.conj().T
-    return 0.5 * (h + h.conj().T)
 
 
 def physical_hamiltonian(h):
@@ -162,18 +105,16 @@ def physical_hamiltonian(h):
     return full
 
 
-@pytest.fixture(params=[("transverse", "spectral"), ("transverse", "dft"),
-                        ("parallel", "spectral"), ("parallel", "dft")],
-                ids=lambda p: "-".join(p))
+@pytest.fixture(params=["transverse", "parallel"], ids=lambda o: f"{o}-spectral")
 def gauged(request, kin, tls, geometry, spec):
-    """(coupling, assembly) for both orientations and both assembly modes."""
-    orientation, mode = request.param
-    cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
-    # a kernel-resolving cutoff keeps the dft assembly alias-free
+    """(coupling, assembly) for both orientations."""
+    cpl = DipoleCoupling(tls, geometry, kin, orientation=request.param)
+    # a cutoff past the kernel's momentum width hbar*gamma/r_perp: the block
+    # reaches far into the kernel's tail
     extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
     grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
                       extra_halfwidth=extra)
-    return cpl, assemble_hamiltonian(grid, kin, cpl, tls, mode=mode)
+    return cpl, assemble_hamiltonian(grid, kin, cpl, tls)
 
 
 def eigh_reference(psi, h, t):
@@ -211,7 +152,7 @@ def taylor_reference(h, psi, t):
 
 
 class TestRealGauge:
-    """h_total is S^dagger H S, real symmetric, for both orientations and modes."""
+    """h_total is S^dagger H S, real symmetric, for both orientations."""
 
     def test_real_symmetric(self, gauged):
         _, h = gauged
@@ -250,21 +191,16 @@ class TestRealGauge:
         want = v @ (np.exp(-1j * w * t / HBAR_EV_FS) * (v.conj().T @ psi))
         np.testing.assert_allclose(evolve_vector(psi, h, t), want, rtol=0, atol=1e-10)
 
-    def test_kernel_off_the_gauge_rejected(self, kin, tls, geometry, spec):
-        # an odd kernel with an even admixture is neither real nor imaginary
-        # in momentum space: the real gauge cannot hold it
-        class Skewed(DipoleCoupling):
-            def spatial_kernel_unit(self, z):
-                return super().spatial_kernel_unit(z) \
-                    + 1e-3 * DipoleCoupling.spatial_kernel_unit(
-                        DipoleCoupling(tls, geometry, kin, "transverse"), z)
-
-        cpl = Skewed(tls, geometry, kin, orientation="parallel")
-        extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
-        grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
-                          extra_halfwidth=extra)
+    def test_kernel_off_the_gauge_rejected(self, kin, tls, geometry, spec, monkeypatch):
+        # the imaginary odd parallel kernel with a real even admixture is
+        # Hermitian but neither real nor imaginary: the real gauge cannot hold it
+        transverse = DipoleCoupling(tls, geometry, kin, "transverse")
+        column = solver_density.kernel_column
+        monkeypatch.setattr(solver_density, "kernel_column",
+                            lambda grid, cpl: column(grid, cpl) + 1e-3 * column(grid, transverse))
+        cpl = DipoleCoupling(tls, geometry, kin, "parallel")
         with pytest.raises(AssemblyError, match="TLS gauge"):
-            assemble_hamiltonian(grid, kin, cpl, tls, mode="dft")
+            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), kin, cpl, tls)
 
 
 def test_assembly_stores_no_dense_matrix(kin, tls, coupling, spec):

@@ -81,31 +81,9 @@ class TestCouplingMatrix:
                 diag = np.diag(mt, d)
                 np.testing.assert_allclose(diag, np.full(64 - abs(d), diag[0]), rtol=1e-12)
 
-    def test_integrator_uses_same_generator(self, coupling, tls, spec):
-        # two explicit Euler steps with matrices built from the shared kernel
-        # reproduce integrate(method="euler") exactly
-        g = grid_for_spec(spec, coupling, 64)
-        s0 = initial_amplitudes(g, spec, TlsState.equatorial(0.4), -0.5)
-        dt = 0.015625    # binary-exact so the span is exactly two steps
-        traj = integrate(s0, (-0.5, -0.5 + 2 * dt), dt, g, coupling, tls,
-                         method="euler", n_records=2)
-        mt = toeplitz_kernel(g, coupling)
-        w = coupling.kin.dispersion(g.points) / HBAR_EV_FS
-        w21 = tls.energy_gap / HBAR_EV_FS
-        v1, v2 = s0.v1.copy(), s0.v2.copy()
-        for k in range(2):
-            t = -0.5 + k * dt
-            ph = np.exp(1j * w * t)
-            core = _kappa(g) * (ph[:, None] * mt) * ph.conj()[None, :]
-            u12 = np.exp(-1j * w21 * t) * core
-            u21 = np.exp(+1j * w21 * t) * core
-            v1, v2 = v1 + dt * (u12 @ v2), v2 + dt * (u21 @ v1)
-        np.testing.assert_allclose(traj.final.v1, v1, rtol=1e-12)
-        np.testing.assert_allclose(traj.final.v2, v2, rtol=1e-12)
 
-
-def reference_integrate(state0, t_span, dt, grid, coupling, tls, method, n_records):
-    """The amplitude equations stepped as written: the dense kernel, and a
+def reference_integrate(state0, t_span, dt, grid, coupling, tls, n_records):
+    """The amplitude equations stepped by RK4 as written: the dense kernel, and a
     fresh exp of every phase at every stage.  Returns (times, p1, p2, e_free,
     norm, final (v1, v2)) on integrate's step and record schedule."""
     t_start, t_end = t_span
@@ -133,14 +111,11 @@ def reference_integrate(state0, t_span, dt, grid, coupling, tls, method, n_recor
     record(t_start, v)
     t = t_start
     for step in range(n_steps):
-        if method == "euler":
-            v = v + dt * rhs(t, v)
-        else:
-            k1 = rhs(t, v)
-            k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
-            k4 = rhs(t + dt, v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(t, v)
+        k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
+        k4 = rhs(t + dt, v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_start + (step + 1) * dt
         if (step + 1) % record_every == 0 or step == n_steps - 1:
             record(t, v)
@@ -152,18 +127,17 @@ class TestStageKernel:
 
     @pytest.mark.parametrize("state", [TlsState.ground(), TlsState.equatorial(0.4)],
                              ids=["ground", "equatorial"])
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
-    @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+    @pytest.mark.parametrize("orientation", ["transverse", "parallel"],
+                             ids=["transverse-rk4", "parallel-rk4"])
     def test_matches_reference_loop(self, coupling, coupling_parallel, tls, spec,
-                                    orientation, method, state):
+                                    orientation, state):
         cpl = coupling if orientation == "transverse" else coupling_parallel
         g = grid_for_spec(spec, cpl, 128)
         win = interaction_window(spec.sigma_et, cpl.geometry.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, state, win[0])
         dt = (win[1] - win[0]) / 302
-        traj = integrate(s0, win, dt, g, cpl, tls, method=method, n_records=7)
-        times, p1, p2, e_free, norm, v = reference_integrate(
-            s0, win, dt, g, cpl, tls, method, 7)
+        traj = integrate(s0, win, dt, g, cpl, tls, n_records=7)
+        times, p1, p2, e_free, norm, v = reference_integrate(s0, win, dt, g, cpl, tls, 7)
         n_steps = round((win[1] - win[0]) / traj.dt)
         assert n_steps % (n_steps // 7) != 0    # the last record is off the schedule
         np.testing.assert_array_equal(traj.times, times)
@@ -218,33 +192,6 @@ class TestIntegration:
             dt = default_time_step(g, coupling, tls)
             finals.append(integrate(s0, win, dt, g, coupling, tls).p2[-1])
         assert abs(finals[1] / finals[0] - 1.0) < 1e-4
-
-    def test_euler_mode(self, coupling, tls, spec):
-        g = grid_for_spec(spec, coupling, 128)
-        win = interaction_window(spec.sigma_et, coupling.geometry.transit_time, 0.0)
-        s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
-        dt = default_time_step(g, coupling, tls)
-        rk4 = integrate(s0, win, dt, g, coupling, tls, method="rk4")
-        eul = integrate(s0, win, dt / 4, g, coupling, tls, method="euler")
-        assert eul.p2[-1] == pytest.approx(rk4.p2[-1], rel=1e-3)
-
-    def test_unknown_method(self, coupling, tls, spec):
-        g = grid_for_spec(spec, coupling, 128)
-        s0 = initial_amplitudes(g, spec, TlsState.ground(), 0.0)
-        with pytest.raises(DomainError):
-            integrate(s0, (0.0, 1.0), 0.01, g, coupling, tls, method="leapfrog")
-
-    def test_euler_norm_drift_warning(self, geometry, kin, tls):
-        # strong coupling at the default step drifts the Euler norm past 1e-4
-        strong = TlsSpec.from_lab(2.0, 2000.0)
-        cpl = DipoleCoupling(strong, geometry, kin)
-        spec = GaussianQewSpec.from_duration(kin, 0.1 * strong.period)
-        g = grid_for_spec(spec, cpl, 128)
-        win = interaction_window(spec.sigma_et, geometry.transit_time, 0.0)
-        s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
-        dt = default_time_step(g, cpl, strong)
-        with pytest.warns(RuntimeWarning, match="drift"):
-            integrate(s0, win, dt, g, cpl, strong, method="euler")
 
     def test_superposition_increment(self, coupling, kin, tls):
         # zeta = pi/2 increment against the closed form, 2%
