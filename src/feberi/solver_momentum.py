@@ -41,9 +41,9 @@ import numpy as np
 
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, circulant_product, interaction_window, kernel_column
+from feberi.grid import MomentumGrid, circulant_product, kernel_column
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, \
-    gaussian_momentum_amplitudes, grid_for_spec, modulated_momentum_amplitudes
+    gaussian_momentum_amplitudes, modulated_momentum_amplitudes
 
 
 class InstabilityError(RuntimeError):
@@ -183,16 +183,3 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
         times=np.asarray(times), p1=np.asarray(p1s), p2=np.asarray(p2s),
         e_free=np.asarray(efs), norm=np.asarray(norms),
         final=EntangledAmplitudes(v1=v[0], v2=v[1], t=t), dt=dt)
-
-
-def run_gaussian_scenario(spec: GaussianQewSpec | ModulatedQewSpec, state: TlsState,
-                          coupling: DipoleCoupling, tls: TlsSpec, n: int = 256,
-                          dt: float | None = None, n_records: int = 200) -> MomentumTrajectory:
-    """One-call driver: grid, window, initial state, integrate."""
-    base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
-    grid = grid_for_spec(spec, coupling, n)
-    window = interaction_window(base.sigma_et, coupling.geometry.transit_time, base.t0)
-    state0 = initial_amplitudes(grid, spec, state, window[0])
-    if dt is None:
-        dt = default_time_step(grid, coupling, tls)
-    return integrate(state0, window, dt, grid, coupling, tls, n_records=n_records)

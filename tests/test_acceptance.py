@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from feberi import analytic, solver_density as sd, solver_momentum as sm
+from feberi import analytic, solver_density as sd
 from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, InteractionGeometry, TlsSpec, TlsState, \
     kinematics_from_kev
@@ -19,6 +19,7 @@ from feberi.coulomb import DipoleCoupling, bessel_k0, bessel_k1, m_spatial, m_ti
 from feberi.qew import GaussianQewSpec, grid_for_spec
 from feberi.scenarios import run_fig56_phase_size_sweep, run_fig9_buildup, \
     run_modulated_resonance, run_solver_crosscheck
+from helpers import run_gaussian_scenario
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -284,8 +285,7 @@ def test_criterion_10_unitarity_suite(bundle, ground_runs):
     ok_sum = sum_err <= 1e-9
 
     # RK4 amplitude evolution: norm to 1e-8
-    traj = sm.run_gaussian_scenario(spec, TlsState.equatorial(0.2), coupling, tls,
-                                    n=128)
+    traj = run_gaussian_scenario(spec, TlsState.equatorial(0.2), coupling, tls, n=128)
     norm_err = float(np.max(np.abs(traj.norm - 1.0)))
     ok_amp = norm_err <= 1e-8
     _report(10, "unitarity and trace suite", ok_density and ok_sum and ok_amp,

@@ -21,7 +21,7 @@ from feberi.born_dynamics import evolve_tls, interaction_profile
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.qew import GaussianQewSpec, ModulationSpectrum, gamma_parameter
-from feberi.solver_momentum import run_gaussian_scenario
+from helpers import run_gaussian_scenario
 
 
 class TestRecoil:

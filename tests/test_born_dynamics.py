@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +24,18 @@ from feberi.born_dynamics import (
     r_squared,
     simulate_train_ensemble,
     train_window,
+    _phase_tables,
     _rk4_columns,
     _step_pairs,
     window_propagator,
 )
-from feberi import born_dynamics
+from feberi import born_dynamics, scenarios
+from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.grid import interaction_window
-from feberi.qew import ModulationSpectrum, ResolutionError
+from feberi.qew import GaussianQewSpec, ModulatedQewSpec, ModulationSpectrum, \
+    ResolutionError, modulation_fourier_coefficients, optimal_drift_time
 
 
 class TestInteractionProfile:
@@ -303,6 +307,160 @@ def test_window_propagator_unitary_on_smooth_profiles(n_half, omega_21, amps, ce
                               sigma_bar_et=1.0, t0=0.0, t_r=1.0, prefactor=1.0)
     u = window_propagator(prof, omega_21)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-6)
+
+
+def benchmark_spot_config():
+    """modulated_resonance as the benchmark runs it: b = 9.6 nm, one Born spot
+    check at zero detuning (183,275 profile samples)."""
+    cfg = default_config("modulated_resonance")
+    cfg["physics"]["impact_parameter_nm"] = 9.6
+    cfg["sweep"]["spot_check_detunings"] = [0.0]
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def benchmark_spot():
+    """The benchmark spot check's coupling, spectrum and profile arguments."""
+    cfg = benchmark_spot_config()
+    kin, tls, geo, _ = scenarios.physics_bundle(cfg)
+    spectrum = scenarios.bunched_spectrum(cfg, kin, tls)
+    w21 = cfg["sweep"]["harmonic"] * spectrum.omega_b
+    coupling = DipoleCoupling(replace(tls, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+    return coupling, spectrum, cfg["sweep"]["envelope_sigma_et_fs"], w21, \
+        scenarios.profile_grid_args(cfg)
+
+
+@pytest.fixture(scope="module")
+def benchmark_grid(benchmark_spot):
+    """The benchmark spot check's profile times, omega_21 and omega_b."""
+    coupling, spectrum, sigma, w21, grid_args = benchmark_spot
+    return profile_time_grid(coupling, sigma, 0.0, w21, **grid_args), w21, spectrum.omega_b
+
+
+def tabulated(omega, t_first, step, n, order):
+    """e^{i m omega t_j}, shape (order + 1, n), from the phase tables."""
+    outer, inner = _phase_tables(omega, t_first, step, n, order)
+    return (outer[:, :, None] * inner[:, None, :]).reshape(order + 1, -1)[:, :n]
+
+
+class TestPhaseTables:
+    @pytest.mark.parametrize("n", [1, 2, 17, 2001])
+    def test_short_grid(self, n):
+        t = np.linspace(-3.7, 5.2, n)
+        step = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+        got = tabulated(3.0, t[0], step, n, 4)
+        for m in range(5):
+            np.testing.assert_allclose(got[m], np.exp(1j * m * 3.0 * t), rtol=0, atol=1e-12)
+
+    def test_benchmark_grid(self, benchmark_grid):
+        # the drive's e^{i w21 t} and the comb's harmonics of w_b = w21 / 2,
+        # with the step taken over the whole span
+        t, w21, omega_b = benchmark_grid
+        n = len(t)
+        assert n == 183275
+        step = (t[-1] - t[0]) / (n - 1)
+        np.testing.assert_allclose(tabulated(w21, t[0], step, n, 1)[1],
+                                   np.exp(1j * w21 * t), rtol=0, atol=1e-12)
+        got = tabulated(omega_b, t[0], step, n, 8)
+        for m in range(9):
+            np.testing.assert_allclose(got[m], np.exp(1j * m * omega_b * t), rtol=0,
+                                       atol=1e-12)
+
+    def test_drive_matches_complex_exp(self, monkeypatch, benchmark_grid):
+        # the drive f e^{i w21 t} / (i hbar) that _rk4_columns hands to the
+        # step pairs, chunk by chunk (consecutive chunks share one sample),
+        # on the benchmark's grid: a phase step taken as a neighbour
+        # difference would be off by 4e-12 relative and miss here
+        t, w21, _ = benchmark_grid
+        vals = np.cos(0.3 * t) + 0.5
+        prof = InteractionProfile(times=t, values=vals, orientation="transverse",
+                                  sigma_bar_et=1.0, t0=0.0, t_r=1.0, prefactor=1.0)
+        drives = []
+
+        def recorded(w2, dt):
+            drives.append(w2)
+            return _step_pairs(w2, dt)
+
+        monkeypatch.setattr(born_dynamics, "_step_pairs", recorded)
+        _rk4_columns(prof, w21, np.eye(2))
+        assert len(drives) > 1
+        got = np.concatenate([drives[0]] + [w2[1:] for w2 in drives[1:]])
+        want = vals * np.exp(1j * w21 * t) / (1j * HBAR_EV_FS)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("order, g", [(1, 0.1), (8, 0.5), (32, 4.0)])
+    def test_comb_equals_reconstruction(self, monkeypatch, kin, tls, coupling, order, g):
+        # the bunched comb handed to the profile convolution against the dense
+        # sum over all 2M + 1 harmonics, with t0 and t_mod nonzero
+        omega_b = tls.omega_21 / 2.0
+        base = GaussianQewSpec.from_duration(kin, 10.0, t0=0.4)
+        spectrum = modulation_fourier_coefficients(
+            ModulatedQewSpec(base=base, g=g, omega_b=omega_b,
+                             drift_time=optimal_drift_time(kin, omega_b, g)), order)
+        combs = []
+        monkeypatch.setattr(born_dynamics, "_profile", lambda *args: combs.append(args[-1]))
+        t0, t_mod = 0.4, -1.7
+        modulated_interaction_profile(coupling, 10.0, spectrum, t_mod, t0, tls.omega_21)
+        [comb] = combs
+        first, step, n = -41.3, 0.0041, 20001
+        want = spectrum.reconstruct(first + step * np.arange(n) + t0 - t_mod)
+        np.testing.assert_allclose(comb(first, step, n), want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_comb_grid_spans_the_profile(self, monkeypatch, benchmark_spot):
+        # _profile hands the comb the extended grid as first time, step and
+        # count, with the step taken over the profile's span: the comb's
+        # samples land on the profile's own first and last times (a
+        # neighbour-difference step would miss the last by 2e-10 fs here)
+        coupling, spectrum, sigma, w21, grid_args = benchmark_spot
+        calls = []
+        profile = born_dynamics._profile
+
+        def wrapped(*args):
+            comb = args[-1]
+
+            def recorded(first, step, n):
+                calls.append((first, step, n))
+                return comb(first, step, n)
+
+            return profile(*args[:-1], recorded)
+
+        monkeypatch.setattr(born_dynamics, "_profile", wrapped)
+        prof = modulated_interaction_profile(coupling, sigma, spectrum, 0.0, 0.0, w21,
+                                             max_harmonic=8, **grid_args)
+        [(first, step, n)] = calls
+        pad = (n - len(prof.times)) // 2
+        assert pad > 0 and n == len(prof.times) + 2 * pad
+        assert first + pad * step == pytest.approx(prof.times[0], rel=0, abs=1e-13)
+        assert first + (n - 1 - pad) * step == pytest.approx(prof.times[-1], rel=0, abs=1e-13)
+
+
+def test_no_per_sample_complex_exp(monkeypatch):
+    # the benchmark's spot check: every complex exp that born_dynamics
+    # evaluates (comb, drive) takes a phase table's O(sqrt n) arguments,
+    # none one per profile sample
+    sizes, samples = [], []
+
+    class RecordedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                sizes.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    evolve = born_dynamics.evolve_tls
+
+    def recorded(state0, profile, *args, **kwargs):
+        samples.append(len(profile.values))
+        return evolve(state0, profile, *args, **kwargs)
+
+    monkeypatch.setattr(born_dynamics, "np", RecordedNumpy())
+    monkeypatch.setattr(born_dynamics, "evolve_tls", recorded)
+    scenarios.run_scenario(benchmark_spot_config())
+    assert samples == [183275]
+    assert sizes and max(sizes) <= 0.01 * samples[0]
 
 
 class TestRSquared:

@@ -12,8 +12,8 @@ from feberi.solver_momentum import (
     default_time_step,
     initial_amplitudes,
     integrate,
-    run_gaussian_scenario,
 )
+from helpers import run_gaussian_scenario
 
 
 def toeplitz_kernel(grid, coupling):
