@@ -57,13 +57,6 @@ class TransitionIncrement:
         return self.dp1 + self.dp2
 
 
-def recoil_momentum(energy_gap: float, v0: float) -> float:
-    """Signed recoil p_rec = -E_gap/v0; negative for an upward transition."""
-    if v0 <= 0.0:
-        raise DomainError("v0 must be > 0")
-    return -energy_gap / v0
-
-
 def overlap_integral(p_rec: float, sigma_p0: float, t0: float,
                      omega_ij: float) -> complex:
     """Displaced-Gaussian overlap I = exp(-(p_rec/2 sigma_p0)^2/2) e^{-i omega t0}."""

@@ -25,10 +25,11 @@ bunching comb's harmonics, the drive's e^{i w21 t}) come from two small
 tables, not one complex exp per sample: with B ~ sqrt(n) and j = b B + i,
 e^{i m w t_j} = e^{i m w (t_first + b B h)} e^{i m w i h}.  Each value carries
 two roundings and no step-to-step recurrence, whose error would grow with j,
-and only O(sqrt n) exponentials are evaluated.  The step h is the span over
-the sample count, never the difference of two neighbouring samples: that
-difference carries the rounding of the samples' magnitude (4e-12 relative on
-the 183k-sample benchmark profile), which j h multiplies into a phase error.
+and only O(sqrt n) exponentials are evaluated.  The one step h of a profile
+(kernel, comb, quadrature and RK4) is its span over the interval count, not
+the difference of two neighbouring samples: that carries the rounding of the
+samples' magnitude (4e-12 relative on the 183k-sample benchmark profile),
+which j h multiplies into a phase error.
 
 The drive is prescribed, so the equations are linear and each fixed-step
 RK4 step is a 2x2 matrix.  With A = [[0, -conj(w)], [w, 0]] every step
@@ -48,11 +49,13 @@ tree (an associative ordered product), and the segment products are then
 applied in order.  A segment longer than SEGMENT_STEPS is split into equal
 pieces, and short rows are padded with identity steps.
 
-Electron trains run through one engine, simulate_train_ensemble (a single
-train is an ensemble of one), on the window that train_window builds once
-per run: shifting the arrival time by t_K only conjugates the window
-propagator by diag(1, e^{i w21 t_K}), which makes N^2-coherent buildup on the
-resonant arrival comb exact.
+Every electron train, Born or joint-grid, runs through one private stepper,
+_step_trains, on a TrainWindow built once per run: the 4x4 channel of the
+row-major, rotating-frame TLS density matrix across the window of a packet
+arriving at t = 0 (kron(u, conj(u)) of the window propagator u, or read off
+the joint grid by solver_density).  Shifting the arrival by t_K only
+multiplies rho_01 by e^{+i w21 t_K} before the channel and by e^{-i w21 t_K}
+after it, which makes N^2-coherent buildup on the resonant arrival comb exact.
 """
 
 from __future__ import annotations
@@ -99,7 +102,12 @@ class InteractionProfile:
 
     @property
     def step(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return _span_step(self.times)
+
+
+def _span_step(times: np.ndarray) -> float:
+    """The step of a uniform grid as its span over the interval count."""
+    return float(times[-1] - times[0]) / (len(times) - 1)
 
 
 def kernel_prefactor(coupling: DipoleCoupling) -> float:
@@ -164,7 +172,7 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
     grid = profile_time_grid(coupling, sigma_et, t0, omega_21, transit_factor,
                              sigma_factor, points_per_scale)
     tau = grid - t0
-    h = float(tau[1] - tau[0])
+    h = _span_step(grid)
     t_r = coupling.geometry.transit_time
     limit = min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0
     if h > limit * (1.0 + 1e-9):
@@ -185,8 +193,7 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
                               tau[-1] + h * np.arange(1, m + 1)])
         density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
         if comb is not None:
-            span_step = float(tau[-1] - tau[0]) / (len(tau) - 1)
-            density *= comb(tau[0] - m * span_step, span_step, len(ext))
+            density *= comb(tau[0] - m * h, h, len(ext))
         size = fft.next_fast_len(len(density) + len(kern) - 1)
         full = fft.ifft(fft.fft(density, size) * fft.fft(kern, size))
         vals = np.real(full[len(kern) - 1:len(density)]) * h   # the "valid" part
@@ -303,8 +310,8 @@ def _rk4_columns(profile: InteractionProfile, omega_21: float,
         f = f[:-1]
         t = t[:-1]
     n_steps = (len(f) - 1) // 2
-    dt = 2.0 * profile.step
-    h = float(t[-1] - t[0]) / max(len(t) - 1, 1)     # the phase tables' step
+    h = profile.step
+    dt = 2.0 * h
     seg = max(1, n_steps // n_records if n_records else n_steps)   # steps per segment
     pieces = -(-seg // SEGMENT_STEPS)         # rows per segment
     width = -(-seg // pieces)                 # steps per row
@@ -423,11 +430,11 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
 # -- electron trains -------------------------------------------------------------------
 
 class TrainWindow(NamedTuple):
-    """One interaction window of a train's packets: the 2x2 propagator of a
-    packet arriving at t = 0, the window's length in fs, and the TLS
-    frequency the propagator was built for."""
+    """A train's window: the 4x4 channel of the row-major, rotating-frame TLS
+    density matrix across the window of a packet arriving at t = 0, the
+    window's length in fs, and the TLS frequency the channel was built for."""
 
-    propagator: np.ndarray
+    channel: np.ndarray
     length: float
     omega_21: float
 
@@ -436,41 +443,47 @@ def train_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: floa
                  transit_factor: float = 10.0, sigma_factor: float = 6.0,
                  points_per_scale: int = 100) -> TrainWindow:
     """The window of a near-point packet arriving at t = 0, built once per train
-    set: one interaction profile and one window propagator."""
+    set: one interaction profile and one window propagator u, whose channel
+    rho -> u rho u^dagger is kron(u, conj(u))."""
     profile = interaction_profile(coupling, sigma_et_point, 0.0, omega_21,
                                   transit_factor, sigma_factor, points_per_scale)
-    return TrainWindow(window_propagator(profile, omega_21), 2.0 * float(profile.times[-1]),
-                       omega_21)
+    u = window_propagator(profile, omega_21)
+    return TrainWindow(np.kron(u, u.conj()), 2.0 * float(profile.times[-1]), omega_21)
+
+
+def _step_trains(rho0: np.ndarray, times: np.ndarray,
+                 window: TrainWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Step S trains, arrival times ``times`` (S, N), from the rotating-frame 2x2
+    TLS state ``rho0``; returns P2 (S, N) and the final rho (S, 2, 2).
+    Electron K is the window channel with rho_01 multiplied by e^{+i w21 t_K}
+    before it and by e^{-i w21 t_K} after it."""
+    v = np.reshape(rho0, (4, 1)) * np.ones(times.shape[0], dtype=complex)
+    p2 = np.empty(times.T.shape)                        # (N, S)
+    for k, t_k in enumerate(times.T):
+        d = np.exp(1j * window.omega_21 * t_k)
+        v[1] *= d
+        v[2] *= d.conj()
+        v = window.channel @ v
+        v[1] *= d.conj()
+        v[2] *= d
+        p2[k] = v[3].real
+    return p2.T, v.T.reshape(-1, 2, 2)
 
 
 def simulate_train_ensemble(state0: TlsState, schedules, window: TrainWindow) -> np.ndarray:
-    """P2 after each electron of trains of near-point packets, evolved jointly.
-
-    ``schedules`` holds arrival schedules of equal length; returns shape
-    (n_schedules, n_electrons).  Each electron applies the window propagator
-    of a packet arriving at t = 0, conjugated by the arrival phase
-    diag(1, e^{i w21 t_K}); this is exactly sequential RK4 window evolution
-    with free TLS rotation between windows (the rotating frame absorbs the
-    free evolution).  Warns if consecutive windows of any schedule overlap
-    (the sequential model assumes they do not).
-    """
+    """P2 after each electron, shape (n_schedules, n_electrons), of trains of
+    near-point packets from ``state0``, stepped jointly by ``_step_trains``
+    (schedules of equal length).  Warns if consecutive windows of any
+    schedule overlap (the sequential model assumes they do not)."""
     times = np.stack([s.times for s in schedules])      # (S, N)
-    u0 = window.propagator
     gaps = np.diff(times, axis=1)
     if np.any(gaps < window.length):
         warnings.warn(
             f"interaction windows overlap (min gap {gaps.min():.3g} fs < "
             f"{window.length:.3g} fs); sequential model is approximate here",
             RuntimeWarning)
-    s = np.tile(np.array([[state0.c1], [state0.c2]], dtype=complex), (1, len(times)))
-    p2 = np.empty(times.T.shape)                         # (N, S)
-    for k, t_k in enumerate(times.T):
-        ph = np.exp(1j * window.omega_21 * t_k)
-        s1 = u0[0, 0] * s[0] + u0[0, 1] * (np.conj(ph) * s[1])
-        s2 = u0[1, 0] * s[0] + u0[1, 1] * (np.conj(ph) * s[1])
-        s = np.stack([s1, ph * s2])
-        p2[k] = np.abs(s[1]) ** 2
-    return p2.T
+    c = np.array([state0.c1, state0.c2], dtype=complex)
+    return _step_trains(np.outer(c, c.conj()), times, window)[0]
 
 
 def quadratic_fit(n: np.ndarray, p2: np.ndarray) -> tuple[float, float]:

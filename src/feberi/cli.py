@@ -112,11 +112,11 @@ _SWEEP_SCHEMAS = {
     },
 }
 
-_BOUND_OPS = {">": operator.gt, ">=": operator.ge}
+_BOUND_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
-# (key, op, other key): [sweep] rules across two keys, checked where both exist.
-# A bunched spectrum cut below the resonant harmonic has no resonance to scan.
-_SWEEP_RULES = (("harmonic_order", ">=", "harmonic"),)
+# (key, op, other key): [sweep] rules across two keys, checked where both exist, on
+# each item of a list key.  A spectrum cut below a harmonic has no resonance there.
+_SWEEP_RULES = (("harmonic_order", ">=", "harmonic"), ("scan_harmonics", "<=", "harmonic_order"))
 
 # (section, key, scenarios): a key every scenario accepts but only these act
 # on; elsewhere a value other than the default would be silently ignored.
@@ -228,10 +228,12 @@ def load_config(path) -> dict:
 
     sweep = cfg["sweep"]
     for key, op, other in _SWEEP_RULES:
-        if key in sweep and other in sweep and not _BOUND_OPS[op](sweep[key], sweep[other]):
-            ln = lines.get(("sweep", key)) or lines.get(("sweep", other), 0)
-            raise ConfigError(f"{path}:{ln}: [sweep] {key}: must be {op} {other} "
-                              f"({sweep[other]!r}), got {sweep[key]!r}")
+        values = sweep.get(key, [])
+        for x in values if isinstance(values, list) else [values]:
+            if other in sweep and not _BOUND_OPS[op](x, sweep[other]):
+                ln = lines.get(("sweep", key)) or lines.get(("sweep", other), 0)
+                raise ConfigError(f"{path}:{ln}: [sweep] {key}: must be {op} {other} "
+                                  f"({sweep[other]!r}), got {x!r}")
     for section, key, scenarios in _SCENARIO_ONLY:
         if scenario not in scenarios and cfg[section][key] != schema[section][key][2]:
             ln = lines.get((section, key), 0)
@@ -448,6 +450,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.command == "run" and args.seed is not None:    # the [run] seed rule
+            _check_range(args.seed, "int", _COMMON_SCHEMA["run"]["seed"][3], "--seed")
+            cfg["run"]["seed"] = args.seed
     except (ConfigError, OSError) as exc:
         log.error("%s", exc)
         return 2
@@ -462,8 +467,6 @@ def main(argv=None) -> int:
             print(line)
         return 0
 
-    if args.seed is not None:
-        cfg["run"]["seed"] = args.seed
     if args.out is not None:
         cfg["run"]["output_dir"] = args.out
 

@@ -24,7 +24,7 @@ tooth_sigma_et, is one inverse FFT of the zero-padded coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft
@@ -114,6 +114,13 @@ class ModulatedQewSpec:
             raise DomainError(
                 "envelope shorter than one modulation period: "
                 f"sigma_et = {self.base.sigma_et:.4g} fs <= T_b = {TWO_PI / self.omega_b:.4g} fs")
+
+    @property
+    def t0(self) -> float:      # the envelope's arrival time, fs
+        return self.base.t0
+
+    def with_arrival(self, t0: float) -> "ModulatedQewSpec":
+        return replace(self, base=self.base.with_arrival(t0))
 
     @property
     def delta_p(self) -> float:

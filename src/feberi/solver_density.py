@@ -14,8 +14,10 @@ J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
 coupling applied by FFT on the assembly's own kernel column, and a block of
 states under one Hamiltonian shares one recurrence; a window too long for
 MAX_CHEBYSHEV_ORDER orders runs as legs, each restarting from the state at
-the end of the last.  An electron train is a linear map of the TLS density
-matrix, read off one two-row block (``sequential_multi_qew``).
+the end of the last.  An electron train's window is a 4x4 channel of the TLS
+density matrix, read off one two-row block and put in the rotating frame,
+where the train stepper of born_dynamics carries it across the train
+(``sequential_multi_qew``).
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -32,11 +34,12 @@ grid size and exactly the matrix the amplitude solver uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
 
+from feberi.born_dynamics import TrainWindow, _step_trains
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling
 from feberi.grid import MomentumGrid, circulant_block, circulant_product, \
@@ -484,13 +487,6 @@ def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:
 
 # -- sequential multi-electron interaction ----------------------------------------------
 
-def _shape(spec):
-    """The packet with its arrival time zeroed: what a train keeps fixed."""
-    if isinstance(spec, ModulatedQewSpec):
-        return replace(spec, base=spec.base.with_arrival(0.0))
-    return spec.with_arrival(0.0)
-
-
 def _checked_tls_state(rho_b0) -> np.ndarray:
     """rho_b0 as a complex 2x2 array; DomainError unless it is a density matrix."""
     rho = np.asarray(rho_b0, dtype=complex)
@@ -512,53 +508,41 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
                          tls: TlsSpec, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Pass a train of wavepackets one at a time, carrying the TLS state.
 
-    Each electron starts in a fresh product state rho_f (x) rho_b; after its
-    window the electron is traced out and the TLS density matrix evolves
-    freely (phase rotation) to the next window.  Interaction windows must
-    not overlap, since the product-state reset assumes the previous electron
-    is gone, and the packets may differ in nothing but their arrival time.
-
-    Every window then maps the TLS state by one linear channel,
-    rho_b -> sum_ij rho_ij K_ij with K_ij = Tr_F |phi_i><phi_j| and phi_i the
-    basis start |i> (x) free after one window: one block propagation of the
-    two basis starts serves the whole train.
-
-    Returns (P2 after each electron, final 2x2 rho_b).
+    Each electron starts in a fresh product state rho_f (x) rho_b and is
+    traced out after its window; the packets may differ only in their
+    arrival time, and their windows must not overlap.  The window of a packet
+    arriving at t = 0 maps the lab-frame TLS state by rho -> sum_ij rho_ij
+    Tr_F |phi_i><phi_j|, phi_i = |i> (x) free at -half after the window (one
+    two-row block); e^{-i w21 half} on rho_01 at both ends puts it in the
+    rotating frame, where the Born trains' stepper carries the whole train.
+    Returns (P2 after each electron, final rho_b), with rho_b0 and rho_b in
+    the lab frame at the first window's start and the last window's end.
     """
     qews = list(qews)
     if not qews:
         raise DomainError("empty electron train")
     rho_b = _checked_tls_state(rho_b0)
-    shape = _shape(qews[0])
-    if any(_shape(q) != shape for q in qews[1:]):
+    shape = qews[0].with_arrival(0.0)
+    if any(q.with_arrival(0.0) != shape for q in qews[1:]):
         raise DomainError("train packets must differ only in their arrival time")
-    base0 = qews[0].base if isinstance(qews[0], ModulatedQewSpec) else qews[0]
-    grid = grid_for_spec(qews[0], coupling, n)
-    h = assemble_hamiltonian(grid, base0.kin, coupling, tls)
-    window_half = interaction_window(base0.sigma_et, coupling.geometry.transit_time, 0.0)[1]
-
-    arrivals = [(q.base.t0 if isinstance(q, ModulatedQewSpec) else q.t0) for q in qews]
-    for t_prev, t_next in zip(arrivals, arrivals[1:]):
-        if t_next - t_prev < 2.0 * window_half:
-            raise DomainError(
-                f"interaction windows overlap: arrivals {t_prev} and {t_next} "
-                f"closer than {2 * window_half}")
-
-    t_clock = arrivals[0] - window_half
-    free = schrodinger_qew_vector(grid, qews[0], t_clock)
-    phi = evolve_vector(np.kron(np.eye(2), free), h, np.full(2, 2.0 * window_half))
-    phi = phi.reshape(2, 2, grid.n)
-    channel = np.einsum("ian,jbn->ijab", phi, phi.conj())
+    base = shape.base if isinstance(shape, ModulatedQewSpec) else shape
+    grid = grid_for_spec(shape, coupling, n)
+    h = assemble_hamiltonian(grid, base.kin, coupling, tls)
+    half = interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0)[1]
+    arrivals = np.array([q.t0 for q in qews])
+    close = np.flatnonzero(np.diff(arrivals) < 2.0 * half)
+    if close.size:
+        raise DomainError(f"interaction windows overlap: arrivals {arrivals[close[0]]} and "
+                          f"{arrivals[close[0] + 1]} closer than {2.0 * half}")
+    free = schrodinger_qew_vector(grid, shape, -half)
+    phi = evolve_vector(np.kron(np.eye(2), free), h, np.full(2, 2.0 * half)).reshape(2, 2, -1)
     w21 = tls.energy_gap / HBAR_EV_FS
-    p2_seq = []
-    for t0k in arrivals:
-        t_start = t0k - window_half
-        # free TLS rotation over the gap since the previous window end
-        u = np.array([1.0, np.exp(-1j * w21 * (t_start - t_clock))])
-        rho_b = np.einsum("ij,ijab->ab", rho_b * np.outer(u, u.conj()), channel)
-        t_clock = t_start + 2.0 * window_half
-        p2_seq.append(float(rho_b[1, 1].real))
-    return np.asarray(p2_seq), rho_b
+    flip = np.array([[0.0, 1.0], [-1.0, 0.0]])   # rotating = lab * exp(-i w21 t flip)
+    edge = np.exp(-1j * w21 * half * flip)
+    channel = np.einsum("ab,ian,jbn,ij->abij", edge, phi, phi.conj(), edge).reshape(4, 4)
+    start = rho_b * np.exp(-1j * w21 * (arrivals[0] - half) * flip)
+    p2, rho = _step_trains(start, arrivals[None], TrainWindow(channel, 2.0 * half, w21))
+    return p2[0], rho[0] * np.exp(1j * w21 * (arrivals[-1] + half) * flip)
 
 
 # -- binary dump of TLS trajectories --------------------------------------------------

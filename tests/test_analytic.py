@@ -15,7 +15,6 @@ from feberi.analytic import (
     nearest_harmonic,
     overlap_integral,
     p2_from_ground,
-    recoil_momentum,
 )
 from feberi.born_dynamics import evolve_tls, interaction_profile
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
@@ -25,18 +24,11 @@ from helpers import run_gaussian_scenario
 
 
 class TestRecoil:
-    def test_zero_gap(self, kin):
-        assert recoil_momentum(0.0, kin.v0) == 0.0
-
-    def test_sign_and_magnitude(self, kin):
+    def test_sign_and_magnitude(self, coupling):
         # upward transition: negative recoil; |p_rec| = E/v0 with beta = 0.6953
-        p = recoil_momentum(2.0, kin.v0)
+        p = coupling.recoil_momentum
         assert p < 0.0
         assert abs(p) == pytest.approx(9.5946e-3, rel=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            recoil_momentum(2.0, 0.0)
 
 
 class TestOverlapIntegral:

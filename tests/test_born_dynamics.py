@@ -13,6 +13,7 @@ from feberi.born_dynamics import (
     ArrivalSchedule,
     InteractionProfile,
     StepSizeError,
+    TrainWindow,
     arrival_schedule,
     evolve_tls,
     interaction_profile,
@@ -27,6 +28,7 @@ from feberi.born_dynamics import (
     _phase_tables,
     _rk4_columns,
     _step_pairs,
+    _step_trains,
     window_propagator,
 )
 from feberi import born_dynamics, scenarios
@@ -616,7 +618,40 @@ class TestTrains:
     def test_train_window_is_the_window_propagator(self, coupling, tls):
         window = train_window(coupling, 0.08, tls.omega_21, points_per_scale=50)
         prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
-        np.testing.assert_array_equal(window.propagator,
-                                      window_propagator(prof, tls.omega_21))
+        u = window_propagator(prof, tls.omega_21)
+        np.testing.assert_array_equal(window.channel, np.kron(u, u.conj()))
         assert window.length == 2.0 * prof.times[-1]
         assert window.omega_21 == tls.omega_21
+
+
+def reference_channel_train(rho0, times, u, omega_21):
+    """The per-electron loop on a density matrix: rho -> w rho w^dagger with
+    w = D u D^dagger, D = diag(1, e^{i w21 t_K})."""
+    rho = np.array(rho0, dtype=complex)
+    p2 = np.empty(len(times))
+    for k, t_k in enumerate(times):
+        d = np.array([1.0, np.exp(1j * omega_21 * t_k)])
+        w = d[:, None] * u * d.conj()
+        rho = w @ rho @ w.conj().T
+        p2[k] = rho[1, 1].real
+    return p2, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), trains=st.integers(1, 4),
+       omega_21=st.floats(0.1, 10.0))
+def test_stepper_equals_conjugation_loop(seed, n, trains, omega_21):
+    # a random unitary window, random increasing arrivals, a random mixed start
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    times = np.cumsum(rng.uniform(0.1, 50.0, size=(trains, n)), axis=1)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    window = TrainWindow(np.kron(u, u.conj()), 0.0, omega_21)
+    p2, rho = _step_trains(rho0, times, window)
+    assert p2.shape == (trains, n) and rho.shape == (trains, 2, 2)
+    for i in range(trains):
+        p2_want, rho_want = reference_channel_train(rho0, times[i], u, omega_21)
+        np.testing.assert_allclose(p2[i], p2_want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rho[i], rho_want, rtol=0, atol=1e-12)

@@ -149,6 +149,23 @@ class TestCommands:
         assert f":{line}: [sweep] harmonic_order: must be >= harmonic" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("entries, line", [
+        ("scan_harmonics = 1, 2, 30", 6),        # above the default order 24
+        ("harmonic_order = 3\nscan_harmonics = 1, 4", 7),
+    ])
+    def test_scan_harmonic_above_order_is_config_error(self, tmp_path, caplog, entries,
+                                                       line):
+        # both commands refuse what run would end in a NaN width for
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = modulated_resonance\noutput_dir = {out}\n\n"
+                f"[sweep]\n{entries}\n")
+        cfg = write(tmp_path, text)
+        assert main(["validate", str(cfg)]) == 2
+        assert main(["run", str(cfg)]) == 2
+        rule = f":{line}: [sweep] scan_harmonics: must be <= harmonic_order"
+        assert caplog.text.count(rule) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid_points", [17, 2, 4, 62])
     def test_bad_grid_is_config_error(self, tmp_path, caplog, grid_points):
         # the run applies validate's grid check before any solver sees the size
@@ -233,6 +250,14 @@ class TestCommands:
         data = json.loads((out / "summary.json").read_text())
         assert data["metadata"]["config"]["run"]["seed"] == 777
         assert data["summary"]["ensemble_seeds"] == [1777, 2777]
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, caplog):
+        # the override obeys the [run] seed rule, as the config key does
+        out = tmp_path / "o"
+        cfg = write(tmp_path, f"[run]\nscenario = fig9_buildup\noutput_dir = {out}\n")
+        assert main(["run", str(cfg), "--seed", "-1"]) == 2
+        assert "--seed: must be >= 0, got -1" in caplog.text
+        assert not out.exists()
 
     def test_validate_reports(self, tmp_path, capsys):
         cfg = write(tmp_path, "[run]\nscenario = fig3_ground\n")
