@@ -30,7 +30,7 @@ from feberi.grid import MomentumGrid, interaction_window
 from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
     grid_for_spec, tooth_sigma_et
 from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, bunched_spectrum, \
-    physics_bundle, point_sigma_et, run_scenario, window_factors
+    physics_bundle, point_sigma_et, resonance_scan, run_scenario, window_factors
 from feberi.solver_density import CHEBYSHEV_BLOCK, MAX_CHEBYSHEV_ORDER, AssemblyError, \
     PropagationError, write_rho_b_bin
 from feberi.solver_momentum import InstabilityError, default_time_step, step_schedule
@@ -191,6 +191,28 @@ def _key_lines(text: str) -> dict[tuple[str, str], int]:
     return lines
 
 
+def _check_resonance_scan(sweep: dict, path, lines: dict) -> None:
+    """Refuse a scan whose width fit would be undefined: the fit's mask must
+    keep two distinct squared detunings (equal up to rounding count as one).
+    The mask keeps the points nearest the scan's centre, so the central six
+    decide it."""
+    points = sweep["scan_points"]
+    centre = (points - 1) // 2
+    detuning, mask = resonance_scan(sweep, range(max(0, centre - 2), min(points, centre + 4)))
+    squares = sorted((d * sweep["envelope_sigma_et_fs"]) ** 2
+                     for d, kept in zip(detuning, mask) if kept)
+    distinct = len(squares) and 1 + sum(b - a > 1e-9 * squares[-1]
+                                        for a, b in zip(squares, squares[1:]))
+    if distinct < 2:
+        ln = lines.get(("sweep", "scan_points")) \
+            or lines.get(("sweep", "scan_halfwidth_inv_sigma"), 0)
+        raise ConfigError(
+            f"{path}:{ln}: [sweep] scan_points = {points} over "
+            f"scan_halfwidth_inv_sigma = {sweep['scan_halfwidth_inv_sigma']!r} leaves "
+            f"{distinct} distinct squared detuning(s) within 3/sigma of a harmonic; "
+            "the resonance-width fit needs 2")
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file into the effective config dict."""
     text = Path(path).read_text(encoding="utf-8")
@@ -234,6 +256,8 @@ def load_config(path) -> dict:
                 ln = lines.get(("sweep", key)) or lines.get(("sweep", other), 0)
                 raise ConfigError(f"{path}:{ln}: [sweep] {key}: must be {op} {other} "
                                   f"({sweep[other]!r}), got {x!r}")
+    if scenario == "modulated_resonance":
+        _check_resonance_scan(sweep, path, lines)
     for section, key, scenarios in _SCENARIO_ONLY:
         if scenario not in scenarios and cfg[section][key] != schema[section][key][2]:
             ln = lines.get((section, key), 0)
@@ -315,15 +339,13 @@ def _propagated_states(cfg: dict, sizes: list[tuple[str, float]],
     """States that a grid scenario's largest propagation samples at once.
 
     ``sizes`` are the (label, sigma_et) of the swept packets and ``grids``
-    the grids of those that have one.  fig56 propagates the Gammas of each
-    grid as one block, two basis starts per Gamma, to one time each;
-    solver_crosscheck samples at the momentum RK4's records; the others at
-    ``time_samples``.
+    the grids of those that have one.  fig56 propagates every Gamma as one
+    block, two basis starts per Gamma, to one time each; solver_crosscheck
+    samples at the momentum RK4's records; the others at ``time_samples``.
     """
     scenario = cfg["run"]["scenario"]
     if scenario == "fig56_phase_size_sweep":
-        shared = list(grids.values())
-        return 2 * max(map(shared.count, shared), default=0)
+        return 2 * len(sizes)
     label, sigma = sizes[0] if sizes else (None, 0.0)
     if scenario == "solver_crosscheck" and label in grids:
         _, tls, geo, coupling = physics_bundle(cfg)

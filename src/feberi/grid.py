@@ -100,7 +100,8 @@ def circulant_product(column: np.ndarray, n: int):
     len(column): one FFT of x, one multiplication by the circulant's spectrum
     (computed here, once) and one inverse FFT, O(n log n) per row of x instead
     of O(n^2).  Leading axes of ``column`` hold a stack of columns, applied to
-    the matching rows of x.
+    the matching rows of x; a stack with as many axes as x may hold more rows
+    than x, whose rows then take its leading ones.
 
     ``product(x, left=None, right=None, out=None)`` returns
     left * (block @ (right * x)), the diagonal factors broadcast against x's
@@ -126,7 +127,7 @@ def circulant_product(column: np.ndarray, n: int):
         else:
             np.multiply(x, right, out=buf[..., :n])
         y = fft.fft(buf, axis=-1, overwrite_x=True)
-        y *= spectrum
+        y *= spectrum[:x.shape[0]] if spectrum.ndim == x.ndim > 1 else spectrum
         y = fft.ifft(y, axis=-1, overwrite_x=True)[..., :n]
         if left is None and out is None:
             return y

@@ -252,48 +252,37 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
 
 # -- scenario: arrival-phase x size sweep ----------------------------------------------
 
-def fig56_grid_groups(cfg: dict) -> list[list[float]]:
-    """The swept Gammas grouped by the momentum grid each one's packet needs.
-
-    A grid is set by (n, p0, p_cutoff), and every Gamma whose packet is
-    recoil-limited, p_cutoff = 6 |p_rec|, shares one: one assembly serves a
-    group.  Groups come in order of their first Gamma in the sweep.
-    """
-    kin, tls, _, coupling = physics_bundle(cfg)
-    groups: dict = {}
-    for gamma in cfg["sweep"]["gamma_values"]:
-        spec = GaussianQewSpec.from_duration(kin, gamma / tls.omega_21, t0=0.0)
-        grid = grid_for_spec(spec, coupling, cfg["numerics"]["grid_points"])
-        groups.setdefault(grid, []).append(gamma)
-    return list(groups.values())
-
-
 def _fig56_block(cfg: dict, gammas: list[float]) -> list[list[float]]:
-    """Increments over the zeta grid at Gammas that share one momentum grid.
+    """Increments over the zeta grid at each of ``gammas``, in their order.
 
     The joint state is linear in the TLS amplitudes (c1, c2), so the two
     basis starts |1> (x) free and |2> (x) free of each Gamma are propagated
-    to that Gamma's window end, all of them as one block under one
-    assembly, and each zeta's final P2 is the quadratic form c^dagger G c of
-    the Gram matrix G of a Gamma's two upper-level parts.
+    to that Gamma's window end, all of them as one block whose rows carry
+    the assembly of their packet's momentum grid.  A grid is set by
+    (n, p0, p_cutoff), and every Gamma whose packet is recoil-limited,
+    p_cutoff = 6 |p_rec|, shares one: one assembly serves each distinct grid.
+    Each zeta's final P2 is the quadratic form c^dagger G c of the Gram matrix
+    G of a Gamma's two upper-level parts.
     """
     kin, tls, geo, coupling = physics_bundle(cfg)
-    num = cfg["numerics"]
-    specs, windows = [], []
+    n = cfg["numerics"]["grid_points"]
+    assemblies: dict = {}
+    starts, hamiltonians, durations = [], [], []
     for gamma in gammas:
         sigma = gamma / tls.omega_21
-        specs.append(GaussianQewSpec.from_duration(kin, sigma, t0=0.0))
-        windows.append(interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg)))
-    grid = grid_for_spec(specs[0], coupling, num["grid_points"])
-    starts = np.array([sd.initial_joint_vector(grid, spec, basis, t_start, tls.energy_gap)
-                       for spec, (t_start, _) in zip(specs, windows)
-                       for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0))])
-    durations = np.repeat([t_end - t_start for t_start, t_end in windows], 2)
-    h = sd.assemble_hamiltonian(grid, kin, coupling, tls)
-    upper = sd.evolve_vector(starts, h, durations)[:, grid.n:]
+        spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
+        grid = grid_for_spec(spec, coupling, n)
+        if grid not in assemblies:
+            assemblies[grid] = sd.assemble_hamiltonian(grid, kin, coupling, tls)
+        t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
+        for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0)):
+            starts.append(sd.initial_joint_vector(grid, spec, basis, t_start, tls.energy_gap))
+            hamiltonians.append(assemblies[grid])
+        durations += [t_end - t_start] * 2
+    upper = sd.evolve_vector(np.array(starts), hamiltonians, np.array(durations))[:, n:]
     zetas = np.arange(cfg["sweep"]["zeta_points"]) / cfg["sweep"]["zeta_points"] * TWO_PI
     rows = []
-    for pair in upper.reshape(len(gammas), 2, grid.n):
+    for pair in upper.reshape(len(gammas), 2, n):
         gram = pair.conj() @ pair.T
         row = []
         for zeta in zetas:
@@ -311,12 +300,9 @@ def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
-    rows = [(g, row) for group in fig56_grid_groups(cfg)
-            for g, row in zip(group, _fig56_block(cfg, group))]
-    rows.sort(key=lambda r: r[0])
-
-    table = np.array([r[1] for r in rows])        # (n_gamma, n_zeta)
-    g_arr = np.array([r[0] for r in rows])
+    gammas = sorted(cfg["sweep"]["gamma_values"])
+    table = np.array(_fig56_block(cfg, gammas))        # (n_gamma, n_zeta)
+    g_arr = np.array(gammas)
 
     # least-squares fit dp(gamma, zeta) = A e^{-G^2/2} sin z + B e^{-G^2}
     basis_a = np.exp(-0.5 * g_arr**2)[:, None] * np.sin(zetas)[None, :]
@@ -382,6 +368,25 @@ def _resonance_spot(args: tuple) -> dict:
             "analytic_dp2": inc.dp2}
 
 
+def resonance_scan(sweep: dict, index=None) -> tuple[list[float], list[bool]]:
+    """Detunings from a harmonic, rad/fs, of the scan points ``index`` (all
+    by default), and the width fit's mask on them.
+
+    The scan is np.linspace(-span, span, scan_points), span =
+    scan_halfwidth_inv_sigma / sigma_env, evaluated point by point as
+    linspace evaluates it, so that a config check reads a few points in
+    plain floats.  The fit keeps |detuning| <= 3/sigma_env, where the
+    harmonic dominates, well short of the midpoint to the next harmonic.
+    """
+    sigma_env = sweep["envelope_sigma_et_fs"]
+    span = sweep["scan_halfwidth_inv_sigma"] / sigma_env
+    last = sweep["scan_points"] - 1
+    step = 2.0 * span / max(last, 1)
+    detuning = [span if i == last > 0 else i * step - span
+                for i in (range(last + 1) if index is None else index)]
+    return detuning, [abs(d) * sigma_env <= 3.0 for d in detuning]
+
+
 def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
     """Second-order increment vs TLS frequency: Gaussian peaks at the
     bunching harmonics with 1/e half-width 1/sigma_et."""
@@ -393,10 +398,10 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
 
     series = []
     widths = {}
+    detuning, mask = map(np.array, resonance_scan(sw))
     for n_h in sw["scan_harmonics"]:
         center = n_h * spectrum.omega_b
-        span = sw["scan_halfwidth_inv_sigma"] / sigma_env
-        w_scan = center + np.linspace(-span, span, sw["scan_points"])
+        w_scan = center + detuning
         dp2 = np.empty_like(w_scan)
         for i, w21 in enumerate(w_scan):
             tls = replace(tls0, energy_gap=w21 * HBAR_EV_FS)
@@ -407,9 +412,6 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
                     coupling, kin, spectrum, sigma_env, w21, TlsState.ground(), 0.0, 0.0)
             dp2[i] = inc.dp2
         # ln dp2 = const - (w - center)^2 sigma_fit^2 -> 1/e halfwidth = 1/sigma_fit
-        # fit only where this harmonic dominates (inside |detuning| <= 3/sigma,
-        # well short of the midpoint to the next harmonic)
-        mask = np.abs(w_scan - center) * sigma_env <= 3.0
         x = (w_scan[mask] - center) ** 2
         y = np.log(dp2[mask])
         slope = float(np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2))

@@ -11,13 +11,14 @@ phases, and the wavepacket's arrival time is encoded in the initial state.
 A pure state is propagated matrix-free: exp(-i H t/hbar) psi for every
 sampled t comes from one Chebyshev expansion (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
-coupling applied by FFT on the assembly's own kernel column, and a block of
-states under one Hamiltonian shares one recurrence; a window too long for
-MAX_CHEBYSHEV_ORDER orders runs as legs, each restarting from the state at
-the end of the last.  An electron train's window is a 4x4 channel of the TLS
-density matrix, read off one two-row block and put in the rotating frame,
-where the train stepper of born_dynamics carries it across the train
-(``sequential_multi_qew``).
+coupling applied by FFT on the assembly's own kernel column.  A block of
+states shares one recurrence, every row under one assembly or each under
+its own of the same grid size (fig56 propagates all its grids' states as one
+block); a window too long for MAX_CHEBYSHEV_ORDER orders runs as legs, each
+restarting from the state at the end of the last.  An electron train's
+window is a 4x4 channel of the TLS density matrix, read off one two-row
+block and put in the rotating frame, where the train stepper of
+born_dynamics carries it across the train (``sequential_multi_qew``).
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -190,7 +191,7 @@ def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: flo
 # cut into equal legs, each starting from the state at the end of the last.
 MAX_CHEBYSHEV_ORDER = 2048
 CHEBYSHEV_BLOCK = 64      # recurrence vectors of a block, over all its rows
-_SAMPLE_BLOCK = 64        # sample columns per batch of a GEMM or an FFT
+_SAMPLE_BLOCK = 64        # sample columns per batch of a GEMM (over all rows) or an FFT
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
 TRIM_BESSEL = 1e-16       # Chebyshev coefficients below this are dropped
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])    # i^k by k mod 4, exactly
@@ -254,38 +255,53 @@ def _kept_orders(r_max: float, m: int) -> int:
     return int(k[above[-1]]) + 1 if above.size else 1
 
 
-def _chebyshev_series(h: HamiltonianAssembly, starts: np.ndarray, centre: float,
-                      half: float, spans: list[slice], kept: np.ndarray,
-                      bessel: np.ndarray) -> np.ndarray:
-    """Rows sum_k (-i)^k bessel[k, j] T_k(X) starts[p] for the columns j in
-    spans[p] of the Bessel table, k < kept[p], X = (h_total - centre)/half:
-    shape (bessel.shape[1], 2N).
+def _scaled_generators(assemblies, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """-2i X = -2i (h_total - centre)/half of each assembly, in two pieces:
+    its diagonal, (d, 2N) complex, and the circulant columns of its
+    upper-right coupling block and of that block's transpose, (d, 2, 2N)."""
+    diag = np.array([(h.diagonal - centre) * (-2j / half)
+                     for h, (centre, half) in zip(assemblies, bounds)])
+    columns = np.array([np.stack([h.coupling_column, np.roll(h.coupling_column[::-1], 1)])
+                        * (-2j / half) for h, (_, half) in zip(assemblies, bounds)])
+    return diag, columns
 
-    The rows of ``starts`` (m, 2N) share one recurrence.  They come ordered by
+
+def _chebyshev_series(generator, starts: np.ndarray, kept: np.ndarray,
+                      bessel: np.ndarray) -> np.ndarray:
+    """Rows sum_k (-i)^k bessel[k, p*C + j] T_k(X_p) starts[p] for the C columns
+    j of each row p, k < kept[p]: shape (m, C, 2N).
+
+    ``generator`` is the pair (diagonal (m, 2N), circulant columns
+    (m, 2, 2N)) of each row's own -2i X_p (``_scaled_generators``), and the
+    rows of ``starts`` (m, 2N) share one recurrence.  They come ordered by
     falling ``kept``, so the rows still running at order k are a leading
     slice that shrinks as rows reach their own order.  The recurrence runs on
-    u_k = (-i)^k T_k(X) psi, u_{k+1} = -2i X u_k + u_{k-1}, whose X u is the
-    shifted diagonal times u plus the two coupling blocks (the circulant
-    column and its transpose) applied by FFT to the whole slice at once.
-    Each row's u_k are kept for a block of CHEBYSHEV_BLOCK / m orders and
-    added to its columns, _SAMPLE_BLOCK at a time, by one real GEMM against
-    the real Bessel table.
+    u_k = (-i)^k T_k(X) psi, u_{k+1} = -2i X u_k + u_{k-1}, whose -2i X u is
+    the diagonal times u plus the two coupling blocks applied by FFT to the
+    whole slice at once.  The u_k of a block of CHEBYSHEV_BLOCK / m orders
+    are kept for all rows and added to every running row's columns,
+    _SAMPLE_BLOCK at a time, by one batched real product against the real
+    Bessel table, whose entries past a row's own order are zeroed in place.
     """
+    diag, columns = generator
     m, size = starts.shape
-    n = h.n
-    col = h.coupling_column
-    coupling = circulant_product(np.stack([col, np.roll(col[::-1], 1)]) * (-2j / half), n)
-    # one diagonal row per state: a broadcast operand would make NumPy buffer
-    diag = np.tile((h.diagonal - centre) * (-2j / half), (m, 1))
+    n = size // 2
+    coupling = circulant_product(columns, n)
     order = bessel.shape[0]
+    per_row = bessel.reshape(order, m, -1)
+    for p in range(m):
+        per_row[kept[p]:, p] = 0.0
     active = np.count_nonzero(kept[:, None] > np.arange(order), axis=0)
-    out = np.zeros((bessel.shape[1], size), dtype=complex)
+    out = np.zeros((m, per_row.shape[2], size), dtype=complex)
     out_real = out.view(np.float64)
     # orders k of a block sit in slots k mod width, so a block starts from
     # the last two slots of the one before; width >= 3 keeps them unwritten.
-    # A slot holds all rows, so the recurrence works on contiguous arrays.
+    # A slot holds all rows, so the recurrence works on contiguous arrays;
+    # the zeros stand in the slots of rows already past their order
     width = max(3, CHEBYSHEV_BLOCK // m)
-    ring = np.empty((width, m, size), dtype=complex)
+    ring = np.zeros((width, m, size), dtype=complex)
+    ring_real = ring.view(np.float64).transpose(1, 0, 2)     # (m, width, 2 size)
+    batch = max(1, _SAMPLE_BLOCK // m)
     for start in range(0, order, width):
         stop = min(start + width, order)
         for k in range(start, stop):
@@ -301,30 +317,49 @@ def _chebyshev_series(h: HamiltonianAssembly, starts: np.ndarray, centre: float,
                 new *= 0.5
             else:
                 new += ring[(k - 2) % width, :a]
-        for p in range(active[start]):
-            u = ring[:min(stop, kept[p]) - start, p].view(np.float64)
-            for first in range(spans[p].start, spans[p].stop, _SAMPLE_BLOCK):
-                cols = slice(first, min(first + _SAMPLE_BLOCK, spans[p].stop))
-                out_real[cols] += bessel[start:start + len(u), cols].T @ u
+        a = active[start]
+        u = ring_real[:a, :stop - start]
+        coefficients = per_row[start:stop, :a].transpose(1, 2, 0)     # (a, C, orders)
+        for first in range(0, per_row.shape[2], batch):
+            cols = slice(first, first + batch)
+            out_real[:a, cols] += np.matmul(coefficients[:, cols], u)
     return out
 
 
-def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
+def _row_assemblies(h, m: int, size: int) -> tuple[list[HamiltonianAssembly], np.ndarray]:
+    """(distinct assemblies, the index of each row's among them) of a block
+    of m states of ``size``; h is one assembly for all rows or one per row."""
+    rows = [h] * m if isinstance(h, HamiltonianAssembly) else list(h)
+    if len(rows) != m:
+        raise DomainError(f"{len(rows)} assemblies for a block of {m} states")
+    index: dict[int, int] = {}
+    of_row = np.array([index.setdefault(id(a), len(index)) for a in rows])
+    distinct = list({id(a): a for a in rows}.values())
+    if any(2 * a.n != size for a in distinct):
+        raise DomainError(f"states of {size} do not fit assemblies of 2N = "
+                          f"{sorted({2 * a.n for a in distinct})}")
+    return distinct, of_row
+
+
+def evolve_vector(psi0: np.ndarray, h, t) -> np.ndarray:
     """exp(-i H t/hbar) psi0 for one state or a block of states, times >= 0.
 
     A state psi0 of shape (2N,) takes a scalar t or an array of T times and
     gives (2N,) or (2N, T).  A block psi0 of shape (m, 2N) takes per-row
     times t of shape (m,) or (m, T) and gives (m, 2N) or (m, 2N, T): row i
-    at the times t[i].  All rows share one Chebyshev recurrence, each
-    running to its own order.
+    at the times t[i].  h is one HamiltonianAssembly for every row, or a
+    sequence of m, row i's own, all of the same N (spectral bounds come once
+    per distinct assembly).  All rows share one Chebyshev recurrence, each
+    running to its own order under its own Hamiltonian.
 
-    A window longer than MAX_CHEBYSHEV_ORDER orders is cut into equal legs,
-    the block's longest row setting the schedule, and each leg's expansion
-    starts from the states at the end of the one before; a row stops after
-    the leg of its latest time.  The result is the only full-size array the
-    expansion holds (with legs, plus one leg's samples).  Raises
-    PropagationError if a state's norm drifts from its start's by more than
-    NORM_DRIFT_TOL.
+    A row's expansion variable is r = half t/hbar, half its spectrum's
+    half-width.  A block whose largest r needs more than MAX_CHEBYSHEV_ORDER
+    orders is cut into equal legs of r, and each leg's expansion starts from
+    the states at the end of the one before; a row stops after the leg of its
+    latest time.  The result is the only full-size array the expansion holds
+    (with legs, or rows out of Kapteyn order, plus one leg's samples).
+    Raises PropagationError if a state's norm drifts from its start's by
+    more than NORM_DRIFT_TOL.
     """
     psi0 = np.asarray(psi0)
     starts = np.atleast_2d(psi0)
@@ -338,48 +373,54 @@ def evolve_vector(psi0: np.ndarray, h: HamiltonianAssembly, t) -> np.ndarray:
     times = t_arr.reshape(m, -1)
     if np.any(times < 0.0):
         raise DomainError("evolution times must be >= 0")
+    assemblies, of_row = _row_assemblies(h, m, size)
     norm0 = np.repeat(np.linalg.norm(starts, axis=1), times.shape[1])
-    n = h.n
-    centre, half = _spectral_bounds(h)
-    t_max = float(np.max(times))
-    r_max = half * t_max / HBAR_EV_FS
+    n = size // 2
+    bounds = [_spectral_bounds(a) for a in assemblies]
+    generators = _scaled_generators(assemblies, bounds)
+    centre, half = np.array(bounds)[of_row].T
+    gauge = np.array([a.gauge_diagonal() for a in assemblies])[of_row]
+    r = half[:, None] * times / HBAR_EV_FS
+    r_max = float(np.max(r))
     legs = max(1, math.ceil(r_max / MAX_CHEBYSHEV_ORDER))
     while _chebyshev_points(r_max / legs) > MAX_CHEBYSHEV_ORDER:
         legs += 1
-    span = t_max / legs
-    leg_of = np.searchsorted(span * np.arange(1, legs), times, side="right")
+    span = r_max / legs
+    leg_of = np.searchsorted(span * np.arange(1, legs), r, side="right")
     last_leg = leg_of.max(axis=1)
-    gauge = h.gauge_diagonal()
     out = None
-    if legs > 1:      # each leg's end states replace the rows of starts
-        out = np.empty(times.shape + (size,), dtype=complex)
-        starts = starts.astype(complex)
     for leg in range(legs):
-        rows = np.flatnonzero(last_leg >= leg)
-        picked = [np.flatnonzero(leg_of[i] == leg) for i in rows]
-        # each row's times in this leg, then the next leg's start if it goes on
-        offsets = [np.append(times[i, p] - leg * span, [span] if last_leg[i] > leg else [])
-                   for i, p in zip(rows, picked)]
-        r = [half * o / HBAR_EV_FS for o in offsets]
-        points = _chebyshev_points(max(float(np.max(ri)) for ri in r))
-        kept = np.array([_kept_orders(float(np.max(ri)), points) for ri in r])
-        ends = np.cumsum([ri.size for ri in r])
-        spans = [slice(e - ri.size, e) for e, ri in zip(ends, r)]
+        running = np.flatnonzero(last_leg >= leg)
+        picked = [np.flatnonzero(leg_of[i] == leg) for i in running]
+        # each row's r in this leg, then the next leg's start if it goes on
+        offsets = [np.append(r[i, p] - leg * span, [span] if last_leg[i] > leg else [])
+                   for i, p in zip(running, picked)]
+        points = _chebyshev_points(max(float(np.max(o)) for o in offsets))
+        kept = np.array([_kept_orders(float(np.max(o)), points) for o in offsets])
         by_order = np.argsort(-kept, kind="stable")
-        series = _chebyshev_series(h, starts[rows[by_order]] * gauge.conj(), centre, half,
-                                   [spans[p] for p in by_order], kept[by_order],
-                                   _chebyshev_coefficients(np.concatenate(r), points))
-        if legs == 1:      # the series holds every row's times in order
-            out = series.reshape(times.shape + (size,))
-        else:
-            for i, p, cols in zip(rows, picked, spans):
-                out[i, p] = series[cols][:p.size]
-                if last_leg[i] > leg:
-                    starts[i] = series[cols.stop - 1] * gauge
+        rows = running[by_order]
+        # one row of C columns per state, padded with r = 0
+        columns = np.zeros((rows.size, max(o.size for o in offsets)))
+        for q, p in enumerate(by_order):
+            columns[q, :offsets[p].size] = offsets[p]
+        series = _chebyshev_series(tuple(g[of_row[rows]] for g in generators),
+                                   starts[rows] * gauge[rows].conj(), kept[by_order],
+                                   _chebyshev_coefficients(columns.reshape(-1), points))
+        if legs == 1 and np.all(rows == np.arange(m)):   # every row's times in order
+            out = series
+            break
+        if out is None:     # each leg's end states replace the rows of starts
+            out = np.empty(times.shape + (size,), dtype=complex)
+            starts = starts.astype(complex)
+        for q, p in enumerate(by_order):
+            i, ts = running[p], picked[p]
+            out[i, ts] = series[q, :ts.size]
+            if last_leg[i] > leg:
+                starts[i] = series[q, ts.size] * gauge[i]
+    out *= np.exp(-1j * centre[:, None] * times / HBAR_EV_FS)[..., None]
+    for i in np.flatnonzero(gauge[:, -1] != 1.0):
+        out[i, :, n:] *= gauge[i, -1]
     flat = out.reshape(-1, size)
-    flat *= np.exp(-1j * centre * times.reshape(-1) / HBAR_EV_FS)[:, None]
-    if h.gauge != 1.0:
-        flat[:, n:] *= h.gauge
     norms = np.sqrt(np.einsum("ij,ij->i", flat.view(np.float64), flat.view(np.float64)))
     drift = np.abs(norms - norm0)
     if not np.all(drift <= NORM_DRIFT_TOL * norm0):

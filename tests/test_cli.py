@@ -190,16 +190,40 @@ class TestCommands:
             f"{scenario}; only fig3_ground uses it" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_summary_not_written(self, tmp_path, caplog):
-        # one scan point leaves the resonance-width fit undefined (NaN)
+    def test_non_finite_summary_not_written(self, tmp_path, caplog, monkeypatch):
+        # a scenario that ends with a NaN summary leaf is a numerical failure
+        run = feberi.cli.run_scenario
+
+        def nan_leaf(cfg, **kwargs):
+            result = run(cfg, **kwargs)
+            result.summary["plateau"] = float("nan")
+            return result
+
+        monkeypatch.setattr(feberi.cli, "run_scenario", nan_leaf)
         out = tmp_path / "o"
-        text = ("[run]\nscenario = modulated_resonance\n"
-                f"output_dir = {out}\n\n"
-                "[sweep]\nscan_points = 1\nborn_check = false\n")
-        assert main(["run", str(write(tmp_path, text))]) == 3
-        assert "non-finite" in caplog.text
+        assert main(["run", str(write(tmp_path, MINIMAL.format(out=out)))]) == 3
+        assert "non-finite summary values at summary.plateau" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 4, 5])
+    def test_scan_too_sparse_to_fit_is_config_error(self, tmp_path, caplog, points):
+        # at the default half-width 4/sigma, up to four points leave at most
+        # one squared detuning inside the fit's |detuning| <= 3/sigma: both
+        # commands refuse what run would end in a NaN width; five points fit
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = modulated_resonance\noutput_dir = {out}\n\n"
+                f"[sweep]\nscan_points = {points}\nborn_check = false\n")
+        cfg = write(tmp_path, text)
+        fits = points == 5
+        assert main(["validate", str(cfg)]) == (0 if fits else 2)
+        assert main(["run", str(cfg)]) == (0 if fits else 2)
+        rule = (f":6: [sweep] scan_points = {points} over scan_halfwidth_inv_sigma = 4.0 "
+                "leaves")
+        assert caplog.text.count(rule) == (0 if fits else 2)
+        assert out.exists() == fits
+        if fits:
+            widths = json.loads((out / "summary.json").read_text())["summary"]["fitted_widths"]
+            assert all(np.isfinite(w["fitted_inv_e_halfwidth"]) for w in widths.values())
 
     def test_window_factors_honoured_by_fig8(self, tmp_path):
         out = tmp_path / "o"
@@ -307,10 +331,10 @@ class TestCommands:
     def test_validate_memory_estimate(self, tmp_path, capsys):
         # the states of the largest propagation, complex, plus one leg's real
         # Chebyshev tables of up to 2048 orders and the recurrence's 128
-        # vectors: fig56's largest block holds the 6 recoil-limited Gammas'
-        # two basis starts at one time each; solver_crosscheck samples at the
-        # momentum RK4's 369 records, not at time_samples = 300
-        for scenario, states, mb in (("fig56_phase_size_sweep", 12, 5),
+        # vectors: fig56's one block holds the 9 Gammas' two basis starts at
+        # one time each; solver_crosscheck samples at the momentum RK4's 369
+        # records, not at time_samples = 300
+        for scenario, states, mb in (("fig56_phase_size_sweep", 18, 5),
                                      ("solver_crosscheck", 369, 22)):
             text = f"[run]\nscenario = {scenario}\n\n[numerics]\ngrid_points = 1024\n"
             assert main(["validate", str(write(tmp_path, text))]) == 0

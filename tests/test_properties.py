@@ -1,5 +1,6 @@
 """Property tests: coupling kernel, the circulant block builder, the shared
-Toeplitz kernel and its FFT product, phase wrapping and config parsing."""
+Toeplitz kernel and its FFT product, blocks whose rows carry their own
+Hamiltonian, phase wrapping and config parsing."""
 
 import math
 import tempfile
@@ -12,9 +13,13 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
-from feberi.core import TWO_PI, InteractionGeometry, TlsSpec, kinematics_from_kev, wrap_phase
+from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, InteractionGeometry, TlsSpec, \
+    kinematics_from_kev, wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, circulant_block, circulant_product, kernel_column
+from feberi.grid import MomentumGrid, build_grid, circulant_block, circulant_product, \
+    kernel_column
+from feberi.solver_density import MAX_CHEBYSHEV_ORDER, _spectral_bounds, assemble_hamiltonian, \
+    evolve_vector
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -73,14 +78,15 @@ def test_circulant_block_equals_toeplitz_and_circulant(n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 80), extra=st.integers(0, 80), stacked=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_circulant_product_equals_block(n, extra, stacked, seed):
+       lead=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_circulant_product_equals_block(n, extra, stacked, lead, seed):
     # any column length from n (the full circulant) up; a stack of two
-    # columns applies each to its own row of x
+    # columns applies each to its own row of x, and to x's one row the first
     rng = np.random.default_rng(seed)
     shape = (2, n + extra) if stacked else (n + extra,)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x = rng.standard_normal(shape[:-1] + (n,)) + 1j * rng.standard_normal(shape[:-1] + (n,))
+    rows = (lead,) if stacked else ()
+    x = rng.standard_normal(rows + (n,)) + 1j * rng.standard_normal(rows + (n,))
     got = circulant_product(c, n)(x)
     want = np.array([circulant_block(col, n) @ row
                      for col, row in zip(c.reshape(-1, n + extra), x.reshape(-1, n))])
@@ -124,6 +130,57 @@ def test_toeplitz_product_equals_dense(orientation, half_n, dp, rows, seed):
         out = np.empty(shape, dtype=complex)
         assert product(x, left=left, right=right, out=out) is out
         assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _assembly(orientation, sigma_p0, n=64):
+    """An assembly on the grid that a packet of momentum width sigma_p0 needs."""
+    cpl = COUPLINGS[orientation]
+    grid = build_grid(KIN, sigma_p0, cpl.recoil_momentum, n)
+    return assemble_hamiltonian(grid, KIN, cpl, cpl.tls)
+
+
+@settings(max_examples=15, deadline=None)
+@given(grids=st.lists(st.tuples(orientations, st.floats(0.002, 0.05)), min_size=2, max_size=3),
+       rows=st.lists(st.integers(0, 2), min_size=2, max_size=5),
+       columns=st.integers(1, 3), legs=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(grids=[("transverse", 0.01), ("parallel", 0.03)], rows=[1, 0, 1], columns=2,
+         legs=True, seed=7)
+def test_rows_with_their_own_assembly_equal_per_assembly_calls(grids, rows, columns, legs,
+                                                               seed):
+    # grids of one n sized for different packets, both gauges; each row of a
+    # block under its own grid's assembly, at its own (m, T) times, equals the
+    # block of that assembly's rows alone; with legs, one row reaches 1.4
+    # MAX_CHEBYSHEV_ORDER, so the block and the calls run in legs
+    assemblies = [_assembly(o, sigma_p0) for o, sigma_p0 in grids]
+    of_row = [assemblies[i % len(assemblies)] for i in rows]
+    rng = np.random.default_rng(seed)
+    size = 2 * assemblies[0].n
+    starts = rng.standard_normal((len(rows), size)) + 1j * rng.standard_normal((len(rows), size))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    r_end = rng.uniform(10.0, 300.0, len(rows))
+    if legs:
+        r_end[0] = 1.4 * MAX_CHEBYSHEV_ORDER
+    half = np.array([_spectral_bounds(h)[1] for h in of_row])
+    times = (r_end * HBAR_EV_FS / half)[:, None] * rng.uniform(0.0, 1.0, (len(rows), columns))
+    block = evolve_vector(starts, of_row, times)
+    assert block.shape == (len(rows), size, columns)
+    for h in assemblies:
+        mine = [i for i, a in enumerate(of_row) if a is h]
+        if mine:
+            np.testing.assert_allclose(block[mine], evolve_vector(starts[mine], h, times[mine]),
+                                       rtol=0, atol=1e-13)
+
+
+def test_rows_and_assemblies_must_match():
+    # one assembly per row, all of one n
+    small, large = _assembly("transverse", 0.01), _assembly("transverse", 0.01, n=128)
+    starts = np.eye(2, 2 * small.n, dtype=complex)
+    with pytest.raises(DomainError, match="3 assemblies for a block of 2 states"):
+        evolve_vector(starts, [small] * 3, np.ones(2))
+    with pytest.raises(DomainError, match="do not fit assemblies"):
+        evolve_vector(starts, [small, large], np.ones(2))
+    with pytest.raises(DomainError, match="do not fit assemblies"):
+        evolve_vector(starts, large, np.ones(2))
 
 
 @settings(max_examples=300, deadline=None)

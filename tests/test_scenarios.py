@@ -8,7 +8,7 @@ from feberi.cli import ConfigError, default_config
 from feberi.core import TWO_PI, TlsState, wrap_phase
 from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec
-from feberi.scenarios import _fig56_block, fig56_grid_groups, physics_bundle, \
+from feberi.scenarios import _fig56_block, physics_bundle, \
     run_modulated_resonance, run_scenario, window_factors
 
 
@@ -66,37 +66,39 @@ def test_fig56_quadratic_form_equals_per_zeta_runs(orientation, gamma):
 
 
 def test_fig56_block_equals_one_gamma_blocks():
-    # the recoil-limited Gammas share a grid; their block of six basis starts,
-    # each to its own window end, gives each Gamma's one-Gamma increments
+    # Gammas on three grids, two of them recoil-limited and sharing one: their
+    # block of ten basis starts, each under its own grid's assembly and to its
+    # own window end, gives each Gamma's one-Gamma increments
     cfg = default_config("fig56_phase_size_sweep")
     cfg["numerics"]["grid_points"] = 128
     cfg["sweep"]["zeta_points"] = 5
-    gammas = [3.8, 1.2, 2.0]
-    assert fig56_grid_groups({**cfg, "sweep": {**cfg["sweep"], "gamma_values": gammas}}) \
-        == [gammas]
+    gammas = [3.8, 0.1, 1.2, 0.6, 2.0]
     for gamma, row in zip(gammas, _fig56_block(cfg, gammas)):
         np.testing.assert_allclose(row, _fig56_block(cfg, [gamma])[0], rtol=0, atol=1e-14)
 
 
-def test_fig56_one_assembly_and_one_block_per_grid(monkeypatch):
-    # the 9 default Gammas need 4 grids: every Gamma >= 0.9 is recoil-limited
+def test_fig56_one_assembly_per_grid_and_one_block(monkeypatch):
+    # the 9 default Gammas need 4 grids, every Gamma >= 0.9 recoil-limited:
+    # one assembly per grid, and one block of all 18 basis starts
     cfg = default_config("fig56_phase_size_sweep")
-    assert fig56_grid_groups(cfg) == [[0.1], [0.3], [0.6], [0.9, 1.2, 1.5, 2.0, 2.8, 3.8]]
-    calls = {"assemble": 0, "evolve": []}
+    grids, blocks = [], []
     assemble, evolve = sd.assemble_hamiltonian, sd.evolve_vector
 
-    def counted_assemble(*args, **kwargs):
-        calls["assemble"] += 1
-        return assemble(*args, **kwargs)
+    def counted_assemble(grid, *args, **kwargs):
+        grids.append(grid)
+        return assemble(grid, *args, **kwargs)
 
     def counted_evolve(psi0, h, t):
-        calls["evolve"].append(psi0.shape[0])
+        blocks.append([grids.index(a.grid) for a in h])
         return evolve(psi0, h, t)
 
     monkeypatch.setattr(sd, "assemble_hamiltonian", counted_assemble)
     monkeypatch.setattr(sd, "evolve_vector", counted_evolve)
     summary = run_scenario(cfg).summary
-    assert calls == {"assemble": 4, "evolve": [2, 2, 2, 12]}
+    assert len(grids) == len(set(grids)) == 4
+    # rows in Gamma order, two per Gamma: 0.1, 0.3 and 0.6 on grids of their
+    # own, then 0.9 .. 3.8 on the recoil-limited one
+    assert blocks == [[0, 0, 1, 1, 2, 2] + [3] * 12]
     assert summary["fit_residual_over_peak"] <= 0.10
 
 

@@ -20,6 +20,7 @@ from feberi.solver_density import (
     _chebyshev_series,
     _kept_orders,
     _observables,
+    _scaled_generators,
     _spectral_bounds,
     assemble_hamiltonian,
     energy_accounting,
@@ -320,17 +321,16 @@ class TestChebyshev:
         # coefficients past a row's own Kapteyn order never reach its columns
         starts = np.array([initial_joint_vector(assembly.grid, spec, TlsState.equatorial(phi),
                                                 -1.0, tls.energy_gap) for phi in (0.7, 1.9)])
-        centre, half = _spectral_bounds(assembly)
+        diag, columns = _scaled_generators([assembly], [_spectral_bounds(assembly)])
+        generator = (diag[[0, 0]], columns[[0, 0]])
         r = np.array([300.0, 60.0])
         points = _chebyshev_points(300.0)
         kept = np.array([_kept_orders(x, points) for x in r])
         table = _chebyshev_coefficients(r, points)
         poisoned = table.copy()
         poisoned[kept[1]:, 1] = 1.0
-        spans = [slice(0, 1), slice(1, 2)]
-        want = _chebyshev_series(assembly, starts, centre, half, spans, kept, table)
-        np.testing.assert_array_equal(
-            _chebyshev_series(assembly, starts, centre, half, spans, kept, poisoned), want)
+        want = _chebyshev_series(generator, starts, kept, table)
+        np.testing.assert_array_equal(_chebyshev_series(generator, starts, kept, poisoned), want)
         assert kept[1] < kept[0] == table.shape[0]
 
     def test_block_rows_with_different_leg_counts(self, gauged, spec, tls, monkeypatch):
