@@ -52,9 +52,9 @@ pieces, and short rows are padded with identity steps.
 Every electron train, Born or joint-grid, runs through one private stepper,
 _step_trains, on a TrainWindow built once per run: the 4x4 channel of the
 row-major, rotating-frame TLS density matrix across the window of a packet
-arriving at t = 0 (kron(u, conj(u)) of the window propagator u, or read off
-the joint grid by solver_density).  Shifting the arrival by t_K only
-multiplies rho_01 by e^{+i w21 t_K} before the channel and by e^{-i w21 t_K}
+arriving at t = 0 (kron(u, conj(u)) of the window propagator u here, the
+joint grid's from solver_density.grid_windows).  Shifting the arrival by t_K
+only multiplies rho_01 by e^{+i w21 t_K} before the channel and by e^{-i w21 t_K}
 after it, which makes N^2-coherent buildup on the resonant arrival comb exact.
 """
 

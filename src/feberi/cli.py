@@ -118,6 +118,10 @@ _BOUND_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 # each item of a list key.  A spectrum cut below a harmonic has no resonance there.
 _SWEEP_RULES = (("harmonic_order", ">=", "harmonic"), ("scan_harmonics", "<=", "harmonic_order"))
 
+# [sweep] lists whose values label a scenario's CSV, SVG and summary keys, floats by
+# "{:g}" and ints by str: two values of one label would write one run over the other
+_LABEL_KEYS = ("sigma_et_over_period", "gamma_values", "scan_harmonics")
+
 # (section, key, scenarios): a key every scenario accepts but only these act
 # on; elsewhere a value other than the default would be silently ignored.
 _SCENARIO_ONLY = (("numerics", "dump_rho_b", ("fig3_ground",)),)
@@ -256,6 +260,12 @@ def load_config(path) -> dict:
                 ln = lines.get(("sweep", key)) or lines.get(("sweep", other), 0)
                 raise ConfigError(f"{path}:{ln}: [sweep] {key}: must be {op} {other} "
                                   f"({sweep[other]!r}), got {x!r}")
+    for key in _LABEL_KEYS:
+        labels = [f"{x:g}" if isinstance(x, float) else str(x) for x in sweep.get(key, [])]
+        twice = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if twice:
+            raise ConfigError(f"{path}:{lines.get(('sweep', key), 0)}: [sweep] {key}: two "
+                              f"values share the output label {twice[0]!r}")
     if scenario == "modulated_resonance":
         _check_resonance_scan(sweep, path, lines)
     for section, key, scenarios in _SCENARIO_ONLY:

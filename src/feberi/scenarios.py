@@ -252,45 +252,20 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
 
 # -- scenario: arrival-phase x size sweep ----------------------------------------------
 
-def _fig56_block(cfg: dict, gammas: list[float]) -> list[list[float]]:
-    """Increments over the zeta grid at each of ``gammas``, in their order.
-
-    The joint state is linear in the TLS amplitudes (c1, c2), so the two
-    basis starts |1> (x) free and |2> (x) free of each Gamma are propagated
-    to that Gamma's window end, all of them as one block whose rows carry
-    the assembly of their packet's momentum grid.  A grid is set by
-    (n, p0, p_cutoff), and every Gamma whose packet is recoil-limited,
-    p_cutoff = 6 |p_rec|, shares one: one assembly serves each distinct grid.
-    Each zeta's final P2 is the quadratic form c^dagger G c of the Gram matrix
-    G of a Gamma's two upper-level parts.
-    """
-    kin, tls, geo, coupling = physics_bundle(cfg)
-    n = cfg["numerics"]["grid_points"]
-    assemblies: dict = {}
-    starts, hamiltonians, durations = [], [], []
-    for gamma in gammas:
-        sigma = gamma / tls.omega_21
-        spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-        grid = grid_for_spec(spec, coupling, n)
-        if grid not in assemblies:
-            assemblies[grid] = sd.assemble_hamiltonian(grid, kin, coupling, tls)
-        t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
-        for basis in (TlsState(1.0, 0.0), TlsState(0.0, 1.0)):
-            starts.append(sd.initial_joint_vector(grid, spec, basis, t_start, tls.energy_gap))
-            hamiltonians.append(assemblies[grid])
-        durations += [t_end - t_start] * 2
-    upper = sd.evolve_vector(np.array(starts), hamiltonians, np.array(durations))[:, n:]
-    zetas = np.arange(cfg["sweep"]["zeta_points"]) / cfg["sweep"]["zeta_points"] * TWO_PI
-    rows = []
-    for pair in upper.reshape(len(gammas), 2, n):
-        gram = pair.conj() @ pair.T
-        row = []
-        for zeta in zetas:
-            state = TlsState.equatorial(wrap_phase(-zeta))   # t0 = 0: zeta = -phi
-            c = np.array([state.c1, state.c2])
-            row.append(float(np.real(c.conj() @ gram @ c)) - state.p2)
-        rows.append(row)
-    return rows
+def _fig56_block(cfg: dict, gammas: list[float]) -> np.ndarray:
+    """Increments over the zeta grid at each of ``gammas``, (len(gammas), zeta_points):
+    a zeta's final P2 is the upper-level row of its Gamma's window channel
+    (``solver_density.grid_windows``, all Gammas as one block) on vec(c c^dagger)."""
+    kin, tls, _, coupling = physics_bundle(cfg)
+    shapes = [GaussianQewSpec.from_duration(kin, gamma / tls.omega_21) for gamma in gammas]
+    windows = sd.grid_windows(shapes, coupling, tls, cfg["numerics"]["grid_points"],
+                              **window_factors(cfg))
+    n_zeta = cfg["sweep"]["zeta_points"]
+    states = [TlsState.equatorial(wrap_phase(-zeta))       # t0 = 0: zeta = -phi
+              for zeta in np.arange(n_zeta) / n_zeta * TWO_PI]
+    c = np.array([[s.c1, s.c2] for s in states])
+    rho = (c[:, :, None] * c[:, None].conj()).reshape(-1, 4)     # row-major vec(c c^dagger)
+    return np.real(np.array([w.channel[3] for w in windows]) @ rho.T) - [s.p2 for s in states]
 
 
 def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
@@ -301,7 +276,7 @@ def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
     gammas = sorted(cfg["sweep"]["gamma_values"])
-    table = np.array(_fig56_block(cfg, gammas))        # (n_gamma, n_zeta)
+    table = _fig56_block(cfg, gammas)        # (n_gamma, n_zeta)
     g_arr = np.array(gammas)
 
     # least-squares fit dp(gamma, zeta) = A e^{-G^2/2} sin z + B e^{-G^2}
@@ -324,9 +299,7 @@ def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
     amp_pred = analytic.dp1_superposition(
         coupling, kin, TlsState.equatorial(0.0), math.pi / 2 / tls.omega_21, 0.0)
     max_by_gamma = np.max(np.abs(table), axis=1)
-    columns = {"zeta [rad]": zetas}
-    for g, row in zip(g_arr, table):
-        columns[f"dP2 (Gamma={g:g})"] = np.asarray(row)
+    columns = {"zeta [rad]": zetas, **{f"dP2 (Gamma={g:g})": row for g, row in zip(g_arr, table)}}
     series = [SeriesData(
         name="phase_size_sweep", columns=columns, plot_x="zeta [rad]",
         plot_y=tuple(k for k in columns if k.startswith("dP2")),

@@ -13,12 +13,12 @@ sampled t comes from one Chebyshev expansion (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) whose products are the diagonal plus the
 coupling applied by FFT on the assembly's own kernel column.  A block of
 states shares one recurrence, every row under one assembly or each under
-its own of the same grid size (fig56 propagates all its grids' states as one
-block); a window too long for MAX_CHEBYSHEV_ORDER orders runs as legs, each
-restarting from the state at the end of the last.  An electron train's
-window is a 4x4 channel of the TLS density matrix, read off one two-row
-block and put in the rotating frame, where the train stepper of
-born_dynamics carries it across the train (``sequential_multi_qew``).
+its own of the same grid size; a window too long for MAX_CHEBYSHEV_ORDER
+orders runs as legs, each restarting from the state at the end of the last.
+A packet's window is one rotating-frame 4x4 channel of the TLS density
+matrix (``grid_windows``, every packet's two basis starts in one block):
+fig56 reads P2 off it, and born_dynamics' train stepper carries it across
+an electron train (``sequential_multi_qew``).
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -195,6 +195,7 @@ _SAMPLE_BLOCK = 64        # sample columns per batch of a GEMM (over all rows) o
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
 TRIM_BESSEL = 1e-16       # Chebyshev coefficients below this are dropped
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])    # i^k by k mod 4, exactly
+_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]])   # rotating rho = lab rho * exp(-i w21 t _FLIP)
 
 
 def _spectral_bounds(h: HamiltonianAssembly) -> tuple[float, float]:
@@ -526,7 +527,7 @@ def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:
     }
 
 
-# -- sequential multi-electron interaction ----------------------------------------------
+# -- electron-train windows ------------------------------------------------------------
 
 def _checked_tls_state(rho_b0) -> np.ndarray:
     """rho_b0 as a complex 2x2 array; DomainError unless it is a density matrix."""
@@ -545,19 +546,43 @@ def _checked_tls_state(rho_b0) -> np.ndarray:
     return rho
 
 
+def grid_windows(shapes, coupling: DipoleCoupling, tls: TlsSpec, n: int,
+                 transit_factor: float = 10.0, sigma_factor: float = 6.0) -> list[TrainWindow]:
+    """The window of each packet shape arriving at t = 0, on the joint grid: the
+    lab-frame map rho -> sum_ij rho_ij Tr_F |phi_i><phi_j|, phi_i = |i> (x) free
+    at -half propagated to +half, put in the rotating frame by e^{-i w21 half}
+    on rho_01 at both ends.  All shapes' starts propagate as one block, each
+    under the assembly of its shape's grid (one per distinct grid)."""
+    assemblies: dict = {}
+    starts, rows, halves = [], [], []
+    for shape in shapes:
+        base = shape.base if isinstance(shape, ModulatedQewSpec) else shape
+        grid = grid_for_spec(shape, coupling, n)
+        if grid not in assemblies:
+            assemblies[grid] = assemble_hamiltonian(grid, base.kin, coupling, tls)
+        halves.append(interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0,
+                                         transit_factor, sigma_factor)[1])
+        starts.append(np.kron(np.eye(2), schrodinger_qew_vector(grid, shape, -halves[-1])))
+        rows += [assemblies[grid]] * 2
+    halves = np.array(halves)
+    phi = evolve_vector(np.concatenate(starts), rows, np.repeat(2.0 * halves, 2))
+    phi = phi.reshape(halves.size, 2, 2, -1)
+    w21 = tls.energy_gap / HBAR_EV_FS
+    edge = np.exp(-1j * w21 * halves[:, None, None] * _FLIP)
+    channels = np.einsum("sab,sian,sjbn,sij->sabij", edge, phi, phi.conj(), edge)
+    return [TrainWindow(k.reshape(4, 4), 2.0 * half, w21) for k, half in zip(channels, halves)]
+
+
 def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
                          tls: TlsSpec, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Pass a train of wavepackets one at a time, carrying the TLS state.
 
     Each electron starts in a fresh product state rho_f (x) rho_b and is
     traced out after its window; the packets may differ only in their
-    arrival time, and their windows must not overlap.  The window of a packet
-    arriving at t = 0 maps the lab-frame TLS state by rho -> sum_ij rho_ij
-    Tr_F |phi_i><phi_j|, phi_i = |i> (x) free at -half after the window (one
-    two-row block); e^{-i w21 half} on rho_01 at both ends puts it in the
-    rotating frame, where the Born trains' stepper carries the whole train.
-    Returns (P2 after each electron, final rho_b), with rho_b0 and rho_b in
-    the lab frame at the first window's start and the last window's end.
+    arrival time, and their windows must not overlap.  Their one window
+    (``grid_windows``) is stepped across the train by the Born trains'
+    stepper.  Returns (P2 after each electron, final rho_b), with rho_b0 and
+    rho_b in the lab frame at the first window's start and the last's end.
     """
     qews = list(qews)
     if not qews:
@@ -566,24 +591,16 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
     shape = qews[0].with_arrival(0.0)
     if any(q.with_arrival(0.0) != shape for q in qews[1:]):
         raise DomainError("train packets must differ only in their arrival time")
-    base = shape.base if isinstance(shape, ModulatedQewSpec) else shape
-    grid = grid_for_spec(shape, coupling, n)
-    h = assemble_hamiltonian(grid, base.kin, coupling, tls)
-    half = interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0)[1]
+    [window] = grid_windows([shape], coupling, tls, n)
+    half = 0.5 * window.length
     arrivals = np.array([q.t0 for q in qews])
-    close = np.flatnonzero(np.diff(arrivals) < 2.0 * half)
+    close = np.flatnonzero(np.diff(arrivals) < window.length)
     if close.size:
         raise DomainError(f"interaction windows overlap: arrivals {arrivals[close[0]]} and "
-                          f"{arrivals[close[0] + 1]} closer than {2.0 * half}")
-    free = schrodinger_qew_vector(grid, shape, -half)
-    phi = evolve_vector(np.kron(np.eye(2), free), h, np.full(2, 2.0 * half)).reshape(2, 2, -1)
-    w21 = tls.energy_gap / HBAR_EV_FS
-    flip = np.array([[0.0, 1.0], [-1.0, 0.0]])   # rotating = lab * exp(-i w21 t flip)
-    edge = np.exp(-1j * w21 * half * flip)
-    channel = np.einsum("ab,ian,jbn,ij->abij", edge, phi, phi.conj(), edge).reshape(4, 4)
-    start = rho_b * np.exp(-1j * w21 * (arrivals[0] - half) * flip)
-    p2, rho = _step_trains(start, arrivals[None], TrainWindow(channel, 2.0 * half, w21))
-    return p2[0], rho[0] * np.exp(1j * w21 * (arrivals[-1] + half) * flip)
+                          f"{arrivals[close[0] + 1]} closer than {window.length}")
+    start = rho_b * np.exp(-1j * window.omega_21 * (arrivals[0] - half) * _FLIP)
+    p2, rho = _step_trains(start, arrivals[None], window)
+    return p2[0], rho[0] * np.exp(1j * window.omega_21 * (arrivals[-1] + half) * _FLIP)
 
 
 # -- binary dump of TLS trajectories --------------------------------------------------

@@ -1,0 +1,186 @@
+"""Mutation checks: each entry of MUTANTS breaks ``src/feberi`` on purpose in
+one place, and the tests it names must catch that.
+
+    python tests/mutants.py [NAME ...]
+
+runs every entry, or only the named ones.  The runner first checks that each
+entry's snippet occurs exactly once in its module and names every stale entry.
+It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+where the named tests of all entries must pass unmutated.  Then, two entries
+at a time, it applies one replacement to a fresh copy and runs that entry's
+tests, which must fail.  It exits 0 when every mutant is killed and 1
+otherwise.  The standard library only; pytest runs in a subprocess on the
+copy, which it imports through PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PARALLEL = 2          # mutants run at once, each one pytest process
+TIMEOUT_S = 300       # per pytest run
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str                  # file under src/feberi
+    snippet: str                 # exact source text, once in the module
+    replacement: str
+    tests: tuple[str, ...]       # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("grid window edge sign", "solver_density.py",
+           "edge = np.exp(-1j * w21", "edge = np.exp(1j * w21",
+           ("tests/test_scenarios.py::test_fig56_quadratic_form_equals_per_zeta_runs"
+            "[0.1-transverse]",
+            "tests/test_solver_density.py::TestSequentialTrain::test_single_matches_direct")),
+    Mutant("grid window per-grid assembly", "solver_density.py",
+           "rows += [assemblies[grid]] * 2", "rows += [next(iter(assemblies.values()))] * 2",
+           ("tests/test_scenarios.py::test_fig56_block_equals_one_gamma_blocks",
+            "tests/test_properties.py::test_grid_windows_are_channels_equal_to_one_shape_calls")),
+    Mutant("fig56 reads the channel's upper-level row 3", "scenarios.py",
+           "w.channel[3] for w in windows", "w.channel[0] for w in windows",
+           ("tests/test_scenarios.py::test_fig56_quadratic_form_equals_per_zeta_runs"
+            "[1.2-parallel]",)),
+    Mutant("train lab-frame entry sign", "solver_density.py",
+           "start = rho_b * np.exp(-1j", "start = rho_b * np.exp(1j",
+           ("tests/test_solver_density.py::TestSequentialTrain::test_channel_matches_eigh_train"
+            "[pure-correlated]",)),
+    Mutant("train stepper phase sign", "born_dynamics.py",
+           "d = np.exp(1j * window.omega_21 * t_k)", "d = np.exp(-1j * window.omega_21 * t_k)",
+           ("tests/test_born_dynamics.py::TestTrains::test_ensemble_equals_loop",
+            "tests/test_solver_density.py::TestSequentialTrain::test_channel_matches_eigh_train"
+            "[mixed-random]")),
+    Mutant("RK4 weight of the second midpoint stage", "born_dynamics.py",
+           "(a + 2.0 * b + 2.0 * k + c", "(a + 2.0 * b + 1.0 * k + c",
+           ("tests/test_born_dynamics.py::TestStepMatrixPropagator"
+            "::test_step_pairs_match_dense_rk4",)),
+    Mutant("profile span step", "born_dynamics.py",
+           "return float(times[-1] - times[0]) / (len(times) - 1)",
+           "return float(times[1] - times[0])",
+           ("tests/test_born_dynamics.py::TestPhaseTables::test_drive_matches_complex_exp",)),
+    Mutant("parallel gauge phi", "solver_density.py",
+           'gauge = 1j if coupling.orientation == "parallel" else 1.0', "gauge = 1.0",
+           ("tests/test_solver_density.py::TestRealGauge::test_real_symmetric"
+            "[parallel-spectral]",)),
+    Mutant("Bessel orders past a row's Kapteyn order", "solver_density.py",
+           "per_row[kept[p]:, p] = 0.0", "per_row[kept[p] + 1:, p] = 0.0",
+           ("tests/test_solver_density.py::TestChebyshev"
+            "::test_series_stops_each_row_at_its_own_order",)),
+    Mutant("comb harmonics' (-1)^m", "qew.py",
+           "[m % n_samp] * (-1.0) ** m", "[m % n_samp]",
+           ("tests/test_qew.py::TestHarmonicSumsByFft::test_fft_extraction_equals_dense"
+            "[24-4.0-1.3]",)),
+    Mutant("harmonic_order >= harmonic rule", "cli.py",
+           '_SWEEP_RULES = (("harmonic_order", ">=", "harmonic"), ', "_SWEEP_RULES = (",
+           ("tests/test_cli.py::TestCommands::test_harmonic_order_below_harmonic_is_config_error"
+            "[harmonic_order = 1-6-fig9_buildup]",)),
+    Mutant("sweep output labels of floats", "cli.py",
+           'f"{x:g}" if isinstance(x, float)', "repr(x) if isinstance(x, float)",
+           ("tests/test_cli.py::TestCommands::test_colliding_sweep_labels_are_config_error"
+            "[fig56-rounded]",)),
+)
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    """The tests on ``copy``, with its src first on the import path; the
+    returncode is None when the run timed out."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        return subprocess.CompletedProcess(command, None, exc.stdout or "", exc.stderr or "")
+
+
+def _tail(run: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((run.stdout + run.stderr).splitlines()[-lines:])
+
+
+def _stale(mutants) -> list[str]:
+    """Entries whose snippet does not occur exactly once in their module."""
+    out = []
+    for m in mutants:
+        path = ROOT / "src" / "feberi" / m.module
+        count = path.read_text(encoding="utf-8").count(m.snippet) if path.exists() else 0
+        if count != 1:
+            out.append(f"STALE    {m.name}: snippet found {count} times in {m.module}")
+    return out
+
+
+def _run_mutant(m: Mutant) -> tuple[bool, str]:
+    """(killed, report line) of one entry, on a fresh mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="feberi-mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        path = copy / "src" / "feberi" / m.module
+        path.write_text(path.read_text(encoding="utf-8").replace(m.snippet, m.replacement),
+                        encoding="utf-8")
+        start = time.perf_counter()
+        run = _pytest(copy, m.tests)
+    took = f"({time.perf_counter() - start:.1f} s)"
+    if run.returncode == 1:
+        return True, f"killed   {m.name} {took}"
+    if run.returncode is None:
+        return True, f"killed   {m.name}: timed out after {TIMEOUT_S} s"
+    if run.returncode == 0:
+        return False, f"SURVIVED {m.name} {took}"
+    return False, f"ERROR    {m.name}: pytest exit {run.returncode} {took}\n{_tail(run)}"
+
+
+def main(names) -> int:
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 1
+    stale = _stale(mutants)
+    if stale:
+        print("\n".join(stale))
+        return 1
+    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="feberi-unmutated-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        probe = subprocess.run(
+            [sys.executable, "-c", "import importlib.util as u; print(u.find_spec('feberi').origin)"],
+            cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            capture_output=True, text=True)
+        if not probe.stdout.startswith(str(copy)):
+            print(f"the copy's feberi is not the one imported: {probe.stdout or probe.stderr}")
+            return 1
+        baseline = _pytest(copy, tests)
+    if baseline.returncode != 0:
+        print(f"the named tests fail unmutated (pytest exit {baseline.returncode}):\n"
+              f"{_tail(baseline)}")
+        return 1
+    print(f"unmutated: {len(tests)} tests pass")
+    with ThreadPoolExecutor(max_workers=PARALLEL) as pool:
+        results = list(pool.map(_run_mutant, mutants))
+    for _, line in results:
+        print(line)
+    killed = sum(k for k, _ in results)
+    print(f"{killed} of {len(results)} mutants killed")
+    return 0 if killed == len(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -225,6 +225,27 @@ class TestCommands:
             widths = json.loads((out / "summary.json").read_text())["summary"]["fitted_widths"]
             assert all(np.isfinite(w["fitted_inv_e_halfwidth"]) for w in widths.values())
 
+    @pytest.mark.parametrize("scenario, line, label", [
+        ("fig56_phase_size_sweep", "gamma_values = 0.5, 0.5, 1.0", "0.5"),
+        ("fig56_phase_size_sweep", "gamma_values = 0.5, 0.50000001, 1.0", "0.5"),
+        ("fig3_ground", "sigma_et_over_period = 0.1, 0.1, 0.3", "0.1"),
+        ("fig4_superposition", "sigma_et_over_period = 0.1, 0.1, 0.3", "0.1"),
+        ("modulated_resonance", "scan_harmonics = 1, 1", "1"),
+    ], ids=["fig56-equal", "fig56-rounded", "fig3", "fig4", "resonance"])
+    def test_colliding_sweep_labels_are_config_error(self, tmp_path, caplog, scenario, line,
+                                                     label):
+        # each value names its own CSV, SVG and summary key ("{:g}" or str), so
+        # two values of one label would write one run over the other
+        out = tmp_path / "o"
+        text = f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n[sweep]\n{line}\n"
+        cfg = write(tmp_path, text)
+        assert main(["validate", str(cfg)]) == 2
+        assert main(["run", str(cfg)]) == 2
+        key = line.split(" = ")[0]
+        rule = f":6: [sweep] {key}: two values share the output label {label!r}"
+        assert caplog.text.count(rule) == 2
+        assert not out.exists()
+
     def test_window_factors_honoured_by_fig8(self, tmp_path):
         out = tmp_path / "o"
         text = ("[run]\nscenario = fig8_single_point\n"

@@ -1,6 +1,7 @@
 """Property tests: coupling kernel, the circulant block builder, the shared
 Toeplitz kernel and its FFT product, blocks whose rows carry their own
-Hamiltonian, phase wrapping and config parsing."""
+Hamiltonian, the joint grid's window channels, phase wrapping and config
+parsing."""
 
 import math
 import tempfile
@@ -18,8 +19,9 @@ from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, InteractionGeometry, Tl
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.grid import MomentumGrid, build_grid, circulant_block, circulant_product, \
     kernel_column
+from feberi.qew import GaussianQewSpec
 from feberi.solver_density import MAX_CHEBYSHEV_ORDER, _spectral_bounds, assemble_hamiltonian, \
-    evolve_vector
+    evolve_vector, grid_windows
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -181,6 +183,33 @@ def test_rows_and_assemblies_must_match():
         evolve_vector(starts, [small, large], np.ones(2))
     with pytest.raises(DomainError, match="do not fit assemblies"):
         evolve_vector(starts, large, np.ones(2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(orientation=orientations,
+       gammas=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3))
+@example(orientation="parallel", gammas=[0.1, 2.0, 0.1])
+def test_grid_windows_are_channels_equal_to_one_shape_calls(orientation, gammas):
+    # packets of Gamma 0.05 .. 3 need grids of their own below about 0.67 and
+    # share the recoil-limited one above: every window of one block is a
+    # trace- and Hermiticity-preserving, completely positive map of the TLS
+    # state, and equals the window of its shape alone
+    cpl = COUPLINGS[orientation]
+    shapes = [GaussianQewSpec.from_duration(KIN, g / cpl.tls.omega_21) for g in gammas]
+    windows = grid_windows(shapes, cpl, cpl.tls, 64)
+    assert len(windows) == len(shapes)
+    for shape, window in zip(shapes, windows):
+        k = window.channel
+        assert k.shape == (4, 4)
+        np.testing.assert_allclose(k[0] + k[3], [1.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-12)
+        # K_ab,ij = conj(K_ba,ji): rho^dagger maps to the image's dagger
+        quad = k.reshape(2, 2, 2, 2)
+        np.testing.assert_allclose(quad, quad.transpose(1, 0, 3, 2).conj(), rtol=0, atol=1e-12)
+        choi = quad.transpose(2, 0, 3, 1).reshape(4, 4)     # sum_ij |i><j| (x) K(|i><j|)
+        assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12
+        [alone] = grid_windows([shape], cpl, cpl.tls, 64)
+        np.testing.assert_allclose(k, alone.channel, rtol=0, atol=1e-13)
+        assert (window.length, window.omega_21) == (alone.length, alone.omega_21)
 
 
 @settings(max_examples=300, deadline=None)

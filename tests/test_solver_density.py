@@ -10,7 +10,8 @@ from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec
-from feberi.scenarios import SCENARIOS, physics_bundle, run_scenario, run_solver_crosscheck
+from feberi.scenarios import SCENARIOS, physics_bundle, point_sigma_et, profile_grid_args, \
+    run_scenario, run_solver_crosscheck, window_factors
 from feberi.solver_density import (
     MAX_CHEBYSHEV_ORDER,
     AssemblyError,
@@ -25,6 +26,7 @@ from feberi.solver_density import (
     assemble_hamiltonian,
     energy_accounting,
     evolve_vector,
+    grid_windows,
     initial_joint_vector,
     partial_trace_bound,
     read_rho_b_bin,
@@ -666,6 +668,27 @@ class TestSequentialTrain:
         qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0)]
         with pytest.raises(DomainError, match=f"rho_b0 must be {reason}"):
             sequential_multi_qew(rho_b0, qews, coupling, tls, n=64)
+
+
+@pytest.mark.parametrize("orientation, rel", [("transverse", 1e-4), ("parallel", 1e-3)])
+def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
+    # default fig9's point packet (Gamma = 0.2195, N = 256): from ground, the
+    # Born window's P2 is the joint grid's times e^{-Gamma^2}, the coherent
+    # share that the Born model keeps of a packet of that size (1.5e-5 off,
+    # transverse).  The parallel kernel's slow tail keeps both models' P2
+    # rising past the default window (+11% at 40 t_r), so its ratio holds to
+    # 3.8e-4 there and moves by 2e-3 with the window
+    cfg = default_config("fig9_buildup")
+    cfg["physics"]["orientation"] = orientation
+    kin, tls, _, coupling = physics_bundle(cfg)
+    sigma = point_sigma_et(cfg, kin, tls)
+    gamma = tls.omega_21 * sigma
+    assert gamma == pytest.approx(0.2195, abs=1e-4)
+    born = train_window(coupling, sigma, tls.omega_21, **profile_grid_args(cfg))
+    [grid] = grid_windows([GaussianQewSpec.from_duration(kin, sigma)], coupling, tls,
+                          cfg["numerics"]["grid_points"], **window_factors(cfg))
+    ratio = born.channel[3, 0].real / grid.channel[3, 0].real
+    assert ratio == pytest.approx(math.exp(-gamma ** 2), rel=rel)
 
 
 def test_no_scenario_or_train_calls_eigh(coupling, tls, kin, assembly, monkeypatch):
