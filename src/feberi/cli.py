@@ -25,7 +25,7 @@ import numpy as np
 
 from feberi import __version__
 from feberi.born_dynamics import StepSizeError
-from feberi.core import DomainError
+from feberi.core import HBAR_EV_FS, DomainError
 from feberi.grid import MomentumGrid, interaction_window
 from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
     grid_for_spec, tooth_sigma_et
@@ -195,11 +195,12 @@ def _key_lines(text: str) -> dict[tuple[str, str], int]:
     return lines
 
 
-def _check_resonance_scan(sweep: dict, path, lines: dict) -> None:
+def _check_resonance_scan(cfg: dict, path, lines: dict) -> None:
     """Refuse a scan whose width fit would be undefined: the fit's mask must
-    keep two distinct squared detunings (equal up to rounding count as one).
-    The mask keeps the points nearest the scan's centre, so the central six
-    decide it."""
+    keep two distinct squared detunings (equal up to rounding count as one),
+    and the central six points decide it.  Refuse a scan start or a Born spot
+    check at omega_21 <= 0, too.  Plain floats, as the scenario computes them."""
+    sweep = cfg["sweep"]
     points = sweep["scan_points"]
     centre = (points - 1) // 2
     detuning, mask = resonance_scan(sweep, range(max(0, centre - 2), min(points, centre + 4)))
@@ -215,6 +216,16 @@ def _check_resonance_scan(sweep: dict, path, lines: dict) -> None:
             f"scan_halfwidth_inv_sigma = {sweep['scan_halfwidth_inv_sigma']!r} leaves "
             f"{distinct} distinct squared detuning(s) within 3/sigma of a harmonic; "
             "the resonance-width fit needs 2")
+    omega_b = cfg["physics"]["energy_gap_ev"] / HBAR_EV_FS / sweep["harmonic"]
+    checks = [("scan_halfwidth_inv_sigma",
+               min(sweep["scan_harmonics"]) * omega_b + resonance_scan(sweep, [0])[0][0])]
+    checks += [("spot_check_detunings",
+                sweep["harmonic"] * omega_b + d / sweep["envelope_sigma_et_fs"])
+               for d in (sweep["spot_check_detunings"] if sweep["born_check"] else [])]
+    for key, w21 in checks:
+        if w21 <= 0.0:
+            raise ConfigError(f"{path}:{lines.get(('sweep', key), 0)}: [sweep] {key}: puts "
+                              f"omega_21 at {w21:.4g} rad/fs; the TLS gap must be > 0")
 
 
 def load_config(path) -> dict:
@@ -266,8 +277,13 @@ def load_config(path) -> dict:
         if twice:
             raise ConfigError(f"{path}:{lines.get(('sweep', key), 0)}: [sweep] {key}: two "
                               f"values share the output label {twice[0]!r}")
+    if scenario in ("fig8_single_point", "solver_crosscheck") \
+            and len(sweep["sigma_et_over_period"]) > 1:
+        raise ConfigError(f"{path}:{lines.get(('sweep', 'sigma_et_over_period'), 0)}: "
+                          f"[sweep] sigma_et_over_period: scenario {scenario} runs one "
+                          f"packet size, got {len(sweep['sigma_et_over_period'])} values")
     if scenario == "modulated_resonance":
-        _check_resonance_scan(sweep, path, lines)
+        _check_resonance_scan(cfg, path, lines)
     for section, key, scenarios in _SCENARIO_ONLY:
         if scenario not in scenarios and cfg[section][key] != schema[section][key][2]:
             ln = lines.get((section, key), 0)
@@ -463,8 +479,6 @@ def main(argv=None) -> int:
 
     ap_run = sub.add_parser("run", help="run a scenario config")
     ap_run.add_argument("config")
-    ap_run.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for modulated_resonance's Born spot checks")
     ap_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     ap_run.add_argument("--out", default=None, help="override [run] output_dir")
 
@@ -510,7 +524,7 @@ def main(argv=None) -> int:
     log.info("running scenario %s (seed %d)", cfg["run"]["scenario"],
              cfg["run"]["seed"])
     try:
-        result = run_scenario(cfg, jobs=args.jobs)
+        result = run_scenario(cfg)
     except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)
         return 3

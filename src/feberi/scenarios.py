@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -318,29 +317,6 @@ def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
 
 # -- scenario: modulated-packet resonance ------------------------------------------------
 
-def _resonance_spot(args: tuple) -> dict:
-    """Worker: one Born-dynamics check of the resonance curve at a detuning,
-    on the run's bunched spectrum."""
-    cfg, spectrum, detune_over_sigma = args
-    kin, tls0, geo, _ = physics_bundle(cfg)
-    sigma_env = cfg["sweep"]["envelope_sigma_et_fs"]
-    harmonic = cfg["sweep"]["harmonic"]
-    w21 = harmonic * spectrum.omega_b + detune_over_sigma / sigma_env
-    tls = replace(tls0, energy_gap=w21 * HBAR_EV_FS)
-    coupling = DipoleCoupling(tls, geo, kin)
-    prof = bd.modulated_interaction_profile(coupling, sigma_env, spectrum, 0.0, 0.0,
-                                            tls.omega_21, max_harmonic=harmonic + 6,
-                                            **profile_grid_args(cfg))
-    traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inc = analytic.modulated_increments(
-            coupling, kin, spectrum, sigma_env, tls.omega_21, TlsState.ground(), 0.0, 0.0)
-    return {"detuning_over_inv_sigma": detune_over_sigma,
-            "omega_21": w21, "born_dp2": float(traj.p2[-1]),
-            "analytic_dp2": inc.dp2}
-
-
 def resonance_scan(sweep: dict, index=None) -> tuple[list[float], list[bool]]:
     """Detunings from a harmonic, rad/fs, of the scan points ``index`` (all
     by default), and the width fit's mask on them.
@@ -360,7 +336,7 @@ def resonance_scan(sweep: dict, index=None) -> tuple[list[float], list[bool]]:
     return detuning, [abs(d) * sigma_env <= 3.0 for d in detuning]
 
 
-def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
+def run_modulated_resonance(cfg: dict) -> ScenarioResult:
     """Second-order increment vs TLS frequency: Gaussian peaks at the
     bunching harmonics with 1/e half-width 1/sigma_et."""
     kin, tls0, geo, _ = physics_bundle(cfg)
@@ -369,21 +345,22 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
     spectrum = bunched_spectrum(cfg, kin, tls0)
     bunch_sigma = tooth_sigma_et(spectrum)    # refuses a comb without a bunch
 
+    def coupling_at(w21: float) -> DipoleCoupling:
+        return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+
+    def analytic_dp2(coupling: DipoleCoupling, w21: float) -> float:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return analytic.modulated_increments(coupling, kin, spectrum, sigma_env, w21,
+                                                 TlsState.ground(), 0.0, 0.0).dp2
+
     series = []
     widths = {}
     detuning, mask = map(np.array, resonance_scan(sw))
     for n_h in sw["scan_harmonics"]:
         center = n_h * spectrum.omega_b
         w_scan = center + detuning
-        dp2 = np.empty_like(w_scan)
-        for i, w21 in enumerate(w_scan):
-            tls = replace(tls0, energy_gap=w21 * HBAR_EV_FS)
-            coupling = DipoleCoupling(tls, geo, kin)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                inc = analytic.modulated_increments(
-                    coupling, kin, spectrum, sigma_env, w21, TlsState.ground(), 0.0, 0.0)
-            dp2[i] = inc.dp2
+        dp2 = np.array([analytic_dp2(coupling_at(w21), w21) for w21 in w_scan])
         # ln dp2 = const - (w - center)^2 sigma_fit^2 -> 1/e halfwidth = 1/sigma_fit
         x = (w_scan[mask] - center) ** 2
         y = np.log(dp2[mask])
@@ -403,12 +380,21 @@ def run_modulated_resonance(cfg: dict, jobs: int = 1) -> ScenarioResult:
 
     spots = []
     if sw["born_check"]:
-        args = [(cfg, spectrum, d) for d in sw["spot_check_detunings"]]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                spots = list(ex.map(_resonance_spot, args))
-        else:
-            spots = [_resonance_spot(a) for a in args]
+        # omega_21 enters a profile only through its step, min(t_r, T21, sigma) /
+        # points_per_scale: the largest spot omega_21 gives the finest step any needs
+        w_spots = [sw["harmonic"] * spectrum.omega_b + d / sigma_env
+                   for d in sw["spot_check_detunings"]]
+        finest = coupling_at(max(w_spots))
+        prof = bd.modulated_interaction_profile(finest, sigma_env, spectrum, 0.0, 0.0,
+                                                finest.tls.omega_21,
+                                                max_harmonic=sw["harmonic"] + 6,
+                                                **profile_grid_args(cfg))
+        for d, w21 in zip(sw["spot_check_detunings"], w_spots):
+            coupling = coupling_at(w21)
+            traj = bd.evolve_tls(TlsState.ground(), prof, coupling.tls.omega_21)
+            spots.append({"detuning_over_inv_sigma": d, "omega_21": w21,
+                          "born_dp2": float(traj.p2[-1]),
+                          "analytic_dp2": analytic_dp2(coupling, coupling.tls.omega_21)})
         series.append(SeriesData(
             name="born_spot_checks",
             columns={
@@ -581,19 +567,15 @@ SCENARIOS = {
                           "amplitude-equation vs density-matrix solver agreement"),
 }
 
-PARALLEL_SCENARIOS = {"modulated_resonance"}
 # the scenarios that build a momentum grid (and run a grid solver)
 GRID_SCENARIOS = {"fig3_ground", "fig4_superposition", "fig56_phase_size_sweep",
                   "solver_crosscheck"}
 
 
 def run_scenario(cfg: dict, jobs: int = 1) -> ScenarioResult:
-    name = cfg["run"]["scenario"]
-    fn, _ = SCENARIOS[name]
+    # ``jobs`` is ignored; perfbench/worker.py still passes it (ROADMAP item 1 removes it)
+    fn, _ = SCENARIOS[cfg["run"]["scenario"]]
     t0 = time.time()
-    if name in PARALLEL_SCENARIOS:
-        result = fn(cfg, jobs=jobs)
-    else:
-        result = fn(cfg)
+    result = fn(cfg)
     result.metadata["runtime_s"] = round(time.time() - t0, 3)
     return result

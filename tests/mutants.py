@@ -81,6 +81,9 @@ MUTANTS = (
            "[m % n_samp] * (-1.0) ** m", "[m % n_samp]",
            ("tests/test_qew.py::TestHarmonicSumsByFft::test_fft_extraction_equals_dense"
             "[24-4.0-1.3]",)),
+    Mutant("shared Born profile on the largest spot omega_21", "scenarios.py",
+           "finest = coupling_at(max(w_spots))", "finest = coupling_at(min(w_spots))",
+           ("tests/test_scenarios.py::test_spot_checks_share_one_profile[small]",)),
     Mutant("harmonic_order >= harmonic rule", "cli.py",
            '_SWEEP_RULES = (("harmonic_order", ">=", "harmonic"), ', "_SWEEP_RULES = (",
            ("tests/test_cli.py::TestCommands::test_harmonic_order_below_harmonic_is_config_error"

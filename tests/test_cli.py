@@ -115,6 +115,12 @@ class TestCommands:
         assert load_config(cfg)["run"]["output_dir"] == str(out)
         assert main(["validate", str(cfg)]) == 0
 
+    def test_spot_check_that_does_not_run_is_not_refused(self, tmp_path):
+        # with born_check = false no spot check runs, so none is refused at omega_21 <= 0
+        text = ("[run]\nscenario = modulated_resonance\n\n"
+                "[sweep]\nspot_check_detunings = -100\nborn_check = false\n")
+        assert main(["validate", str(write(tmp_path, text))]) == 0
+
     @pytest.mark.parametrize("scenario, section, entry", [
         ("fig9_buildup", "sweep", "ensemble_seeds = 0"),
         ("fig56_phase_size_sweep", "sweep", "zeta_points = 0"),
@@ -124,14 +130,23 @@ class TestCommands:
         ("fig8_single_point", "physics", "energy_gap_ev = -1"),
         ("fig8_single_point", "physics", "beam_energy_kev = 0"),
         ("fig9_buildup", "sweep", "correlated_electrons = 0"),
+        # omega_21 = gap/hbar + d/sigma_env < 0 at a spot check, and the harmonic-1
+        # scan starting at omega_b - 2.4 rad/fs < 0
+        ("modulated_resonance", "sweep", "spot_check_detunings = -100"),
+        ("modulated_resonance", "sweep", "scan_halfwidth_inv_sigma = 12\nborn_check = false"),
+        # scenarios that run only the first packet size
+        ("fig8_single_point", "sweep", "sigma_et_over_period = 0.015, 0.3"),
+        ("solver_crosscheck", "sweep", "sigma_et_over_period = 0.1, 0.3"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, caplog, scenario,
                                                 section, entry):
         out = tmp_path / "o"
         text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
                 f"[{section}]\n{entry}\n")
-        assert main(["run", str(write(tmp_path, text))]) == 2
-        assert f":6: [{section}] {entry.split()[0]}: " in caplog.text
+        cfg = write(tmp_path, text)
+        assert main(["validate", str(cfg)]) == 2
+        assert main(["run", str(cfg)]) == 2
+        assert caplog.text.count(f":6: [{section}] {entry.split()[0]}: ") == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["modulated_resonance", "fig9_buildup"])

@@ -1,11 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from feberi import born_dynamics as bd, scenarios, solver_density as sd
 from feberi.cli import ConfigError, default_config
-from feberi.core import TWO_PI, TlsState, wrap_phase
+from feberi.core import HBAR_EV_FS, TWO_PI, TlsState, wrap_phase
+from feberi.coulomb import DipoleCoupling
 from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec
 from feberi.scenarios import _fig56_block, physics_bundle, \
@@ -26,16 +28,38 @@ def small_resonance_config(detunings):
     return cfg
 
 
-def test_worker_pool_matches_serial():
-    # the Born spot checks are the one computation --jobs spreads over processes
-    cfg = small_resonance_config([0.0, 1.0])
-    serial = run_modulated_resonance(cfg, jobs=1)
-    parallel = run_modulated_resonance(cfg, jobs=2)
-    for s, p in zip(serial.series, parallel.series):
-        for key in s.columns:
-            np.testing.assert_array_equal(s.columns[key], p.columns[key])
-    assert serial.summary == parallel.summary
-    assert len(serial.summary["born_spot_checks"]) == 2
+@pytest.mark.parametrize("detunings", [[0.0, 1.0], [1.0, -0.5, 0.0], None],
+                         ids=["small", "small-unsorted", "default"])
+def test_spot_checks_share_one_profile(monkeypatch, detunings):
+    # one profile per run, on the largest spot check's omega_21 (the finest step any
+    # check needs); each check's Born increment equals a profile built for its own
+    cfg = default_config("modulated_resonance") if detunings is None \
+        else small_resonance_config(detunings)
+    kin, tls0, geo, _ = physics_bundle(cfg)
+
+    def coupling_at(w21):
+        return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+
+    build = bd.modulated_interaction_profile
+    calls = counted(monkeypatch, bd, "modulated_interaction_profile")
+    spots = run_modulated_resonance(cfg).summary["born_spot_checks"]
+    assert len(spots) == len(cfg["sweep"]["spot_check_detunings"])
+    largest = coupling_at(max(s["omega_21"] for s in spots)).tls.omega_21
+    assert [args[5] for args in calls] == [largest]
+
+    spectrum = scenarios.bunched_spectrum(cfg, kin, tls0)
+    for spot in spots:
+        coupling = coupling_at(spot["omega_21"])
+        prof = build(coupling, cfg["sweep"]["envelope_sigma_et_fs"], spectrum, 0.0, 0.0,
+                     coupling.tls.omega_21, max_harmonic=cfg["sweep"]["harmonic"] + 6,
+                     **scenarios.profile_grid_args(cfg))
+        traj = bd.evolve_tls(TlsState.ground(), prof, coupling.tls.omega_21)
+        assert spot["born_dp2"] == float(traj.p2[-1])
+
+    calls.clear()
+    cfg["sweep"]["born_check"] = False
+    assert run_modulated_resonance(cfg).summary["born_spot_checks"] == []
+    assert calls == []
 
 
 def per_zeta_increments(cfg, gamma):
