@@ -284,6 +284,14 @@ def load_config(path) -> dict:
                           f"packet size, got {len(sweep['sigma_et_over_period'])} values")
     if scenario == "modulated_resonance":
         _check_resonance_scan(cfg, path, lines)
+    if scenario == "fig9_buildup":    # correlated gaps are drawn below 2 round(x) periods
+        x, n = sweep["mean_spacing_periods"], sweep["correlated_electrons"]
+        if 2.0 * round(x) * n > 2.0 ** 53:     # a comb index n_K past 2^53 is not exact
+            ln = lines.get(("sweep", "mean_spacing_periods")) \
+                or lines.get(("sweep", "correlated_electrons"), 0)
+            raise ConfigError(f"{path}:{ln}: [sweep] mean_spacing_periods: {x!r} with "
+                              f"correlated_electrons = {n} puts comb indices past 2^53; "
+                              f"must be <= {2 ** 52 // n}")
     for section, key, scenarios in _SCENARIO_ONLY:
         if scenario not in scenarios and cfg[section][key] != schema[section][key][2]:
             ln = lines.get((section, key), 0)

@@ -110,14 +110,22 @@ class ModulatedQewSpec:
     def __post_init__(self):
         if self.omega_b <= 0.0:
             raise DomainError(f"omega_b must be > 0, got {self.omega_b}")
-        if self.base.sigma_et <= TWO_PI / self.omega_b:
+        if self.sigma_et <= TWO_PI / self.omega_b:
             raise DomainError(
                 "envelope shorter than one modulation period: "
-                f"sigma_et = {self.base.sigma_et:.4g} fs <= T_b = {TWO_PI / self.omega_b:.4g} fs")
+                f"sigma_et = {self.sigma_et:.4g} fs <= T_b = {TWO_PI / self.omega_b:.4g} fs")
 
     @property
     def t0(self) -> float:      # the envelope's arrival time, fs
         return self.base.t0
+
+    @property
+    def kin(self) -> ElectronKinematics:
+        return self.base.kin
+
+    @property
+    def sigma_et(self) -> float:     # the envelope's duration, fs
+        return self.base.sigma_et
 
     def with_arrival(self, t0: float) -> "ModulatedQewSpec":
         return replace(self, base=self.base.with_arrival(t0))
@@ -125,7 +133,7 @@ class ModulatedQewSpec:
     @property
     def delta_p(self) -> float:
         """Sideband momentum spacing hbar*omega_b/v0 in eV*fs/nm."""
-        return HBAR_EV_FS * self.omega_b / self.base.kin.v0
+        return HBAR_EV_FS * self.omega_b / self.kin.v0
 
     @property
     def period(self) -> float:
@@ -157,27 +165,24 @@ def sideband_cutoff(g_abs: float, tol: float = 1e-8) -> int:
     raise DomainError(f"no sideband cutoff found for |g| = {g_abs}")
 
 
-def optimal_drift_time(spec_or_kin, omega_b: float | None = None,
-                       g_abs: float | None = None) -> float:
+def optimal_drift_time(kin: ElectronKinematics, omega_b: float, g_abs: float) -> float:
     """Drift time maximizing density bunching, T_b*p0/(2*dp_mod), in fs.
 
     dp_mod = 2|g|*delta_p is the momentum modulation amplitude imprinted at
-    the modulation point.  Accepts a ModulatedQewSpec, or an
-    ElectronKinematics plus explicit omega_b and |g|.
+    the modulation point.
     """
-    if isinstance(spec_or_kin, ModulatedQewSpec):
-        kin = spec_or_kin.base.kin
-        omega_b = spec_or_kin.omega_b
-        g_abs = abs(spec_or_kin.g)
-    else:
-        kin = spec_or_kin
-        if omega_b is None or g_abs is None:
-            raise DomainError("omega_b and g_abs required with bare kinematics")
     if g_abs <= 0.0:
         raise DomainError("optimal drift undefined for g = 0")
     delta_p = HBAR_EV_FS * omega_b / kin.v0
     t_b = TWO_PI / omega_b
     return t_b * kin.p0 / (4.0 * g_abs * delta_p)
+
+
+def optimally_drifted(base: GaussianQewSpec, g: float, omega_b: float) -> ModulatedQewSpec:
+    """``base`` modulated with coupling g at omega_b, arriving after the drift
+    of densest bunching (``optimal_drift_time``)."""
+    return ModulatedQewSpec(base=base, g=g, omega_b=omega_b,
+                            drift_time=optimal_drift_time(base.kin, omega_b, abs(g)))
 
 
 # -- momentum-space amplitudes ---------------------------------------------------
@@ -227,6 +232,14 @@ def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: MomentumGrid) -> n
     return c / math.sqrt(norm)
 
 
+def momentum_amplitudes(spec: GaussianQewSpec | ModulatedQewSpec,
+                        grid: MomentumGrid) -> np.ndarray:
+    """Discrete momentum amplitudes of either packet kind."""
+    if isinstance(spec, ModulatedQewSpec):
+        return modulated_momentum_amplitudes(spec, grid)
+    return gaussian_momentum_amplitudes(spec, grid)
+
+
 def modulated_momentum_amplitudes(spec: ModulatedQewSpec, grid: MomentumGrid) -> np.ndarray:
     """Discrete momentum amplitudes of a modulated packet (sideband comb).
 
@@ -273,16 +286,15 @@ def _modulated_amplitude_comoving(spec: ModulatedQewSpec, xi: np.ndarray) -> np.
     the bunching sharpness is controlled by the quadratic (in n) part of
     that phase.
     """
-    base = spec.base
-    kin = base.kin
-    sz = base.sigma_z0
+    kin = spec.kin
+    sz = spec.base.sigma_z0
     orders, weights = spec.sideband_amplitudes()
     shift_unit = spec.delta_p * spec.drift_time / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2)
     amp = np.zeros(xi.shape, dtype=complex)
     for n, w in zip(orders, weights):
         delta_n = n * shift_unit
         envelope = np.exp(-((xi - delta_n) ** 2) / (4.0 * sz * sz))
-        phase = (n * spec.omega_b / kin.v0) * (xi - kin.v0 * base.t0 - delta_n)
+        phase = (n * spec.omega_b / kin.v0) * (xi - kin.v0 * spec.t0 - delta_n)
         amp += w * envelope * np.exp(1j * phase)
     return amp * (TWO_PI * sz * sz) ** (-0.25)
 
@@ -297,12 +309,11 @@ def density_profile(spec: GaussianQewSpec | ModulatedQewSpec, t: float,
     the grid must cover the packet.
     """
     z = np.asarray(z_grid, dtype=float)
+    xi = z - spec.kin.v0 * (t - spec.t0)
     if isinstance(spec, ModulatedQewSpec):
-        xi = z - spec.base.kin.v0 * (t - spec.base.t0)
         dens = np.abs(_modulated_amplitude_comoving(spec, xi)) ** 2
     else:
         sz = spec.sigma_z0
-        xi = z - spec.kin.v0 * (t - spec.t0)
         dens = np.exp(-(xi**2) / (2.0 * sz * sz)) / math.sqrt(TWO_PI * sz * sz)
     total = np.trapezoid(dens, z)
     if total <= 0.0:
@@ -373,14 +384,13 @@ def modulation_fourier_coefficients(spec: ModulatedQewSpec, order: int) -> Modul
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    base = spec.base
     t_b = spec.period
     n_samp = max(64 * order, 512)
     # density in time at z=0: xi = -v0 (t - t0)
     s = (np.arange(n_samp) / n_samp - 0.5) * t_b   # one period about the center
-    xi = -base.kin.v0 * s
+    xi = -spec.kin.v0 * s
     dens = np.abs(_modulated_amplitude_comoving(spec, xi)) ** 2
-    envelope = np.exp(-(s**2) / (2.0 * base.sigma_et**2))
+    envelope = np.exp(-(s**2) / (2.0 * spec.sigma_et**2))
     fmod = dens / envelope
     m = np.arange(-order, order + 1)
     # f_m = <f(t) e^{-i m omega_b t}> over one period, t = t0 + s_j; the
@@ -390,7 +400,7 @@ def modulation_fourier_coefficients(spec: ModulatedQewSpec, order: int) -> Modul
     if f0 <= 0.0:
         raise ResolutionError("non-positive mean modulation density")
     centered /= f0
-    spectrum = ModulationSpectrum(f_m=centered * np.exp(-1j * m * spec.omega_b * base.t0),
+    spectrum = ModulationSpectrum(f_m=centered * np.exp(-1j * m * spec.omega_b * spec.t0),
                                   omega_b=spec.omega_b)
     recon = _period_samples(centered, n_samp)      # the reconstruction at t0 + s_j
     if np.min(recon) < -1e-6 * np.max(recon):

@@ -31,13 +31,12 @@ from feberi.coulomb import DipoleCoupling
 from feberi.grid import interaction_window
 from feberi.qew import (
     GaussianQewSpec,
-    ModulatedQewSpec,
     ModulationSpectrum,
     ResolutionError,
     gamma_parameter,
     grid_for_spec,
     modulation_fourier_coefficients,
-    optimal_drift_time,
+    optimally_drifted,
     tooth_sigma_et,
 )
 
@@ -92,9 +91,8 @@ def bunched_spectrum(cfg: dict, kin, tls) -> ModulationSpectrum:
     sw = cfg["sweep"]
     omega_b = tls.omega_21 / sw["harmonic"]
     base = GaussianQewSpec.from_duration(kin, sw["envelope_sigma_et_fs"], t0=0.0)
-    mspec = ModulatedQewSpec(base=base, g=sw["modulation_g"], omega_b=omega_b,
-                             drift_time=optimal_drift_time(kin, omega_b, sw["modulation_g"]))
-    return modulation_fourier_coefficients(mspec, sw["harmonic_order"])
+    return modulation_fourier_coefficients(optimally_drifted(base, sw["modulation_g"], omega_b),
+                                           sw["harmonic_order"])
 
 
 def point_sigma_et(cfg: dict, kin, tls) -> float:
@@ -110,7 +108,8 @@ def point_sigma_et(cfg: dict, kin, tls) -> float:
                               "set sigma_et_point_fs > 0 or raise modulation_g") from exc
 
 
-def base_metadata(cfg: dict, kin, tls, geo) -> dict:
+def base_metadata(cfg: dict) -> dict:
+    kin, tls, geo, _ = physics_bundle(cfg)
     return {
         "tool_version": __version__,
         "config": cfg,
@@ -130,32 +129,40 @@ def base_metadata(cfg: dict, kin, tls, geo) -> dict:
     }
 
 
-# -- scenario: ground-state excitation vs packet size --------------------------------
+# -- scenarios: one packet per size on the joint grid ----------------------------------
+
+def _size_runs(cfg: dict, coupling: DipoleCoupling, state: TlsState, t0: float):
+    """(frac, sigma_et, trajectory, energy accounting, energy residual) of one
+    packet arriving at t0 per sigma_et_over_period, from the TLS ``state``,
+    sampled at time_samples points across its interaction window.  The
+    residual dE_F + E_gap dP2 is the energy not yet balanced by the TLS."""
+    num = cfg["numerics"]
+    tls = coupling.tls
+    for frac in cfg["sweep"]["sigma_et_over_period"]:
+        sigma = frac * tls.period
+        window = interaction_window(sigma, coupling.geometry.transit_time, t0,
+                                    **window_factors(cfg))
+        traj = sd.run_qew_interaction(
+            GaussianQewSpec.from_duration(coupling.kin, sigma, t0=t0), state, coupling, tls,
+            n=num["grid_points"], times=np.linspace(*window, num["time_samples"]),
+            collect_rho_b=num["dump_rho_b"])
+        acc = sd.energy_accounting(traj)
+        resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
+        yield frac, sigma, traj, acc, resid
+
 
 def run_fig3_ground(cfg: dict) -> ScenarioResult:
     """From-ground excitation for several packet durations: the final
     occupation is size independent and matches the closed form."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
-    num = cfg["numerics"]
-    fractions = cfg["sweep"]["sigma_et_over_period"]
+    kin, _, _, coupling = physics_bundle(cfg)
     p2_ref = analytic.p2_from_ground(coupling, kin)
 
     series = []
     plateaus = {}
     energy_resid = {}
-    for frac in fractions:
-        sigma = frac * tls.period
-        spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-        window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
-        traj = sd.run_qew_interaction(
-            spec, TlsState.ground(), coupling, tls, n=num["grid_points"],
-            window=window, n_samples=num["time_samples"],
-            collect_rho_b=num["dump_rho_b"])
-        acc = sd.energy_accounting(traj)
-        resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
-        name = f"sigma_{frac:g}T21"
+    for frac, _, traj, acc, resid in _size_runs(cfg, coupling, TlsState.ground(), 0.0):
         series.append(SeriesData(
-            name=name,
+            name=f"sigma_{frac:g}T21",
             columns={
                 "t [fs]": traj.times,
                 "P1": traj.p1,
@@ -169,7 +176,7 @@ def run_fig3_ground(cfg: dict) -> ScenarioResult:
             xlabel="t [fs]", ylabel="P2"))
         plateaus[f"{frac:g}"] = float(traj.p2[-1])
         energy_resid[f"{frac:g}"] = float(np.max(np.abs(resid)))
-        if num["dump_rho_b"]:
+        if traj.rho_b is not None:
             series[-1].columns["_rho_b"] = traj.rho_b  # handled by the writer
 
     vals = np.array(list(plateaus.values()))
@@ -180,19 +187,15 @@ def run_fig3_ground(cfg: dict) -> ScenarioResult:
         "mutual_spread": float((vals.max() - vals.min()) / vals.mean()),
         "max_energy_residual_ev": energy_resid,
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls, geo))
+    return ScenarioResult(series=series, summary=summary)
 
-
-# -- scenario: superposition start at fixed arrival phase ------------------------------
 
 def run_fig4_superposition(cfg: dict) -> ScenarioResult:
     """Superposition start: the increment decays with packet size and the
     energy balance is violated only transiently."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
-    num = cfg["numerics"]
-    fractions = cfg["sweep"]["sigma_et_over_period"]
-    zeta = cfg["sweep"]["zeta_over_pi"] * math.pi
+    kin, tls, _, coupling = physics_bundle(cfg)
+    # zeta is 2 pi periodic: reduced mod 2 first, a huge zeta_over_pi stays finite
+    zeta = math.fmod(cfg["sweep"]["zeta_over_pi"], 2.0) * math.pi
     phi = math.pi / 2.0
     state = TlsState.equatorial(phi)
     t0 = wrap_phase(zeta + phi) / tls.omega_21
@@ -201,18 +204,9 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
     increments = {}
     transients = {}
     final_resid = {}
-    for frac in fractions:
-        sigma = frac * tls.period
-        spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
-        window = interaction_window(sigma, geo.transit_time, t0, **window_factors(cfg))
-        traj = sd.run_qew_interaction(
-            spec, state, coupling, tls, n=num["grid_points"], window=window,
-            n_samples=num["time_samples"])
-        acc = sd.energy_accounting(traj)
-        resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
-        name = f"sigma_{frac:g}T21"
+    for frac, sigma, traj, acc, resid in _size_runs(cfg, coupling, state, t0):
         series.append(SeriesData(
-            name=name,
+            name=f"sigma_{frac:g}T21",
             columns={
                 "t [fs]": traj.times,
                 "P2": traj.p2,
@@ -245,8 +239,7 @@ def run_fig4_superposition(cfg: dict) -> ScenarioResult:
         "transient_energy_residual_max_ev": transients,
         "final_energy_residual_ev": final_resid,
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls, geo))
+    return ScenarioResult(series=series, summary=summary)
 
 
 # -- scenario: arrival-phase x size sweep ----------------------------------------------
@@ -270,7 +263,7 @@ def _fig56_block(cfg: dict, gammas: list[float]) -> np.ndarray:
 def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
     """Increment vs (arrival phase, packet size): sinusoidal in zeta with an
     exp(-Gamma^2/2) envelope; fits the two-term law."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    kin, tls, _, coupling = physics_bundle(cfg)
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
@@ -311,8 +304,7 @@ def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
         "zeta_slice_r_squared": slice_r2,
         "enhancement_ratio_small_over_large_sigma": float(max_by_gamma[0] / max_by_gamma[-1]),
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls, geo))
+    return ScenarioResult(series=series, summary=summary)
 
 
 # -- scenario: modulated-packet resonance ------------------------------------------------
@@ -410,15 +402,14 @@ def run_modulated_resonance(cfg: dict) -> ScenarioResult:
         "born_spot_checks": spots,
         "bunch_sigma_et_fs": bunch_sigma,
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls0, geo))
+    return ScenarioResult(series=series, summary=summary)
 
 
 # -- scenario: single near-point packet (time domain) -------------------------------------
 
 def run_fig8_single_point(cfg: dict) -> ScenarioResult:
     """Occupation dynamics P1(t), P2(t) for one near-point packet from ground."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    kin, tls, _, coupling = physics_bundle(cfg)
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
     prof = bd.interaction_profile(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
@@ -439,15 +430,14 @@ def run_fig8_single_point(cfg: dict) -> ScenarioResult:
         "gamma": gamma_parameter(tls.omega_21, sigma),
         "norm_drift": float(np.max(np.abs(traj.norm - 1.0))),
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls, geo))
+    return ScenarioResult(series=series, summary=summary)
 
 
 # -- scenario: correlated vs random trains -------------------------------------------------
 
 def run_fig9_buildup(cfg: dict) -> ScenarioResult:
     """N^2 buildup of a modulation-locked train vs linear growth of a random one."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    kin, tls, _, coupling = physics_bundle(cfg)
     sw = cfg["sweep"]
     seed = cfg["run"]["seed"]
     omega_b = tls.omega_21 / sw["harmonic"]
@@ -500,8 +490,7 @@ def run_fig9_buildup(cfg: dict) -> ScenarioResult:
         "crossing_expected": float(n_corr**2),
         "ensemble_seeds": seeds,
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls, geo))
+    return ScenarioResult(series=series, summary=summary)
 
 
 # -- scenario: amplitude vs density-matrix solver agreement ----------------------------------
@@ -521,12 +510,9 @@ def run_solver_crosscheck(cfg: dict) -> ScenarioResult:
     dt = sm.default_time_step(grid, coupling, tls)
     traj_a = sm.integrate(state0, window, dt, grid, coupling, tls,
                           n_records=num["time_samples"])
-
-    h = sd.assemble_hamiltonian(grid, kin, coupling, tls)
-    psi0 = sd.initial_joint_vector(grid, spec, TlsState.ground(), window[0],
-                                   tls.energy_gap)
-    states = sd.evolve_vector(psi0, h, traj_a.times - window[0])
-    traj_b = sd._observables(traj_a.times, states, h, collect_rho_b=False)
+    # the density solver at the amplitude solver's records
+    traj_b = sd.run_qew_interaction(spec, TlsState.ground(), coupling, tls,
+                                    num["grid_points"], traj_a.times)
 
     rel = abs(traj_a.p2[-1] - traj_b.p2[-1]) / traj_b.p2[-1]
     series = [SeriesData(
@@ -543,8 +529,7 @@ def run_solver_crosscheck(cfg: dict) -> ScenarioResult:
         "time_step_fs": traj_a.dt,
         "integrator": "rk4",
     }
-    return ScenarioResult(series=series, summary=summary,
-                          metadata=base_metadata(cfg, kin, tls, geo))
+    return ScenarioResult(series=series, summary=summary)
 
 
 SCENARIOS = {
@@ -573,9 +558,11 @@ GRID_SCENARIOS = {"fig3_ground", "fig4_superposition", "fig56_phase_size_sweep",
 
 
 def run_scenario(cfg: dict, jobs: int = 1) -> ScenarioResult:
+    """Run the configured scenario; its metadata is base_metadata plus runtime_s."""
     # ``jobs`` is ignored; perfbench/worker.py still passes it (ROADMAP item 1 removes it)
     fn, _ = SCENARIOS[cfg["run"]["scenario"]]
-    t0 = time.time()
+    start = time.perf_counter()
     result = fn(cfg)
-    result.metadata["runtime_s"] = round(time.time() - t0, 3)
+    result.metadata = {**base_metadata(cfg),
+                       "runtime_s": round(time.perf_counter() - start, 3)}
     return result

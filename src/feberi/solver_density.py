@@ -45,8 +45,7 @@ from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, Tl
 from feberi.coulomb import DipoleCoupling
 from feberi.grid import MomentumGrid, circulant_block, circulant_product, \
     interaction_window, kernel_column
-from feberi.qew import ModulatedQewSpec, gaussian_momentum_amplitudes, grid_for_spec, \
-    modulated_momentum_amplitudes
+from feberi.qew import grid_for_spec, momentum_amplitudes
 
 
 class AssemblyError(ValueError):
@@ -159,13 +158,8 @@ def schrodinger_qew_vector(grid: MomentumGrid, spec, t_start: float) -> np.ndarr
     picture multiplies by exp(-i E(p) t_start/hbar).  The centroid then
     sits at z = -v0 (t0 - t_start).
     """
-    if isinstance(spec, ModulatedQewSpec):
-        c = modulated_momentum_amplitudes(spec, grid)
-        kin = spec.base.kin
-    else:
-        c = gaussian_momentum_amplitudes(spec, grid)
-        kin = spec.kin
-    c = c * np.exp(-1j * kin.dispersion(grid.points) * t_start / HBAR_EV_FS)
+    c = momentum_amplitudes(spec, grid) \
+        * np.exp(-1j * spec.kin.dispersion(grid.points) * t_start / HBAR_EV_FS)
     w = c * math.sqrt(grid.dp)
     return w / np.linalg.norm(w)
 
@@ -466,23 +460,21 @@ class DensityTrajectory:
 
 
 def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: TlsSpec,
-                        n: int = 256, window: tuple[float, float] | None = None,
-                        n_samples: int = 300,
+                        n: int = 256, times=None,
                         collect_rho_b: bool = False) -> DensityTrajectory:
     """Evolve one wavepacket past the TLS and sample observables.
 
-    The window defaults to t0 +- (10 t_r + 6 sigma_et).
+    ``times`` are absolute and ascending, the first the start of the joint
+    product state; by default 300 samples across t0 +- (10 t_r + 6 sigma_et).
     """
-    base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
     grid = grid_for_spec(spec, coupling, n)
-    h = assemble_hamiltonian(grid, base.kin, coupling, tls)
-    if window is None:
-        window = interaction_window(base.sigma_et, coupling.geometry.transit_time, base.t0)
-    t_start, t_end = window
-    psi0 = initial_joint_vector(grid, spec, state, t_start, tls.energy_gap)
-    times = np.linspace(t_start, t_end, n_samples)
-    states = evolve_vector(psi0, h, times - t_start)
-    return _observables(times, states, h, collect_rho_b)
+    h = assemble_hamiltonian(grid, spec.kin, coupling, tls)
+    if times is None:
+        times = np.linspace(*interaction_window(spec.sigma_et, coupling.geometry.transit_time,
+                                                spec.t0), 300)
+    times = np.asarray(times, dtype=float)
+    psi0 = initial_joint_vector(grid, spec, state, times[0], tls.energy_gap)
+    return _observables(times, evolve_vector(psi0, h, times - times[0]), h, collect_rho_b)
 
 
 def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
@@ -556,11 +548,10 @@ def grid_windows(shapes, coupling: DipoleCoupling, tls: TlsSpec, n: int,
     assemblies: dict = {}
     starts, rows, halves = [], [], []
     for shape in shapes:
-        base = shape.base if isinstance(shape, ModulatedQewSpec) else shape
         grid = grid_for_spec(shape, coupling, n)
         if grid not in assemblies:
-            assemblies[grid] = assemble_hamiltonian(grid, base.kin, coupling, tls)
-        halves.append(interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0,
+            assemblies[grid] = assemble_hamiltonian(grid, shape.kin, coupling, tls)
+        halves.append(interaction_window(shape.sigma_et, coupling.geometry.transit_time, 0.0,
                                          transit_factor, sigma_factor)[1])
         starts.append(np.kron(np.eye(2), schrodinger_qew_vector(grid, shape, -halves[-1])))
         rows += [assemblies[grid]] * 2

@@ -42,8 +42,7 @@ import numpy as np
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.grid import MomentumGrid, circulant_product, kernel_column
-from feberi.qew import GaussianQewSpec, ModulatedQewSpec, \
-    gaussian_momentum_amplitudes, modulated_momentum_amplitudes
+from feberi.qew import momentum_amplitudes
 
 
 class InstabilityError(RuntimeError):
@@ -69,13 +68,10 @@ class EntangledAmplitudes:
                 float(np.sum(np.abs(self.v2) ** 2) * dp))
 
 
-def initial_amplitudes(grid: MomentumGrid, spec: GaussianQewSpec | ModulatedQewSpec,
-                       state: TlsState, t_start: float) -> EntangledAmplitudes:
+def initial_amplitudes(grid: MomentumGrid, spec, state: TlsState,
+                       t_start: float) -> EntangledAmplitudes:
     """Factorized (unentangled) initial condition c_{i,p} = C_i * c_p."""
-    if isinstance(spec, ModulatedQewSpec):
-        c = modulated_momentum_amplitudes(spec, grid)
-    else:
-        c = gaussian_momentum_amplitudes(spec, grid)
+    c = momentum_amplitudes(spec, grid)
     return EntangledAmplitudes(v1=state.c1 * c, v2=state.c2 * c, t=t_start)
 
 

@@ -81,6 +81,9 @@ MUTANTS = (
            "[m % n_samp] * (-1.0) ** m", "[m % n_samp]",
            ("tests/test_qew.py::TestHarmonicSumsByFft::test_fft_extraction_equals_dense"
             "[24-4.0-1.3]",)),
+    Mutant("fig4's packets arrive at its t0", "scenarios.py",
+           "_size_runs(cfg, coupling, state, t0)", "_size_runs(cfg, coupling, state, 0.0)",
+           ("tests/test_golden.py::test_summary_matches_golden[fig4_superposition]",)),
     Mutant("shared Born profile on the largest spot omega_21", "scenarios.py",
            "finest = coupling_at(max(w_spots))", "finest = coupling_at(min(w_spots))",
            ("tests/test_scenarios.py::test_spot_checks_share_one_profile[small]",)),

@@ -121,6 +121,19 @@ class TestCommands:
                 "[sweep]\nspot_check_detunings = -100\nborn_check = false\n")
         assert main(["validate", str(write(tmp_path, text))]) == 0
 
+    def test_zeta_over_pi_is_reduced_mod_2(self, tmp_path):
+        # zeta is 2 pi periodic: a huge finite zeta_over_pi runs, and 3 arrives as 1
+        arrival = {}
+        for zeta in ("1e308", "3", "1"):
+            out = tmp_path / zeta
+            text = (f"[run]\nscenario = fig4_superposition\noutput_dir = {out}\n\n"
+                    "[numerics]\ngrid_points = 128\ntime_samples = 20\n\n"
+                    f"[sweep]\nsigma_et_over_period = 0.1\nzeta_over_pi = {zeta}\n")
+            assert main(["run", str(write(tmp_path, text))]) == 0
+            summary = json.loads((out / "summary.json").read_text())["summary"]
+            arrival[zeta] = summary["arrival_time_fs"]
+        assert arrival["3"] == pytest.approx(arrival["1"], rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("scenario, section, entry", [
         ("fig9_buildup", "sweep", "ensemble_seeds = 0"),
         ("fig56_phase_size_sweep", "sweep", "zeta_points = 0"),
@@ -137,6 +150,8 @@ class TestCommands:
         # scenarios that run only the first packet size
         ("fig8_single_point", "sweep", "sigma_et_over_period = 0.015, 0.3"),
         ("solver_crosscheck", "sweep", "sigma_et_over_period = 0.1, 0.3"),
+        # correlated comb indices past 2^53 (int64 overflow in the draw)
+        ("fig9_buildup", "sweep", "mean_spacing_periods = 1e300"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, caplog, scenario,
                                                 section, entry):

@@ -65,7 +65,8 @@ class TestSpecs:
     def test_optimal_drift_formula(self, kin, mod_spec):
         t_b = mod_spec.period
         expected = t_b * kin.p0 / (4.0 * 4.0 * mod_spec.delta_p)
-        assert optimal_drift_time(mod_spec) == pytest.approx(expected, rel=1e-14)
+        assert optimal_drift_time(kin, mod_spec.omega_b, abs(mod_spec.g)) == \
+            pytest.approx(expected, rel=1e-14)
 
 
 class TestGaussianAmplitudes:

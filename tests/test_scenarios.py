@@ -72,8 +72,7 @@ def per_zeta_increments(cfg, gamma):
     out = []
     for zeta in np.arange(n_zeta) / n_zeta * TWO_PI:
         traj = sd.run_qew_interaction(spec, TlsState.equatorial(wrap_phase(-zeta)), coupling,
-                                      tls, n=cfg["numerics"]["grid_points"], window=window,
-                                      n_samples=2)
+                                      tls, n=cfg["numerics"]["grid_points"], times=window)
         out.append(traj.p2[-1] - traj.p2[0])
     return out
 

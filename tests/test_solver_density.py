@@ -37,6 +37,7 @@ from feberi.solver_density import (
 )
 from feberi.grid import build_grid, interaction_window
 from feberi.qew import grid_for_spec
+from feberi.solver_momentum import step_schedule
 from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble, \
     train_window
 
@@ -432,6 +433,28 @@ def test_interaction_energy_equals_dense_product(gauged, spec, tls):
     want = 2.0 * h.h_ib[0, 1] * np.real(np.einsum("ns,ns->s", psi[0].conj(),
                                                   kernel_matrix(h) @ psi[1]))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_trajectory_at_record_times_equals_one_call_per_time(coupling, tls, spec, kin):
+    # the momentum RK4's records (every 3rd of 31 steps, then the last: a short
+    # final interval) as absolute times: each sample equals the state evolved
+    # to that time alone, through _observables (probabilities and eV, absolute)
+    window = interaction_window(spec.sigma_et, coupling.geometry.transit_time, spec.t0)
+    steps, every = step_schedule(window, (window[1] - window[0]) / 31.0, 10)
+    assert steps % every != 0
+    k = np.append(np.arange(0, steps, every), steps)
+    times = window[0] + k * ((window[1] - window[0]) / steps)
+    state = TlsState.equatorial(0.7)
+    traj = run_qew_interaction(spec, state, coupling, tls, n=128, times=times,
+                               collect_rho_b=True)
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), kin, coupling, tls)
+    psi0 = initial_joint_vector(h.grid, spec, state, times[0], tls.energy_gap)
+    states = np.stack([evolve_vector(psi0, h, t - times[0]) for t in times], axis=-1)
+    want = _observables(times, states, h, collect_rho_b=True)
+    assert np.array_equal(traj.times, times)
+    for name in ("p1", "p2", "norm", "e_free", "e_bound", "e_int", "rho_b"):
+        got, ref = getattr(traj, name), getattr(want, name)
+        assert np.max(np.abs(got - ref)) <= 1e-13, name
 
 
 class TestEvolution:
