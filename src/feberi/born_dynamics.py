@@ -22,14 +22,12 @@ raise ResolutionError when its step exceeds min(t_r, sigma_et)/20.
 
 Phase factors e^{i m w t_j} on a uniform grid t_j = t_first + j h (the
 bunching comb's harmonics, the drive's e^{i w21 t}) come from two small
-tables, not one complex exp per sample: with B ~ sqrt(n) and j = b B + i,
-e^{i m w t_j} = e^{i m w (t_first + b B h)} e^{i m w i h}.  Each value carries
-two roundings and no step-to-step recurrence, whose error would grow with j,
-and only O(sqrt n) exponentials are evaluated.  The one step h of a profile
-(kernel, comb, quadrature and RK4) is its span over the interval count, not
-the difference of two neighbouring samples: that carries the rounding of the
-samples' magnitude (4e-12 relative on the 183k-sample benchmark profile),
-which j h multiplies into a phase error.
+tables (``core.phase_tables``), not one complex exp per sample: with
+B ~ sqrt(n) and j = b B + i, e^{i m w t_j} = e^{i m w (t_first + b B h)} e^{i m w i h}.
+The one step h of a profile (kernel, comb, quadrature and RK4) is its span
+over the interval count, not the difference of two neighbouring samples:
+that carries the rounding of the samples' magnitude (4e-12 relative on the
+183k-sample benchmark profile), which j h multiplies into a phase error.
 
 The drive is prescribed, so the equations are linear and each fixed-step
 RK4 step is a 2x2 matrix.  With A = [[0, -conj(w)], [w, 0]] every step
@@ -68,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import fft
 
-from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
+from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState, phase_tables
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.grid import interaction_window
 from feberi.qew import ModulationSpectrum, ResolutionError
@@ -138,22 +136,6 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
     half = interaction_window(sigma_et, t_r, 0.0, transit_factor, sigma_factor)[1]
     n = int(math.ceil(half / step))
     return t0 + step * np.arange(-n, n + 1)
-
-
-def _phase_tables(omega: float, t_first: float, step: float, n: int,
-                  order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of e^{i m omega t_j} on t_j = t_first + j step, j < n, m = 0..order.
-
-    With B = ceil(sqrt(n)) and j = b B + i, the value is outer[m, b] * inner[m, i]:
-    outer[m, b] = e^{i m omega (t_first + b B step)}, inner[m, i] = e^{i m omega i step}
-    (module docstring).  Each exp call takes O(sqrt n) arguments.
-    """
-    width = math.isqrt(max(n - 1, 0)) + 1
-    starts = t_first + step * (width * np.arange(-(-n // width)))
-    offsets = step * np.arange(width)
-    outer = np.array([np.exp(1j * (m * omega) * starts) for m in range(order + 1)])
-    inner = np.array([np.exp(1j * (m * omega) * offsets) for m in range(order + 1)])
-    return outer, inner
 
 
 def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: float,
@@ -237,8 +219,9 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     coeffs[1:] *= 2.0
 
     def comb(first: float, step: float, n: int) -> np.ndarray:
-        outer, inner = _phase_tables(spectrum.omega_b, first + t0 - t_mod, step, n, m_top)
-        return ((outer.T * coeffs) @ inner).real.ravel()[:n]
+        outer, inner = phase_tables(spectrum.omega_b * np.arange(m_top + 1),
+                                    first + t0 - t_mod, step, n)
+        return ((outer * coeffs) @ inner.T).real.ravel()[:n]
 
     return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
                     points_per_scale, comb)
@@ -330,8 +313,8 @@ def _rk4_columns(profile: InteractionProfile, omega_21: float,
             s0, s1 = 2 * int(step[valid][0]), 2 * int(step[valid][-1]) + 3
             # drive coefficients at every half-step: w2 drives C2, -conj(w2) drives
             # C1; the phase tables are anchored at the chunk's first sample
-            outer, inner = _phase_tables(omega_21, float(t[s0]), h, s1 - s0, 1)
-            phase = (outer[1, :, None] / (1j * HBAR_EV_FS) * inner[1]).ravel()[:s1 - s0]
+            outer, inner = phase_tables([omega_21], float(t[s0]), h, s1 - s0)
+            phase = (outer / (1j * HBAR_EV_FS) * inner[:, 0]).ravel()[:s1 - s0]
             w2 = f[s0:s1] * phase
             alpha[valid], beta[valid] = _step_pairs(w2, dt)
         alpha, beta = _ordered_pairs(alpha, beta)

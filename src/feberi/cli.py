@@ -25,7 +25,7 @@ import numpy as np
 
 from feberi import __version__
 from feberi.born_dynamics import StepSizeError
-from feberi.core import HBAR_EV_FS, DomainError
+from feberi.core import HBAR_EV_FS, TWO_PI, DomainError
 from feberi.grid import MomentumGrid, interaction_window
 from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
     grid_for_spec, tooth_sigma_et
@@ -33,7 +33,8 @@ from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, bunched_
     physics_bundle, point_sigma_et, resonance_scan, run_scenario, window_factors
 from feberi.solver_density import CHEBYSHEV_BLOCK, MAX_CHEBYSHEV_ORDER, AssemblyError, \
     PropagationError, write_rho_b_bin
-from feberi.solver_momentum import InstabilityError, default_time_step, step_schedule
+from feberi.solver_momentum import MAX_RK4_STEPS, InstabilityError, default_time_step, \
+    step_schedule
 
 log = logging.getLogger("feberi")
 
@@ -228,6 +229,32 @@ def _check_resonance_scan(cfg: dict, path, lines: dict) -> None:
                               f"omega_21 at {w21:.4g} rad/fs; the TLS gap must be > 0")
 
 
+# the largest float rounding eps * omega_21 * t_N, in rad, of the phase-locked
+# train's last arrival t_N: it bounds the drift of the arrival phases, and
+# 0.1 rad keeps the N^2 buildup within about 1e-3 of its lock
+_COMB_PHASE_RAD = 0.1
+
+
+def _check_comb_phase(sweep: dict, path, lines: dict) -> None:
+    """Refuse a fig9 comb whose arrival times are too large to lock in phase.
+
+    Correlated gaps are drawn below 2 round(x) modulation periods of
+    x = mean_spacing_periods, so omega_21 t_N < 2 pi h 2 round(x) n for n
+    electrons at harmonic h.  Plain floats; the bound also keeps the comb
+    indices far below 2^53."""
+    x, n, h = sweep["mean_spacing_periods"], sweep["correlated_electrons"], sweep["harmonic"]
+    per_period = sys.float_info.epsilon * TWO_PI * h * 2.0 * n    # per period of round(x)
+    rounding = per_period * max(1, round(x))
+    if rounding > _COMB_PHASE_RAD:
+        ln = lines.get(("sweep", "mean_spacing_periods")) \
+            or lines.get(("sweep", "correlated_electrons")) or lines.get(("sweep", "harmonic"), 0)
+        raise ConfigError(
+            f"{path}:{ln}: [sweep] mean_spacing_periods: {x!r} with correlated_electrons = "
+            f"{n} and harmonic = {h} rounds the last arrival's phase omega_21 t_N by up to "
+            f"{rounding:.4g} rad, above {_COMB_PHASE_RAD} rad; must be "
+            f"<= {math.floor(_COMB_PHASE_RAD / per_period)}")
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file into the effective config dict."""
     text = Path(path).read_text(encoding="utf-8")
@@ -284,14 +311,8 @@ def load_config(path) -> dict:
                           f"packet size, got {len(sweep['sigma_et_over_period'])} values")
     if scenario == "modulated_resonance":
         _check_resonance_scan(cfg, path, lines)
-    if scenario == "fig9_buildup":    # correlated gaps are drawn below 2 round(x) periods
-        x, n = sweep["mean_spacing_periods"], sweep["correlated_electrons"]
-        if 2.0 * round(x) * n > 2.0 ** 53:     # a comb index n_K past 2^53 is not exact
-            ln = lines.get(("sweep", "mean_spacing_periods")) \
-                or lines.get(("sweep", "correlated_electrons"), 0)
-            raise ConfigError(f"{path}:{ln}: [sweep] mean_spacing_periods: {x!r} with "
-                              f"correlated_electrons = {n} puts comb indices past 2^53; "
-                              f"must be <= {2 ** 52 // n}")
+    if scenario == "fig9_buildup":
+        _check_comb_phase(sweep, path, lines)
     for section, key, scenarios in _SCENARIO_ONLY:
         if scenario not in scenarios and cfg[section][key] != schema[section][key][2]:
             ln = lines.get((section, key), 0)
@@ -368,24 +389,40 @@ def _grid_error(n: int) -> str | None:
     return None
 
 
+def _rk4_schedule(cfg: dict) -> tuple[int, int]:
+    """(steps, record_every) of solver_crosscheck's momentum RK4, on the grid
+    that the run sizes for its packet."""
+    kin, tls, geo, coupling = physics_bundle(cfg)
+    sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
+    grid = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling,
+                         cfg["numerics"]["grid_points"])
+    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
+    return step_schedule(window, default_time_step(grid, coupling, tls),
+                         cfg["numerics"]["time_samples"])
+
+
+def _rk4_error(steps: int) -> str | None:
+    """The report line for a momentum RK4 too long to run, else None."""
+    if steps > MAX_RK4_STEPS:
+        return (f"ERROR momentum RK4: {steps} steps predicted, above the ceiling "
+                f"MAX_RK4_STEPS = {MAX_RK4_STEPS}")
+    return None
+
+
 def _propagated_states(cfg: dict, sizes: list[tuple[str, float]],
-                       grids: dict[str, MomentumGrid]) -> int:
+                       schedule: tuple[int, int] | None) -> int:
     """States that a grid scenario's largest propagation samples at once.
 
-    ``sizes`` are the (label, sigma_et) of the swept packets and ``grids``
-    the grids of those that have one.  fig56 propagates every Gamma as one
-    block, two basis starts per Gamma, to one time each; solver_crosscheck
-    samples at the momentum RK4's records; the others at ``time_samples``.
+    ``sizes`` are the (label, sigma_et) of the swept packets.  fig56
+    propagates every Gamma as one block, two basis starts per Gamma, to one
+    time each; solver_crosscheck samples at the records of its momentum RK4
+    ``schedule`` (None if its grid cannot be built); the others at
+    ``time_samples``.
     """
-    scenario = cfg["run"]["scenario"]
-    if scenario == "fig56_phase_size_sweep":
+    if cfg["run"]["scenario"] == "fig56_phase_size_sweep":
         return 2 * len(sizes)
-    label, sigma = sizes[0] if sizes else (None, 0.0)
-    if scenario == "solver_crosscheck" and label in grids:
-        _, tls, geo, coupling = physics_bundle(cfg)
-        window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
-        steps, every = step_schedule(window, default_time_step(grids[label], coupling, tls),
-                                     cfg["numerics"]["time_samples"])
+    if schedule is not None:
+        steps, every = schedule
         return 1 + math.ceil(steps / every)
     return cfg["numerics"]["time_samples"]
 
@@ -431,7 +468,13 @@ def validate_config(cfg: dict) -> list[str]:
                                              coupling, n)
             except DomainError as exc:
                 report.append(f"ERROR grid sizing at {label}: {exc}")
-        states = _propagated_states(cfg, sizes, grids)
+        schedule = None
+        if scenario == "solver_crosscheck" and sizes[0][0] in grids:
+            schedule = _rk4_schedule(cfg)
+            rk4_error = _rk4_error(schedule[0])
+            if rk4_error:
+                report.append(rk4_error)
+        states = _propagated_states(cfg, sizes, schedule)
         # what a grid run holds: the sampled states, complex; one leg's real
         # Chebyshev coefficient tables; the recurrence's block of orders and
         # its GEMM batch; the assembly itself is O(N)
@@ -529,9 +572,14 @@ def main(argv=None) -> int:
         log.error("%s: %s", args.config, grid_error)
         return 2
 
-    log.info("running scenario %s (seed %d)", cfg["run"]["scenario"],
-             cfg["run"]["seed"])
     try:
+        if cfg["run"]["scenario"] == "solver_crosscheck":
+            rk4_error = _rk4_error(_rk4_schedule(cfg)[0])
+            if rk4_error:
+                log.error("%s: %s", args.config, rk4_error)
+                return 2
+        log.info("running scenario %s (seed %d)", cfg["run"]["scenario"],
+                 cfg["run"]["seed"])
         result = run_scenario(cfg)
     except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)

@@ -1,4 +1,5 @@
-"""Physical constants, unit conversions, kinematics and TLS state primitives.
+"""Physical constants, unit conversions, kinematics, TLS state primitives and
+the phase tables of uniform time grids.
 
 Internal unit system (used everywhere in this package):
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # -- fundamental constants (CODATA-style values, internal units) -------------
 HBAR_EV_FS = 0.6582119569          # eV*fs
@@ -60,6 +63,25 @@ def wrap_phase(phi: float) -> float:
         out += TWO_PI
     # fmod of a tiny negative can round to exactly 2*pi
     return 0.0 if out >= TWO_PI else out
+
+
+def phase_tables(omegas, t_first: float, step: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of e^{i w t_j} on t_j = t_first + j step, j < n, for each w in omegas.
+
+    With B = isqrt(n - 1) + 1 and j = b B + i, the values at t_j are
+    outer[b] * inner[i], one column per frequency:
+    outer[b] = e^{i w (t_first + b B step)}, inner[i] = e^{i w i step}.  Each
+    value carries two roundings and no step-to-step recurrence, whose error
+    would grow with j, and only O(sqrt n) exponentials per frequency are
+    evaluated.
+    """
+    width = math.isqrt(max(n - 1, 0)) + 1
+    starts = t_first + step * (width * np.arange(-(-n // width)))
+    offsets = step * np.arange(width)
+    omegas = np.asarray(omegas, dtype=float)
+    return (np.exp(1j * np.multiply.outer(starts, omegas)),
+            np.exp(1j * np.multiply.outer(offsets, omegas)))
 
 
 # -- free-electron kinematics -------------------------------------------------

@@ -21,14 +21,20 @@ one call of ``grid.circulant_product``: the prefactor dp/(2 pi i hbar^2) is
 folded into the circulant's spectrum once, the inward factor is written
 straight into its zero-padded buffer and the outward factor, which carries
 the TLS rotation and the step scale, multiplies the truncated inverse
-transform into a preallocated stage array.  The stage arithmetic is in place.
+transform into a preallocated stage array.  Every array of the step loop
+(factors, stages, stage input, the step's sum and a record's moduli) is
+allocated once before it, so a step is its eight transforms plus a fixed set
+of in-place array passes.
 
 Phase schedule.  Step k runs from t_k = t_start + k dt to t_{k+1}; its
-stages need ph at t_k, t_k + dt/2 and t_{k+1}.  ph(t_{k+1}) is the step's one
-exp, evaluated at t_{k+1} itself, and its factors serve that step's k4 and
-the next step's k1.  The midpoint phase is ph(t_k) * exp(i E_p dt/(2 hbar)),
-the half-step vector built once: one rounding per step, no recurrence that
-carries rounding from step to step.
+stages need ph at t_k, t_k + dt/2 and t_{k+1}.  ph(t_k) comes from the two
+tables of ``core.phase_tables`` over the steps' end points: with
+B = isqrt(steps) + 1 and k = b B + i it is outer[b] * inner[i], one product
+of two exponentials per value, no exp in the loop and no recurrence that
+carries rounding from step to step; the tables hold about 2 sqrt(steps)
+vectors of N phases.  The factors at t_{k+1} serve that step's k4 and the
+next step's k1.  The midpoint phase is ph(t_k) * exp(i E_p dt/(2 hbar)),
+the half-step vector built once.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
+from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState, phase_tables
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.grid import MomentumGrid, circulant_product, kernel_column
 from feberi.qew import momentum_amplitudes
@@ -47,6 +53,11 @@ from feberi.qew import momentum_amplitudes
 
 class InstabilityError(RuntimeError):
     """The integration produced NaNs (step size far too large)."""
+
+
+# the most RK4 steps ``integrate`` takes; default runs take about 1100, a
+# 2.4 um impact parameter about 70,000
+MAX_RK4_STEPS = 2**20
 
 
 # -- entangled amplitudes ----------------------------------------------------------
@@ -116,63 +127,79 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     if t_end <= t_start:
         raise DomainError("empty integration span")
     n_steps, record_every = step_schedule(t_span, dt, n_records)
+    if n_steps > MAX_RK4_STEPS:
+        raise DomainError(f"{n_steps} RK4 steps exceed MAX_RK4_STEPS = {MAX_RK4_STEPS}")
     dt = (t_end - t_start) / n_steps
 
     energies = coupling.kin.dispersion(grid.points)
-    iw = 1j * (energies / HBAR_EV_FS)
+    w = energies / HBAR_EV_FS
     w21 = tls.energy_gap / HBAR_EV_FS
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
     product = circulant_product(kappa * kernel_column(grid, coupling), grid.n)
     # a stage is k = scale * f(t, u) with scale = dt/2, so the stages are
     # evaluated at v + k1, v + k2 and v + 2 k3, and the step adds
-    # (k1 + 2 k2 + 2 k3 + k4)/3, one product with the stacked stages
+    # (k1 + 2 k2 + 2 k3 + k4)/3
     scale = 0.5 * dt
-    half_step = np.exp(iw * (0.5 * dt))
+    # ph(t_k) = outer[k // width] * inner[k % width], k = 0..n_steps
+    outer, inner = phase_tables(w, t_start, dt, n_steps + 1)
+    width = len(inner)
+    half_step = np.exp(1j * (w * (0.5 * dt)))
 
-    def factors(t, ph):
-        """(inward, outward) at time t, from ph = exp(i w t): f(t, u) is
-        outward * (Mt @ (inward * u[::-1])), the TLS rotation in outward."""
-        rot = scale * cmath.exp(-1j * w21 * t)
-        return ph.conj(), np.array([[rot], [rot.conjugate()]]) * ph
-
-    def stage(u, at, out):
-        inward, outward = at
-        return product(u[::-1], left=outward, right=inward, out=out)
-
+    # the loop writes in place into these: ph at a step's start or end and at
+    # its midpoint; the inward and outward factors at its start, midpoint and
+    # end; the TLS rotation; the stages, the stage input and the step's sum;
+    # the squared moduli of a record
+    ph, ph_mid, in_now, in_mid, in_end = np.empty((5, grid.n), dtype=complex)
+    out_now, out_mid, out_end = np.empty((3, 2, grid.n), dtype=complex)
+    rot = np.empty((2, 1), dtype=complex)
     v = np.array([state0.v1, state0.v2], dtype=complex)
-    ks = np.empty((4,) + v.shape, dtype=complex)
-    k1, k2, k3, k4 = ks
-    u = np.empty_like(v)
-    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) / 3.0
+    k1, k2, k3, k4, u, acc = np.empty((6,) + v.shape, dtype=complex)
+    a = np.empty(v.shape)
+
+    def factors(t, ph, inward, outward):
+        """Write the factors at time t, from ph = exp(i w t): a stage is
+        outward * (Mt @ (inward * u[::-1])), the TLS rotation in outward."""
+        r = scale * cmath.exp(-1j * w21 * t)
+        rot[0, 0], rot[1, 0] = r, r.conjugate()
+        np.conjugate(ph, out=inward)
+        np.multiply(rot, ph, out=outward)
 
     times, p1s, p2s, efs, norms = [], [], [], [], []
 
     def record(t, v):
-        a = np.abs(v) ** 2
+        np.square(np.abs(v, out=a), out=a)
+        p1, p2 = np.sum(a, axis=1) * grid.dp
         times.append(t)
-        p1s.append(np.sum(a[0]) * grid.dp)
-        p2s.append(np.sum(a[1]) * grid.dp)
-        efs.append(np.sum(energies * (a[0] + a[1])) * grid.dp)
-        norms.append(p1s[-1] + p2s[-1])
+        p1s.append(p1)
+        p2s.append(p2)
+        np.add(a[0], a[1], out=a[0])
+        efs.append(np.sum(np.multiply(energies, a[0], out=a[0])) * grid.dp)
+        norms.append(p1 + p2)
+        if not math.isfinite(norms[-1]):
+            raise InstabilityError(f"non-finite amplitudes at t = {t}")
 
     record(t_start, v)
     t = t_start
-    ph = np.exp(iw * t)
-    now = factors(t, ph)
+    factors(t, np.multiply(outer[0], inner[0], out=ph), in_now, out_now)
     for step in range(n_steps):
-        stage(v, now, k1)
-        mid = factors(t + 0.5 * dt, ph * half_step)
-        # the step's one exp, into ph: its factors serve this k4 and the next k1
+        product(v[::-1], left=out_now, right=in_now, out=k1)
+        factors(t + 0.5 * dt, np.multiply(ph, half_step, out=ph_mid), in_mid, out_mid)
+        # the end's factors serve this k4 and the next step's k1
         t = t_start + (step + 1) * dt
-        now = factors(t, np.exp(np.multiply(iw, t, out=ph), out=ph))
-        stage(np.add(v, k1, out=u), mid, k2)
-        stage(np.add(v, k2, out=u), mid, k3)
+        b, i = divmod(step + 1, width)
+        factors(t, np.multiply(outer[b], inner[i], out=ph), in_end, out_end)
+        product(np.add(v, k1, out=u)[::-1], left=out_mid, right=in_mid, out=k2)
+        product(np.add(v, k2, out=u)[::-1], left=out_mid, right=in_mid, out=k3)
         np.multiply(k3, 2.0, out=u)
-        stage(np.add(u, v, out=u), now, k4)
-        v += (weights @ ks.reshape(4, -1)).reshape(v.shape)
+        product(np.add(u, v, out=u)[::-1], left=out_end, right=in_end, out=k4)
+        np.add(k2, k3, out=acc)
+        acc *= 2.0
+        acc += k1
+        acc += k4
+        acc *= 1.0 / 3.0
+        v += acc
+        in_now, out_now, in_end, out_end = in_end, out_end, in_now, out_now
         if (step + 1) % record_every == 0 or step == n_steps - 1:
-            if not np.all(np.isfinite(v)):
-                raise InstabilityError(f"non-finite amplitudes at t = {t}")
             record(t, v)
 
     return MomentumTrajectory(

@@ -69,6 +69,14 @@ MUTANTS = (
            "return float(times[-1] - times[0]) / (len(times) - 1)",
            "return float(times[1] - times[0])",
            ("tests/test_born_dynamics.py::TestPhaseTables::test_drive_matches_complex_exp",)),
+    Mutant("momentum RK4 inner phase one step late", "solver_momentum.py",
+           "np.multiply(outer[b], inner[i], out=ph)",
+           "np.multiply(outer[b], inner[i - 1], out=ph)",
+           ("tests/test_solver_momentum.py::TestStageKernel::test_matches_reference_loop"
+            "[transverse-rk4-ground]",)),
+    Mutant("circulant pad's zero tail written once", "grid.py",
+           "buf[..., n:] = 0.0", "buf[..., n:n] = 0.0",
+           ("tests/test_properties.py::test_circulant_product_keeps_its_zero_pad",)),
     Mutant("parallel gauge phi", "solver_density.py",
            'gauge = 1j if coupling.orientation == "parallel" else 1.0', "gauge = 1.0",
            ("tests/test_solver_density.py::TestRealGauge::test_real_symmetric"

@@ -25,19 +25,19 @@ from feberi.born_dynamics import (
     r_squared,
     simulate_train_ensemble,
     train_window,
-    _phase_tables,
     _rk4_columns,
     _step_pairs,
     _step_trains,
     window_propagator,
 )
-from feberi import born_dynamics, scenarios
+from feberi import born_dynamics, core, scenarios
 from feberi.cli import default_config
-from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState
+from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState, phase_tables
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, ModulationSpectrum, \
-    ResolutionError, modulation_fourier_coefficients, optimal_drift_time
+    ResolutionError, grid_for_spec, modulation_fourier_coefficients, optimal_drift_time
+from feberi.solver_momentum import default_time_step, step_schedule
 
 
 class TestInteractionProfile:
@@ -341,8 +341,8 @@ def benchmark_grid(benchmark_spot):
 
 def tabulated(omega, t_first, step, n, order):
     """e^{i m omega t_j}, shape (order + 1, n), from the phase tables."""
-    outer, inner = _phase_tables(omega, t_first, step, n, order)
-    return (outer[:, :, None] * inner[:, None, :]).reshape(order + 1, -1)[:, :n]
+    outer, inner = phase_tables(omega * np.arange(order + 1), t_first, step, n)
+    return (outer[:, None] * inner).reshape(-1, order + 1)[:n].T
 
 
 class TestPhaseTables:
@@ -367,6 +367,28 @@ class TestPhaseTables:
         for m in range(9):
             np.testing.assert_allclose(got[m], np.exp(1j * m * omega_b * t), rtol=0,
                                        atol=1e-12)
+
+    def test_momentum_grid(self):
+        # the momentum RK4's phases e^{i E_p t_k / hbar} at the benchmark's
+        # large grid (solver_crosscheck at N = 1024): 1024 frequencies over
+        # the 1105 step times of integrate's schedule
+        cfg = default_config("solver_crosscheck")
+        cfg["numerics"]["grid_points"] = 1024
+        kin, tls, geo, coupling = scenarios.physics_bundle(cfg)
+        sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
+        grid = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, 1024)
+        t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0,
+                                            **scenarios.window_factors(cfg))
+        steps, _ = step_schedule((t_start, t_end), default_time_step(grid, coupling, tls),
+                                 cfg["numerics"]["time_samples"])
+        assert steps == 1104
+        dt = (t_end - t_start) / steps
+        w = kin.dispersion(grid.points) / HBAR_EV_FS
+        t = t_start + np.arange(steps + 1) * dt
+        outer, inner = phase_tables(w, t_start, dt, steps + 1)
+        got = (outer[:, None] * inner).reshape(-1, grid.n)[:steps + 1]
+        err = np.max(np.abs(got - np.exp(1j * np.multiply.outer(t, w))))
+        assert err <= 4 * np.finfo(float).eps * np.max(np.abs(np.multiply.outer(t, w)))
 
     def test_drive_matches_complex_exp(self, monkeypatch, benchmark_grid):
         # the drive f e^{i w21 t} / (i hbar) that _rk4_columns hands to the
@@ -439,7 +461,8 @@ class TestPhaseTables:
 
 def test_no_per_sample_complex_exp(monkeypatch):
     # the benchmark's spot check: every complex exp that born_dynamics
-    # evaluates (comb, drive) takes a phase table's O(sqrt n) arguments,
+    # evaluates (comb, drive), in its module or through core.phase_tables,
+    # takes a phase table's O(sqrt n) times per frequency (the leading axis),
     # none one per profile sample
     sizes, samples = [], []
 
@@ -449,7 +472,7 @@ def test_no_per_sample_complex_exp(monkeypatch):
 
         def exp(self, x, *args, **kwargs):
             if np.iscomplexobj(x):
-                sizes.append(np.size(x))
+                sizes.append(np.shape(x)[0] if np.ndim(x) else 1)
             return np.exp(x, *args, **kwargs)
 
     evolve = born_dynamics.evolve_tls
@@ -459,6 +482,7 @@ def test_no_per_sample_complex_exp(monkeypatch):
         return evolve(state0, profile, *args, **kwargs)
 
     monkeypatch.setattr(born_dynamics, "np", RecordedNumpy())
+    monkeypatch.setattr(core, "np", RecordedNumpy())
     monkeypatch.setattr(born_dynamics, "evolve_tls", recorded)
     scenarios.run_scenario(benchmark_spot_config())
     assert samples == [183275]

@@ -150,7 +150,11 @@ class TestCommands:
         # scenarios that run only the first packet size
         ("fig8_single_point", "sweep", "sigma_et_over_period = 0.015, 0.3"),
         ("solver_crosscheck", "sweep", "sigma_et_over_period = 0.1, 0.3"),
-        # correlated comb indices past 2^53 (int64 overflow in the draw)
+        # correlated arrivals whose phase omega_21 t_N rounds by more than
+        # 0.1 rad: at 2.25e14 the comb indices are still below 2^53, but the
+        # buildup ratio reads 101 instead of 400; at 1e300 the draw overflows
+        ("fig9_buildup", "sweep", "mean_spacing_periods = 1e13"),
+        ("fig9_buildup", "sweep", "mean_spacing_periods = 2.25e14"),
         ("fig9_buildup", "sweep", "mean_spacing_periods = 1e300"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, caplog, scenario,
@@ -162,6 +166,37 @@ class TestCommands:
         assert main(["validate", str(cfg)]) == 2
         assert main(["run", str(cfg)]) == 2
         assert caplog.text.count(f":6: [{section}] {entry.split()[0]}: ") == 2
+        assert not out.exists()
+
+    def test_fig9_spacing_below_the_phase_bound_keeps_its_lock(self, tmp_path):
+        # 1e11 periods is below the comb-phase bound, and the phase-locked
+        # train's N^2 buildup reads as at the default spacing of 3
+        ratios = []
+        for spacing in ("3", "1e11"):
+            out = tmp_path / spacing
+            text = (f"[run]\nscenario = fig9_buildup\noutput_dir = {out}\n\n"
+                    f"[sweep]\nmean_spacing_periods = {spacing}\nensemble_seeds = 4\n")
+            assert main(["run", str(write(tmp_path, text))]) == 0
+            summary = json.loads((out / "summary.json").read_text())["summary"]
+            ratios.append(summary["p2_ratio_20_over_1"])
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-3)
+
+    def test_rk4_past_its_step_ceiling_is_config_error(self, tmp_path, caplog, capsys):
+        # solver_crosscheck at a 1 mm impact parameter needs 28.7M momentum
+        # RK4 steps: validate flags it, and run refuses it before any work
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = solver_crosscheck\noutput_dir = {out}\n\n"
+                "[physics]\nimpact_parameter_nm = 1e6\n")
+        cfg = write(tmp_path, text)
+        error = ("ERROR momentum RK4: 28670114 steps predicted, above the ceiling "
+                 "MAX_RK4_STEPS = 1048576")
+        assert main(["validate", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert error in lines
+        assert lines[-1] != "valid"
+        assert main(["run", str(cfg)]) == 2
+        assert f"{cfg}: {error}" in caplog.text
+        assert "running scenario" not in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["modulated_resonance", "fig9_buildup"])

@@ -96,6 +96,23 @@ def test_circulant_product_equals_block(n, extra, stacked, lead, seed):
     assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 80), extra=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+def test_circulant_product_keeps_its_zero_pad(n, extra, seed):
+    # one product on 2 rows, then 1, then 3: the padded buffer is reused and
+    # then regrown, and each call must read zeros past the rows' n entries
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n + extra) + 1j * rng.standard_normal(n + extra)
+    product = circulant_product(c, n)
+    block = circulant_block(c, n)
+    for rows in (2, 1, 3):
+        x, right = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+                    for _ in range(2))
+        want = (right * x) @ block.T
+        got = product(x, right=right)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
 @pytest.mark.parametrize("n", [256, 1024])
 def test_toeplitz_kernel_equals_scipy_toeplitz(orientation, n):

@@ -9,9 +9,11 @@ from feberi.grid import MomentumGrid, build_grid, circulant_block, interaction_w
     kernel_column
 from feberi.qew import GaussianQewSpec, gaussian_momentum_amplitudes, grid_for_spec
 from feberi.solver_momentum import (
+    MAX_RK4_STEPS,
     default_time_step,
     initial_amplitudes,
     integrate,
+    step_schedule,
 )
 from helpers import run_gaussian_scenario
 
@@ -156,6 +158,15 @@ class TestIntegration:
         traj = integrate(s0, win, default_time_step(g, cpl, tiny), g, cpl, tiny)
         assert traj.p2[-1] < 1e-20
         np.testing.assert_allclose(np.abs(traj.final.v1), np.abs(s0.v1), rtol=1e-10)
+
+    def test_step_ceiling(self, coupling, tls, spec):
+        # a span of more than MAX_RK4_STEPS steps is refused before any step
+        g = grid_for_spec(spec, coupling, 128)
+        s0 = initial_amplitudes(g, spec, TlsState.ground(), 0.0)
+        dt = 1.0 / MAX_RK4_STEPS
+        assert step_schedule((0.0, 1.0 + dt), dt, 1)[0] == MAX_RK4_STEPS + 1
+        with pytest.raises(DomainError, match=f"{MAX_RK4_STEPS + 1} RK4 steps exceed"):
+            integrate(s0, (0.0, 1.0 + dt), dt, g, coupling, tls)
 
     def test_initial_factorization(self, coupling, spec):
         g = grid_for_spec(spec, coupling, 128)
