@@ -5,9 +5,11 @@ sections.  Parsing is strict: unknown keys are rejected with their line
 numbers, every physical default equals the reference parameter set
 (200 keV beam, 2.4 nm impact parameter, 2 eV gap, 5 Debye transverse
 dipole).  Results go to files only (CSV per series, summary.json, SVG
-plots); logs go to stderr.  Exit codes: 0 ok, 2 config error (a grid
-size that `validate` flags and an unwritable output_dir included),
-3 numerical failure (in `validate` too, when the physics cannot be built).
+plots); logs go to stderr.  Exit codes: 0 ok, 2 config error, 3 numerical
+failure.  Every ERROR line that `validate` prints (the plan's, see
+``scenarios.plan``) makes `run` exit 2 before any work; so do a config that
+breaks a rule of its keys and an unwritable output_dir.  Both commands exit
+3 when the physics cannot be built.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ import numpy as np
 from feberi import __version__
 from feberi.born_dynamics import StepSizeError
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError
-from feberi.grid import MomentumGrid, interaction_window
-from feberi.qew import GaussianQewSpec, ResolutionError, TruncationError, gamma_parameter, \
-    grid_for_spec, tooth_sigma_et
-from feberi.scenarios import GRID_SCENARIOS, SCENARIOS, ScenarioResult, bunched_spectrum, \
-    physics_bundle, point_sigma_et, resonance_scan, run_scenario, window_factors
+from feberi.qew import ResolutionError, TruncationError, gamma_parameter
+from feberi.scenarios import SCENARIOS, ScenarioResult, plan, resonance_scan, run_scenario
 from feberi.solver_density import CHEBYSHEV_BLOCK, MAX_CHEBYSHEV_ORDER, AssemblyError, \
     PropagationError, write_rho_b_bin
-from feberi.solver_momentum import MAX_RK4_STEPS, InstabilityError, default_time_step, \
-    step_schedule
+from feberi.solver_momentum import InstabilityError
 
 log = logging.getLogger("feberi")
 
@@ -331,120 +329,69 @@ def _csv_cell(v) -> str:
 
 
 def write_result(result: ScenarioResult, out_dir: Path) -> list[Path]:
+    """Write the result's files into out_dir and return their paths.
+
+    Each file is written under a temporary name in out_dir and renamed into
+    place, summary.json last: an old summary.json goes first, so one only
+    ever sits beside the complete outputs of its own run."""
     from feberi.plotsvg import line_plot
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.json").unlink(missing_ok=True)
     written = []
+
+    def place(name: str, write) -> None:
+        path, tmp = out_dir / name, out_dir / f"{name}.tmp"
+        try:
+            write(tmp)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        written.append(path)
+
     for s in result.series:
         cols = {k: v for k, v in s.columns.items() if not k.startswith("_")}
-        csv_path = out_dir / f"results_{s.name}.csv"
-        names = list(cols)
-        rows = zip(*(np.asarray(cols[k]).ravel() for k in names))
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in rows:
-                fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-        written.append(csv_path)
+        rows = [list(cols), *zip(*(np.asarray(v).ravel() for v in cols.values()))]
+        text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+        place(f"results_{s.name}.csv",
+              lambda p: p.write_text(text, encoding="utf-8", newline="\n"))
         if s.plot_x and s.plot_y:
-            svg_path = out_dir / f"{s.name}.svg"
             x = np.asarray(cols[s.plot_x], dtype=float)
-            line_plot(svg_path,
-                      [(x, np.asarray(cols[y], dtype=float), y) for y in s.plot_y],
-                      s.title or s.name, s.xlabel or s.plot_x, s.ylabel or "")
-            written.append(svg_path)
+            place(f"{s.name}.svg", lambda p: line_plot(
+                p, [(x, np.asarray(cols[y], dtype=float), y) for y in s.plot_y],
+                s.title or s.name, s.xlabel or s.plot_x, s.ylabel or ""))
         rho = s.columns.get("_rho_b")
         if rho is not None:
-            bin_path = out_dir / f"rho_b_{s.name}.bin"
             times = np.asarray(next(iter(cols.values())), dtype=float)
-            write_rho_b_bin(bin_path, times, rho)
-            written.append(bin_path)
-
-    def _jsonable(obj):
-        if isinstance(obj, dict):
-            return {k: _jsonable(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [_jsonable(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        return obj
-
-    summary_path = out_dir / "summary.json"
-    payload = {"summary": _jsonable(result.summary),
-               "metadata": _jsonable(result.metadata)}
-    summary_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    written.append(summary_path)
+            place(f"rho_b_{s.name}.bin", lambda p: write_rho_b_bin(p, times, rho))
+    # numpy scalars and arrays as their Python values (float64 is a float already)
+    payload = json.dumps({"summary": result.summary, "metadata": result.metadata}, indent=2,
+                         default=lambda obj: obj.tolist())
+    place("summary.json", lambda p: p.write_text(payload + "\n", encoding="utf-8"))
     return written
 
 
 # -- validation report -------------------------------------------------------------------
 
-def _grid_error(n: int) -> str | None:
-    """The report line for a grid size no solver can build, else None."""
-    try:
-        MomentumGrid(n=n, p0=0.0, p_cutoff=1.0)
-    except DomainError as exc:
-        return f"ERROR grid: {exc}"
-    return None
-
-
-def _rk4_schedule(cfg: dict) -> tuple[int, int]:
-    """(steps, record_every) of solver_crosscheck's momentum RK4, on the grid
-    that the run sizes for its packet."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
-    sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
-    grid = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling,
-                         cfg["numerics"]["grid_points"])
-    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
-    return step_schedule(window, default_time_step(grid, coupling, tls),
-                         cfg["numerics"]["time_samples"])
-
-
-def _rk4_error(steps: int) -> str | None:
-    """The report line for a momentum RK4 too long to run, else None."""
-    if steps > MAX_RK4_STEPS:
-        return (f"ERROR momentum RK4: {steps} steps predicted, above the ceiling "
-                f"MAX_RK4_STEPS = {MAX_RK4_STEPS}")
-    return None
-
-
-def _propagated_states(cfg: dict, sizes: list[tuple[str, float]],
-                       schedule: tuple[int, int] | None) -> int:
-    """States that a grid scenario's largest propagation samples at once.
-
-    ``sizes`` are the (label, sigma_et) of the swept packets.  fig56
-    propagates every Gamma as one block, two basis starts per Gamma, to one
-    time each; solver_crosscheck samples at the records of its momentum RK4
-    ``schedule`` (None if its grid cannot be built); the others at
-    ``time_samples``.
-    """
-    if cfg["run"]["scenario"] == "fig56_phase_size_sweep":
-        return 2 * len(sizes)
-    if schedule is not None:
-        steps, every = schedule
-        return 1 + math.ceil(steps / every)
-    return cfg["numerics"]["time_samples"]
-
-
 def validate_config(cfg: dict) -> list[str]:
-    """Dry-run checks; returns a list of report lines (violations flagged).
-
-    Raises DomainError if the physics cannot be built.
-    """
-    report = []
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    """The report of the run's plan, ending in "valid" when it has no ERROR
+    line.  Raises DomainError if the physics cannot be built."""
+    planned = plan(cfg)
+    kin, tls, geo, _ = planned.physics
     scenario = cfg["run"]["scenario"]
     num = cfg["numerics"]
     n = num["grid_points"]
-    report.append(f"scenario: {scenario}")
-    report.append(f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
-                  f"omega21={tls.omega_21:.4f} rad/fs t_r={geo.transit_time * 1e3:.3f} as")
-    report.append(_grid_error(n) or f"grid points: {n} (ok)")
+    # the plan's ERROR lines, each where the report tells of its subject
+    first = [e for e in planned.errors if e.startswith("ERROR grid:")]
+    late = [e for e in planned.errors if e.startswith(("ERROR bunch", "ERROR closed"))]
+    report = [f"scenario: {scenario}",
+              f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
+              f"omega21={tls.omega_21:.4f} rad/fs t_r={geo.transit_time * 1e3:.3f} as",
+              *(first or [f"grid points: {n} (ok)"])]
 
     sweep = cfg["sweep"]
-    sigma_fracs = sweep.get("sigma_et_over_period", [])
-    for frac in sigma_fracs:
+    for frac in sweep.get("sigma_et_over_period", []):
         sigma = frac * tls.period
         gam = gamma_parameter(tls.omega_21, sigma)
         regime = "near-point-particle" if gam < 1.0 else "wave"
@@ -457,46 +404,26 @@ def validate_config(cfg: dict) -> list[str]:
     for gam in sweep.get("gamma_values", []):
         if gam > 1.0:
             report.append(f"Gamma = {gam:g}: wave regime (size-independent law governs)")
-    if scenario in GRID_SCENARIOS:
-        sizes = [(f"sigma_et={frac:g} T21", frac * tls.period) for frac in sigma_fracs]
-        sizes += [(f"Gamma={gam:g}", gam / tls.omega_21)
-                  for gam in sweep.get("gamma_values", [])]
-        grids = {}
-        for label, sigma in sizes:
-            try:
-                grids[label] = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma),
-                                             coupling, n)
-            except DomainError as exc:
-                report.append(f"ERROR grid sizing at {label}: {exc}")
-        schedule = None
-        if scenario == "solver_crosscheck" and sizes[0][0] in grids:
-            schedule = _rk4_schedule(cfg)
-            rk4_error = _rk4_error(schedule[0])
-            if rk4_error:
-                report.append(rk4_error)
-        states = _propagated_states(cfg, sizes, schedule)
+    report += [e for e in planned.errors if e not in first + late]
+    if planned.packets:
         # what a grid run holds: the sampled states, complex; one leg's real
         # Chebyshev coefficient tables; the recurrence's block of orders and
         # its GEMM batch; the assembly itself is O(N)
-        work = 2 * CHEBYSHEV_BLOCK
+        states, work = planned.states, 2 * CHEBYSHEV_BLOCK
         mem = (states * 2 * n * 16 + MAX_CHEBYSHEV_ORDER * states * 8 + work * 2 * n * 16) / 1e6
         report.append(f"estimated peak memory: {mem:.0f} MB ({states} sampled states of "
                       f"{2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {states}, "
                       f"recurrence {work} x {2 * n})")
-    try:    # the bunch width that the run needs, where it needs one
-        if scenario == "fig9_buildup":
-            report.append(f"point-packet sigma_et = {point_sigma_et(cfg, kin, tls):.4g} fs")
-        elif scenario == "modulated_resonance":
-            width = tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
-            report.append(f"bunch sigma_et = {width:.4g} fs")
-    except ResolutionError as exc:
-        report.append(f"ERROR bunch width: {exc}")
+    if planned.bunch_sigma_et is not None:
+        what = "point-packet" if scenario == "fig9_buildup" else "bunch"
+        report.append(f"{what} sigma_et = {planned.bunch_sigma_et:.4g} fs")
+    report += late
     report.append(f"window factors: transit x{num['window_transit_factor']:g}, "
                   f"sigma x{num['window_sigma_factor']:g}")
     t_r_w = geo.transit_time * tls.omega_21
     report.append(f"t_r * omega21 = {t_r_w:.3g} "
                   f"({'fast transit' if t_r_w < 1 else 'slow transit'})")
-    if not any(line.startswith("ERROR") for line in report):
+    if not planned.errors:
         report.append("valid")
     return report
 
@@ -567,20 +494,15 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg["run"]["output_dir"] = args.out
 
-    grid_error = _grid_error(cfg["numerics"]["grid_points"])
-    if grid_error:
-        log.error("%s: %s", args.config, grid_error)
-        return 2
-
     try:
-        if cfg["run"]["scenario"] == "solver_crosscheck":
-            rk4_error = _rk4_error(_rk4_schedule(cfg)[0])
-            if rk4_error:
-                log.error("%s: %s", args.config, rk4_error)
-                return 2
+        planned = plan(cfg)
+        if planned.errors:      # what validate flags, refused before any work
+            for line in planned.errors:
+                log.error("%s: %s", args.config, line)
+            return 2
         log.info("running scenario %s (seed %d)", cfg["run"]["scenario"],
                  cfg["run"]["seed"])
-        result = run_scenario(cfg)
+        result = run_scenario(cfg, plan=planned)
     except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)
         return 3

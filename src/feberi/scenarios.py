@@ -9,9 +9,11 @@ and identical configs reproduce identical outputs.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from feberi import __version__, analytic, born_dynamics as bd, solver_density as
 from feberi.core import (
     HBAR_EV_FS,
     TWO_PI,
+    DomainError,
     InteractionGeometry,
     TlsSpec,
     TlsState,
@@ -28,7 +31,7 @@ from feberi.core import (
     wrap_phase,
 )
 from feberi.coulomb import DipoleCoupling
-from feberi.grid import interaction_window
+from feberi.grid import MomentumGrid, interaction_window
 from feberi.qew import (
     GaussianQewSpec,
     ModulationSpectrum,
@@ -95,21 +98,108 @@ def bunched_spectrum(cfg: dict, kin, tls) -> ModulationSpectrum:
                                            sw["harmonic_order"])
 
 
-def point_sigma_et(cfg: dict, kin, tls) -> float:
-    """fig9's point-packet duration: sigma_et_point_fs, or at 0 the bunch
-    width of the modulated packet (ResolutionError if the comb has none)."""
-    sigma_pt = cfg["sweep"]["sigma_et_point_fs"]
-    if sigma_pt > 0.0:
-        return sigma_pt
+def _fig4_start(cfg: dict, tls) -> tuple[float, TlsState, float]:
+    """fig4's arrival phase zeta, its TLS start and the arrival time of its packets."""
+    # zeta is 2 pi periodic: reduced mod 2 first, a huge zeta_over_pi stays finite
+    zeta = math.fmod(cfg["sweep"]["zeta_over_pi"], 2.0) * math.pi
+    phi = math.pi / 2.0
+    return zeta, TlsState.equatorial(phi), wrap_phase(zeta + phi) / tls.omega_21
+
+
+# -- the preflight plan ------------------------------------------------------------
+
+class Packet(NamedTuple):
+    """One swept packet of a grid scenario, as its run builds it."""
+
+    label: str                       # as the validate report names it
+    spec: GaussianQewSpec
+    grid: MomentumGrid | None        # None: no grid holds it (an ERROR line says why)
+    window: tuple[float, float]
+
+
+@dataclass
+class Plan:
+    """What a run of a config builds, decided before any of its work."""
+
+    physics: tuple                   # physics_bundle(cfg)
+    states: int                      # sampled states of the largest grid propagation
+    packets: list[Packet] = field(default_factory=list)   # none outside the grid scenarios
+    dt: float | None = None          # solver_crosscheck's momentum RK4 step, fs
+    schedule: tuple[int, int] | None = None    # and its (steps, record_every)
+    spectrum: ModulationSpectrum | None = None  # modulated_resonance's bunched spectrum
+    bunch_sigma_et: float | None = None   # its bunch width, or fig9's point-packet duration
+    p2_closed: float | None = None   # the closed-form P2 that fig3 and fig8 divide by
+    errors: list[str] = field(default_factory=list)   # "ERROR ..." lines: the run refuses
+
+
+def plan(cfg: dict) -> Plan:
+    """Every sizing decision of a run of ``cfg``, with an ERROR line for each
+    thing the run cannot do; builds no Hamiltonian and propagates nothing.
+    Raises DomainError if the physics cannot be built."""
+    kin, tls, geo, coupling = physics = physics_bundle(cfg)
+    scenario, num, sweep = cfg["run"]["scenario"], cfg["numerics"], cfg["sweep"]
+    out = Plan(physics, states=num["time_samples"])
     try:
-        return tooth_sigma_et(bunched_spectrum(cfg, kin, tls))
-    except ResolutionError as exc:
-        raise ResolutionError(f"{exc}; sigma_et_point_fs = 0 asks for that width: "
-                              "set sigma_et_point_fs > 0 or raise modulation_g") from exc
+        MomentumGrid(n=num["grid_points"], p0=0.0, p_cutoff=1.0)
+    except DomainError as exc:
+        out.errors.append(f"ERROR grid: {exc}")
+    sizes = []
+    if scenario == "fig56_phase_size_sweep":      # one block, two basis starts per Gamma
+        sizes = [(f"Gamma={g:g}", g / tls.omega_21) for g in sweep["gamma_values"]]
+        out.states = 2 * len(sizes)
+    elif scenario in ("fig3_ground", "fig4_superposition", "solver_crosscheck"):
+        sizes = [(f"sigma_et={frac:g} T21", frac * tls.period)
+                 for frac in sweep["sigma_et_over_period"]]
+    t0 = _fig4_start(cfg, tls)[2] if scenario == "fig4_superposition" else 0.0
+    for label, sigma in sizes:
+        spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
+        try:
+            grid = grid_for_spec(spec, coupling, num["grid_points"])
+        except DomainError as exc:
+            grid = None
+            out.errors.append(f"ERROR grid sizing at {label}: {exc}")
+        out.packets.append(Packet(label, spec, grid, interaction_window(
+            sigma, geo.transit_time, t0, **window_factors(cfg))))
+    if scenario == "solver_crosscheck" and (packet := out.packets[0]).grid is not None:
+        out.dt = sm.default_time_step(packet.grid, coupling, tls)
+        steps, every = out.schedule = sm.step_schedule(packet.window, out.dt,
+                                                       num["time_samples"])
+        out.states = 1 + math.ceil(steps / every)
+        if steps > sm.MAX_RK4_STEPS:
+            out.errors.append(f"ERROR momentum RK4: {steps} steps predicted, above the "
+                              f"ceiling MAX_RK4_STEPS = {sm.MAX_RK4_STEPS}")
+    # fig9's point packet lasts sigma_et_point_fs, at 0 the bunch width
+    if scenario == "modulated_resonance" or sweep.get("sigma_et_point_fs") == 0.0:
+        out.spectrum = bunched_spectrum(cfg, kin, tls)
+        try:
+            out.bunch_sigma_et = tooth_sigma_et(out.spectrum)
+        except ResolutionError as exc:
+            hint = "" if scenario == "modulated_resonance" else \
+                "; sigma_et_point_fs = 0 asks for that width: set sigma_et_point_fs > 0 " \
+                "or raise modulation_g"
+            out.errors.append(f"ERROR bunch width: {exc}{hint}")
+    elif scenario == "fig9_buildup":
+        out.bunch_sigma_et = sweep["sigma_et_point_fs"]
+    if scenario in ("fig3_ground", "fig8_single_point"):
+        out.p2_closed = analytic.p2_from_ground(coupling, kin)
+        if out.p2_closed < sys.float_info.min:
+            out.errors.append(
+                f"ERROR closed form: P2 from ground = {out.p2_closed:.3g} underflows at "
+                f"omega21 * t_r = {tls.omega_21 * geo.transit_time:.4g}; lower "
+                "impact_parameter_nm")
+    return out
 
 
-def base_metadata(cfg: dict) -> dict:
-    kin, tls, geo, _ = physics_bundle(cfg)
+def _planned(cfg: dict, given: Plan | None) -> Plan:
+    """``given``, or plan(cfg); a DomainError names its ERROR lines if it has any."""
+    out = given or plan(cfg)
+    if out.errors:
+        raise DomainError(f"{cfg['run']['scenario']} refused: {'; '.join(out.errors)}")
+    return out
+
+
+def base_metadata(cfg: dict, physics: tuple) -> dict:
+    kin, tls, geo, _ = physics
     return {
         "tool_version": __version__,
         "config": cfg,
@@ -131,36 +221,31 @@ def base_metadata(cfg: dict) -> dict:
 
 # -- scenarios: one packet per size on the joint grid ----------------------------------
 
-def _size_runs(cfg: dict, coupling: DipoleCoupling, state: TlsState, t0: float):
-    """(frac, sigma_et, trajectory, energy accounting, energy residual) of one
-    packet arriving at t0 per sigma_et_over_period, from the TLS ``state``,
-    sampled at time_samples points across its interaction window.  The
-    residual dE_F + E_gap dP2 is the energy not yet balanced by the TLS."""
+def _size_runs(cfg: dict, plan: Plan, state: TlsState):
+    """(frac, sigma_et, trajectory, energy accounting, energy residual) of the
+    plan's packets from the TLS ``state``, sampled at time_samples points across
+    each window; the residual dE_F + E_gap dP2 is not yet balanced by the TLS."""
     num = cfg["numerics"]
-    tls = coupling.tls
-    for frac in cfg["sweep"]["sigma_et_over_period"]:
-        sigma = frac * tls.period
-        window = interaction_window(sigma, coupling.geometry.transit_time, t0,
-                                    **window_factors(cfg))
+    _, tls, _, coupling = plan.physics
+    for frac, packet in zip(cfg["sweep"]["sigma_et_over_period"], plan.packets):
         traj = sd.run_qew_interaction(
-            GaussianQewSpec.from_duration(coupling.kin, sigma, t0=t0), state, coupling, tls,
-            n=num["grid_points"], times=np.linspace(*window, num["time_samples"]),
+            packet.spec, state, coupling, tls, n=num["grid_points"],
+            times=np.linspace(*packet.window, num["time_samples"]),
             collect_rho_b=num["dump_rho_b"])
         acc = sd.energy_accounting(traj)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
-        yield frac, sigma, traj, acc, resid
+        yield frac, frac * tls.period, traj, acc, resid
 
 
-def run_fig3_ground(cfg: dict) -> ScenarioResult:
+def run_fig3_ground(cfg: dict, plan: Plan) -> ScenarioResult:
     """From-ground excitation for several packet durations: the final
     occupation is size independent and matches the closed form."""
-    kin, _, _, coupling = physics_bundle(cfg)
-    p2_ref = analytic.p2_from_ground(coupling, kin)
+    p2_ref = plan.p2_closed
 
     series = []
     plateaus = {}
     energy_resid = {}
-    for frac, _, traj, acc, resid in _size_runs(cfg, coupling, TlsState.ground(), 0.0):
+    for frac, _, traj, acc, resid in _size_runs(cfg, plan, TlsState.ground()):
         series.append(SeriesData(
             name=f"sigma_{frac:g}T21",
             columns={
@@ -190,21 +275,17 @@ def run_fig3_ground(cfg: dict) -> ScenarioResult:
     return ScenarioResult(series=series, summary=summary)
 
 
-def run_fig4_superposition(cfg: dict) -> ScenarioResult:
+def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
     """Superposition start: the increment decays with packet size and the
     energy balance is violated only transiently."""
-    kin, tls, _, coupling = physics_bundle(cfg)
-    # zeta is 2 pi periodic: reduced mod 2 first, a huge zeta_over_pi stays finite
-    zeta = math.fmod(cfg["sweep"]["zeta_over_pi"], 2.0) * math.pi
-    phi = math.pi / 2.0
-    state = TlsState.equatorial(phi)
-    t0 = wrap_phase(zeta + phi) / tls.omega_21
+    kin, tls, _, coupling = plan.physics
+    zeta, state, t0 = _fig4_start(cfg, tls)
 
     series = []
     increments = {}
     transients = {}
     final_resid = {}
-    for frac, sigma, traj, acc, resid in _size_runs(cfg, coupling, state, t0):
+    for frac, sigma, traj, acc, resid in _size_runs(cfg, plan, state):
         series.append(SeriesData(
             name=f"sigma_{frac:g}T21",
             columns={
@@ -260,10 +341,10 @@ def _fig56_block(cfg: dict, gammas: list[float]) -> np.ndarray:
     return np.real(np.array([w.channel[3] for w in windows]) @ rho.T) - [s.p2 for s in states]
 
 
-def run_fig56_phase_size_sweep(cfg: dict) -> ScenarioResult:
+def run_fig56_phase_size_sweep(cfg: dict, plan: Plan) -> ScenarioResult:
     """Increment vs (arrival phase, packet size): sinusoidal in zeta with an
     exp(-Gamma^2/2) envelope; fits the two-term law."""
-    kin, tls, _, coupling = physics_bundle(cfg)
+    kin, tls, _, coupling = plan.physics
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
@@ -328,14 +409,13 @@ def resonance_scan(sweep: dict, index=None) -> tuple[list[float], list[bool]]:
     return detuning, [abs(d) * sigma_env <= 3.0 for d in detuning]
 
 
-def run_modulated_resonance(cfg: dict) -> ScenarioResult:
+def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
     """Second-order increment vs TLS frequency: Gaussian peaks at the
     bunching harmonics with 1/e half-width 1/sigma_et."""
-    kin, tls0, geo, _ = physics_bundle(cfg)
+    kin, tls0, geo, _ = plan.physics
     sw = cfg["sweep"]
     sigma_env = sw["envelope_sigma_et_fs"]
-    spectrum = bunched_spectrum(cfg, kin, tls0)
-    bunch_sigma = tooth_sigma_et(spectrum)    # refuses a comb without a bunch
+    spectrum = plan.spectrum
 
     def coupling_at(w21: float) -> DipoleCoupling:
         return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
@@ -400,22 +480,22 @@ def run_modulated_resonance(cfg: dict) -> ScenarioResult:
         "omega_b_rad_fs": spectrum.omega_b,
         "fitted_widths": widths,
         "born_spot_checks": spots,
-        "bunch_sigma_et_fs": bunch_sigma,
+        "bunch_sigma_et_fs": plan.bunch_sigma_et,
     }
     return ScenarioResult(series=series, summary=summary)
 
 
 # -- scenario: single near-point packet (time domain) -------------------------------------
 
-def run_fig8_single_point(cfg: dict) -> ScenarioResult:
+def run_fig8_single_point(cfg: dict, plan: Plan) -> ScenarioResult:
     """Occupation dynamics P1(t), P2(t) for one near-point packet from ground."""
-    kin, tls, _, coupling = physics_bundle(cfg)
+    _, tls, _, coupling = plan.physics
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
     prof = bd.interaction_profile(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
     traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21,
                          n_records=cfg["numerics"]["time_samples"])
-    p2_ref = analytic.p2_from_ground(coupling, kin)
+    p2_ref = plan.p2_closed
     series = [SeriesData(
         name="occupations",
         columns={"t [fs]": traj.times, "P1": traj.p1, "P2": traj.p2,
@@ -435,16 +515,16 @@ def run_fig8_single_point(cfg: dict) -> ScenarioResult:
 
 # -- scenario: correlated vs random trains -------------------------------------------------
 
-def run_fig9_buildup(cfg: dict) -> ScenarioResult:
+def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
     """N^2 buildup of a modulation-locked train vs linear growth of a random one."""
-    kin, tls, _, coupling = physics_bundle(cfg)
+    _, tls, _, coupling = plan.physics
     sw = cfg["sweep"]
     seed = cfg["run"]["seed"]
     omega_b = tls.omega_21 / sw["harmonic"]
     t_b = TWO_PI / omega_b
     mean_spacing = sw["mean_spacing_periods"] * t_b
 
-    sigma_pt = point_sigma_et(cfg, kin, tls)
+    sigma_pt = plan.bunch_sigma_et
     window = bd.train_window(coupling, sigma_pt, tls.omega_21, **profile_grid_args(cfg))
 
     n_corr = sw["correlated_electrons"]
@@ -495,23 +575,19 @@ def run_fig9_buildup(cfg: dict) -> ScenarioResult:
 
 # -- scenario: amplitude vs density-matrix solver agreement ----------------------------------
 
-def run_solver_crosscheck(cfg: dict) -> ScenarioResult:
+def run_solver_crosscheck(cfg: dict, plan: Plan) -> ScenarioResult:
     """Both grid solvers on the same discretized problem: final occupations
     must agree to a part in a thousand."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    _, tls, _, coupling = plan.physics
     num = cfg["numerics"]
-    frac = cfg["sweep"]["sigma_et_over_period"][0]
-    sigma = frac * tls.period
-    spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    grid = grid_for_spec(spec, coupling, num["grid_points"])
-    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
+    packet = plan.packets[0]
 
-    state0 = sm.initial_amplitudes(grid, spec, TlsState.ground(), window[0])
-    dt = sm.default_time_step(grid, coupling, tls)
-    traj_a = sm.integrate(state0, window, dt, grid, coupling, tls,
+    state0 = sm.initial_amplitudes(packet.grid, packet.spec, TlsState.ground(),
+                                   packet.window[0])
+    traj_a = sm.integrate(state0, packet.window, plan.dt, packet.grid, coupling, tls,
                           n_records=num["time_samples"])
     # the density solver at the amplitude solver's records
-    traj_b = sd.run_qew_interaction(spec, TlsState.ground(), coupling, tls,
+    traj_b = sd.run_qew_interaction(packet.spec, TlsState.ground(), coupling, tls,
                                     num["grid_points"], traj_a.times)
 
     rel = abs(traj_a.p2[-1] - traj_b.p2[-1]) / traj_b.p2[-1]
@@ -552,17 +628,15 @@ SCENARIOS = {
                           "amplitude-equation vs density-matrix solver agreement"),
 }
 
-# the scenarios that build a momentum grid (and run a grid solver)
-GRID_SCENARIOS = {"fig3_ground", "fig4_superposition", "fig56_phase_size_sweep",
-                  "solver_crosscheck"}
 
-
-def run_scenario(cfg: dict, jobs: int = 1) -> ScenarioResult:
-    """Run the configured scenario; its metadata is base_metadata plus runtime_s."""
+def run_scenario(cfg: dict, jobs: int = 1, plan: Plan | None = None) -> ScenarioResult:
+    """Run the configured scenario from ``plan``, by default plan(cfg), and
+    refuse one with ERROR lines; its metadata is base_metadata plus runtime_s."""
     # ``jobs`` is ignored; perfbench/worker.py still passes it (ROADMAP item 1 removes it)
     fn, _ = SCENARIOS[cfg["run"]["scenario"]]
     start = time.perf_counter()
-    result = fn(cfg)
-    result.metadata = {**base_metadata(cfg),
+    plan = _planned(cfg, plan)
+    result = fn(cfg, plan)
+    result.metadata = {**base_metadata(cfg, plan.physics),
                        "runtime_s": round(time.perf_counter() - start, 3)}
     return result

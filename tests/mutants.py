@@ -90,7 +90,7 @@ MUTANTS = (
            ("tests/test_qew.py::TestHarmonicSumsByFft::test_fft_extraction_equals_dense"
             "[24-4.0-1.3]",)),
     Mutant("fig4's packets arrive at its t0", "scenarios.py",
-           "_size_runs(cfg, coupling, state, t0)", "_size_runs(cfg, coupling, state, 0.0)",
+           "t0 = _fig4_start(cfg, tls)[2] if", "t0 = 0.0 if",
            ("tests/test_golden.py::test_summary_matches_golden[fig4_superposition]",)),
     Mutant("shared Born profile on the largest spot omega_21", "scenarios.py",
            "finest = coupling_at(max(w_spots))", "finest = coupling_at(min(w_spots))",
@@ -99,6 +99,11 @@ MUTANTS = (
            '_SWEEP_RULES = (("harmonic_order", ">=", "harmonic"), ', "_SWEEP_RULES = (",
            ("tests/test_cli.py::TestCommands::test_harmonic_order_below_harmonic_is_config_error"
             "[harmonic_order = 1-6-fig9_buildup]",)),
+    Mutant("run refuses the plan's ERROR lines", "cli.py",
+           "if planned.errors:", "if False:",
+           ("tests/test_cli.py::TestCommands::test_bad_grid_is_config_error[17]",
+            "tests/test_cli.py::TestCommands::test_plan_error_is_config_error"
+            "[closed-form-underflow]")),
     Mutant("sweep output labels of floats", "cli.py",
            'f"{x:g}" if isinstance(x, float)', "repr(x) if isinstance(x, float)",
            ("tests/test_cli.py::TestCommands::test_colliding_sweep_labels_are_config_error"

@@ -17,8 +17,7 @@ from feberi.core import HBAR_EV_FS, InteractionGeometry, TlsSpec, TlsState, \
     kinematics_from_kev
 from feberi.coulomb import DipoleCoupling, bessel_k0, bessel_k1, m_spatial, m_tilde
 from feberi.qew import GaussianQewSpec, grid_for_spec
-from feberi.scenarios import run_fig56_phase_size_sweep, run_fig9_buildup, \
-    run_modulated_resonance, run_solver_crosscheck
+from feberi.scenarios import run_scenario
 from helpers import run_gaussian_scenario
 
 
@@ -53,7 +52,7 @@ def sweep_result(bundle):
     cfg = default_config("fig56_phase_size_sweep")
     cfg["sweep"]["gamma_values"] = [0.1, 0.3, 0.6, 0.9, 1.2, 1.5]
     cfg["sweep"]["zeta_points"] = 16
-    return run_fig56_phase_size_sweep(cfg)
+    return run_scenario(cfg)
 
 
 def test_criterion_01_ground_size_independence(bundle, ground_runs):
@@ -128,7 +127,7 @@ def test_criterion_04_max_increment_identity(bundle, sweep_result, ground_runs):
 
 def test_criterion_05_solver_crosscheck():
     cfg = default_config("solver_crosscheck")
-    res = run_solver_crosscheck(cfg)
+    res = run_scenario(cfg)
     rel = res.summary["final_rel_difference"]
     ok = rel <= 1e-3
     _report(5, "amplitude vs density solver", ok, f"relative difference {rel:.2e}")
@@ -139,7 +138,7 @@ def test_criterion_05_solver_crosscheck_parallel_large_grid():
     cfg = default_config("solver_crosscheck")
     cfg["numerics"]["grid_points"] = 1024
     cfg["physics"]["orientation"] = "parallel"
-    rel = run_solver_crosscheck(cfg).summary["final_rel_difference"]
+    rel = run_scenario(cfg).summary["final_rel_difference"]
     _report(5, "amplitude vs density solver, parallel, N = 1024", rel <= 1e-3,
             f"relative difference {rel:.2e}")
 
@@ -151,7 +150,7 @@ def test_criterion_05_solver_crosscheck_n2048(orientation):
     cfg = default_config("solver_crosscheck")
     cfg["numerics"]["grid_points"] = 2048
     cfg["physics"]["orientation"] = orientation
-    rel = run_solver_crosscheck(cfg).summary["final_rel_difference"]
+    rel = run_scenario(cfg).summary["final_rel_difference"]
     _report(5, f"amplitude vs density solver, {orientation}, N = 2048", rel <= 1e-3,
             f"relative difference {rel:.2e}")
 
@@ -208,7 +207,7 @@ def test_criterion_07_overlap_integral():
 
 def test_criterion_08_modulated_resonance():
     cfg = default_config("modulated_resonance")
-    res = run_modulated_resonance(cfg)
+    res = run_scenario(cfg)
     widths = res.summary["fitted_widths"]
     dev_w = max(abs(v["fitted_inv_e_halfwidth"] / v["expected"] - 1.0)
                 for v in widths.values())
@@ -236,7 +235,7 @@ def _buildup_gates(cfg: dict, s: dict) -> tuple[bool, str]:
 def test_criterion_09_n_squared_buildup():
     t_start = time.time()
     cfg = default_config("fig9_buildup")
-    res = run_fig9_buildup(cfg)
+    res = run_scenario(cfg)
     elapsed = time.time() - t_start
     ok, detail = _buildup_gates(cfg, res.summary)
     _report(9, "N^2 buildup and crossing", ok and elapsed < 300.0,
@@ -249,7 +248,7 @@ def test_criterion_09_default_ensemble_seed_independent(seed):
     # (linear R^2 0.934 / 0.939, crossing deviation 0.43 / 0.11)
     cfg = default_config("fig9_buildup")
     cfg["run"]["seed"] = seed
-    ok, detail = _buildup_gates(cfg, run_fig9_buildup(cfg).summary)
+    ok, detail = _buildup_gates(cfg, run_scenario(cfg).summary)
     assert ok, f"seed {seed}: {detail}"
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import feberi
-from feberi import scenarios
+from feberi import plotsvg, scenarios
 from feberi.cli import ConfigError, load_config, main
+from feberi.core import DomainError
 from feberi.scenarios import SCENARIOS
 from feberi.solver_density import read_rho_b_bin
 
@@ -181,15 +183,21 @@ class TestCommands:
             ratios.append(summary["p2_ratio_20_over_1"])
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-3)
 
-    def test_rk4_past_its_step_ceiling_is_config_error(self, tmp_path, caplog, capsys):
-        # solver_crosscheck at a 1 mm impact parameter needs 28.7M momentum
-        # RK4 steps: validate flags it, and run refuses it before any work
+    @pytest.mark.parametrize("scenario, impact_nm, error", [
+        # solver_crosscheck at a 1 mm impact parameter needs 28.7M momentum RK4 steps
+        ("solver_crosscheck", "1e6", "ERROR momentum RK4: 28670114 steps predicted, above "
+                                     "the ceiling MAX_RK4_STEPS = 1048576"),
+        # fig3 at 0.1 mm divides by a closed form that underflows to 0.0
+        ("fig3_ground", "1e5", "ERROR closed form: P2 from ground = 0 underflows at "
+                               "omega21 * t_r = 1048; lower impact_parameter_nm"),
+    ], ids=["rk4-ceiling", "closed-form-underflow"])
+    def test_plan_error_is_config_error(self, tmp_path, caplog, capsys, scenario, impact_nm,
+                                        error):
+        # validate flags what the run cannot do, and run refuses it before any work
         out = tmp_path / "o"
-        text = (f"[run]\nscenario = solver_crosscheck\noutput_dir = {out}\n\n"
-                "[physics]\nimpact_parameter_nm = 1e6\n")
+        text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                f"[physics]\nimpact_parameter_nm = {impact_nm}\n")
         cfg = write(tmp_path, text)
-        error = ("ERROR momentum RK4: 28670114 steps predicted, above the ceiling "
-                 "MAX_RK4_STEPS = 1048576")
         assert main(["validate", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert error in lines
@@ -198,6 +206,8 @@ class TestCommands:
         assert f"{cfg}: {error}" in caplog.text
         assert "running scenario" not in caplog.text
         assert not out.exists()
+        with pytest.raises(DomainError, match=re.escape(f"{scenario} refused: {error}")):
+            scenarios.run_scenario(load_config(cfg))    # the benchmark's path
 
     @pytest.mark.parametrize("scenario", ["modulated_resonance", "fig9_buildup"])
     @pytest.mark.parametrize("entries, line", [
@@ -310,6 +320,24 @@ class TestCommands:
         rule = f":6: [sweep] {key}: two values share the output label {label!r}"
         assert caplog.text.count(rule) == 2
         assert not out.exists()
+
+    def test_writer_failing_midway_leaves_no_summary(self, tmp_path, caplog, monkeypatch):
+        # a rerun whose plot cannot be written exits 2: the old summary.json is
+        # gone, and no file is left under a temporary name
+        out = tmp_path / "o"
+        cfg = write(tmp_path, MINIMAL.format(out=out))
+        assert main(["run", str(cfg)]) == 0
+        assert (out / "summary.json").exists()
+
+        def disk_full(path, *args):
+            Path(path).write_text("<svg")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(plotsvg, "line_plot", disk_full)
+        assert main(["run", str(cfg)]) == 2
+        assert "No space left on device" in caplog.text
+        assert sorted(p.name for p in out.iterdir()) == ["occupations.svg",
+                                                         "results_occupations.csv"]
 
     def test_window_factors_honoured_by_fig8(self, tmp_path):
         out = tmp_path / "o"
@@ -445,15 +473,16 @@ class TestCommands:
             assert line.startswith(f"ERROR grid sizing at sigma_et={frac:g} T21: "
                                    f"{n} grid points under-resolve the packet")
 
-    @pytest.mark.parametrize("frac, code", [(1.0, 0), (2.5, 3)])
+    @pytest.mark.parametrize("frac, code", [(1.0, 0), (2.5, 2)])
     def test_run_resolution_guard(self, tmp_path, caplog, frac, code):
+        # validate's ERROR grid sizing line is a config error of run
         out = tmp_path / "o"
         text = ("[run]\nscenario = fig3_ground\n"
                 f"output_dir = {out}\n\n[numerics]\ngrid_points = 128\n"
                 f"time_samples = 20\n\n[sweep]\nsigma_et_over_period = {frac}\n")
         assert main(["run", str(write(tmp_path, text))]) == code
         assert out.exists() == (code == 0)
-        assert ("under-resolve the packet" in caplog.text) == (code == 3)
+        assert ("under-resolve the packet" in caplog.text) == (code == 2)
 
     @pytest.mark.parametrize("scenario", ["fig9_buildup", "modulated_resonance"])
     def test_comb_without_bunch_refused(self, tmp_path, caplog, capsys, monkeypatch,
@@ -475,7 +504,7 @@ class TestCommands:
             raise AssertionError("resonance scan before the bunch width")
 
         monkeypatch.setattr(scenarios.analytic, "modulated_increments", refuse)
-        assert main(["run", str(cfg)]) == 3
+        assert main(["run", str(cfg)]) == 2
         assert not (out / "summary.json").exists()
         assert "no half-maximum" in caplog.text
         assert ("sigma_et_point_fs" in caplog.text) == (scenario == "fig9_buildup")

@@ -4,14 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feberi import born_dynamics as bd, scenarios, solver_density as sd
+from feberi import born_dynamics as bd, cli, scenarios, solver_density as sd
 from feberi.cli import ConfigError, default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, TlsState, wrap_phase
 from feberi.coulomb import DipoleCoupling
 from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec
-from feberi.scenarios import _fig56_block, physics_bundle, \
-    run_modulated_resonance, run_scenario, window_factors
+from feberi.scenarios import _fig56_block, physics_bundle, run_scenario, window_factors
 
 
 def test_default_config_unknown_scenario():
@@ -42,7 +41,7 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
 
     build = bd.modulated_interaction_profile
     calls = counted(monkeypatch, bd, "modulated_interaction_profile")
-    spots = run_modulated_resonance(cfg).summary["born_spot_checks"]
+    spots = run_scenario(cfg).summary["born_spot_checks"]
     assert len(spots) == len(cfg["sweep"]["spot_check_detunings"])
     largest = coupling_at(max(s["omega_21"] for s in spots)).tls.omega_21
     assert [args[5] for args in calls] == [largest]
@@ -58,7 +57,7 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
 
     calls.clear()
     cfg["sweep"]["born_check"] = False
-    assert run_modulated_resonance(cfg).summary["born_spot_checks"] == []
+    assert run_scenario(cfg).summary["born_spot_checks"] == []
     assert calls == []
 
 
@@ -205,3 +204,30 @@ def test_born_step_products_memory(monkeypatch):
     [(samples, peak)] = peaks
     assert samples == 183275
     assert peak <= 6 * 2**20
+
+
+def test_planned_counts_equal_actual_counts(monkeypatch, tmp_path):
+    # the default crosscheck's planned RK4 schedule gives its CSV rows and its
+    # step; fig56's planned states are the rows of its one propagated block
+    cfg = default_config("solver_crosscheck")
+    plan = scenarios.plan(cfg)
+    assert plan.schedule == (1101, 3)
+    result = run_scenario(cfg, plan=plan)
+    cli.write_result(result, tmp_path)
+    rows = (tmp_path / "results_crosscheck.csv").read_text().splitlines()[1:]
+    assert len(rows) == plan.states == 368
+    start, end = plan.packets[0].window
+    assert result.summary["time_step_fs"] == (end - start) / 1101
+
+    blocks = []
+    evolve = sd.evolve_vector
+
+    def counted_evolve(psi0, h, t):
+        blocks.append(len(psi0))
+        return evolve(psi0, h, t)
+
+    monkeypatch.setattr(sd, "evolve_vector", counted_evolve)
+    cfg = default_config("fig56_phase_size_sweep")
+    plan = scenarios.plan(cfg)
+    run_scenario(cfg, plan=plan)
+    assert blocks == [plan.states] == [18]

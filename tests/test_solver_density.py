@@ -10,8 +10,8 @@ from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec
-from feberi.scenarios import SCENARIOS, physics_bundle, point_sigma_et, profile_grid_args, \
-    run_scenario, run_solver_crosscheck, window_factors
+from feberi.scenarios import SCENARIOS, physics_bundle, plan, profile_grid_args, run_scenario, \
+    window_factors
 from feberi.solver_density import (
     MAX_CHEBYSHEV_ORDER,
     AssemblyError,
@@ -222,7 +222,7 @@ def test_grid_runs_never_build_the_dense_matrix(coupling, tls, spec, monkeypatch
     monkeypatch.setattr(solver_density.HamiltonianAssembly, "h_total", property(refuse))
     traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=128)
     assert traj.p2[-1] == pytest.approx(8.27e-7, rel=0.01)
-    summary = run_solver_crosscheck(default_config("solver_crosscheck")).summary
+    summary = run_scenario(default_config("solver_crosscheck")).summary
     assert summary["final_rel_difference"] <= 1e-3
 
 
@@ -704,7 +704,7 @@ def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
     cfg = default_config("fig9_buildup")
     cfg["physics"]["orientation"] = orientation
     kin, tls, _, coupling = physics_bundle(cfg)
-    sigma = point_sigma_et(cfg, kin, tls)
+    sigma = plan(cfg).bunch_sigma_et
     gamma = tls.omega_21 * sigma
     assert gamma == pytest.approx(0.2195, abs=1e-4)
     born = train_window(coupling, sigma, tls.omega_21, **profile_grid_args(cfg))
