@@ -19,6 +19,11 @@ superposition equals sqrt of the from-ground second-order term.
 
 Amplitude normalization is 1/(hbar v0) per transition amplitude everywhere;
 the grid solvers reproduce it.
+
+The density-modulated increments (``modulated_increments``) take omega_21 as
+a scalar or as an array: a resonance scan is one call, one expression for
+every point (nearest harmonic, f_n, |Mt(p_rec)| and the resonance factor),
+and the scalar call goes through the same expression.
 """
 
 from __future__ import annotations
@@ -41,15 +46,16 @@ class RegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransitionIncrement:
-    """First- and second-order occupation increments of the upper level."""
+    """First- and second-order occupation increments of the upper level (floats,
+    or arrays over a scan of TLS frequencies)."""
 
-    dp1: float
-    dp2: float
+    dp1: float | np.ndarray
+    dp2: float | np.ndarray
     model: str
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.dp2 < 0.0:
+        if np.any(self.dp2 < 0.0):
             raise DomainError("second-order increment cannot be negative")
 
     @property
@@ -117,22 +123,23 @@ def dp2_born(coupling: DipoleCoupling, kin: ElectronKinematics, sigma_et: float)
     return p2_from_ground(coupling, kin) * math.exp(-gam * gam)
 
 
-def nearest_harmonic(omega_21: float, omega_b: float) -> tuple[int, tuple[str, ...]]:
-    """Integer n minimizing |omega_21 - n omega_b|; half-integer ties go low."""
-    x = omega_21 / omega_b
-    lo = math.floor(x)
-    flags: tuple[str, ...] = ()
-    if x - lo == 0.5:
-        n = lo
-        flags = ("harmonic_tie",)
-    else:
-        n = round(x)
-    return max(n, 0), flags
+def nearest_harmonic(omega_21, omega_b: float):
+    """Integer n >= 0 minimizing |omega_21 - n omega_b|; half-integer ties go low.
+
+    ``omega_21`` is a scalar (n an int) or an array (n an int array of its
+    shape); the flags hold "harmonic_tie" if any point is a tie.
+    """
+    x = np.asarray(omega_21, dtype=float) / omega_b
+    lo = np.floor(x)
+    tie = x - lo == 0.5
+    n = np.maximum(np.where(tie, lo, np.round(x)), 0).astype(int)
+    flags = ("harmonic_tie",) if tie.any() else ()
+    return (int(n) if n.ndim == 0 else n), flags
 
 
 def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
                          spectrum: ModulationSpectrum, sigma_et: float,
-                         omega_21: float, state: TlsState, t_mod: float,
+                         omega_21, state: TlsState, t_mod: float,
                          t_0k: float) -> TransitionIncrement:
     """Resonant increments of a density-modulated packet.
 
@@ -141,24 +148,37 @@ def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
     resonance factors exp(-(omega_21 - n omega_b)^2 sigma_et^2 / 2) (first
     order) and its square (second order), and the first order additionally
     beats against the arrival and modulation phases.
+
+    ``omega_21`` is a scalar or an array of TLS frequencies (rad/fs, > 0);
+    an array gives dp1 and dp2 of its shape, from one pass, and the flags
+    raised at any of its points.  The recoil p_rec = -hbar omega_21 / v0 is
+    taken at each omega_21, in one m_tilde call; ``coupling`` supplies the
+    dipole, geometry and kinematics, not the gap.
     """
     if sigma_et <= 2.0 * math.pi / spectrum.omega_b:
         raise DomainError("envelope must be longer than one modulation period")
-    n, flags = nearest_harmonic(omega_21, spectrum.omega_b)
-    detuning = omega_21 - n * spectrum.omega_b
-    if abs(detuning) * sigma_et > 6.0:
+    w21 = np.asarray(omega_21, dtype=float)
+    if not np.all(w21 > 0.0):
+        raise DomainError("omega_21 must be > 0")
+    n, flags = nearest_harmonic(w21, spectrum.omega_b)
+    detuning = w21 - n * spectrum.omega_b
+    if np.any(np.abs(detuning) * sigma_et > 6.0):
         flags = flags + ("off_resonance",)
-    res1 = math.exp(-0.5 * (detuning * sigma_et) ** 2)
-    f_n = spectrum.coefficient(n)
-    mt = m_tilde(coupling.recoil_momentum, coupling)
+    res1 = np.exp(-0.5 * (detuning * sigma_et) ** 2)
+    # f_n for n = 0..order, zero beyond
+    f_n = np.append(spectrum.f_m[spectrum.order:], 0.0)[np.minimum(n, spectrum.order + 1)]
+    p_rec = -(w21.ravel() * HBAR_EV_FS) / coupling.kin.v0
+    mt = m_tilde(p_rec, coupling).reshape(w21.shape)
     amp = 1.0 / (HBAR_EV_FS * kin.v0)
     # second order: |amplitude|^2
-    dp2 = (amp * abs(mt) * abs(state.c1) * abs(f_n) * res1) ** 2
+    dp2 = (amp * np.abs(mt) * abs(state.c1) * np.abs(f_n) * res1) ** 2
     # first order: 2 Re[c2* dc2], dc2 = amp/i * c1 Mt f_n* e^{i detuning t_0k} e^{i n w_b t_mod} res1
     dc2 = (amp / 1j) * state.c1 * mt * np.conj(f_n) \
-        * cmath.exp(1j * (detuning * t_0k + n * spectrum.omega_b * t_mod)) * res1
-    dp1 = float(2.0 * np.real(np.conj(state.c2) * dc2))
-    return TransitionIncrement(dp1=dp1, dp2=float(dp2), model="born", flags=flags)
+        * np.exp(1j * (detuning * t_0k + n * spectrum.omega_b * t_mod)) * res1
+    dp1 = 2.0 * np.real(np.conj(state.c2) * dc2)
+    if w21.ndim == 0:
+        dp1, dp2 = float(dp1), float(dp2)
+    return TransitionIncrement(dp1=dp1, dp2=dp2, model="born", flags=flags)
 
 
 MULTI_QEW_VARIANTS = ("point_train", "modulated_correlated")

@@ -45,7 +45,11 @@ points form a segment; chunks of whole segments, at most SEGMENT_STEPS steps
 each, are laid out as (segments, steps) arrays and reduced by one pairwise
 tree (an associative ordered product), and the segment products are then
 applied in order.  A segment longer than SEGMENT_STEPS is split into equal
-pieces, and short rows are padded with identity steps.
+pieces, and short rows are padded with identity steps.  SEGMENT_STEPS =
+16384 reduces the benchmark's 91.6k-step profile in 6 chunks, with
+temporaries near 3 MiB: narrower chunks pay more per-chunk Python overhead
+(26 chunks at 4096), wider ones gain nothing (README, performance notes).
+The width only regroups the steps.
 
 Every electron train, Born or joint-grid, runs through one private stepper,
 _step_trains, on a TrainWindow built once per run: the 4x4 channel of the
@@ -77,7 +81,7 @@ class StepSizeError(RuntimeError):
 
 
 # RK4 steps reduced at once: bounds the (segments, steps) temporaries
-SEGMENT_STEPS = 4096
+SEGMENT_STEPS = 16384
 
 
 # -- interaction profiles ---------------------------------------------------------
@@ -372,8 +376,13 @@ class ArrivalSchedule:
     n_k: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0.0):
-            raise DomainError("arrival times must be strictly increasing")
+        _check_increasing(self.times)
+
+
+def _check_increasing(times: np.ndarray) -> None:
+    """Raise unless every row of ``times`` (last axis) strictly increases."""
+    if np.any(np.diff(times) <= 0.0):
+        raise DomainError("arrival times must be strictly increasing")
 
 
 def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
@@ -394,20 +403,29 @@ def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
     t_b = TWO_PI / omega_b if omega_b > 0 else 0.0
     if mean_spacing is None:
         mean_spacing = 3.0 * t_b if t_b else 1.0
-    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return ArrivalSchedule(times=random_arrival_times(n, [seed], mean_spacing, t_0l)[0])
     if kind == "periodic":
         n_k = np.arange(1, n + 1)
-        times = t_0l + n_k * t_b
-    elif kind == "correlated":
+    else:
         gap_mean = max(1, int(round(mean_spacing / t_b)))
+        rng = np.random.default_rng(seed)
         gaps = rng.integers(1, 2 * gap_mean, size=n)   # mean ~ gap_mean, all >= 1
         n_k = np.cumsum(gaps)
-        times = t_0l + n_k * t_b
-    else:
-        gaps = rng.uniform(0.5, 1.5, size=n) * mean_spacing
-        n_k = None
-        times = t_0l + np.cumsum(gaps)
-    return ArrivalSchedule(times=times, n_k=n_k)
+    return ArrivalSchedule(times=t_0l + n_k * t_b, n_k=n_k)
+
+
+def random_arrival_times(n: int, seeds, mean_spacing: float,
+                         t_0l: float = 0.0) -> np.ndarray:
+    """Arrival times (S, N) of S random schedules of n electrons, one per seed:
+    continuous uniform gaps in [0.5, 1.5) mean_spacing with no phase relation.
+    Row k is ``arrival_schedule("random", n, ..., seed=seeds[k]).times``."""
+    gaps = np.empty((len(seeds), n))
+    for row, seed in zip(gaps, seeds):
+        row[:] = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+    times = t_0l + np.cumsum(gaps * mean_spacing, axis=1)
+    _check_increasing(times)
+    return times
 
 
 # -- electron trains -------------------------------------------------------------------
@@ -453,12 +471,12 @@ def _step_trains(rho0: np.ndarray, times: np.ndarray,
     return p2.T, v.T.reshape(-1, 2, 2)
 
 
-def simulate_train_ensemble(state0: TlsState, schedules, window: TrainWindow) -> np.ndarray:
-    """P2 after each electron, shape (n_schedules, n_electrons), of trains of
-    near-point packets from ``state0``, stepped jointly by ``_step_trains``
-    (schedules of equal length).  Warns if consecutive windows of any
-    schedule overlap (the sequential model assumes they do not)."""
-    times = np.stack([s.times for s in schedules])      # (S, N)
+def simulate_train_ensemble(state0: TlsState, times: np.ndarray,
+                            window: TrainWindow) -> np.ndarray:
+    """P2 after each electron, shape (S, N), of S trains of near-point packets
+    from ``state0`` with arrival times ``times`` (S, N), stepped jointly by
+    ``_step_trains``.  Warns if consecutive windows of any train overlap (the
+    sequential model assumes they do not)."""
     gaps = np.diff(times, axis=1)
     if np.any(gaps < window.length):
         warnings.warn(

@@ -412,7 +412,7 @@ def resonance_scan(sweep: dict, index=None) -> tuple[list[float], list[bool]]:
 def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
     """Second-order increment vs TLS frequency: Gaussian peaks at the
     bunching harmonics with 1/e half-width 1/sigma_et."""
-    kin, tls0, geo, _ = plan.physics
+    kin, tls0, geo, coupling0 = plan.physics
     sw = cfg["sweep"]
     sigma_env = sw["envelope_sigma_et_fs"]
     spectrum = plan.spectrum
@@ -420,11 +420,9 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
     def coupling_at(w21: float) -> DipoleCoupling:
         return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
 
-    def analytic_dp2(coupling: DipoleCoupling, w21: float) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return analytic.modulated_increments(coupling, kin, spectrum, sigma_env, w21,
-                                                 TlsState.ground(), 0.0, 0.0).dp2
+    def analytic_dp2(w21):
+        return analytic.modulated_increments(coupling0, kin, spectrum, sigma_env, w21,
+                                             TlsState.ground(), 0.0, 0.0).dp2
 
     series = []
     widths = {}
@@ -432,7 +430,7 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
     for n_h in sw["scan_harmonics"]:
         center = n_h * spectrum.omega_b
         w_scan = center + detuning
-        dp2 = np.array([analytic_dp2(coupling_at(w21), w21) for w21 in w_scan])
+        dp2 = analytic_dp2(w_scan)
         # ln dp2 = const - (w - center)^2 sigma_fit^2 -> 1/e halfwidth = 1/sigma_fit
         x = (w_scan[mask] - center) ** 2
         y = np.log(dp2[mask])
@@ -466,7 +464,7 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
             traj = bd.evolve_tls(TlsState.ground(), prof, coupling.tls.omega_21)
             spots.append({"detuning_over_inv_sigma": d, "omega_21": w21,
                           "born_dp2": float(traj.p2[-1]),
-                          "analytic_dp2": analytic_dp2(coupling, coupling.tls.omega_21)})
+                          "analytic_dp2": analytic_dp2(coupling.tls.omega_21)})
         series.append(SeriesData(
             name="born_spot_checks",
             columns={
@@ -530,16 +528,14 @@ def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
     n_corr = sw["correlated_electrons"]
     sched_c = bd.arrival_schedule("correlated", n_corr, omega_b,
                                   mean_spacing=mean_spacing, seed=seed)
-    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), [sched_c], window)[0]
+    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), sched_c.times[None], window)[0]
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)
 
     n_rand = sw["random_electrons"]
     seeds = [seed + 1000 * (k + 1) for k in range(sw["ensemble_seeds"])]
-    schedules = [bd.arrival_schedule("random", n_rand, omega_b,
-                                     mean_spacing=mean_spacing, seed=s)
-                 for s in seeds]
-    ens = bd.simulate_train_ensemble(TlsState.ground(), schedules, window)
+    times = bd.random_arrival_times(n_rand, seeds, mean_spacing)
+    ens = bd.simulate_train_ensemble(TlsState.ground(), times, window)
     p2_rand = ens.mean(axis=0)
     n_axis_r = np.arange(1, n_rand + 1)
     b_lin, r2_lin = bd.linear_fit(n_axis_r, p2_rand)

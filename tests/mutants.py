@@ -108,6 +108,10 @@ MUTANTS = (
            'f"{x:g}" if isinstance(x, float)', "repr(x) if isinstance(x, float)",
            ("tests/test_cli.py::TestCommands::test_colliding_sweep_labels_are_config_error"
             "[fig56-rounded]",)),
+    Mutant("array nearest harmonic's tie rule", "analytic.py",
+           "tie = x - lo == 0.5", "tie = x - lo >= 0.5",
+           ("tests/test_analytic.py::TestModulatedIncrements"
+            "::test_array_tie_and_neighbour_harmonic",)),
 )
 
 

@@ -189,13 +189,14 @@ class TestModulatedIncrements:
 
     def test_detuning_ratio_against_sum_oracle(self, coupling, kin, tls):
         # brute-force sum over all harmonics of the modulated first-order
-        # amplitude vs the nearest-harmonic closed form
+        # amplitude vs the nearest-harmonic closed form; the recoil, and so
+        # |Mt|, is taken at each omega_21, and the ratio divides it out
         omega_b = tls.omega_21 / 2.0
         sigma = 4.0 * 2 * math.pi / omega_b
         spect = _flat_spectrum(omega_b, 6, {1: 0.55, 2: 0.45, 3: 0.30})
-        amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
         for detune in (0.0, 0.4 / sigma, 1.0 / sigma):
             w21 = tls.omega_21 + detune
+            amp = abs(m_tilde(-w21 * HBAR_EV_FS / kin.v0, coupling)) / (HBAR_EV_FS * kin.v0)
             inc = modulated_increments(coupling, kin, spect, sigma, w21,
                                        TlsState.ground(), 0.7, 0.3)
             total = 0.0 + 0.0j
@@ -206,11 +207,11 @@ class TestModulatedIncrements:
             oracle = (amp * abs(total)) ** 2
             assert inc.dp2 == pytest.approx(oracle, rel=1e-6)
             if detune > 0:
-                ratio = inc.dp2 / ref0
+                ratio = inc.dp2 / amp**2 / ref0
                 assert ratio == pytest.approx(math.exp(-(detune * sigma) ** 2),
                                               rel=1e-9)
             else:
-                ref0 = inc.dp2
+                ref0 = inc.dp2 / amp**2
 
     def test_off_resonance_flag(self, coupling, kin, tls):
         omega_b = tls.omega_21 / 2.0
@@ -226,6 +227,45 @@ class TestModulatedIncrements:
         n, flags = nearest_harmonic(2.5, 1.0)
         assert n == 2 and "harmonic_tie" in flags
         assert nearest_harmonic(2.6, 1.0)[0] == 3
+
+    def test_array_tie_and_neighbour_harmonic(self, coupling, kin):
+        # omega_b = 1 rad/fs makes omega_21/omega_b exact: 2.5 is a tie (goes
+        # low), 2.6 and 1.3 lie nearer another harmonic than the scanned 2,
+        # 0.3 nearest n = 0, and a scan with no tie raises no tie flag
+        spect = _flat_spectrum(1.0, 4, {1: 0.5, 2: 0.4, 3: 0.3})
+        sigma = 1.5 * 2 * math.pi
+        w21 = np.array([2.5, 2.6, 1.3, 0.3, 2.0])
+        n, flags = nearest_harmonic(w21, 1.0)
+        np.testing.assert_array_equal(n, [2, 3, 1, 0, 2])
+        assert flags == ("harmonic_tie",)
+        assert nearest_harmonic(w21[1:], 1.0)[1] == ()
+        state = TlsState.equatorial(0.3)
+        inc = modulated_increments(coupling, kin, spect, sigma, w21, state, 0.4, 0.9)
+        assert inc.dp2.shape == inc.dp1.shape == w21.shape
+        assert "harmonic_tie" in inc.flags
+        amp = np.abs(m_tilde(-w21 * HBAR_EV_FS / kin.v0, coupling)) / (HBAR_EV_FS * kin.v0)
+        f_n = np.array([spect.coefficient(m) for m in n])
+        expected = (amp * abs(state.c1) * np.abs(f_n)
+                    * np.exp(-0.5 * ((w21 - n) * sigma) ** 2)) ** 2
+        np.testing.assert_allclose(inc.dp2, expected, rtol=1e-14, atol=0)
+        for k, w in enumerate(w21):
+            one = modulated_increments(coupling, kin, spect, sigma, float(w), state, 0.4, 0.9)
+            assert one.dp1 == pytest.approx(inc.dp1[k], rel=1e-14)
+            assert one.dp2 == pytest.approx(inc.dp2[k], rel=1e-14)
+            assert ("harmonic_tie" in one.flags) == (k == 0)
+
+    @pytest.mark.parametrize("w21", [0.0, -1.0, [2.0, 0.0], [np.nan]])
+    def test_refuses_nonpositive_omega_21(self, coupling, kin, w21):
+        spect = _flat_spectrum(1.0, 4, {1: 0.5, 2: 0.4})
+        with pytest.raises(DomainError, match="omega_21"):
+            modulated_increments(coupling, kin, spect, 3 * 2 * math.pi, w21,
+                                 TlsState.ground(), 0.0, 0.0)
+
+    def test_refuses_envelope_within_one_period(self, coupling, kin):
+        spect = _flat_spectrum(1.0, 4, {1: 0.5, 2: 0.4})
+        with pytest.raises(DomainError, match="modulation period"):
+            modulated_increments(coupling, kin, spect, 2 * math.pi, np.array([1.0, 2.0]),
+                                 TlsState.ground(), 0.0, 0.0)
 
 
 class TestMultiQew:

@@ -23,6 +23,7 @@ from feberi.born_dynamics import (
     profile_time_grid,
     quadratic_fit,
     r_squared,
+    random_arrival_times,
     simulate_train_ensemble,
     train_window,
     _rk4_columns,
@@ -240,11 +241,18 @@ def random_profile(n_samples, seed, amplitude=0.2):
                               t_r=1.0, prefactor=1.0)
 
 
+# a chunk width at which the per-step reference loop checks profiles of
+# several chunks in well under a second
+SHORT_CHUNK = 4096
+
+
 class TestStepMatrixPropagator:
-    # odd and even sample counts; the longest spans two segments
-    @pytest.mark.parametrize("n_samples", [9, 10, 1001, 1000, 2 * SEGMENT_STEPS + 7])
+    # odd and even sample counts; at SHORT_CHUNK steps a chunk, the longest
+    # spans two chunks
+    @pytest.mark.parametrize("n_samples", [9, 10, 1001, 1000, 2 * SHORT_CHUNK + 7])
     @pytest.mark.parametrize("n_records", [0, 1, 7, 200, 10**6])
-    def test_matches_per_step_loop(self, n_samples, n_records):
+    def test_matches_per_step_loop(self, monkeypatch, n_samples, n_records):
+        monkeypatch.setattr(born_dynamics, "SEGMENT_STEPS", SHORT_CHUNK)
         prof = random_profile(n_samples, seed=n_samples)
         cols = np.array([[0.6, 1.0], [0.8j, 0.0]])
         idx, rec, final = _rk4_columns(prof, 3.0, cols, n_records=n_records)
@@ -255,13 +263,15 @@ class TestStepMatrixPropagator:
 
     # rows of at most 8 steps against segments of 33, 14, 100 and 30 steps:
     # rows padded with identity steps, tails of 1 and 2 steps (whole rows of
-    # padding), 3-step segments two to a chunk, more records than steps; and
-    # at SEGMENT_STEPS itself, 3 S + 5 steps recorded every 1.5 S + 2 (a record
+    # padding), 3-step segments two to a chunk, more records than steps; at
+    # S = SHORT_CHUNK, 3 S + 5 steps recorded every 1.5 S + 2 (a record
     # interval that does not divide the steps): two rows per segment and a
-    # one-step tail
+    # one-step tail; and at SEGMENT_STEPS itself, S + 5 steps recorded every
+    # S / 3 + 1, two segments to a chunk over two chunks
     @pytest.mark.parametrize("segment_steps, n_samples, n_records", [
         (8, 201, 3), (8, 202, 7), (8, 201, 0), (8, 61, 1), (8, 41, 6), (8, 3, 5),
-        (SEGMENT_STEPS, 6 * SEGMENT_STEPS + 11, 2)])
+        (SHORT_CHUNK, 6 * SHORT_CHUNK + 11, 2),
+        (SEGMENT_STEPS, 2 * SEGMENT_STEPS + 11, 3)])
     def test_rows_across_record_points(self, monkeypatch, segment_steps, n_samples,
                                        n_records):
         monkeypatch.setattr(born_dynamics, "SEGMENT_STEPS", segment_steps)
@@ -272,6 +282,19 @@ class TestStepMatrixPropagator:
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_allclose(rec, ref_rec, rtol=0, atol=1e-12)
         np.testing.assert_allclose(final, ref_final, rtol=0, atol=1e-12)
+
+    def test_chunk_width_only_regroups_steps(self, monkeypatch):
+        # 2 S + 7 steps at the default width S and at SHORT_CHUNK: the same
+        # steps in other chunks, so the same trajectory to rounding
+        prof = random_profile(2 * (2 * SEGMENT_STEPS + 7) + 1, seed=11)
+        state = TlsState.equatorial(0.4)
+        wide = evolve_tls(state, prof, 3.0, n_records=7)
+        monkeypatch.setattr(born_dynamics, "SEGMENT_STEPS", SHORT_CHUNK)
+        short = evolve_tls(state, prof, 3.0, n_records=7)
+        np.testing.assert_array_equal(wide.times, short.times)
+        for a, b in ((wide.c1, short.c1), (wide.c2, short.c2),
+                     ([wide.final.c1, wide.final.c2], [short.final.c1, short.final.c2])):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
     def test_step_pairs_match_dense_rk4(self, coupling, tls):
         # the (alpha, beta) form against the four-stage matrices, on a random
@@ -523,9 +546,26 @@ class TestArrivalSchedule:
         c = arrival_schedule("random", 40, omega_b, seed=10)
         assert not np.array_equal(a.times, c.times)
 
+    def test_random_rows_equal_per_seed_draws(self, tls):
+        # one (S, N) array against each seed's own generator, drawn and summed
+        # one schedule at a time; the single schedule is row 0 of its seed
+        seeds, n, spacing = [9, 1003, 42], 40, 2.5
+        times = random_arrival_times(n, seeds, spacing, t_0l=0.3)
+        assert times.shape == (3, n)
+        for row, seed in zip(times, seeds):
+            gaps = np.random.default_rng(seed).uniform(0.5, 1.5, size=n) * spacing
+            np.testing.assert_array_equal(row, 0.3 + np.cumsum(gaps))
+            single = arrival_schedule("random", n, tls.omega_21, t_0l=0.3,
+                                      mean_spacing=spacing, seed=seed)
+            np.testing.assert_array_equal(single.times, row)
+            assert single.n_k is None
+
     def test_strictly_increasing_enforced(self):
         with pytest.raises(DomainError):
             ArrivalSchedule(times=np.array([0.0, 1.0, 1.0]))
+        # gaps lost to rounding at a huge start time, in any row
+        with pytest.raises(DomainError, match="strictly increasing"):
+            random_arrival_times(5, [1, 2], 1.0, t_0l=1e20)
 
     def test_unknown_kind(self, tls):
         with pytest.raises(DomainError):
@@ -534,7 +574,7 @@ class TestArrivalSchedule:
 
 def train(sched, coupling, sigma_pt, omega_21, **kw):
     """P2 after each electron of one train from ground: an ensemble of one."""
-    return simulate_train_ensemble(TlsState.ground(), [sched],
+    return simulate_train_ensemble(TlsState.ground(), sched.times[None],
                                    train_window(coupling, sigma_pt, omega_21, **kw))[0]
 
 
@@ -588,9 +628,8 @@ class TestTrains:
 
     def test_random_mean_linear(self, coupling, tls, omega_b):
         t_b = TWO_PI / omega_b
-        schedules = [arrival_schedule("random", 60, omega_b, mean_spacing=3 * t_b,
-                                      seed=100 + s) for s in range(24)]
-        ens = simulate_train_ensemble(TlsState.ground(), schedules,
+        times = random_arrival_times(60, range(100, 124), 3 * t_b)
+        ens = simulate_train_ensemble(TlsState.ground(), times,
                                       train_window(coupling, 0.08, tls.omega_21))
         mean = ens.mean(axis=0)
         _, r2 = linear_fit(np.arange(1, 61), mean)
@@ -601,8 +640,8 @@ class TestTrains:
         scheds = [arrival_schedule("random", 10, omega_b, mean_spacing=3 * t_b,
                                    seed=s) for s in (3, 8)]
         state0 = TlsState.equatorial(0.9)
-        ens = simulate_train_ensemble(state0, scheds, train_window(coupling, 0.08,
-                                                                   tls.omega_21))
+        ens = simulate_train_ensemble(state0, np.stack([s.times for s in scheds]),
+                                      train_window(coupling, 0.08, tls.omega_21))
         u0 = window_propagator(interaction_profile(coupling, 0.08, 0.0, tls.omega_21),
                                tls.omega_21)
         assert ens.shape == (2, 10)
@@ -630,14 +669,14 @@ class TestTrains:
     def test_ensemble_warns_if_any_schedule_overlaps(self, coupling, tls):
         # windows are +-(10 t_r + 6 sigma) ~ 0.56 fs wide: 10 fs gaps are
         # clear, one 0.05 fs gap in the second schedule is not
-        clear = ArrivalSchedule(times=np.array([0.0, 10.0, 20.0]))
-        tight = ArrivalSchedule(times=np.array([0.0, 10.0, 10.05]))
+        clear = np.array([0.0, 10.0, 20.0])
+        tight = np.array([0.0, 10.0, 10.05])
         window = train_window(coupling, 0.08, tls.omega_21)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            simulate_train_ensemble(TlsState.ground(), [clear, clear], window)
+            simulate_train_ensemble(TlsState.ground(), np.stack([clear, clear]), window)
         with pytest.warns(RuntimeWarning, match="min gap 0.05 fs"):
-            simulate_train_ensemble(TlsState.ground(), [clear, tight], window)
+            simulate_train_ensemble(TlsState.ground(), np.stack([clear, tight]), window)
 
     def test_train_window_is_the_window_propagator(self, coupling, tls):
         window = train_window(coupling, 0.08, tls.omega_21, points_per_scale=50)

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from feberi import born_dynamics as bd, cli, scenarios, solver_density as sd
+from feberi import analytic, born_dynamics as bd, cli, scenarios, solver_density as sd
 from feberi.cli import ConfigError, default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, TlsState, wrap_phase
 from feberi.coulomb import DipoleCoupling
@@ -178,6 +179,44 @@ def test_modulated_resonance_one_spectrum_per_run(monkeypatch):
     summary = run_scenario(cfg).summary
     assert len(summary["born_spot_checks"]) == len(cfg["sweep"]["spot_check_detunings"]) == 3
     assert len(spectra) == 1
+
+
+def test_modulated_resonance_raises_no_warning():
+    # the default scan and its three Born spot checks, with every warning an error
+    cfg = default_config("modulated_resonance")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(run_scenario(cfg).summary["born_spot_checks"]) == 3
+
+
+def test_modulated_scan_equals_one_call_per_point():
+    # the scan's one array call per harmonic against one scalar call per default
+    # scan point, each on a coupling built at that point's gap; dp1 on an
+    # equatorial state with arrival and modulation phases
+    cfg = default_config("modulated_resonance")
+    cfg["sweep"]["born_check"] = False
+    planned = scenarios.plan(cfg)
+    kin, tls0, geo, coupling = planned.physics
+    spectrum, sigma = planned.spectrum, cfg["sweep"]["envelope_sigma_et_fs"]
+    series = {s.name: s.columns for s in run_scenario(cfg).series}
+    detuning = np.array(scenarios.resonance_scan(cfg["sweep"])[0])
+    state = TlsState.equatorial(0.7)
+    assert len(cfg["sweep"]["scan_harmonics"]) == 3
+    for n_h in cfg["sweep"]["scan_harmonics"]:
+        w_scan = n_h * spectrum.omega_b + detuning
+        dp2 = series[f"scan_harmonic_{n_h}"]["dP2_analytic"]
+        inc = analytic.modulated_increments(coupling, kin, spectrum, sigma, w_scan,
+                                            state, 0.3, 0.8)
+        for k, w21 in enumerate(w_scan):
+            point = DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+            ground = analytic.modulated_increments(point, kin, spectrum, sigma, w21,
+                                                   TlsState.ground(), 0.0, 0.0)
+            one = analytic.modulated_increments(point, kin, spectrum, sigma, w21,
+                                                state, 0.3, 0.8)
+            assert ground.dp2 == pytest.approx(dp2[k], rel=1e-14)
+            assert one.dp2 == pytest.approx(inc.dp2[k], rel=1e-14)
+            assert one.dp1 == pytest.approx(inc.dp1[k], rel=1e-14,
+                                            abs=1e-14 * np.max(np.abs(inc.dp1)))
 
 
 def test_born_step_products_memory(monkeypatch):

@@ -616,7 +616,7 @@ class TestSequentialTrain:
                                          n=128)
         _, r2 = quadratic_fit(np.arange(1, 7), p2_seq)
         assert r2 > 0.999
-        p2_born = simulate_train_ensemble(TlsState.ground(), [sched],
+        p2_born = simulate_train_ensemble(TlsState.ground(), sched.times[None],
                                           train_window(coupling, sigma_pt, tls.omega_21))[0]
         np.testing.assert_allclose(p2_seq[-1], p2_born[-1], rtol=0.10)
 
