@@ -167,8 +167,7 @@ def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
     res1 = np.exp(-0.5 * (detuning * sigma_et) ** 2)
     # f_n for n = 0..order, zero beyond
     f_n = np.append(spectrum.f_m[spectrum.order:], 0.0)[np.minimum(n, spectrum.order + 1)]
-    p_rec = -(w21.ravel() * HBAR_EV_FS) / coupling.kin.v0
-    mt = m_tilde(p_rec, coupling).reshape(w21.shape)
+    mt = m_tilde(-(w21 * HBAR_EV_FS) / coupling.kin.v0, coupling)
     amp = 1.0 / (HBAR_EV_FS * kin.v0)
     # second order: |amplitude|^2
     dp2 = (amp * np.abs(mt) * abs(state.c1) * np.abs(f_n) * res1) ** 2

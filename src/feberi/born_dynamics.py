@@ -177,12 +177,19 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
         kern = m_spatial(v0 * u, coupling).astype(complex)
         ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau,
                               tau[-1] + h * np.arange(1, m + 1)])
+        # each input is dropped once used: the transforms below hold the peak
+        del tau
         density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
         if comb is not None:
-            density *= comb(tau[0] - m * h, h, len(ext))
-        size = fft.next_fast_len(len(density) + len(kern) - 1)
-        full = fft.ifft(fft.fft(density, size) * fft.fft(kern, size))
-        vals = np.real(full[len(kern) - 1:len(density)]) * h   # the "valid" part
+            density *= comb(ext[0], h, len(ext))
+        del ext
+        n_density = len(density)
+        size = fft.next_fast_len(n_density + len(kern) - 1)
+        full = fft.fft(density, size)
+        del density
+        full *= fft.fft(kern, size)
+        full = fft.ifft(full, overwrite_x=True)
+        vals = np.real(full[len(kern) - 1:n_density]) * h   # the "valid" part
     return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
                               sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
                               prefactor=kernel_prefactor(coupling))

@@ -102,9 +102,9 @@ def m_tilde(p, coupling: DipoleCoupling):
     Pure imaginary and odd in p for the parallel dipole; real, even and
     positive for the transverse one.  p = 0 is handled by the analytic
     limits (0 for parallel, 2*prefactor/r_perp for transverse).
-    Accepts scalars or arrays.
+    A scalar or 0-d array p gives a complex; an array, one of its shape.
     """
-    scalar = np.isscalar(p)
+    scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=float))
     g = coupling.kin.gamma
     rp = coupling.geometry.r_perp

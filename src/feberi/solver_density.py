@@ -479,30 +479,40 @@ def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: Tl
 
 def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
                  collect_rho_b: bool) -> DensityTrajectory:
+    """The trajectory of the joint states (2N, T) sampled at ``times``.
+
+    One pass per block of _SAMPLE_BLOCK sample columns computes every
+    observable of those columns, so no temporary outgrows a block.  With each
+    state contiguous, as evolve_vector returns them, every sum over a state
+    runs in the same order in a block as over the whole array, and each
+    output equals its whole-array formula bit for bit.  The trajectory keeps
+    a copy of the last state, not a view of ``states``.
+    """
     n = h.n
     psi = states.reshape(2, n, -1)
-    a = np.abs(psi) ** 2
-    p1 = a[0].sum(axis=0)
-    p2 = a[1].sum(axis=0)
-    e_free = np.einsum("n,ins->s", h.h0f, a)
-    e_bound = h.h0b[0] * p1 + h.h0b[1] * p2
+    size = psi.shape[-1]
+    p1, p2, e_free, e_int = (np.empty(size) for _ in range(4))
+    rho_b = np.empty((size, 2, 2), dtype=complex) if collect_rho_b else None
     # <H_IB (x) H_IP> = 2 r21 Re<psi_1| h_ip psi_2>, h_ip Hermitian; h_ip psi_2
-    # by FFT on the coupling column, which holds r21 phi h_ip, a block of
-    # sample columns at a time to bound the transforms' memory
+    # by FFT on the coupling column, which holds r21 phi h_ip
     r21 = h.h_ib[0, 1]
     h_ip_times = circulant_product(h.coupling_column / (r21 * h.gauge), n)
-    e_int = np.empty(psi.shape[-1])
-    for start in range(0, e_int.size, _SAMPLE_BLOCK):
-        cols = slice(start, start + _SAMPLE_BLOCK)
+    for first in range(0, size, _SAMPLE_BLOCK):
+        cols = slice(first, first + _SAMPLE_BLOCK)
+        blk = psi[:, :, cols]
+        a = np.abs(blk)
+        a **= 2
+        p1[cols] = a[0].sum(axis=0)
+        p2[cols] = a[1].sum(axis=0)
+        e_free[cols] = np.einsum("n,ins->s", h.h0f, a)
         e_int[cols] = 2.0 * r21 * np.real(np.einsum(
-            "sn,sn->s", psi[0, :, cols].T.conj(), h_ip_times(psi[1, :, cols].T)))
-    norm = p1 + p2
-    rho_b = None
-    if collect_rho_b:
-        rho_b = np.einsum("ins,jns->sij", psi, psi.conj())
+            "sn,sn->s", blk[0].T.conj(), h_ip_times(blk[1].T)))
+        if collect_rho_b:
+            rho_b[cols] = np.einsum("ins,jns->sij", blk, blk.conj())
     return DensityTrajectory(times=times, p1=p1, p2=p2, e_free=e_free,
-                             e_bound=e_bound, e_int=e_int, norm=norm,
-                             rho_b=rho_b, final_vector=states[:, -1], grid=h.grid)
+                             e_bound=h.h0b[0] * p1 + h.h0b[1] * p2, e_int=e_int,
+                             norm=p1 + p2, rho_b=rho_b,
+                             final_vector=states[:, -1].copy(), grid=h.grid)
 
 
 def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:

@@ -77,6 +77,14 @@ MUTANTS = (
     Mutant("circulant pad's zero tail written once", "grid.py",
            "buf[..., n:] = 0.0", "buf[..., n:n] = 0.0",
            ("tests/test_properties.py::test_circulant_product_keeps_its_zero_pad",)),
+    Mutant("observables' sample block column bound", "solver_density.py",
+           "cols = slice(first, first + _SAMPLE_BLOCK)",
+           "cols = slice(first, first + _SAMPLE_BLOCK - 1)",
+           ("tests/test_solver_density.py::test_observables_by_block_equal_whole_array_formulas"
+            "[transverse-spectral-partial-block]",)),
+    Mutant("trajectory's own copy of the last state", "solver_density.py",
+           "final_vector=states[:, -1].copy()", "final_vector=states[:, -1]",
+           ("tests/test_solver_density.py::test_trajectory_holds_its_states_once",)),
     Mutant("parallel gauge phi", "solver_density.py",
            'gauge = 1j if coupling.orientation == "parallel" else 1.0', "gauge = 1.0",
            ("tests/test_solver_density.py::TestRealGauge::test_real_symmetric"

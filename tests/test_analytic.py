@@ -250,6 +250,10 @@ class TestModulatedIncrements:
         np.testing.assert_allclose(inc.dp2, expected, rtol=1e-14, atol=0)
         for k, w in enumerate(w21):
             one = modulated_increments(coupling, kin, spect, sigma, float(w), state, 0.4, 0.9)
+            zero_d = modulated_increments(coupling, kin, spect, sigma, np.asarray(w), state,
+                                          0.4, 0.9)
+            assert (zero_d.dp1, zero_d.dp2) == (one.dp1, one.dp2)
+            assert type(zero_d.dp1) is type(zero_d.dp2) is float
             assert one.dp1 == pytest.approx(inc.dp1[k], rel=1e-14)
             assert one.dp2 == pytest.approx(inc.dp2[k], rel=1e-14)
             assert ("harmonic_tie" in one.flags) == (k == 0)

@@ -98,6 +98,20 @@ class TestMomentumKernel:
                                    rtol=1e-14)
         assert np.all(par.real == 0.0)
 
+    @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+    def test_output_shape_follows_the_input(self, coupling, coupling_parallel, orientation):
+        # a Python float and a 0-d array give a complex, arrays keep their
+        # shape, and every path gives the same value at the same p
+        c = coupling if orientation == "transverse" else coupling_parallel
+        p = np.array([[-0.01, 0.0], [0.02, 0.3]])
+        grid = m_tilde(p, c)
+        assert grid.shape == (2, 2) and grid.dtype == complex
+        assert np.array_equal(m_tilde(p.ravel(), c), grid.ravel())
+        for (i, j), x in np.ndenumerate(p):
+            for scalar in (float(x), np.asarray(x)):
+                got = m_tilde(scalar, c)
+                assert type(got) is complex and got == grid[i, j]
+
     def test_fourier_consistency(self, coupling, coupling_parallel, kin):
         # the arbiter: closed forms equal the direct transform of the
         # spatial kernels at random momenta to 1e-5 relative; the slowly

@@ -6,13 +6,14 @@ import pytest
 from scipy.integrate import quad
 
 from feberi import solver_density
-from feberi.cli import default_config
+from feberi.cli import default_config, validate_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec
 from feberi.scenarios import SCENARIOS, physics_bundle, plan, profile_grid_args, run_scenario, \
     window_factors
 from feberi.solver_density import (
+    _SAMPLE_BLOCK,
     MAX_CHEBYSHEV_ORDER,
     AssemblyError,
     PropagationError,
@@ -35,7 +36,7 @@ from feberi.solver_density import (
     sequential_multi_qew,
     write_rho_b_bin,
 )
-from feberi.grid import build_grid, interaction_window
+from feberi.grid import build_grid, circulant_product, interaction_window
 from feberi.qew import grid_for_spec
 from feberi.solver_momentum import step_schedule
 from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble, \
@@ -244,6 +245,69 @@ def test_evolve_vector_holds_one_copy_of_the_states():
         tracemalloc.stop()
     assert states.nbytes == 369 * 2048 * 16
     assert peak <= 20 * 2**20
+
+
+@pytest.fixture(scope="module")
+def traced_crosscheck():
+    """(config, plan, trajectory, tracemalloc peak) of solver_crosscheck's
+    density run at N = 1024: 369 states at the momentum RK4's records."""
+    cfg = default_config("solver_crosscheck")
+    cfg["numerics"]["grid_points"] = 1024
+    planned = plan(cfg)
+    _, tls, _, coupling = planned.physics
+    packet, (steps, every) = planned.packets[0], planned.schedule
+    k = np.append(np.arange(0, steps, every), steps)
+    times = packet.window[0] + k * ((packet.window[1] - packet.window[0]) / steps)
+    tracemalloc.start()
+    try:
+        traj = run_qew_interaction(packet.spec, TlsState.ground(), coupling, tls, n=1024,
+                                   times=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return cfg, planned, traj, peak
+
+
+def test_trajectory_holds_its_states_once(traced_crosscheck):
+    # the observables take the states a block of samples at a time, and the
+    # trajectory keeps a copy of the last state, not a view of all of them
+    _, planned, traj, peak = traced_crosscheck
+    states_bytes = planned.states * 2048 * 16
+    assert traj.times.size == planned.states == 369
+    assert peak <= 1.5 * states_bytes
+    assert traj.final_vector.flags.owndata and traj.final_vector.shape == (2048,)
+
+
+def test_validate_estimate_bounds_the_traced_trajectory(traced_crosscheck):
+    cfg, _, _, peak = traced_crosscheck
+    [line] = [ln for ln in validate_config(cfg) if ln.startswith("estimated peak memory")]
+    assert peak <= float(line.split()[3]) * 1e6
+
+
+@pytest.mark.parametrize("extra", [5, 1], ids=["partial-block", "lone-column"])
+def test_observables_by_block_equal_whole_array_formulas(gauged, spec, tls, extra):
+    # two full blocks of samples and a partial one, or a one-column block:
+    # every output equals its formula over all samples at once, to the bit
+    _, h = gauged
+    size = 2 * _SAMPLE_BLOCK + extra
+    psi0 = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
+                                tls.energy_gap)
+    times = np.linspace(-1.0, 1.0, size)
+    states = evolve_vector(psi0, h, times + 1.0)
+    traj = _observables(times, states, h, collect_rho_b=True)
+    psi = states.reshape(2, h.n, -1)
+    a = np.abs(psi) ** 2
+    r21 = h.h_ib[0, 1]
+    h_ip_psi2 = circulant_product(h.coupling_column / (r21 * h.gauge), h.n)(psi[1].T)
+    want = {"p1": a[0].sum(axis=0), "p2": a[1].sum(axis=0),
+            "e_free": np.einsum("n,ins->s", h.h0f, a),
+            "e_int": 2.0 * r21 * np.real(np.einsum("sn,sn->s", psi[0].T.conj(), h_ip_psi2)),
+            "rho_b": np.einsum("ins,jns->sij", psi, psi.conj())}
+    want["e_bound"] = h.h0b[0] * want["p1"] + h.h0b[1] * want["p2"]
+    want["norm"] = want["p1"] + want["p2"]
+    for name, value in want.items():
+        np.testing.assert_array_equal(getattr(traj, name), value, err_msg=name)
+    np.testing.assert_array_equal(traj.final_vector, states[:, -1])
 
 
 class TestChebyshev:
