@@ -72,7 +72,7 @@ from scipy import fft
 
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState, phase_tables
 from feberi.coulomb import DipoleCoupling, m_spatial
-from feberi.grid import interaction_window
+from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, interaction_window
 from feberi.qew import ModulationSpectrum, ResolutionError
 
 
@@ -82,6 +82,7 @@ class StepSizeError(RuntimeError):
 
 # RK4 steps reduced at once: bounds the (segments, steps) temporaries
 SEGMENT_STEPS = 16384
+PROFILE_POINTS_PER_SCALE = 100   # default profile samples per shortest time scale
 
 
 # -- interaction profiles ---------------------------------------------------------
@@ -123,9 +124,9 @@ def kernel_prefactor(coupling: DipoleCoupling) -> float:
 
 
 def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
-                      omega_21: float, transit_factor: float = 10.0,
-                      sigma_factor: float = 6.0,
-                      points_per_scale: int = 100) -> np.ndarray:
+                      omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                      sigma_factor: float = WINDOW_SIGMA_FACTOR,
+                      points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> np.ndarray:
     """Uniform grid over the interaction window, step = min scale / points_per_scale.
 
     The step resolves the transit time, the packet duration and the TLS
@@ -196,9 +197,9 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
 
 
 def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
-                        omega_21: float, transit_factor: float = 10.0,
-                        sigma_factor: float = 6.0,
-                        points_per_scale: int = 100) -> InteractionProfile:
+                        omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                        sigma_factor: float = WINDOW_SIGMA_FACTOR,
+                        points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> InteractionProfile:
     """The spatial kernel convolved with the packet's temporal profile."""
     return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
                     points_per_scale, None)
@@ -206,11 +207,11 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
 
 def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
                                   spectrum: ModulationSpectrum, t_mod: float,
-                                  t0: float, omega_21: float,
-                                  max_harmonic: int | None = None,
-                                  transit_factor: float = 10.0,
-                                  sigma_factor: float = 6.0,
-                                  points_per_scale: int = 100) -> InteractionProfile:
+                                  t0: float, omega_21: float, max_harmonic: int | None = None,
+                                  transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                                  sigma_factor: float = WINDOW_SIGMA_FACTOR,
+                                  points_per_scale: int = PROFILE_POINTS_PER_SCALE
+                                  ) -> InteractionProfile:
     """Profile of a density-modulated packet: envelope times bunching comb.
 
     The packet density carries the periodic factor
@@ -448,8 +449,9 @@ class TrainWindow(NamedTuple):
 
 
 def train_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: float,
-                 transit_factor: float = 10.0, sigma_factor: float = 6.0,
-                 points_per_scale: int = 100) -> TrainWindow:
+                 transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                 sigma_factor: float = WINDOW_SIGMA_FACTOR,
+                 points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> TrainWindow:
     """The window of a near-point packet arriving at t = 0, built once per train
     set: one interaction profile and one window propagator u, whose channel
     rho -> u rho u^dagger is kron(u, conj(u))."""

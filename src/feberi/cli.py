@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from feberi import __version__
-from feberi.born_dynamics import StepSizeError
+from feberi.born_dynamics import PROFILE_POINTS_PER_SCALE, StepSizeError
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError
+from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR
 from feberi.qew import ResolutionError, TruncationError, gamma_parameter
 from feberi.scenarios import SCENARIOS, ScenarioResult, plan, resonance_scan, run_scenario
 from feberi.solver_density import CHEBYSHEV_BLOCK, MAX_CHEBYSHEV_ORDER, AssemblyError, \
@@ -60,11 +61,11 @@ _COMMON_SCHEMA = {
     },
     "numerics": {
         "grid_points": ("int", None, 256, None),   # validate reports a bad size
-        "window_transit_factor": ("float", None, 10.0, "> 0"),
-        "window_sigma_factor": ("float", None, 6.0, ">= 0"),
+        "window_transit_factor": ("float", None, WINDOW_TRANSIT_FACTOR, "> 0"),
+        "window_sigma_factor": ("float", None, WINDOW_SIGMA_FACTOR, ">= 0"),
         "time_samples": ("int", None, 300, ">= 2"),
         "dump_rho_b": ("bool", None, False, None),
-        "profile_points_per_scale": ("int", None, 100, ">= 1"),
+        "profile_points_per_scale": ("int", None, PROFILE_POINTS_PER_SCALE, ">= 1"),
     },
 }
 
@@ -405,7 +406,7 @@ def validate_config(cfg: dict) -> list[str]:
         if gam > 1.0:
             report.append(f"Gamma = {gam:g}: wave regime (size-independent law governs)")
     report += [e for e in planned.errors if e not in first + late]
-    if planned.packets:
+    if planned.states is not None:
         # what a grid run holds: the sampled states, complex; one leg's real
         # Chebyshev coefficient tables; the recurrence's block of orders and
         # its GEMM batch; the assembly itself is O(N)

@@ -136,9 +136,13 @@ def circulant_product(column: np.ndarray, n: int):
     return product
 
 
+WINDOW_TRANSIT_FACTOR = 10.0     # the default window's half-width, in transit times
+WINDOW_SIGMA_FACTOR = 6.0        # ... plus this many packet durations
+
+
 def interaction_window(sigma_et: float, t_r: float, t0: float,
-                       transit_factor: float = 10.0,
-                       sigma_factor: float = 6.0) -> tuple[float, float]:
+                       transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                       sigma_factor: float = WINDOW_SIGMA_FACTOR) -> tuple[float, float]:
     """Interaction bounds t0 +- (transit_factor*t_r + sigma_factor*sigma_et)."""
     half = transit_factor * t_r + sigma_factor * sigma_et
     return (t0 - half, t0 + half)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -38,7 +39,7 @@ from feberi.core import (
     ElectronKinematics,
 )
 from feberi.coulomb import DipoleCoupling
-from feberi.grid import MomentumGrid, build_grid
+from feberi.grid import MomentumGrid, build_grid, interaction_window
 
 
 class TruncationError(ValueError):
@@ -211,6 +212,22 @@ def grid_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoup
                           f"{base.sigma_p0 / grid.dp:.3g} < {10.0 / (4.0 * math.pi):.3g}; "
                           "raise grid_points")
     return grid
+
+
+class Packet(NamedTuple):
+    """A packet as the grid solvers run it, sized by ``packet_for_spec``."""
+
+    spec: GaussianQewSpec | ModulatedQewSpec
+    grid: MomentumGrid
+    window: tuple[float, float]
+
+
+def packet_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
+                    n: int, transit_factor: float, sigma_factor: float) -> Packet:
+    """``spec`` with its grid of n points (``grid_for_spec``, whose DomainError it
+    raises) and its window, ``interaction_window`` at spec.sigma_et and spec.t0."""
+    return Packet(spec, grid_for_spec(spec, coupling, n), interaction_window(
+        spec.sigma_et, coupling.geometry.transit_time, spec.t0, transit_factor, sigma_factor))
 
 
 def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: MomentumGrid) -> np.ndarray:

@@ -13,7 +13,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +30,16 @@ from feberi.core import (
     wrap_phase,
 )
 from feberi.coulomb import DipoleCoupling
-from feberi.grid import MomentumGrid, interaction_window
+from feberi.grid import MomentumGrid
 from feberi.qew import (
     GaussianQewSpec,
     ModulationSpectrum,
+    Packet,
     ResolutionError,
     gamma_parameter,
-    grid_for_spec,
     modulation_fourier_coefficients,
     optimally_drifted,
+    packet_for_spec,
     tooth_sigma_et,
 )
 
@@ -108,22 +108,13 @@ def _fig4_start(cfg: dict, tls) -> tuple[float, TlsState, float]:
 
 # -- the preflight plan ------------------------------------------------------------
 
-class Packet(NamedTuple):
-    """One swept packet of a grid scenario, as its run builds it."""
-
-    label: str                       # as the validate report names it
-    spec: GaussianQewSpec
-    grid: MomentumGrid | None        # None: no grid holds it (an ERROR line says why)
-    window: tuple[float, float]
-
-
 @dataclass
 class Plan:
     """What a run of a config builds, decided before any of its work."""
 
     physics: tuple                   # physics_bundle(cfg)
-    states: int                      # sampled states of the largest grid propagation
-    packets: list[Packet] = field(default_factory=list)   # none outside the grid scenarios
+    states: int | None = None        # sampled states of the largest grid propagation
+    packets: list[Packet] = field(default_factory=list)   # the grid scenarios' swept packets
     dt: float | None = None          # solver_crosscheck's momentum RK4 step, fs
     schedule: tuple[int, int] | None = None    # and its (steps, record_every)
     spectrum: ModulationSpectrum | None = None  # modulated_resonance's bunched spectrum
@@ -138,7 +129,7 @@ def plan(cfg: dict) -> Plan:
     Raises DomainError if the physics cannot be built."""
     kin, tls, geo, coupling = physics = physics_bundle(cfg)
     scenario, num, sweep = cfg["run"]["scenario"], cfg["numerics"], cfg["sweep"]
-    out = Plan(physics, states=num["time_samples"])
+    out = Plan(physics)
     try:
         MomentumGrid(n=num["grid_points"], p0=0.0, p_cutoff=1.0)
     except DomainError as exc:
@@ -150,19 +141,18 @@ def plan(cfg: dict) -> Plan:
     elif scenario in ("fig3_ground", "fig4_superposition", "solver_crosscheck"):
         sizes = [(f"sigma_et={frac:g} T21", frac * tls.period)
                  for frac in sweep["sigma_et_over_period"]]
+        out.states = num["time_samples"]
     t0 = _fig4_start(cfg, tls)[2] if scenario == "fig4_superposition" else 0.0
     for label, sigma in sizes:
         spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
         try:
-            grid = grid_for_spec(spec, coupling, num["grid_points"])
+            out.packets.append(packet_for_spec(spec, coupling, num["grid_points"],
+                                               **window_factors(cfg)))
         except DomainError as exc:
-            grid = None
             out.errors.append(f"ERROR grid sizing at {label}: {exc}")
-        out.packets.append(Packet(label, spec, grid, interaction_window(
-            sigma, geo.transit_time, t0, **window_factors(cfg))))
-    if scenario == "solver_crosscheck" and (packet := out.packets[0]).grid is not None:
-        out.dt = sm.default_time_step(packet.grid, coupling, tls)
-        steps, every = out.schedule = sm.step_schedule(packet.window, out.dt,
+    if scenario == "solver_crosscheck" and out.packets:
+        out.dt = sm.default_time_step(out.packets[0].grid, coupling, tls)
+        steps, every = out.schedule = sm.step_schedule(out.packets[0].window, out.dt,
                                                        num["time_samples"])
         out.states = 1 + math.ceil(steps / every)
         if steps > sm.MAX_RK4_STEPS:
@@ -229,8 +219,7 @@ def _size_runs(cfg: dict, plan: Plan, state: TlsState):
     _, tls, _, coupling = plan.physics
     for frac, packet in zip(cfg["sweep"]["sigma_et_over_period"], plan.packets):
         traj = sd.run_qew_interaction(
-            packet.spec, state, coupling, tls, n=num["grid_points"],
-            times=np.linspace(*packet.window, num["time_samples"]),
+            packet, state, coupling, tls, times=np.linspace(*packet.window, num["time_samples"]),
             collect_rho_b=num["dump_rho_b"])
         acc = sd.energy_accounting(traj)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
@@ -325,17 +314,12 @@ def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
 
 # -- scenario: arrival-phase x size sweep ----------------------------------------------
 
-def _fig56_block(cfg: dict, gammas: list[float]) -> np.ndarray:
-    """Increments over the zeta grid at each of ``gammas``, (len(gammas), zeta_points):
-    a zeta's final P2 is the upper-level row of its Gamma's window channel
-    (``solver_density.grid_windows``, all Gammas as one block) on vec(c c^dagger)."""
-    kin, tls, _, coupling = physics_bundle(cfg)
-    shapes = [GaussianQewSpec.from_duration(kin, gamma / tls.omega_21) for gamma in gammas]
-    windows = sd.grid_windows(shapes, coupling, tls, cfg["numerics"]["grid_points"],
-                              **window_factors(cfg))
-    n_zeta = cfg["sweep"]["zeta_points"]
-    states = [TlsState.equatorial(wrap_phase(-zeta))       # t0 = 0: zeta = -phi
-              for zeta in np.arange(n_zeta) / n_zeta * TWO_PI]
+def _fig56_block(plan: Plan, packets: list[Packet], zetas: np.ndarray) -> np.ndarray:
+    """(len(packets), len(zetas)) increments: a zeta's final P2 is the upper-level row
+    of its packet's window channel (``sd.grid_windows``, one block) on vec(c c^dagger)."""
+    _, tls, _, coupling = plan.physics
+    windows = sd.grid_windows(packets, coupling, tls)
+    states = [TlsState.equatorial(wrap_phase(-zeta)) for zeta in zetas]   # t0 = 0: zeta = -phi
     c = np.array([[s.c1, s.c2] for s in states])
     rho = (c[:, :, None] * c[:, None].conj()).reshape(-1, 4)     # row-major vec(c c^dagger)
     return np.real(np.array([w.channel[3] for w in windows]) @ rho.T) - [s.p2 for s in states]
@@ -348,9 +332,10 @@ def run_fig56_phase_size_sweep(cfg: dict, plan: Plan) -> ScenarioResult:
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
-    gammas = sorted(cfg["sweep"]["gamma_values"])
-    table = _fig56_block(cfg, gammas)        # (n_gamma, n_zeta)
-    g_arr = np.array(gammas)
+    # the rows in rising Gamma, the plan's packets in config order
+    by_gamma = sorted(zip(cfg["sweep"]["gamma_values"], plan.packets), key=lambda row: row[0])
+    table = _fig56_block(plan, [packet for _, packet in by_gamma], zetas)   # (n_gamma, n_zeta)
+    g_arr = np.array([gamma for gamma, _ in by_gamma])
 
     # least-squares fit dp(gamma, zeta) = A e^{-G^2/2} sin z + B e^{-G^2}
     basis_a = np.exp(-0.5 * g_arr**2)[:, None] * np.sin(zetas)[None, :]
@@ -575,16 +560,14 @@ def run_solver_crosscheck(cfg: dict, plan: Plan) -> ScenarioResult:
     """Both grid solvers on the same discretized problem: final occupations
     must agree to a part in a thousand."""
     _, tls, _, coupling = plan.physics
-    num = cfg["numerics"]
     packet = plan.packets[0]
 
     state0 = sm.initial_amplitudes(packet.grid, packet.spec, TlsState.ground(),
                                    packet.window[0])
     traj_a = sm.integrate(state0, packet.window, plan.dt, packet.grid, coupling, tls,
-                          n_records=num["time_samples"])
+                          n_records=cfg["numerics"]["time_samples"])
     # the density solver at the amplitude solver's records
-    traj_b = sd.run_qew_interaction(packet.spec, TlsState.ground(), coupling, tls,
-                                    num["grid_points"], traj_a.times)
+    traj_b = sd.run_qew_interaction(packet, TlsState.ground(), coupling, tls, traj_a.times)
 
     rel = abs(traj_a.p2[-1] - traj_b.p2[-1]) / traj_b.p2[-1]
     series = [SeriesData(

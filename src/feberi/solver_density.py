@@ -15,10 +15,11 @@ coupling applied by FFT on the assembly's own kernel column.  A block of
 states shares one recurrence, every row under one assembly or each under
 its own of the same grid size; a window too long for MAX_CHEBYSHEV_ORDER
 orders runs as legs, each restarting from the state at the end of the last.
-A packet's window is one rotating-frame 4x4 channel of the TLS density
-matrix (``grid_windows``, every packet's two basis starts in one block):
-fig56 reads P2 off it, and born_dynamics' train stepper carries it across
-an electron train (``sequential_multi_qew``).
+The solvers here size nothing: a ``qew.Packet`` brings its grid and window
+(``qew.packet_for_spec``).  A packet's window is one rotating-frame 4x4
+channel of the TLS density matrix (``grid_windows``, every packet's two
+basis starts in one block): fig56 reads P2 off it, and born_dynamics' train
+stepper carries it across an electron train (``sequential_multi_qew``).
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -43,9 +44,9 @@ from scipy import fft
 from feberi.born_dynamics import TrainWindow, _step_trains
 from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling
-from feberi.grid import MomentumGrid, circulant_block, circulant_product, \
-    interaction_window, kernel_column
-from feberi.qew import grid_for_spec, momentum_amplitudes
+from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid, \
+    circulant_block, circulant_product, kernel_column
+from feberi.qew import Packet, momentum_amplitudes, packet_for_spec
 
 
 class AssemblyError(ValueError):
@@ -449,7 +450,6 @@ class DensityTrajectory:
     norm: np.ndarray
     rho_b: np.ndarray | None   # (steps, 2, 2) if collected
     final_vector: np.ndarray
-    grid: MomentumGrid
 
     @property
     def e_total(self) -> np.ndarray:
@@ -459,21 +459,17 @@ class DensityTrajectory:
         return partial_trace_bound(self.final_vector)
 
 
-def run_qew_interaction(spec, state: TlsState, coupling: DipoleCoupling, tls: TlsSpec,
-                        n: int = 256, times=None,
+def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCoupling,
+                        tls: TlsSpec, times=None,
                         collect_rho_b: bool = False) -> DensityTrajectory:
-    """Evolve one wavepacket past the TLS and sample observables.
+    """Evolve a packet past the TLS on its grid and sample observables.
 
     ``times`` are absolute and ascending, the first the start of the joint
-    product state; by default 300 samples across t0 +- (10 t_r + 6 sigma_et).
+    product state; by default 300 samples across the packet's window.
     """
-    grid = grid_for_spec(spec, coupling, n)
-    h = assemble_hamiltonian(grid, spec.kin, coupling, tls)
-    if times is None:
-        times = np.linspace(*interaction_window(spec.sigma_et, coupling.geometry.transit_time,
-                                                spec.t0), 300)
-    times = np.asarray(times, dtype=float)
-    psi0 = initial_joint_vector(grid, spec, state, times[0], tls.energy_gap)
+    h = assemble_hamiltonian(packet.grid, packet.spec.kin, coupling, tls)
+    times = np.linspace(*packet.window, 300) if times is None else np.asarray(times, float)
+    psi0 = initial_joint_vector(packet.grid, packet.spec, state, times[0], tls.energy_gap)
     return _observables(times, evolve_vector(psi0, h, times - times[0]), h, collect_rho_b)
 
 
@@ -512,7 +508,7 @@ def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
     return DensityTrajectory(times=times, p1=p1, p2=p2, e_free=e_free,
                              e_bound=h.h0b[0] * p1 + h.h0b[1] * p2, e_int=e_int,
                              norm=p1 + p2, rho_b=rho_b,
-                             final_vector=states[:, -1].copy(), grid=h.grid)
+                             final_vector=states[:, -1].copy())
 
 
 def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:
@@ -548,24 +544,18 @@ def _checked_tls_state(rho_b0) -> np.ndarray:
     return rho
 
 
-def grid_windows(shapes, coupling: DipoleCoupling, tls: TlsSpec, n: int,
-                 transit_factor: float = 10.0, sigma_factor: float = 6.0) -> list[TrainWindow]:
-    """The window of each packet shape arriving at t = 0, on the joint grid: the
-    lab-frame map rho -> sum_ij rho_ij Tr_F |phi_i><phi_j|, phi_i = |i> (x) free
-    at -half propagated to +half, put in the rotating frame by e^{-i w21 half}
-    on rho_01 at both ends.  All shapes' starts propagate as one block, each
-    under the assembly of its shape's grid (one per distinct grid)."""
-    assemblies: dict = {}
-    starts, rows, halves = [], [], []
-    for shape in shapes:
-        grid = grid_for_spec(shape, coupling, n)
+def grid_windows(packets, coupling: DipoleCoupling, tls: TlsSpec) -> list[TrainWindow]:
+    """Each packet's window channel, the packet arriving at t = 0: the lab-frame map
+    rho -> sum_ij rho_ij Tr_F |phi_i><phi_j|, phi_i = |i> (x) free at -half evolved
+    to +half, put in the rotating frame by e^{-i w21 half} on rho_01 at both ends.
+    All starts propagate as one block, each under its grid's assembly (one per grid)."""
+    assemblies, starts, rows = {}, [], []
+    for spec, grid, (_, half) in packets:
         if grid not in assemblies:
-            assemblies[grid] = assemble_hamiltonian(grid, shape.kin, coupling, tls)
-        halves.append(interaction_window(shape.sigma_et, coupling.geometry.transit_time, 0.0,
-                                         transit_factor, sigma_factor)[1])
-        starts.append(np.kron(np.eye(2), schrodinger_qew_vector(grid, shape, -halves[-1])))
+            assemblies[grid] = assemble_hamiltonian(grid, spec.kin, coupling, tls)
+        starts.append(np.kron(np.eye(2), schrodinger_qew_vector(grid, spec, -half)))
         rows += [assemblies[grid]] * 2
-    halves = np.array(halves)
+    halves = np.array([packet.window[1] for packet in packets])
     phi = evolve_vector(np.concatenate(starts), rows, np.repeat(2.0 * halves, 2))
     phi = phi.reshape(halves.size, 2, 2, -1)
     w21 = tls.energy_gap / HBAR_EV_FS
@@ -592,7 +582,8 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
     shape = qews[0].with_arrival(0.0)
     if any(q.with_arrival(0.0) != shape for q in qews[1:]):
         raise DomainError("train packets must differ only in their arrival time")
-    [window] = grid_windows([shape], coupling, tls, n)
+    [window] = grid_windows([packet_for_spec(shape, coupling, n, WINDOW_TRANSIT_FACTOR,
+                                             WINDOW_SIGMA_FACTOR)], coupling, tls)
     half = 0.5 * window.length
     arrivals = np.array([q.t0 for q in qews])
     close = np.flatnonzero(np.diff(arrivals) < window.length)

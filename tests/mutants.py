@@ -52,6 +52,10 @@ MUTANTS = (
            "w.channel[3] for w in windows", "w.channel[0] for w in windows",
            ("tests/test_scenarios.py::test_fig56_quadratic_form_equals_per_zeta_runs"
             "[1.2-parallel]",)),
+    Mutant("fig56 rows in rising Gamma, not the plan's config order", "scenarios.py",
+           'sorted(zip(cfg["sweep"]["gamma_values"], plan.packets), key=lambda row: row[0])',
+           'list(zip(cfg["sweep"]["gamma_values"], plan.packets))',
+           ("tests/test_scenarios.py::test_fig56_rows_follow_gamma_not_config_order",)),
     Mutant("train lab-frame entry sign", "solver_density.py",
            "start = rho_b * np.exp(-1j", "start = rho_b * np.exp(1j",
            ("tests/test_solver_density.py::TestSequentialTrain::test_channel_matches_eigh_train"

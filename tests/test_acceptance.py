@@ -18,7 +18,7 @@ from feberi.core import HBAR_EV_FS, InteractionGeometry, TlsSpec, TlsState, \
 from feberi.coulomb import DipoleCoupling, bessel_k0, bessel_k1, m_spatial, m_tilde
 from feberi.qew import GaussianQewSpec, grid_for_spec
 from feberi.scenarios import run_scenario
-from helpers import run_gaussian_scenario
+from helpers import default_packet, run_gaussian_scenario
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -42,8 +42,8 @@ def ground_runs(bundle):
     runs = {}
     for frac in (0.1, 0.3, 1.0):
         spec = GaussianQewSpec.from_duration(kin, frac * tls.period, t0=0.0)
-        runs[frac] = sd.run_qew_interaction(spec, TlsState.ground(), coupling,
-                                            tls, n=256)
+        runs[frac] = sd.run_qew_interaction(default_packet(spec, coupling, 256),
+                                            TlsState.ground(), coupling, tls)
     return runs, time.time() - t_start
 
 
@@ -81,8 +81,8 @@ def test_criterion_02_energy_conservation(bundle, ground_runs):
 
     t0 = math.pi / tls.omega_21
     spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=t0)
-    traj_s = sd.run_qew_interaction(spec, TlsState.equatorial(math.pi / 2),
-                                    coupling, tls, n=256)
+    traj_s = sd.run_qew_interaction(default_packet(spec, coupling, 256),
+                                    TlsState.equatorial(math.pi / 2), coupling, tls)
     acc_s = sd.energy_accounting(traj_s)
     resid_s = np.abs(acc_s["delta_e_free"] + tls.energy_gap * (traj_s.p2 - traj_s.p2[0]))
     transient = float(resid_s.max())
@@ -118,7 +118,8 @@ def test_criterion_04_max_increment_identity(bundle, sweep_result, ground_runs):
     cols = sweep_result.series[0].columns
     dp_small = np.abs(cols["dP2 (Gamma=0.1)"])
     spec = GaussianQewSpec.from_duration(kin, 0.1 / tls.omega_21, t0=0.0)
-    traj_g = sd.run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=256)
+    traj_g = sd.run_qew_interaction(default_packet(spec, coupling, 256), TlsState.ground(),
+                                    coupling, tls)
     ratio = dp_small.max() / math.sqrt(traj_g.p2[-1] * math.exp(-0.1**2))
     ok_num = abs(ratio - 1.0) <= 0.05
     _report(4, "max increment equals sqrt of second order", ok_exact and ok_num,

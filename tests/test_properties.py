@@ -22,6 +22,7 @@ from feberi.grid import MomentumGrid, build_grid, circulant_block, circulant_pro
 from feberi.qew import GaussianQewSpec
 from feberi.solver_density import MAX_CHEBYSHEV_ORDER, _spectral_bounds, assemble_hamiltonian, \
     evolve_vector, grid_windows
+from helpers import default_packet
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
@@ -212,10 +213,11 @@ def test_grid_windows_are_channels_equal_to_one_shape_calls(orientation, gammas)
     # trace- and Hermiticity-preserving, completely positive map of the TLS
     # state, and equals the window of its shape alone
     cpl = COUPLINGS[orientation]
-    shapes = [GaussianQewSpec.from_duration(KIN, g / cpl.tls.omega_21) for g in gammas]
-    windows = grid_windows(shapes, cpl, cpl.tls, 64)
-    assert len(windows) == len(shapes)
-    for shape, window in zip(shapes, windows):
+    packets = [default_packet(GaussianQewSpec.from_duration(KIN, g / cpl.tls.omega_21), cpl, 64)
+               for g in gammas]
+    windows = grid_windows(packets, cpl, cpl.tls)
+    assert len(windows) == len(packets)
+    for packet, window in zip(packets, windows):
         k = window.channel
         assert k.shape == (4, 4)
         np.testing.assert_allclose(k[0] + k[3], [1.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-12)
@@ -224,7 +226,7 @@ def test_grid_windows_are_channels_equal_to_one_shape_calls(orientation, gammas)
         np.testing.assert_allclose(quad, quad.transpose(1, 0, 3, 2).conj(), rtol=0, atol=1e-12)
         choi = quad.transpose(2, 0, 3, 1).reshape(4, 4)     # sum_ij |i><j| (x) K(|i><j|)
         assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12
-        [alone] = grid_windows([shape], cpl, cpl.tls, 64)
+        [alone] = grid_windows([packet], cpl, cpl.tls)
         np.testing.assert_allclose(k, alone.channel, rtol=0, atol=1e-13)
         assert (window.length, window.omega_21) == (alone.length, alone.omega_21)
 

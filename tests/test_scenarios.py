@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -5,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feberi import analytic, born_dynamics as bd, cli, scenarios, solver_density as sd
+from feberi import analytic, born_dynamics as bd, cli, grid, qew, scenarios, \
+    solver_density as sd
 from feberi.cli import ConfigError, default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, TlsState, wrap_phase
 from feberi.coulomb import DipoleCoupling
 from feberi.grid import interaction_window
-from feberi.qew import GaussianQewSpec
-from feberi.scenarios import _fig56_block, physics_bundle, run_scenario, window_factors
+from feberi.scenarios import _fig56_block, physics_bundle, plan, run_scenario, window_factors
 
 
 def test_default_config_unknown_scenario():
@@ -62,19 +63,30 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
     assert calls == []
 
 
-def per_zeta_increments(cfg, gamma):
-    """fig56's increments at one Gamma by one propagation per zeta."""
+def per_zeta_increments(cfg, packet):
+    """fig56's increments at one Gamma, whose packet of the plan of ``cfg`` is
+    ``packet``, by one propagation per zeta."""
     kin, tls, geo, coupling = physics_bundle(cfg)
-    sigma = gamma / tls.omega_21
-    spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    window = interaction_window(sigma, geo.transit_time, 0.0, **window_factors(cfg))
-    n_zeta = cfg["sweep"]["zeta_points"]
+    window = interaction_window(packet.spec.sigma_et, geo.transit_time, 0.0,
+                                **window_factors(cfg))
     out = []
-    for zeta in np.arange(n_zeta) / n_zeta * TWO_PI:
-        traj = sd.run_qew_interaction(spec, TlsState.equatorial(wrap_phase(-zeta)), coupling,
-                                      tls, n=cfg["numerics"]["grid_points"], times=window)
+    for zeta in fig56_zetas(cfg):
+        traj = sd.run_qew_interaction(packet, TlsState.equatorial(wrap_phase(-zeta)),
+                                      coupling, tls, times=window)
         out.append(traj.p2[-1] - traj.p2[0])
     return out
+
+
+def fig56_zetas(cfg):
+    n_zeta = cfg["sweep"]["zeta_points"]
+    return np.arange(n_zeta) / n_zeta * TWO_PI
+
+
+def fig56_block(cfg, gammas):
+    """(the plan of ``cfg`` at ``gammas``, fig56's block of increments at its packets)."""
+    cfg["sweep"]["gamma_values"] = gammas
+    planned = plan(cfg)
+    return planned, _fig56_block(planned, planned.packets, fig56_zetas(cfg))
 
 
 @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
@@ -84,8 +96,9 @@ def test_fig56_quadratic_form_equals_per_zeta_runs(orientation, gamma):
     cfg["physics"]["orientation"] = orientation
     cfg["numerics"]["grid_points"] = 128
     cfg["sweep"]["zeta_points"] = 7
-    [got] = _fig56_block(cfg, [gamma])
-    np.testing.assert_allclose(got, per_zeta_increments(cfg, gamma), rtol=0, atol=1e-14)
+    planned, [got] = fig56_block(cfg, [gamma])
+    np.testing.assert_allclose(got, per_zeta_increments(cfg, planned.packets[0]),
+                               rtol=0, atol=1e-14)
 
 
 def test_fig56_block_equals_one_gamma_blocks():
@@ -95,9 +108,10 @@ def test_fig56_block_equals_one_gamma_blocks():
     cfg = default_config("fig56_phase_size_sweep")
     cfg["numerics"]["grid_points"] = 128
     cfg["sweep"]["zeta_points"] = 5
-    gammas = [3.8, 0.1, 1.2, 0.6, 2.0]
-    for gamma, row in zip(gammas, _fig56_block(cfg, gammas)):
-        np.testing.assert_allclose(row, _fig56_block(cfg, [gamma])[0], rtol=0, atol=1e-14)
+    planned, rows = fig56_block(cfg, [3.8, 0.1, 1.2, 0.6, 2.0])
+    for packet, row in zip(planned.packets, rows):
+        [alone] = _fig56_block(planned, [packet], fig56_zetas(cfg))
+        np.testing.assert_allclose(row, alone, rtol=0, atol=1e-14)
 
 
 def test_fig56_one_assembly_per_grid_and_one_block(monkeypatch):
@@ -123,6 +137,47 @@ def test_fig56_one_assembly_per_grid_and_one_block(monkeypatch):
     # own, then 0.9 .. 3.8 on the recoil-limited one
     assert blocks == [[0, 0, 1, 1, 2, 2] + [3] * 12]
     assert summary["fit_residual_over_peak"] <= 0.10
+
+
+def test_fig56_rows_follow_gamma_not_config_order(tmp_path):
+    # the plan lists the packets in config order, the run writes its rows in
+    # rising Gamma: a shuffled gamma_values writes the defaults' files
+    cfg = default_config("fig56_phase_size_sweep")
+    shuffled = default_config("fig56_phase_size_sweep")
+    shuffled["sweep"]["gamma_values"] = [2.8, 0.1, 1.5, 0.6, 3.8, 0.3, 2.0, 0.9, 1.2]
+    assert sorted(shuffled["sweep"]["gamma_values"]) == cfg["sweep"]["gamma_values"]
+    out = {}
+    for name, config in (("sorted", cfg), ("shuffled", shuffled)):
+        result = run_scenario(config)
+        out[name] = {p.name: p.read_bytes() for p in cli.write_result(result, tmp_path / name)
+                     if p.suffix in (".csv", ".svg")}
+        out[name]["summary"] = result.summary
+    assert out["shuffled"] == out["sorted"]
+
+
+@pytest.mark.parametrize("scenario", ["fig3_ground", "fig4_superposition",
+                                      "fig56_phase_size_sweep", "solver_crosscheck"])
+def test_grid_scenarios_size_nothing_after_the_plan(monkeypatch, scenario):
+    # the plan's packets hold every grid and window a grid run uses: with the
+    # grid and window rules raising wherever a feberi module holds them, a run
+    # from the plan still ends, with the unpatched run's summary
+    cfg = default_config(scenario)
+    cfg["numerics"]["grid_points"] = 128
+    planned = plan(cfg)
+    assert not planned.errors
+    want = run_scenario(cfg, plan=planned).summary
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sized after the plan")
+
+    rules = (qew.grid_for_spec, grid.interaction_window)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "feberi"]:
+        for attr, value in list(vars(module).items()):
+            if any(value is rule for rule in rules):
+                monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="sized after the plan"):
+        plan(cfg)
+    assert run_scenario(cfg, plan=planned).summary == want
 
 
 def test_metadata_records_transit():

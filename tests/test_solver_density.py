@@ -37,10 +37,11 @@ from feberi.solver_density import (
     write_rho_b_bin,
 )
 from feberi.grid import build_grid, circulant_product, interaction_window
-from feberi.qew import grid_for_spec
+from feberi.qew import grid_for_spec, packet_for_spec
 from feberi.solver_momentum import step_schedule
 from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble, \
     train_window
+from helpers import default_packet
 
 
 @pytest.fixture
@@ -221,7 +222,8 @@ def test_grid_runs_never_build_the_dense_matrix(coupling, tls, spec, monkeypatch
         raise AssertionError("dense h_total built")
 
     monkeypatch.setattr(solver_density.HamiltonianAssembly, "h_total", property(refuse))
-    traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=128)
+    traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
+                               coupling, tls)
     assert traj.p2[-1] == pytest.approx(8.27e-7, rel=0.01)
     summary = run_scenario(default_config("solver_crosscheck")).summary
     assert summary["final_rel_difference"] <= 1e-3
@@ -260,8 +262,7 @@ def traced_crosscheck():
     times = packet.window[0] + k * ((packet.window[1] - packet.window[0]) / steps)
     tracemalloc.start()
     try:
-        traj = run_qew_interaction(packet.spec, TlsState.ground(), coupling, tls, n=1024,
-                                   times=times)
+        traj = run_qew_interaction(packet, TlsState.ground(), coupling, tls, times=times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -509,8 +510,8 @@ def test_trajectory_at_record_times_equals_one_call_per_time(coupling, tls, spec
     k = np.append(np.arange(0, steps, every), steps)
     times = window[0] + k * ((window[1] - window[0]) / steps)
     state = TlsState.equatorial(0.7)
-    traj = run_qew_interaction(spec, state, coupling, tls, n=128, times=times,
-                               collect_rho_b=True)
+    traj = run_qew_interaction(default_packet(spec, coupling, 128), state, coupling, tls,
+                               times=times, collect_rho_b=True)
     h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), kin, coupling, tls)
     psi0 = initial_joint_vector(h.grid, spec, state, times[0], tls.energy_gap)
     states = np.stack([evolve_vector(psi0, h, t - times[0]) for t in times], axis=-1)
@@ -568,12 +569,13 @@ class TestPartialTraces:
                                    atol=1e-12)
 
     def test_occupations_sum_to_one(self, coupling, tls, spec):
-        traj = run_qew_interaction(spec, TlsState.equatorial(0.2), coupling, tls,
-                                   n=128)
+        traj = run_qew_interaction(default_packet(spec, coupling, 128),
+                                   TlsState.equatorial(0.2), coupling, tls)
         np.testing.assert_allclose(traj.p1 + traj.p2, 1.0, atol=1e-9)
 
     def test_entanglement_entropy_positive(self, coupling, tls, spec):
-        traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=128)
+        traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
+                                   coupling, tls)
         rho_b = traj.final_rho_b()
         evals = np.linalg.eigvalsh(rho_b)
         evals = evals[evals > 1e-300]
@@ -586,7 +588,8 @@ class TestScenario:
         # frozen from this implementation at n=256; matches the closed form
         # within 2 percent (the criterion tolerance)
         from feberi.analytic import p2_from_ground
-        traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=256)
+        traj = run_qew_interaction(default_packet(spec, coupling, 256), TlsState.ground(),
+                                   coupling, tls)
         assert traj.p2[-1] == pytest.approx(8.266149849078361e-07, rel=1e-6)
         assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling, kin), rel=0.02)
 
@@ -595,13 +598,15 @@ class TestScenario:
         finals = []
         for gam in (0.1, 0.6, 1.5, 3.0):
             spec = GaussianQewSpec.from_duration(kin, gam / tls.omega_21, t0=0.0)
-            traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=256)
+            traj = run_qew_interaction(default_packet(spec, coupling, 256), TlsState.ground(),
+                                       coupling, tls)
             finals.append(traj.p2[-1])
         finals = np.array(finals)
         assert (finals.max() - finals.min()) / finals.mean() < 0.03
 
     def test_energy_accounting_ground(self, coupling, tls, spec):
-        traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=128)
+        traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
+                                   coupling, tls)
         acc = energy_accounting(traj)
         np.testing.assert_allclose(acc["delta_e_total"], 0.0, atol=1e-9)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
@@ -612,12 +617,12 @@ class TestScenario:
     def test_energy_transient_superposition(self, coupling, tls, kin):
         t0 = math.pi / tls.omega_21
         spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=t0)
-        traj = run_qew_interaction(spec, TlsState.equatorial(math.pi / 2), coupling,
-                                   tls, n=128)
+        traj = run_qew_interaction(default_packet(spec, coupling, 128),
+                                   TlsState.equatorial(math.pi / 2), coupling, tls)
         acc = energy_accounting(traj)
         resid = np.abs(acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0]))
-        ground = run_qew_interaction(spec.with_arrival(t0), TlsState.ground(),
-                                     coupling, tls, n=128)
+        ground = run_qew_interaction(default_packet(spec.with_arrival(t0), coupling, 128),
+                                     TlsState.ground(), coupling, tls)
         acc_g = energy_accounting(ground)
         resid_g = np.abs(acc_g["delta_e_free"]
                          + tls.energy_gap * (ground.p2 - ground.p2[0]))
@@ -664,7 +669,8 @@ class TestSequentialTrain:
     def test_single_matches_direct(self, coupling, tls, kin, spec):
         p2_seq, rho_b = sequential_multi_qew(np.diag([1.0, 0.0]), [spec], coupling,
                                              tls, n=128)
-        traj = run_qew_interaction(spec, TlsState.ground(), coupling, tls, n=128)
+        traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
+                                   coupling, tls)
         assert p2_seq[-1] == pytest.approx(traj.p2[-1], rel=1e-9)
         np.testing.assert_allclose(rho_b, traj.final_rho_b(), atol=1e-12)
 
@@ -772,8 +778,9 @@ def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
     gamma = tls.omega_21 * sigma
     assert gamma == pytest.approx(0.2195, abs=1e-4)
     born = train_window(coupling, sigma, tls.omega_21, **profile_grid_args(cfg))
-    [grid] = grid_windows([GaussianQewSpec.from_duration(kin, sigma)], coupling, tls,
-                          cfg["numerics"]["grid_points"], **window_factors(cfg))
+    [grid] = grid_windows([packet_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling,
+                                           cfg["numerics"]["grid_points"],
+                                           **window_factors(cfg))], coupling, tls)
     ratio = born.channel[3, 0].real / grid.channel[3, 0].real
     assert ratio == pytest.approx(math.exp(-gamma ** 2), rel=rel)
 
