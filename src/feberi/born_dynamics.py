@@ -223,8 +223,9 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
         c(s) = Re[f_0 + 2 sum_{m>=1} f_m e^{i m w_b (s + t0 - t_mod)}].
 
     ``max_harmonic`` truncates the sum (default: the spectrum's order).  On
-    the uniform grid the sum is one (blocks x harmonics) by (harmonics x
-    block width) matrix product of the phase tables.
+    the uniform grid the sum is the real part of one (blocks x harmonics) by
+    (harmonics x block width) product of the phase tables, a = outer * coeffs
+    and b = inner: Re(a b^T) = [Re a, -Im a] [Re b, Im b]^T, one real product.
     """
     m_top = spectrum.order if max_harmonic is None else min(max_harmonic, spectrum.order)
     coeffs = np.array([spectrum.coefficient(m) for m in range(m_top + 1)], dtype=complex)
@@ -233,7 +234,10 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     def comb(first: float, step: float, n: int) -> np.ndarray:
         outer, inner = phase_tables(spectrum.omega_b * np.arange(m_top + 1),
                                     first + t0 - t_mod, step, n)
-        return ((outer * coeffs) @ inner.T).real.ravel()[:n]
+        outer *= coeffs
+        rows = np.concatenate([outer.real, -outer.imag], axis=1)
+        cols = np.concatenate([inner.real, inner.imag], axis=1)
+        return (rows @ cols.T).ravel()[:n]
 
     return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
                     points_per_scale, comb)

@@ -323,12 +323,6 @@ def load_config(path) -> dict:
 
 # -- output writers --------------------------------------------------------------------
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def write_result(result: ScenarioResult, out_dir: Path) -> list[Path]:
     """Write the result's files into out_dir and return their paths.
 
@@ -353,14 +347,15 @@ def write_result(result: ScenarioResult, out_dir: Path) -> list[Path]:
 
     for s in result.series:
         cols = {k: v for k, v in s.columns.items() if not k.startswith("_")}
-        rows = [list(cols), *zip(*(np.asarray(v).ravel() for v in cols.values()))]
-        text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+        # each column as Python values, once: str() of a float (float32 widened)
+        # is its shortest repr, of an int or bool what Python prints
+        rows = [list(cols), *zip(*(np.asarray(v).ravel().tolist() for v in cols.values()))]
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
         place(f"results_{s.name}.csv",
               lambda p: p.write_text(text, encoding="utf-8", newline="\n"))
         if s.plot_x and s.plot_y:
-            x = np.asarray(cols[s.plot_x], dtype=float)
             place(f"{s.name}.svg", lambda p: line_plot(
-                p, [(x, np.asarray(cols[y], dtype=float), y) for y in s.plot_y],
+                p, [(cols[s.plot_x], cols[y], y) for y in s.plot_y],
                 s.title or s.name, s.xlabel or s.plot_x, s.ylabel or ""))
         rho = s.columns.get("_rho_b")
         if rho is not None:

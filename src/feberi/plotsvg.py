@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
@@ -46,14 +48,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def line_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
     """Write an SVG line chart.
 
-    ``series`` is a list of (x array, y array, label) triples sharing axes.
+    ``series`` is a list of (x array, y array, label) triples sharing axes,
+    each array taken as float64.  The axis limits and the pixel coordinates
+    are computed on whole arrays, in the order of operations of the scalar
+    ``sx`` and ``sy``.
     """
-    xs_all = [x for x, _, _ in series for x in x]
-    ys_all = [y for _, y, _ in series for y in y]
-    if not xs_all:
+    series = [(np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel(), label)
+              for x, y, label in series]
+    xs_all = np.concatenate([x for x, _, _ in series])
+    ys_all = np.concatenate([y for _, y, _ in series])
+    if not xs_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -97,7 +104,8 @@ def line_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
                f'transform="rotate(-90 22 {_MT + ph / 2:.1f})">{ylabel}</text>')
     for i, (x, y, label) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+        pts = " ".join(f"{a:.2f},{b:.2f}"
+                       for a, b in zip(sx(x).tolist(), sy(y).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * i

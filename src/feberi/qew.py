@@ -302,17 +302,30 @@ def _modulated_amplitude_comoving(spec: ModulatedQewSpec, xi: np.ndarray) -> np.
     and carries the phase (n omega_b/v0)(xi - v0 t0 - Delta_n) + n phi_b;
     the bunching sharpness is controlled by the quadratic (in n) part of
     that phase.
+
+    With k = omega_b/v0 and z = e^{i k xi}, sideband n contributes its weight
+    times e^{-i n k (v0 t0 + Delta_n)}, its real Gaussian envelope and z^n.
+    z^n is a running product over n >= 0 and z^{-n} its conjugate, so the
+    sum takes one complex exponential per sample and O(samples) memory.
     """
     kin = spec.kin
     sz = spec.base.sigma_z0
     orders, weights = spec.sideband_amplitudes()
-    shift_unit = spec.delta_p * spec.drift_time / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2)
-    amp = np.zeros(xi.shape, dtype=complex)
-    for n, w in zip(orders, weights):
-        delta_n = n * shift_unit
-        envelope = np.exp(-((xi - delta_n) ** 2) / (4.0 * sz * sz))
-        phase = (n * spec.omega_b / kin.v0) * (xi - kin.v0 * spec.t0 - delta_n)
-        amp += w * envelope * np.exp(1j * phase)
+    shifts = orders * (spec.delta_p * spec.drift_time / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2))
+    k = spec.omega_b / kin.v0
+    weights = weights * np.exp(-1j * (orders * k) * (kin.v0 * spec.t0 + shifts))
+    top = orders[-1]      # orders run -top..top
+
+    def term(i: int, power: np.ndarray) -> np.ndarray:
+        return (weights[i] * np.exp(-((xi - shifts[i]) ** 2) / (4.0 * sz * sz))) * power
+
+    z = np.exp(1j * k * xi)
+    power = np.ones_like(z)
+    amp = term(top, power)
+    for n in range(1, top + 1):
+        power *= z
+        amp += term(top + n, power)
+        amp += term(top - n, power.conj())
     return amp * (TWO_PI * sz * sz) ** (-0.25)
 
 

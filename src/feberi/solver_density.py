@@ -548,9 +548,12 @@ def grid_windows(packets, coupling: DipoleCoupling, tls: TlsSpec) -> list[TrainW
     """Each packet's window channel, the packet arriving at t = 0: the lab-frame map
     rho -> sum_ij rho_ij Tr_F |phi_i><phi_j|, phi_i = |i> (x) free at -half evolved
     to +half, put in the rotating frame by e^{-i w21 half} on rho_01 at both ends.
-    All starts propagate as one block, each under its grid's assembly (one per grid)."""
+    All starts propagate as one block, each under its grid's assembly (one per grid).
+    Raises DomainError for a packet that does not arrive at t = 0."""
     assemblies, starts, rows = {}, [], []
     for spec, grid, (_, half) in packets:
+        if spec.t0 != 0.0:
+            raise DomainError(f"grid window packets arrive at t = 0, not at t0 = {spec.t0} fs")
         if grid not in assemblies:
             assemblies[grid] = assemble_hamiltonian(grid, spec.kin, coupling, tls)
         starts.append(np.kron(np.eye(2), schrodinger_qew_vector(grid, spec, -half)))

@@ -101,6 +101,16 @@ MUTANTS = (
            "[m % n_samp] * (-1.0) ** m", "[m % n_samp]",
            ("tests/test_qew.py::TestHarmonicSumsByFft::test_fft_extraction_equals_dense"
             "[24-4.0-1.3]",)),
+    Mutant("negative sidebands without the conjugate power", "qew.py",
+           "amp += term(top - n, power.conj())", "amp += term(top - n, power)",
+           ("tests/test_qew.py::test_running_power_sum_equals_per_sideband_exp",)),
+    Mutant("grid windows take a packet arriving off t = 0", "solver_density.py",
+           "if spec.t0 != 0.0:", "if False:",
+           ("tests/test_solver_density.py"
+            "::test_grid_windows_refuse_a_packet_not_arriving_at_zero",)),
+    Mutant("SVG x axis from the first point, not the least", "plotsvg.py",
+           "x_lo, x_hi = float(xs_all.min())", "x_lo, x_hi = float(xs_all[0])",
+           ("tests/test_cli.py::test_writer_bytes_equal_cell_by_cell_formatting",)),
     Mutant("fig4's packets arrive at its t0", "scenarios.py",
            "t0 = _fig4_start(cfg, tls)[2] if", "t0 = 0.0 if",
            ("tests/test_golden.py::test_summary_matches_golden[fig4_superposition]",)),

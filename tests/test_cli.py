@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import feberi
-from feberi import plotsvg, scenarios
+from feberi import cli, plotsvg, scenarios
 from feberi.cli import ConfigError, load_config, main
 from feberi.core import DomainError
 from feberi.scenarios import SCENARIOS
@@ -549,3 +549,71 @@ def test_entry_point_imports_no_heavy_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def reference_csv(columns) -> str:
+    """The CSV text cell by cell: repr(float(v)) of a float scalar, str of any other."""
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+    rows = [list(columns), *zip(*(np.asarray(v).ravel() for v in columns.values()))]
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def reference_svg_geometry(series):
+    """The polyline points and x-tick positions of ``plotsvg.line_plot``, from
+    limits over Python lists and the scalar pixel maps, one point at a time."""
+    xs_all = [x for x, _, _ in series for x in x]
+    ys_all = [y for _, y, _ in series for y in y]
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + max(1e-30, abs(y_lo))
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+    pw = plotsvg._W - plotsvg._ML - plotsvg._MR
+    ph = plotsvg._H - plotsvg._MT - plotsvg._MB
+
+    def sx(v):
+        return plotsvg._ML + (v - x_lo) / (x_hi - x_lo) * pw
+
+    def sy(v):
+        return plotsvg._MT + ph - (v - y_lo) / (y_hi - y_lo) * ph
+
+    points = [" ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+              for x, y, _ in series]
+    ticks = [f"{sx(t):.1f}" for t in plotsvg._ticks(x_lo, x_hi)]
+    return points, ticks
+
+
+def test_writer_bytes_equal_cell_by_cell_formatting(tmp_path):
+    # float64 values whose shortest repr is long, tiny, huge or signed zero;
+    # float32 values that widen; ints and bools; and a one-point series, whose
+    # flat axes take the widening branches of line_plot
+    n = 7
+    wide = np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1e16, -2.5e-7, 123456789.123456789])
+    columns = {
+        "x": wide,
+        "f32": (np.arange(n, dtype=np.float32) * np.float32(0.1) - np.float32(0.25)),
+        "i": np.arange(n, dtype=np.int64) * 7 - 20,
+        "b": np.arange(n) % 3 == 0,
+    }
+    one = {"t": np.array([2.5]), "y": np.array([np.float32(0.3)]),
+           "k": np.array([4], dtype=np.int32)}
+    result = scenarios.ScenarioResult(
+        series=[scenarios.SeriesData("mixed", columns, plot_x="x", plot_y=("f32", "i", "b")),
+                scenarios.SeriesData("single", one, plot_x="t", plot_y=("y", "k"))],
+        summary={"value": 1.5})
+    cli.write_result(result, tmp_path)
+    for s in result.series:
+        assert (tmp_path / f"results_{s.name}.csv").read_bytes() == \
+            reference_csv(s.columns).encode("utf-8")
+        x = np.asarray(s.columns[s.plot_x], dtype=float)
+        points, ticks = reference_svg_geometry(
+            [(x, np.asarray(s.columns[y], dtype=float), y) for y in s.plot_y])
+        svg = (tmp_path / f"{s.name}.svg").read_text(encoding="utf-8")
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == points
+        ph = plotsvg._H - plotsvg._MT - plotsvg._MB
+        assert re.findall(rf'<line x1="([^"]*)" y1="{plotsvg._MT + ph}"', svg) == ticks

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
-from feberi.core import HBAR_EV_FS, TWO_PI, DomainError
+from feberi.core import HBAR_EV_FS, ME_EV_FS2_NM2, TWO_PI, DomainError
 from feberi.qew import (
     GaussianQewSpec,
     ModulatedQewSpec,
@@ -284,6 +286,48 @@ def dense_tooth_sigma_et(spectrum, samples=8192):
     while above[i % samples]:
         width, i = width + 1, i - 1
     return width * t_b / samples / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+def reference_amplitude(spec, xi):
+    """The comoving sideband sum with one complex exponential per sideband and
+    sample: sideband n's envelope at Delta_n times
+    e^{i (n omega_b/v0)(xi - v0 t0 - Delta_n)}; and the sum of the terms'
+    magnitudes, the scale of the sum's rounding."""
+    kin = spec.kin
+    sz = spec.base.sigma_z0
+    orders, weights = spec.sideband_amplitudes()
+    shift_unit = spec.delta_p * spec.drift_time / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2)
+    amp = np.zeros(xi.shape, dtype=complex)
+    magnitude = np.zeros(xi.shape)
+    for n, w in zip(orders, weights):
+        delta_n = n * shift_unit
+        envelope = np.exp(-((xi - delta_n) ** 2) / (4.0 * sz * sz))
+        phase = (n * spec.omega_b / kin.v0) * (xi - kin.v0 * spec.t0 - delta_n)
+        amp += w * envelope * np.exp(1j * phase)
+        magnitude += abs(w) * envelope
+    norm = (TWO_PI * sz * sz) ** (-0.25)
+    return amp * norm, magnitude * norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(st.just(0.0), st.floats(1e-3, 6.0)), phi_b=st.floats(-math.pi, math.pi),
+       t0=st.floats(-5.0, 5.0), drift=st.floats(0.0, 2.0), harmonic=st.integers(1, 3),
+       center=st.floats(-3.0, 3.0), span=st.floats(0.0, 3.0), samples=st.integers(1, 600))
+def test_running_power_sum_equals_per_sideband_exp(kin, tls, g, phi_b, t0, drift, harmonic,
+                                                   center, span, samples):
+    # g = 0 is a single sideband; the drift runs from none to twice the
+    # densest bunching; the samples cover up to +-3 periods about a point up
+    # to 3 periods off the envelope's center.  Both sums round each phase
+    # n omega_b (t0 + ...) to ~eps of its size, a few hundred rad here, so they
+    # are compared on the scale of the terms, not of a sum that may cancel
+    omega_b = tls.omega_21 / harmonic
+    base = GaussianQewSpec.from_duration(kin, 10.0, t0=t0)
+    spec = ModulatedQewSpec(base=base, g=g, omega_b=omega_b, phi_b=phi_b,
+                            drift_time=drift * optimal_drift_time(kin, omega_b, g) if g else 0.0)
+    xi = kin.v0 * TWO_PI / omega_b * (center + np.linspace(-span, span, samples))
+    want, scale = reference_amplitude(spec, xi)
+    got = _modulated_amplitude_comoving(spec, xi)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(scale)
 
 
 class TestHarmonicSumsByFft:

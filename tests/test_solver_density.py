@@ -785,6 +785,18 @@ def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
     assert ratio == pytest.approx(math.exp(-gamma ** 2), rel=rel)
 
 
+def test_grid_windows_refuse_a_packet_not_arriving_at_zero(coupling, tls, kin):
+    # each window starts its packet at -half of its own window: a packet
+    # arriving at t0 = 5 fs would run over -(5 + half)..(5 + half) and give a
+    # channel 1.5e-3 off its t0 = 0 channel, so it is refused, alone or in a block
+    on_time = default_packet(GaussianQewSpec.from_duration(kin, 0.2), coupling, 128)
+    late = default_packet(GaussianQewSpec.from_duration(kin, 0.2, t0=5.0), coupling, 128)
+    grid_windows([on_time], coupling, tls)
+    for packets in ([late], [on_time, late]):
+        with pytest.raises(DomainError, match="arrive at t = 0"):
+            grid_windows(packets, coupling, tls)
+
+
 def test_no_scenario_or_train_calls_eigh(coupling, tls, kin, assembly, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigendecomposition called")
