@@ -402,13 +402,15 @@ def validate_config(cfg: dict) -> list[str]:
             report.append(f"Gamma = {gam:g}: wave regime (size-independent law governs)")
     report += [e for e in planned.errors if e not in first + late]
     if planned.states is not None:
-        # what a grid run holds: the sampled states, complex; one leg's real
-        # Chebyshev coefficient tables; the recurrence's block of orders and
-        # its GEMM batch; the assembly itself is O(N)
+        # what a grid run holds, at most: as many complex vectors as sampled
+        # states (the states, or a trajectory's kept orders when it has no
+        # more of them than samples); one leg's real Chebyshev coefficient
+        # tables; the recurrence's block of orders and its GEMM batch, or a
+        # trajectory's sample blocks; the assembly itself is O(N)
         states, work = planned.states, 2 * CHEBYSHEV_BLOCK
         mem = (states * 2 * n * 16 + MAX_CHEBYSHEV_ORDER * states * 8 + work * 2 * n * 16) / 1e6
-        report.append(f"estimated peak memory: {mem:.0f} MB ({states} sampled states of "
-                      f"{2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {states}, "
+        report.append(f"estimated peak memory: {mem:.0f} MB ({states} states or kept orders "
+                      f"of {2 * n}, Chebyshev tables {MAX_CHEBYSHEV_ORDER} x {states}, "
                       f"recurrence {work} x {2 * n})")
     if planned.bunch_sigma_et is not None:
         what = "point-packet" if scenario == "fig9_buildup" else "bunch"

@@ -15,6 +15,9 @@ coupling applied by FFT on the assembly's own kernel column.  A block of
 states shares one recurrence, every row under one assembly or each under
 its own of the same grid size; a window too long for MAX_CHEBYSHEV_ORDER
 orders runs as legs, each restarting from the state at the end of the last.
+A trajectory (``run_qew_interaction``) whose one-leg expansion keeps no
+more orders than it has samples holds those orders' vectors instead of its
+states, and sums them into its observables a block of samples at a time.
 The solvers here size nothing: a ``qew.Packet`` brings its grid and window
 (``qew.packet_for_spec``).  A packet's window is one rotating-frame 4x4
 channel of the TLS density matrix (``grid_windows``, every packet's two
@@ -187,6 +190,9 @@ def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: flo
 MAX_CHEBYSHEV_ORDER = 2048
 CHEBYSHEV_BLOCK = 64      # recurrence vectors of a block, over all its rows
 _SAMPLE_BLOCK = 64        # sample columns per batch of a GEMM (over all rows) or an FFT
+# samples per block of a trajectory summed from its orders: at N = 1024, 64
+# doubled the peak over 16 and 8 ran slower
+_STREAM_BLOCK = 16
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
 TRIM_BESSEL = 1e-16       # Chebyshev coefficients below this are dropped
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])    # i^k by k mod 4, exactly
@@ -262,42 +268,33 @@ def _scaled_generators(assemblies, bounds) -> tuple[np.ndarray, np.ndarray]:
     return diag, columns
 
 
-def _chebyshev_series(generator, starts: np.ndarray, kept: np.ndarray,
-                      bessel: np.ndarray) -> np.ndarray:
-    """Rows sum_k (-i)^k bessel[k, p*C + j] T_k(X_p) starts[p] for the C columns
-    j of each row p, k < kept[p]: shape (m, C, 2N).
+def _recurrence(generator, starts: np.ndarray, kept: np.ndarray, width: int):
+    """Yield (first order, u) for each block of ``width`` orders of the
+    recurrence u_k = (-i)^k T_k(X_p) starts[p], u of shape (orders, a, 2N)
+    for the a rows still running at the block's first order.
 
     ``generator`` is the pair (diagonal (m, 2N), circulant columns
     (m, 2, 2N)) of each row's own -2i X_p (``_scaled_generators``), and the
-    rows of ``starts`` (m, 2N) share one recurrence.  They come ordered by
-    falling ``kept``, so the rows still running at order k are a leading
-    slice that shrinks as rows reach their own order.  The recurrence runs on
-    u_k = (-i)^k T_k(X) psi, u_{k+1} = -2i X u_k + u_{k-1}, whose -2i X u is
-    the diagonal times u plus the two coupling blocks applied by FFT to the
-    whole slice at once.  The u_k of a block of CHEBYSHEV_BLOCK / m orders
-    are kept for all rows and added to every running row's columns,
-    _SAMPLE_BLOCK at a time, by one batched real product against the real
-    Bessel table, whose entries past a row's own order are zeroed in place.
+    rows of ``starts`` (m, 2N) share one recurrence to max(kept) orders.  They
+    come ordered by falling ``kept``, so the rows still running at order k are
+    a leading slice that shrinks as rows reach their own order.  The
+    recurrence u_{k+1} = -2i X u_k + u_{k-1} applies -2i X as the diagonal
+    times u plus the two coupling blocks by FFT, to the whole slice at once.
+    Each block is a view of one ring of ``width`` slots, valid until the next
+    is asked for; a width of max(kept) or more yields every order at once.
     """
     diag, columns = generator
     m, size = starts.shape
     n = size // 2
     coupling = circulant_product(columns, n)
-    order = bessel.shape[0]
-    per_row = bessel.reshape(order, m, -1)
-    for p in range(m):
-        per_row[kept[p]:, p] = 0.0
+    order = int(kept[0])
     active = np.count_nonzero(kept[:, None] > np.arange(order), axis=0)
-    out = np.zeros((m, per_row.shape[2], size), dtype=complex)
-    out_real = out.view(np.float64)
     # orders k of a block sit in slots k mod width, so a block starts from
     # the last two slots of the one before; width >= 3 keeps them unwritten.
     # A slot holds all rows, so the recurrence works on contiguous arrays;
     # the zeros stand in the slots of rows already past their order
-    width = max(3, CHEBYSHEV_BLOCK // m)
+    width = max(3, width)
     ring = np.zeros((width, m, size), dtype=complex)
-    ring_real = ring.view(np.float64).transpose(1, 0, 2)     # (m, width, 2 size)
-    batch = max(1, _SAMPLE_BLOCK // m)
     for start in range(0, order, width):
         stop = min(start + width, order)
         for k in range(start, stop):
@@ -313,9 +310,32 @@ def _chebyshev_series(generator, starts: np.ndarray, kept: np.ndarray,
                 new *= 0.5
             else:
                 new += ring[(k - 2) % width, :a]
-        a = active[start]
-        u = ring_real[:a, :stop - start]
-        coefficients = per_row[start:stop, :a].transpose(1, 2, 0)     # (a, C, orders)
+        yield start, ring[:stop - start, :active[start]]
+
+
+def _chebyshev_series(generator, starts: np.ndarray, kept: np.ndarray,
+                      bessel: np.ndarray) -> np.ndarray:
+    """Rows sum_k (-i)^k bessel[k, p*C + j] T_k(X_p) starts[p] for the C columns
+    j of each row p, k < kept[p]: shape (m, C, 2N).
+
+    The rows share one ``_recurrence`` to kept[0] orders, the Bessel table's
+    count.  The u_k of a block of CHEBYSHEV_BLOCK / m orders are added to every
+    running row's columns, _SAMPLE_BLOCK at a time, by one batched real
+    product against the real Bessel table, whose entries past a row's own
+    order are zeroed in place.
+    """
+    m, size = starts.shape
+    order = bessel.shape[0]
+    per_row = bessel.reshape(order, m, -1)
+    for p in range(m):
+        per_row[kept[p]:, p] = 0.0
+    out = np.zeros((m, per_row.shape[2], size), dtype=complex)
+    out_real = out.view(np.float64)
+    batch = max(1, _SAMPLE_BLOCK // m)
+    for start, u in _recurrence(generator, starts, kept, CHEBYSHEV_BLOCK // m):
+        a = u.shape[1]
+        u = u.view(np.float64).transpose(1, 0, 2)      # (a, orders, 2 size)
+        coefficients = per_row[start:start + u.shape[1], :a].transpose(1, 2, 0)
         for first in range(0, per_row.shape[2], batch):
             cols = slice(first, first + batch)
             out_real[:a, cols] += np.matmul(coefficients[:, cols], u)
@@ -417,16 +437,23 @@ def evolve_vector(psi0: np.ndarray, h, t) -> np.ndarray:
     for i in np.flatnonzero(gauge[:, -1] != 1.0):
         out[i, :, n:] *= gauge[i, -1]
     flat = out.reshape(-1, size)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat.view(np.float64), flat.view(np.float64)))
+    _check_norms(np.sqrt(np.einsum("ij,ij->i", flat.view(np.float64), flat.view(np.float64))),
+                 norm0)
+    out = out.transpose(0, 2, 1)       # (m, 2N, T), each state contiguous
+    if t_arr.ndim < psi0.ndim:
+        out = out[..., 0]
+    return out[0] if psi0.ndim == 1 else out
+
+
+def _check_norms(norms: np.ndarray, norm0) -> None:
+    """PropagationError unless every propagated norm is within NORM_DRIFT_TOL
+    (relative) of its start's norm0, one for all or one per norm."""
+    norm0 = np.broadcast_to(norm0, norms.shape)
     drift = np.abs(norms - norm0)
     if not np.all(drift <= NORM_DRIFT_TOL * norm0):
         worst = int(np.argmax(drift / np.maximum(norm0, np.finfo(float).tiny)))
         raise PropagationError(f"propagated norm drifted by {drift[worst]:.2e} "
                                f"from the initial {norm0[worst]:.6g}")
-    out = out.transpose(0, 2, 1)       # (m, 2N, T), each state contiguous
-    if t_arr.ndim < psi0.ndim:
-        out = out[..., 0]
-    return out[0] if psi0.ndim == 1 else out
 
 
 def partial_trace_bound(psi: np.ndarray) -> np.ndarray:
@@ -466,36 +493,88 @@ def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCouplin
 
     ``times`` are absolute and ascending, the first the start of the joint
     product state; by default 300 samples across the packet's window.
+
+    When one leg of the expansion keeps no more orders K than there are
+    samples T, the trajectory is summed from the K recurrence vectors
+    (``_streamed_states``) and never holds its (2N, T) states; otherwise
+    evolve_vector returns them all (K vectors would outweigh T states, or
+    the window runs as legs).
     """
     h = assemble_hamiltonian(packet.grid, packet.spec.kin, coupling, tls)
     times = np.linspace(*packet.window, 300) if times is None else np.asarray(times, float)
     psi0 = initial_joint_vector(packet.grid, packet.spec, state, times[0], tls.energy_gap)
-    return _observables(times, evolve_vector(psi0, h, times - times[0]), h, collect_rho_b)
+    elapsed = times - times[0]
+    bounds = _spectral_bounds(h)
+    r_max = bounds[1] * float(np.max(elapsed)) / HBAR_EV_FS
+    points = _chebyshev_points(r_max)
+    if np.any(elapsed < 0.0) or points > MAX_CHEBYSHEV_ORDER \
+            or _kept_orders(r_max, points) > times.size:
+        # evolve_vector refuses t < 0, runs legs, and holds T states, not K > T
+        return _observables(times, evolve_vector(psi0, h, elapsed), h, collect_rho_b)
+    traj = _trajectory(times, _streamed_states(psi0, h, bounds, elapsed, points), h,
+                       collect_rho_b)
+    _check_norms(np.sqrt(traj.norm), np.linalg.norm(psi0))
+    return traj
+
+
+def _streamed_states(psi0: np.ndarray, h: HamiltonianAssembly, bounds, elapsed: np.ndarray,
+                     points: int):
+    """Yield (sample columns, states (2N, b)) of exp(-i H t/hbar) psi0 at the
+    times ``elapsed``, _STREAM_BLOCK samples at a time, each state contiguous.
+
+    One ``_recurrence`` keeps all K orders' u_k (K x 2N); a block's states
+    are one real product of the Bessel table's columns against them, then the
+    centre phase and the gauge, as evolve_vector applies them.
+    """
+    centre, half = bounds
+    bessel = _chebyshev_coefficients(half * elapsed / HBAR_EV_FS, points)     # (K, T)
+    kept = bessel.shape[0]
+    gauged = (psi0 * h.gauge_diagonal().conj())[None]
+    [(_, u)] = _recurrence(_scaled_generators([h], [bounds]), gauged, np.array([kept]), kept)
+    u = u[:, 0].view(np.float64)        # (K, 4N), real and imaginary interleaved
+    phase = np.exp(-1j * centre * elapsed / HBAR_EV_FS)
+    for first in range(0, elapsed.size, _STREAM_BLOCK):
+        cols = slice(first, first + _STREAM_BLOCK)
+        states = (bessel[:, cols].T @ u).view(complex)     # (b, 2N)
+        states *= phase[cols, None]
+        if h.gauge != 1.0:
+            states[:, h.n:] *= h.gauge
+        yield cols, states.T
 
 
 def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
                  collect_rho_b: bool) -> DensityTrajectory:
-    """The trajectory of the joint states (2N, T) sampled at ``times``.
+    """The trajectory of the joint states (2N, T) sampled at ``times``, read
+    _SAMPLE_BLOCK sample columns at a time (``_trajectory``)."""
+    def blocks():
+        for first in range(0, states.shape[-1], _SAMPLE_BLOCK):
+            cols = slice(first, first + _SAMPLE_BLOCK)
+            yield cols, states[:, cols]
 
-    One pass per block of _SAMPLE_BLOCK sample columns computes every
-    observable of those columns, so no temporary outgrows a block.  With each
-    state contiguous, as evolve_vector returns them, every sum over a state
-    runs in the same order in a block as over the whole array, and each
+    return _trajectory(times, blocks(), h, collect_rho_b)
+
+
+def _trajectory(times: np.ndarray, blocks, h: HamiltonianAssembly,
+                collect_rho_b: bool) -> DensityTrajectory:
+    """The trajectory of the joint states that ``blocks`` yields at ``times``
+    as (sample columns, states (2N, b)), in order.
+
+    One pass per block computes every observable of its columns, so no
+    temporary outgrows a block.  With each state contiguous, every sum over a
+    state runs in the same order in a block as over a whole array, and each
     output equals its whole-array formula bit for bit.  The trajectory keeps
-    a copy of the last state, not a view of ``states``.
+    a copy of the last state, not a view of the block that holds it.
     """
     n = h.n
-    psi = states.reshape(2, n, -1)
-    size = psi.shape[-1]
+    size = times.size
     p1, p2, e_free, e_int = (np.empty(size) for _ in range(4))
     rho_b = np.empty((size, 2, 2), dtype=complex) if collect_rho_b else None
     # <H_IB (x) H_IP> = 2 r21 Re<psi_1| h_ip psi_2>, h_ip Hermitian; h_ip psi_2
     # by FFT on the coupling column, which holds r21 phi h_ip
     r21 = h.h_ib[0, 1]
     h_ip_times = circulant_product(h.coupling_column / (r21 * h.gauge), n)
-    for first in range(0, size, _SAMPLE_BLOCK):
-        cols = slice(first, first + _SAMPLE_BLOCK)
-        blk = psi[:, :, cols]
+    for cols, states in blocks:
+        blk = states.reshape(2, n, -1)
         a = np.abs(blk)
         a **= 2
         p1[cols] = a[0].sum(axis=0)

@@ -71,13 +71,6 @@ class EntangledAmplitudes:
     v2: np.ndarray
     t: float
 
-    def norm(self, dp: float) -> float:
-        return float((np.sum(np.abs(self.v1) ** 2) + np.sum(np.abs(self.v2) ** 2)) * dp)
-
-    def populations(self, dp: float) -> tuple[float, float]:
-        return (float(np.sum(np.abs(self.v1) ** 2) * dp),
-                float(np.sum(np.abs(self.v2) ** 2) * dp))
-
 
 def initial_amplitudes(grid: MomentumGrid, spec, state: TlsState,
                        t_start: float) -> EntangledAmplitudes:

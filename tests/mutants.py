@@ -88,7 +88,16 @@ MUTANTS = (
             "[transverse-spectral-partial-block]",)),
     Mutant("trajectory's own copy of the last state", "solver_density.py",
            "final_vector=states[:, -1].copy()", "final_vector=states[:, -1]",
-           ("tests/test_solver_density.py::test_trajectory_holds_its_states_once",)),
+           ("tests/test_solver_density.py::test_trajectory_at_record_times_equals_one_call_per_time"
+            "[states-transverse]",)),
+    Mutant("streamed states' centre phase sign", "solver_density.py",
+           "phase = np.exp(-1j * centre * elapsed", "phase = np.exp(1j * centre * elapsed",
+           ("tests/test_solver_density.py::test_trajectory_at_record_times_equals_one_call_per_time"
+            "[streamed-transverse]",)),
+    Mutant("streamed states' upper-level gauge factor", "solver_density.py",
+           "states[:, h.n:] *= h.gauge", "states[:, h.n:] *= h.gauge.conjugate()",
+           ("tests/test_solver_density.py::test_trajectory_at_record_times_equals_one_call_per_time"
+            "[streamed-parallel]",)),
     Mutant("parallel gauge phi", "solver_density.py",
            'gauge = 1j if coupling.orientation == "parallel" else 1.0', "gauge = 1.0",
            ("tests/test_solver_density.py::TestRealGauge::test_real_symmetric"

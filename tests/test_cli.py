@@ -443,8 +443,9 @@ class TestCommands:
         assert out.splitlines()[-1] == "valid"
 
     def test_validate_memory_estimate(self, tmp_path, capsys):
-        # the states of the largest propagation, complex, plus one leg's real
-        # Chebyshev tables of up to 2048 orders and the recurrence's 128
+        # as many complex vectors as the largest propagation's states (or a
+        # trajectory's kept orders, no more than its samples), plus one leg's
+        # real Chebyshev tables of up to 2048 orders and the recurrence's 128
         # vectors: fig56's one block holds the 9 Gammas' two basis starts at
         # one time each; solver_crosscheck samples at the momentum RK4's 369
         # records, not at time_samples = 300
@@ -453,7 +454,7 @@ class TestCommands:
             text = f"[run]\nscenario = {scenario}\n\n[numerics]\ngrid_points = 1024\n"
             assert main(["validate", str(write(tmp_path, text))]) == 0
             out = capsys.readouterr().out
-            assert f"estimated peak memory: {mb} MB ({states} sampled states of 2048, " \
+            assert f"estimated peak memory: {mb} MB ({states} states or kept orders of 2048, " \
                    f"Chebyshev tables 2048 x {states}, recurrence 128 x 2048)" in out
             assert out.splitlines()[-1] == "valid"
 

@@ -270,12 +270,14 @@ def traced_crosscheck():
 
 
 def test_trajectory_holds_its_states_once(traced_crosscheck):
-    # the observables take the states a block of samples at a time, and the
-    # trajectory keeps a copy of the last state, not a view of all of them
+    # the expansion keeps K = 101 orders for 369 samples, so the trajectory is
+    # summed from the orders' vectors (3.2 MiB) 16 samples at a time: it peaks
+    # at 5.5 MiB, below its 11.5 MiB of states, and keeps a copy of the last
+    # state, not a view of the block that holds it
     _, planned, traj, peak = traced_crosscheck
     states_bytes = planned.states * 2048 * 16
     assert traj.times.size == planned.states == 369
-    assert peak <= 1.5 * states_bytes
+    assert peak <= 0.6 * states_bytes
     assert traj.final_vector.flags.owndata and traj.final_vector.shape == (2048,)
 
 
@@ -451,7 +453,7 @@ class TestChebyshev:
         monkeypatch.setattr(solver_density, "_kept_orders", lambda r_max, m: m)
         assert np.max(np.abs(evolve_vector(psi, assembly, t) - trimmed)) <= 1e-14
 
-    def test_norm_drift_raises(self, assembly, spec, tls, monkeypatch):
+    def test_norm_drift_raises(self, assembly, spec, tls, coupling, monkeypatch):
         # a half-width below the spectrum's: the expansion diverges
         bounds = solver_density._spectral_bounds
         monkeypatch.setattr(solver_density, "_spectral_bounds",
@@ -460,6 +462,11 @@ class TestChebyshev:
                                    tls.energy_gap)
         with pytest.raises(PropagationError, match="norm"):
             evolve_vector(psi, assembly, 2.0)
+        # and a trajectory summed from its orders, with no evolve_vector call
+        monkeypatch.setattr(solver_density, "evolve_vector", None)
+        with pytest.raises(PropagationError, match="norm"):
+            run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
+                                coupling, tls)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -500,26 +507,38 @@ def test_interaction_energy_equals_dense_product(gauged, spec, tls):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_trajectory_at_record_times_equals_one_call_per_time(coupling, tls, spec, kin):
-    # the momentum RK4's records (every 3rd of 31 steps, then the last: a short
-    # final interval) as absolute times: each sample equals the state evolved
-    # to that time alone, through _observables (probabilities and eV, absolute)
+@pytest.mark.parametrize("orientation", ["transverse", "parallel"])
+@pytest.mark.parametrize("divisions, n_records, streamed", [(31, 10, False), (310, 100, True)],
+                         ids=["states", "streamed"])
+def test_trajectory_at_record_times_equals_one_call_per_time(tls, geometry, spec, kin,
+                                                             orientation, divisions,
+                                                             n_records, streamed):
+    # the momentum RK4's records (every 3rd step, then the last: a short final
+    # interval) as absolute times: each sample equals the state evolved to that
+    # time alone, through _observables (probabilities and eV, absolute).  The
+    # expansion keeps K = 101 orders: above the 12 samples of 31 steps, whose
+    # trajectory takes evolve_vector's states, and below the 105 of 310 steps,
+    # whose trajectory is summed from the orders' vectors
+    coupling = DipoleCoupling(tls, geometry, kin, orientation=orientation)
     window = interaction_window(spec.sigma_et, coupling.geometry.transit_time, spec.t0)
-    steps, every = step_schedule(window, (window[1] - window[0]) / 31.0, 10)
-    assert steps % every != 0
+    steps, every = step_schedule(window, (window[1] - window[0]) / divisions, n_records)
+    assert every == 3 and steps % every != 0
     k = np.append(np.arange(0, steps, every), steps)
     times = window[0] + k * ((window[1] - window[0]) / steps)
     state = TlsState.equatorial(0.7)
     traj = run_qew_interaction(default_packet(spec, coupling, 128), state, coupling, tls,
                                times=times, collect_rho_b=True)
     h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), kin, coupling, tls)
+    r_max = _spectral_bounds(h)[1] * (times[-1] - times[0]) / HBAR_EV_FS
+    assert (_kept_orders(r_max, _chebyshev_points(r_max)) <= times.size) == streamed
     psi0 = initial_joint_vector(h.grid, spec, state, times[0], tls.energy_gap)
     states = np.stack([evolve_vector(psi0, h, t - times[0]) for t in times], axis=-1)
     want = _observables(times, states, h, collect_rho_b=True)
     assert np.array_equal(traj.times, times)
-    for name in ("p1", "p2", "norm", "e_free", "e_bound", "e_int", "rho_b"):
+    for name in ("p1", "p2", "norm", "e_free", "e_bound", "e_int", "rho_b", "final_vector"):
         got, ref = getattr(traj, name), getattr(want, name)
         assert np.max(np.abs(got - ref)) <= 1e-13, name
+    assert traj.final_vector.flags.owndata and traj.final_vector.shape == (2 * h.n,)
 
 
 class TestEvolution:
