@@ -16,18 +16,24 @@ Schrodinger problem with E2 > E1; it reproduces the first-order increment
 +sin(zeta) law and matches the grid solvers.  It also makes the pair norm
 conserving for any real profile.)
 
-Both profile builders, plain and density-modulated, sample on their own
-profile_time_grid (window factors and points per scale as arguments) and
-raise ResolutionError when its step exceeds min(t_r, sigma_et)/20.
+The plain profile samples its profile_time_grid (window factors and points
+per scale as arguments) at min(t_r, sigma_et, T_21)/points_per_scale and
+convolves the kernel, cut at KERNEL_REACH_TR transit times, with the Gaussian
+directly; it raises ResolutionError when its step exceeds min(t_r, sigma_et)/20.
+The density-modulated profile is band-limited by its envelope: it is the
+inverse real transform of the exact kernel spectrum times the bunched
+density's spectrum, sampled over the same window at
+min(T_21, 2 pi/omega_top)/points_per_scale, and raises ResolutionError above
+that scale/20.
 
-Phase factors e^{i m w t_j} on a uniform grid t_j = t_first + j h (the
-bunching comb's harmonics, the drive's e^{i w21 t}) come from two small
-tables (``core.phase_tables``), not one complex exp per sample: with
-B ~ sqrt(n) and j = b B + i, e^{i m w t_j} = e^{i m w (t_first + b B h)} e^{i m w i h}.
-The one step h of a profile (kernel, comb, quadrature and RK4) is its span
-over the interval count, not the difference of two neighbouring samples:
-that carries the rounding of the samples' magnitude (4e-12 relative on the
-183k-sample benchmark profile), which j h multiplies into a phase error.
+Phase factors e^{i w t_j} on a uniform grid t_j = t_first + j h (the drive's
+e^{i w21 t}) come from two small tables (``core.phase_tables``), not one
+complex exp per sample: with B ~ sqrt(n) and j = b B + i,
+e^{i w t_j} = e^{i w (t_first + b B h)} e^{i w i h}.  The one step h of a
+profile (kernel, quadrature and RK4) is its span over the interval count,
+not the difference of two neighbouring samples: that carries the rounding of
+the samples' magnitude (4e-12 relative on a 183k-sample profile grid), which
+j h multiplies into a phase error.
 
 The drive is prescribed, so the equations are linear and each fixed-step
 RK4 step is a 2x2 matrix.  With A = [[0, -conj(w)], [w, 0]] every step
@@ -46,10 +52,11 @@ each, are laid out as (segments, steps) arrays and reduced by one pairwise
 tree (an associative ordered product), and the segment products are then
 applied in order.  A segment longer than SEGMENT_STEPS is split into equal
 pieces, and short rows are padded with identity steps.  SEGMENT_STEPS =
-16384 reduces the benchmark's 91.6k-step profile in 6 chunks, with
+16384 reduces a 91.6k-step profile (183k samples) in 6 chunks, with
 temporaries near 3 MiB: narrower chunks pay more per-chunk Python overhead
 (26 chunks at 4096), wider ones gain nothing (README, performance notes).
-The width only regroups the steps.
+The benchmark's modulated profile (6,737 steps) is one chunk.  The width only
+regroups the steps.
 
 Every electron train, Born or joint-grid, runs through one private stepper,
 _step_trains, on a TrainWindow built once per run: the 4x4 channel of the
@@ -71,7 +78,7 @@ import numpy as np
 from scipy import fft
 
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState, phase_tables
-from feberi.coulomb import DipoleCoupling, m_spatial
+from feberi.coulomb import DipoleCoupling, m_spatial, m_tilde
 from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, interaction_window
 from feberi.qew import ModulationSpectrum, ResolutionError
 
@@ -83,6 +90,11 @@ class StepSizeError(RuntimeError):
 # RK4 steps reduced at once: bounds the (segments, steps) temporaries
 SEGMENT_STEPS = 16384
 PROFILE_POINTS_PER_SCALE = 100   # default profile samples per shortest time scale
+# the plain profile's kernel cut, and the least distance from a window end to
+# the modulated profile's periodic images, in transit times
+KERNEL_REACH_TR = 200.0
+# a Gaussian lobe e^{-x^2 sigma^2 / 2} is below e^{-40.5} ~ 3e-18 past x = 9/sigma
+GAUSSIAN_REACH = 9.0
 
 
 # -- interaction profiles ---------------------------------------------------------
@@ -91,8 +103,8 @@ PROFILE_POINTS_PER_SCALE = 100   # default profile samples per shortest time sca
 class InteractionProfile:
     """Weighted interaction pulse f(t - t0) sampled on a uniform time grid.
 
-    values are in eV.  The parallel-dipole profile is odd about t0 with zero
-    total integral, the transverse one even and strictly positive.
+    values are in eV.  The plain parallel-dipole profile is odd about t0 with
+    zero total integral, the plain transverse one even and strictly positive.
     """
 
     times: np.ndarray      # absolute times, fs
@@ -137,40 +149,58 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
     scales = [t_r, TWO_PI / omega_21]
     if sigma_et > 0.0:
         scales.append(sigma_et)
-    step = min(scales) / points_per_scale
-    half = interaction_window(sigma_et, t_r, 0.0, transit_factor, sigma_factor)[1]
+    return _window_grid(coupling, sigma_et, t0, min(scales) / points_per_scale,
+                        transit_factor, sigma_factor)
+
+
+def _window_grid(coupling: DipoleCoupling, sigma_et: float, t0: float, step: float,
+                 transit_factor: float, sigma_factor: float) -> np.ndarray:
+    """t0 + step * (-n..n), the fewest samples that cover the interaction window."""
+    half = interaction_window(sigma_et, coupling.geometry.transit_time, 0.0,
+                              transit_factor, sigma_factor)[1]
     n = int(math.ceil(half / step))
     return t0 + step * np.arange(-n, n + 1)
 
 
-def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: float,
-             transit_factor: float, sigma_factor: float, points_per_scale: int,
-             comb, kernel_halfwidth_tr: float = 200.0) -> InteractionProfile:
-    """integral du M(v0 u) f_et(tau - u) c(tau - u), tau = t - t0, on the
+def _check_step(h: float, limit: float) -> None:
+    if h > limit * (1.0 + 1e-9):
+        raise ResolutionError(f"profile step {h:.3g} fs exceeds {limit:.3g} fs")
+
+
+def _profile_record(coupling: DipoleCoupling, grid: np.ndarray, values: np.ndarray,
+                    sigma_et: float, t0: float) -> InteractionProfile:
+    t_r = coupling.geometry.transit_time
+    return InteractionProfile(times=grid, values=values, orientation=coupling.orientation,
+                              sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
+                              prefactor=kernel_prefactor(coupling))
+
+
+def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
+                        omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                        sigma_factor: float = WINDOW_SIGMA_FACTOR,
+                        points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> InteractionProfile:
+    """The spatial kernel convolved with the packet's temporal profile,
+    integral du M(v0 u) f_et(tau - u), tau = t - t0, on the
     ``profile_time_grid`` of the same arguments.
 
-    Raises ResolutionError if the step exceeds min(t_r, sigma_et)/20.
-    ``comb(first, step, n)`` returns the real density weight c(s) at the n
-    times s = first + j step (relative to tau = 0); for None c = 1.  For
+    Raises ResolutionError if the step exceeds min(t_r, sigma_et)/20.  For
     sigma_et below one grid step the Gaussian acts as a delta and the bare
-    kernel times c(0) is returned.  The kernel is truncated at
-    +-kernel_halfwidth_tr * t_r (relative tail ~ (2 halfwidth^2)^-1).
+    kernel is returned.  The kernel is truncated at +-KERNEL_REACH_TR * t_r
+    (relative tail ~ (2 reach^2)^-1): a near-point packet's spectrum is broad,
+    and a spectral product's periodic images would need padding far past that
+    reach to match this direct convolution.
     """
     grid = profile_time_grid(coupling, sigma_et, t0, omega_21, transit_factor,
                              sigma_factor, points_per_scale)
     tau = grid - t0
     h = _span_step(grid)
     t_r = coupling.geometry.transit_time
-    limit = min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0
-    if h > limit * (1.0 + 1e-9):
-        raise ResolutionError(f"profile step {h:.3g} fs exceeds {limit:.3g} fs")
+    _check_step(h, min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0)
     v0 = coupling.kin.v0
     if sigma_et < h:
         vals = m_spatial(v0 * tau, coupling)
-        if comb is not None:
-            vals *= comb(0.0, h, 1)
     else:
-        m = int(math.ceil(kernel_halfwidth_tr * t_r / h))
+        m = int(math.ceil(KERNEL_REACH_TR * t_r / h))
         u = h * np.arange(-m, m + 1)
         # a complex transform on purpose: the transverse profile's tails are ~4e-4
         # of its peak, and there the real FFT's rounding breaks evenness by
@@ -181,8 +211,6 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
         # each input is dropped once used: the transforms below hold the peak
         del tau
         density = np.exp(-(ext**2) / (2.0 * sigma_et**2)) / (math.sqrt(TWO_PI) * sigma_et)
-        if comb is not None:
-            density *= comb(ext[0], h, len(ext))
         del ext
         n_density = len(density)
         size = fft.next_fast_len(n_density + len(kern) - 1)
@@ -191,18 +219,28 @@ def _profile(coupling: DipoleCoupling, sigma_et: float, t0: float, omega_21: flo
         full *= fft.fft(kern, size)
         full = fft.ifft(full, overwrite_x=True)
         vals = np.real(full[len(kern) - 1:n_density]) * h   # the "valid" part
-    return InteractionProfile(times=grid, values=vals, orientation=coupling.orientation,
-                              sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
-                              prefactor=kernel_prefactor(coupling))
+    return _profile_record(coupling, grid, vals, sigma_et, t0)
 
 
-def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
-                        omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
-                        sigma_factor: float = WINDOW_SIGMA_FACTOR,
-                        points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> InteractionProfile:
-    """The spatial kernel convolved with the packet's temporal profile."""
-    return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
-                    points_per_scale, None)
+def _density_spectrum(spectrum: ModulationSpectrum, m_top: int, sigma_et: float,
+                     shift: float, omega) -> np.ndarray:
+    """Fourier transform, integral ds e^{-i omega s} rho(s), of the bunched density
+
+        rho(s) = e^{-s^2 / 2 sigma^2} / (sqrt(2 pi) sigma) c(s + shift),
+        c(s) = Re[f_0 + 2 sum_{1<=m<=m_top} f_m e^{i m w_b s}],
+
+    at the frequencies ``omega`` (rad/fs, any sign): with G(x) = e^{-x^2 sigma^2/2},
+    c_0 = f_0, c_m = 2 f_m and a_m = c_m e^{i m w_b shift},
+
+        rho-hat(omega) = (1/2) sum_m [a_m G(omega - m w_b) + conj(a_m) G(omega + m w_b)].
+    """
+    m = np.arange(m_top + 1)
+    a = spectrum.f_m[spectrum.order:][:m_top + 1] * np.exp(1j * spectrum.omega_b * shift * m)
+    a[1:] *= 2.0
+    sidebands = spectrum.omega_b * m
+    upper = np.exp(-0.5 * (sigma_et * np.subtract.outer(omega, sidebands)) ** 2)
+    lower = np.exp(-0.5 * (sigma_et * np.add.outer(omega, sidebands)) ** 2)
+    return 0.5 * (upper @ a + lower @ a.conj())
 
 
 def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
@@ -215,32 +253,46 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     """Profile of a density-modulated packet: envelope times bunching comb.
 
     The packet density carries the periodic factor
-    f_mod(t - z/v0 - t_mod) = sum_m f_m e^{i m w_b (t - z/v0 - t_mod)}.  The
-    kernel is real, so the harmonics add up before the convolution: the
+    f_mod(t - z/v0 - t_mod) = sum_m f_m e^{i m w_b (t - z/v0 - t_mod)}, so the
     profile is the kernel convolved once with the bunched temporal density,
 
-        f(tau) = integral du M(v0 u) f_et(tau - u) c(tau - u),
-        c(s) = Re[f_0 + 2 sum_{m>=1} f_m e^{i m w_b (s + t0 - t_mod)}].
+        f(tau) = integral du M(v0 u) rho(tau - u),  tau = t - t0,
 
-    ``max_harmonic`` truncates the sum (default: the spectrum's order).  On
-    the uniform grid the sum is the real part of one (blocks x harmonics) by
-    (harmonics x block width) product of the phase tables, a = outer * coeffs
-    and b = inner: Re(a b^T) = [Re a, -Im a] [Re b, Im b]^T, one real product.
+    with rho of ``_density_spectrum`` at shift t0 - t_mod.  ``max_harmonic``
+    truncates the sum (default: the spectrum's order m_top).  The profile is
+    taken from its transform F(omega) = M-hat(omega) rho-hat(omega), where
+    M-hat(omega) = Mt(hbar omega / v0) / v0 is the exact kernel spectrum
+    (``coulomb.m_tilde``), with no kernel cut.  rho-hat vanishes past
+    omega_top = m_top w_b + 9/sigma_et, so F is set on the non-negative bins
+    up to omega_top and one inverse real transform gives f on the grid.
+
+    The grid covers the interaction window with the step
+    min(T_21, 2 pi/omega_top)/points_per_scale; ResolutionError is raised if it
+    exceeds that scale/20.  The transform is at least ceil(400 t_r / h) samples
+    longer than the grid, so f's periodic images start 200 t_r or more past
+    each window end, and its output is rolled onto the grid.
     """
+    if sigma_et <= 0.0:
+        raise DomainError("a modulated profile needs sigma_et > 0")
     m_top = spectrum.order if max_harmonic is None else min(max_harmonic, spectrum.order)
-    coeffs = np.array([spectrum.coefficient(m) for m in range(m_top + 1)], dtype=complex)
-    coeffs[1:] *= 2.0
-
-    def comb(first: float, step: float, n: int) -> np.ndarray:
-        outer, inner = phase_tables(spectrum.omega_b * np.arange(m_top + 1),
-                                    first + t0 - t_mod, step, n)
-        outer *= coeffs
-        rows = np.concatenate([outer.real, -outer.imag], axis=1)
-        cols = np.concatenate([inner.real, inner.imag], axis=1)
-        return (rows @ cols.T).ravel()[:n]
-
-    return _profile(coupling, sigma_et, t0, omega_21, transit_factor, sigma_factor,
-                    points_per_scale, comb)
+    omega_top = m_top * spectrum.omega_b + GAUSSIAN_REACH / sigma_et
+    scale = min(TWO_PI / omega_21, TWO_PI / omega_top)
+    grid = _window_grid(coupling, sigma_et, t0, scale / points_per_scale,
+                        transit_factor, sigma_factor)
+    h = _span_step(grid)
+    _check_step(h, scale / 20.0)
+    n = (len(grid) - 1) // 2
+    t_r = coupling.geometry.transit_time
+    size = fft.next_fast_len(len(grid) + math.ceil(2.0 * KERNEL_REACH_TR * t_r / h),
+                             real=True)
+    d_omega = TWO_PI / (size * h)
+    omega = d_omega * np.arange(int(omega_top / d_omega) + 1)
+    v0 = coupling.kin.v0
+    spec = np.zeros(size // 2 + 1, dtype=complex)
+    spec[:len(omega)] = m_tilde(HBAR_EV_FS * omega / v0, coupling) / v0 \
+        * _density_spectrum(spectrum, m_top, sigma_et, t0 - t_mod, omega)
+    vals = fft.irfft(spec, size)[np.arange(-n, n + 1)] / h
+    return _profile_record(coupling, grid, vals, sigma_et, t0)
 
 
 # -- TLS evolution -------------------------------------------------------------------

@@ -435,7 +435,7 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
 
     spots = []
     if sw["born_check"]:
-        # omega_21 enters a profile only through its step, min(t_r, T21, sigma) /
+        # omega_21 enters a profile only through its step, min(T21, 2 pi/omega_top) /
         # points_per_scale: the largest spot omega_21 gives the finest step any needs
         w_spots = [sw["harmonic"] * spectrum.omega_b + d / sigma_env
                    for d in sw["spot_check_detunings"]]

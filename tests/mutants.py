@@ -73,6 +73,15 @@ MUTANTS = (
            "return float(times[-1] - times[0]) / (len(times) - 1)",
            "return float(times[1] - times[0])",
            ("tests/test_born_dynamics.py::TestPhaseTables::test_drive_matches_complex_exp",)),
+    Mutant("density spectrum's lobes at -m w_b without the conjugate", "born_dynamics.py",
+           "lower @ a.conj()", "lower @ a",
+           ("tests/test_born_dynamics.py::test_density_spectrum_inverts_to_reconstruction"
+            "[8-0.5]",)),
+    Mutant("modulated profile read off the transform unrolled", "born_dynamics.py",
+           "fft.irfft(spec, size)[np.arange(-n, n + 1)]",
+           "fft.irfft(spec, size)[np.arange(2 * n + 1)]",
+           ("tests/test_born_dynamics.py::TestInteractionProfile"
+            "::test_flat_modulated_profile[transverse]",)),
     Mutant("momentum RK4 inner phase one step late", "solver_momentum.py",
            "np.multiply(outer[b], inner[i], out=ph)",
            "np.multiply(outer[b], inner[i - 1], out=ph)",

@@ -26,6 +26,7 @@ from feberi.born_dynamics import (
     random_arrival_times,
     simulate_train_ensemble,
     train_window,
+    _density_spectrum,
     _rk4_columns,
     _step_pairs,
     _step_trains,
@@ -110,19 +111,48 @@ class TestInteractionProfile:
         with pytest.raises(ResolutionError):
             interaction_profile(coupling, sigma, t0, tls.omega_21, points_per_scale=19)
 
-    def test_modulated_profile_shares_grid_and_resolution_rule(self, coupling, tls):
-        # a spectrum with f_0 only leaves the density unbunched: the modulated
-        # builder then reproduces the plain profile on the same grid
+    @pytest.mark.parametrize("orientation, bound", [("transverse", 1e-6),
+                                                    ("parallel", 1e-2)],
+                             ids=["transverse", "parallel"])
+    def test_flat_modulated_profile(self, kin, tls, geometry, orientation, bound):
+        # a spectrum with f_0 only leaves the density unbunched: the spectral
+        # profile then equals the kernel, sampled at t_r/50 or finer and cut at
+        # +-2000 t_r, convolved with the Gaussian directly, at every k-th
+        # sample.  The parallel kernel's 1/t^2 tail leaves the transform's
+        # periodic images at 2.6e-3 of the peak here; the transverse 1/t^3
+        # tail, 2e-7.
+        from scipy.signal import fftconvolve
+
+        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
         flat = ModulationSpectrum(f_m=np.array([0.0, 1.0, 0.0], dtype=complex),
                                   omega_b=tls.omega_21 / 2.0)
-        sigma = 0.5
-        plain = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
-        mod = modulated_interaction_profile(coupling, sigma, flat, 0.0, 0.0, tls.omega_21)
-        np.testing.assert_array_equal(mod.times, plain.times)
-        np.testing.assert_array_equal(mod.values, plain.values)
-        with pytest.raises(ResolutionError):
-            modulated_interaction_profile(coupling, sigma, flat, 0.0, 0.0, tls.omega_21,
-                                          points_per_scale=10)
+        sigma, t_r = 0.5, geometry.transit_time
+        prof = modulated_interaction_profile(cpl, sigma, flat, 0.0, 0.0, tls.omega_21)
+        omega_top = flat.omega_b + 9.0 / sigma
+        assert prof.step == pytest.approx(TWO_PI / omega_top / 100, rel=1e-12)
+        k = math.ceil(prof.step / (t_r / 50.0))
+        n, h = (len(prof.times) - 1) // 2 * k, prof.step / k
+        reach = int(math.ceil(2000.0 * t_r / h))
+        u = h * np.arange(-n - reach, n + reach + 1)
+        kern = m_spatial(kin.v0 * (h * np.arange(-reach, reach + 1)), cpl)
+        density = np.exp(-(u**2) / (2.0 * sigma**2)) / (math.sqrt(TWO_PI) * sigma)
+        want = (fftconvolve(density, kern, mode="valid") * h)[::k]
+        np.testing.assert_allclose(prof.values, want, rtol=0,
+                                   atol=bound * np.max(np.abs(want)))
+
+    def test_modulated_resolution_rule(self, coupling, tls):
+        # one rule bounds the spectral profile's step: min(T21, 2 pi/omega_top)/20
+        flat = ModulationSpectrum(f_m=np.array([0.0, 1.0, 0.0], dtype=complex),
+                                  omega_b=tls.omega_21 / 2.0)
+        modulated_interaction_profile(coupling, 0.5, flat, 0.0, 0.0, tls.omega_21,
+                                      points_per_scale=20)
+        for pps in (19, 10):
+            with pytest.raises(ResolutionError, match="profile step"):
+                modulated_interaction_profile(coupling, 0.5, flat, 0.0, 0.0, tls.omega_21,
+                                              points_per_scale=pps)
+        # a spectral profile has no point limit: its band grows as 1/sigma_et
+        with pytest.raises(DomainError, match="sigma_et > 0"):
+            modulated_interaction_profile(coupling, 0.0, flat, 0.0, 0.0, tls.omega_21)
 
     def test_sigma_bar_recorded(self, coupling, tls, geometry):
         sigma = 0.08
@@ -352,9 +382,62 @@ def test_window_propagator_flags_unresolved_profile_until_refined():
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-6)
 
 
+def sech_profile(f0, width, h):
+    """f0 sech(t / width) eV on t = -60 width .. 60 width at step h."""
+    n = int(round(60.0 * width / h))
+    t = h * np.arange(-n, n + 1)
+    return InteractionProfile(times=t, values=f0 / np.cosh(t / width),
+                              orientation="transverse", sigma_bar_et=1.0, t0=0.0,
+                              t_r=1.0, prefactor=f0)
+
+
+def rosen_zener_p2(omega_t, area):
+    """P2 from ground under f = F0 sech(t/T) (Rosen & Zener, Phys. Rev. 40, 502,
+    1932), with omega_t = w21 T and area = pi F0 T / hbar."""
+    return math.sin(area) ** 2 / math.cosh(math.pi * omega_t / 2.0) ** 2
+
+
+class TestRosenZener:
+    # the module's equations with f = F0 sech(t/T) from ground, exactly
+    # P2 = sin^2(pi F0 T/hbar) sech^2(pi w21 T/2), at pulse areas up to and
+    # past pi and at two detunings; T = 1 fs.  At a profile step of 0.005 fs
+    # the RK4 error reads at most 4.2e-10 relative.
+    CASES = [(w, a) for w in (0.5, 2.0) for a in (0.3, 1.4, 2.9)]
+
+    @pytest.mark.parametrize("omega_t, area", CASES)
+    def test_evolve_tls_and_window_propagator(self, omega_t, area):
+        prof = sech_profile(area * HBAR_EV_FS / math.pi, 1.0, 0.005)
+        want = rosen_zener_p2(omega_t, area)
+        assert evolve_tls(TlsState.ground(), prof, omega_t).p2[-1] == \
+            pytest.approx(want, rel=2e-9)
+        u = window_propagator(prof, omega_t)
+        assert abs(u[1, 0]) ** 2 == pytest.approx(want, rel=2e-9)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("omega_t", [0.5, 2.0])
+    def test_error_falls_at_fourth_order(self, omega_t):
+        # area 2.9, where the error stands clear of rounding: halving the step
+        # divides it by 2^4 = 16 (15.7-15.9 measured)
+        area = 2.9
+        err = [evolve_tls(TlsState.ground(), sech_profile(area * HBAR_EV_FS / math.pi, 1.0, h),
+                          omega_t).p2[-1] / rosen_zener_p2(omega_t, area) - 1.0
+               for h in (0.01, 0.005)]
+        assert 12.0 <= err[0] / err[1] <= 20.0
+
+    @pytest.mark.parametrize("omega_t, area", CASES)
+    def test_train_window_at_one_electron(self, monkeypatch, coupling, omega_t, area):
+        # the train stepper at N = 1 through train_window's channel, on the
+        # sech profile, arriving at t = 0 and off it
+        prof = sech_profile(area * HBAR_EV_FS / math.pi, 1.0, 0.005)
+        monkeypatch.setattr(born_dynamics, "interaction_profile", lambda *args: prof)
+        window = train_window(coupling, 0.0, omega_t)
+        p2 = simulate_train_ensemble(TlsState.ground(), np.array([[0.0], [7.3]]), window)
+        np.testing.assert_allclose(p2[:, 0], rosen_zener_p2(omega_t, area), rtol=2e-9)
+
+
 def benchmark_spot_config():
     """modulated_resonance as the benchmark runs it: b = 9.6 nm, one Born spot
-    check at zero detuning (183,275 profile samples)."""
+    check at zero detuning (13,475 profile samples)."""
     cfg = default_config("modulated_resonance")
     cfg["physics"]["impact_parameter_nm"] = 9.6
     cfg["sweep"]["spot_check_detunings"] = [0.0]
@@ -375,7 +458,9 @@ def benchmark_spot():
 
 @pytest.fixture(scope="module")
 def benchmark_grid(benchmark_spot):
-    """The benchmark spot check's profile times, omega_21 and omega_b."""
+    """The plain profile grid at the benchmark spot check's physics (183,275
+    samples at t_r/100, the longest profile grid of the tests), its omega_21
+    and omega_b."""
     coupling, spectrum, sigma, w21, grid_args = benchmark_spot
     return profile_time_grid(coupling, sigma, 0.0, w21, **grid_args), w21, spectrum.omega_b
 
@@ -396,8 +481,8 @@ class TestPhaseTables:
             np.testing.assert_allclose(got[m], np.exp(1j * m * 3.0 * t), rtol=0, atol=1e-12)
 
     def test_benchmark_grid(self, benchmark_grid):
-        # the drive's e^{i w21 t} and the comb's harmonics of w_b = w21 / 2,
-        # with the step taken over the whole span
+        # the drive's e^{i w21 t} and nine harmonics of w_b = w21 / 2, with the
+        # step taken over the whole span
         t, w21, omega_b = benchmark_grid
         n = len(t)
         assert n == 183275
@@ -434,7 +519,7 @@ class TestPhaseTables:
     def test_drive_matches_complex_exp(self, monkeypatch, benchmark_grid):
         # the drive f e^{i w21 t} / (i hbar) that _rk4_columns hands to the
         # step pairs, chunk by chunk (consecutive chunks share one sample),
-        # on the benchmark's grid: a phase step taken as a neighbour
+        # on the 183k-sample grid: a phase step taken as a neighbour
         # difference would be off by 4e-12 relative and miss here
         t, w21, _ = benchmark_grid
         vals = np.cos(0.3 * t) + 0.5
@@ -453,58 +538,50 @@ class TestPhaseTables:
         want = vals * np.exp(1j * w21 * t) / (1j * HBAR_EV_FS)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("order, g", [(1, 0.1), (8, 0.5), (32, 4.0)])
-    def test_comb_equals_reconstruction(self, monkeypatch, kin, tls, coupling, order, g):
-        # the bunched comb handed to the profile convolution against the dense
-        # sum over all 2M + 1 harmonics, with t0 and t_mod nonzero
-        omega_b = tls.omega_21 / 2.0
-        base = GaussianQewSpec.from_duration(kin, 10.0, t0=0.4)
-        spectrum = modulation_fourier_coefficients(
-            ModulatedQewSpec(base=base, g=g, omega_b=omega_b,
-                             drift_time=optimal_drift_time(kin, omega_b, g)), order)
-        combs = []
-        monkeypatch.setattr(born_dynamics, "_profile", lambda *args: combs.append(args[-1]))
-        t0, t_mod = 0.4, -1.7
-        modulated_interaction_profile(coupling, 10.0, spectrum, t_mod, t0, tls.omega_21)
-        [comb] = combs
-        first, step, n = -41.3, 0.0041, 20001
-        want = spectrum.reconstruct(first + step * np.arange(n) + t0 - t_mod)
-        np.testing.assert_allclose(comb(first, step, n), want, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(want)))
 
-    def test_comb_grid_spans_the_profile(self, monkeypatch, benchmark_spot):
-        # _profile hands the comb the extended grid as first time, step and
-        # count, with the step taken over the profile's span: the comb's
-        # samples land on the profile's own first and last times (a
-        # neighbour-difference step would miss the last by 2e-10 fs here)
-        coupling, spectrum, sigma, w21, grid_args = benchmark_spot
-        calls = []
-        profile = born_dynamics._profile
 
-        def wrapped(*args):
-            comb = args[-1]
+@pytest.mark.parametrize("order, g", [(1, 0.1), (8, 0.5), (32, 4.0)])
+def test_density_spectrum_inverts_to_reconstruction(kin, tls, order, g):
+    # rho-hat on a two-sided frequency grid, inverted by one complex transform,
+    # against the Gaussian times the dense sum over all 2M + 1 harmonics, with
+    # t0 and t_mod nonzero
+    omega_b = tls.omega_21 / 2.0
+    base = GaussianQewSpec.from_duration(kin, 10.0, t0=0.4)
+    spectrum = modulation_fourier_coefficients(
+        ModulatedQewSpec(base=base, g=g, omega_b=omega_b,
+                         drift_time=optimal_drift_time(kin, omega_b, g)), order)
+    t0, t_mod, sigma, h, n = 0.4, -1.7, 10.0, 0.03, 8192
+    omega = TWO_PI * np.fft.fftfreq(n, h)
+    s = h * (np.arange(n) - n // 2)
+    rho = np.fft.ifft(_density_spectrum(spectrum, order, sigma, t0 - t_mod, omega)
+                      * np.exp(1j * omega * s[0])) / h
+    want = spectrum.reconstruct(s + t0 - t_mod) \
+        * np.exp(-(s**2) / (2.0 * sigma**2)) / (math.sqrt(TWO_PI) * sigma)
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
-            def recorded(first, step, n):
-                calls.append((first, step, n))
-                return comb(first, step, n)
 
-            return profile(*args[:-1], recorded)
-
-        monkeypatch.setattr(born_dynamics, "_profile", wrapped)
-        prof = modulated_interaction_profile(coupling, sigma, spectrum, 0.0, 0.0, w21,
-                                             max_harmonic=8, **grid_args)
-        [(first, step, n)] = calls
-        pad = (n - len(prof.times)) // 2
-        assert pad > 0 and n == len(prof.times) + 2 * pad
-        assert first + pad * step == pytest.approx(prof.times[0], rel=0, abs=1e-13)
-        assert first + (n - 1 - pad) * step == pytest.approx(prof.times[-1], rel=0, abs=1e-13)
+def test_modulated_grid_covers_the_window(benchmark_spot):
+    # the benchmark's spot check: 13,475 samples at min(T21, 2 pi/omega_top)/100,
+    # omega_top = 8 w_b + 9/sigma, the fewest about t0 that cover the window
+    coupling, spectrum, sigma, w21, grid_args = benchmark_spot
+    prof = modulated_interaction_profile(coupling, sigma, spectrum, 0.0, 0.0, w21,
+                                         max_harmonic=8, **grid_args)
+    step = TWO_PI / (8 * spectrum.omega_b + 9.0 / sigma) / 100
+    assert step < TWO_PI / w21 / 100
+    assert len(prof.times) == 13475
+    assert prof.step == pytest.approx(step, rel=1e-12)
+    np.testing.assert_array_equal(prof.times, -prof.times[::-1])
+    _, hi = interaction_window(sigma, coupling.geometry.transit_time, 0.0,
+                               grid_args["transit_factor"], grid_args["sigma_factor"])
+    assert hi <= prof.times[-1] < hi + step
 
 
 def test_no_per_sample_complex_exp(monkeypatch):
     # the benchmark's spot check: every complex exp that born_dynamics
-    # evaluates (comb, drive), in its module or through core.phase_tables,
-    # takes a phase table's O(sqrt n) times per frequency (the leading axis),
-    # none one per profile sample
+    # evaluates (the density spectrum's harmonic phases, the drive), in its
+    # module or through core.phase_tables, takes at most a phase table's
+    # O(sqrt n) times per frequency (the leading axis), none one per profile
+    # sample
     sizes, samples = [], []
 
     class RecordedNumpy:
@@ -526,7 +603,7 @@ def test_no_per_sample_complex_exp(monkeypatch):
     monkeypatch.setattr(core, "np", RecordedNumpy())
     monkeypatch.setattr(born_dynamics, "evolve_tls", recorded)
     scenarios.run_scenario(benchmark_spot_config())
-    assert samples == [183275]
+    assert samples == [13475]
     assert sizes and max(sizes) <= 0.01 * samples[0]
 
 

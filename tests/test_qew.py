@@ -239,6 +239,30 @@ class TestModulationSpectrum:
         assert abs(spect.coefficient(1)) == pytest.approx(0.5715370942070038, rel=1e-7)
         assert tooth_sigma_et(spect) == pytest.approx(0.0722483393, rel=1e-5)
 
+    def test_graf_limit_approached_as_inverse_square_envelope(self, kin, tls):
+        # Graf's addition theorem (DLMF 10.23.7): sideband n carries J_n(2|g|)
+        # and the phase n^2 theta, theta = k delta_p t_D / (2 gamma^3 m_e), so
+        # in the long-envelope limit |f_m| = |J_m(4|g| sin m theta)|.  At 10, 20
+        # and 40 fs envelopes the gap to that limit falls like sigma^-2 for
+        # m <= 6: sigma^2 |gap| stays below 0.06 fs^2 (0.047 at 10 fs), and each
+        # doubling divides every gap by 4, to a tenth of the larger gap
+        g, omega_b = 4.0, tls.omega_21 / 2.0
+        m = np.arange(1, 7)
+        gaps = {}
+        for sigma in (10.0, 20.0, 40.0):
+            spec = ModulatedQewSpec(base=GaussianQewSpec.from_duration(kin, sigma), g=g,
+                                    omega_b=omega_b,
+                                    drift_time=optimal_drift_time(kin, omega_b, g))
+            theta = (omega_b / kin.v0) * spec.delta_p * spec.drift_time \
+                / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2)
+            spect = modulation_fourier_coefficients(spec, 32)
+            gaps[sigma] = np.abs([spect.coefficient(k) for k in m]) \
+                - np.abs(jv(m, 4.0 * g * np.sin(m * theta)))
+            assert np.max(np.abs(gaps[sigma])) * sigma**2 <= 0.06
+        for sigma in (10.0, 20.0):
+            np.testing.assert_allclose(4.0 * gaps[2.0 * sigma], gaps[sigma], rtol=0,
+                                       atol=0.1 * np.max(np.abs(gaps[sigma])))
+
     def test_order_too_low_rings_negative(self, mod_spec):
         # a sharp comb truncated at low order reconstructs negative: the
         # resolution contract fires

@@ -274,30 +274,45 @@ def test_modulated_scan_equals_one_call_per_point():
                                             abs=1e-14 * np.max(np.abs(inc.dp1)))
 
 
-def test_born_step_products_memory(monkeypatch):
-    # the benchmark's modulated_resonance spot check (b = 9.6 nm, zero
-    # detuning): evolve_tls on its 183k-sample profile builds step pairs
+def test_born_step_products_memory():
+    # evolve_tls on a hand-built 183,275-sample profile (the plain profile grid
+    # at the benchmark spot check's physics, b = 9.6 nm) builds step pairs
     # chunk by chunk, so it holds no full-length complex drive array
-    peaks = []
-    evolve = bd.evolve_tls
-
-    def traced(state0, profile, omega_21, *args):
-        tracemalloc.start()
-        try:
-            out = evolve(state0, profile, omega_21, *args)
-            peaks.append((len(profile.values), tracemalloc.get_traced_memory()[1]))
-        finally:
-            tracemalloc.stop()
-        return out
-
-    monkeypatch.setattr(bd, "evolve_tls", traced)
     cfg = default_config("modulated_resonance")
     cfg["physics"]["impact_parameter_nm"] = 9.6
-    cfg["sweep"]["spot_check_detunings"] = [0.0]
-    run_scenario(cfg)
-    [(samples, peak)] = peaks
-    assert samples == 183275
+    _, tls, geo, coupling = physics_bundle(cfg)
+    sigma = cfg["sweep"]["envelope_sigma_et_fs"]
+    times = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
+    assert len(times) == 183275
+    k = bd.kernel_prefactor(coupling)
+    profile = bd.InteractionProfile(
+        times=times, values=k * np.exp(-(times**2) / (2.0 * sigma**2)) * np.cos(times),
+        orientation="transverse", sigma_bar_et=sigma / geo.transit_time, t0=0.0,
+        t_r=geo.transit_time, prefactor=k)
+    tracemalloc.start()
+    try:
+        bd.evolve_tls(TlsState.ground(), profile, tls.omega_21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 6 * 2**20
+
+
+def test_fig9_point_packet_duration_from_config(monkeypatch):
+    # sigma_et_point_fs > 0 is the train window's packet duration: the plan
+    # takes it as given and extracts no bunched spectrum, and the run's one
+    # profile and its summary carry it
+    cfg = default_config("fig9_buildup")
+    cfg["sweep"]["sigma_et_point_fs"] = 0.05
+    spectra = counted(monkeypatch, scenarios, "bunched_spectrum")
+    planned = plan(cfg)
+    assert (planned.bunch_sigma_et, planned.spectrum, planned.errors) == (0.05, None, [])
+    profiles = counted(monkeypatch, bd, "interaction_profile")
+    summary = run_scenario(cfg, plan=planned).summary
+    assert spectra == []
+    assert [args[1] for args in profiles] == [0.05]
+    assert summary["sigma_et_point_fs"] == 0.05
+    assert summary["quadratic_r_squared"] >= 0.99
 
 
 def test_planned_counts_equal_actual_counts(monkeypatch, tmp_path):
