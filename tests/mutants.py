@@ -82,6 +82,14 @@ MUTANTS = (
            "fft.irfft(spec, size)[np.arange(2 * n + 1)]",
            ("tests/test_born_dynamics.py::TestInteractionProfile"
             "::test_flat_modulated_profile[transverse]",)),
+    Mutant("parallel profile mirrored even", "born_dynamics.py",
+           "np.negative(half[:0:-1], out=vals[:n])", "vals[:n] = half[:0:-1]",
+           ("tests/test_born_dynamics.py::TestInteractionProfile"
+            "::test_convolution_matches_full_length_oracle[fig9-point-parallel]",)),
+    Mutant("plain profile read one sample late", "born_dynamics.py",
+           "[-lo - j_lo:n + 1 - lo - j_lo]", "[1 - lo - j_lo:n + 2 - lo - j_lo]",
+           ("tests/test_born_dynamics.py::TestInteractionProfile"
+            "::test_convolution_matches_full_length_oracle[fig9-point-transverse]",)),
     Mutant("momentum RK4 inner phase one step late", "solver_momentum.py",
            "np.multiply(outer[b], inner[i], out=ph)",
            "np.multiply(outer[b], inner[i - 1], out=ph)",

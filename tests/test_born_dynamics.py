@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -42,41 +43,69 @@ from feberi.qew import GaussianQewSpec, ModulatedQewSpec, ModulationSpectrum, \
 from feberi.solver_momentum import default_time_step, step_schedule
 
 
+@pytest.fixture(scope="module")
+def fig9_point():
+    # default fig9's plan: its physics and its train window's point packet
+    return scenarios.plan(default_config("fig9_buildup"))
+
+
 class TestInteractionProfile:
     def test_parallel_odd_zero_integral(self, coupling_parallel, tls):
-        sigma = 0.05
-        prof = interaction_profile(coupling_parallel, sigma, 0.0, tls.omega_21)
-        grid = prof.times
-        mid = len(grid) // 2
-        assert prof.values[mid] == pytest.approx(0.0, abs=1e-18)
-        np.testing.assert_allclose(prof.values, -prof.values[::-1], atol=1e-16)
-        scale = np.max(np.abs(prof.values)) * (grid[-1] - grid[0])
-        assert abs(np.trapezoid(prof.values, grid)) < 1e-9 * scale
+        # the mirrored half is odd to the bit, with an exact zero at t0
+        for sigma in (0.05, 0.08, 0.3):
+            prof = interaction_profile(coupling_parallel, sigma, 0.0, tls.omega_21)
+            grid = prof.times
+            assert prof.values[len(grid) // 2] == 0.0
+            np.testing.assert_array_equal(prof.values, -prof.values[::-1])
+            scale = np.max(np.abs(prof.values)) * (grid[-1] - grid[0])
+            assert abs(np.trapezoid(prof.values, grid)) < 1e-9 * scale
 
     def test_transverse_even_positive(self, coupling, tls):
-        sigma = 0.05
-        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
-        np.testing.assert_allclose(prof.values, prof.values[::-1], rtol=1e-12)
-        assert np.all(prof.values > 0.0)
+        # the mirrored half is even to the bit
+        for sigma in (0.05, 0.08, 0.3):
+            prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+            np.testing.assert_array_equal(prof.values, prof.values[::-1])
+            assert np.all(prof.values > 0.0)
 
     @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
-    @pytest.mark.parametrize("sigma_over_period", [0.05, 1.0])
-    def test_convolution_equals_fftconvolve(self, kin, tls, geometry, orientation,
-                                            sigma_over_period):
-        # the valid-mode convolution as scipy.signal computes it, bit for bit
+    @pytest.mark.parametrize("sigma", ["0.05", "1.0", "fig9-point"])
+    def test_convolution_matches_full_length_oracle(self, fig9_point, orientation, sigma):
+        # against the quadrature in its plain form: the Gaussian over the whole
+        # extended grid, the kernel at every lag of its cut, one full-length
+        # complex transform, both halves computed
         from scipy.signal import fftconvolve
 
-        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
-        sigma = sigma_over_period * tls.period
-        prof = interaction_profile(cpl, sigma, 0.0, tls.omega_21)
-        tau, h = prof.times, prof.step
-        m = int(math.ceil(200.0 * geometry.transit_time / h))
+        kin, tls, geo, _ = fig9_point.physics
+        cpl = DipoleCoupling(tls, geo, kin, orientation=orientation)
+        sigma = fig9_point.bunch_sigma_et if sigma == "fig9-point" \
+            else float(sigma) * tls.period
+        t0 = 1.7
+        prof = interaction_profile(cpl, sigma, t0, tls.omega_21)
+        tau, h = prof.times - t0, prof.step
+        m = int(math.ceil(200.0 * geo.transit_time / h))
         kern = m_spatial(kin.v0 * (h * np.arange(-m, m + 1)), cpl).astype(complex)
         ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau,
                               tau[-1] + h * np.arange(1, m + 1)])
         density = np.exp(-(ext**2) / (2.0 * sigma**2)) / (math.sqrt(TWO_PI) * sigma)
         want = np.real(fftconvolve(density, kern, mode="valid")) * h
-        np.testing.assert_array_equal(prof.values, want)
+        np.testing.assert_allclose(prof.values, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("sigma, bound_mib", [("fig9-point", 2.0), ("T21", 12.0)],
+                             ids=["fig9-point", "T21"])
+    def test_profile_memory(self, fig9_point, sigma, bound_mib):
+        # the half-grid transform at the Gaussian's reach: at fig9's point packet
+        # and at one TLS period, where the reach passes the kernel cut (3.8 and
+        # 14.9 MiB with the full-length complex transform)
+        _, tls, _, cpl = fig9_point.physics
+        sigma = fig9_point.bunch_sigma_et if sigma == "fig9-point" else tls.period
+        tracemalloc.start()
+        try:
+            interaction_profile(cpl, sigma, 0.0, tls.omega_21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
     def test_point_limit_peak(self, coupling, tls):
         # sigma -> 0: bare kernel, peak K at t = t0
