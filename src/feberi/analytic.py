@@ -18,7 +18,9 @@ with zeta = omega_21 t0 - arg(c1* c2); its maximum over zeta for an equal
 superposition equals sqrt of the from-ground second-order term.
 
 Amplitude normalization is 1/(hbar v0) per transition amplitude everywhere;
-the grid solvers reproduce it.
+the grid solvers reproduce it.  Every closed form reads v0 and the TLS from
+its ``DipoleCoupling`` (coupling.kin, coupling.tls), the one physics handle
+it takes.
 
 The density-modulated increments (``modulated_increments``) take omega_21 as
 a scalar or as an array: a resonance scan is one call, one expression for
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsState, bloch_phase
+from feberi.core import HBAR_EV_FS, DomainError, TlsState, bloch_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.qew import ModulationSpectrum, gamma_parameter
 
@@ -72,14 +74,18 @@ def overlap_integral(p_rec: float, sigma_p0: float, t0: float,
     return math.exp(-0.5 * g * g) * cmath.exp(-1j * omega_ij * t0)
 
 
-def p2_from_ground(coupling: DipoleCoupling, kin: ElectronKinematics | None = None) -> float:
+def _recoil_amplitude(coupling: DipoleCoupling) -> float:
+    """|Mt(p_rec)|/(hbar v0): the first-order transition amplitude's modulus."""
+    return abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * coupling.kin.v0)
+
+
+def p2_from_ground(coupling: DipoleCoupling) -> float:
     """Excitation probability from the ground state, |Mt(p_rec)|^2/(hbar v0)^2.
 
     Independent of the wavepacket size.  Warns beyond 0.1 where first-order
     perturbation theory is no longer trustworthy.
     """
-    kin = kin or coupling.kin
-    amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
+    amp = _recoil_amplitude(coupling)
     p2 = amp * amp
     if p2 > 0.1:
         warnings.warn(f"p2 = {p2:.3g} > 0.1: perturbative validity exceeded",
@@ -87,8 +93,8 @@ def p2_from_ground(coupling: DipoleCoupling, kin: ElectronKinematics | None = No
     return min(p2, 1.0)
 
 
-def dp1_superposition(coupling: DipoleCoupling, kin: ElectronKinematics,
-                      state: TlsState, t0: float, sigma_et: float) -> float:
+def dp1_superposition(coupling: DipoleCoupling, state: TlsState, t0: float,
+                      sigma_et: float) -> float:
     """First-order increment (2/hbar v0)|Mt||c1 c2| e^{-Gamma^2/2} sin(zeta).
 
     The momentum and Born models predict the identical form.  Returns 0 for
@@ -101,12 +107,11 @@ def dp1_superposition(coupling: DipoleCoupling, kin: ElectronKinematics,
     tls = coupling.tls
     gam = gamma_parameter(tls.omega_21, sigma_et)
     zeta = bloch_phase(state, t0, tls.omega_21)
-    amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
-    return 2.0 * amp * abs(state.c1) * abs(state.c2) * math.exp(-0.5 * gam * gam) \
-        * math.sin(zeta)
+    return 2.0 * _recoil_amplitude(coupling) * abs(state.c1) * abs(state.c2) \
+        * math.exp(-0.5 * gam * gam) * math.sin(zeta)
 
 
-def dp2_born(coupling: DipoleCoupling, kin: ElectronKinematics, sigma_et: float) -> float:
+def dp2_born(coupling: DipoleCoupling, sigma_et: float) -> float:
     """Second-order increment of the probabilistic model, with e^{-Gamma^2} decay.
 
     Valid in the near-point-particle regime Gamma < 1; beyond it the
@@ -120,7 +125,7 @@ def dp2_born(coupling: DipoleCoupling, kin: ElectronKinematics, sigma_et: float)
         warnings.warn(f"Gamma = {gam:.3g} > 1: outside the short-packet regime; "
                       "the size-independent from-ground value governs here",
                       RegimeWarning)
-    return p2_from_ground(coupling, kin) * math.exp(-gam * gam)
+    return p2_from_ground(coupling) * math.exp(-gam * gam)
 
 
 def nearest_harmonic(omega_21, omega_b: float):
@@ -137,9 +142,8 @@ def nearest_harmonic(omega_21, omega_b: float):
     return (int(n) if n.ndim == 0 else n), flags
 
 
-def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
-                         spectrum: ModulationSpectrum, sigma_et: float,
-                         omega_21, state: TlsState, t_mod: float,
+def modulated_increments(coupling: DipoleCoupling, spectrum: ModulationSpectrum,
+                         sigma_et: float, omega_21, state: TlsState, t_mod: float,
                          t_0k: float) -> TransitionIncrement:
     """Resonant increments of a density-modulated packet.
 
@@ -153,7 +157,8 @@ def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
     an array gives dp1 and dp2 of its shape, from one pass, and the flags
     raised at any of its points.  The recoil p_rec = -hbar omega_21 / v0 is
     taken at each omega_21, in one m_tilde call; ``coupling`` supplies the
-    dipole, geometry and kinematics, not the gap.
+    dipole, geometry and kinematics (v0 of the recoil and of the 1/(hbar v0)
+    amplitude), not the gap.
     """
     if sigma_et <= 2.0 * math.pi / spectrum.omega_b:
         raise DomainError("envelope must be longer than one modulation period")
@@ -167,8 +172,9 @@ def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
     res1 = np.exp(-0.5 * (detuning * sigma_et) ** 2)
     # f_n for n = 0..order, zero beyond
     f_n = np.append(spectrum.f_m[spectrum.order:], 0.0)[np.minimum(n, spectrum.order + 1)]
-    mt = m_tilde(-(w21 * HBAR_EV_FS) / coupling.kin.v0, coupling)
-    amp = 1.0 / (HBAR_EV_FS * kin.v0)
+    v0 = coupling.kin.v0
+    mt = m_tilde(-(w21 * HBAR_EV_FS) / v0, coupling)
+    amp = 1.0 / (HBAR_EV_FS * v0)
     # second order: |amplitude|^2
     dp2 = (amp * np.abs(mt) * abs(state.c1) * np.abs(f_n) * res1) ** 2
     # first order: 2 Re[c2* dc2], dc2 = amp/i * c1 Mt f_n* e^{i detuning t_0k} e^{i n w_b t_mod} res1
@@ -183,9 +189,8 @@ def modulated_increments(coupling: DipoleCoupling, kin: ElectronKinematics,
 MULTI_QEW_VARIANTS = ("point_train", "modulated_correlated")
 
 
-def multi_qew_p2(n_electrons: int, coupling: DipoleCoupling,
-                 kin: ElectronKinematics, sigma_et: float, variant: str,
-                 f_n: complex | None = None) -> float:
+def multi_qew_p2(n_electrons: int, coupling: DipoleCoupling, sigma_et: float,
+                 variant: str, f_n: complex | None = None) -> float:
     """N^2-scaled upper-level probability of a phase-correlated train.
 
     "point_train": periodic near-point packets at a subharmonic of the
@@ -201,7 +206,7 @@ def multi_qew_p2(n_electrons: int, coupling: DipoleCoupling,
     if variant not in MULTI_QEW_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     gam = gamma_parameter(coupling.tls.omega_21, sigma_et)
-    amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
+    amp = _recoil_amplitude(coupling)
     if variant == "point_train":
         single = amp * amp * math.exp(-gam * gam)
     else:

@@ -108,15 +108,13 @@ class InteractionProfile:
 
     values are in eV.  The plain parallel-dipole profile is odd about t0 with
     zero total integral, the plain transverse one even and strictly positive.
+    Orientation, packet size, arrival and kernel scale live in the coupling
+    and arguments of the function that made it; the profile keeps only its
+    samples.
     """
 
     times: np.ndarray      # absolute times, fs
     values: np.ndarray     # eV
-    orientation: str
-    sigma_bar_et: float    # sigma_et / t_r
-    t0: float
-    t_r: float
-    prefactor: float       # K_par or K_perp, eV
 
     @property
     def step(self) -> float:
@@ -170,14 +168,6 @@ def _check_step(h: float, limit: float) -> None:
         raise ResolutionError(f"profile step {h:.3g} fs exceeds {limit:.3g} fs")
 
 
-def _profile_record(coupling: DipoleCoupling, grid: np.ndarray, values: np.ndarray,
-                    sigma_et: float, t0: float) -> InteractionProfile:
-    t_r = coupling.geometry.transit_time
-    return InteractionProfile(times=grid, values=values, orientation=coupling.orientation,
-                              sigma_bar_et=sigma_et / t_r, t0=t0, t_r=t_r,
-                              prefactor=kernel_prefactor(coupling))
-
-
 def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
                         omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
                         sigma_factor: float = WINDOW_SIGMA_FACTOR,
@@ -207,8 +197,7 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
     _check_step(h, min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0)
     v0 = coupling.kin.v0
     if sigma_et < h:
-        return _profile_record(coupling, grid, m_spatial(v0 * (grid - t0), coupling),
-                               sigma_et, t0)
+        return InteractionProfile(grid, m_spatial(v0 * (grid - t0), coupling))
     n = (len(grid) - 1) // 2
     m = int(math.ceil(KERNEL_REACH_TR * t_r / h))
     g = int(math.ceil(GAUSSIAN_REACH * sigma_et / h))
@@ -236,7 +225,7 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
         np.negative(half[:0:-1], out=vals[:n])
     else:
         vals[:n] = half[:0:-1]
-    return _profile_record(coupling, grid, vals, sigma_et, t0)
+    return InteractionProfile(grid, vals)
 
 
 def _density_spectrum(spectrum: ModulationSpectrum, m_top: int, sigma_et: float,
@@ -309,7 +298,7 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     spec[:len(omega)] = m_tilde(HBAR_EV_FS * omega / v0, coupling) / v0 \
         * _density_spectrum(spectrum, m_top, sigma_et, t0 - t_mod, omega)
     vals = fft.irfft(spec, size)[np.arange(-n, n + 1)] / h
-    return _profile_record(coupling, grid, vals, sigma_et, t0)
+    return InteractionProfile(grid, vals)
 
 
 # -- TLS evolution -------------------------------------------------------------------

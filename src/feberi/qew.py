@@ -225,7 +225,14 @@ class Packet(NamedTuple):
 def packet_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
                     n: int, transit_factor: float, sigma_factor: float) -> Packet:
     """``spec`` with its grid of n points (``grid_for_spec``, whose DomainError it
-    raises) and its window, ``interaction_window`` at spec.sigma_et and spec.t0."""
+    raises) and its window, ``interaction_window`` at spec.sigma_et and spec.t0.
+
+    The grid solvers take the packet's amplitudes from spec.kin and the free
+    dispersion from coupling.kin, so a DomainError refuses a spec whose
+    kinematics differ from the coupling's."""
+    if spec.kin != coupling.kin:
+        raise DomainError(f"packet at {spec.kin.kinetic_energy:g} eV does not match the "
+                          f"coupling's {coupling.kin.kinetic_energy:g} eV kinematics")
     return Packet(spec, grid_for_spec(spec, coupling, n), interaction_window(
         spec.sigma_et, coupling.geometry.transit_time, spec.t0, transit_factor, sigma_factor))
 

@@ -151,7 +151,7 @@ def plan(cfg: dict) -> Plan:
         except DomainError as exc:
             out.errors.append(f"ERROR grid sizing at {label}: {exc}")
     if scenario == "solver_crosscheck" and out.packets:
-        out.dt = sm.default_time_step(out.packets[0].grid, coupling, tls)
+        out.dt = sm.default_time_step(out.packets[0].grid, coupling)
         steps, every = out.schedule = sm.step_schedule(out.packets[0].window, out.dt,
                                                        num["time_samples"])
         out.states = 1 + math.ceil(steps / every)
@@ -171,7 +171,7 @@ def plan(cfg: dict) -> Plan:
     elif scenario == "fig9_buildup":
         out.bunch_sigma_et = sweep["sigma_et_point_fs"]
     if scenario in ("fig3_ground", "fig8_single_point"):
-        out.p2_closed = analytic.p2_from_ground(coupling, kin)
+        out.p2_closed = analytic.p2_from_ground(coupling)
         if out.p2_closed < sys.float_info.min:
             out.errors.append(
                 f"ERROR closed form: P2 from ground = {out.p2_closed:.3g} underflows at "
@@ -219,7 +219,7 @@ def _size_runs(cfg: dict, plan: Plan, state: TlsState):
     _, tls, _, coupling = plan.physics
     for frac, packet in zip(cfg["sweep"]["sigma_et_over_period"], plan.packets):
         traj = sd.run_qew_interaction(
-            packet, state, coupling, tls, times=np.linspace(*packet.window, num["time_samples"]),
+            packet, state, coupling, times=np.linspace(*packet.window, num["time_samples"]),
             collect_rho_b=num["dump_rho_b"])
         acc = sd.energy_accounting(traj)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
@@ -267,7 +267,7 @@ def run_fig3_ground(cfg: dict, plan: Plan) -> ScenarioResult:
 def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
     """Superposition start: the increment decays with packet size and the
     energy balance is violated only transiently."""
-    kin, tls, _, coupling = plan.physics
+    _, tls, _, coupling = plan.physics
     zeta, state, t0 = _fig4_start(cfg, tls)
 
     series = []
@@ -293,9 +293,9 @@ def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
             warnings.simplefilter("ignore", analytic.RegimeWarning)
             # net second order = (p1 - p2) * single-electron rate: upward
             # gain from c1 minus stimulated downward loss from c2
-            pred = analytic.dp1_superposition(coupling, kin, state, t0, sigma) \
+            pred = analytic.dp1_superposition(coupling, state, t0, sigma) \
                 + (abs(state.c1) ** 2 - abs(state.c2) ** 2) \
-                * analytic.dp2_born(coupling, kin, sigma)
+                * analytic.dp2_born(coupling, sigma)
         increments[f"{frac:g}"] = {
             "numeric": float(traj.p2[-1] - traj.p2[0]),
             "analytic": pred,
@@ -317,8 +317,8 @@ def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
 def _fig56_block(plan: Plan, packets: list[Packet], zetas: np.ndarray) -> np.ndarray:
     """(len(packets), len(zetas)) increments: a zeta's final P2 is the upper-level row
     of its packet's window channel (``sd.grid_windows``, one block) on vec(c c^dagger)."""
-    _, tls, _, coupling = plan.physics
-    windows = sd.grid_windows(packets, coupling, tls)
+    _, _, _, coupling = plan.physics
+    windows = sd.grid_windows(packets, coupling)
     states = [TlsState.equatorial(wrap_phase(-zeta)) for zeta in zetas]   # t0 = 0: zeta = -phi
     c = np.array([[s.c1, s.c2] for s in states])
     rho = (c[:, :, None] * c[:, None].conj()).reshape(-1, 4)     # row-major vec(c c^dagger)
@@ -328,7 +328,7 @@ def _fig56_block(plan: Plan, packets: list[Packet], zetas: np.ndarray) -> np.nda
 def run_fig56_phase_size_sweep(cfg: dict, plan: Plan) -> ScenarioResult:
     """Increment vs (arrival phase, packet size): sinusoidal in zeta with an
     exp(-Gamma^2/2) envelope; fits the two-term law."""
-    kin, tls, _, coupling = plan.physics
+    _, tls, _, coupling = plan.physics
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
@@ -355,7 +355,7 @@ def run_fig56_phase_size_sweep(cfg: dict, plan: Plan) -> ScenarioResult:
     # predicted A: first-order increment of an equal superposition at
     # zeta = pi/2 and vanishing size
     amp_pred = analytic.dp1_superposition(
-        coupling, kin, TlsState.equatorial(0.0), math.pi / 2 / tls.omega_21, 0.0)
+        coupling, TlsState.equatorial(0.0), math.pi / 2 / tls.omega_21, 0.0)
     max_by_gamma = np.max(np.abs(table), axis=1)
     columns = {"zeta [rad]": zetas, **{f"dP2 (Gamma={g:g})": row for g, row in zip(g_arr, table)}}
     series = [SeriesData(
@@ -406,7 +406,7 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
         return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
 
     def analytic_dp2(w21):
-        return analytic.modulated_increments(coupling0, kin, spectrum, sigma_env, w21,
+        return analytic.modulated_increments(coupling0, spectrum, sigma_env, w21,
                                              TlsState.ground(), 0.0, 0.0).dp2
 
     series = []
@@ -559,15 +559,15 @@ def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
 def run_solver_crosscheck(cfg: dict, plan: Plan) -> ScenarioResult:
     """Both grid solvers on the same discretized problem: final occupations
     must agree to a part in a thousand."""
-    _, tls, _, coupling = plan.physics
+    _, _, _, coupling = plan.physics
     packet = plan.packets[0]
 
     state0 = sm.initial_amplitudes(packet.grid, packet.spec, TlsState.ground(),
                                    packet.window[0])
-    traj_a = sm.integrate(state0, packet.window, plan.dt, packet.grid, coupling, tls,
+    traj_a = sm.integrate(state0, packet.window, plan.dt, packet.grid, coupling,
                           n_records=cfg["numerics"]["time_samples"])
     # the density solver at the amplitude solver's records
-    traj_b = sd.run_qew_interaction(packet, TlsState.ground(), coupling, tls, traj_a.times)
+    traj_b = sd.run_qew_interaction(packet, TlsState.ground(), coupling, traj_a.times)
 
     rel = abs(traj_a.p2[-1] - traj_b.p2[-1]) / traj_b.p2[-1]
     series = [SeriesData(

@@ -19,10 +19,12 @@ A trajectory (``run_qew_interaction``) whose one-leg expansion keeps no
 more orders than it has samples holds those orders' vectors instead of its
 states, and sums them into its observables a block of samples at a time.
 The solvers here size nothing: a ``qew.Packet`` brings its grid and window
-(``qew.packet_for_spec``).  A packet's window is one rotating-frame 4x4
-channel of the TLS density matrix (``grid_windows``, every packet's two
-basis starts in one block): fig56 reads P2 off it, and born_dynamics' train
-stepper carries it across an electron train (``sequential_multi_qew``).
+(``qew.packet_for_spec``), and the ``DipoleCoupling`` the kinematics of the
+free dispersion, the TLS levels and dipole, and the kernel.  A packet's
+window is one rotating-frame 4x4 channel of the TLS density matrix
+(``grid_windows``, every packet's two basis starts in one block): fig56
+reads P2 off it, and born_dynamics' train stepper carries it across an
+electron train (``sequential_multi_qew``).
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -45,7 +47,7 @@ import numpy as np
 from scipy import fft
 
 from feberi.born_dynamics import TrainWindow, _step_trains
-from feberi.core import HBAR_EV_FS, DomainError, ElectronKinematics, TlsSpec, TlsState
+from feberi.core import HBAR_EV_FS, DomainError, TlsState
 from feberi.coulomb import DipoleCoupling
 from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid, \
     circulant_block, circulant_product, kernel_column
@@ -118,11 +120,13 @@ class HamiltonianAssembly:
         return np.repeat(np.array([1.0, self.gauge], dtype=complex), self.n)
 
 
-def assemble_hamiltonian(grid: MomentumGrid, kin: ElectronKinematics,
-                         coupling: DipoleCoupling, tls: TlsSpec) -> HamiltonianAssembly:
-    """Build the joint Hamiltonian, stored real symmetric in the TLS gauge."""
+def assemble_hamiltonian(grid: MomentumGrid, coupling: DipoleCoupling) -> HamiltonianAssembly:
+    """Build the joint Hamiltonian, stored real symmetric in the TLS gauge: the
+    free dispersion of coupling.kin, the levels and dipole of coupling.tls and
+    the kernel of the coupling."""
     n = grid.n
-    h0f = np.real(kin.dispersion(grid.points))
+    tls = coupling.tls
+    h0f = np.real(coupling.kin.dispersion(grid.points))
     h0b = np.array([0.0, tls.energy_gap])
     r21 = tls.dipole_length
     h_ib = np.array([[0.0, r21], [r21, 0.0]])
@@ -487,8 +491,7 @@ class DensityTrajectory:
 
 
 def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCoupling,
-                        tls: TlsSpec, times=None,
-                        collect_rho_b: bool = False) -> DensityTrajectory:
+                        times=None, collect_rho_b: bool = False) -> DensityTrajectory:
     """Evolve a packet past the TLS on its grid and sample observables.
 
     ``times`` are absolute and ascending, the first the start of the joint
@@ -500,9 +503,10 @@ def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCouplin
     evolve_vector returns them all (K vectors would outweigh T states, or
     the window runs as legs).
     """
-    h = assemble_hamiltonian(packet.grid, packet.spec.kin, coupling, tls)
+    h = assemble_hamiltonian(packet.grid, coupling)
     times = np.linspace(*packet.window, 300) if times is None else np.asarray(times, float)
-    psi0 = initial_joint_vector(packet.grid, packet.spec, state, times[0], tls.energy_gap)
+    psi0 = initial_joint_vector(packet.grid, packet.spec, state, times[0],
+                                coupling.tls.energy_gap)
     elapsed = times - times[0]
     bounds = _spectral_bounds(h)
     r_max = bounds[1] * float(np.max(elapsed)) / HBAR_EV_FS
@@ -623,7 +627,7 @@ def _checked_tls_state(rho_b0) -> np.ndarray:
     return rho
 
 
-def grid_windows(packets, coupling: DipoleCoupling, tls: TlsSpec) -> list[TrainWindow]:
+def grid_windows(packets, coupling: DipoleCoupling) -> list[TrainWindow]:
     """Each packet's window channel, the packet arriving at t = 0: the lab-frame map
     rho -> sum_ij rho_ij Tr_F |phi_i><phi_j|, phi_i = |i> (x) free at -half evolved
     to +half, put in the rotating frame by e^{-i w21 half} on rho_01 at both ends.
@@ -634,20 +638,20 @@ def grid_windows(packets, coupling: DipoleCoupling, tls: TlsSpec) -> list[TrainW
         if spec.t0 != 0.0:
             raise DomainError(f"grid window packets arrive at t = 0, not at t0 = {spec.t0} fs")
         if grid not in assemblies:
-            assemblies[grid] = assemble_hamiltonian(grid, spec.kin, coupling, tls)
+            assemblies[grid] = assemble_hamiltonian(grid, coupling)
         starts.append(np.kron(np.eye(2), schrodinger_qew_vector(grid, spec, -half)))
         rows += [assemblies[grid]] * 2
     halves = np.array([packet.window[1] for packet in packets])
     phi = evolve_vector(np.concatenate(starts), rows, np.repeat(2.0 * halves, 2))
     phi = phi.reshape(halves.size, 2, 2, -1)
-    w21 = tls.energy_gap / HBAR_EV_FS
+    w21 = coupling.tls.energy_gap / HBAR_EV_FS
     edge = np.exp(-1j * w21 * halves[:, None, None] * _FLIP)
     channels = np.einsum("sab,sian,sjbn,sij->sabij", edge, phi, phi.conj(), edge)
     return [TrainWindow(k.reshape(4, 4), 2.0 * half, w21) for k, half in zip(channels, halves)]
 
 
 def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
-                         tls: TlsSpec, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
+                         n: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Pass a train of wavepackets one at a time, carrying the TLS state.
 
     Each electron starts in a fresh product state rho_f (x) rho_b and is
@@ -665,7 +669,7 @@ def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
     if any(q.with_arrival(0.0) != shape for q in qews[1:]):
         raise DomainError("train packets must differ only in their arrival time")
     [window] = grid_windows([packet_for_spec(shape, coupling, n, WINDOW_TRANSIT_FACTOR,
-                                             WINDOW_SIGMA_FACTOR)], coupling, tls)
+                                             WINDOW_SIGMA_FACTOR)], coupling)
     half = 0.5 * window.length
     arrivals = np.array([q.t0 for q in qews])
     close = np.flatnonzero(np.diff(arrivals) < window.length)

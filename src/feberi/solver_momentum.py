@@ -6,11 +6,12 @@ grid momentum p (free phases factored out), giving the coupled system
     d c_{i,p_m}/dt = (dp / 2 pi i hbar^2) sum_n Mt(p_m - p_n) c_{j,p_n}(t)
                      * exp(-i (E_{p_n} - E_{p_m} - E_ij) t / hbar),   j != i
 
-with the quadratic free dispersion E_p.  The coupling matrix is Toeplitz in
-(m - n) and its time dependence factorizes into diagonal phase vectors, so
-one right-hand side is one Toeplitz product of the stacked pair (c_1, c_2),
-done by FFT through a circulant embedding in O(N log N), and a fixed-step
-RK4 integrator advances the pair.
+with the quadratic free dispersion E_p of coupling.kin and the gap of
+coupling.tls, both read from the ``DipoleCoupling``.  The coupling matrix is
+Toeplitz in (m - n) and its time dependence factorizes into diagonal phase
+vectors, so one right-hand side is one Toeplitz product of the stacked pair
+(c_1, c_2), done by FFT through a circulant embedding in O(N log N), and a
+fixed-step RK4 integrator advances the pair.
 
 Stage kernel.  With ph(t) = exp(i E_p t/hbar), a stage is
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState, phase_tables
+from feberi.core import HBAR_EV_FS, DomainError, TlsState, phase_tables
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.grid import MomentumGrid, circulant_product, kernel_column
 from feberi.qew import momentum_amplitudes
@@ -94,10 +95,10 @@ class MomentumTrajectory:
     dt: float
 
 
-def default_time_step(grid: MomentumGrid, coupling: DipoleCoupling, tls: TlsSpec) -> float:
+def default_time_step(grid: MomentumGrid, coupling: DipoleCoupling) -> float:
     """Step obeying both the coupling bound dt <= 1/(50 max|U|) and phase resolution."""
     energies = coupling.kin.dispersion(grid.points)
-    omega_max = (float(energies.max() - energies.min()) + tls.energy_gap) / HBAR_EV_FS
+    omega_max = (float(energies.max() - energies.min()) + coupling.tls.energy_gap) / HBAR_EV_FS
     u_max = grid.dp / (2.0 * math.pi * HBAR_EV_FS**2) * float(np.max(np.abs(
         m_tilde(np.linspace(-2 * grid.p_cutoff, 2 * grid.p_cutoff, 1001), coupling))))
     return min(0.1 / omega_max, 1.0 / (50.0 * u_max))
@@ -113,9 +114,10 @@ def step_schedule(t_span: tuple[float, float], dt: float,
 
 
 def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: float,
-              grid: MomentumGrid, coupling: DipoleCoupling, tls: TlsSpec,
+              grid: MomentumGrid, coupling: DipoleCoupling,
               n_records: int = 200) -> MomentumTrajectory:
-    """Advance the amplitude pair over t_span by RK4 and record populations/energy."""
+    """Advance the amplitude pair over t_span by RK4 and record populations/energy;
+    the dispersion, gap and kernel are the coupling's."""
     t_start, t_end = t_span
     if t_end <= t_start:
         raise DomainError("empty integration span")
@@ -126,7 +128,7 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
 
     energies = coupling.kin.dispersion(grid.points)
     w = energies / HBAR_EV_FS
-    w21 = tls.energy_gap / HBAR_EV_FS
+    w21 = coupling.tls.energy_gap / HBAR_EV_FS
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
     product = circulant_product(kappa * kernel_column(grid, coupling), grid.n)
     # a stage is k = scale * f(t, u) with scale = dt/2, so the stages are

@@ -134,6 +134,10 @@ MUTANTS = (
            "if spec.t0 != 0.0:", "if False:",
            ("tests/test_solver_density.py"
             "::test_grid_windows_refuse_a_packet_not_arriving_at_zero",)),
+    Mutant("packets take kinematics other than the coupling's", "qew.py",
+           "if spec.kin != coupling.kin:", "if False:",
+           ("tests/test_qew.py::test_packet_for_spec_refuses_kinematics_other_than_the_couplings"
+            "[gaussian-128]",)),
     Mutant("SVG x axis from the first point, not the least", "plotsvg.py",
            "x_lo, x_hi = float(xs_all.min())", "x_lo, x_hi = float(xs_all[0])",
            ("tests/test_cli.py::test_writer_bytes_equal_cell_by_cell_formatting",)),

@@ -43,7 +43,7 @@ def ground_runs(bundle):
     for frac in (0.1, 0.3, 1.0):
         spec = GaussianQewSpec.from_duration(kin, frac * tls.period, t0=0.0)
         runs[frac] = sd.run_qew_interaction(default_packet(spec, coupling, 256),
-                                            TlsState.ground(), coupling, tls)
+                                            TlsState.ground(), coupling)
     return runs, time.time() - t_start
 
 
@@ -58,7 +58,7 @@ def sweep_result(bundle):
 def test_criterion_01_ground_size_independence(bundle, ground_runs):
     kin, tls, geo, coupling = bundle
     runs, elapsed = ground_runs
-    p2_ref = analytic.p2_from_ground(coupling, kin)
+    p2_ref = analytic.p2_from_ground(coupling)
     finals = np.array([runs[f].p2[-1] for f in (0.1, 0.3, 1.0)])
     mutual = (finals.max() - finals.min()) / finals.mean()
     vs_analytic = np.max(np.abs(finals / p2_ref - 1.0))
@@ -82,7 +82,7 @@ def test_criterion_02_energy_conservation(bundle, ground_runs):
     t0 = math.pi / tls.omega_21
     spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=t0)
     traj_s = sd.run_qew_interaction(default_packet(spec, coupling, 256),
-                                    TlsState.equatorial(math.pi / 2), coupling, tls)
+                                    TlsState.equatorial(math.pi / 2), coupling)
     acc_s = sd.energy_accounting(traj_s)
     resid_s = np.abs(acc_s["delta_e_free"] + tls.energy_gap * (traj_s.p2 - traj_s.p2[0]))
     transient = float(resid_s.max())
@@ -107,9 +107,9 @@ def test_criterion_04_max_increment_identity(bundle, sweep_result, ground_runs):
     t_quarter = math.pi / 2.0 / tls.omega_21
     exact = []
     for sigma in (0.0, 0.1, 0.3):
-        a = analytic.dp1_superposition(coupling, kin, TlsState.equatorial(0.0),
+        a = analytic.dp1_superposition(coupling, TlsState.equatorial(0.0),
                                        t_quarter, sigma)
-        b = math.sqrt(analytic.dp2_born(coupling, kin, sigma))
+        b = math.sqrt(analytic.dp2_born(coupling, sigma))
         exact.append(abs(a / b - 1.0))
     ok_exact = max(exact) < 1e-12
 
@@ -119,7 +119,7 @@ def test_criterion_04_max_increment_identity(bundle, sweep_result, ground_runs):
     dp_small = np.abs(cols["dP2 (Gamma=0.1)"])
     spec = GaussianQewSpec.from_duration(kin, 0.1 / tls.omega_21, t0=0.0)
     traj_g = sd.run_qew_interaction(default_packet(spec, coupling, 256), TlsState.ground(),
-                                    coupling, tls)
+                                    coupling)
     ratio = dp_small.max() / math.sqrt(traj_g.p2[-1] * math.exp(-0.1**2))
     ok_num = abs(ratio - 1.0) <= 0.05
     _report(4, "max increment equals sqrt of second order", ok_exact and ok_num,
@@ -278,7 +278,7 @@ def test_criterion_10_unitarity_suite(bundle, ground_runs):
     # Tr rho^2 = sum_kl p_k p_l |<phi_k|phi_l>|^2
     spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=0.0)
     grid = grid_for_spec(spec, coupling, 128)
-    h = sd.assemble_hamiltonian(grid, kin, coupling, tls)
+    h = sd.assemble_hamiltonian(grid, coupling)
     starts = np.stack([
         sd.initial_joint_vector(grid, spec, state, -1.0, tls.energy_gap)
         for state in (TlsState.ground(), TlsState.equatorial(0.4))])
@@ -300,7 +300,7 @@ def test_criterion_10_unitarity_suite(bundle, ground_runs):
     ok_sum = sum_err <= 1e-9
 
     # RK4 amplitude evolution: norm to 1e-8
-    traj = run_gaussian_scenario(spec, TlsState.equatorial(0.2), coupling, tls, n=128)
+    traj = run_gaussian_scenario(spec, TlsState.equatorial(0.2), coupling, n=128)
     norm_err = float(np.max(np.abs(traj.norm - 1.0)))
     ok_amp = norm_err <= 1e-8
     _report(10, "unitarity and trace suite", ok_density and ok_sum and ok_amp,

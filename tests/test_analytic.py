@@ -65,61 +65,61 @@ class TestOverlapIntegral:
 
 
 class TestP2FromGround:
-    def test_reference_value(self, coupling, kin):
+    def test_reference_value(self, coupling):
         # frozen; the density-matrix solver reproduces this within 2%
-        assert p2_from_ground(coupling, kin) == pytest.approx(8.266129719301752e-07,
+        assert p2_from_ground(coupling) == pytest.approx(8.266129719301752e-07,
                                                               rel=1e-9)
 
     def test_quadratic_in_dipole(self, tls, geometry, kin):
         tls2 = TlsSpec.from_lab(2.0, 10.0)
         c1 = DipoleCoupling(tls, geometry, kin)
         c2 = DipoleCoupling(tls2, geometry, kin)
-        assert p2_from_ground(c2, kin) == pytest.approx(4.0 * p2_from_ground(c1, kin),
+        assert p2_from_ground(c2) == pytest.approx(4.0 * p2_from_ground(c1),
                                                         rel=1e-12)
 
     def test_perturbative_warning(self, geometry, kin):
         big = TlsSpec.from_lab(2.0, 3000.0)
         c = DipoleCoupling(big, geometry, kin)
         with pytest.warns(RegimeWarning):
-            p2_from_ground(c, kin)
+            p2_from_ground(c)
 
 
 class TestDp1Superposition:
-    def test_zero_at_zero_phase(self, coupling, kin):
+    def test_zero_at_zero_phase(self, coupling):
         state = TlsState.equatorial(0.0)   # zeta = 0 at t0 = 0
-        assert dp1_superposition(coupling, kin, state, 0.0, 0.05) == 0.0
+        assert dp1_superposition(coupling, state, 0.0, 0.05) == 0.0
 
-    def test_max_equals_sqrt_dp2(self, coupling, kin, tls):
+    def test_max_equals_sqrt_dp2(self, coupling, tls):
         # equal superposition at zeta = pi/2: dp1 = sqrt(dp2_born), any size
         t0 = math.pi / 2.0 / tls.omega_21
         for sigma in (0.0, 0.1, 0.3):
             state = TlsState.equatorial(0.0)
-            val = dp1_superposition(coupling, kin, state, t0, sigma)
-            ref = math.sqrt(dp2_born(coupling, kin, sigma))
+            val = dp1_superposition(coupling, state, t0, sigma)
+            ref = math.sqrt(dp2_born(coupling, sigma))
             assert val == pytest.approx(ref, rel=1e-12)
 
-    def test_size_suppression(self, coupling, kin, tls):
+    def test_size_suppression(self, coupling, tls):
         t0 = math.pi / 2.0 / tls.omega_21
         state = TlsState.equatorial(0.0)
         s2 = 2.0 / tls.omega_21      # Gamma = 2
-        ratio = dp1_superposition(coupling, kin, state, t0, s2) \
-            / dp1_superposition(coupling, kin, state, t0, 0.0)
+        ratio = dp1_superposition(coupling, state, t0, s2) \
+            / dp1_superposition(coupling, state, t0, 0.0)
         assert ratio == pytest.approx(math.exp(-2.0), rel=1e-12)
 
-    def test_sign_symmetry(self, coupling, kin, tls):
+    def test_sign_symmetry(self, coupling, tls):
         # dp1(zeta) = -dp1(zeta + pi): stimulated emission vs absorption
         rng = np.random.default_rng(5)
         for zeta in rng.uniform(0, 2 * math.pi, size=16):
             t0 = zeta / tls.omega_21
             t0_flip = (zeta + math.pi) / tls.omega_21
             state = TlsState.equatorial(0.0)
-            a = dp1_superposition(coupling, kin, state, t0, 0.1)
-            b = dp1_superposition(coupling, kin, state, t0_flip, 0.1)
+            a = dp1_superposition(coupling, state, t0, 0.1)
+            b = dp1_superposition(coupling, state, t0_flip, 0.1)
             assert a == pytest.approx(-b, rel=1e-9, abs=1e-18)
 
-    def test_non_superposition(self, coupling, kin):
+    def test_non_superposition(self, coupling):
         with pytest.warns(RegimeWarning):
-            assert dp1_superposition(coupling, kin, TlsState.ground(), 0.0, 0.1) == 0.0
+            assert dp1_superposition(coupling, TlsState.ground(), 0.0, 0.1) == 0.0
 
     def test_models_agree(self, coupling, kin, tls):
         # the momentum-space grid solver and the time-domain Born model give
@@ -127,34 +127,34 @@ class TestDp1Superposition:
         state = TlsState.equatorial(1.0)
         t0, sigma = 0.3, 0.05 * tls.period
         spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
-        traj_m = run_gaussian_scenario(spec, state, coupling, tls, n=128)
+        traj_m = run_gaussian_scenario(spec, state, coupling, n=128)
         prof = interaction_profile(coupling, sigma, t0, tls.omega_21)
         traj_b = evolve_tls(state, prof, tls.omega_21)
         a = traj_m.p2[-1] - traj_m.p2[0]
         b = traj_b.p2[-1] - traj_b.p2[0]
         assert a == pytest.approx(b, rel=1e-4)
-        assert a == pytest.approx(dp1_superposition(coupling, kin, state, t0, sigma),
+        assert a == pytest.approx(dp1_superposition(coupling, state, t0, sigma),
                                   rel=1e-3)
 
 
 class TestDp2Born:
-    def test_zero_size_equals_ground(self, coupling, kin):
-        assert dp2_born(coupling, kin, 0.0) == pytest.approx(
-            p2_from_ground(coupling, kin), rel=1e-14)
+    def test_zero_size_equals_ground(self, coupling):
+        assert dp2_born(coupling, 0.0) == pytest.approx(
+            p2_from_ground(coupling), rel=1e-14)
 
-    def test_unit_gamma_suppression(self, coupling, kin, tls):
+    def test_unit_gamma_suppression(self, coupling, tls):
         sigma = 1.0 / tls.omega_21
-        assert dp2_born(coupling, kin, sigma) == pytest.approx(
-            p2_from_ground(coupling, kin) * math.exp(-1.0), rel=1e-12)
+        assert dp2_born(coupling, sigma) == pytest.approx(
+            p2_from_ground(coupling) * math.exp(-1.0), rel=1e-12)
 
-    def test_regime_flag(self, coupling, kin, tls):
+    def test_regime_flag(self, coupling, tls):
         with pytest.warns(RegimeWarning):
-            dp2_born(coupling, kin, 1.5 / tls.omega_21)
+            dp2_born(coupling, 1.5 / tls.omega_21)
 
-    def test_size_independence_of_ground_form(self, coupling, kin):
+    def test_size_independence_of_ground_form(self, coupling):
         # the from-ground momentum-model value has no sigma dependence at all
-        assert p2_from_ground(coupling, kin) == p2_from_ground(coupling, kin)
-        vals = {dp2_born(coupling, kin, 0.0), p2_from_ground(coupling, kin)}
+        assert p2_from_ground(coupling) == p2_from_ground(coupling)
+        vals = {dp2_born(coupling, 0.0), p2_from_ground(coupling)}
         assert len(vals) == 1
 
 
@@ -172,18 +172,18 @@ class TestModulatedIncrements:
         omega_b = tls.omega_21 / 2.0
         spect = _flat_spectrum(omega_b, 4, {1: 0.5 + 0.0j, 2: 0.4 + 0.0j})
         sigma = 3.0 * 2 * math.pi / omega_b
-        inc = modulated_increments(coupling, kin, spect, sigma, tls.omega_21,
+        inc = modulated_increments(coupling, spect, sigma, tls.omega_21,
                                    TlsState.ground(), 0.0, 0.0)
         amp = abs(m_tilde(coupling.recoil_momentum, coupling)) / (HBAR_EV_FS * kin.v0)
         assert inc.dp2 == pytest.approx((amp * 0.4) ** 2, rel=1e-12)
         assert inc.dp1 == 0.0       # ground state: no first-order beat
         assert "off_resonance" not in inc.flags
 
-    def test_zero_harmonic_weight(self, coupling, kin, tls):
+    def test_zero_harmonic_weight(self, coupling, tls):
         omega_b = tls.omega_21 / 2.0
         spect = _flat_spectrum(omega_b, 4, {1: 0.5, 2: 0.0})
         sigma = 3.0 * 2 * math.pi / omega_b
-        inc = modulated_increments(coupling, kin, spect, sigma, tls.omega_21,
+        inc = modulated_increments(coupling, spect, sigma, tls.omega_21,
                                    TlsState.equatorial(0.3), 0.0, 0.0)
         assert inc.dp1 == 0.0 and inc.dp2 == 0.0
 
@@ -197,7 +197,7 @@ class TestModulatedIncrements:
         for detune in (0.0, 0.4 / sigma, 1.0 / sigma):
             w21 = tls.omega_21 + detune
             amp = abs(m_tilde(-w21 * HBAR_EV_FS / kin.v0, coupling)) / (HBAR_EV_FS * kin.v0)
-            inc = modulated_increments(coupling, kin, spect, sigma, w21,
+            inc = modulated_increments(coupling, spect, sigma, w21,
                                        TlsState.ground(), 0.7, 0.3)
             total = 0.0 + 0.0j
             for m in range(-6, 7):
@@ -213,12 +213,12 @@ class TestModulatedIncrements:
             else:
                 ref0 = inc.dp2 / amp**2
 
-    def test_off_resonance_flag(self, coupling, kin, tls):
+    def test_off_resonance_flag(self, coupling, tls):
         omega_b = tls.omega_21 / 2.0
         sigma = 3.0 * 2 * math.pi / omega_b
         spect = _flat_spectrum(omega_b, 4, {1: 0.5, 2: 0.4})
         w21 = 2.5 * omega_b    # half-way between harmonics
-        inc = modulated_increments(coupling, kin, spect, sigma, w21,
+        inc = modulated_increments(coupling, spect, sigma, w21,
                                    TlsState.ground(), 0.0, 0.0)
         assert "off_resonance" in inc.flags
         assert inc.dp2 < 1e-20
@@ -240,7 +240,7 @@ class TestModulatedIncrements:
         assert flags == ("harmonic_tie",)
         assert nearest_harmonic(w21[1:], 1.0)[1] == ()
         state = TlsState.equatorial(0.3)
-        inc = modulated_increments(coupling, kin, spect, sigma, w21, state, 0.4, 0.9)
+        inc = modulated_increments(coupling, spect, sigma, w21, state, 0.4, 0.9)
         assert inc.dp2.shape == inc.dp1.shape == w21.shape
         assert "harmonic_tie" in inc.flags
         amp = np.abs(m_tilde(-w21 * HBAR_EV_FS / kin.v0, coupling)) / (HBAR_EV_FS * kin.v0)
@@ -249,8 +249,8 @@ class TestModulatedIncrements:
                     * np.exp(-0.5 * ((w21 - n) * sigma) ** 2)) ** 2
         np.testing.assert_allclose(inc.dp2, expected, rtol=1e-14, atol=0)
         for k, w in enumerate(w21):
-            one = modulated_increments(coupling, kin, spect, sigma, float(w), state, 0.4, 0.9)
-            zero_d = modulated_increments(coupling, kin, spect, sigma, np.asarray(w), state,
+            one = modulated_increments(coupling, spect, sigma, float(w), state, 0.4, 0.9)
+            zero_d = modulated_increments(coupling, spect, sigma, np.asarray(w), state,
                                           0.4, 0.9)
             assert (zero_d.dp1, zero_d.dp2) == (one.dp1, one.dp2)
             assert type(zero_d.dp1) is type(zero_d.dp2) is float
@@ -259,53 +259,53 @@ class TestModulatedIncrements:
             assert ("harmonic_tie" in one.flags) == (k == 0)
 
     @pytest.mark.parametrize("w21", [0.0, -1.0, [2.0, 0.0], [np.nan]])
-    def test_refuses_nonpositive_omega_21(self, coupling, kin, w21):
+    def test_refuses_nonpositive_omega_21(self, coupling, w21):
         spect = _flat_spectrum(1.0, 4, {1: 0.5, 2: 0.4})
         with pytest.raises(DomainError, match="omega_21"):
-            modulated_increments(coupling, kin, spect, 3 * 2 * math.pi, w21,
+            modulated_increments(coupling, spect, 3 * 2 * math.pi, w21,
                                  TlsState.ground(), 0.0, 0.0)
 
-    def test_refuses_envelope_within_one_period(self, coupling, kin):
+    def test_refuses_envelope_within_one_period(self, coupling):
         spect = _flat_spectrum(1.0, 4, {1: 0.5, 2: 0.4})
         with pytest.raises(DomainError, match="modulation period"):
-            modulated_increments(coupling, kin, spect, 2 * math.pi, np.array([1.0, 2.0]),
+            modulated_increments(coupling, spect, 2 * math.pi, np.array([1.0, 2.0]),
                                  TlsState.ground(), 0.0, 0.0)
 
 
 class TestMultiQew:
-    def test_single_reduces(self, coupling, kin, tls):
+    def test_single_reduces(self, coupling, tls):
         sigma = 0.05
-        single = multi_qew_p2(1, coupling, kin, sigma, "point_train")
+        single = multi_qew_p2(1, coupling, sigma, "point_train")
         gam = gamma_parameter(tls.omega_21, sigma)
         assert single == pytest.approx(
-            p2_from_ground(coupling, kin) * math.exp(-gam * gam), rel=1e-12)
+            p2_from_ground(coupling) * math.exp(-gam * gam), rel=1e-12)
 
-    def test_quadratic_scaling(self, coupling, kin):
-        p10 = multi_qew_p2(10, coupling, kin, 0.05, "point_train")
-        p20 = multi_qew_p2(20, coupling, kin, 0.05, "point_train")
+    def test_quadratic_scaling(self, coupling):
+        p10 = multi_qew_p2(10, coupling, 0.05, "point_train")
+        p20 = multi_qew_p2(20, coupling, 0.05, "point_train")
         assert p20 == pytest.approx(4.0 * p10, rel=1e-12)
 
     def test_modulated_variant(self, coupling, kin):
-        p = multi_qew_p2(20, coupling, kin, 10.0, "modulated_correlated", f_n=0.5)
+        p = multi_qew_p2(20, coupling, 10.0, "modulated_correlated", f_n=0.5)
         amp2 = (abs(m_tilde(coupling.recoil_momentum, coupling))
                 / (HBAR_EV_FS * kin.v0)) ** 2
         # no envelope decay factor for the modulated variant
         assert p == pytest.approx(400 * amp2 * 0.25, rel=1e-12)
         with pytest.raises(DomainError):
-            multi_qew_p2(20, coupling, kin, 10.0, "modulated_correlated")
+            multi_qew_p2(20, coupling, 10.0, "modulated_correlated")
 
-    def test_correlated_vs_random_crossing(self, coupling, kin):
+    def test_correlated_vs_random_crossing(self, coupling):
         # a 20-electron locked train reaches the same level as 400 random
         # electrons (quadratic vs linear)
-        p_corr = multi_qew_p2(20, coupling, kin, 0.05, "point_train")
-        single = multi_qew_p2(1, coupling, kin, 0.05, "point_train")
+        p_corr = multi_qew_p2(20, coupling, 0.05, "point_train")
+        single = multi_qew_p2(1, coupling, 0.05, "point_train")
         assert p_corr == pytest.approx(400 * single, rel=1e-12)
 
     def test_rabi_warning(self, geometry, kin):
         big = TlsSpec.from_lab(2.0, 500.0)
         c = DipoleCoupling(big, geometry, kin)
         with pytest.warns(RegimeWarning):
-            multi_qew_p2(400, c, kin, 0.0, "point_train")
+            multi_qew_p2(400, c, 0.0, "point_train")
 
 
 class TestTransitionIncrement:

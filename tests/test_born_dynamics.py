@@ -183,20 +183,11 @@ class TestInteractionProfile:
         with pytest.raises(DomainError, match="sigma_et > 0"):
             modulated_interaction_profile(coupling, 0.0, flat, 0.0, 0.0, tls.omega_21)
 
-    def test_sigma_bar_recorded(self, coupling, tls, geometry):
-        sigma = 0.08
-        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
-        assert prof.sigma_bar_et == pytest.approx(sigma / geometry.transit_time,
-                                                  rel=1e-12)
-
 
 class TestEvolveTls:
     def test_zero_profile_is_identity(self, coupling, tls):
         grid = profile_time_grid(coupling, 0.05, 0.0, tls.omega_21)
-        prof = InteractionProfile(times=grid, values=np.zeros_like(grid),
-                                  orientation="transverse", sigma_bar_et=1.0,
-                                  t0=0.0, t_r=coupling.geometry.transit_time,
-                                  prefactor=0.0)
+        prof = InteractionProfile(times=grid, values=np.zeros_like(grid))
         state = TlsState.equatorial(0.7)
         traj = evolve_tls(state, prof, tls.omega_21)
         assert traj.final.c1 == pytest.approx(state.c1, abs=1e-15)
@@ -208,14 +199,14 @@ class TestEvolveTls:
         traj = evolve_tls(TlsState.equatorial(1.2), prof, tls.omega_21)
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
 
-    def test_ground_matches_closed_form(self, coupling, kin, tls):
+    def test_ground_matches_closed_form(self, coupling, tls):
         # near-point packet: Born P2 approaches the size-independent value
         sigma = 0.015 * tls.period
         prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         traj = evolve_tls(TlsState.ground(), prof, tls.omega_21)
-        assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling, kin), rel=0.02)
+        assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling), rel=0.02)
 
-    def test_superposition_matches_first_order(self, coupling, kin, tls):
+    def test_superposition_matches_first_order(self, coupling, tls):
         # zeta = pi/2, Gamma <= 1: increment within 5% of the closed form
         state = TlsState.equatorial(math.pi / 2.0)
         t0 = math.pi / tls.omega_21
@@ -223,7 +214,7 @@ class TestEvolveTls:
             sigma = frac * tls.period
             prof = interaction_profile(coupling, sigma, t0, tls.omega_21)
             traj = evolve_tls(state, prof, tls.omega_21)
-            pred = dp1_superposition(coupling, kin, state, t0, sigma)
+            pred = dp1_superposition(coupling, state, t0, sigma)
             assert traj.p2[-1] - traj.p2[0] == pytest.approx(pred, rel=0.05)
 
     def test_window_propagator_unitary(self, coupling, tls):
@@ -231,15 +222,12 @@ class TestEvolveTls:
         u = window_propagator(prof, tls.omega_21)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-9)
 
-    def test_coarse_profile_raises_step_error(self, coupling, tls):
+    def test_coarse_profile_raises_step_error(self, tls):
         # a hand-built profile with far too few samples for its amplitude
         # drifts the norm and trips the step-size guard
         t = np.linspace(-1.0, 1.0, 41)
         vals = 5.0 * np.exp(-(t**2) / 0.02)    # strong, few samples per cycle
-        prof = InteractionProfile(times=t, values=vals, orientation="transverse",
-                                  sigma_bar_et=1.0, t0=0.0,
-                                  t_r=coupling.geometry.transit_time,
-                                  prefactor=1.0)
+        prof = InteractionProfile(times=t, values=vals)
         with pytest.raises(StepSizeError):
             evolve_tls(TlsState.equatorial(0.1), prof, tls.omega_21)
 
@@ -295,9 +283,7 @@ def random_profile(n_samples, seed, amplitude=0.2):
     """Profile of n_samples random values in eV on a 1 fs window."""
     rng = np.random.default_rng(seed)
     t = np.linspace(-0.5, 0.5, n_samples)
-    return InteractionProfile(times=t, values=amplitude * rng.standard_normal(n_samples),
-                              orientation="transverse", sigma_bar_et=1.0, t0=0.0,
-                              t_r=1.0, prefactor=1.0)
+    return InteractionProfile(times=t, values=amplitude * rng.standard_normal(n_samples))
 
 
 # a chunk width at which the per-step reference loop checks profiles of
@@ -382,8 +368,7 @@ def gaussian_sum_profile(n_half, amps, centers, width):
     t = np.linspace(-1.0, 1.0, 2 * n_half + 1)
     vals = sum(a * np.exp(-((t - c) ** 2) / (2.0 * width**2))
                for a, c in zip(amps, centers))
-    return InteractionProfile(times=t, values=vals, orientation="transverse",
-                              sigma_bar_et=1.0, t0=0.0, t_r=1.0, prefactor=1.0)
+    return InteractionProfile(times=t, values=vals)
 
 
 # n_half >= 400 puts at least 8 samples in every Gaussian width (>= 0.02): the
@@ -415,9 +400,7 @@ def sech_profile(f0, width, h):
     """f0 sech(t / width) eV on t = -60 width .. 60 width at step h."""
     n = int(round(60.0 * width / h))
     t = h * np.arange(-n, n + 1)
-    return InteractionProfile(times=t, values=f0 / np.cosh(t / width),
-                              orientation="transverse", sigma_bar_et=1.0, t0=0.0,
-                              t_r=1.0, prefactor=f0)
+    return InteractionProfile(times=t, values=f0 / np.cosh(t / width))
 
 
 def rosen_zener_p2(omega_t, area):
@@ -534,7 +517,7 @@ class TestPhaseTables:
         grid = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, 1024)
         t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0,
                                             **scenarios.window_factors(cfg))
-        steps, _ = step_schedule((t_start, t_end), default_time_step(grid, coupling, tls),
+        steps, _ = step_schedule((t_start, t_end), default_time_step(grid, coupling),
                                  cfg["numerics"]["time_samples"])
         assert steps == 1104
         dt = (t_end - t_start) / steps
@@ -552,8 +535,7 @@ class TestPhaseTables:
         # difference would be off by 4e-12 relative and miss here
         t, w21, _ = benchmark_grid
         vals = np.cos(0.3 * t) + 0.5
-        prof = InteractionProfile(times=t, values=vals, orientation="transverse",
-                                  sigma_bar_et=1.0, t0=0.0, t_r=1.0, prefactor=1.0)
+        prof = InteractionProfile(times=t, values=vals)
         drives = []
 
         def recorded(w2, dt):

@@ -156,7 +156,7 @@ def _assembly(orientation, sigma_p0, n=64):
     """An assembly on the grid that a packet of momentum width sigma_p0 needs."""
     cpl = COUPLINGS[orientation]
     grid = build_grid(KIN, sigma_p0, cpl.recoil_momentum, n)
-    return assemble_hamiltonian(grid, KIN, cpl, cpl.tls)
+    return assemble_hamiltonian(grid, cpl)
 
 
 @settings(max_examples=15, deadline=None)
@@ -215,7 +215,7 @@ def test_grid_windows_are_channels_equal_to_one_shape_calls(orientation, gammas)
     cpl = COUPLINGS[orientation]
     packets = [default_packet(GaussianQewSpec.from_duration(KIN, g / cpl.tls.omega_21), cpl, 64)
                for g in gammas]
-    windows = grid_windows(packets, cpl, cpl.tls)
+    windows = grid_windows(packets, cpl)
     assert len(windows) == len(packets)
     for packet, window in zip(packets, windows):
         k = window.channel
@@ -226,7 +226,7 @@ def test_grid_windows_are_channels_equal_to_one_shape_calls(orientation, gammas)
         np.testing.assert_allclose(quad, quad.transpose(1, 0, 3, 2).conj(), rtol=0, atol=1e-12)
         choi = quad.transpose(2, 0, 3, 1).reshape(4, 4)     # sum_ij |i><j| (x) K(|i><j|)
         assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12
-        [alone] = grid_windows([packet], cpl, cpl.tls)
+        [alone] = grid_windows([packet], cpl)
         np.testing.assert_allclose(k, alone.channel, rtol=0, atol=1e-13)
         assert (window.length, window.omega_21) == (alone.length, alone.omega_21)
 

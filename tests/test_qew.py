@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from feberi.core import HBAR_EV_FS, ME_EV_FS2_NM2, TWO_PI, DomainError
+from feberi.core import HBAR_EV_FS, ME_EV_FS2_NM2, TWO_PI, DomainError, kinematics_from_kev
 from feberi.qew import (
     GaussianQewSpec,
     ModulatedQewSpec,
@@ -22,10 +22,11 @@ from feberi.qew import (
     modulated_momentum_amplitudes,
     modulation_fourier_coefficients,
     optimal_drift_time,
+    packet_for_spec,
     sideband_cutoff,
     tooth_sigma_et,
 )
-from feberi.grid import MomentumGrid, build_grid
+from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid, build_grid
 
 
 @pytest.fixture
@@ -404,3 +405,23 @@ class TestHarmonicSumsByFft:
                                   omega_b=tls.omega_21 / 2.0)
         with pytest.raises(ResolutionError, match="no half-maximum"):
             tooth_sigma_et(flat)
+
+
+@pytest.mark.parametrize("kind, n", [("gaussian", 128), ("modulated", 512)])
+def test_packet_for_spec_refuses_kinematics_other_than_the_couplings(coupling, tls, kind, n):
+    # the grid solvers take the dispersion from the coupling and the packet's
+    # amplitudes from its spec: a 100 keV packet under a 200 keV coupling
+    # would mix the two, so it is refused; equal kinematics built apart pass
+    def spec_at(kev):
+        kin = kinematics_from_kev(kev)
+        if kind == "gaussian":
+            return GaussianQewSpec.from_duration(kin, 0.2)
+        return ModulatedQewSpec(base=GaussianQewSpec.from_duration(kin, 5.0), g=0.5,
+                                omega_b=tls.omega_21 / 2.0)
+
+    assert coupling.kin.kinetic_energy == 200e3
+    with pytest.raises(DomainError, match="does not match the coupling"):
+        packet_for_spec(spec_at(100.0), coupling, n, WINDOW_TRANSIT_FACTOR, WINDOW_SIGMA_FACTOR)
+    packet = packet_for_spec(spec_at(200.0), coupling, n, WINDOW_TRANSIT_FACTOR,
+                             WINDOW_SIGMA_FACTOR)
+    assert packet.spec.kin == coupling.kin

@@ -72,7 +72,7 @@ def per_zeta_increments(cfg, packet):
     out = []
     for zeta in fig56_zetas(cfg):
         traj = sd.run_qew_interaction(packet, TlsState.equatorial(wrap_phase(-zeta)),
-                                      coupling, tls, times=window)
+                                      coupling, times=window)
         out.append(traj.p2[-1] - traj.p2[0])
     return out
 
@@ -260,13 +260,13 @@ def test_modulated_scan_equals_one_call_per_point():
     for n_h in cfg["sweep"]["scan_harmonics"]:
         w_scan = n_h * spectrum.omega_b + detuning
         dp2 = series[f"scan_harmonic_{n_h}"]["dP2_analytic"]
-        inc = analytic.modulated_increments(coupling, kin, spectrum, sigma, w_scan,
+        inc = analytic.modulated_increments(coupling, spectrum, sigma, w_scan,
                                             state, 0.3, 0.8)
         for k, w21 in enumerate(w_scan):
             point = DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
-            ground = analytic.modulated_increments(point, kin, spectrum, sigma, w21,
+            ground = analytic.modulated_increments(point, spectrum, sigma, w21,
                                                    TlsState.ground(), 0.0, 0.0)
-            one = analytic.modulated_increments(point, kin, spectrum, sigma, w21,
+            one = analytic.modulated_increments(point, spectrum, sigma, w21,
                                                 state, 0.3, 0.8)
             assert ground.dp2 == pytest.approx(dp2[k], rel=1e-14)
             assert one.dp2 == pytest.approx(inc.dp2[k], rel=1e-14)
@@ -280,15 +280,13 @@ def test_born_step_products_memory():
     # chunk by chunk, so it holds no full-length complex drive array
     cfg = default_config("modulated_resonance")
     cfg["physics"]["impact_parameter_nm"] = 9.6
-    _, tls, geo, coupling = physics_bundle(cfg)
+    _, tls, _, coupling = physics_bundle(cfg)
     sigma = cfg["sweep"]["envelope_sigma_et_fs"]
     times = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
     assert len(times) == 183275
-    k = bd.kernel_prefactor(coupling)
     profile = bd.InteractionProfile(
-        times=times, values=k * np.exp(-(times**2) / (2.0 * sigma**2)) * np.cos(times),
-        orientation="transverse", sigma_bar_et=sigma / geo.transit_time, t0=0.0,
-        t_r=geo.transit_time, prefactor=k)
+        times=times, values=bd.kernel_prefactor(coupling)
+        * np.exp(-(times**2) / (2.0 * sigma**2)) * np.cos(times))
     tracemalloc.start()
     try:
         bd.evolve_tls(TlsState.ground(), profile, tls.omega_21)

@@ -50,9 +50,9 @@ def spec(kin, tls):
 
 
 @pytest.fixture
-def assembly(kin, tls, coupling, spec):
+def assembly(coupling, spec):
     grid = grid_for_spec(spec, coupling, 128)
-    return assemble_hamiltonian(grid, kin, coupling, tls)
+    return assemble_hamiltonian(grid, coupling)
 
 
 class TestAssembly:
@@ -64,7 +64,7 @@ class TestAssembly:
         tiny = TlsSpec.from_lab(2.0, 1e-9)
         cpl = DipoleCoupling(tiny, geometry, kin)
         grid = grid_for_spec(spec, cpl, 64)
-        h = assemble_hamiltonian(grid, kin, cpl, tiny)
+        h = assemble_hamiltonian(grid, cpl)
         off = h.h_total - np.diag(np.diag(h.h_total))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -96,7 +96,7 @@ class TestAssembly:
                             lambda grid, cpl: column(grid, cpl) + 1e-3j * column(grid, parallel))
         cpl = DipoleCoupling(tls, geometry, kin, "transverse")
         with pytest.raises(AssemblyError, match="not Hermitian"):
-            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), kin, cpl, tls)
+            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), cpl)
 
 
 def kernel_matrix(h):
@@ -120,7 +120,7 @@ def gauged(request, kin, tls, geometry, spec):
     extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
     grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
                       extra_halfwidth=extra)
-    return cpl, assemble_hamiltonian(grid, kin, cpl, tls)
+    return cpl, assemble_hamiltonian(grid, cpl)
 
 
 def eigh_reference(psi, h, t):
@@ -206,24 +206,24 @@ class TestRealGauge:
                             lambda grid, cpl: column(grid, cpl) + 1e-3 * column(grid, transverse))
         cpl = DipoleCoupling(tls, geometry, kin, "parallel")
         with pytest.raises(AssemblyError, match="TLS gauge"):
-            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), kin, cpl, tls)
+            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), cpl)
 
 
-def test_assembly_stores_no_dense_matrix(kin, tls, coupling, spec):
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), kin, coupling, tls)
+def test_assembly_stores_no_dense_matrix(coupling, spec):
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), coupling)
     stored = {k: v.size for k, v in vars(h).items() if isinstance(v, np.ndarray)}
     assert set(stored) == {"h0f", "h0b", "h_ib", "coupling_column"}
     assert max(stored.values()) <= 2 * 1024
     assert h._eig is None
 
 
-def test_grid_runs_never_build_the_dense_matrix(coupling, tls, spec, monkeypatch):
+def test_grid_runs_never_build_the_dense_matrix(coupling, spec, monkeypatch):
     def refuse(h):
         raise AssertionError("dense h_total built")
 
     monkeypatch.setattr(solver_density.HamiltonianAssembly, "h_total", property(refuse))
     traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                               coupling, tls)
+                               coupling)
     assert traj.p2[-1] == pytest.approx(8.27e-7, rel=0.01)
     summary = run_scenario(default_config("solver_crosscheck")).summary
     assert summary["final_rel_difference"] <= 1e-3
@@ -236,7 +236,7 @@ def test_evolve_vector_holds_one_copy_of_the_states():
     kin, tls, geo, coupling = physics_bundle(cfg)
     sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), kin, coupling, tls)
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), coupling)
     t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0)
     psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
     tracemalloc.start()
@@ -262,7 +262,7 @@ def traced_crosscheck():
     times = packet.window[0] + k * ((packet.window[1] - packet.window[0]) / steps)
     tracemalloc.start()
     try:
-        traj = run_qew_interaction(packet, TlsState.ground(), coupling, tls, times=times)
+        traj = run_qew_interaction(packet, TlsState.ground(), coupling, times=times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,7 +466,7 @@ class TestChebyshev:
         monkeypatch.setattr(solver_density, "evolve_vector", None)
         with pytest.raises(PropagationError, match="norm"):
             run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                                coupling, tls)
+                                coupling)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -483,7 +483,7 @@ def test_fig3_plateau_against_extended_precision():
     kin, tls, geo, coupling = physics_bundle(cfg)
     sigma = 0.3 * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), kin, coupling, tls)
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), coupling)
     t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0)
     psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
     x = taylor_reference(h, psi0, t_end - t_start)
@@ -526,9 +526,9 @@ def test_trajectory_at_record_times_equals_one_call_per_time(tls, geometry, spec
     k = np.append(np.arange(0, steps, every), steps)
     times = window[0] + k * ((window[1] - window[0]) / steps)
     state = TlsState.equatorial(0.7)
-    traj = run_qew_interaction(default_packet(spec, coupling, 128), state, coupling, tls,
+    traj = run_qew_interaction(default_packet(spec, coupling, 128), state, coupling,
                                times=times, collect_rho_b=True)
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), kin, coupling, tls)
+    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), coupling)
     r_max = _spectral_bounds(h)[1] * (times[-1] - times[0]) / HBAR_EV_FS
     assert (_kept_orders(r_max, _chebyshev_points(r_max)) <= times.size) == streamed
     psi0 = initial_joint_vector(h.grid, spec, state, times[0], tls.energy_gap)
@@ -587,14 +587,14 @@ class TestPartialTraces:
         np.testing.assert_allclose(rho_b, np.outer(tls_vec, tls_vec.conj()),
                                    atol=1e-12)
 
-    def test_occupations_sum_to_one(self, coupling, tls, spec):
+    def test_occupations_sum_to_one(self, coupling, spec):
         traj = run_qew_interaction(default_packet(spec, coupling, 128),
-                                   TlsState.equatorial(0.2), coupling, tls)
+                                   TlsState.equatorial(0.2), coupling)
         np.testing.assert_allclose(traj.p1 + traj.p2, 1.0, atol=1e-9)
 
-    def test_entanglement_entropy_positive(self, coupling, tls, spec):
+    def test_entanglement_entropy_positive(self, coupling, spec):
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                                   coupling, tls)
+                                   coupling)
         rho_b = traj.final_rho_b()
         evals = np.linalg.eigvalsh(rho_b)
         evals = evals[evals > 1e-300]
@@ -603,14 +603,14 @@ class TestPartialTraces:
 
 
 class TestScenario:
-    def test_ground_plateau_regression(self, coupling, tls, spec, kin):
+    def test_ground_plateau_regression(self, coupling, spec):
         # frozen from this implementation at n=256; matches the closed form
         # within 2 percent (the criterion tolerance)
         from feberi.analytic import p2_from_ground
         traj = run_qew_interaction(default_packet(spec, coupling, 256), TlsState.ground(),
-                                   coupling, tls)
+                                   coupling)
         assert traj.p2[-1] == pytest.approx(8.266149849078361e-07, rel=1e-6)
-        assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling, kin), rel=0.02)
+        assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling), rel=0.02)
 
     def test_size_independence(self, coupling, tls, kin):
         # Gamma from 0.1 to 3: plateau constant within 3%
@@ -618,14 +618,14 @@ class TestScenario:
         for gam in (0.1, 0.6, 1.5, 3.0):
             spec = GaussianQewSpec.from_duration(kin, gam / tls.omega_21, t0=0.0)
             traj = run_qew_interaction(default_packet(spec, coupling, 256), TlsState.ground(),
-                                       coupling, tls)
+                                       coupling)
             finals.append(traj.p2[-1])
         finals = np.array(finals)
         assert (finals.max() - finals.min()) / finals.mean() < 0.03
 
     def test_energy_accounting_ground(self, coupling, tls, spec):
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                                   coupling, tls)
+                                   coupling)
         acc = energy_accounting(traj)
         np.testing.assert_allclose(acc["delta_e_total"], 0.0, atol=1e-9)
         resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
@@ -637,11 +637,11 @@ class TestScenario:
         t0 = math.pi / tls.omega_21
         spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=t0)
         traj = run_qew_interaction(default_packet(spec, coupling, 128),
-                                   TlsState.equatorial(math.pi / 2), coupling, tls)
+                                   TlsState.equatorial(math.pi / 2), coupling)
         acc = energy_accounting(traj)
         resid = np.abs(acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0]))
         ground = run_qew_interaction(default_packet(spec.with_arrival(t0), coupling, 128),
-                                     TlsState.ground(), coupling, tls)
+                                     TlsState.ground(), coupling)
         acc_g = energy_accounting(ground)
         resid_g = np.abs(acc_g["delta_e_free"]
                          + tls.energy_gap * (ground.p2 - ground.p2[0]))
@@ -656,7 +656,7 @@ def eigh_train(rho_b0, qews, coupling, tls, n):
     each branch is propagated as a pure state with that electron's packet."""
     base = qews[0]
     grid = grid_for_spec(base, coupling, n)
-    h = assemble_hamiltonian(grid, base.kin, coupling, tls)
+    h = assemble_hamiltonian(grid, coupling)
     window_half = interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0)[1]
     w, v = np.linalg.eigh(h.h_total)
     s = h.gauge_diagonal()
@@ -685,11 +685,10 @@ def _pure(state):
 
 
 class TestSequentialTrain:
-    def test_single_matches_direct(self, coupling, tls, kin, spec):
-        p2_seq, rho_b = sequential_multi_qew(np.diag([1.0, 0.0]), [spec], coupling,
-                                             tls, n=128)
+    def test_single_matches_direct(self, coupling, kin, spec):
+        p2_seq, rho_b = sequential_multi_qew(np.diag([1.0, 0.0]), [spec], coupling, n=128)
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                                   coupling, tls)
+                                   coupling)
         assert p2_seq[-1] == pytest.approx(traj.p2[-1], rel=1e-9)
         np.testing.assert_allclose(rho_b, traj.final_rho_b(), atol=1e-12)
 
@@ -701,7 +700,7 @@ class TestSequentialTrain:
         sigma_pt = 0.1
         qews = [GaussianQewSpec.from_duration(kin, sigma_pt, t0=t)
                 for t in sched.times]
-        p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls,
+        p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling,
                                          n=128)
         _, r2 = quadratic_fit(np.arange(1, 7), p2_seq)
         assert r2 > 0.999
@@ -719,19 +718,18 @@ class TestSequentialTrain:
                                      seed=300 + s)
             qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t)
                     for t in sched.times]
-            p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling,
-                                             tls, n=64)
+            p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
             acc += p2_seq
         mean = acc / n_seeds
         # ensemble mean grows linearly: P2(6)/P2(1) ~ 6 well below quadratic 36
         ratio = mean[-1] / mean[0]
         assert 2.0 < ratio < 14.0
 
-    def test_window_overlap_rejected(self, coupling, tls, kin):
+    def test_window_overlap_rejected(self, coupling, kin):
         qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0),
                 GaussianQewSpec.from_duration(kin, 0.1, t0=0.3)]
         with pytest.raises(DomainError):
-            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls, n=64)
+            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
 
     @pytest.mark.parametrize("kind", ["correlated", "random"])
     @pytest.mark.parametrize("rho_b0", [
@@ -743,7 +741,7 @@ class TestSequentialTrain:
         sched = arrival_schedule(kind, 20, omega_b, mean_spacing=3 * TWO_PI / omega_b,
                                  seed=7)
         qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in sched.times]
-        p2_seq, rho_b = sequential_multi_qew(rho_b0, qews, coupling, tls, n=128)
+        p2_seq, rho_b = sequential_multi_qew(rho_b0, qews, coupling, n=128)
         p2_want, rho_want = eigh_train(rho_b0, qews, coupling, tls, n=128)
         np.testing.assert_allclose(p2_seq, p2_want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rho_b, rho_want, rtol=0, atol=1e-12)
@@ -754,21 +752,21 @@ class TestSequentialTrain:
         qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0),
                 GaussianQewSpec.from_duration(kin, 1.0, t0=100.0)]
         with pytest.raises(DomainError, match="arrival time"):
-            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls, n=64)
+            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
         base = GaussianQewSpec.from_duration(kin, 10.0)
         mods = [ModulatedQewSpec(base=base, g=1.0, omega_b=tls.omega_21 / 2.0),
                 ModulatedQewSpec(base=base.with_arrival(300.0), g=1.0,
                                  omega_b=tls.omega_21 / 2.0, phi_b=0.5)]
         with pytest.raises(DomainError, match="arrival time"):
-            sequential_multi_qew(np.diag([1.0, 0.0]), mods, coupling, tls, n=64)
+            sequential_multi_qew(np.diag([1.0, 0.0]), mods, coupling, n=64)
 
     def test_modulated_packets_differing_in_arrival_accepted(self, coupling, tls, kin):
         # a g = 0 modulated train is its base packets' train
         bases = [GaussianQewSpec.from_duration(kin, 5.0, t0=t) for t in (0.0, 100.0)]
         mods = [ModulatedQewSpec(base=b, g=0.0, omega_b=tls.omega_21 / 2.0) for b in bases]
         rho_b0 = _pure(TlsState.equatorial(0.7))
-        p2_mod, _ = sequential_multi_qew(rho_b0, mods, coupling, tls, n=512)
-        p2_base, _ = sequential_multi_qew(rho_b0, bases, coupling, tls, n=512)
+        p2_mod, _ = sequential_multi_qew(rho_b0, mods, coupling, n=512)
+        p2_base, _ = sequential_multi_qew(rho_b0, bases, coupling, n=512)
         np.testing.assert_allclose(p2_mod, p2_base, rtol=1e-12)
 
     @pytest.mark.parametrize("rho_b0, reason", [
@@ -776,10 +774,10 @@ class TestSequentialTrain:
         (np.array([[1.0, 0.9], [0.0, 0.0]]), "Hermitian"),
         (np.diag([1.5, -0.5]), "positive semidefinite"),
     ], ids=["not-2x2", "not-hermitian", "not-psd"])
-    def test_invalid_rho_b0_rejected(self, coupling, tls, kin, rho_b0, reason):
+    def test_invalid_rho_b0_rejected(self, coupling, kin, rho_b0, reason):
         qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0)]
         with pytest.raises(DomainError, match=f"rho_b0 must be {reason}"):
-            sequential_multi_qew(rho_b0, qews, coupling, tls, n=64)
+            sequential_multi_qew(rho_b0, qews, coupling, n=64)
 
 
 @pytest.mark.parametrize("orientation, rel", [("transverse", 1e-4), ("parallel", 1e-3)])
@@ -799,24 +797,24 @@ def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
     born = train_window(coupling, sigma, tls.omega_21, **profile_grid_args(cfg))
     [grid] = grid_windows([packet_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling,
                                            cfg["numerics"]["grid_points"],
-                                           **window_factors(cfg))], coupling, tls)
+                                           **window_factors(cfg))], coupling)
     ratio = born.channel[3, 0].real / grid.channel[3, 0].real
     assert ratio == pytest.approx(math.exp(-gamma ** 2), rel=rel)
 
 
-def test_grid_windows_refuse_a_packet_not_arriving_at_zero(coupling, tls, kin):
+def test_grid_windows_refuse_a_packet_not_arriving_at_zero(coupling, kin):
     # each window starts its packet at -half of its own window: a packet
     # arriving at t0 = 5 fs would run over -(5 + half)..(5 + half) and give a
     # channel 1.5e-3 off its t0 = 0 channel, so it is refused, alone or in a block
     on_time = default_packet(GaussianQewSpec.from_duration(kin, 0.2), coupling, 128)
     late = default_packet(GaussianQewSpec.from_duration(kin, 0.2, t0=5.0), coupling, 128)
-    grid_windows([on_time], coupling, tls)
+    grid_windows([on_time], coupling)
     for packets in ([late], [on_time, late]):
         with pytest.raises(DomainError, match="arrive at t = 0"):
-            grid_windows(packets, coupling, tls)
+            grid_windows(packets, coupling)
 
 
-def test_no_scenario_or_train_calls_eigh(coupling, tls, kin, assembly, monkeypatch):
+def test_no_scenario_or_train_calls_eigh(coupling, kin, assembly, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigendecomposition called")
 
@@ -827,7 +825,7 @@ def test_no_scenario_or_train_calls_eigh(coupling, tls, kin, assembly, monkeypat
     for name in SCENARIOS:
         run_scenario(default_config(name))
     qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in (0.0, 20.0, 45.0)]
-    p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, tls, n=64)
+    p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
     assert np.all(p2_seq > 0.0)
 
 

@@ -84,7 +84,7 @@ class TestCouplingMatrix:
                 np.testing.assert_allclose(diag, np.full(64 - abs(d), diag[0]), rtol=1e-12)
 
 
-def reference_integrate(state0, t_span, dt, grid, coupling, tls, n_records):
+def reference_integrate(state0, t_span, dt, grid, coupling, n_records):
     """The amplitude equations stepped by RK4 as written: the dense kernel, and a
     fresh exp of every phase at every stage.  Returns (times, p1, p2, e_free,
     norm, final (v1, v2)) on integrate's step and record schedule."""
@@ -94,7 +94,7 @@ def reference_integrate(state0, t_span, dt, grid, coupling, tls, n_records):
     mt = toeplitz_kernel(grid, coupling)
     energies = coupling.kin.dispersion(grid.points)
     w = energies / HBAR_EV_FS
-    w21 = tls.energy_gap / HBAR_EV_FS
+    w21 = coupling.tls.energy_gap / HBAR_EV_FS
 
     def rhs(t, v):
         ph = np.exp(1j * w * t)
@@ -131,15 +131,15 @@ class TestStageKernel:
                              ids=["ground", "equatorial"])
     @pytest.mark.parametrize("orientation", ["transverse", "parallel"],
                              ids=["transverse-rk4", "parallel-rk4"])
-    def test_matches_reference_loop(self, coupling, coupling_parallel, tls, spec,
-                                    orientation, state):
+    def test_matches_reference_loop(self, coupling, coupling_parallel, spec, orientation,
+                                    state):
         cpl = coupling if orientation == "transverse" else coupling_parallel
         g = grid_for_spec(spec, cpl, 128)
         win = interaction_window(spec.sigma_et, cpl.geometry.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, state, win[0])
         dt = (win[1] - win[0]) / 302
-        traj = integrate(s0, win, dt, g, cpl, tls, n_records=7)
-        times, p1, p2, e_free, norm, v = reference_integrate(s0, win, dt, g, cpl, tls, 7)
+        traj = integrate(s0, win, dt, g, cpl, n_records=7)
+        times, p1, p2, e_free, norm, v = reference_integrate(s0, win, dt, g, cpl, 7)
         n_steps = round((win[1] - win[0]) / traj.dt)
         assert n_steps % (n_steps // 7) != 0    # the last record is off the schedule
         np.testing.assert_array_equal(traj.times, times)
@@ -155,18 +155,18 @@ class TestIntegration:
         g = grid_for_spec(spec, cpl, 128)
         win = interaction_window(spec.sigma_et, geometry.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
-        traj = integrate(s0, win, default_time_step(g, cpl, tiny), g, cpl, tiny)
+        traj = integrate(s0, win, default_time_step(g, cpl), g, cpl)
         assert traj.p2[-1] < 1e-20
         np.testing.assert_allclose(np.abs(traj.final.v1), np.abs(s0.v1), rtol=1e-10)
 
-    def test_step_ceiling(self, coupling, tls, spec):
+    def test_step_ceiling(self, coupling, spec):
         # a span of more than MAX_RK4_STEPS steps is refused before any step
         g = grid_for_spec(spec, coupling, 128)
         s0 = initial_amplitudes(g, spec, TlsState.ground(), 0.0)
         dt = 1.0 / MAX_RK4_STEPS
         assert step_schedule((0.0, 1.0 + dt), dt, 1)[0] == MAX_RK4_STEPS + 1
         with pytest.raises(DomainError, match=f"{MAX_RK4_STEPS + 1} RK4 steps exceed"):
-            integrate(s0, (0.0, 1.0 + dt), dt, g, coupling, tls)
+            integrate(s0, (0.0, 1.0 + dt), dt, g, coupling)
 
     def test_initial_factorization(self, coupling, spec):
         g = grid_for_spec(spec, coupling, 128)
@@ -174,25 +174,25 @@ class TestIntegration:
         s0 = initial_amplitudes(g, spec, state, -1.0)
         np.testing.assert_allclose(s0.v2 / s0.v1, state.c2 / state.c1, rtol=1e-12)
 
-    def test_norm_conserved_rk4(self, coupling, tls, spec):
-        traj = run_gaussian_scenario(spec, TlsState.ground(), coupling, tls, n=128)
+    def test_norm_conserved_rk4(self, coupling, spec):
+        traj = run_gaussian_scenario(spec, TlsState.ground(), coupling, n=128)
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
 
     def test_energy_bookkeeping(self, coupling, tls, spec):
-        traj = run_gaussian_scenario(spec, TlsState.ground(), coupling, tls, n=128)
+        traj = run_gaussian_scenario(spec, TlsState.ground(), coupling, n=128)
         resid = (traj.e_free - traj.e_free[0]) + tls.energy_gap * (traj.p2 - traj.p2[0])
         assert np.max(np.abs(resid)) <= 1e-3 * tls.energy_gap
 
-    def test_dt_halving_converged(self, coupling, tls, spec):
+    def test_dt_halving_converged(self, coupling, spec):
         g = grid_for_spec(spec, coupling, 128)
         win = interaction_window(spec.sigma_et, coupling.geometry.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
-        dt = default_time_step(g, coupling, tls)
-        p_a = integrate(s0, win, dt, g, coupling, tls).p2[-1]
-        p_b = integrate(s0, win, dt / 2, g, coupling, tls).p2[-1]
+        dt = default_time_step(g, coupling)
+        p_a = integrate(s0, win, dt, g, coupling).p2[-1]
+        p_b = integrate(s0, win, dt / 2, g, coupling).p2[-1]
         assert abs(p_a / p_b - 1.0) < 1e-6
 
-    def test_grid_doubling_converged(self, kin, coupling, tls, spec):
+    def test_grid_doubling_converged(self, kin, coupling, spec):
         win = interaction_window(spec.sigma_et, coupling.geometry.transit_time, 0.0)
         finals = []
         for n in (128, 256):
@@ -200,8 +200,8 @@ class TestIntegration:
                              p_cutoff=max(8 * spec.sigma_p0,
                                           6 * abs(coupling.recoil_momentum)))
             s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
-            dt = default_time_step(g, coupling, tls)
-            finals.append(integrate(s0, win, dt, g, coupling, tls).p2[-1])
+            dt = default_time_step(g, coupling)
+            finals.append(integrate(s0, win, dt, g, coupling).p2[-1])
         assert abs(finals[1] / finals[0] - 1.0) < 1e-4
 
     def test_superposition_increment(self, coupling, kin, tls):
@@ -210,6 +210,6 @@ class TestIntegration:
         state = TlsState.equatorial(math.pi / 2)
         t0 = math.pi / tls.omega_21
         spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=t0)
-        traj = run_gaussian_scenario(spec, state, coupling, tls, n=128)
-        pred = dp1_superposition(coupling, kin, state, t0, spec.sigma_et)
+        traj = run_gaussian_scenario(spec, state, coupling, n=128)
+        pred = dp1_superposition(coupling, state, t0, spec.sigma_et)
         assert traj.p2[-1] - traj.p2[0] == pytest.approx(pred, rel=0.02)
