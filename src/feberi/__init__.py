@@ -14,12 +14,14 @@ The package computes the TLS transition probability three independent ways:
 and reproduces the wavepacket-size decay, arrival-phase matching, modulation
 resonance, and N-squared correlated-train buildup effects.
 
+One value, ``DipoleCoupling(tls, r_perp, kin, orientation)``, carries the
+physics of a run: TLS, impact parameter, beam and dipole orientation.
+
 Internal unit system: energies in eV, times in fs, lengths in nm.
 """
 
 from feberi.core import (
     ElectronKinematics,
-    InteractionGeometry,
     TlsSpec,
     TlsState,
     bloch_phase,
@@ -30,7 +32,6 @@ from feberi.coulomb import DipoleCoupling
 
 __all__ = [
     "ElectronKinematics",
-    "InteractionGeometry",
     "TlsSpec",
     "TlsState",
     "DipoleCoupling",

@@ -157,8 +157,8 @@ def modulated_increments(coupling: DipoleCoupling, spectrum: ModulationSpectrum,
     an array gives dp1 and dp2 of its shape, from one pass, and the flags
     raised at any of its points.  The recoil p_rec = -hbar omega_21 / v0 is
     taken at each omega_21, in one m_tilde call; ``coupling`` supplies the
-    dipole, geometry and kinematics (v0 of the recoil and of the 1/(hbar v0)
-    amplitude), not the gap.
+    dipole, impact parameter, orientation and kinematics (v0 of the recoil and
+    of the 1/(hbar v0) amplitude), not the gap.
     """
     if sigma_et <= 2.0 * math.pi / spectrum.omega_b:
         raise DomainError("envelope must be longer than one modulation period")

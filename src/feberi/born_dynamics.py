@@ -133,7 +133,7 @@ def kernel_prefactor(coupling: DipoleCoupling) -> float:
     odd-part scale; the profile is K times a dimensionless convolution in
     t/t_r.
     """
-    return coupling.kin.gamma * coupling.prefactor / coupling.geometry.r_perp**2
+    return coupling.kin.gamma * coupling.prefactor / coupling.r_perp**2
 
 
 def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
@@ -146,7 +146,7 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
     period, so an RK4 step of two grid intervals meets the
     min(t_r, sigma_et, T_21)/50 rule.
     """
-    t_r = coupling.geometry.transit_time
+    t_r = coupling.transit_time
     scales = [t_r, TWO_PI / omega_21]
     if sigma_et > 0.0:
         scales.append(sigma_et)
@@ -157,7 +157,7 @@ def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
 def _window_grid(coupling: DipoleCoupling, sigma_et: float, t0: float, step: float,
                  transit_factor: float, sigma_factor: float) -> np.ndarray:
     """t0 + step * (-n..n), the fewest samples that cover the interaction window."""
-    half = interaction_window(sigma_et, coupling.geometry.transit_time, 0.0,
+    half = interaction_window(sigma_et, coupling.transit_time, 0.0,
                               transit_factor, sigma_factor)[1]
     n = int(math.ceil(half / step))
     return t0 + step * np.arange(-n, n + 1)
@@ -193,7 +193,7 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
     grid = profile_time_grid(coupling, sigma_et, t0, omega_21, transit_factor,
                              sigma_factor, points_per_scale)
     h = _span_step(grid)
-    t_r = coupling.geometry.transit_time
+    t_r = coupling.transit_time
     _check_step(h, min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0)
     v0 = coupling.kin.v0
     if sigma_et < h:
@@ -288,7 +288,7 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     h = _span_step(grid)
     _check_step(h, scale / 20.0)
     n = (len(grid) - 1) // 2
-    t_r = coupling.geometry.transit_time
+    t_r = coupling.transit_time
     size = fft.next_fast_len(len(grid) + math.ceil(2.0 * KERNEL_REACH_TR * t_r / h),
                              real=True)
     d_omega = TWO_PI / (size * h)

@@ -27,7 +27,7 @@ import numpy as np
 
 from feberi import __version__
 from feberi.born_dynamics import PROFILE_POINTS_PER_SCALE, StepSizeError
-from feberi.core import HBAR_EV_FS, TWO_PI, DomainError
+from feberi.core import HBAR_EV_FS, ORIENTATIONS, TWO_PI, DomainError
 from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR
 from feberi.qew import ResolutionError, TruncationError, gamma_parameter
 from feberi.scenarios import SCENARIOS, ScenarioResult, plan, resonance_scan, run_scenario
@@ -57,7 +57,7 @@ _COMMON_SCHEMA = {
         "impact_parameter_nm": ("float", None, 2.4, "> 0"),
         "energy_gap_ev": ("float", None, 2.0, "> 0"),
         "dipole_debye": ("float", None, 5.0, "> 0"),
-        "orientation": ("choice", ["parallel", "transverse"], "transverse", None),
+        "orientation": ("choice", list(ORIENTATIONS), "transverse", None),
     },
     "numerics": {
         "grid_points": ("int", None, 256, None),   # validate reports a bad size
@@ -374,7 +374,7 @@ def validate_config(cfg: dict) -> list[str]:
     """The report of the run's plan, ending in "valid" when it has no ERROR
     line.  Raises DomainError if the physics cannot be built."""
     planned = plan(cfg)
-    kin, tls, geo, _ = planned.physics
+    coupling, kin, tls = planned.coupling, planned.coupling.kin, planned.coupling.tls
     scenario = cfg["run"]["scenario"]
     num = cfg["numerics"]
     n = num["grid_points"]
@@ -383,7 +383,7 @@ def validate_config(cfg: dict) -> list[str]:
     late = [e for e in planned.errors if e.startswith(("ERROR bunch", "ERROR closed"))]
     report = [f"scenario: {scenario}",
               f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
-              f"omega21={tls.omega_21:.4f} rad/fs t_r={geo.transit_time * 1e3:.3f} as",
+              f"omega21={tls.omega_21:.4f} rad/fs t_r={coupling.transit_time * 1e3:.3f} as",
               *(first or [f"grid points: {n} (ok)"])]
 
     sweep = cfg["sweep"]
@@ -418,7 +418,7 @@ def validate_config(cfg: dict) -> list[str]:
     report += late
     report.append(f"window factors: transit x{num['window_transit_factor']:g}, "
                   f"sigma x{num['window_sigma_factor']:g}")
-    t_r_w = geo.transit_time * tls.omega_21
+    t_r_w = coupling.transit_time * tls.omega_21
     report.append(f"t_r * omega21 = {t_r_w:.3g} "
                   f"({'fast transit' if t_r_w < 1 else 'slow transit'})")
     if not planned.errors:

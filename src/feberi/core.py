@@ -138,22 +138,8 @@ def kinematics_from_kev(kinetic_energy_kev: float) -> ElectronKinematics:
 
 # -- interaction geometry -----------------------------------------------------
 
-@dataclass(frozen=True)
-class InteractionGeometry:
-    """Impact parameter and the derived interaction transit time.
-
-    ``transit_time`` is r_perp/(c*beta*gamma) in fs.  Note: for a 200 keV
-    beam at r_perp = 2.4 nm the constants give 8.27 as; a nominal 6 as is
-    sometimes quoted for the same parameters, the difference is recorded in
-    scenario metadata by the CLI.
-    """
-
-    r_perp: float        # nm
-    transit_time: float  # fs
-
-    @classmethod
-    def from_kinematics(cls, r_perp: float, kin: ElectronKinematics) -> "InteractionGeometry":
-        return cls(r_perp=r_perp, transit_time=transit_time(r_perp, kin))
+# the dipole along the beam axis, or along the impact-parameter direction
+ORIENTATIONS = ("parallel", "transverse")
 
 
 def transit_time(r_perp: float, kin: ElectronKinematics) -> float:
@@ -167,37 +153,28 @@ def transit_time(r_perp: float, kin: ElectronKinematics) -> float:
 
 # -- two-level system ---------------------------------------------------------
 
-ORIENTATIONS = ("parallel", "transverse")
-
 
 @dataclass(frozen=True)
 class TlsSpec:
-    """Two-level system: energy gap, transition dipole and orientation.
+    """Two-level system: energy gap and transition dipole.
 
     ``dipole_magnitude`` is stored internally in e*nm (|r_21| such that the
-    dipole is e*|r_21|); use :meth:`from_lab` to pass Debye.
-    ``orientation`` selects whether the dipole points along the beam axis
-    ("parallel") or along the impact-parameter direction ("transverse").
+    dipole is e*|r_21|); use :meth:`from_lab` to pass Debye.  The dipole's
+    orientation belongs to its coupling to the beam (``DipoleCoupling``).
     """
 
     energy_gap: float        # eV
     dipole_magnitude: float  # e*nm
-    orientation: str = "transverse"
 
     def __post_init__(self):
         if self.energy_gap <= 0.0:
             raise DomainError(f"energy gap must be > 0, got {self.energy_gap}")
         if self.dipole_magnitude <= 0.0:
             raise DomainError(f"dipole magnitude must be > 0, got {self.dipole_magnitude}")
-        if self.orientation not in ORIENTATIONS:
-            raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}")
 
     @classmethod
-    def from_lab(cls, energy_gap_ev: float, dipole_debye: float,
-                 orientation: str = "transverse") -> "TlsSpec":
-        return cls(energy_gap=energy_gap_ev,
-                   dipole_magnitude=debye_to_e_nm(dipole_debye),
-                   orientation=orientation)
+    def from_lab(cls, energy_gap_ev: float, dipole_debye: float) -> "TlsSpec":
+        return cls(energy_gap=energy_gap_ev, dipole_magnitude=debye_to_e_nm(dipole_debye))
 
     @property
     def omega_21(self) -> float:

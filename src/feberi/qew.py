@@ -229,12 +229,22 @@ def packet_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCo
 
     The grid solvers take the packet's amplitudes from spec.kin and the free
     dispersion from coupling.kin, so a DomainError refuses a spec whose
-    kinematics differ from the coupling's."""
+    kinematics differ from the coupling's, and a window whose half travel plus
+    transit reach, v0 (T_half + transit_factor t_r), reaches the period L =
+    2 pi hbar/dp of position and the kernel: there the packet meets an image."""
     if spec.kin != coupling.kin:
         raise DomainError(f"packet at {spec.kin.kinetic_energy:g} eV does not match the "
                           f"coupling's {coupling.kin.kinetic_energy:g} eV kinematics")
-    return Packet(spec, grid_for_spec(spec, coupling, n), interaction_window(
-        spec.sigma_et, coupling.geometry.transit_time, spec.t0, transit_factor, sigma_factor))
+    grid = grid_for_spec(spec, coupling, n)
+    t_r = coupling.transit_time
+    window = interaction_window(spec.sigma_et, t_r, spec.t0, transit_factor, sigma_factor)
+    period = TWO_PI * HBAR_EV_FS / grid.dp
+    reach = coupling.kin.v0 * ((window[1] - window[0]) / 2.0 + transit_factor * t_r)
+    if reach >= period:
+        raise DomainError(f"the window's half travel plus its transit reach, {reach:.4g} nm, "
+                          f"reaches the position period L = {period:.4g} nm of {n} grid "
+                          "points; raise grid_points or lower window_transit_factor")
+    return Packet(spec, grid, window)
 
 
 def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: MomentumGrid) -> np.ndarray:

@@ -22,7 +22,6 @@ from feberi.core import (
     HBAR_EV_FS,
     TWO_PI,
     DomainError,
-    InteractionGeometry,
     TlsSpec,
     TlsState,
     fs_to_attoseconds,
@@ -66,13 +65,12 @@ class ScenarioResult:
 
 # -- shared construction -----------------------------------------------------------
 
-def physics_bundle(cfg: dict):
+def coupling_for(cfg: dict) -> DipoleCoupling:
+    """The configured physics: beam, TLS, impact parameter and orientation."""
     phys = cfg["physics"]
-    kin = kinematics_from_kev(phys["beam_energy_kev"])
-    tls = TlsSpec.from_lab(phys["energy_gap_ev"], phys["dipole_debye"],
-                           phys["orientation"])
-    geo = InteractionGeometry.from_kinematics(phys["impact_parameter_nm"], kin)
-    return kin, tls, geo, DipoleCoupling(tls, geo, kin)
+    return DipoleCoupling(TlsSpec.from_lab(phys["energy_gap_ev"], phys["dipole_debye"]),
+                          phys["impact_parameter_nm"],
+                          kinematics_from_kev(phys["beam_energy_kev"]), phys["orientation"])
 
 
 def window_factors(cfg: dict) -> dict:
@@ -88,12 +86,12 @@ def profile_grid_args(cfg: dict) -> dict:
             "points_per_scale": cfg["numerics"]["profile_points_per_scale"]}
 
 
-def bunched_spectrum(cfg: dict, kin, tls) -> ModulationSpectrum:
+def bunched_spectrum(cfg: dict, coupling: DipoleCoupling) -> ModulationSpectrum:
     """Bunching harmonics of the configured modulated packet, with
     omega_b = omega_21 / harmonic and the optimal drift time."""
     sw = cfg["sweep"]
-    omega_b = tls.omega_21 / sw["harmonic"]
-    base = GaussianQewSpec.from_duration(kin, sw["envelope_sigma_et_fs"], t0=0.0)
+    omega_b = coupling.tls.omega_21 / sw["harmonic"]
+    base = GaussianQewSpec.from_duration(coupling.kin, sw["envelope_sigma_et_fs"], t0=0.0)
     return modulation_fourier_coefficients(optimally_drifted(base, sw["modulation_g"], omega_b),
                                            sw["harmonic_order"])
 
@@ -112,7 +110,7 @@ def _fig4_start(cfg: dict, tls) -> tuple[float, TlsState, float]:
 class Plan:
     """What a run of a config builds, decided before any of its work."""
 
-    physics: tuple                   # physics_bundle(cfg)
+    coupling: DipoleCoupling         # coupling_for(cfg)
     states: int | None = None        # sampled states of the largest grid propagation
     packets: list[Packet] = field(default_factory=list)   # the grid scenarios' swept packets
     dt: float | None = None          # solver_crosscheck's momentum RK4 step, fs
@@ -127,9 +125,9 @@ def plan(cfg: dict) -> Plan:
     """Every sizing decision of a run of ``cfg``, with an ERROR line for each
     thing the run cannot do; builds no Hamiltonian and propagates nothing.
     Raises DomainError if the physics cannot be built."""
-    kin, tls, geo, coupling = physics = physics_bundle(cfg)
+    out = Plan(coupling_for(cfg))
+    coupling, kin, tls = out.coupling, out.coupling.kin, out.coupling.tls
     scenario, num, sweep = cfg["run"]["scenario"], cfg["numerics"], cfg["sweep"]
-    out = Plan(physics)
     try:
         MomentumGrid(n=num["grid_points"], p0=0.0, p_cutoff=1.0)
     except DomainError as exc:
@@ -160,7 +158,7 @@ def plan(cfg: dict) -> Plan:
                               f"ceiling MAX_RK4_STEPS = {sm.MAX_RK4_STEPS}")
     # fig9's point packet lasts sigma_et_point_fs, at 0 the bunch width
     if scenario == "modulated_resonance" or sweep.get("sigma_et_point_fs") == 0.0:
-        out.spectrum = bunched_spectrum(cfg, kin, tls)
+        out.spectrum = bunched_spectrum(cfg, coupling)
         try:
             out.bunch_sigma_et = tooth_sigma_et(out.spectrum)
         except ResolutionError as exc:
@@ -175,7 +173,7 @@ def plan(cfg: dict) -> Plan:
         if out.p2_closed < sys.float_info.min:
             out.errors.append(
                 f"ERROR closed form: P2 from ground = {out.p2_closed:.3g} underflows at "
-                f"omega21 * t_r = {tls.omega_21 * geo.transit_time:.4g}; lower "
+                f"omega21 * t_r = {tls.omega_21 * coupling.transit_time:.4g}; lower "
                 "impact_parameter_nm")
     return out
 
@@ -188,8 +186,8 @@ def _planned(cfg: dict, given: Plan | None) -> Plan:
     return out
 
 
-def base_metadata(cfg: dict, physics: tuple) -> dict:
-    kin, tls, geo, _ = physics
+def base_metadata(cfg: dict, coupling: DipoleCoupling) -> dict:
+    kin, tls = coupling.kin, coupling.tls
     return {
         "tool_version": __version__,
         "config": cfg,
@@ -200,7 +198,7 @@ def base_metadata(cfg: dict, physics: tuple) -> dict:
             "omega_21_rad_fs": tls.omega_21,
             "period_t21_fs": tls.period,
             "transit_time": {
-                "value_as": fs_to_attoseconds(geo.transit_time),
+                "value_as": fs_to_attoseconds(coupling.transit_time),
                 "definition": "r_perp / (c beta gamma)",
                 "note": "a nominal 6 as is often quoted for 2.4 nm at 200 keV; "
                         "the constants give the value recorded here",
@@ -216,14 +214,14 @@ def _size_runs(cfg: dict, plan: Plan, state: TlsState):
     plan's packets from the TLS ``state``, sampled at time_samples points across
     each window; the residual dE_F + E_gap dP2 is not yet balanced by the TLS."""
     num = cfg["numerics"]
-    _, tls, _, coupling = plan.physics
+    coupling = plan.coupling
     for frac, packet in zip(cfg["sweep"]["sigma_et_over_period"], plan.packets):
         traj = sd.run_qew_interaction(
             packet, state, coupling, times=np.linspace(*packet.window, num["time_samples"]),
             collect_rho_b=num["dump_rho_b"])
         acc = sd.energy_accounting(traj)
-        resid = acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0])
-        yield frac, frac * tls.period, traj, acc, resid
+        resid = acc["delta_e_free"] + coupling.tls.energy_gap * (traj.p2 - traj.p2[0])
+        yield frac, frac * coupling.tls.period, traj, acc, resid
 
 
 def run_fig3_ground(cfg: dict, plan: Plan) -> ScenarioResult:
@@ -267,8 +265,8 @@ def run_fig3_ground(cfg: dict, plan: Plan) -> ScenarioResult:
 def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
     """Superposition start: the increment decays with packet size and the
     energy balance is violated only transiently."""
-    _, tls, _, coupling = plan.physics
-    zeta, state, t0 = _fig4_start(cfg, tls)
+    coupling = plan.coupling
+    zeta, state, t0 = _fig4_start(cfg, coupling.tls)
 
     series = []
     increments = {}
@@ -317,8 +315,7 @@ def run_fig4_superposition(cfg: dict, plan: Plan) -> ScenarioResult:
 def _fig56_block(plan: Plan, packets: list[Packet], zetas: np.ndarray) -> np.ndarray:
     """(len(packets), len(zetas)) increments: a zeta's final P2 is the upper-level row
     of its packet's window channel (``sd.grid_windows``, one block) on vec(c c^dagger)."""
-    _, _, _, coupling = plan.physics
-    windows = sd.grid_windows(packets, coupling)
+    windows = sd.grid_windows(packets, plan.coupling)
     states = [TlsState.equatorial(wrap_phase(-zeta)) for zeta in zetas]   # t0 = 0: zeta = -phi
     c = np.array([[s.c1, s.c2] for s in states])
     rho = (c[:, :, None] * c[:, None].conj()).reshape(-1, 4)     # row-major vec(c c^dagger)
@@ -328,7 +325,7 @@ def _fig56_block(plan: Plan, packets: list[Packet], zetas: np.ndarray) -> np.nda
 def run_fig56_phase_size_sweep(cfg: dict, plan: Plan) -> ScenarioResult:
     """Increment vs (arrival phase, packet size): sinusoidal in zeta with an
     exp(-Gamma^2/2) envelope; fits the two-term law."""
-    _, tls, _, coupling = plan.physics
+    coupling = plan.coupling
     n_zeta = cfg["sweep"]["zeta_points"]
     zetas = np.arange(n_zeta) / n_zeta * TWO_PI
 
@@ -355,7 +352,7 @@ def run_fig56_phase_size_sweep(cfg: dict, plan: Plan) -> ScenarioResult:
     # predicted A: first-order increment of an equal superposition at
     # zeta = pi/2 and vanishing size
     amp_pred = analytic.dp1_superposition(
-        coupling, TlsState.equatorial(0.0), math.pi / 2 / tls.omega_21, 0.0)
+        coupling, TlsState.equatorial(0.0), math.pi / 2 / coupling.tls.omega_21, 0.0)
     max_by_gamma = np.max(np.abs(table), axis=1)
     columns = {"zeta [rad]": zetas, **{f"dP2 (Gamma={g:g})": row for g, row in zip(g_arr, table)}}
     series = [SeriesData(
@@ -397,13 +394,13 @@ def resonance_scan(sweep: dict, index=None) -> tuple[list[float], list[bool]]:
 def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
     """Second-order increment vs TLS frequency: Gaussian peaks at the
     bunching harmonics with 1/e half-width 1/sigma_et."""
-    kin, tls0, geo, coupling0 = plan.physics
+    coupling0 = plan.coupling
     sw = cfg["sweep"]
     sigma_env = sw["envelope_sigma_et_fs"]
     spectrum = plan.spectrum
 
     def coupling_at(w21: float) -> DipoleCoupling:
-        return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+        return replace(coupling0, tls=replace(coupling0.tls, energy_gap=w21 * HBAR_EV_FS))
 
     def analytic_dp2(w21):
         return analytic.modulated_increments(coupling0, spectrum, sigma_env, w21,
@@ -472,7 +469,7 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
 
 def run_fig8_single_point(cfg: dict, plan: Plan) -> ScenarioResult:
     """Occupation dynamics P1(t), P2(t) for one near-point packet from ground."""
-    _, tls, _, coupling = plan.physics
+    coupling, tls = plan.coupling, plan.coupling.tls
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
     prof = bd.interaction_profile(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
@@ -500,7 +497,7 @@ def run_fig8_single_point(cfg: dict, plan: Plan) -> ScenarioResult:
 
 def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
     """N^2 buildup of a modulation-locked train vs linear growth of a random one."""
-    _, tls, _, coupling = plan.physics
+    coupling, tls = plan.coupling, plan.coupling.tls
     sw = cfg["sweep"]
     seed = cfg["run"]["seed"]
     omega_b = tls.omega_21 / sw["harmonic"]
@@ -559,7 +556,7 @@ def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
 def run_solver_crosscheck(cfg: dict, plan: Plan) -> ScenarioResult:
     """Both grid solvers on the same discretized problem: final occupations
     must agree to a part in a thousand."""
-    _, _, _, coupling = plan.physics
+    coupling = plan.coupling
     packet = plan.packets[0]
 
     state0 = sm.initial_amplitudes(packet.grid, packet.spec, TlsState.ground(),
@@ -611,11 +608,11 @@ SCENARIOS = {
 def run_scenario(cfg: dict, jobs: int = 1, plan: Plan | None = None) -> ScenarioResult:
     """Run the configured scenario from ``plan``, by default plan(cfg), and
     refuse one with ERROR lines; its metadata is base_metadata plus runtime_s."""
-    # ``jobs`` is ignored; perfbench/worker.py still passes it (ROADMAP item 1 removes it)
+    # ``jobs`` is ignored; perfbench/worker.py still passes it (ROADMAP item 2 removes it)
     fn, _ = SCENARIOS[cfg["run"]["scenario"]]
     start = time.perf_counter()
     plan = _planned(cfg, plan)
     result = fn(cfg, plan)
-    result.metadata = {**base_metadata(cfg, plan.physics),
+    result.metadata = {**base_metadata(cfg, plan.coupling),
                        "runtime_s": round(time.perf_counter() - start, 3)}
     return result

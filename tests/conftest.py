@@ -1,6 +1,6 @@
 import pytest
 
-from feberi.core import InteractionGeometry, TlsSpec, kinematics_from_kev
+from feberi.core import TlsSpec, kinematics_from_kev
 from feberi.coulomb import DipoleCoupling
 
 
@@ -12,19 +12,15 @@ def kin():
 
 @pytest.fixture(scope="session")
 def tls():
-    return TlsSpec.from_lab(2.0, 5.0, "transverse")
+    return TlsSpec.from_lab(2.0, 5.0)
 
 
 @pytest.fixture(scope="session")
-def geometry(kin):
-    return InteractionGeometry.from_kinematics(2.4, kin)
+def coupling(tls, kin):
+    # 2.4 nm impact parameter, transverse dipole
+    return DipoleCoupling(tls, 2.4, kin)
 
 
 @pytest.fixture(scope="session")
-def coupling(tls, geometry, kin):
-    return DipoleCoupling(tls, geometry, kin)
-
-
-@pytest.fixture(scope="session")
-def coupling_parallel(tls, geometry, kin):
-    return DipoleCoupling(tls, geometry, kin, orientation="parallel")
+def coupling_parallel(tls, kin):
+    return DipoleCoupling(tls, 2.4, kin, orientation="parallel")

@@ -138,6 +138,10 @@ MUTANTS = (
            "if spec.kin != coupling.kin:", "if False:",
            ("tests/test_qew.py::test_packet_for_spec_refuses_kinematics_other_than_the_couplings"
             "[gaussian-128]",)),
+    Mutant("packets take a window whose travel reaches the position period", "qew.py",
+           "if reach >= period:", "if False:",
+           ("tests/test_cli.py::TestCommands"
+            "::test_window_travel_reaching_the_position_period_is_config_error[256-True]",)),
     Mutant("SVG x axis from the first point, not the least", "plotsvg.py",
            "x_lo, x_hi = float(xs_all.min())", "x_lo, x_hi = float(xs_all[0])",
            ("tests/test_cli.py::test_writer_bytes_equal_cell_by_cell_formatting",)),

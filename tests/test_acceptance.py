@@ -13,9 +13,8 @@ from scipy.integrate import quad
 
 from feberi import analytic, solver_density as sd
 from feberi.cli import default_config
-from feberi.core import HBAR_EV_FS, InteractionGeometry, TlsSpec, TlsState, \
-    kinematics_from_kev
-from feberi.coulomb import DipoleCoupling, bessel_k0, bessel_k1, m_spatial, m_tilde
+from feberi.core import HBAR_EV_FS, TlsState
+from feberi.coulomb import bessel_k0, bessel_k1, m_spatial, m_tilde
 from feberi.qew import GaussianQewSpec, grid_for_spec
 from feberi.scenarios import run_scenario
 from helpers import default_packet, run_gaussian_scenario
@@ -27,17 +26,8 @@ def _report(num: int, desc: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def bundle():
-    kin = kinematics_from_kev(200.0)
-    tls = TlsSpec.from_lab(2.0, 5.0, "transverse")
-    geo = InteractionGeometry.from_kinematics(2.4, kin)
-    return kin, tls, geo, DipoleCoupling(tls, geo, kin)
-
-
-@pytest.fixture(scope="module")
-def ground_runs(bundle):
+def ground_runs(kin, tls, coupling):
     """Density-solver from-ground runs for the three reference sizes."""
-    kin, tls, geo, coupling = bundle
     t_start = time.time()
     runs = {}
     for frac in (0.1, 0.3, 1.0):
@@ -48,15 +38,14 @@ def ground_runs(bundle):
 
 
 @pytest.fixture(scope="module")
-def sweep_result(bundle):
+def sweep_result():
     cfg = default_config("fig56_phase_size_sweep")
     cfg["sweep"]["gamma_values"] = [0.1, 0.3, 0.6, 0.9, 1.2, 1.5]
     cfg["sweep"]["zeta_points"] = 16
     return run_scenario(cfg)
 
 
-def test_criterion_01_ground_size_independence(bundle, ground_runs):
-    kin, tls, geo, coupling = bundle
+def test_criterion_01_ground_size_independence(coupling, ground_runs):
     runs, elapsed = ground_runs
     p2_ref = analytic.p2_from_ground(coupling)
     finals = np.array([runs[f].p2[-1] for f in (0.1, 0.3, 1.0)])
@@ -68,8 +57,7 @@ def test_criterion_01_ground_size_independence(bundle, ground_runs):
             f"{elapsed:.1f}s at n=256")
 
 
-def test_criterion_02_energy_conservation(bundle, ground_runs):
-    kin, tls, geo, coupling = bundle
+def test_criterion_02_energy_conservation(kin, tls, coupling, ground_runs):
     runs, _ = ground_runs
     tol = 1e-3 * tls.energy_gap
     worst_ground = 0.0
@@ -101,8 +89,7 @@ def test_criterion_03_phase_and_size_law(sweep_result):
             f"residual/peak {resid:.2e}, worst zeta-slice R^2 {worst_r2:.6f}")
 
 
-def test_criterion_04_max_increment_identity(bundle, sweep_result, ground_runs):
-    kin, tls, geo, coupling = bundle
+def test_criterion_04_max_increment_identity(kin, tls, coupling, sweep_result, ground_runs):
     # analytic: exact identity
     t_quarter = math.pi / 2.0 / tls.omega_21
     exact = []
@@ -156,8 +143,7 @@ def test_criterion_05_solver_crosscheck_n2048(orientation):
             f"relative difference {rel:.2e}")
 
 
-def test_criterion_06_matrix_element_oracles(bundle):
-    kin, tls, geo, coupling = bundle
+def test_criterion_06_matrix_element_oracles(coupling, coupling_parallel):
 
     def k_oracle(x, order):
         # exp(-x) factored out keeps the quadrature relative-accurate at large x
@@ -173,7 +159,7 @@ def test_criterion_06_matrix_element_oracles(bundle):
                 for x in xs)
     ok_k = err_k <= 1e-6
 
-    par = DipoleCoupling(tls, geo, kin, orientation="parallel")
+    par = coupling_parallel
     rng = np.random.default_rng(101)
     err_m = 0.0
     for i in range(50):
@@ -268,8 +254,7 @@ def test_criterion_09_default_ensemble_seed_independent(seed):
     assert ok, f"seed {seed}: {detail}"
 
 
-def test_criterion_10_unitarity_suite(bundle, ground_runs):
-    kin, tls, geo, coupling = bundle
+def test_criterion_10_unitarity_suite(kin, tls, coupling, ground_runs):
     runs, _ = ground_runs
 
     # density evolutions: trace and purity to 1e-9 (mixed state explicit).

@@ -70,16 +70,16 @@ class TestP2FromGround:
         assert p2_from_ground(coupling) == pytest.approx(8.266129719301752e-07,
                                                               rel=1e-9)
 
-    def test_quadratic_in_dipole(self, tls, geometry, kin):
+    def test_quadratic_in_dipole(self, tls, kin):
         tls2 = TlsSpec.from_lab(2.0, 10.0)
-        c1 = DipoleCoupling(tls, geometry, kin)
-        c2 = DipoleCoupling(tls2, geometry, kin)
+        c1 = DipoleCoupling(tls, 2.4, kin)
+        c2 = DipoleCoupling(tls2, 2.4, kin)
         assert p2_from_ground(c2) == pytest.approx(4.0 * p2_from_ground(c1),
                                                         rel=1e-12)
 
-    def test_perturbative_warning(self, geometry, kin):
+    def test_perturbative_warning(self, kin):
         big = TlsSpec.from_lab(2.0, 3000.0)
-        c = DipoleCoupling(big, geometry, kin)
+        c = DipoleCoupling(big, 2.4, kin)
         with pytest.warns(RegimeWarning):
             p2_from_ground(c)
 
@@ -301,9 +301,9 @@ class TestMultiQew:
         single = multi_qew_p2(1, coupling, 0.05, "point_train")
         assert p_corr == pytest.approx(400 * single, rel=1e-12)
 
-    def test_rabi_warning(self, geometry, kin):
+    def test_rabi_warning(self, kin):
         big = TlsSpec.from_lab(2.0, 500.0)
-        c = DipoleCoupling(big, geometry, kin)
+        c = DipoleCoupling(big, 2.4, kin)
         with pytest.warns(RegimeWarning):
             multi_qew_p2(400, c, 0.0, "point_train")
 

@@ -75,14 +75,14 @@ class TestInteractionProfile:
         # complex transform, both halves computed
         from scipy.signal import fftconvolve
 
-        kin, tls, geo, _ = fig9_point.physics
-        cpl = DipoleCoupling(tls, geo, kin, orientation=orientation)
+        cpl = replace(fig9_point.coupling, orientation=orientation)
+        kin, tls = cpl.kin, cpl.tls
         sigma = fig9_point.bunch_sigma_et if sigma == "fig9-point" \
             else float(sigma) * tls.period
         t0 = 1.7
         prof = interaction_profile(cpl, sigma, t0, tls.omega_21)
         tau, h = prof.times - t0, prof.step
-        m = int(math.ceil(200.0 * geo.transit_time / h))
+        m = int(math.ceil(200.0 * cpl.transit_time / h))
         kern = m_spatial(kin.v0 * (h * np.arange(-m, m + 1)), cpl).astype(complex)
         ext = np.concatenate([tau[0] + h * np.arange(-m, 0), tau,
                               tau[-1] + h * np.arange(1, m + 1)])
@@ -97,7 +97,8 @@ class TestInteractionProfile:
         # the half-grid transform at the Gaussian's reach: at fig9's point packet
         # and at one TLS period, where the reach passes the kernel cut (3.8 and
         # 14.9 MiB with the full-length complex transform)
-        _, tls, _, cpl = fig9_point.physics
+        cpl = fig9_point.coupling
+        tls = cpl.tls
         sigma = fig9_point.bunch_sigma_et if sigma == "fig9-point" else tls.period
         tracemalloc.start()
         try:
@@ -114,19 +115,19 @@ class TestInteractionProfile:
         assert prof.values.max() == pytest.approx(kernel_prefactor(coupling), rel=1e-12)
         assert grid[int(np.argmax(prof.values))] == 0.0
 
-    def test_transverse_integral_preserved(self, coupling, tls, geometry):
+    def test_transverse_integral_preserved(self, coupling, tls):
         # Gaussian smoothing preserves the kernel integral 2*K*t_r (up to
         # the analytic window-truncation factor T/sqrt(T^2+1))
         sigma = 0.1 * tls.period
         prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
         grid = prof.times
-        t_r = geometry.transit_time
+        t_r = coupling.transit_time
         t_bar = float(grid[-1]) / t_r
         expected = 2.0 * kernel_prefactor(coupling) * t_r \
             * t_bar / math.sqrt(t_bar**2 + 1.0)
         assert np.trapezoid(prof.values, grid) == pytest.approx(expected, rel=2e-3)
 
-    def test_grid_validation(self, coupling, tls, geometry):
+    def test_grid_validation(self, coupling, tls):
         # the builder samples the window grid of its own factors, and one
         # rule bounds its step: min(t_r, sigma_et)/20 (here t_r/20)
         sigma, t0 = 0.05, 0.3
@@ -134,7 +135,7 @@ class TestInteractionProfile:
         prof = interaction_profile(coupling, sigma, t0, tls.omega_21, **factors)
         np.testing.assert_array_equal(
             prof.times, profile_time_grid(coupling, sigma, t0, tls.omega_21, **factors))
-        lo, hi = interaction_window(sigma, geometry.transit_time, t0, 5.0, 2.0)
+        lo, hi = interaction_window(sigma, coupling.transit_time, t0, 5.0, 2.0)
         assert prof.times[0] <= lo and prof.times[-1] >= hi
         interaction_profile(coupling, sigma, t0, tls.omega_21, points_per_scale=20)
         with pytest.raises(ResolutionError):
@@ -143,7 +144,7 @@ class TestInteractionProfile:
     @pytest.mark.parametrize("orientation, bound", [("transverse", 1e-6),
                                                     ("parallel", 1e-2)],
                              ids=["transverse", "parallel"])
-    def test_flat_modulated_profile(self, kin, tls, geometry, orientation, bound):
+    def test_flat_modulated_profile(self, kin, tls, orientation, bound):
         # a spectrum with f_0 only leaves the density unbunched: the spectral
         # profile then equals the kernel, sampled at t_r/50 or finer and cut at
         # +-2000 t_r, convolved with the Gaussian directly, at every k-th
@@ -152,10 +153,10 @@ class TestInteractionProfile:
         # tail, 2e-7.
         from scipy.signal import fftconvolve
 
-        cpl = DipoleCoupling(tls, geometry, kin, orientation=orientation)
+        cpl = DipoleCoupling(tls, 2.4, kin, orientation=orientation)
         flat = ModulationSpectrum(f_m=np.array([0.0, 1.0, 0.0], dtype=complex),
                                   omega_b=tls.omega_21 / 2.0)
-        sigma, t_r = 0.5, geometry.transit_time
+        sigma, t_r = 0.5, cpl.transit_time
         prof = modulated_interaction_profile(cpl, sigma, flat, 0.0, 0.0, tls.omega_21)
         omega_top = flat.omega_b + 9.0 / sigma
         assert prof.step == pytest.approx(TWO_PI / omega_top / 100, rel=1e-12)
@@ -460,10 +461,10 @@ def benchmark_spot_config():
 def benchmark_spot():
     """The benchmark spot check's coupling, spectrum and profile arguments."""
     cfg = benchmark_spot_config()
-    kin, tls, geo, _ = scenarios.physics_bundle(cfg)
-    spectrum = scenarios.bunched_spectrum(cfg, kin, tls)
+    coupling = scenarios.coupling_for(cfg)
+    spectrum = scenarios.bunched_spectrum(cfg, coupling)
     w21 = cfg["sweep"]["harmonic"] * spectrum.omega_b
-    coupling = DipoleCoupling(replace(tls, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+    coupling = replace(coupling, tls=replace(coupling.tls, energy_gap=w21 * HBAR_EV_FS))
     return coupling, spectrum, cfg["sweep"]["envelope_sigma_et_fs"], w21, \
         scenarios.profile_grid_args(cfg)
 
@@ -512,10 +513,11 @@ class TestPhaseTables:
         # the 1105 step times of integrate's schedule
         cfg = default_config("solver_crosscheck")
         cfg["numerics"]["grid_points"] = 1024
-        kin, tls, geo, coupling = scenarios.physics_bundle(cfg)
-        sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
+        coupling = scenarios.coupling_for(cfg)
+        kin = coupling.kin
+        sigma = cfg["sweep"]["sigma_et_over_period"][0] * coupling.tls.period
         grid = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, 1024)
-        t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0,
+        t_start, t_end = interaction_window(sigma, coupling.transit_time, 0.0,
                                             **scenarios.window_factors(cfg))
         steps, _ = step_schedule((t_start, t_end), default_time_step(grid, coupling),
                                  cfg["numerics"]["time_samples"])
@@ -582,7 +584,7 @@ def test_modulated_grid_covers_the_window(benchmark_spot):
     assert len(prof.times) == 13475
     assert prof.step == pytest.approx(step, rel=1e-12)
     np.testing.assert_array_equal(prof.times, -prof.times[::-1])
-    _, hi = interaction_window(sigma, coupling.geometry.transit_time, 0.0,
+    _, hi = interaction_window(sigma, coupling.transit_time, 0.0,
                                grid_args["transit_factor"], grid_args["sigma_factor"])
     assert hi <= prof.times[-1] < hi + step
 

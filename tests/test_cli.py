@@ -183,31 +183,73 @@ class TestCommands:
             ratios.append(summary["p2_ratio_20_over_1"])
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-3)
 
-    @pytest.mark.parametrize("scenario, impact_nm, error", [
-        # solver_crosscheck at a 1 mm impact parameter needs 28.7M momentum RK4 steps
-        ("solver_crosscheck", "1e6", "ERROR momentum RK4: 28670114 steps predicted, above "
-                                     "the ceiling MAX_RK4_STEPS = 1048576"),
-        # fig3 at 0.1 mm divides by a closed form that underflows to 0.0
-        ("fig3_ground", "1e5", "ERROR closed form: P2 from ground = 0 underflows at "
-                               "omega21 * t_r = 1048; lower impact_parameter_nm"),
+    @pytest.mark.parametrize("scenario, entries, error, first", [
+        # solver_crosscheck at a 0.1 mm impact parameter needs 2.9M momentum RK4
+        # steps; 65536 points give a position period that its window's travel
+        # does not reach
+        ("solver_crosscheck", "impact_parameter_nm = 1e5\n\n[numerics]\ngrid_points = 65536",
+         "ERROR momentum RK4: 2878325 steps predicted, above the ceiling "
+         "MAX_RK4_STEPS = 1048576", None),
+        # fig3 at 0.1 mm divides by a closed form that underflows to 0.0; its
+        # windows' travel also reaches the 256-point grid's position period
+        ("fig3_ground", "impact_parameter_nm = 1e5",
+         "ERROR closed form: P2 from ground = 0 underflows at omega21 * t_r = 1048; "
+         "lower impact_parameter_nm",
+         "ERROR grid sizing at sigma_et=0.1 T21: the window's half travel plus its "
+         "transit reach"),
     ], ids=["rk4-ceiling", "closed-form-underflow"])
-    def test_plan_error_is_config_error(self, tmp_path, caplog, capsys, scenario, impact_nm,
-                                        error):
-        # validate flags what the run cannot do, and run refuses it before any work
+    def test_plan_error_is_config_error(self, tmp_path, caplog, capsys, scenario, entries,
+                                        error, first):
+        # validate flags what the run cannot do, and run refuses it before any work;
+        # ``first``, when given, is the ERROR line the refusal names ahead of ``error``
         out = tmp_path / "o"
         text = (f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
-                f"[physics]\nimpact_parameter_nm = {impact_nm}\n")
+                f"[physics]\n{entries}\n")
         cfg = write(tmp_path, text)
         assert main(["validate", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert error in lines
         assert lines[-1] != "valid"
+        if first is not None:
+            assert lines.index(error) > min(i for i, line in enumerate(lines)
+                                            if line.startswith(first))
         assert main(["run", str(cfg)]) == 2
         assert f"{cfg}: {error}" in caplog.text
         assert "running scenario" not in caplog.text
         assert not out.exists()
-        with pytest.raises(DomainError, match=re.escape(f"{scenario} refused: {error}")):
+        with pytest.raises(DomainError) as refusal:
             scenarios.run_scenario(load_config(cfg))    # the benchmark's path
+        message = str(refusal.value)
+        assert message.startswith(f"{scenario} refused: {first or error}")
+        assert error in message
+
+    @pytest.mark.parametrize("n, refused", [(256, True), (512, True), (1024, False)])
+    def test_window_travel_reaching_the_position_period_is_config_error(
+            self, tmp_path, caplog, capsys, n, refused):
+        # fig3 at 30 nm with window_transit_factor = 500: at 256 points the
+        # windows travel past the grid's position period, where the packet meets
+        # an image of the periodized kernel, and the plateaus read +5.6 and -1.0
+        # off the closed form; at 512 the kernel image sits within the window's
+        # transit reach of its end, and at 1024 beyond it
+        out = tmp_path / "o"
+        text = (f"[run]\nscenario = fig3_ground\noutput_dir = {out}\n\n"
+                "[physics]\nimpact_parameter_nm = 30\n\n"
+                f"[numerics]\nwindow_transit_factor = 500\ngrid_points = {n}\n")
+        cfg = write(tmp_path, text)
+        assert main(["validate", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        errors = [line for line in lines if line.startswith("ERROR")]
+        if not refused:
+            assert errors == [] and lines[-1] == "valid"
+            return
+        assert len(errors) == 3
+        for line in errors:
+            assert line.startswith("ERROR grid sizing at sigma_et=")
+            assert "position period L = " in line and f"of {n} grid points" in line
+            assert "raise grid_points or lower window_transit_factor" in line
+        assert main(["run", str(cfg)]) == 2
+        assert "running scenario" not in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["modulated_resonance", "fig9_buildup"])
     @pytest.mark.parametrize("entries, line", [

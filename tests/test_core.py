@@ -9,7 +9,6 @@ from feberi.core import (
     HBAR_EV_FS,
     ME_C2_EV,
     DomainError,
-    InteractionGeometry,
     TlsSpec,
     TlsState,
     bloch_phase,
@@ -80,10 +79,6 @@ class TestTransitTime:
         with pytest.raises(DomainError):
             transit_time(2.4, k)
 
-    def test_geometry_constructor(self, kin):
-        g = InteractionGeometry.from_kinematics(2.4, kin)
-        assert g.transit_time == transit_time(2.4, kin)
-
 
 class TestTlsSpec:
     def test_omega_21(self, tls):
@@ -106,8 +101,6 @@ class TestTlsSpec:
             TlsSpec(energy_gap=-1.0, dipole_magnitude=0.1)
         with pytest.raises(DomainError):
             TlsSpec(energy_gap=2.0, dipole_magnitude=0.0)
-        with pytest.raises(DomainError):
-            TlsSpec(energy_gap=2.0, dipole_magnitude=0.1, orientation="diagonal")
 
 
 class TestTlsState:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from feberi.core import HBAR_EV_FS, DomainError, InteractionGeometry, \
-    kinematics_from_kinetic_energy
+from feberi.core import HBAR_EV_FS, DomainError, kinematics_from_kinetic_energy, \
+    transit_time
 from feberi.coulomb import DipoleCoupling, bessel_k0, bessel_k1, m_spatial, m_tilde
 
 EULER_GAMMA = 0.5772156649015329
@@ -59,6 +59,22 @@ class TestBesselK:
         xs = np.array([0.5, 1.0, 3.0, 10.0])
         np.testing.assert_allclose(bessel_k0(xs),
                                    [bessel_k0(float(x)) for x in xs], rtol=1e-14)
+
+
+class TestDipoleCoupling:
+    def test_transit_time_is_core_transit_time(self, coupling, kin):
+        assert coupling.transit_time == transit_time(2.4, kin)
+
+    def test_validation(self, tls, kin):
+        # the orientation, the impact parameter and the beam are checked at
+        # construction; the default orientation is transverse
+        assert DipoleCoupling(tls, 2.4, kin).orientation == "transverse"
+        with pytest.raises(DomainError, match="orientation"):
+            DipoleCoupling(tls, 2.4, kin, orientation="diagonal")
+        with pytest.raises(DomainError, match="impact parameter"):
+            DipoleCoupling(tls, 0.0, kin)
+        with pytest.raises(DomainError, match="at rest"):
+            DipoleCoupling(tls, 2.4, kinematics_from_kinetic_energy(0.0))
 
 
 class TestSpatialKernel:
@@ -142,9 +158,8 @@ class TestMomentumKernel:
         vals_par, vals_perp = [], []
         for e_kin in (100e3, 200e3, 400e3):
             k = kinematics_from_kinetic_energy(e_kin)
-            geo = InteractionGeometry.from_kinematics(2.4 * k.gamma, k)
-            par = DipoleCoupling(tls, geo, k, orientation="parallel")
-            perp = DipoleCoupling(tls, geo, k, orientation="transverse")
+            par = DipoleCoupling(tls, 2.4 * k.gamma, k, orientation="parallel")
+            perp = DipoleCoupling(tls, 2.4 * k.gamma, k, orientation="transverse")
             vals_par.append(abs(m_tilde(p, par)) * k.gamma**2)
             vals_perp.append(abs(m_tilde(p, perp)) * k.gamma)
         np.testing.assert_allclose(vals_par, vals_par[0], rtol=1e-12)

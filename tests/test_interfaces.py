@@ -1,4 +1,4 @@
-"""The package's public surface: one physics handle, and README's example runs."""
+"""The package's public surface: one physics value, and README's example runs."""
 
 import dataclasses
 import importlib
@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import feberi
+from feberi import scenarios
 from feberi.born_dynamics import InteractionProfile
+from feberi.core import TlsSpec
+from feberi.coulomb import DipoleCoupling
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,8 +41,24 @@ def test_coupling_is_the_only_carrier_of_kinematics_and_tls():
     assert {name: both for name, both in takers.items() if both} == {}
 
 
+def _field_names(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def test_each_physical_fact_is_stored_once():
+    # the coupling alone holds the impact parameter and the orientation, and
+    # the plan holds only the coupling, with no (kin, tls, geometry) beside it
+    assert _field_names(DipoleCoupling) == ("tls", "r_perp", "kin", "orientation")
+    assert _field_names(TlsSpec) == ("energy_gap", "dipole_magnitude")
+    plan_fields = _field_names(scenarios.Plan)
+    assert "coupling" in plan_fields and "physics" not in plan_fields
+    assert not hasattr(feberi, "InteractionGeometry")
+    assert "InteractionGeometry" not in feberi.__all__
+    assert list(inspect.signature(scenarios.bunched_spectrum).parameters) == ["cfg", "coupling"]
+
+
 def test_interaction_profile_keeps_only_times_and_values():
-    assert [f.name for f in dataclasses.fields(InteractionProfile)] == ["times", "values"]
+    assert _field_names(InteractionProfile) == ("times", "values")
 
 
 def test_readme_example_runs(capsys):

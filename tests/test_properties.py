@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
-from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, InteractionGeometry, TlsSpec, \
-    kinematics_from_kev, wrap_phase
+from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, kinematics_from_kev, \
+    wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
 from feberi.grid import MomentumGrid, build_grid, circulant_block, circulant_product, \
     kernel_column
@@ -26,8 +26,7 @@ from helpers import default_packet
 
 KIN = kinematics_from_kev(200.0)
 COUPLINGS = {
-    o: DipoleCoupling(TlsSpec.from_lab(2.0, 5.0, o),
-                      InteractionGeometry.from_kinematics(2.4, KIN), KIN)
+    o: DipoleCoupling(TlsSpec.from_lab(2.0, 5.0), 2.4, KIN, o)
     for o in ("parallel", "transverse")
 }
 

@@ -10,9 +10,8 @@ from feberi import analytic, born_dynamics as bd, cli, grid, qew, scenarios, \
     solver_density as sd
 from feberi.cli import ConfigError, default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, TlsState, wrap_phase
-from feberi.coulomb import DipoleCoupling
 from feberi.grid import interaction_window
-from feberi.scenarios import _fig56_block, physics_bundle, plan, run_scenario, window_factors
+from feberi.scenarios import _fig56_block, coupling_for, plan, run_scenario, window_factors
 
 
 def test_default_config_unknown_scenario():
@@ -36,10 +35,10 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
     # check needs); each check's Born increment equals a profile built for its own
     cfg = default_config("modulated_resonance") if detunings is None \
         else small_resonance_config(detunings)
-    kin, tls0, geo, _ = physics_bundle(cfg)
+    coupling0 = coupling_for(cfg)
 
     def coupling_at(w21):
-        return DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+        return replace(coupling0, tls=replace(coupling0.tls, energy_gap=w21 * HBAR_EV_FS))
 
     build = bd.modulated_interaction_profile
     calls = counted(monkeypatch, bd, "modulated_interaction_profile")
@@ -48,7 +47,7 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
     largest = coupling_at(max(s["omega_21"] for s in spots)).tls.omega_21
     assert [args[5] for args in calls] == [largest]
 
-    spectrum = scenarios.bunched_spectrum(cfg, kin, tls0)
+    spectrum = scenarios.bunched_spectrum(cfg, coupling0)
     for spot in spots:
         coupling = coupling_at(spot["omega_21"])
         prof = build(coupling, cfg["sweep"]["envelope_sigma_et_fs"], spectrum, 0.0, 0.0,
@@ -66,8 +65,8 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
 def per_zeta_increments(cfg, packet):
     """fig56's increments at one Gamma, whose packet of the plan of ``cfg`` is
     ``packet``, by one propagation per zeta."""
-    kin, tls, geo, coupling = physics_bundle(cfg)
-    window = interaction_window(packet.spec.sigma_et, geo.transit_time, 0.0,
+    coupling = coupling_for(cfg)
+    window = interaction_window(packet.spec.sigma_et, coupling.transit_time, 0.0,
                                 **window_factors(cfg))
     out = []
     for zeta in fig56_zetas(cfg):
@@ -251,7 +250,7 @@ def test_modulated_scan_equals_one_call_per_point():
     cfg = default_config("modulated_resonance")
     cfg["sweep"]["born_check"] = False
     planned = scenarios.plan(cfg)
-    kin, tls0, geo, coupling = planned.physics
+    coupling = planned.coupling
     spectrum, sigma = planned.spectrum, cfg["sweep"]["envelope_sigma_et_fs"]
     series = {s.name: s.columns for s in run_scenario(cfg).series}
     detuning = np.array(scenarios.resonance_scan(cfg["sweep"])[0])
@@ -263,7 +262,7 @@ def test_modulated_scan_equals_one_call_per_point():
         inc = analytic.modulated_increments(coupling, spectrum, sigma, w_scan,
                                             state, 0.3, 0.8)
         for k, w21 in enumerate(w_scan):
-            point = DipoleCoupling(replace(tls0, energy_gap=w21 * HBAR_EV_FS), geo, kin)
+            point = replace(coupling, tls=replace(coupling.tls, energy_gap=w21 * HBAR_EV_FS))
             ground = analytic.modulated_increments(point, spectrum, sigma, w21,
                                                    TlsState.ground(), 0.0, 0.0)
             one = analytic.modulated_increments(point, spectrum, sigma, w21,
@@ -280,7 +279,8 @@ def test_born_step_products_memory():
     # chunk by chunk, so it holds no full-length complex drive array
     cfg = default_config("modulated_resonance")
     cfg["physics"]["impact_parameter_nm"] = 9.6
-    _, tls, _, coupling = physics_bundle(cfg)
+    coupling = coupling_for(cfg)
+    tls = coupling.tls
     sigma = cfg["sweep"]["envelope_sigma_et_fs"]
     times = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
     assert len(times) == 183275

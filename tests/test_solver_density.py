@@ -10,7 +10,7 @@ from feberi.cli import default_config, validate_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec
-from feberi.scenarios import SCENARIOS, physics_bundle, plan, profile_grid_args, run_scenario, \
+from feberi.scenarios import SCENARIOS, coupling_for, plan, profile_grid_args, run_scenario, \
     window_factors
 from feberi.solver_density import (
     _SAMPLE_BLOCK,
@@ -60,9 +60,9 @@ class TestAssembly:
         h = assembly.h_total
         assert np.max(np.abs(h - h.conj().T)) < 1e-12 * np.max(np.abs(h))
 
-    def test_negligible_dipole_leaves_free_part(self, kin, geometry, spec, coupling):
+    def test_negligible_dipole_leaves_free_part(self, kin, spec):
         tiny = TlsSpec.from_lab(2.0, 1e-9)
-        cpl = DipoleCoupling(tiny, geometry, kin)
+        cpl = DipoleCoupling(tiny, 2.4, kin)
         grid = grid_for_spec(spec, cpl, 64)
         h = assemble_hamiltonian(grid, cpl)
         off = h.h_total - np.diag(np.diag(h.h_total))
@@ -87,14 +87,14 @@ class TestAssembly:
             assert h_ip[m, n].real == pytest.approx(ref, rel=1e-4)
             assert abs(h_ip[m, n].imag) < 1e-16
 
-    def test_kernel_not_hermitian_rejected(self, kin, tls, geometry, spec, monkeypatch):
+    def test_kernel_not_hermitian_rejected(self, kin, tls, spec, monkeypatch):
         # a real odd admixture to the real even transverse kernel:
         # Mt(-q) != conj(Mt(q)), so no Hermitian block holds it
-        parallel = DipoleCoupling(tls, geometry, kin, "parallel")
+        parallel = DipoleCoupling(tls, 2.4, kin, "parallel")
         column = solver_density.kernel_column
         monkeypatch.setattr(solver_density, "kernel_column",
                             lambda grid, cpl: column(grid, cpl) + 1e-3j * column(grid, parallel))
-        cpl = DipoleCoupling(tls, geometry, kin, "transverse")
+        cpl = DipoleCoupling(tls, 2.4, kin, "transverse")
         with pytest.raises(AssemblyError, match="not Hermitian"):
             assemble_hamiltonian(grid_for_spec(spec, cpl, 128), cpl)
 
@@ -112,9 +112,9 @@ def physical_hamiltonian(h):
 
 
 @pytest.fixture(params=["transverse", "parallel"], ids=lambda o: f"{o}-spectral")
-def gauged(request, kin, tls, geometry, spec):
+def gauged(request, kin, tls, spec):
     """(coupling, assembly) for both orientations."""
-    cpl = DipoleCoupling(tls, geometry, kin, orientation=request.param)
+    cpl = DipoleCoupling(tls, 2.4, kin, orientation=request.param)
     # a cutoff past the kernel's momentum width hbar*gamma/r_perp: the block
     # reaches far into the kernel's tail
     extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
@@ -197,14 +197,14 @@ class TestRealGauge:
         want = v @ (np.exp(-1j * w * t / HBAR_EV_FS) * (v.conj().T @ psi))
         np.testing.assert_allclose(evolve_vector(psi, h, t), want, rtol=0, atol=1e-10)
 
-    def test_kernel_off_the_gauge_rejected(self, kin, tls, geometry, spec, monkeypatch):
+    def test_kernel_off_the_gauge_rejected(self, kin, tls, spec, monkeypatch):
         # the imaginary odd parallel kernel with a real even admixture is
         # Hermitian but neither real nor imaginary: the real gauge cannot hold it
-        transverse = DipoleCoupling(tls, geometry, kin, "transverse")
+        transverse = DipoleCoupling(tls, 2.4, kin, "transverse")
         column = solver_density.kernel_column
         monkeypatch.setattr(solver_density, "kernel_column",
                             lambda grid, cpl: column(grid, cpl) + 1e-3 * column(grid, transverse))
-        cpl = DipoleCoupling(tls, geometry, kin, "parallel")
+        cpl = DipoleCoupling(tls, 2.4, kin, "parallel")
         with pytest.raises(AssemblyError, match="TLS gauge"):
             assemble_hamiltonian(grid_for_spec(spec, cpl, 128), cpl)
 
@@ -233,11 +233,12 @@ def test_evolve_vector_holds_one_copy_of_the_states():
     # solver_crosscheck at N = 1024: its 369 sampled states are 11.5 MiB, and
     # the whole propagation holds little more than that one copy
     cfg = default_config("solver_crosscheck")
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    coupling = coupling_for(cfg)
+    kin, tls = coupling.kin, coupling.tls
     sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
     h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), coupling)
-    t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0)
+    t_start, t_end = interaction_window(sigma, coupling.transit_time, 0.0)
     psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
     tracemalloc.start()
     try:
@@ -256,7 +257,8 @@ def traced_crosscheck():
     cfg = default_config("solver_crosscheck")
     cfg["numerics"]["grid_points"] = 1024
     planned = plan(cfg)
-    _, tls, _, coupling = planned.physics
+    coupling = planned.coupling
+    tls = coupling.tls
     packet, (steps, every) = planned.packets[0], planned.schedule
     k = np.append(np.arange(0, steps, every), steps)
     times = packet.window[0] + k * ((packet.window[1] - packet.window[0]) / steps)
@@ -480,11 +482,12 @@ def test_fig3_plateau_against_extended_precision():
     cfg["sweep"]["sigma_et_over_period"] = [0.3]
     p2 = run_scenario(cfg).summary["plateau_p2"]["0.3"]
 
-    kin, tls, geo, coupling = physics_bundle(cfg)
+    coupling = coupling_for(cfg)
+    kin, tls = coupling.kin, coupling.tls
     sigma = 0.3 * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
     h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), coupling)
-    t_start, t_end = interaction_window(sigma, geo.transit_time, 0.0)
+    t_start, t_end = interaction_window(sigma, coupling.transit_time, 0.0)
     psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
     x = taylor_reference(h, psi0, t_end - t_start)
     p2_ref = float(np.sum(x[:, h.n:] ** 2))
@@ -510,7 +513,7 @@ def test_interaction_energy_equals_dense_product(gauged, spec, tls):
 @pytest.mark.parametrize("orientation", ["transverse", "parallel"])
 @pytest.mark.parametrize("divisions, n_records, streamed", [(31, 10, False), (310, 100, True)],
                          ids=["states", "streamed"])
-def test_trajectory_at_record_times_equals_one_call_per_time(tls, geometry, spec, kin,
+def test_trajectory_at_record_times_equals_one_call_per_time(tls, spec, kin,
                                                              orientation, divisions,
                                                              n_records, streamed):
     # the momentum RK4's records (every 3rd step, then the last: a short final
@@ -519,8 +522,8 @@ def test_trajectory_at_record_times_equals_one_call_per_time(tls, geometry, spec
     # expansion keeps K = 101 orders: above the 12 samples of 31 steps, whose
     # trajectory takes evolve_vector's states, and below the 105 of 310 steps,
     # whose trajectory is summed from the orders' vectors
-    coupling = DipoleCoupling(tls, geometry, kin, orientation=orientation)
-    window = interaction_window(spec.sigma_et, coupling.geometry.transit_time, spec.t0)
+    coupling = DipoleCoupling(tls, 2.4, kin, orientation=orientation)
+    window = interaction_window(spec.sigma_et, coupling.transit_time, spec.t0)
     steps, every = step_schedule(window, (window[1] - window[0]) / divisions, n_records)
     assert every == 3 and steps % every != 0
     k = np.append(np.arange(0, steps, every), steps)
@@ -657,7 +660,7 @@ def eigh_train(rho_b0, qews, coupling, tls, n):
     base = qews[0]
     grid = grid_for_spec(base, coupling, n)
     h = assemble_hamiltonian(grid, coupling)
-    window_half = interaction_window(base.sigma_et, coupling.geometry.transit_time, 0.0)[1]
+    window_half = interaction_window(base.sigma_et, coupling.transit_time, 0.0)[1]
     w, v = np.linalg.eigh(h.h_total)
     s = h.gauge_diagonal()
     phases = np.exp(-1j * w * 2.0 * window_half / HBAR_EV_FS)
@@ -790,7 +793,8 @@ def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
     # 3.8e-4 there and moves by 2e-3 with the window
     cfg = default_config("fig9_buildup")
     cfg["physics"]["orientation"] = orientation
-    kin, tls, _, coupling = physics_bundle(cfg)
+    coupling = coupling_for(cfg)
+    kin, tls = coupling.kin, coupling.tls
     sigma = plan(cfg).bunch_sigma_et
     gamma = tls.omega_21 * sigma
     assert gamma == pytest.approx(0.2195, abs=1e-4)
