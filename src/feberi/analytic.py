@@ -184,37 +184,3 @@ def modulated_increments(coupling: DipoleCoupling, spectrum: ModulationSpectrum,
     if w21.ndim == 0:
         dp1, dp2 = float(dp1), float(dp2)
     return TransitionIncrement(dp1=dp1, dp2=dp2, model="born", flags=flags)
-
-
-MULTI_QEW_VARIANTS = ("point_train", "modulated_correlated")
-
-
-def multi_qew_p2(n_electrons: int, coupling: DipoleCoupling, sigma_et: float,
-                 variant: str, f_n: complex | None = None) -> float:
-    """N^2-scaled upper-level probability of a phase-correlated train.
-
-    "point_train": periodic near-point packets at a subharmonic of the
-    transition; carries the single-packet envelope factor e^{-Gamma^2}.
-    "modulated_correlated": packets bunched by a common laser; the bunching
-    harmonic |f_n|^2 replaces the envelope factor (no e^{-Gamma^2}).
-
-    The quadratic law is the small-signal limit of the Rabi oscillation;
-    beyond P2 = 0.5 it is meaningless and a RegimeWarning is emitted.
-    """
-    if n_electrons < 1:
-        raise DomainError("need at least one electron")
-    if variant not in MULTI_QEW_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
-    gam = gamma_parameter(coupling.tls.omega_21, sigma_et)
-    amp = _recoil_amplitude(coupling)
-    if variant == "point_train":
-        single = amp * amp * math.exp(-gam * gam)
-    else:
-        if f_n is None:
-            raise DomainError("modulated_correlated variant requires f_n")
-        single = amp * amp * abs(f_n) ** 2
-    p2 = n_electrons**2 * single
-    if p2 > 0.5:
-        warnings.warn(f"p2 = {p2:.3g} > 0.5: Rabi regime, quadratic "
-                      "approximation invalid", RegimeWarning)
-    return min(p2, 1.0)

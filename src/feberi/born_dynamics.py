@@ -61,13 +61,16 @@ temporaries near 3 MiB: narrower chunks pay more per-chunk Python overhead
 The benchmark's modulated profile (6,737 steps) is one chunk.  The width only
 regroups the steps.
 
-Every electron train, Born or joint-grid, runs through one private stepper,
-_step_trains, on a TrainWindow built once per run: the 4x4 channel of the
-row-major, rotating-frame TLS density matrix across the window of a packet
-arriving at t = 0 (kron(u, conj(u)) of the window propagator u here, the
-joint grid's from solver_density.grid_windows).  Shifting the arrival by t_K
-only multiplies rho_01 by e^{+i w21 t_K} before the channel and by e^{-i w21 t_K}
-after it, which makes N^2-coherent buildup on the resonant arrival comb exact.
+Every electron train, Born or joint-grid, steps through one stepper,
+simulate_train_ensemble (over the private _step_trains), on a TrainWindow built
+once per run: the 4x4 channel of the row-major, rotating-frame TLS density
+matrix across the window of a packet arriving at t = 0 (kron(u, conj(u)) of
+the window propagator u from train_window here, the joint grid's from
+solver_density.grid_windows).  Shifting the arrival by t_K only multiplies
+rho_01 by e^{+i w21 t_K} before the channel and by e^{-i w21 t_K} after it,
+which makes N^2-coherent buildup on the resonant arrival comb exact.
+Phase-locked trains come from arrival_schedule, random ones from
+random_arrival_times.
 """
 
 from __future__ import annotations
@@ -434,13 +437,10 @@ def window_propagator(profile: InteractionProfile, omega_21: float) -> np.ndarra
 
 # -- arrival schedules ----------------------------------------------------------------
 
-SCHEDULE_KINDS = ("correlated", "random", "periodic")
-
-
 @dataclass(frozen=True)
 class ArrivalSchedule:
     """Electron arrival times t_K (fs), strictly increasing, and the comb
-    indices n_K of a phase-locked schedule (None for a random one)."""
+    indices n_K of a phase-locked schedule (None when not given)."""
 
     times: np.ndarray
     n_k: np.ndarray | None = None
@@ -455,41 +455,30 @@ def _check_increasing(times: np.ndarray) -> None:
         raise DomainError("arrival times must be strictly increasing")
 
 
-def arrival_schedule(kind: str, n: int, omega_b: float, t_0l: float = 0.0,
+def arrival_schedule(n: int, omega_b: float, t_0l: float = 0.0,
                      mean_spacing: float | None = None, seed: int = 0) -> ArrivalSchedule:
-    """Deterministic (seeded) arrival schedule of n electrons.
-
-    kind "correlated": t_K = t_0l + n_K T_b with random ascending integers
-    n_K (arrivals locked to the modulation phase); "random": continuous
-    uniform gaps with no phase relation; "periodic": exact comb of period
-    T_b.
+    """Seeded phase-locked schedule of n electrons: t_K = t_0l + n_K T_b with
+    random ascending integers n_K, T_b = 2 pi/omega_b, and gaps of about
+    ``mean_spacing`` (default 3 T_b) and at least T_b.  Random trains come
+    from ``random_arrival_times``.
     """
-    if kind not in SCHEDULE_KINDS:
-        raise DomainError(f"unknown schedule kind {kind!r}")
     if n < 1:
         raise DomainError("need at least one electron")
-    if omega_b <= 0.0 and kind != "random":
-        raise DomainError("omega_b must be > 0 for phase-locked schedules")
-    t_b = TWO_PI / omega_b if omega_b > 0 else 0.0
+    if omega_b <= 0.0:
+        raise DomainError("omega_b must be > 0 for a phase-locked schedule")
+    t_b = TWO_PI / omega_b
     if mean_spacing is None:
-        mean_spacing = 3.0 * t_b if t_b else 1.0
-    if kind == "random":
-        return ArrivalSchedule(times=random_arrival_times(n, [seed], mean_spacing, t_0l)[0])
-    if kind == "periodic":
-        n_k = np.arange(1, n + 1)
-    else:
-        gap_mean = max(1, int(round(mean_spacing / t_b)))
-        rng = np.random.default_rng(seed)
-        gaps = rng.integers(1, 2 * gap_mean, size=n)   # mean ~ gap_mean, all >= 1
-        n_k = np.cumsum(gaps)
+        mean_spacing = 3.0 * t_b
+    gap_mean = max(1, int(round(mean_spacing / t_b)))
+    rng = np.random.default_rng(seed)
+    n_k = np.cumsum(rng.integers(1, 2 * gap_mean, size=n))   # gaps ~ gap_mean, all >= 1
     return ArrivalSchedule(times=t_0l + n_k * t_b, n_k=n_k)
 
 
 def random_arrival_times(n: int, seeds, mean_spacing: float,
                          t_0l: float = 0.0) -> np.ndarray:
     """Arrival times (S, N) of S random schedules of n electrons, one per seed:
-    continuous uniform gaps in [0.5, 1.5) mean_spacing with no phase relation.
-    Row k is ``arrival_schedule("random", n, ..., seed=seeds[k]).times``."""
+    continuous uniform gaps in [0.5, 1.5) mean_spacing with no phase relation."""
     gaps = np.empty((len(seeds), n))
     for row, seed in zip(gaps, seeds):
         row[:] = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
@@ -510,13 +499,15 @@ class TrainWindow(NamedTuple):
     omega_21: float
 
 
-def train_window(coupling: DipoleCoupling, sigma_et_point: float, omega_21: float,
+def train_window(coupling: DipoleCoupling, sigma_et_point: float,
                  transit_factor: float = WINDOW_TRANSIT_FACTOR,
                  sigma_factor: float = WINDOW_SIGMA_FACTOR,
                  points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> TrainWindow:
-    """The window of a near-point packet arriving at t = 0, built once per train
-    set: one interaction profile and one window propagator u, whose channel
-    rho -> u rho u^dagger is kron(u, conj(u))."""
+    """The Born window of a near-point packet arriving at t = 0, at the
+    coupling's omega_21, built once per train set: one interaction profile and
+    one window propagator u, whose channel rho -> u rho u^dagger is
+    kron(u, conj(u))."""
+    omega_21 = coupling.tls.omega_21
     profile = interaction_profile(coupling, sigma_et_point, 0.0, omega_21,
                                   transit_factor, sigma_factor, points_per_scale)
     u = window_propagator(profile, omega_21)
@@ -544,10 +535,11 @@ def _step_trains(rho0: np.ndarray, times: np.ndarray,
 
 def simulate_train_ensemble(state0: TlsState, times: np.ndarray,
                             window: TrainWindow) -> np.ndarray:
-    """P2 after each electron, shape (S, N), of S trains of near-point packets
-    from ``state0`` with arrival times ``times`` (S, N), stepped jointly by
-    ``_step_trains``.  Warns if consecutive windows of any train overlap (the
-    sequential model assumes they do not)."""
+    """P2 after each electron, shape (S, N), of S trains from ``state0`` with
+    arrival times ``times`` (S, N), each electron passing through ``window``
+    (Born or joint grid), stepped jointly by ``_step_trains``.  Warns if
+    consecutive windows of any train overlap (the sequential model assumes
+    they do not)."""
     gaps = np.diff(times, axis=1)
     if np.any(gaps < window.length):
         warnings.warn(

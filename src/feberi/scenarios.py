@@ -505,11 +505,10 @@ def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
     mean_spacing = sw["mean_spacing_periods"] * t_b
 
     sigma_pt = plan.bunch_sigma_et
-    window = bd.train_window(coupling, sigma_pt, tls.omega_21, **profile_grid_args(cfg))
+    window = bd.train_window(coupling, sigma_pt, **profile_grid_args(cfg))
 
     n_corr = sw["correlated_electrons"]
-    sched_c = bd.arrival_schedule("correlated", n_corr, omega_b,
-                                  mean_spacing=mean_spacing, seed=seed)
+    sched_c = bd.arrival_schedule(n_corr, omega_b, mean_spacing=mean_spacing, seed=seed)
     p2_corr = bd.simulate_train_ensemble(TlsState.ground(), sched_c.times[None], window)[0]
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)

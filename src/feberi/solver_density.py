@@ -23,8 +23,8 @@ The solvers here size nothing: a ``qew.Packet`` brings its grid and window
 free dispersion, the TLS levels and dipole, and the kernel.  A packet's
 window is one rotating-frame 4x4 channel of the TLS density matrix
 (``grid_windows``, every packet's two basis starts in one block): fig56
-reads P2 off it, and born_dynamics' train stepper carries it across an
-electron train (``sequential_multi_qew``).
+reads P2 off it, and born_dynamics.simulate_train_ensemble, the one train
+stepper, carries it across an electron train as it does a Born window.
 
 H is stored real: H_IB is real symmetric and H_IP = dp Mt(p_m - p_n)/(2 pi hbar)
 is real symmetric (transverse) or i times real antisymmetric (parallel), so
@@ -46,12 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from feberi.born_dynamics import TrainWindow, _step_trains
+from feberi.born_dynamics import TrainWindow
 from feberi.core import HBAR_EV_FS, DomainError, TlsState
 from feberi.coulomb import DipoleCoupling
-from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid, \
-    circulant_block, circulant_product, kernel_column
-from feberi.qew import Packet, momentum_amplitudes, packet_for_spec
+from feberi.grid import MomentumGrid, circulant_block, circulant_product, kernel_column
+from feberi.qew import Packet, momentum_amplitudes
 
 
 class AssemblyError(ValueError):
@@ -486,9 +485,6 @@ class DensityTrajectory:
     def e_total(self) -> np.ndarray:
         return self.e_free + self.e_bound + self.e_int
 
-    def final_rho_b(self) -> np.ndarray:
-        return partial_trace_bound(self.final_vector)
-
 
 def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCoupling,
                         times=None, collect_rho_b: bool = False) -> DensityTrajectory:
@@ -610,23 +606,6 @@ def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:
 
 # -- electron-train windows ------------------------------------------------------------
 
-def _checked_tls_state(rho_b0) -> np.ndarray:
-    """rho_b0 as a complex 2x2 array; DomainError unless it is a density matrix."""
-    rho = np.asarray(rho_b0, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DomainError(f"rho_b0 must be 2x2, got shape {rho.shape}")
-    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
-        raise DomainError("rho_b0 must be Hermitian")
-    if not abs(np.trace(rho) - 1.0) <= 1e-9:
-        raise DomainError("rho_b0 must have unit trace")
-    # the smaller eigenvalue of a Hermitian 2x2, in closed form
-    a, d = rho.diagonal().real
-    low = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(rho[0, 1]))
-    if not low >= -1e-12:
-        raise DomainError(f"rho_b0 must be positive semidefinite (eigenvalue {low:.3g})")
-    return rho
-
-
 def grid_windows(packets, coupling: DipoleCoupling) -> list[TrainWindow]:
     """Each packet's window channel, the packet arriving at t = 0: the lab-frame map
     rho -> sum_ij rho_ij Tr_F |phi_i><phi_j|, phi_i = |i> (x) free at -half evolved
@@ -648,37 +627,6 @@ def grid_windows(packets, coupling: DipoleCoupling) -> list[TrainWindow]:
     edge = np.exp(-1j * w21 * halves[:, None, None] * _FLIP)
     channels = np.einsum("sab,sian,sjbn,sij->sabij", edge, phi, phi.conj(), edge)
     return [TrainWindow(k.reshape(4, 4), 2.0 * half, w21) for k, half in zip(channels, halves)]
-
-
-def sequential_multi_qew(rho_b0: np.ndarray, qews, coupling: DipoleCoupling,
-                         n: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Pass a train of wavepackets one at a time, carrying the TLS state.
-
-    Each electron starts in a fresh product state rho_f (x) rho_b and is
-    traced out after its window; the packets may differ only in their
-    arrival time, and their windows must not overlap.  Their one window
-    (``grid_windows``) is stepped across the train by the Born trains'
-    stepper.  Returns (P2 after each electron, final rho_b), with rho_b0 and
-    rho_b in the lab frame at the first window's start and the last's end.
-    """
-    qews = list(qews)
-    if not qews:
-        raise DomainError("empty electron train")
-    rho_b = _checked_tls_state(rho_b0)
-    shape = qews[0].with_arrival(0.0)
-    if any(q.with_arrival(0.0) != shape for q in qews[1:]):
-        raise DomainError("train packets must differ only in their arrival time")
-    [window] = grid_windows([packet_for_spec(shape, coupling, n, WINDOW_TRANSIT_FACTOR,
-                                             WINDOW_SIGMA_FACTOR)], coupling)
-    half = 0.5 * window.length
-    arrivals = np.array([q.t0 for q in qews])
-    close = np.flatnonzero(np.diff(arrivals) < window.length)
-    if close.size:
-        raise DomainError(f"interaction windows overlap: arrivals {arrivals[close[0]]} and "
-                          f"{arrivals[close[0] + 1]} closer than {window.length}")
-    start = rho_b * np.exp(-1j * window.omega_21 * (arrivals[0] - half) * _FLIP)
-    p2, rho = _step_trains(start, arrivals[None], window)
-    return p2[0], rho[0] * np.exp(1j * window.omega_21 * (arrivals[-1] + half) * _FLIP)
 
 
 # -- binary dump of TLS trajectories --------------------------------------------------

@@ -56,10 +56,10 @@ MUTANTS = (
            'sorted(zip(cfg["sweep"]["gamma_values"], plan.packets), key=lambda row: row[0])',
            'list(zip(cfg["sweep"]["gamma_values"], plan.packets))',
            ("tests/test_scenarios.py::test_fig56_rows_follow_gamma_not_config_order",)),
-    Mutant("train lab-frame entry sign", "solver_density.py",
-           "start = rho_b * np.exp(-1j", "start = rho_b * np.exp(1j",
+    Mutant("grid window channel without the conjugate branch", "solver_density.py",
+           "phi, phi.conj(), edge", "phi, phi, edge",
            ("tests/test_solver_density.py::TestSequentialTrain::test_channel_matches_eigh_train"
-            "[pure-correlated]",)),
+            "[mixed-correlated]",)),
     Mutant("train stepper phase sign", "born_dynamics.py",
            "d = np.exp(1j * window.omega_21 * t_k)", "d = np.exp(-1j * window.omega_21 * t_k)",
            ("tests/test_born_dynamics.py::TestTrains::test_ensemble_equals_loop",

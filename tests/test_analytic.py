@@ -11,7 +11,6 @@ from feberi.analytic import (
     dp1_superposition,
     dp2_born,
     modulated_increments,
-    multi_qew_p2,
     nearest_harmonic,
     overlap_integral,
     p2_from_ground,
@@ -19,7 +18,7 @@ from feberi.analytic import (
 from feberi.born_dynamics import evolve_tls, interaction_profile
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.qew import GaussianQewSpec, ModulationSpectrum, gamma_parameter
+from feberi.qew import GaussianQewSpec, ModulationSpectrum
 from helpers import run_gaussian_scenario
 
 
@@ -270,42 +269,6 @@ class TestModulatedIncrements:
         with pytest.raises(DomainError, match="modulation period"):
             modulated_increments(coupling, spect, 2 * math.pi, np.array([1.0, 2.0]),
                                  TlsState.ground(), 0.0, 0.0)
-
-
-class TestMultiQew:
-    def test_single_reduces(self, coupling, tls):
-        sigma = 0.05
-        single = multi_qew_p2(1, coupling, sigma, "point_train")
-        gam = gamma_parameter(tls.omega_21, sigma)
-        assert single == pytest.approx(
-            p2_from_ground(coupling) * math.exp(-gam * gam), rel=1e-12)
-
-    def test_quadratic_scaling(self, coupling):
-        p10 = multi_qew_p2(10, coupling, 0.05, "point_train")
-        p20 = multi_qew_p2(20, coupling, 0.05, "point_train")
-        assert p20 == pytest.approx(4.0 * p10, rel=1e-12)
-
-    def test_modulated_variant(self, coupling, kin):
-        p = multi_qew_p2(20, coupling, 10.0, "modulated_correlated", f_n=0.5)
-        amp2 = (abs(m_tilde(coupling.recoil_momentum, coupling))
-                / (HBAR_EV_FS * kin.v0)) ** 2
-        # no envelope decay factor for the modulated variant
-        assert p == pytest.approx(400 * amp2 * 0.25, rel=1e-12)
-        with pytest.raises(DomainError):
-            multi_qew_p2(20, coupling, 10.0, "modulated_correlated")
-
-    def test_correlated_vs_random_crossing(self, coupling):
-        # a 20-electron locked train reaches the same level as 400 random
-        # electrons (quadratic vs linear)
-        p_corr = multi_qew_p2(20, coupling, 0.05, "point_train")
-        single = multi_qew_p2(1, coupling, 0.05, "point_train")
-        assert p_corr == pytest.approx(400 * single, rel=1e-12)
-
-    def test_rabi_warning(self, kin):
-        big = TlsSpec.from_lab(2.0, 500.0)
-        c = DipoleCoupling(big, 2.4, kin)
-        with pytest.warns(RegimeWarning):
-            multi_qew_p2(400, c, 0.0, "point_train")
 
 
 class TestTransitionIncrement:

@@ -440,10 +440,13 @@ class TestRosenZener:
     @pytest.mark.parametrize("omega_t, area", CASES)
     def test_train_window_at_one_electron(self, monkeypatch, coupling, omega_t, area):
         # the train stepper at N = 1 through train_window's channel, on the
-        # sech profile, arriving at t = 0 and off it
+        # sech profile, arriving at t = 0 and off it; the window reads its
+        # omega_21 from the coupling's TLS
         prof = sech_profile(area * HBAR_EV_FS / math.pi, 1.0, 0.005)
         monkeypatch.setattr(born_dynamics, "interaction_profile", lambda *args: prof)
-        window = train_window(coupling, 0.0, omega_t)
+        at_omega_t = replace(coupling, tls=replace(coupling.tls, energy_gap=omega_t * HBAR_EV_FS))
+        window = train_window(at_omega_t, 0.0)
+        assert window.omega_21 == pytest.approx(omega_t, rel=1e-15)
         p2 = simulate_train_ensemble(TlsState.ground(), np.array([[0.0], [7.3]]), window)
         np.testing.assert_allclose(p2[:, 0], rosen_zener_p2(omega_t, area), rtol=2e-9)
 
@@ -635,38 +638,29 @@ class TestArrivalSchedule:
     def test_correlated_locked_to_period(self, tls):
         omega_b = tls.omega_21 / 2.0
         t_b = TWO_PI / omega_b
-        s = arrival_schedule("correlated", 50, omega_b, t_0l=0.4,
-                             mean_spacing=3 * t_b, seed=3)
+        s = arrival_schedule(50, omega_b, t_0l=0.4, mean_spacing=3 * t_b, seed=3)
         k = (s.times - 0.4) / t_b
         np.testing.assert_allclose(k, np.round(k), atol=1e-9)
         assert np.array_equal(s.n_k, np.round(k).astype(int))
 
-    def test_periodic_comb(self, tls):
-        omega_b = tls.omega_21 / 2.0
-        s = arrival_schedule("periodic", 3, omega_b)
-        np.testing.assert_allclose(np.diff(s.times), TWO_PI / omega_b, rtol=1e-14)
-
     def test_seed_reproducible(self, tls):
         omega_b = tls.omega_21
-        a = arrival_schedule("random", 40, omega_b, seed=9)
-        b = arrival_schedule("random", 40, omega_b, seed=9)
-        np.testing.assert_array_equal(a.times, b.times)
-        c = arrival_schedule("random", 40, omega_b, seed=10)
-        assert not np.array_equal(a.times, c.times)
+        a, b, c = (arrival_schedule(40, omega_b, seed=seed).times for seed in (9, 9, 10))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+        a, b, c = random_arrival_times(40, [9, 9, 10], 1.0)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
-    def test_random_rows_equal_per_seed_draws(self, tls):
+    def test_random_rows_equal_per_seed_draws(self):
         # one (S, N) array against each seed's own generator, drawn and summed
-        # one schedule at a time; the single schedule is row 0 of its seed
+        # one schedule at a time
         seeds, n, spacing = [9, 1003, 42], 40, 2.5
         times = random_arrival_times(n, seeds, spacing, t_0l=0.3)
         assert times.shape == (3, n)
         for row, seed in zip(times, seeds):
             gaps = np.random.default_rng(seed).uniform(0.5, 1.5, size=n) * spacing
             np.testing.assert_array_equal(row, 0.3 + np.cumsum(gaps))
-            single = arrival_schedule("random", n, tls.omega_21, t_0l=0.3,
-                                      mean_spacing=spacing, seed=seed)
-            np.testing.assert_array_equal(single.times, row)
-            assert single.n_k is None
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(DomainError):
@@ -675,23 +669,27 @@ class TestArrivalSchedule:
         with pytest.raises(DomainError, match="strictly increasing"):
             random_arrival_times(5, [1, 2], 1.0, t_0l=1e20)
 
-    def test_unknown_kind(self, tls):
-        with pytest.raises(DomainError):
-            arrival_schedule("bursty", 5, tls.omega_21)
+    @pytest.mark.parametrize("n, omega_b, reason", [
+        (0, 1.0, "at least one electron"),
+        (5, 0.0, "omega_b must be > 0"),
+    ], ids=["no-electron", "no-comb"])
+    def test_locked_schedule_needs_an_electron_and_a_comb(self, n, omega_b, reason):
+        with pytest.raises(DomainError, match=reason):
+            arrival_schedule(n, omega_b)
 
 
-def train(sched, coupling, sigma_pt, omega_21, **kw):
+def train(sched, coupling, sigma_pt, **kw):
     """P2 after each electron of one train from ground: an ensemble of one."""
     return simulate_train_ensemble(TlsState.ground(), sched.times[None],
-                                   train_window(coupling, sigma_pt, omega_21, **kw))[0]
+                                   train_window(coupling, sigma_pt, **kw))[0]
 
 
-def reference_train(state0, schedule, u0, omega_21):
+def reference_train(state0, times, u0, omega_21):
     """The per-electron loop: the window propagator u0 conjugated by each
     arrival phase diag(1, e^{i w21 t_K}), applied in turn."""
     s = np.array([state0.c1, state0.c2], dtype=complex)
-    p2 = np.empty(len(schedule.times))
-    for k, t_k in enumerate(schedule.times):
+    p2 = np.empty(len(times))
+    for k, t_k in enumerate(times):
         d = np.array([1.0, np.exp(1j * omega_21 * t_k)])
         s = d * (u0 @ (d.conj() * s))
         p2[k] = abs(s[1]) ** 2
@@ -710,16 +708,15 @@ class TestTrains:
         t_k = 7.0 * t_b + 0.0  # on the comb
         sched = ArrivalSchedule(times=np.array([t_k]))
         sigma_pt = 0.08
-        p2 = train(sched, coupling, sigma_pt, tls.omega_21)
+        p2 = train(sched, coupling, sigma_pt)
         prof = interaction_profile(coupling, sigma_pt, t_k, tls.omega_21)
         traj = evolve_tls(TlsState.ground(), prof, tls.omega_21)
         assert p2[0] == pytest.approx(traj.p2[-1], rel=1e-9)
 
     def test_resonant_buildup_quadratic(self, coupling, tls, omega_b):
         t_b = TWO_PI / omega_b
-        sched = arrival_schedule("correlated", 20, omega_b, mean_spacing=3 * t_b,
-                                 seed=1)
-        p2 = train(sched, coupling, 0.08, tls.omega_21)
+        sched = arrival_schedule(20, omega_b, mean_spacing=3 * t_b, seed=1)
+        p2 = train(sched, coupling, 0.08)
         n = np.arange(1, 21)
         _, r2 = quadratic_fit(n, p2)
         assert r2 >= 0.99
@@ -728,58 +725,55 @@ class TestTrains:
     def test_resonant_buildup_seed_independent(self, coupling, tls, omega_b):
         # at exact resonance the random comb integers cancel out
         t_b = TWO_PI / omega_b
-        a = train(arrival_schedule("correlated", 12, omega_b, mean_spacing=3 * t_b, seed=4),
-                  coupling, 0.08, tls.omega_21)
-        b = train(arrival_schedule("correlated", 12, omega_b, mean_spacing=5 * t_b, seed=99),
-                  coupling, 0.08, tls.omega_21)
+        a = train(arrival_schedule(12, omega_b, mean_spacing=3 * t_b, seed=4), coupling, 0.08)
+        b = train(arrival_schedule(12, omega_b, mean_spacing=5 * t_b, seed=99), coupling, 0.08)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_random_mean_linear(self, coupling, tls, omega_b):
         t_b = TWO_PI / omega_b
         times = random_arrival_times(60, range(100, 124), 3 * t_b)
         ens = simulate_train_ensemble(TlsState.ground(), times,
-                                      train_window(coupling, 0.08, tls.omega_21))
+                                      train_window(coupling, 0.08))
         mean = ens.mean(axis=0)
         _, r2 = linear_fit(np.arange(1, 61), mean)
         assert r2 >= 0.9
 
     def test_ensemble_equals_loop(self, coupling, tls, omega_b):
         t_b = TWO_PI / omega_b
-        scheds = [arrival_schedule("random", 10, omega_b, mean_spacing=3 * t_b,
-                                   seed=s) for s in (3, 8)]
+        times = random_arrival_times(10, (3, 8), 3 * t_b)
         state0 = TlsState.equatorial(0.9)
-        ens = simulate_train_ensemble(state0, np.stack([s.times for s in scheds]),
-                                      train_window(coupling, 0.08, tls.omega_21))
+        ens = simulate_train_ensemble(state0, times, train_window(coupling, 0.08))
         u0 = window_propagator(interaction_profile(coupling, 0.08, 0.0, tls.omega_21),
                                tls.omega_21)
         assert ens.shape == (2, 10)
-        for i, s in enumerate(scheds):
-            np.testing.assert_allclose(ens[i], reference_train(state0, s, u0, tls.omega_21),
+        for row, t in zip(ens, times):
+            np.testing.assert_allclose(row, reference_train(state0, t, u0, tls.omega_21),
                                        rtol=1e-12)
 
     def test_points_per_scale_sets_window_grid(self, coupling, tls, omega_b):
         t_b = TWO_PI / omega_b
-        sched = arrival_schedule("correlated", 5, omega_b, mean_spacing=3 * t_b, seed=2)
-        fine, coarse = (train(sched, coupling, 0.08, tls.omega_21, points_per_scale=pps)
+        sched = arrival_schedule(5, omega_b, mean_spacing=3 * t_b, seed=2)
+        fine, coarse = (train(sched, coupling, 0.08, points_per_scale=pps)
                         for pps in (100, 50))
         prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
         u0 = window_propagator(prof, tls.omega_21)
         assert not np.array_equal(fine, coarse)
         np.testing.assert_allclose(coarse, fine, rtol=1e-4)
         np.testing.assert_allclose(
-            coarse, reference_train(TlsState.ground(), sched, u0, tls.omega_21), rtol=1e-12)
+            coarse, reference_train(TlsState.ground(), sched.times, u0, tls.omega_21),
+            rtol=1e-12)
 
     def test_overlap_warning(self, coupling, tls):
         sched = ArrivalSchedule(times=np.array([0.0, 0.05]))
         with pytest.warns(RuntimeWarning, match="overlap"):
-            train(sched, coupling, 0.08, tls.omega_21)
+            train(sched, coupling, 0.08)
 
     def test_ensemble_warns_if_any_schedule_overlaps(self, coupling, tls):
         # windows are +-(10 t_r + 6 sigma) ~ 0.56 fs wide: 10 fs gaps are
         # clear, one 0.05 fs gap in the second schedule is not
         clear = np.array([0.0, 10.0, 20.0])
         tight = np.array([0.0, 10.0, 10.05])
-        window = train_window(coupling, 0.08, tls.omega_21)
+        window = train_window(coupling, 0.08)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate_train_ensemble(TlsState.ground(), np.stack([clear, clear]), window)
@@ -787,7 +781,7 @@ class TestTrains:
             simulate_train_ensemble(TlsState.ground(), np.stack([clear, tight]), window)
 
     def test_train_window_is_the_window_propagator(self, coupling, tls):
-        window = train_window(coupling, 0.08, tls.omega_21, points_per_scale=50)
+        window = train_window(coupling, 0.08, points_per_scale=50)
         prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
         u = window_propagator(prof, tls.omega_21)
         np.testing.assert_array_equal(window.channel, np.kron(u, u.conj()))

@@ -1,5 +1,7 @@
-"""The package's public surface: one physics value, and README's example runs."""
+"""The package's public surface: one physics value, one electron-train path,
+no module reaching into another's private names, and README's example runs."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import feberi
-from feberi import scenarios
+from feberi import analytic, born_dynamics, scenarios, solver_density
 from feberi.born_dynamics import InteractionProfile
 from feberi.core import TlsSpec
 from feberi.coulomb import DipoleCoupling
@@ -59,6 +61,54 @@ def test_each_physical_fact_is_stored_once():
 
 def test_interaction_profile_keeps_only_times_and_values():
     assert _field_names(InteractionProfile) == ("times", "values")
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports(path):
+    """'module: name' for each private (underscore, not dunder) name ``path``
+    imports from a feberi module or reads off one it imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("feberi"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{node.module}: {alias.name}")
+                elif node.module == "feberi":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.startswith("feberi.") and alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found.append(f"{node.value.id}: {node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name serves its own module only, so no second front end can
+    # be built on another module's internals
+    src = Path(feberi.__file__).resolve().parent
+    found = {path.name: _private_imports(path) for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_one_electron_train_path():
+    # trains step only through born_dynamics.simulate_train_ensemble; the grid
+    # wrapper, the Born N^2 laws, the schedule kinds and a window's own omega_21
+    # beside its coupling are gone
+    for module, name in [(solver_density, "sequential_multi_qew"),
+                         (solver_density, "_checked_tls_state"),
+                         (analytic, "multi_qew_p2"), (analytic, "MULTI_QEW_VARIANTS"),
+                         (born_dynamics, "SCHEDULE_KINDS"),
+                         (solver_density.DensityTrajectory, "final_rho_b")]:
+        assert not hasattr(module, name), name
+    assert "omega_21" not in inspect.signature(born_dynamics.train_window).parameters
+    assert "kind" not in inspect.signature(born_dynamics.arrival_schedule).parameters
 
 
 def test_readme_example_runs(capsys):

@@ -13,6 +13,7 @@ from feberi.qew import GaussianQewSpec, ModulatedQewSpec
 from feberi.scenarios import SCENARIOS, coupling_for, plan, profile_grid_args, run_scenario, \
     window_factors
 from feberi.solver_density import (
+    _FLIP,
     _SAMPLE_BLOCK,
     MAX_CHEBYSHEV_ORDER,
     AssemblyError,
@@ -33,14 +34,13 @@ from feberi.solver_density import (
     read_rho_b_bin,
     run_qew_interaction,
     schrodinger_qew_vector,
-    sequential_multi_qew,
     write_rho_b_bin,
 )
 from feberi.grid import build_grid, circulant_product, interaction_window
 from feberi.qew import grid_for_spec, packet_for_spec
 from feberi.solver_momentum import step_schedule
-from feberi.born_dynamics import arrival_schedule, quadratic_fit, simulate_train_ensemble, \
-    train_window
+from feberi.born_dynamics import _step_trains, arrival_schedule, quadratic_fit, \
+    random_arrival_times, simulate_train_ensemble, train_window
 from helpers import default_packet
 
 
@@ -598,7 +598,7 @@ class TestPartialTraces:
     def test_entanglement_entropy_positive(self, coupling, spec):
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
                                    coupling)
-        rho_b = traj.final_rho_b()
+        rho_b = partial_trace_bound(traj.final_vector)
         evals = np.linalg.eigvalsh(rho_b)
         evals = evals[evals > 1e-300]
         entropy = float(-np.sum(evals * np.log(evals)))
@@ -687,52 +687,55 @@ def _pure(state):
     return np.outer(c, c.conj())
 
 
+def grid_train(rho_b0, qews, coupling, n):
+    """A train of packets that differ only in their arrival time, through their
+    one grid window (``grid_windows``) and the train stepper; returns (P2 after
+    each electron, final rho_b), with rho_b0 and rho_b in the lab frame at the
+    first window's start and the last one's end."""
+    [window] = grid_windows([default_packet(qews[0].with_arrival(0.0), coupling, n)], coupling)
+    arrivals = np.array([[q.t0 for q in qews]])
+    half = 0.5 * window.length
+    start = rho_b0 * np.exp(-1j * window.omega_21 * (arrivals[0, 0] - half) * _FLIP)
+    p2, rho = _step_trains(start, arrivals, window)
+    return p2[0], rho[0] * np.exp(1j * window.omega_21 * (arrivals[0, -1] + half) * _FLIP)
+
+
+def point_grid_window(coupling, kin, sigma_et, n):
+    """The grid window of a Gaussian packet of duration sigma_et on n points."""
+    spec = GaussianQewSpec.from_duration(kin, sigma_et)
+    return grid_windows([default_packet(spec, coupling, n)], coupling)[0]
+
+
 class TestSequentialTrain:
     def test_single_matches_direct(self, coupling, kin, spec):
-        p2_seq, rho_b = sequential_multi_qew(np.diag([1.0, 0.0]), [spec], coupling, n=128)
+        p2_seq, rho_b = grid_train(np.diag([1.0, 0.0]), [spec], coupling, 128)
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
                                    coupling)
         assert p2_seq[-1] == pytest.approx(traj.p2[-1], rel=1e-9)
-        np.testing.assert_allclose(rho_b, traj.final_rho_b(), atol=1e-12)
+        np.testing.assert_allclose(rho_b, partial_trace_bound(traj.final_vector), atol=1e-12)
 
     def test_correlated_quadratic_matches_born(self, coupling, tls, kin):
+        # the grid and Born windows of one point packet, stepped alike
         omega_b = tls.omega_21 / 2.0
         t_b = TWO_PI / omega_b
-        sched = arrival_schedule("correlated", 6, omega_b, mean_spacing=3 * t_b,
-                                 seed=5)
+        times = arrival_schedule(6, omega_b, mean_spacing=3 * t_b, seed=5).times[None]
         sigma_pt = 0.1
-        qews = [GaussianQewSpec.from_duration(kin, sigma_pt, t0=t)
-                for t in sched.times]
-        p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling,
-                                         n=128)
-        _, r2 = quadratic_fit(np.arange(1, 7), p2_seq)
+        p2_grid = simulate_train_ensemble(TlsState.ground(), times,
+                                          point_grid_window(coupling, kin, sigma_pt, 128))[0]
+        _, r2 = quadratic_fit(np.arange(1, 7), p2_grid)
         assert r2 > 0.999
-        p2_born = simulate_train_ensemble(TlsState.ground(), sched.times[None],
-                                          train_window(coupling, sigma_pt, tls.omega_21))[0]
-        np.testing.assert_allclose(p2_seq[-1], p2_born[-1], rtol=0.10)
+        p2_born = simulate_train_ensemble(TlsState.ground(), times,
+                                          train_window(coupling, sigma_pt))[0]
+        np.testing.assert_allclose(p2_grid[-1], p2_born[-1], rtol=0.10)
 
     def test_random_mean_linear(self, coupling, tls, kin):
-        omega_b = tls.omega_21 / 2.0
-        t_b = TWO_PI / omega_b
-        acc = np.zeros(6)
-        n_seeds = 24
-        for s in range(n_seeds):
-            sched = arrival_schedule("random", 6, omega_b, mean_spacing=3 * t_b,
-                                     seed=300 + s)
-            qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t)
-                    for t in sched.times]
-            p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
-            acc += p2_seq
-        mean = acc / n_seeds
+        t_b = TWO_PI / (tls.omega_21 / 2.0)
+        times = random_arrival_times(6, range(300, 324), 3 * t_b)
+        mean = simulate_train_ensemble(TlsState.ground(), times,
+                                       point_grid_window(coupling, kin, 0.1, 64)).mean(axis=0)
         # ensemble mean grows linearly: P2(6)/P2(1) ~ 6 well below quadratic 36
         ratio = mean[-1] / mean[0]
         assert 2.0 < ratio < 14.0
-
-    def test_window_overlap_rejected(self, coupling, kin):
-        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0),
-                GaussianQewSpec.from_duration(kin, 0.1, t0=0.3)]
-        with pytest.raises(DomainError):
-            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
 
     @pytest.mark.parametrize("kind", ["correlated", "random"])
     @pytest.mark.parametrize("rho_b0", [
@@ -741,46 +744,25 @@ class TestSequentialTrain:
     ], ids=["pure", "mixed"])
     def test_channel_matches_eigh_train(self, coupling, tls, kin, kind, rho_b0):
         omega_b = tls.omega_21 / 2.0
-        sched = arrival_schedule(kind, 20, omega_b, mean_spacing=3 * TWO_PI / omega_b,
-                                 seed=7)
-        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in sched.times]
-        p2_seq, rho_b = sequential_multi_qew(rho_b0, qews, coupling, n=128)
+        spacing = 3 * TWO_PI / omega_b
+        if kind == "correlated":
+            times = arrival_schedule(20, omega_b, mean_spacing=spacing, seed=7).times
+        else:
+            times = random_arrival_times(20, [7], spacing)[0]
+        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in times]
+        p2_seq, rho_b = grid_train(rho_b0, qews, coupling, 128)
         p2_want, rho_want = eigh_train(rho_b0, qews, coupling, tls, n=128)
         np.testing.assert_allclose(p2_seq, p2_want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rho_b, rho_want, rtol=0, atol=1e-12)
-
-    def test_mixed_packet_shapes_rejected(self, coupling, tls, kin):
-        # one grid and one window, sized from the first packet, would not
-        # fit the second: the train rejects it rather than answer wrongly
-        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0),
-                GaussianQewSpec.from_duration(kin, 1.0, t0=100.0)]
-        with pytest.raises(DomainError, match="arrival time"):
-            sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
-        base = GaussianQewSpec.from_duration(kin, 10.0)
-        mods = [ModulatedQewSpec(base=base, g=1.0, omega_b=tls.omega_21 / 2.0),
-                ModulatedQewSpec(base=base.with_arrival(300.0), g=1.0,
-                                 omega_b=tls.omega_21 / 2.0, phi_b=0.5)]
-        with pytest.raises(DomainError, match="arrival time"):
-            sequential_multi_qew(np.diag([1.0, 0.0]), mods, coupling, n=64)
 
     def test_modulated_packets_differing_in_arrival_accepted(self, coupling, tls, kin):
         # a g = 0 modulated train is its base packets' train
         bases = [GaussianQewSpec.from_duration(kin, 5.0, t0=t) for t in (0.0, 100.0)]
         mods = [ModulatedQewSpec(base=b, g=0.0, omega_b=tls.omega_21 / 2.0) for b in bases]
         rho_b0 = _pure(TlsState.equatorial(0.7))
-        p2_mod, _ = sequential_multi_qew(rho_b0, mods, coupling, n=512)
-        p2_base, _ = sequential_multi_qew(rho_b0, bases, coupling, n=512)
+        p2_mod, _ = grid_train(rho_b0, mods, coupling, 512)
+        p2_base, _ = grid_train(rho_b0, bases, coupling, 512)
         np.testing.assert_allclose(p2_mod, p2_base, rtol=1e-12)
-
-    @pytest.mark.parametrize("rho_b0, reason", [
-        (np.eye(3) / 3.0, "2x2"),
-        (np.array([[1.0, 0.9], [0.0, 0.0]]), "Hermitian"),
-        (np.diag([1.5, -0.5]), "positive semidefinite"),
-    ], ids=["not-2x2", "not-hermitian", "not-psd"])
-    def test_invalid_rho_b0_rejected(self, coupling, kin, rho_b0, reason):
-        qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=0.0)]
-        with pytest.raises(DomainError, match=f"rho_b0 must be {reason}"):
-            sequential_multi_qew(rho_b0, qews, coupling, n=64)
 
 
 @pytest.mark.parametrize("orientation, rel", [("transverse", 1e-4), ("parallel", 1e-3)])
@@ -798,7 +780,7 @@ def test_born_window_lacks_the_grid_windows_recoil_factor(orientation, rel):
     sigma = plan(cfg).bunch_sigma_et
     gamma = tls.omega_21 * sigma
     assert gamma == pytest.approx(0.2195, abs=1e-4)
-    born = train_window(coupling, sigma, tls.omega_21, **profile_grid_args(cfg))
+    born = train_window(coupling, sigma, **profile_grid_args(cfg))
     [grid] = grid_windows([packet_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling,
                                            cfg["numerics"]["grid_points"],
                                            **window_factors(cfg))], coupling)
@@ -829,7 +811,7 @@ def test_no_scenario_or_train_calls_eigh(coupling, kin, assembly, monkeypatch):
     for name in SCENARIOS:
         run_scenario(default_config(name))
     qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in (0.0, 20.0, 45.0)]
-    p2_seq, _ = sequential_multi_qew(np.diag([1.0, 0.0]), qews, coupling, n=64)
+    p2_seq, _ = grid_train(np.diag([1.0, 0.0]), qews, coupling, 64)
     assert np.all(p2_seq > 0.0)
 
 
