@@ -53,16 +53,11 @@ class TransitionIncrement:
 
     dp1: float | np.ndarray
     dp2: float | np.ndarray
-    model: str
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         if np.any(self.dp2 < 0.0):
             raise DomainError("second-order increment cannot be negative")
-
-    @property
-    def total(self) -> float:
-        return self.dp1 + self.dp2
 
 
 def overlap_integral(p_rec: float, sigma_p0: float, t0: float,
@@ -183,4 +178,4 @@ def modulated_increments(coupling: DipoleCoupling, spectrum: ModulationSpectrum,
     dp1 = 2.0 * np.real(np.conj(state.c2) * dc2)
     if w21.ndim == 0:
         dp1, dp2 = float(dp1), float(dp2)
-    return TransitionIncrement(dp1=dp1, dp2=dp2, model="born", flags=flags)
+    return TransitionIncrement(dp1=dp1, dp2=dp2, flags=flags)

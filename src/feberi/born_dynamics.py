@@ -16,10 +16,12 @@ Schrodinger problem with E2 > E1; it reproduces the first-order increment
 +sin(zeta) law and matches the grid solvers.  It also makes the pair norm
 conserving for any real profile.)
 
-The plain profile samples its profile_time_grid (window factors and points
-per scale as arguments) at min(t_r, sigma_et, T_21)/points_per_scale and
-convolves the kernel, cut at KERNEL_REACH_TR transit times, with the Gaussian
-directly; it raises ResolutionError when its step exceeds min(t_r, sigma_et)/20.
+Every profile builder reads t_r and the TLS period T_21 = 2 pi/omega_21 from
+its DipoleCoupling, the one physics handle it takes.  The plain profile
+samples its profile_time_grid (window factors and points per scale as
+arguments) at min(t_r, sigma_et, T_21)/points_per_scale and convolves the
+kernel, cut at KERNEL_REACH_TR transit times, with the Gaussian directly; it
+raises ResolutionError when its step exceeds min(t_r, sigma_et)/20.
 The profile has the kernel's parity about t0, so one real transform computes
 the half tau >= 0 from the Gaussian out to GAUSSIAN_REACH sigma_et and the
 kernel lags that half reads, and the other half is its mirror.
@@ -27,7 +29,8 @@ The density-modulated profile is band-limited by its envelope: it is the
 inverse real transform of the exact kernel spectrum times the bunched
 density's spectrum, sampled over the same window at
 min(T_21, 2 pi/omega_top)/points_per_scale, and raises ResolutionError above
-that scale/20.
+that scale/20.  Neither builder allocates a grid or a transform of more than
+MAX_PROFILE_SAMPLES samples: it raises DomainError first.
 
 Phase factors e^{i w t_j} on a uniform grid t_j = t_first + j h (the drive's
 e^{i w21 t}) come from two small tables (``core.phase_tables``), not one
@@ -69,7 +72,7 @@ the window propagator u from train_window here, the joint grid's from
 solver_density.grid_windows).  Shifting the arrival by t_K only multiplies
 rho_01 by e^{+i w21 t_K} before the channel and by e^{-i w21 t_K} after it,
 which makes N^2-coherent buildup on the resonant arrival comb exact.
-Phase-locked trains come from arrival_schedule, random ones from
+Phase-locked arrival times come from arrival_schedule, random ones from
 random_arrival_times.
 """
 
@@ -99,6 +102,9 @@ PROFILE_POINTS_PER_SCALE = 100   # default profile samples per shortest time sca
 # the plain profile's kernel cut, and the least distance from a window end to
 # the modulated profile's periodic images, in transit times
 KERNEL_REACH_TR = 200.0
+# the most samples a profile's grid or transform may hold: 64 MiB per float64
+# array, 45 times the longest profile grid of the tests (183,275 samples)
+MAX_PROFILE_SAMPLES = 2**23 + 1
 # a Gaussian lobe e^{-x^2 sigma^2 / 2} is below e^{-40.5} ~ 3e-18 past x = 9/sigma
 GAUSSIAN_REACH = 9.0
 
@@ -129,28 +135,19 @@ def _span_step(times: np.ndarray) -> float:
     return float(times[-1] - times[0]) / (len(times) - 1)
 
 
-def kernel_prefactor(coupling: DipoleCoupling) -> float:
-    """K = gamma (e^2/4 pi eps0) r21 / r_perp^2 in eV.
-
-    Equals the bare transverse kernel at z = 0, and the parallel kernel's
-    odd-part scale; the profile is K times a dimensionless convolution in
-    t/t_r.
-    """
-    return coupling.kin.gamma * coupling.prefactor / coupling.r_perp**2
-
-
 def profile_time_grid(coupling: DipoleCoupling, sigma_et: float, t0: float,
-                      omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                      transit_factor: float = WINDOW_TRANSIT_FACTOR,
                       sigma_factor: float = WINDOW_SIGMA_FACTOR,
                       points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> np.ndarray:
     """Uniform grid over the interaction window, step = min scale / points_per_scale.
 
-    The step resolves the transit time, the packet duration and the TLS
-    period, so an RK4 step of two grid intervals meets the
-    min(t_r, sigma_et, T_21)/50 rule.
+    The step resolves the transit time, the packet duration and the
+    coupling's TLS period, so an RK4 step of two grid intervals meets the
+    min(t_r, sigma_et, T_21)/50 rule.  Raises DomainError, before it
+    allocates, past MAX_PROFILE_SAMPLES samples.
     """
     t_r = coupling.transit_time
-    scales = [t_r, TWO_PI / omega_21]
+    scales = [t_r, coupling.tls.period]
     if sigma_et > 0.0:
         scales.append(sigma_et)
     return _window_grid(coupling, sigma_et, t0, min(scales) / points_per_scale,
@@ -162,8 +159,19 @@ def _window_grid(coupling: DipoleCoupling, sigma_et: float, t0: float, step: flo
     """t0 + step * (-n..n), the fewest samples that cover the interaction window."""
     half = interaction_window(sigma_et, coupling.transit_time, 0.0,
                               transit_factor, sigma_factor)[1]
+    # 2 ceil(x) + 1 passes the odd ceiling exactly when 2 x + 1 does, and x may be inf
+    _check_samples(2.0 * (half / step) + 1.0, "grid")
     n = int(math.ceil(half / step))
     return t0 + step * np.arange(-n, n + 1)
+
+
+def _check_samples(count: float, what: str) -> None:
+    """Raise DomainError if a profile's grid or transform would hold more than
+    MAX_PROFILE_SAMPLES samples."""
+    if count > MAX_PROFILE_SAMPLES:
+        raise DomainError(f"a profile {what} of {count:.4g} samples is above the ceiling "
+                          f"MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}; lower "
+                          "profile_points_per_scale or the window factors")
 
 
 def _check_step(h: float, limit: float) -> None:
@@ -172,14 +180,15 @@ def _check_step(h: float, limit: float) -> None:
 
 
 def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
-                        omega_21: float, transit_factor: float = WINDOW_TRANSIT_FACTOR,
+                        transit_factor: float = WINDOW_TRANSIT_FACTOR,
                         sigma_factor: float = WINDOW_SIGMA_FACTOR,
                         points_per_scale: int = PROFILE_POINTS_PER_SCALE) -> InteractionProfile:
     """The spatial kernel convolved with the packet's temporal profile,
     integral du M(v0 u) f_et(tau - u), tau = t - t0, on the
     ``profile_time_grid`` of the same arguments.
 
-    Raises ResolutionError if the step exceeds min(t_r, sigma_et)/20.  For
+    Raises ResolutionError if the step exceeds min(t_r, sigma_et)/20, and
+    DomainError past MAX_PROFILE_SAMPLES samples of grid or transform.  For
     sigma_et below one grid step the Gaussian acts as a delta and the bare
     kernel is returned.  The kernel is truncated at +-KERNEL_REACH_TR * t_r
     (relative tail ~ (2 reach^2)^-1): a near-point packet's spectrum is broad,
@@ -193,8 +202,8 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
     past that), the kernel only at the lags those outputs read, and one real
     transform convolves the two (38,400 samples for fig9's point packet).
     """
-    grid = profile_time_grid(coupling, sigma_et, t0, omega_21, transit_factor,
-                             sigma_factor, points_per_scale)
+    grid = profile_time_grid(coupling, sigma_et, t0, transit_factor, sigma_factor,
+                             points_per_scale)
     h = _span_step(grid)
     t_r = coupling.transit_time
     _check_step(h, min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0)
@@ -209,6 +218,7 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
     # output i sits at lag + sample i - lo - j_lo of the linear convolution, and
     # outputs past its end (kernel and Gaussian both out of reach) are zero
     size = fft.next_fast_len(max(hi + j_hi, n) + 1 - lo - j_lo, real=True)
+    _check_samples(size, "transform")
     density = np.arange(j_lo, j_hi + 1, dtype=float)
     density *= h / sigma_et
     density *= density
@@ -254,7 +264,7 @@ def _density_spectrum(spectrum: ModulationSpectrum, m_top: int, sigma_et: float,
 
 def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
                                   spectrum: ModulationSpectrum, t_mod: float,
-                                  t0: float, omega_21: float, max_harmonic: int | None = None,
+                                  t0: float, max_harmonic: int | None = None,
                                   transit_factor: float = WINDOW_TRANSIT_FACTOR,
                                   sigma_factor: float = WINDOW_SIGMA_FACTOR,
                                   points_per_scale: int = PROFILE_POINTS_PER_SCALE
@@ -276,16 +286,18 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     up to omega_top and one inverse real transform gives f on the grid.
 
     The grid covers the interaction window with the step
-    min(T_21, 2 pi/omega_top)/points_per_scale; ResolutionError is raised if it
-    exceeds that scale/20.  The transform is at least ceil(400 t_r / h) samples
-    longer than the grid, so f's periodic images start 200 t_r or more past
-    each window end, and its output is rolled onto the grid.
+    min(T_21, 2 pi/omega_top)/points_per_scale, T_21 the coupling's TLS period;
+    ResolutionError is raised if it exceeds that scale/20, and DomainError past
+    MAX_PROFILE_SAMPLES samples of grid or transform.  The transform is at
+    least ceil(400 t_r / h) samples longer than the grid, so f's periodic
+    images start 200 t_r or more past each window end, and its output is
+    rolled onto the grid.
     """
     if sigma_et <= 0.0:
         raise DomainError("a modulated profile needs sigma_et > 0")
     m_top = spectrum.order if max_harmonic is None else min(max_harmonic, spectrum.order)
     omega_top = m_top * spectrum.omega_b + GAUSSIAN_REACH / sigma_et
-    scale = min(TWO_PI / omega_21, TWO_PI / omega_top)
+    scale = min(coupling.tls.period, TWO_PI / omega_top)
     grid = _window_grid(coupling, sigma_et, t0, scale / points_per_scale,
                         transit_factor, sigma_factor)
     h = _span_step(grid)
@@ -294,6 +306,7 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     t_r = coupling.transit_time
     size = fft.next_fast_len(len(grid) + math.ceil(2.0 * KERNEL_REACH_TR * t_r / h),
                              real=True)
+    _check_samples(size, "transform")
     d_omega = TWO_PI / (size * h)
     omega = d_omega * np.arange(int(omega_top / d_omega) + 1)
     v0 = coupling.kin.v0
@@ -437,30 +450,12 @@ def window_propagator(profile: InteractionProfile, omega_21: float) -> np.ndarra
 
 # -- arrival schedules ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArrivalSchedule:
-    """Electron arrival times t_K (fs), strictly increasing, and the comb
-    indices n_K of a phase-locked schedule (None when not given)."""
-
-    times: np.ndarray
-    n_k: np.ndarray | None = None
-
-    def __post_init__(self):
-        _check_increasing(self.times)
-
-
-def _check_increasing(times: np.ndarray) -> None:
-    """Raise unless every row of ``times`` (last axis) strictly increases."""
-    if np.any(np.diff(times) <= 0.0):
-        raise DomainError("arrival times must be strictly increasing")
-
-
 def arrival_schedule(n: int, omega_b: float, t_0l: float = 0.0,
-                     mean_spacing: float | None = None, seed: int = 0) -> ArrivalSchedule:
-    """Seeded phase-locked schedule of n electrons: t_K = t_0l + n_K T_b with
-    random ascending integers n_K, T_b = 2 pi/omega_b, and gaps of about
-    ``mean_spacing`` (default 3 T_b) and at least T_b.  Random trains come
-    from ``random_arrival_times``.
+                     mean_spacing: float | None = None, seed: int = 0) -> np.ndarray:
+    """Arrival times (N,) of a seeded phase-locked schedule of n electrons:
+    t_K = t_0l + n_K T_b with random ascending integers n_K, T_b = 2 pi/omega_b,
+    and gaps of about ``mean_spacing`` (default 3 T_b) and at least T_b.  Random
+    trains come from ``random_arrival_times``.
     """
     if n < 1:
         raise DomainError("need at least one electron")
@@ -472,7 +467,7 @@ def arrival_schedule(n: int, omega_b: float, t_0l: float = 0.0,
     gap_mean = max(1, int(round(mean_spacing / t_b)))
     rng = np.random.default_rng(seed)
     n_k = np.cumsum(rng.integers(1, 2 * gap_mean, size=n))   # gaps ~ gap_mean, all >= 1
-    return ArrivalSchedule(times=t_0l + n_k * t_b, n_k=n_k)
+    return t_0l + n_k * t_b
 
 
 def random_arrival_times(n: int, seeds, mean_spacing: float,
@@ -483,7 +478,8 @@ def random_arrival_times(n: int, seeds, mean_spacing: float,
     for row, seed in zip(gaps, seeds):
         row[:] = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
     times = t_0l + np.cumsum(gaps * mean_spacing, axis=1)
-    _check_increasing(times)
+    if np.any(np.diff(times) <= 0.0):
+        raise DomainError("arrival times must be strictly increasing")
     return times
 
 
@@ -508,8 +504,8 @@ def train_window(coupling: DipoleCoupling, sigma_et_point: float,
     one window propagator u, whose channel rho -> u rho u^dagger is
     kron(u, conj(u))."""
     omega_21 = coupling.tls.omega_21
-    profile = interaction_profile(coupling, sigma_et_point, 0.0, omega_21,
-                                  transit_factor, sigma_factor, points_per_scale)
+    profile = interaction_profile(coupling, sigma_et_point, 0.0, transit_factor,
+                                  sigma_factor, points_per_scale)
     u = window_propagator(profile, omega_21)
     return TrainWindow(np.kron(u, u.conj()), 2.0 * float(profile.times[-1]), omega_21)
 

@@ -381,6 +381,8 @@ def validate_config(cfg: dict) -> list[str]:
     # the plan's ERROR lines, each where the report tells of its subject
     first = [e for e in planned.errors if e.startswith("ERROR grid:")]
     late = [e for e in planned.errors if e.startswith(("ERROR bunch", "ERROR closed"))]
+    # the Born profile's size follows from the window factors and t_r * omega21
+    last = [e for e in planned.errors if e.startswith("ERROR Born profile")]
     report = [f"scenario: {scenario}",
               f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
               f"omega21={tls.omega_21:.4f} rad/fs t_r={coupling.transit_time * 1e3:.3f} as",
@@ -400,7 +402,7 @@ def validate_config(cfg: dict) -> list[str]:
     for gam in sweep.get("gamma_values", []):
         if gam > 1.0:
             report.append(f"Gamma = {gam:g}: wave regime (size-independent law governs)")
-    report += [e for e in planned.errors if e not in first + late]
+    report += [e for e in planned.errors if e not in first + late + last]
     if planned.states is not None:
         # what a grid run holds, at most: as many complex vectors as sampled
         # states (the states, or a trajectory's kept orders when it has no
@@ -421,6 +423,7 @@ def validate_config(cfg: dict) -> list[str]:
     t_r_w = coupling.transit_time * tls.omega_21
     report.append(f"t_r * omega21 = {t_r_w:.3g} "
                   f"({'fast transit' if t_r_w < 1 else 'slow transit'})")
+    report += last
     if not planned.errors:
         report.append("valid")
     return report

@@ -52,10 +52,6 @@ def debye_to_e_nm(x: float) -> float:
     return x * DEBYE_E_NM
 
 
-def e_nm_to_debye(x: float) -> float:
-    return x / DEBYE_E_NM
-
-
 def wrap_phase(phi: float) -> float:
     """Wrap a phase to [0, 2*pi). Single convention for the whole package."""
     out = math.fmod(phi, TWO_PI)
@@ -185,15 +181,6 @@ class TlsSpec:
     def period(self) -> float:
         """Transition period T_21 = 2*pi/omega_21 in fs."""
         return TWO_PI / self.omega_21
-
-    @property
-    def dipole_debye(self) -> float:
-        return e_nm_to_debye(self.dipole_magnitude)
-
-    @property
-    def dipole_length(self) -> float:
-        """|r_21| in nm (dipole matrix element divided by the electron charge)."""
-        return self.dipole_magnitude
 
 
 _NORM_TOL = 1e-12

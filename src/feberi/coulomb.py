@@ -30,29 +30,6 @@ from feberi.core import (
     transit_time,
 )
 
-# -- modified Bessel functions K0, K1 -----------------------------------------
-
-
-def _bessel_k(fn, x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("modified Bessel K defined here for x > 0 only")
-    out = fn(arr)
-    return float(out) if np.isscalar(x) else out
-
-
-def bessel_k0(x):
-    """Modified Bessel function of the second kind, order 0 (x > 0).
-
-    Accepts scalars or arrays; underflows to 0 past x ~ 742.
-    """
-    return _bessel_k(k0, x)
-
-
-def bessel_k1(x):
-    """Modified Bessel function of the second kind, order 1 (x > 0)."""
-    return _bessel_k(k1, x)
-
 
 # -- dipole coupling -----------------------------------------------------------
 
@@ -82,27 +59,24 @@ class DipoleCoupling:
     @property
     def prefactor(self) -> float:
         """(e^2/4 pi eps0) * r21 in eV*nm^2."""
-        return COULOMB_EV_NM * self.tls.dipole_length
+        return COULOMB_EV_NM * self.tls.dipole_magnitude
 
     @property
     def recoil_momentum(self) -> float:
         """Signed recoil -E_gap/v0 for the upward transition, eV*fs/nm."""
         return -self.tls.energy_gap / self.kin.v0
 
-    def spatial_kernel_unit(self, z):
-        """Kernel M(z)/(e^2 r21/4 pi eps0) for the chosen orientation, 1/nm^2."""
-        g = self.kin.gamma
-        rp = self.r_perp
-        denom = (g * g * np.asarray(z, dtype=float) ** 2 + rp * rp) ** 1.5
-        if self.orientation == "parallel":
-            return g * np.asarray(z, dtype=float) / denom
-        return g * rp / denom
-
 
 def m_spatial(z, coupling: DipoleCoupling):
     """Spatial coupling kernel M(z) in eV; odd in z for the parallel dipole,
     even and positive for the transverse one."""
-    return coupling.prefactor * coupling.spatial_kernel_unit(z)
+    g = coupling.kin.gamma
+    rp = coupling.r_perp
+    z = np.asarray(z, dtype=float)
+    denom = (g * g * z**2 + rp * rp) ** 1.5
+    if coupling.orientation == "parallel":
+        return coupling.prefactor * (g * z / denom)
+    return coupling.prefactor * (g * rp / denom)
 
 
 def m_tilde(p, coupling: DipoleCoupling):
@@ -127,11 +101,11 @@ def m_tilde(p, coupling: DipoleCoupling):
     if coupling.orientation == "parallel":
         vals = np.zeros_like(absp)
         if np.any(nz):
-            vals[nz] = (2.0 / g**2) * (absp[nz] / HBAR_EV_FS) * bessel_k0(x[nz])
+            vals[nz] = (2.0 / g**2) * (absp[nz] / HBAR_EV_FS) * k0(x[nz])
         out[:] = -1j * pref * np.sign(p) * vals
     else:
         vals = np.full_like(absp, 2.0 / (rp * 1.0))   # limit of (2/g)(|p|/hbar)K1 -> 2/r_perp
         if np.any(nz):
-            vals[nz] = (2.0 / g) * (absp[nz] / HBAR_EV_FS) * bessel_k1(x[nz])
+            vals[nz] = (2.0 / g) * (absp[nz] / HBAR_EV_FS) * k1(x[nz])
         out[:] = pref * vals
     return complex(out[0]) if scalar else out

@@ -24,7 +24,7 @@ tooth_sigma_et, is one inverse FFT of the zero-padded coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,9 +88,6 @@ class GaussianQewSpec:
         """Duration in fs; sigma_et = sigma_z0/v0."""
         return self.sigma_z0 / self.kin.v0
 
-    def with_arrival(self, t0: float) -> "GaussianQewSpec":
-        return GaussianQewSpec(kin=self.kin, sigma_p0=self.sigma_p0, t0=t0)
-
 
 @dataclass(frozen=True)
 class ModulatedQewSpec:
@@ -127,9 +124,6 @@ class ModulatedQewSpec:
     @property
     def sigma_et(self) -> float:     # the envelope's duration, fs
         return self.base.sigma_et
-
-    def with_arrival(self, t0: float) -> "ModulatedQewSpec":
-        return replace(self, base=self.base.with_arrival(t0))
 
     @property
     def delta_p(self) -> float:
@@ -310,7 +304,7 @@ def modulated_momentum_amplitudes(spec: ModulatedQewSpec, grid: MomentumGrid) ->
     return c / math.sqrt(norm)
 
 
-# -- position-space density -----------------------------------------------------
+# -- position-space amplitude ---------------------------------------------------
 
 def _modulated_amplitude_comoving(spec: ModulatedQewSpec, xi: np.ndarray) -> np.ndarray:
     """Position-space amplitude of a modulated packet vs xi = z - v0 (t - t0).
@@ -346,28 +340,6 @@ def _modulated_amplitude_comoving(spec: ModulatedQewSpec, xi: np.ndarray) -> np.
     return amp * (TWO_PI * sz * sz) ** (-0.25)
 
 
-def density_profile(spec: GaussianQewSpec | ModulatedQewSpec, t: float,
-                    z_grid: np.ndarray) -> np.ndarray:
-    """Probability density n(z, t) of the packet, normalized to unit integral.
-
-    The Gaussian case is the waist-profile Gaussian riding at v0; the
-    modulated case evaluates the sideband sum (a bunch comb after drift).
-    The discrete trapezoid integral over ``z_grid`` is renormalized to 1, so
-    the grid must cover the packet.
-    """
-    z = np.asarray(z_grid, dtype=float)
-    xi = z - spec.kin.v0 * (t - spec.t0)
-    if isinstance(spec, ModulatedQewSpec):
-        dens = np.abs(_modulated_amplitude_comoving(spec, xi)) ** 2
-    else:
-        sz = spec.sigma_z0
-        dens = np.exp(-(xi**2) / (2.0 * sz * sz)) / math.sqrt(TWO_PI * sz * sz)
-    total = np.trapezoid(dens, z)
-    if total <= 0.0:
-        raise ResolutionError("density grid does not cover the packet")
-    return dens / total
-
-
 # -- wavepacket size parameter ----------------------------------------------------
 
 def gamma_parameter(omega: float, sigma_et: float) -> float:
@@ -388,8 +360,8 @@ class ModulationSpectrum:
     """Harmonics f_m of the periodic density modulation, f_0 = 1.
 
     ``f_m[k]`` holds the coefficient of harmonic m = k - M for
-    k = 0..2M; reconstruct(t) = sum_m f_m exp(i m omega_b t) is the
-    (real) periodic modulation factor of the density.
+    k = 0..2M; sum_m f_m exp(i m omega_b t) is the (real) periodic
+    modulation factor of the density.
     """
 
     f_m: np.ndarray      # complex, length 2M+1
@@ -403,12 +375,6 @@ class ModulationSpectrum:
         if abs(m) > self.order:
             return 0.0 + 0.0j
         return complex(self.f_m[m + self.order])
-
-    def reconstruct(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        m = np.arange(-self.order, self.order + 1)
-        vals = np.real(np.exp(1j * np.outer(t, m) * self.omega_b) @ self.f_m)
-        return vals if vals.ndim else float(vals)
 
 
 def _period_samples(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -168,6 +168,17 @@ def plan(cfg: dict) -> Plan:
             out.errors.append(f"ERROR bunch width: {exc}{hint}")
     elif scenario == "fig9_buildup":
         out.bunch_sigma_et = sweep["sigma_et_point_fs"]
+    # the point packet of fig8's one Born profile and of fig9's train window
+    point = None
+    if scenario == "fig8_single_point":
+        point = sweep["sigma_et_over_period"][0] * tls.period
+    elif scenario == "fig9_buildup":
+        point = out.bunch_sigma_et
+    if point is not None:
+        try:
+            bd.profile_time_grid(coupling, point, 0.0, **profile_grid_args(cfg))
+        except DomainError as exc:
+            out.errors.append(f"ERROR Born profile: {exc}")
     if scenario in ("fig3_ground", "fig8_single_point"):
         out.p2_closed = analytic.p2_from_ground(coupling)
         if out.p2_closed < sys.float_info.min:
@@ -438,7 +449,6 @@ def run_modulated_resonance(cfg: dict, plan: Plan) -> ScenarioResult:
                    for d in sw["spot_check_detunings"]]
         finest = coupling_at(max(w_spots))
         prof = bd.modulated_interaction_profile(finest, sigma_env, spectrum, 0.0, 0.0,
-                                                finest.tls.omega_21,
                                                 max_harmonic=sw["harmonic"] + 6,
                                                 **profile_grid_args(cfg))
         for d, w21 in zip(sw["spot_check_detunings"], w_spots):
@@ -472,7 +482,7 @@ def run_fig8_single_point(cfg: dict, plan: Plan) -> ScenarioResult:
     coupling, tls = plan.coupling, plan.coupling.tls
     frac = cfg["sweep"]["sigma_et_over_period"][0]
     sigma = frac * tls.period
-    prof = bd.interaction_profile(coupling, sigma, 0.0, tls.omega_21, **profile_grid_args(cfg))
+    prof = bd.interaction_profile(coupling, sigma, 0.0, **profile_grid_args(cfg))
     traj = bd.evolve_tls(TlsState.ground(), prof, tls.omega_21,
                          n_records=cfg["numerics"]["time_samples"])
     p2_ref = plan.p2_closed
@@ -508,8 +518,8 @@ def run_fig9_buildup(cfg: dict, plan: Plan) -> ScenarioResult:
     window = bd.train_window(coupling, sigma_pt, **profile_grid_args(cfg))
 
     n_corr = sw["correlated_electrons"]
-    sched_c = bd.arrival_schedule(n_corr, omega_b, mean_spacing=mean_spacing, seed=seed)
-    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), sched_c.times[None], window)[0]
+    times_c = bd.arrival_schedule(n_corr, omega_b, mean_spacing=mean_spacing, seed=seed)
+    p2_corr = bd.simulate_train_ensemble(TlsState.ground(), times_c[None], window)[0]
     n_axis_c = np.arange(1, n_corr + 1)
     a_quad, r2_quad = bd.quadratic_fit(n_axis_c, p2_corr)
 

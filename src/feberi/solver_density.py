@@ -127,7 +127,7 @@ def assemble_hamiltonian(grid: MomentumGrid, coupling: DipoleCoupling) -> Hamilt
     tls = coupling.tls
     h0f = np.real(coupling.kin.dispersion(grid.points))
     h0b = np.array([0.0, tls.energy_gap])
-    r21 = tls.dipole_length
+    r21 = tls.dipole_magnitude
     h_ib = np.array([[0.0, r21], [r21, 0.0]])
     column = grid.dp * (kernel_column(grid, coupling) / r21) / (2.0 * math.pi * HBAR_EV_FS)
 
@@ -457,12 +457,6 @@ def _check_norms(norms: np.ndarray, norm0) -> None:
         worst = int(np.argmax(drift / np.maximum(norm0, np.finfo(float).tiny)))
         raise PropagationError(f"propagated norm drifted by {drift[worst]:.2e} "
                                f"from the initial {norm0[worst]:.6g}")
-
-
-def partial_trace_bound(psi: np.ndarray) -> np.ndarray:
-    """2x2 TLS density matrix of a joint pure vector."""
-    psi = psi.reshape(2, -1)
-    return psi @ psi.conj().T
 
 
 # -- trajectories and observables ------------------------------------------------------

@@ -90,6 +90,10 @@ MUTANTS = (
            "[-lo - j_lo:n + 1 - lo - j_lo]", "[1 - lo - j_lo:n + 2 - lo - j_lo]",
            ("tests/test_born_dynamics.py::TestInteractionProfile"
             "::test_convolution_matches_full_length_oracle[fig9-point-transverse]",)),
+    Mutant("Born profile ceiling", "born_dynamics.py",
+           "if count > MAX_PROFILE_SAMPLES:", "if False:",
+           ("tests/test_born_dynamics.py::TestProfileCeiling"
+            "::test_grid_just_past_the_ceiling_is_refused",)),
     Mutant("momentum RK4 inner phase one step late", "solver_momentum.py",
            "np.multiply(outer[b], inner[i], out=ph)",
            "np.multiply(outer[b], inner[i - 1], out=ph)",

@@ -127,7 +127,7 @@ class TestDp1Superposition:
         t0, sigma = 0.3, 0.05 * tls.period
         spec = GaussianQewSpec.from_duration(kin, sigma, t0=t0)
         traj_m = run_gaussian_scenario(spec, state, coupling, n=128)
-        prof = interaction_profile(coupling, sigma, t0, tls.omega_21)
+        prof = interaction_profile(coupling, sigma, t0)
         traj_b = evolve_tls(state, prof, tls.omega_21)
         a = traj_m.p2[-1] - traj_m.p2[0]
         b = traj_b.p2[-1] - traj_b.p2[0]
@@ -272,10 +272,6 @@ class TestModulatedIncrements:
 
 
 class TestTransitionIncrement:
-    def test_total(self):
-        inc = TransitionIncrement(dp1=0.1, dp2=0.02, model="born")
-        assert inc.total == pytest.approx(0.12)
-
     def test_negative_dp2_rejected(self):
         with pytest.raises(DomainError):
-            TransitionIncrement(dp1=0.0, dp2=-1e-9, model="born")
+            TransitionIncrement(dp1=0.0, dp2=-1e-9)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,14 +12,12 @@ from hypothesis import strategies as st
 from feberi.analytic import dp1_superposition, p2_from_ground
 from feberi.born_dynamics import (
     SEGMENT_STEPS,
-    ArrivalSchedule,
     InteractionProfile,
     StepSizeError,
     TrainWindow,
     arrival_schedule,
     evolve_tls,
     interaction_profile,
-    kernel_prefactor,
     linear_fit,
     modulated_interaction_profile,
     profile_time_grid,
@@ -41,6 +40,7 @@ from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, ModulationSpectrum, \
     ResolutionError, grid_for_spec, modulation_fourier_coefficients, optimal_drift_time
 from feberi.solver_momentum import default_time_step, step_schedule
+from helpers import reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ class TestInteractionProfile:
     def test_parallel_odd_zero_integral(self, coupling_parallel, tls):
         # the mirrored half is odd to the bit, with an exact zero at t0
         for sigma in (0.05, 0.08, 0.3):
-            prof = interaction_profile(coupling_parallel, sigma, 0.0, tls.omega_21)
+            prof = interaction_profile(coupling_parallel, sigma, 0.0)
             grid = prof.times
             assert prof.values[len(grid) // 2] == 0.0
             np.testing.assert_array_equal(prof.values, -prof.values[::-1])
@@ -63,7 +63,7 @@ class TestInteractionProfile:
     def test_transverse_even_positive(self, coupling, tls):
         # the mirrored half is even to the bit
         for sigma in (0.05, 0.08, 0.3):
-            prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+            prof = interaction_profile(coupling, sigma, 0.0)
             np.testing.assert_array_equal(prof.values, prof.values[::-1])
             assert np.all(prof.values > 0.0)
 
@@ -80,7 +80,7 @@ class TestInteractionProfile:
         sigma = fig9_point.bunch_sigma_et if sigma == "fig9-point" \
             else float(sigma) * tls.period
         t0 = 1.7
-        prof = interaction_profile(cpl, sigma, t0, tls.omega_21)
+        prof = interaction_profile(cpl, sigma, t0)
         tau, h = prof.times - t0, prof.step
         m = int(math.ceil(200.0 * cpl.transit_time / h))
         kern = m_spatial(kin.v0 * (h * np.arange(-m, m + 1)), cpl).astype(complex)
@@ -102,7 +102,7 @@ class TestInteractionProfile:
         sigma = fig9_point.bunch_sigma_et if sigma == "fig9-point" else tls.period
         tracemalloc.start()
         try:
-            interaction_profile(cpl, sigma, 0.0, tls.omega_21)
+            interaction_profile(cpl, sigma, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -110,20 +110,23 @@ class TestInteractionProfile:
 
     def test_point_limit_peak(self, coupling, tls):
         # sigma -> 0: bare kernel, peak K at t = t0
-        prof = interaction_profile(coupling, 0.0, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, 0.0, 0.0)
         grid = prof.times
-        assert prof.values.max() == pytest.approx(kernel_prefactor(coupling), rel=1e-12)
+        # K = gamma (e^2/4 pi eps0) r21 / r_perp^2
+        k = coupling.kin.gamma * coupling.prefactor / coupling.r_perp**2
+        assert prof.values.max() == pytest.approx(k, rel=1e-12)
         assert grid[int(np.argmax(prof.values))] == 0.0
 
     def test_transverse_integral_preserved(self, coupling, tls):
         # Gaussian smoothing preserves the kernel integral 2*K*t_r (up to
         # the analytic window-truncation factor T/sqrt(T^2+1))
         sigma = 0.1 * tls.period
-        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, sigma, 0.0)
         grid = prof.times
         t_r = coupling.transit_time
         t_bar = float(grid[-1]) / t_r
-        expected = 2.0 * kernel_prefactor(coupling) * t_r \
+        k = coupling.kin.gamma * coupling.prefactor / coupling.r_perp**2
+        expected = 2.0 * k * t_r \
             * t_bar / math.sqrt(t_bar**2 + 1.0)
         assert np.trapezoid(prof.values, grid) == pytest.approx(expected, rel=2e-3)
 
@@ -132,14 +135,14 @@ class TestInteractionProfile:
         # rule bounds its step: min(t_r, sigma_et)/20 (here t_r/20)
         sigma, t0 = 0.05, 0.3
         factors = {"transit_factor": 5.0, "sigma_factor": 2.0}
-        prof = interaction_profile(coupling, sigma, t0, tls.omega_21, **factors)
+        prof = interaction_profile(coupling, sigma, t0, **factors)
         np.testing.assert_array_equal(
-            prof.times, profile_time_grid(coupling, sigma, t0, tls.omega_21, **factors))
+            prof.times, profile_time_grid(coupling, sigma, t0, **factors))
         lo, hi = interaction_window(sigma, coupling.transit_time, t0, 5.0, 2.0)
         assert prof.times[0] <= lo and prof.times[-1] >= hi
-        interaction_profile(coupling, sigma, t0, tls.omega_21, points_per_scale=20)
+        interaction_profile(coupling, sigma, t0, points_per_scale=20)
         with pytest.raises(ResolutionError):
-            interaction_profile(coupling, sigma, t0, tls.omega_21, points_per_scale=19)
+            interaction_profile(coupling, sigma, t0, points_per_scale=19)
 
     @pytest.mark.parametrize("orientation, bound", [("transverse", 1e-6),
                                                     ("parallel", 1e-2)],
@@ -157,7 +160,7 @@ class TestInteractionProfile:
         flat = ModulationSpectrum(f_m=np.array([0.0, 1.0, 0.0], dtype=complex),
                                   omega_b=tls.omega_21 / 2.0)
         sigma, t_r = 0.5, cpl.transit_time
-        prof = modulated_interaction_profile(cpl, sigma, flat, 0.0, 0.0, tls.omega_21)
+        prof = modulated_interaction_profile(cpl, sigma, flat, 0.0, 0.0)
         omega_top = flat.omega_b + 9.0 / sigma
         assert prof.step == pytest.approx(TWO_PI / omega_top / 100, rel=1e-12)
         k = math.ceil(prof.step / (t_r / 50.0))
@@ -174,20 +177,83 @@ class TestInteractionProfile:
         # one rule bounds the spectral profile's step: min(T21, 2 pi/omega_top)/20
         flat = ModulationSpectrum(f_m=np.array([0.0, 1.0, 0.0], dtype=complex),
                                   omega_b=tls.omega_21 / 2.0)
-        modulated_interaction_profile(coupling, 0.5, flat, 0.0, 0.0, tls.omega_21,
+        modulated_interaction_profile(coupling, 0.5, flat, 0.0, 0.0,
                                       points_per_scale=20)
         for pps in (19, 10):
             with pytest.raises(ResolutionError, match="profile step"):
-                modulated_interaction_profile(coupling, 0.5, flat, 0.0, 0.0, tls.omega_21,
+                modulated_interaction_profile(coupling, 0.5, flat, 0.0, 0.0,
                                               points_per_scale=pps)
         # a spectral profile has no point limit: its band grows as 1/sigma_et
         with pytest.raises(DomainError, match="sigma_et > 0"):
-            modulated_interaction_profile(coupling, 0.0, flat, 0.0, 0.0, tls.omega_21)
+            modulated_interaction_profile(coupling, 0.0, flat, 0.0, 0.0)
+
+
+def point_grid(coupling, offset):
+    """profile_time_grid of a point packet whose window is offset steps off the
+    most MAX_PROFILE_SAMPLES allows: a window of half-width x steps holds
+    2 ceil(x) + 1 samples, and with sigma_et = 0, sigma_factor = 0 and
+    transit_factor = 1 it is t_r wide at the step t_r/points_per_scale."""
+    half = (born_dynamics.MAX_PROFILE_SAMPLES - 1) // 2
+    return profile_time_grid(coupling, 0.0, 0.0, transit_factor=1.0, sigma_factor=0.0,
+                             points_per_scale=half + offset)
+
+
+class TestProfileCeiling:
+    def test_grid_within_the_ceiling_is_built(self, coupling):
+        assert len(point_grid(coupling, -1)) <= born_dynamics.MAX_PROFILE_SAMPLES
+
+    def test_grid_just_past_the_ceiling_is_refused(self, coupling):
+        with pytest.raises(DomainError) as refusal:
+            point_grid(coupling, 1)
+        message = str(refusal.value)
+        assert message.startswith("a profile grid of 8.389e+06 samples is above the ceiling "
+                                  f"MAX_PROFILE_SAMPLES = {born_dynamics.MAX_PROFILE_SAMPLES}")
+        assert "lower profile_points_per_scale" in message
+
+    def test_plain_profile_transform_refused_before_it_allocates(self, kin, tls):
+        # at sigma_factor = 0 the window (one t_r = 345 fs at 0.1 mm) holds
+        # 33k samples, but the Gaussian's reach, 9 sigma_et, passes the 200 t_r
+        # kernel cut, and the kernel lags and density samples the half-grid
+        # convolution reads need a transform of 1.6 times the ceiling
+        coupling = DipoleCoupling(tls, 1e5, kin)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError,
+                               match=re.escape("a profile transform of 1.344e+07 samples")):
+                interaction_profile(coupling, 1e4, 0.0, transit_factor=1.0, sigma_factor=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("physics, sweep, what", [
+        ({}, {"envelope_sigma_et_fs": 5000.0}, "grid of 1.161e+07 samples"),
+        ({"impact_parameter_nm": 4e4}, {}, "transform of 1.296e+07 samples"),
+    ], ids=["long-envelope-grid", "far-impact-transform"])
+    def test_modulated_profile_refused_before_it_allocates(self, physics, sweep, what):
+        # modulated_resonance's one profile, at 1.4 and 1.5 times the ceiling:
+        # the refused array alone would take 64 MiB or more
+        cfg = default_config("modulated_resonance")
+        cfg["physics"].update(physics)
+        cfg["sweep"].update(sweep)
+        coupling = scenarios.coupling_for(cfg)
+        spectrum = scenarios.bunched_spectrum(cfg, coupling)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=re.escape(f"a profile {what}")):
+                modulated_interaction_profile(coupling, cfg["sweep"]["envelope_sigma_et_fs"],
+                                              spectrum, 0.0, 0.0,
+                                              max_harmonic=cfg["sweep"]["harmonic"] + 6,
+                                              **scenarios.profile_grid_args(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestEvolveTls:
     def test_zero_profile_is_identity(self, coupling, tls):
-        grid = profile_time_grid(coupling, 0.05, 0.0, tls.omega_21)
+        grid = profile_time_grid(coupling, 0.05, 0.0)
         prof = InteractionProfile(times=grid, values=np.zeros_like(grid))
         state = TlsState.equatorial(0.7)
         traj = evolve_tls(state, prof, tls.omega_21)
@@ -196,14 +262,14 @@ class TestEvolveTls:
 
     def test_norm_conservation(self, coupling, tls):
         sigma = 0.1 * tls.period
-        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, sigma, 0.0)
         traj = evolve_tls(TlsState.equatorial(1.2), prof, tls.omega_21)
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
 
     def test_ground_matches_closed_form(self, coupling, tls):
         # near-point packet: Born P2 approaches the size-independent value
         sigma = 0.015 * tls.period
-        prof = interaction_profile(coupling, sigma, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, sigma, 0.0)
         traj = evolve_tls(TlsState.ground(), prof, tls.omega_21)
         assert traj.p2[-1] == pytest.approx(p2_from_ground(coupling), rel=0.02)
 
@@ -213,13 +279,13 @@ class TestEvolveTls:
         t0 = math.pi / tls.omega_21
         for frac in (0.05, 0.1, 0.15):
             sigma = frac * tls.period
-            prof = interaction_profile(coupling, sigma, t0, tls.omega_21)
+            prof = interaction_profile(coupling, sigma, t0)
             traj = evolve_tls(state, prof, tls.omega_21)
             pred = dp1_superposition(coupling, state, t0, sigma)
             assert traj.p2[-1] - traj.p2[0] == pytest.approx(pred, rel=0.05)
 
     def test_window_propagator_unitary(self, coupling, tls):
-        prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, 0.1, 0.0)
         u = window_propagator(prof, tls.omega_21)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-9)
 
@@ -346,7 +412,7 @@ class TestStepMatrixPropagator:
         # the (alpha, beta) form against the four-stage matrices, on a random
         # drive and on a real profile's drive
         rng = np.random.default_rng(5)
-        prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, 0.1, 0.0)
         real = prof.values * np.exp(1j * tls.omega_21 * prof.times) / (1j * HBAR_EV_FS)
         for w2, dt in ((3.0 * (rng.standard_normal(2001) + 1j * rng.standard_normal(2001)),
                         0.05), (real[:len(real) // 2 * 2 - 1], 2.0 * prof.step)):
@@ -355,7 +421,7 @@ class TestStepMatrixPropagator:
             np.testing.assert_allclose(pairs, dense_step_matrices(w2, dt), rtol=0, atol=1e-14)
 
     def test_evolve_tls_records_match_loop(self, coupling, tls):
-        prof = interaction_profile(coupling, 0.1, 0.0, tls.omega_21)
+        prof = interaction_profile(coupling, 0.1, 0.0)
         state = TlsState.equatorial(0.4)
         traj = evolve_tls(state, prof, tls.omega_21, n_records=37)
         idx, rec, _ = reference_rk4_columns(prof, tls.omega_21,
@@ -478,7 +544,7 @@ def benchmark_grid(benchmark_spot):
     samples at t_r/100, the longest profile grid of the tests), its omega_21
     and omega_b."""
     coupling, spectrum, sigma, w21, grid_args = benchmark_spot
-    return profile_time_grid(coupling, sigma, 0.0, w21, **grid_args), w21, spectrum.omega_b
+    return profile_time_grid(coupling, sigma, 0.0, **grid_args), w21, spectrum.omega_b
 
 
 def tabulated(omega, t_first, step, n, order):
@@ -571,7 +637,7 @@ def test_density_spectrum_inverts_to_reconstruction(kin, tls, order, g):
     s = h * (np.arange(n) - n // 2)
     rho = np.fft.ifft(_density_spectrum(spectrum, order, sigma, t0 - t_mod, omega)
                       * np.exp(1j * omega * s[0])) / h
-    want = spectrum.reconstruct(s + t0 - t_mod) \
+    want = reconstruct(spectrum, s + t0 - t_mod) \
         * np.exp(-(s**2) / (2.0 * sigma**2)) / (math.sqrt(TWO_PI) * sigma)
     np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -580,7 +646,7 @@ def test_modulated_grid_covers_the_window(benchmark_spot):
     # the benchmark's spot check: 13,475 samples at min(T21, 2 pi/omega_top)/100,
     # omega_top = 8 w_b + 9/sigma, the fewest about t0 that cover the window
     coupling, spectrum, sigma, w21, grid_args = benchmark_spot
-    prof = modulated_interaction_profile(coupling, sigma, spectrum, 0.0, 0.0, w21,
+    prof = modulated_interaction_profile(coupling, sigma, spectrum, 0.0, 0.0,
                                          max_harmonic=8, **grid_args)
     step = TWO_PI / (8 * spectrum.omega_b + 9.0 / sigma) / 100
     assert step < TWO_PI / w21 / 100
@@ -638,14 +704,14 @@ class TestArrivalSchedule:
     def test_correlated_locked_to_period(self, tls):
         omega_b = tls.omega_21 / 2.0
         t_b = TWO_PI / omega_b
-        s = arrival_schedule(50, omega_b, t_0l=0.4, mean_spacing=3 * t_b, seed=3)
-        k = (s.times - 0.4) / t_b
+        times = arrival_schedule(50, omega_b, t_0l=0.4, mean_spacing=3 * t_b, seed=3)
+        k = (times - 0.4) / t_b
         np.testing.assert_allclose(k, np.round(k), atol=1e-9)
-        assert np.array_equal(s.n_k, np.round(k).astype(int))
+        assert np.all(np.diff(np.round(k)) >= 1)
 
     def test_seed_reproducible(self, tls):
         omega_b = tls.omega_21
-        a, b, c = (arrival_schedule(40, omega_b, seed=seed).times for seed in (9, 9, 10))
+        a, b, c = (arrival_schedule(40, omega_b, seed=seed) for seed in (9, 9, 10))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         a, b, c = random_arrival_times(40, [9, 9, 10], 1.0)
@@ -663,8 +729,6 @@ class TestArrivalSchedule:
             np.testing.assert_array_equal(row, 0.3 + np.cumsum(gaps))
 
     def test_strictly_increasing_enforced(self):
-        with pytest.raises(DomainError):
-            ArrivalSchedule(times=np.array([0.0, 1.0, 1.0]))
         # gaps lost to rounding at a huge start time, in any row
         with pytest.raises(DomainError, match="strictly increasing"):
             random_arrival_times(5, [1, 2], 1.0, t_0l=1e20)
@@ -678,9 +742,9 @@ class TestArrivalSchedule:
             arrival_schedule(n, omega_b)
 
 
-def train(sched, coupling, sigma_pt, **kw):
+def train(times, coupling, sigma_pt, **kw):
     """P2 after each electron of one train from ground: an ensemble of one."""
-    return simulate_train_ensemble(TlsState.ground(), sched.times[None],
+    return simulate_train_ensemble(TlsState.ground(), times[None],
                                    train_window(coupling, sigma_pt, **kw))[0]
 
 
@@ -706,10 +770,9 @@ class TestTrains:
         # the shifted arrival time
         t_b = TWO_PI / omega_b
         t_k = 7.0 * t_b + 0.0  # on the comb
-        sched = ArrivalSchedule(times=np.array([t_k]))
         sigma_pt = 0.08
-        p2 = train(sched, coupling, sigma_pt)
-        prof = interaction_profile(coupling, sigma_pt, t_k, tls.omega_21)
+        p2 = train(np.array([t_k]), coupling, sigma_pt)
+        prof = interaction_profile(coupling, sigma_pt, t_k)
         traj = evolve_tls(TlsState.ground(), prof, tls.omega_21)
         assert p2[0] == pytest.approx(traj.p2[-1], rel=1e-9)
 
@@ -743,7 +806,7 @@ class TestTrains:
         times = random_arrival_times(10, (3, 8), 3 * t_b)
         state0 = TlsState.equatorial(0.9)
         ens = simulate_train_ensemble(state0, times, train_window(coupling, 0.08))
-        u0 = window_propagator(interaction_profile(coupling, 0.08, 0.0, tls.omega_21),
+        u0 = window_propagator(interaction_profile(coupling, 0.08, 0.0),
                                tls.omega_21)
         assert ens.shape == (2, 10)
         for row, t in zip(ens, times):
@@ -755,18 +818,17 @@ class TestTrains:
         sched = arrival_schedule(5, omega_b, mean_spacing=3 * t_b, seed=2)
         fine, coarse = (train(sched, coupling, 0.08, points_per_scale=pps)
                         for pps in (100, 50))
-        prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
+        prof = interaction_profile(coupling, 0.08, 0.0, points_per_scale=50)
         u0 = window_propagator(prof, tls.omega_21)
         assert not np.array_equal(fine, coarse)
         np.testing.assert_allclose(coarse, fine, rtol=1e-4)
         np.testing.assert_allclose(
-            coarse, reference_train(TlsState.ground(), sched.times, u0, tls.omega_21),
+            coarse, reference_train(TlsState.ground(), sched, u0, tls.omega_21),
             rtol=1e-12)
 
     def test_overlap_warning(self, coupling, tls):
-        sched = ArrivalSchedule(times=np.array([0.0, 0.05]))
         with pytest.warns(RuntimeWarning, match="overlap"):
-            train(sched, coupling, 0.08)
+            train(np.array([0.0, 0.05]), coupling, 0.08)
 
     def test_ensemble_warns_if_any_schedule_overlaps(self, coupling, tls):
         # windows are +-(10 t_r + 6 sigma) ~ 0.56 fs wide: 10 fs gaps are
@@ -782,7 +844,7 @@ class TestTrains:
 
     def test_train_window_is_the_window_propagator(self, coupling, tls):
         window = train_window(coupling, 0.08, points_per_scale=50)
-        prof = interaction_profile(coupling, 0.08, 0.0, tls.omega_21, points_per_scale=50)
+        prof = interaction_profile(coupling, 0.08, 0.0, points_per_scale=50)
         u = window_propagator(prof, tls.omega_21)
         np.testing.assert_array_equal(window.channel, np.kron(u, u.conj()))
         assert window.length == 2.0 * prof.times[-1]

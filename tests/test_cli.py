@@ -223,6 +223,41 @@ class TestCommands:
         assert message.startswith(f"{scenario} refused: {first or error}")
         assert error in message
 
+    @pytest.mark.parametrize("scenario, entry, samples", [
+        ("fig9_buildup", "sigma_et_point_fs = 1.5e-6", "1.103e+07"),
+        ("fig8_single_point", "sigma_et_over_period = 7e-7", "1.143e+07"),
+    ], ids=["fig9", "fig8"])
+    def test_born_profile_past_the_ceiling_is_config_error(self, tmp_path, caplog, capsys,
+                                                           scenario, entry, samples):
+        # a point packet this short needs a profile grid of 1.3 to 1.4 times
+        # MAX_PROFILE_SAMPLES: validate's report ends in the refusal, and run
+        # refuses it with exit 2 before any work
+        out = tmp_path / "o"
+        cfg = write(tmp_path, f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                              f"[sweep]\n{entry}\n")
+        assert main(["validate", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        error = (f"ERROR Born profile: a profile grid of {samples} samples is above the "
+                 "ceiling MAX_PROFILE_SAMPLES = 8388609; lower profile_points_per_scale or "
+                 "the window factors")
+        assert lines[-1] == error
+        assert [line for line in lines if line.startswith("ERROR")] == [error]
+        assert main(["run", str(cfg)]) == 2
+        assert f"{cfg}: {error}" in caplog.text
+        assert "running scenario" not in caplog.text
+        assert not out.exists()
+
+    def test_modulated_profile_past_the_ceiling_is_numerical_failure(self, tmp_path, caplog):
+        # modulated_resonance's profile step rule lives in the scenario, so its
+        # refusal comes inside the run, before the profile is allocated: exit 3
+        out = tmp_path / "o"
+        cfg = write(tmp_path, f"[run]\nscenario = modulated_resonance\noutput_dir = {out}\n\n"
+                              "[sweep]\nenvelope_sigma_et_fs = 5000\n")
+        assert main(["run", str(cfg)]) == 3
+        assert "numerical failure: a profile grid of 1.161e+07 samples is above the " \
+            "ceiling MAX_PROFILE_SAMPLES" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, refused", [(256, True), (512, True), (1024, False)])
     def test_window_travel_reaching_the_position_period_is_config_error(
             self, tmp_path, caplog, capsys, n, refused):

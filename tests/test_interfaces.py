@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import feberi
-from feberi import analytic, born_dynamics, scenarios, solver_density
+from feberi import analytic, born_dynamics, core, coulomb, qew, scenarios, solver_density
 from feberi.born_dynamics import InteractionProfile
 from feberi.core import TlsSpec
 from feberi.coulomb import DipoleCoupling
@@ -109,6 +109,34 @@ def test_one_electron_train_path():
         assert not hasattr(module, name), name
     assert "omega_21" not in inspect.signature(born_dynamics.train_window).parameters
     assert "kind" not in inspect.signature(born_dynamics.arrival_schedule).parameters
+
+
+def test_profile_builders_read_omega_21_from_their_coupling():
+    # a Born profile is built for its coupling's TLS, with no second omega_21
+    # beside it that could disagree
+    for fn in (born_dynamics.profile_time_grid, born_dynamics.interaction_profile,
+               born_dynamics.modulated_interaction_profile):
+        params = list(inspect.signature(fn).parameters)
+        assert params[0] == "coupling" and "omega_21" not in params, fn.__name__
+
+
+def test_src_keeps_no_test_only_name():
+    # each TLS fact under one name, and no helper or wrapper that only tests
+    # reach: the reference implementations live in tests/helpers.py
+    for owner, name in [(core, "e_nm_to_debye"), (TlsSpec, "dipole_debye"),
+                        (TlsSpec, "dipole_length"),
+                        (qew.GaussianQewSpec, "with_arrival"),
+                        (qew.ModulatedQewSpec, "with_arrival"),
+                        (qew, "density_profile"), (qew.ModulationSpectrum, "reconstruct"),
+                        (born_dynamics, "kernel_prefactor"),
+                        (born_dynamics, "ArrivalSchedule"),
+                        (born_dynamics, "_check_increasing"),
+                        (analytic.TransitionIncrement, "total"),
+                        (coulomb, "_bessel_k"), (coulomb, "bessel_k0"), (coulomb, "bessel_k1"),
+                        (DipoleCoupling, "spatial_kernel_unit"),
+                        (solver_density, "partial_trace_bound")]:
+        assert not hasattr(owner, name), name
+    assert _field_names(analytic.TransitionIncrement) == ("dp1", "dp2", "flags")
 
 
 def test_readme_example_runs(capsys):

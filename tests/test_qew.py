@@ -16,7 +16,6 @@ from feberi.qew import (
     TruncationError,
     _modulated_amplitude_comoving,
     _period_samples,
-    density_profile,
     gamma_parameter,
     gaussian_momentum_amplitudes,
     modulated_momentum_amplitudes,
@@ -27,6 +26,7 @@ from feberi.qew import (
     tooth_sigma_et,
 )
 from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid, build_grid
+from helpers import density_profile, reconstruct
 
 
 @pytest.fixture
@@ -229,7 +229,7 @@ class TestModulationSpectrum:
     def test_positive_reconstruction(self, mod_spec):
         spect = modulation_fourier_coefficients(mod_spec, 32)
         t = np.linspace(0.0, mod_spec.period, 4096, endpoint=False)
-        recon = spect.reconstruct(t)
+        recon = reconstruct(spect, t)
         assert recon.min() > -1e-6 * recon.max()
 
     def test_bunching_regression(self, mod_spec):
@@ -301,7 +301,7 @@ def dense_fourier_coefficients(spec, order):
 def dense_tooth_sigma_et(spectrum, samples=8192):
     """The bunch width from the dense reconstruction and a walk from the peak."""
     t_b = TWO_PI / spectrum.omega_b
-    f = spectrum.reconstruct(np.arange(samples) / samples * t_b)
+    f = reconstruct(spectrum, np.arange(samples) / samples * t_b)
     peak = int(np.argmax(f))
     above = f >= 0.5 * f[peak]
     width, i = 0, peak
@@ -374,7 +374,7 @@ class TestHarmonicSumsByFft:
         centered = spect.f_m * np.exp(1j * m * omega_b * t0) * (-1.0) ** m
         s = (np.arange(n_samp) / n_samp - 0.5) * spec.period
         np.testing.assert_allclose(_period_samples(centered, n_samp),
-                                   spect.reconstruct(t0 + s), rtol=0, atol=1e-13)
+                                   reconstruct(spect, t0 + s), rtol=0, atol=1e-13)
         assert tooth_sigma_et(spect) == pytest.approx(dense_tooth_sigma_et(spect),
                                                       rel=1e-13)
 

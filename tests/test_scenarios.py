@@ -45,13 +45,13 @@ def test_spot_checks_share_one_profile(monkeypatch, detunings):
     spots = run_scenario(cfg).summary["born_spot_checks"]
     assert len(spots) == len(cfg["sweep"]["spot_check_detunings"])
     largest = coupling_at(max(s["omega_21"] for s in spots)).tls.omega_21
-    assert [args[5] for args in calls] == [largest]
+    assert [args[0].tls.omega_21 for args in calls] == [largest]
 
     spectrum = scenarios.bunched_spectrum(cfg, coupling0)
     for spot in spots:
         coupling = coupling_at(spot["omega_21"])
         prof = build(coupling, cfg["sweep"]["envelope_sigma_et_fs"], spectrum, 0.0, 0.0,
-                     coupling.tls.omega_21, max_harmonic=cfg["sweep"]["harmonic"] + 6,
+                     max_harmonic=cfg["sweep"]["harmonic"] + 6,
                      **scenarios.profile_grid_args(cfg))
         traj = bd.evolve_tls(TlsState.ground(), prof, coupling.tls.omega_21)
         assert spot["born_dp2"] == float(traj.p2[-1])
@@ -282,10 +282,10 @@ def test_born_step_products_memory():
     coupling = coupling_for(cfg)
     tls = coupling.tls
     sigma = cfg["sweep"]["envelope_sigma_et_fs"]
-    times = bd.profile_time_grid(coupling, sigma, 0.0, tls.omega_21)
+    times = bd.profile_time_grid(coupling, sigma, 0.0)
     assert len(times) == 183275
     profile = bd.InteractionProfile(
-        times=times, values=bd.kernel_prefactor(coupling)
+        times=times, values=coupling.kin.gamma * coupling.prefactor / coupling.r_perp**2
         * np.exp(-(times**2) / (2.0 * sigma**2)) * np.cos(times))
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from feberi.solver_density import (
     evolve_vector,
     grid_windows,
     initial_joint_vector,
-    partial_trace_bound,
     read_rho_b_bin,
     run_qew_interaction,
     schrodinger_qew_vector,
@@ -41,7 +41,7 @@ from feberi.qew import grid_for_spec, packet_for_spec
 from feberi.solver_momentum import step_schedule
 from feberi.born_dynamics import _step_trains, arrival_schedule, quadratic_fit, \
     random_arrival_times, simulate_train_ensemble, train_window
-from helpers import default_packet
+from helpers import default_packet, partial_trace_bound
 
 
 @pytest.fixture
@@ -74,7 +74,7 @@ class TestAssembly:
         rng = np.random.default_rng(23)
         grid = assembly.grid
         h_ip = kernel_matrix(assembly)
-        r21 = tls.dipole_length
+        r21 = tls.dipole_magnitude
         for _ in range(20):
             m, n = rng.integers(0, grid.n, size=2)
             q = (grid.points[m] - grid.points[n])
@@ -643,7 +643,7 @@ class TestScenario:
                                    TlsState.equatorial(math.pi / 2), coupling)
         acc = energy_accounting(traj)
         resid = np.abs(acc["delta_e_free"] + tls.energy_gap * (traj.p2 - traj.p2[0]))
-        ground = run_qew_interaction(default_packet(spec.with_arrival(t0), coupling, 128),
+        ground = run_qew_interaction(default_packet(spec, coupling, 128),
                                      TlsState.ground(), coupling)
         acc_g = energy_accounting(ground)
         resid_g = np.abs(acc_g["delta_e_free"]
@@ -692,7 +692,10 @@ def grid_train(rho_b0, qews, coupling, n):
     one grid window (``grid_windows``) and the train stepper; returns (P2 after
     each electron, final rho_b), with rho_b0 and rho_b in the lab frame at the
     first window's start and the last one's end."""
-    [window] = grid_windows([default_packet(qews[0].with_arrival(0.0), coupling, n)], coupling)
+    first = qews[0]
+    at_zero = replace(first, base=replace(first.base, t0=0.0)) \
+        if isinstance(first, ModulatedQewSpec) else replace(first, t0=0.0)
+    [window] = grid_windows([default_packet(at_zero, coupling, n)], coupling)
     arrivals = np.array([[q.t0 for q in qews]])
     half = 0.5 * window.length
     start = rho_b0 * np.exp(-1j * window.omega_21 * (arrivals[0, 0] - half) * _FLIP)
@@ -718,7 +721,7 @@ class TestSequentialTrain:
         # the grid and Born windows of one point packet, stepped alike
         omega_b = tls.omega_21 / 2.0
         t_b = TWO_PI / omega_b
-        times = arrival_schedule(6, omega_b, mean_spacing=3 * t_b, seed=5).times[None]
+        times = arrival_schedule(6, omega_b, mean_spacing=3 * t_b, seed=5)[None]
         sigma_pt = 0.1
         p2_grid = simulate_train_ensemble(TlsState.ground(), times,
                                           point_grid_window(coupling, kin, sigma_pt, 128))[0]
@@ -746,7 +749,7 @@ class TestSequentialTrain:
         omega_b = tls.omega_21 / 2.0
         spacing = 3 * TWO_PI / omega_b
         if kind == "correlated":
-            times = arrival_schedule(20, omega_b, mean_spacing=spacing, seed=7).times
+            times = arrival_schedule(20, omega_b, mean_spacing=spacing, seed=7)
         else:
             times = random_arrival_times(20, [7], spacing)[0]
         qews = [GaussianQewSpec.from_duration(kin, 0.1, t0=t) for t in times]
