@@ -405,10 +405,10 @@ def validate_config(cfg: dict) -> list[str]:
     report += [e for e in planned.errors if e not in first + late + last]
     if planned.states is not None:
         # what a grid run holds, at most: as many complex vectors as sampled
-        # states (the states, or a trajectory's kept orders when it has no
-        # more of them than samples); one leg's real Chebyshev coefficient
-        # tables; the recurrence's block of orders and its GEMM batch, or a
-        # trajectory's sample blocks; the assembly itself is O(N)
+        # states (a leg's states, or its kept orders when it has no more of
+        # them than samples); one leg's real Chebyshev coefficient tables;
+        # the recurrence's block of orders and its GEMM batch, or a leg's
+        # sample blocks; the assembly itself is O(N)
         states, work = planned.states, 2 * CHEBYSHEV_BLOCK
         mem = (states * 2 * n * 16 + MAX_CHEBYSHEV_ORDER * states * 8 + work * 2 * n * 16) / 1e6
         report.append(f"estimated peak memory: {mem:.0f} MB ({states} states or kept orders "

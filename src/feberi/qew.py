@@ -41,6 +41,9 @@ from feberi.core import (
 from feberi.coulomb import DipoleCoupling
 from feberi.grid import MomentumGrid, build_grid, interaction_window
 
+SIDEBAND_TOL = 1e-8     # sideband weights |J_n(2|g|)| below this are cut
+BUNCH_SAMPLES = 8192    # samples of one period on which a bunch's half maximum is read
+
 
 class TruncationError(ValueError):
     """A grid or sideband cutoff leaves more probability outside than allowed."""
@@ -137,7 +140,7 @@ class ModulatedQewSpec:
 
     @property
     def sideband_count(self) -> int:
-        """Smallest n_max with |J_n(2|g|)| < 1e-8 for all |n| > n_max."""
+        """Smallest n_max with |J_n(2|g|)| < SIDEBAND_TOL for all |n| > n_max."""
         return sideband_cutoff(abs(self.g))
 
     def sideband_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,14 +151,14 @@ class ModulatedQewSpec:
         return n, w
 
 
-def sideband_cutoff(g_abs: float, tol: float = 1e-8) -> int:
-    """Smallest order beyond which Bessel sideband weights stay below tol."""
+def sideband_cutoff(g_abs: float) -> int:
+    """Smallest order beyond which Bessel sideband weights stay below SIDEBAND_TOL."""
     if g_abs == 0.0:
         return 0
     x = 2.0 * g_abs
     # J_n(x) decays super-exponentially once n > x; scan with margin
     for n in range(int(math.ceil(x)) + 2, int(math.ceil(x)) + 400):
-        if abs(jv(n, x)) < tol:
+        if abs(jv(n, x)) < SIDEBAND_TOL:
             return n
     raise DomainError(f"no sideband cutoff found for |g| = {g_abs}")
 
@@ -423,14 +426,15 @@ def modulation_fourier_coefficients(spec: ModulatedQewSpec, order: int) -> Modul
     return spectrum
 
 
-def tooth_sigma_et(spectrum: ModulationSpectrum, samples: int = 8192) -> float:
-    """Effective Gaussian duration (FWHM/2.355) of one density bunch, in fs.
+def tooth_sigma_et(spectrum: ModulationSpectrum) -> float:
+    """Effective Gaussian duration (FWHM/2.355) of one density bunch, in fs,
+    read on BUNCH_SAMPLES samples of one period.
 
     Raises ResolutionError if the density never falls below half its peak:
     such a comb has no half-maximum, hence no bunch width.
     """
     t_b = TWO_PI / spectrum.omega_b
-    f = _period_samples(spectrum.f_m, samples)     # at t_j = j T_b / samples
+    f = _period_samples(spectrum.f_m, BUNCH_SAMPLES)     # at t_j = j T_b / BUNCH_SAMPLES
     peak = int(np.argmax(f))
     above = np.roll(f >= 0.5 * f[peak], -peak)     # above[0] is the peak
     if above.all():
@@ -439,5 +443,5 @@ def tooth_sigma_et(spectrum: ModulationSpectrum, samples: int = 8192) -> float:
             f"{np.min(f) / f[peak]:.3g} of its peak, so the comb has no bunch width")
     # the run of samples at or above half maximum around the peak, periodically
     width_samples = int(np.argmin(above)) + int(np.argmin(above[::-1]))
-    fwhm = width_samples * t_b / samples
+    fwhm = width_samples * t_b / BUNCH_SAMPLES
     return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))

@@ -114,7 +114,6 @@ class Plan:
     states: int | None = None        # sampled states of the largest grid propagation
     packets: list[Packet] = field(default_factory=list)   # the grid scenarios' swept packets
     dt: float | None = None          # solver_crosscheck's momentum RK4 step, fs
-    schedule: tuple[int, int] | None = None    # and its (steps, record_every)
     spectrum: ModulationSpectrum | None = None  # modulated_resonance's bunched spectrum
     bunch_sigma_et: float | None = None   # its bunch width, or fig9's point-packet duration
     p2_closed: float | None = None   # the closed-form P2 that fig3 and fig8 divide by
@@ -150,8 +149,7 @@ def plan(cfg: dict) -> Plan:
             out.errors.append(f"ERROR grid sizing at {label}: {exc}")
     if scenario == "solver_crosscheck" and out.packets:
         out.dt = sm.default_time_step(out.packets[0].grid, coupling)
-        steps, every = out.schedule = sm.step_schedule(out.packets[0].window, out.dt,
-                                                       num["time_samples"])
+        steps, every = sm.step_schedule(out.packets[0].window, out.dt, num["time_samples"])
         out.states = 1 + math.ceil(steps / every)
         if steps > sm.MAX_RK4_STEPS:
             out.errors.append(f"ERROR momentum RK4: {steps} steps predicted, above the "

@@ -15,9 +15,11 @@ coupling applied by FFT on the assembly's own kernel column.  A block of
 states shares one recurrence, every row under one assembly or each under
 its own of the same grid size; a window too long for MAX_CHEBYSHEV_ORDER
 orders runs as legs, each restarting from the state at the end of the last.
-A trajectory (``run_qew_interaction``) whose one-leg expansion keeps no
-more orders than it has samples holds those orders' vectors instead of its
-states, and sums them into its observables a block of samples at a time.
+One leg loop (``_propagated``) runs every propagation and hands out finished
+states a block of samples at a time.  A leg holds min(K, T) vectors a row:
+its K kept orders' when they are no more than its T samples, else those
+samples.  ``evolve_vector`` collects the blocks into one array, and a
+trajectory (``run_qew_interaction``) reduces each to its observables at once.
 The solvers here size nothing: a ``qew.Packet`` brings its grid and window
 (``qew.packet_for_spec``), and the ``DipoleCoupling`` the kinematics of the
 free dispersion, the TLS levels and dipole, and the kernel.  A packet's
@@ -192,9 +194,11 @@ def initial_joint_vector(grid: MomentumGrid, spec, state: TlsState, t_start: flo
 # cut into equal legs, each starting from the state at the end of the last.
 MAX_CHEBYSHEV_ORDER = 2048
 CHEBYSHEV_BLOCK = 64      # recurrence vectors of a block, over all its rows
-_SAMPLE_BLOCK = 64        # sample columns per batch of a GEMM (over all rows) or an FFT
-# samples per block of a trajectory summed from its orders: at N = 1024, 64
-# doubled the peak over 16 and 8 ran slower
+# sample columns per batch of a GEMM (over all rows), a DCT or a block of
+# summed states handed out
+_SAMPLE_BLOCK = 64
+# states per block summed from a leg's kept orders: a trajectory at N = 1024
+# peaked twice as high with 64 as with 16, and ran slower with 8
 _STREAM_BLOCK = 16
 NORM_DRIFT_TOL = 1e-10    # relative to the initial norm
 TRIM_BESSEL = 1e-16       # Chebyshev coefficients below this are dropped
@@ -316,33 +320,56 @@ def _recurrence(generator, starts: np.ndarray, kept: np.ndarray, width: int):
         yield start, ring[:stop - start, :active[start]]
 
 
-def _chebyshev_series(generator, starts: np.ndarray, kept: np.ndarray,
-                      bessel: np.ndarray) -> np.ndarray:
-    """Rows sum_k (-i)^k bessel[k, p*C + j] T_k(X_p) starts[p] for the C columns
-    j of each row p, k < kept[p]: shape (m, C, 2N).
+def _chebyshev_series(generator, starts: np.ndarray, kept: np.ndarray, bessel: np.ndarray):
+    """Yield (sample columns, rows (m, b, 2N)) of the rows
+    sum_k (-i)^k bessel[k, p*C + j] T_k(X_p) starts[p] for the C columns j of
+    each row p, k < kept[p], a block of columns at a time; a block is valid
+    until the next is asked for.
 
     The rows share one ``_recurrence`` to kept[0] orders, the Bessel table's
-    count.  The u_k of a block of CHEBYSHEV_BLOCK / m orders are added to every
-    running row's columns, _SAMPLE_BLOCK at a time, by one batched real
-    product against the real Bessel table, whose entries past a row's own
-    order are zeroed in place.
+    count, whose entries past a row's own order are zeroed in place.  It holds
+    min(K, C) vectors a row: one row with no more orders K than columns keeps
+    all K u_k, and each block of _STREAM_BLOCK columns is one real product of
+    the table's columns against them.  Otherwise the u_k of a block of
+    CHEBYSHEV_BLOCK / m orders are added to every running row's columns,
+    _SAMPLE_BLOCK at a time, by one batched real product against the table;
+    the table and the recurrence are released, and the summed columns go out
+    _SAMPLE_BLOCK at a time.
     """
     m, size = starts.shape
     order = bessel.shape[0]
     per_row = bessel.reshape(order, m, -1)
+    count = per_row.shape[2]
     for p in range(m):
         per_row[kept[p]:, p] = 0.0
-    out = np.zeros((m, per_row.shape[2], size), dtype=complex)
-    out_real = out.view(np.float64)
-    batch = max(1, _SAMPLE_BLOCK // m)
-    for start, u in _recurrence(generator, starts, kept, CHEBYSHEV_BLOCK // m):
-        a = u.shape[1]
-        u = u.view(np.float64).transpose(1, 0, 2)      # (a, orders, 2 size)
-        coefficients = per_row[start:start + u.shape[1], :a].transpose(1, 2, 0)
-        for first in range(0, per_row.shape[2], batch):
-            cols = slice(first, first + batch)
-            out_real[:a, cols] += np.matmul(coefficients[:, cols], u)
-    return out
+    if m == 1 and order <= count:
+        [(_, u)] = _recurrence(generator, starts, kept, order)
+        u = u[:, 0].view(np.float64)        # (K, 4N), real and imaginary interleaved
+        table = per_row[:, 0]
+        step = _STREAM_BLOCK
+
+        def rows(cols):
+            return (table[:, cols].T @ u).view(complex)[None]
+    else:
+        out = np.zeros((m, count, size), dtype=complex)
+        out_real = out.view(np.float64)
+        batch = max(1, _SAMPLE_BLOCK // m)
+        for start, u in _recurrence(generator, starts, kept, CHEBYSHEV_BLOCK // m):
+            a = u.shape[1]
+            u = u.view(np.float64).transpose(1, 0, 2)      # (a, orders, 2 size)
+            coefficients = per_row[start:start + u.shape[1], :a].transpose(1, 2, 0)
+            for first in range(0, count, batch):
+                cols = slice(first, first + batch)
+                out_real[:a, cols] += np.matmul(coefficients[:, cols], u)
+        del u, coefficients
+        step = _SAMPLE_BLOCK
+
+        def rows(cols):
+            return out[:, cols]
+    del generator, starts, bessel, per_row
+    for first in range(0, count, step):
+        cols = slice(first, first + step)
+        yield cols, rows(cols)
 
 
 def _row_assemblies(h, m: int, size: int) -> tuple[list[HamiltonianAssembly], np.ndarray]:
@@ -360,43 +387,32 @@ def _row_assemblies(h, m: int, size: int) -> tuple[list[HamiltonianAssembly], np
     return distinct, of_row
 
 
-def evolve_vector(psi0: np.ndarray, h, t) -> np.ndarray:
-    """exp(-i H t/hbar) psi0 for one state or a block of states, times >= 0.
+def _propagated(starts: np.ndarray, h, times: np.ndarray):
+    """Yield (row i, sample indices s, states (b, 2N)) of exp(-i H t/hbar)
+    starts[i] at the times times[i, s] >= 0, each state contiguous: every
+    state of every row once, a block of samples at a time, each block valid
+    until the next is asked for.
 
-    A state psi0 of shape (2N,) takes a scalar t or an array of T times and
-    gives (2N,) or (2N, T).  A block psi0 of shape (m, 2N) takes per-row
-    times t of shape (m,) or (m, T) and gives (m, 2N) or (m, 2N, T): row i
-    at the times t[i].  h is one HamiltonianAssembly for every row, or a
-    sequence of m, row i's own, all of the same N (spectral bounds come once
-    per distinct assembly).  All rows share one Chebyshev recurrence, each
-    running to its own order under its own Hamiltonian.
-
-    A row's expansion variable is r = half t/hbar, half its spectrum's
-    half-width.  A block whose largest r needs more than MAX_CHEBYSHEV_ORDER
-    orders is cut into equal legs of r, and each leg's expansion starts from
-    the states at the end of the one before; a row stops after the leg of its
-    latest time.  The result is the only full-size array the expansion holds
-    (with legs, or rows out of Kapteyn order, plus one leg's samples).
-    Raises PropagationError if a state's norm drifts from its start's by
-    more than NORM_DRIFT_TOL.
+    ``starts`` is (m, 2N) and ``times`` (m, T); h is one HamiltonianAssembly
+    for every row, or a sequence of m, row i's own, all of the same N
+    (spectral bounds come once per distinct assembly).  All rows share one
+    Chebyshev recurrence (``_chebyshev_series``), each running to its own
+    order under its own Hamiltonian.  A row's expansion variable is
+    r = half t/hbar, half its spectrum's half-width.  A block whose largest r
+    needs more than MAX_CHEBYSHEV_ORDER orders is cut into equal legs of r,
+    and each leg's expansion starts from the states at the end of the one
+    before; a row stops after the leg of its latest time.  Each block leaves
+    here finished: times its centre phase, back out of the TLS gauge, and its
+    norm checked.  Raises PropagationError if a state's norm drifts from its
+    start's by more than NORM_DRIFT_TOL.
     """
-    psi0 = np.asarray(psi0)
-    starts = np.atleast_2d(psi0)
-    m, size = starts.shape
-    t_arr = np.asarray(t, dtype=float)
-    fits = t_arr.ndim <= 1 if psi0.ndim == 1 else \
-        psi0.ndim == 2 and t_arr.ndim in (1, 2) and t_arr.shape[0] == m
-    if not fits:
-        raise DomainError(f"times of shape {t_arr.shape} do not fit states of "
-                          f"shape {psi0.shape}")
-    times = t_arr.reshape(m, -1)
     if np.any(times < 0.0):
         raise DomainError("evolution times must be >= 0")
+    m, size = starts.shape
     assemblies, of_row = _row_assemblies(h, m, size)
-    norm0 = np.repeat(np.linalg.norm(starts, axis=1), times.shape[1])
+    norm0 = np.linalg.norm(starts, axis=1)
     n = size // 2
     bounds = [_spectral_bounds(a) for a in assemblies]
-    generators = _scaled_generators(assemblies, bounds)
     centre, half = np.array(bounds)[of_row].T
     gauge = np.array([a.gauge_diagonal() for a in assemblies])[of_row]
     r = half[:, None] * times / HBAR_EV_FS
@@ -404,10 +420,11 @@ def evolve_vector(psi0: np.ndarray, h, t) -> np.ndarray:
     legs = max(1, math.ceil(r_max / MAX_CHEBYSHEV_ORDER))
     while _chebyshev_points(r_max / legs) > MAX_CHEBYSHEV_ORDER:
         legs += 1
+    if legs > 1:        # each leg's end states replace the rows of starts
+        starts = starts.astype(complex)
     span = r_max / legs
     leg_of = np.searchsorted(span * np.arange(1, legs), r, side="right")
     last_leg = leg_of.max(axis=1)
-    out = None
     for leg in range(legs):
         running = np.flatnonzero(last_leg >= leg)
         picked = [np.flatnonzero(leg_of[i] == leg) for i in running]
@@ -422,41 +439,64 @@ def evolve_vector(psi0: np.ndarray, h, t) -> np.ndarray:
         columns = np.zeros((rows.size, max(o.size for o in offsets)))
         for q, p in enumerate(by_order):
             columns[q, :offsets[p].size] = offsets[p]
-        series = _chebyshev_series(tuple(g[of_row[rows]] for g in generators),
+        own = of_row[rows]
+        series = _chebyshev_series(_scaled_generators([assemblies[j] for j in own],
+                                                      [bounds[j] for j in own]),
                                    starts[rows] * gauge[rows].conj(), kept[by_order],
                                    _chebyshev_coefficients(columns.reshape(-1), points))
-        if legs == 1 and np.all(rows == np.arange(m)):   # every row's times in order
-            out = series
-            break
-        if out is None:     # each leg's end states replace the rows of starts
+        for cols, block in series:
+            for q, p in enumerate(by_order):
+                i, ts = rows[q], picked[p]
+                if last_leg[i] > leg and cols.start <= ts.size < cols.stop:
+                    starts[i] = block[q, ts.size - cols.start] * gauge[i]
+                samples = ts[cols]
+                if not samples.size:
+                    continue
+                states = block[q, :samples.size]
+                states *= np.exp(-1j * centre[i] * times[i, samples] / HBAR_EV_FS)[:, None]
+                if gauge[i, -1] != 1.0:
+                    states[:, n:] *= gauge[i, -1]
+                flat = states.view(np.float64)
+                norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+                drift = float(np.max(np.abs(norms - norm0[i])))
+                if not drift <= NORM_DRIFT_TOL * norm0[i]:
+                    raise PropagationError(f"propagated norm drifted by {drift:.2e} "
+                                           f"from the initial {norm0[i]:.6g}")
+                yield i, samples, states
+
+
+def evolve_vector(psi0: np.ndarray, h, t) -> np.ndarray:
+    """exp(-i H t/hbar) psi0 for one state or a block of states, times >= 0.
+
+    A state psi0 of shape (2N,) takes a scalar t or an array of T times and
+    gives (2N,) or (2N, T).  A block psi0 of shape (m, 2N) takes per-row
+    times t of shape (m,) or (m, T) and gives (m, 2N) or (m, 2N, T): row i
+    at the times t[i].  h is one HamiltonianAssembly for every row, or a
+    sequence of m, row i's own, all of the same N.  The states come from
+    ``_propagated``, which runs every row in one Chebyshev recurrence, cut
+    into legs when a window is long; the result, each state contiguous, is
+    the only array of all of them.  Raises PropagationError if a state's norm
+    drifts from its start's by more than NORM_DRIFT_TOL.
+    """
+    psi0 = np.asarray(psi0)
+    starts = np.atleast_2d(psi0)
+    m, size = starts.shape
+    t_arr = np.asarray(t, dtype=float)
+    fits = t_arr.ndim <= 1 if psi0.ndim == 1 else \
+        psi0.ndim == 2 and t_arr.ndim in (1, 2) and t_arr.shape[0] == m
+    if not fits:
+        raise DomainError(f"times of shape {t_arr.shape} do not fit states of "
+                          f"shape {psi0.shape}")
+    times = t_arr.reshape(m, -1)
+    out = None
+    for i, samples, states in _propagated(starts, h, times):
+        if out is None:     # once the first leg has released its working arrays
             out = np.empty(times.shape + (size,), dtype=complex)
-            starts = starts.astype(complex)
-        for q, p in enumerate(by_order):
-            i, ts = running[p], picked[p]
-            out[i, ts] = series[q, :ts.size]
-            if last_leg[i] > leg:
-                starts[i] = series[q, ts.size] * gauge[i]
-    out *= np.exp(-1j * centre[:, None] * times / HBAR_EV_FS)[..., None]
-    for i in np.flatnonzero(gauge[:, -1] != 1.0):
-        out[i, :, n:] *= gauge[i, -1]
-    flat = out.reshape(-1, size)
-    _check_norms(np.sqrt(np.einsum("ij,ij->i", flat.view(np.float64), flat.view(np.float64))),
-                 norm0)
+        out[i, samples] = states
     out = out.transpose(0, 2, 1)       # (m, 2N, T), each state contiguous
     if t_arr.ndim < psi0.ndim:
         out = out[..., 0]
     return out[0] if psi0.ndim == 1 else out
-
-
-def _check_norms(norms: np.ndarray, norm0) -> None:
-    """PropagationError unless every propagated norm is within NORM_DRIFT_TOL
-    (relative) of its start's norm0, one for all or one per norm."""
-    norm0 = np.broadcast_to(norm0, norms.shape)
-    drift = np.abs(norms - norm0)
-    if not np.all(drift <= NORM_DRIFT_TOL * norm0):
-        worst = int(np.argmax(drift / np.maximum(norm0, np.finfo(float).tiny)))
-        raise PropagationError(f"propagated norm drifted by {drift[worst]:.2e} "
-                               f"from the initial {norm0[worst]:.6g}")
 
 
 # -- trajectories and observables ------------------------------------------------------
@@ -473,7 +513,6 @@ class DensityTrajectory:
     e_int: np.ndarray     # <H_I>, eV
     norm: np.ndarray
     rho_b: np.ndarray | None   # (steps, 2, 2) if collected
-    final_vector: np.ndarray
 
     @property
     def e_total(self) -> np.ndarray:
@@ -487,77 +526,29 @@ def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCouplin
     ``times`` are absolute and ascending, the first the start of the joint
     product state; by default 300 samples across the packet's window.
 
-    When one leg of the expansion keeps no more orders K than there are
-    samples T, the trajectory is summed from the K recurrence vectors
-    (``_streamed_states``) and never holds its (2N, T) states; otherwise
-    evolve_vector returns them all (K vectors would outweigh T states, or
-    the window runs as legs).
+    The states stream from the leg loop (``_propagated``) into the
+    observables a block of samples at a time, so the trajectory never holds
+    its T states: each leg holds min(K, T_leg) vectors, its K kept orders'
+    when they are no more than its T_leg samples, else those samples.
     """
     h = assemble_hamiltonian(packet.grid, coupling)
     times = np.linspace(*packet.window, 300) if times is None else np.asarray(times, float)
     psi0 = initial_joint_vector(packet.grid, packet.spec, state, times[0],
                                 coupling.tls.energy_gap)
-    elapsed = times - times[0]
-    bounds = _spectral_bounds(h)
-    r_max = bounds[1] * float(np.max(elapsed)) / HBAR_EV_FS
-    points = _chebyshev_points(r_max)
-    if np.any(elapsed < 0.0) or points > MAX_CHEBYSHEV_ORDER \
-            or _kept_orders(r_max, points) > times.size:
-        # evolve_vector refuses t < 0, runs legs, and holds T states, not K > T
-        return _observables(times, evolve_vector(psi0, h, elapsed), h, collect_rho_b)
-    traj = _trajectory(times, _streamed_states(psi0, h, bounds, elapsed, points), h,
-                       collect_rho_b)
-    _check_norms(np.sqrt(traj.norm), np.linalg.norm(psi0))
-    return traj
-
-
-def _streamed_states(psi0: np.ndarray, h: HamiltonianAssembly, bounds, elapsed: np.ndarray,
-                     points: int):
-    """Yield (sample columns, states (2N, b)) of exp(-i H t/hbar) psi0 at the
-    times ``elapsed``, _STREAM_BLOCK samples at a time, each state contiguous.
-
-    One ``_recurrence`` keeps all K orders' u_k (K x 2N); a block's states
-    are one real product of the Bessel table's columns against them, then the
-    centre phase and the gauge, as evolve_vector applies them.
-    """
-    centre, half = bounds
-    bessel = _chebyshev_coefficients(half * elapsed / HBAR_EV_FS, points)     # (K, T)
-    kept = bessel.shape[0]
-    gauged = (psi0 * h.gauge_diagonal().conj())[None]
-    [(_, u)] = _recurrence(_scaled_generators([h], [bounds]), gauged, np.array([kept]), kept)
-    u = u[:, 0].view(np.float64)        # (K, 4N), real and imaginary interleaved
-    phase = np.exp(-1j * centre * elapsed / HBAR_EV_FS)
-    for first in range(0, elapsed.size, _STREAM_BLOCK):
-        cols = slice(first, first + _STREAM_BLOCK)
-        states = (bessel[:, cols].T @ u).view(complex)     # (b, 2N)
-        states *= phase[cols, None]
-        if h.gauge != 1.0:
-            states[:, h.n:] *= h.gauge
-        yield cols, states.T
-
-
-def _observables(times: np.ndarray, states: np.ndarray, h: HamiltonianAssembly,
-                 collect_rho_b: bool) -> DensityTrajectory:
-    """The trajectory of the joint states (2N, T) sampled at ``times``, read
-    _SAMPLE_BLOCK sample columns at a time (``_trajectory``)."""
-    def blocks():
-        for first in range(0, states.shape[-1], _SAMPLE_BLOCK):
-            cols = slice(first, first + _SAMPLE_BLOCK)
-            yield cols, states[:, cols]
-
-    return _trajectory(times, blocks(), h, collect_rho_b)
+    blocks = ((samples, states.T) for _, samples, states
+              in _propagated(psi0[None], h, (times - times[0])[None]))
+    return _trajectory(times, blocks, h, collect_rho_b)
 
 
 def _trajectory(times: np.ndarray, blocks, h: HamiltonianAssembly,
                 collect_rho_b: bool) -> DensityTrajectory:
     """The trajectory of the joint states that ``blocks`` yields at ``times``
-    as (sample columns, states (2N, b)), in order.
+    as (sample indices, states (2N, b)).
 
     One pass per block computes every observable of its columns, so no
     temporary outgrows a block.  With each state contiguous, every sum over a
     state runs in the same order in a block as over a whole array, and each
-    output equals its whole-array formula bit for bit.  The trajectory keeps
-    a copy of the last state, not a view of the block that holds it.
+    output equals its whole-array formula bit for bit.
     """
     n = h.n
     size = times.size
@@ -580,8 +571,7 @@ def _trajectory(times: np.ndarray, blocks, h: HamiltonianAssembly,
             rho_b[cols] = np.einsum("ins,jns->sij", blk, blk.conj())
     return DensityTrajectory(times=times, p1=p1, p2=p2, e_free=e_free,
                              e_bound=h.h0b[0] * p1 + h.h0b[1] * p2, e_int=e_int,
-                             norm=p1 + p2, rho_b=rho_b,
-                             final_vector=states[:, -1].copy())
+                             norm=p1 + p2, rho_b=rho_b)
 
 
 def energy_accounting(traj: DensityTrajectory) -> dict[str, np.ndarray]:

@@ -8,6 +8,7 @@ import numpy as np
 from feberi.core import TWO_PI
 from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR
 from feberi.qew import ModulatedQewSpec, _modulated_amplitude_comoving, packet_for_spec
+from feberi.solver_density import _SAMPLE_BLOCK, _trajectory
 from feberi.solver_momentum import default_time_step, initial_amplitudes, integrate
 
 
@@ -56,3 +57,13 @@ def partial_trace_bound(psi):
     """2x2 TLS density matrix of a joint pure vector (TLS index first)."""
     psi = psi.reshape(2, -1)
     return psi @ psi.conj().T
+
+
+def observables(times, states, h, collect_rho_b):
+    """The trajectory of the joint states (2N, T) sampled at ``times``, handed
+    to the solver's observables _SAMPLE_BLOCK samples at a time, as the
+    propagation hands over the states it sums a block of orders at a time."""
+    step = _SAMPLE_BLOCK
+    blocks = ((slice(i, i + step), states[:, i:i + step])
+              for i in range(0, states.shape[-1], step))
+    return _trajectory(times, blocks, h, collect_rho_b)

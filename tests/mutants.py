@@ -102,23 +102,21 @@ MUTANTS = (
     Mutant("circulant pad's zero tail written once", "grid.py",
            "buf[..., n:] = 0.0", "buf[..., n:n] = 0.0",
            ("tests/test_properties.py::test_circulant_product_keeps_its_zero_pad",)),
-    Mutant("observables' sample block column bound", "solver_density.py",
-           "cols = slice(first, first + _SAMPLE_BLOCK)",
-           "cols = slice(first, first + _SAMPLE_BLOCK - 1)",
-           ("tests/test_solver_density.py::test_observables_by_block_equal_whole_array_formulas"
-            "[transverse-spectral-partial-block]",)),
-    Mutant("trajectory's own copy of the last state", "solver_density.py",
-           "final_vector=states[:, -1].copy()", "final_vector=states[:, -1]",
-           ("tests/test_solver_density.py::test_trajectory_at_record_times_equals_one_call_per_time"
-            "[states-transverse]",)),
-    Mutant("streamed states' centre phase sign", "solver_density.py",
-           "phase = np.exp(-1j * centre * elapsed", "phase = np.exp(1j * centre * elapsed",
-           ("tests/test_solver_density.py::test_trajectory_at_record_times_equals_one_call_per_time"
-            "[streamed-transverse]",)),
-    Mutant("streamed states' upper-level gauge factor", "solver_density.py",
-           "states[:, h.n:] *= h.gauge", "states[:, h.n:] *= h.gauge.conjugate()",
-           ("tests/test_solver_density.py::test_trajectory_at_record_times_equals_one_call_per_time"
-            "[streamed-parallel]",)),
+    Mutant("series' sample block column bound", "solver_density.py",
+           "cols = slice(first, first + step)",
+           "cols = slice(first, first + step - 1)",
+           ("tests/test_solver_density.py::TestChebyshev::test_matches_eigh"
+            "[transverse-spectral-60.0]",
+            "tests/test_solver_density.py::TestChebyshev::test_matches_eigh"
+            "[transverse-spectral-500.0]")),
+    Mutant("finished states' centre phase sign", "solver_density.py",
+           "states *= np.exp(-1j * centre[i]", "states *= np.exp(1j * centre[i]",
+           ("tests/test_solver_density.py::TestChebyshev::test_matches_eigh"
+            "[transverse-spectral-60.0]",)),
+    Mutant("finished states' upper-level gauge factor", "solver_density.py",
+           "states[:, n:] *= gauge[i, -1]", "states[:, n:] *= gauge[i, -1].conjugate()",
+           ("tests/test_solver_density.py::TestChebyshev::test_matches_eigh"
+            "[parallel-spectral-60.0]",)),
     Mutant("parallel gauge phi", "solver_density.py",
            'gauge = 1j if coupling.orientation == "parallel" else 1.0', "gauge = 1.0",
            ("tests/test_solver_density.py::TestRealGauge::test_real_symmetric"

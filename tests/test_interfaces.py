@@ -134,9 +134,15 @@ def test_src_keeps_no_test_only_name():
                         (analytic.TransitionIncrement, "total"),
                         (coulomb, "_bessel_k"), (coulomb, "bessel_k0"), (coulomb, "bessel_k1"),
                         (DipoleCoupling, "spatial_kernel_unit"),
-                        (solver_density, "partial_trace_bound")]:
+                        (solver_density, "partial_trace_bound"),
+                        (solver_density, "_streamed_states"), (solver_density, "_observables")]:
         assert not hasattr(owner, name), name
     assert _field_names(analytic.TransitionIncrement) == ("dp1", "dp2", "flags")
+    # and no field or parameter that only tests set or read
+    assert "final_vector" not in _field_names(solver_density.DensityTrajectory)
+    assert "schedule" not in _field_names(scenarios.Plan)
+    assert list(inspect.signature(qew.sideband_cutoff).parameters) == ["g_abs"]
+    assert list(inspect.signature(qew.tooth_sigma_et).parameters) == ["spectrum"]
 
 
 def test_readme_example_runs(capsys):

@@ -12,6 +12,7 @@ from feberi.cli import ConfigError, default_config
 from feberi.core import HBAR_EV_FS, TWO_PI, TlsState, wrap_phase
 from feberi.grid import interaction_window
 from feberi.scenarios import _fig56_block, coupling_for, plan, run_scenario, window_factors
+from feberi.solver_momentum import step_schedule
 
 
 def test_default_config_unknown_scenario():
@@ -318,7 +319,8 @@ def test_planned_counts_equal_actual_counts(monkeypatch, tmp_path):
     # step; fig56's planned states are the rows of its one propagated block
     cfg = default_config("solver_crosscheck")
     plan = scenarios.plan(cfg)
-    assert plan.schedule == (1101, 3)
+    schedule = step_schedule(plan.packets[0].window, plan.dt, cfg["numerics"]["time_samples"])
+    assert schedule == (1101, 3)
     result = run_scenario(cfg, plan=plan)
     cli.write_result(result, tmp_path)
     rows = (tmp_path / "results_crosscheck.csv").read_text().splitlines()[1:]

@@ -23,7 +23,6 @@ from feberi.solver_density import (
     _chebyshev_points,
     _chebyshev_series,
     _kept_orders,
-    _observables,
     _scaled_generators,
     _spectral_bounds,
     assemble_hamiltonian,
@@ -41,7 +40,7 @@ from feberi.qew import grid_for_spec, packet_for_spec
 from feberi.solver_momentum import step_schedule
 from feberi.born_dynamics import _step_trains, arrival_schedule, quadratic_fit, \
     random_arrival_times, simulate_train_ensemble, train_window
-from helpers import default_packet, partial_trace_bound
+from helpers import default_packet, observables, partial_trace_bound
 
 
 @pytest.fixture
@@ -259,7 +258,8 @@ def traced_crosscheck():
     planned = plan(cfg)
     coupling = planned.coupling
     tls = coupling.tls
-    packet, (steps, every) = planned.packets[0], planned.schedule
+    packet = planned.packets[0]
+    steps, every = step_schedule(packet.window, planned.dt, cfg["numerics"]["time_samples"])
     k = np.append(np.arange(0, steps, every), steps)
     times = packet.window[0] + k * ((packet.window[1] - packet.window[0]) / steps)
     tracemalloc.start()
@@ -274,19 +274,45 @@ def traced_crosscheck():
 def test_trajectory_holds_its_states_once(traced_crosscheck):
     # the expansion keeps K = 101 orders for 369 samples, so the trajectory is
     # summed from the orders' vectors (3.2 MiB) 16 samples at a time: it peaks
-    # at 5.5 MiB, below its 11.5 MiB of states, and keeps a copy of the last
-    # state, not a view of the block that holds it
+    # at 5.5 MiB, below its 11.5 MiB of states
     _, planned, traj, peak = traced_crosscheck
     states_bytes = planned.states * 2048 * 16
     assert traj.times.size == planned.states == 369
     assert peak <= 0.6 * states_bytes
-    assert traj.final_vector.flags.owndata and traj.final_vector.shape == (2048,)
 
 
 def test_validate_estimate_bounds_the_traced_trajectory(traced_crosscheck):
     cfg, _, _, peak = traced_crosscheck
     [line] = [ln for ln in validate_config(cfg) if ln.startswith("estimated peak memory")]
     assert peak <= float(line.split()[3]) * 1e6
+
+
+def test_two_leg_trajectory_holds_one_leg_of_states():
+    # fig3 at sigma_et = 4 T21 on 512 points runs as two legs of about 150 of
+    # its 300 samples: each leg's states stream into the observables, so the
+    # run peaks at 9.4 MiB (12.9 MiB when it held all 300 states, 4.7 MiB)
+    # and its plateau is the state evolved to the last time alone
+    cfg = default_config("fig3_ground")
+    cfg["numerics"]["grid_points"] = 512
+    cfg["sweep"]["sigma_et_over_period"] = [4.0]
+    planned = plan(cfg)
+    packet, coupling = planned.packets[0], planned.coupling
+    times = np.linspace(*packet.window, 300)
+    h = assemble_hamiltonian(packet.grid, coupling)
+    r_max = _spectral_bounds(h)[1] * (times[-1] - times[0]) / HBAR_EV_FS
+    assert _chebyshev_points(r_max) > MAX_CHEBYSHEV_ORDER >= _chebyshev_points(r_max / 2)
+    tracemalloc.start()
+    try:
+        traj = run_qew_interaction(packet, TlsState.ground(), coupling, times=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+    psi0 = initial_joint_vector(packet.grid, packet.spec, TlsState.ground(), times[0],
+                                coupling.tls.energy_gap)
+    last = evolve_vector(psi0, h, times[-1] - times[0])
+    assert traj.p2[-1] == pytest.approx(np.sum(np.abs(last[packet.grid.n:]) ** 2), rel=1e-12)
+    assert traj.p2[-1] == pytest.approx(planned.p2_closed, rel=1e-3)
 
 
 @pytest.mark.parametrize("extra", [5, 1], ids=["partial-block", "lone-column"])
@@ -299,7 +325,7 @@ def test_observables_by_block_equal_whole_array_formulas(gauged, spec, tls, extr
                                 tls.energy_gap)
     times = np.linspace(-1.0, 1.0, size)
     states = evolve_vector(psi0, h, times + 1.0)
-    traj = _observables(times, states, h, collect_rho_b=True)
+    traj = observables(times, states, h, collect_rho_b=True)
     psi = states.reshape(2, h.n, -1)
     a = np.abs(psi) ** 2
     r21 = h.h_ib[0, 1]
@@ -312,7 +338,6 @@ def test_observables_by_block_equal_whole_array_formulas(gauged, spec, tls, extr
     want["norm"] = want["p1"] + want["p2"]
     for name, value in want.items():
         np.testing.assert_array_equal(getattr(traj, name), value, err_msg=name)
-    np.testing.assert_array_equal(traj.final_vector, states[:, -1])
 
 
 class TestChebyshev:
@@ -321,13 +346,17 @@ class TestChebyshev:
     @pytest.mark.parametrize("r_max", [60.0, 500.0, 1460.0])
     def test_matches_eigh(self, gauged, spec, tls, r_max):
         # r_max = half-width x longest time / hbar sets the expansion order,
-        # here from about 140 to 1650
+        # here from about 140 to 1650; 137 samples are more than the orders
+        # kept at r_max = 60, whose states are summed from the orders' vectors
+        # 16 at a time, and fewer than the others', summed 64 at a time
         _, h = gauged
         psi = initial_joint_vector(h.grid, spec, TlsState.equatorial(0.7), -1.0,
                                    tls.energy_gap)
         t_end = r_max * HBAR_EV_FS / _spectral_bounds(h)[1]
-        assert 100 <= _chebyshev_points(r_max) <= MAX_CHEBYSHEV_ORDER
-        for t in (t_end, np.linspace(0.0, t_end, 37)):
+        points = _chebyshev_points(r_max)
+        assert 100 <= points <= MAX_CHEBYSHEV_ORDER
+        assert (_kept_orders(r_max, points) <= 137) == (r_max == 60.0)
+        for t in (t_end, np.linspace(0.0, t_end, 137)):
             got = evolve_vector(psi, h, t)
             want = eigh_reference(psi, h, t)
             assert got.shape == want.shape
@@ -401,8 +430,13 @@ class TestChebyshev:
         table = _chebyshev_coefficients(r, points)
         poisoned = table.copy()
         poisoned[kept[1]:, 1] = 1.0
-        want = _chebyshev_series(generator, starts, kept, table)
-        np.testing.assert_array_equal(_chebyshev_series(generator, starts, kept, poisoned), want)
+
+        def collected(series):      # the series' blocks of columns, side by side
+            return np.concatenate([rows for _, rows in series], axis=1)
+
+        want = collected(_chebyshev_series(generator, starts, kept, table))
+        got = collected(_chebyshev_series(generator, starts, kept, poisoned))
+        np.testing.assert_array_equal(got, want)
         assert kept[1] < kept[0] == table.shape[0]
 
     def test_block_rows_with_different_leg_counts(self, gauged, spec, tls, monkeypatch):
@@ -503,7 +537,7 @@ def test_interaction_energy_equals_dense_product(gauged, spec, tls):
                                 tls.energy_gap)
     times = np.linspace(-1.0, 1.0, 150)
     states = evolve_vector(psi0, h, times + 1.0)
-    got = _observables(times, states, h, collect_rho_b=False).e_int
+    got = observables(times, states, h, collect_rho_b=False).e_int
     psi = states.reshape(2, h.n, -1)
     want = 2.0 * h.h_ib[0, 1] * np.real(np.einsum("ns,ns->s", psi[0].conj(),
                                                   kernel_matrix(h) @ psi[1]))
@@ -518,10 +552,10 @@ def test_trajectory_at_record_times_equals_one_call_per_time(tls, spec, kin,
                                                              n_records, streamed):
     # the momentum RK4's records (every 3rd step, then the last: a short final
     # interval) as absolute times: each sample equals the state evolved to that
-    # time alone, through _observables (probabilities and eV, absolute).  The
-    # expansion keeps K = 101 orders: above the 12 samples of 31 steps, whose
-    # trajectory takes evolve_vector's states, and below the 105 of 310 steps,
-    # whose trajectory is summed from the orders' vectors
+    # time alone, through the same observables (probabilities and eV,
+    # absolute).  The expansion keeps K = 101 orders: above the 12 samples of
+    # 31 steps, whose samples are summed a block of orders at a time, and below
+    # the 105 of 310 steps, whose samples are summed from the orders' vectors
     coupling = DipoleCoupling(tls, 2.4, kin, orientation=orientation)
     window = interaction_window(spec.sigma_et, coupling.transit_time, spec.t0)
     steps, every = step_schedule(window, (window[1] - window[0]) / divisions, n_records)
@@ -536,12 +570,11 @@ def test_trajectory_at_record_times_equals_one_call_per_time(tls, spec, kin,
     assert (_kept_orders(r_max, _chebyshev_points(r_max)) <= times.size) == streamed
     psi0 = initial_joint_vector(h.grid, spec, state, times[0], tls.energy_gap)
     states = np.stack([evolve_vector(psi0, h, t - times[0]) for t in times], axis=-1)
-    want = _observables(times, states, h, collect_rho_b=True)
+    want = observables(times, states, h, collect_rho_b=True)
     assert np.array_equal(traj.times, times)
-    for name in ("p1", "p2", "norm", "e_free", "e_bound", "e_int", "rho_b", "final_vector"):
+    for name in ("p1", "p2", "norm", "e_free", "e_bound", "e_int", "rho_b"):
         got, ref = getattr(traj, name), getattr(want, name)
         assert np.max(np.abs(got - ref)) <= 1e-13, name
-    assert traj.final_vector.flags.owndata and traj.final_vector.shape == (2 * h.n,)
 
 
 class TestEvolution:
@@ -597,8 +630,8 @@ class TestPartialTraces:
 
     def test_entanglement_entropy_positive(self, coupling, spec):
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                                   coupling)
-        rho_b = partial_trace_bound(traj.final_vector)
+                                   coupling, collect_rho_b=True)
+        rho_b = traj.rho_b[-1]
         evals = np.linalg.eigvalsh(rho_b)
         evals = evals[evals > 1e-300]
         entropy = float(-np.sum(evals * np.log(evals)))
@@ -713,9 +746,9 @@ class TestSequentialTrain:
     def test_single_matches_direct(self, coupling, kin, spec):
         p2_seq, rho_b = grid_train(np.diag([1.0, 0.0]), [spec], coupling, 128)
         traj = run_qew_interaction(default_packet(spec, coupling, 128), TlsState.ground(),
-                                   coupling)
+                                   coupling, collect_rho_b=True)
         assert p2_seq[-1] == pytest.approx(traj.p2[-1], rel=1e-9)
-        np.testing.assert_allclose(rho_b, partial_trace_bound(traj.final_vector), atol=1e-12)
+        np.testing.assert_allclose(rho_b, traj.rho_b[-1], atol=1e-12)
 
     def test_correlated_quadratic_matches_born(self, coupling, tls, kin):
         # the grid and Born windows of one point packet, stepped alike
