@@ -21,7 +21,8 @@ its DipoleCoupling, the one physics handle it takes.  The plain profile
 samples its profile_time_grid (window factors and points per scale as
 arguments) at min(t_r, sigma_et, T_21)/points_per_scale and convolves the
 kernel, cut at KERNEL_REACH_TR transit times, with the Gaussian directly; it
-raises ResolutionError when its step exceeds min(t_r, sigma_et)/20.
+raises ResolutionError when its step exceeds min(t_r, sigma_et)/20
+(MIN_POINTS_PER_SCALE).
 The profile has the kernel's parity about t0, so one real transform computes
 the half tau >= 0 from the Gaussian out to GAUSSIAN_REACH sigma_et and the
 kernel lags that half reads, and the other half is its mirror.
@@ -99,6 +100,7 @@ class StepSizeError(RuntimeError):
 # RK4 steps reduced at once: bounds the (segments, steps) temporaries
 SEGMENT_STEPS = 16384
 PROFILE_POINTS_PER_SCALE = 100   # default profile samples per shortest time scale
+MIN_POINTS_PER_SCALE = 20        # the fewest a profile may take: coarser steps are refused
 # the plain profile's kernel cut, and the least distance from a window end to
 # the modulated profile's periodic images, in transit times
 KERNEL_REACH_TR = 200.0
@@ -206,7 +208,8 @@ def interaction_profile(coupling: DipoleCoupling, sigma_et: float, t0: float,
                              points_per_scale)
     h = _span_step(grid)
     t_r = coupling.transit_time
-    _check_step(h, min(t_r, sigma_et) / 20.0 if sigma_et > 0 else t_r / 20.0)
+    _check_step(h, min(t_r, sigma_et) / MIN_POINTS_PER_SCALE if sigma_et > 0
+                else t_r / MIN_POINTS_PER_SCALE)
     v0 = coupling.kin.v0
     if sigma_et < h:
         return InteractionProfile(grid, m_spatial(v0 * (grid - t0), coupling))
@@ -301,7 +304,7 @@ def modulated_interaction_profile(coupling: DipoleCoupling, sigma_et: float,
     grid = _window_grid(coupling, sigma_et, t0, scale / points_per_scale,
                         transit_factor, sigma_factor)
     h = _span_step(grid)
-    _check_step(h, scale / 20.0)
+    _check_step(h, scale / MIN_POINTS_PER_SCALE)
     n = (len(grid) - 1) // 2
     t_r = coupling.transit_time
     size = fft.next_fast_len(len(grid) + math.ceil(2.0 * KERNEL_REACH_TR * t_r / h),

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from feberi import __version__
-from feberi.born_dynamics import PROFILE_POINTS_PER_SCALE, StepSizeError
+from feberi.born_dynamics import MIN_POINTS_PER_SCALE, PROFILE_POINTS_PER_SCALE, \
+    StepSizeError
 from feberi.core import HBAR_EV_FS, ORIENTATIONS, TWO_PI, DomainError
 from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR
 from feberi.qew import ResolutionError, TruncationError, gamma_parameter
@@ -65,7 +66,8 @@ _COMMON_SCHEMA = {
         "window_sigma_factor": ("float", None, WINDOW_SIGMA_FACTOR, ">= 0"),
         "time_samples": ("int", None, 300, ">= 2"),
         "dump_rho_b": ("bool", None, False, None),
-        "profile_points_per_scale": ("int", None, PROFILE_POINTS_PER_SCALE, ">= 1"),
+        "profile_points_per_scale": ("int", None, PROFILE_POINTS_PER_SCALE,
+                                     f">= {MIN_POINTS_PER_SCALE}"),
     },
 }
 
@@ -380,9 +382,11 @@ def validate_config(cfg: dict) -> list[str]:
     n = num["grid_points"]
     # the plan's ERROR lines, each where the report tells of its subject
     first = [e for e in planned.errors if e.startswith("ERROR grid:")]
-    late = [e for e in planned.errors if e.startswith(("ERROR bunch", "ERROR closed"))]
-    # the Born profile's size follows from the window factors and t_r * omega21
-    last = [e for e in planned.errors if e.startswith("ERROR Born profile")]
+    late = [e for e in planned.errors if e.startswith(("ERROR bunch width", "ERROR closed"))]
+    # the Born profile's size follows from the window factors and t_r * omega21;
+    # harmonics that cannot be extracted leave no bunch line to stand beside
+    last = [e for e in planned.errors
+            if e.startswith(("ERROR Born profile", "ERROR bunching harmonics"))]
     report = [f"scenario: {scenario}",
               f"gamma={kin.gamma:.4f} beta={kin.beta:.4f} "
               f"omega21={tls.omega_21:.4f} rad/fs t_r={coupling.transit_time * 1e3:.3f} as",

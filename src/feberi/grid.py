@@ -1,6 +1,7 @@
 """Discretization decisions shared by the grid solvers and the Born model.
 
-* the uniform momentum grid (``MomentumGrid``, ``build_grid``);
+* the uniform momentum grid (``MomentumGrid``; ``qew.packet_for_spec`` sizes
+  it for a packet);
 * the Toeplitz kernel Mt(p_m - p_n) that couples grid momenta in both
   the amplitude solver and the density-matrix assembly.  It is the leading
   block of a circulant, so one first column (``kernel_column``: Mt at the
@@ -14,14 +15,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from feberi.core import DomainError, ElectronKinematics
+from feberi.core import DomainError
 from feberi.coulomb import DipoleCoupling, m_tilde
 
 
@@ -54,23 +54,6 @@ class MomentumGrid:
     @property
     def points(self) -> np.ndarray:
         return self.p0 - self.p_cutoff + self.dp * np.arange(self.n)
-
-
-def build_grid(kin: ElectronKinematics, sigma_p0: float, p_rec: float, n: int,
-               extra_halfwidth: float = 0.0) -> MomentumGrid:
-    """Grid sized to hold the packet and its recoil sidestep.
-
-    p_cutoff = max(8*sigma_p0, 6*|p_rec|) + extra_halfwidth.  Raises if the
-    initial Gaussian leaves more than 1e-8 outside the grid (it cannot, by
-    construction, unless extra_halfwidth is abused negative).
-    """
-    if sigma_p0 <= 0.0:
-        raise DomainError("sigma_p0 must be > 0")
-    p_cutoff = max(8.0 * sigma_p0, 6.0 * abs(p_rec)) + extra_halfwidth
-    tail = math.erfc(p_cutoff / (math.sqrt(2.0) * sigma_p0))
-    if tail > 1e-8:
-        raise DomainError(f"grid tail mass {tail:.3g} > 1e-8; enlarge p_cutoff")
-    return MomentumGrid(n=n, p0=kin.p0, p_cutoff=p_cutoff, initial_tail_mass=tail)
 
 
 def kernel_column(grid: MomentumGrid, coupling: DipoleCoupling) -> np.ndarray:

@@ -8,9 +8,12 @@ chirp, so sigma_z0 = hbar/(2 sigma_p0) and sigma_et = sigma_z0/v0 exactly.
 A modulated packet is a comb of momentum sidebands J_n(2|g|) spaced by
 delta_p = hbar*omega_b/v0, imprinted by a laser of angular frequency omega_b;
 after a drift time the sideband phases align into a train of sharp density
-bunches spaced by one optical period.  The bunching harmonics f_m of that
-train are extracted numerically here by discrete Fourier analysis of the
-density with the slow envelope divided out (no closed form is used).
+bunches spaced by one optical period.  A plain Gaussian packet is the comb
+with the single sideband n = 0, so one sizing rule (``packet_for_spec``) and
+one sideband sum (``momentum_amplitudes``) serve both kinds.  The bunching
+harmonics f_m of the train are extracted numerically here by discrete
+Fourier analysis of the density with the slow envelope divided out (no
+closed form is used).
 
 One-period harmonic sums run as FFTs.  The extraction samples one period at
 s_j = (j/N - 1/2) T_b, so omega_b s_j = 2 pi j/N - pi and
@@ -39,7 +42,7 @@ from feberi.core import (
     ElectronKinematics,
 )
 from feberi.coulomb import DipoleCoupling
-from feberi.grid import MomentumGrid, build_grid, interaction_window
+from feberi.grid import MomentumGrid, interaction_window
 
 SIDEBAND_TOL = 1e-8     # sideband weights |J_n(2|g|)| below this are cut
 BUNCH_SAMPLES = 8192    # samples of one period on which a bunch's half maximum is read
@@ -90,6 +93,19 @@ class GaussianQewSpec:
     def sigma_et(self) -> float:
         """Duration in fs; sigma_et = sigma_z0/v0."""
         return self.sigma_z0 / self.kin.v0
+
+    # the one-sideband comb: ModulatedQewSpec's view of an unmodulated packet
+    sideband_count = 0
+    delta_p = 0.0
+    drift_time = 0.0
+
+    @property
+    def base(self) -> "GaussianQewSpec":
+        return self
+
+    def sideband_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The single sideband n = 0 with weight 1."""
+        return np.array([0]), np.array([1.0 + 0.0j])
 
 
 @dataclass(frozen=True)
@@ -193,24 +209,6 @@ def _edge_tail_mass(center: float, sigma: float, p_lo: float, p_hi: float) -> fl
     return 0.5 * (math.erfc(a) + math.erfc(b))
 
 
-def grid_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
-                  n: int) -> MomentumGrid:
-    """Grid sized for a wavepacket spec plus the coupling's recoil headroom.
-
-    Raises DomainError if the grid under-resolves the packet: its conjugate
-    z-span 2 pi hbar/dp must hold +-5 sigma_z0, i.e. sigma_p0 >= 10 dp/(4 pi).
-    """
-    base = spec.base if isinstance(spec, ModulatedQewSpec) else spec
-    extra = spec.sideband_count * spec.delta_p if base is not spec else 0.0
-    grid = build_grid(base.kin, base.sigma_p0, coupling.recoil_momentum, n,
-                      extra_halfwidth=extra)
-    if base.sigma_p0 < 10.0 / (4.0 * math.pi) * grid.dp:
-        raise DomainError(f"{n} grid points under-resolve the packet: sigma_p0/dp = "
-                          f"{base.sigma_p0 / grid.dp:.3g} < {10.0 / (4.0 * math.pi):.3g}; "
-                          "raise grid_points")
-    return grid
-
-
 class Packet(NamedTuple):
     """A packet as the grid solvers run it, sized by ``packet_for_spec``."""
 
@@ -221,18 +219,38 @@ class Packet(NamedTuple):
 
 def packet_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCoupling,
                     n: int, transit_factor: float, sigma_factor: float) -> Packet:
-    """``spec`` with its grid of n points (``grid_for_spec``, whose DomainError it
-    raises) and its window, ``interaction_window`` at spec.sigma_et and spec.t0.
+    """``spec`` with its grid of n points and its window, ``interaction_window``
+    at spec.sigma_et and spec.t0.
 
     The grid solvers take the packet's amplitudes from spec.kin and the free
     dispersion from coupling.kin, so a DomainError refuses a spec whose
-    kinematics differ from the coupling's, and a window whose half travel plus
-    transit reach, v0 (T_half + transit_factor t_r), reaches the period L =
-    2 pi hbar/dp of position and the kernel: there the packet meets an image."""
+    kinematics differ from the coupling's.  Then five rules, in order, size
+    the packet:
+
+    * p_cutoff = max(8 sigma_p0, 6 |p_rec|) + sideband_count delta_p, the
+      packet and the coupling's recoil sidestep beside the outermost sideband;
+    * a DomainError if the envelope leaves more than 1e-8 outside p0 +-
+      p_cutoff (recorded as the grid's ``initial_tail_mass``);
+    * a DomainError if the grid under-resolves the packet: its conjugate
+      z-span 2 pi hbar/dp must hold +-5 sigma_z0, i.e. sigma_p0 >= 10 dp/(4 pi);
+    * the window t0 +- (transit_factor t_r + sigma_factor sigma_et);
+    * a DomainError if the window's half travel plus transit reach, v0 (T_half +
+      transit_factor t_r), reaches the period L = 2 pi hbar/dp of position and
+      the kernel: there the packet meets an image."""
     if spec.kin != coupling.kin:
         raise DomainError(f"packet at {spec.kin.kinetic_energy:g} eV does not match the "
                           f"coupling's {coupling.kin.kinetic_energy:g} eV kinematics")
-    grid = grid_for_spec(spec, coupling, n)
+    sigma_p0 = spec.base.sigma_p0
+    p_cutoff = max(8.0 * sigma_p0, 6.0 * abs(coupling.recoil_momentum)) \
+        + spec.sideband_count * spec.delta_p
+    tail = math.erfc(p_cutoff / (math.sqrt(2.0) * sigma_p0))
+    if tail > 1e-8:
+        raise DomainError(f"grid tail mass {tail:.3g} > 1e-8; enlarge p_cutoff")
+    grid = MomentumGrid(n=n, p0=spec.kin.p0, p_cutoff=p_cutoff, initial_tail_mass=tail)
+    if sigma_p0 < 10.0 / (4.0 * math.pi) * grid.dp:
+        raise DomainError(f"{n} grid points under-resolve the packet: sigma_p0/dp = "
+                          f"{sigma_p0 / grid.dp:.3g} < {10.0 / (4.0 * math.pi):.3g}; "
+                          "raise grid_points")
     t_r = coupling.transit_time
     window = interaction_window(spec.sigma_et, t_r, spec.t0, transit_factor, sigma_factor)
     period = TWO_PI * HBAR_EV_FS / grid.dp
@@ -244,40 +262,18 @@ def packet_for_spec(spec: GaussianQewSpec | ModulatedQewSpec, coupling: DipoleCo
     return Packet(spec, grid, window)
 
 
-def gaussian_momentum_amplitudes(spec: GaussianQewSpec, grid: MomentumGrid) -> np.ndarray:
-    """Discrete momentum amplitudes c_{p_n} of a Gaussian packet.
-
-    Carries the arrival phase exp(+i E(p) t0 / hbar) so that the centroid
-    crosses z = 0 at t = t0; normalized so sum |c|^2 dp = 1 exactly on the
-    grid.  Raises TruncationError if more than 1e-6 of the packet lies
-    outside the grid.
-    """
-    p = grid.points
-    tail = _edge_tail_mass(spec.kin.p0, spec.sigma_p0, p[0], p[-1])
-    if tail > 1e-6:
-        raise TruncationError(f"grid leaves {tail:.3g} of the packet outside")
-    c = np.exp(-((p - spec.kin.p0) ** 2) / (4.0 * spec.sigma_p0**2)).astype(complex)
-    if spec.t0 != 0.0:
-        c *= np.exp(1j * spec.kin.dispersion(p) * spec.t0 / HBAR_EV_FS)
-    norm = np.sum(np.abs(c) ** 2) * grid.dp
-    return c / math.sqrt(norm)
-
-
 def momentum_amplitudes(spec: GaussianQewSpec | ModulatedQewSpec,
                         grid: MomentumGrid) -> np.ndarray:
-    """Discrete momentum amplitudes of either packet kind."""
-    if isinstance(spec, ModulatedQewSpec):
-        return modulated_momentum_amplitudes(spec, grid)
-    return gaussian_momentum_amplitudes(spec, grid)
-
-
-def modulated_momentum_amplitudes(spec: ModulatedQewSpec, grid: MomentumGrid) -> np.ndarray:
-    """Discrete momentum amplitudes of a modulated packet (sideband comb).
+    """Discrete momentum amplitudes c_{p_n} of a packet's sideband comb.
 
     Sideband n is a Gaussian at p0 + n*delta_p with weight J_n(2|g|) and
-    phase n*phi_b; the drift phase exp(-i (p-p0)^2 drift_time/(2 gamma^3 m hbar))
-    encodes the free drift between modulation and arrival, and the arrival
-    phase exp(+i E(p) t0/hbar) sets the envelope-centroid arrival time.
+    phase n*phi_b (a plain Gaussian is the one sideband n = 0); the drift
+    phase exp(-i (p-p0)^2 drift_time/(2 gamma^3 m hbar)) encodes the free
+    drift between modulation and arrival, and the arrival phase
+    exp(+i E(p) t0/hbar) sets the envelope-centroid arrival time.  Normalized
+    so sum |c|^2 dp = 1 exactly on the grid.  Raises TruncationError if the
+    discarded sideband weight, 1 - sum_|n|<=n_max J_n^2 (sum_n J_n^2 = 1),
+    plus the sidebands' edge tails exceed 1e-6.
     """
     base = spec.base
     kin = base.kin
@@ -286,21 +282,20 @@ def modulated_momentum_amplitudes(spec: ModulatedQewSpec, grid: MomentumGrid) ->
     orders, weights = spec.sideband_amplitudes()
 
     # truncation bookkeeping: discarded sideband weight plus edge tails
-    j_all = jv(np.arange(-orders[-1] - 200, orders[-1] + 201), 2.0 * abs(spec.g))
-    total = float(np.sum(j_all**2))
-    kept = float(np.sum(np.abs(weights) ** 2))
-    tail = abs(total - kept)
+    tail = 1.0 - float(np.sum(np.abs(weights) ** 2))
     for n, w in zip(orders, weights):
         tail += abs(w) ** 2 * _edge_tail_mass(kin.p0 + n * dp_band, base.sigma_p0, p[0], p[-1])
     if tail > 1e-6:
-        raise TruncationError(f"sideband truncation mass {tail:.3g} > 1e-6")
+        raise TruncationError(f"grid and sideband cutoff leave {tail:.3g} of the packet "
+                              "outside, > 1e-6")
 
     dev = p - kin.p0
     c = np.zeros(p.shape, dtype=complex)
     for n, w in zip(orders, weights):
         c += w * np.exp(-((dev - n * dp_band) ** 2) / (4.0 * base.sigma_p0**2))
-    c *= np.exp(-1j * dev**2 * spec.drift_time
-                / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2 * HBAR_EV_FS))
+    if spec.drift_time != 0.0:
+        c *= np.exp(-1j * dev**2 * spec.drift_time
+                    / (2.0 * kin.gamma**3 * ME_EV_FS2_NM2 * HBAR_EV_FS))
     if base.t0 != 0.0:
         c *= np.exp(1j * kin.dispersion(p) * base.t0 / HBAR_EV_FS)
     norm = np.sum(np.abs(c) ** 2) * grid.dp

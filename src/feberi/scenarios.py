@@ -156,9 +156,12 @@ def plan(cfg: dict) -> Plan:
                               f"ceiling MAX_RK4_STEPS = {sm.MAX_RK4_STEPS}")
     # fig9's point packet lasts sigma_et_point_fs, at 0 the bunch width
     if scenario == "modulated_resonance" or sweep.get("sigma_et_point_fs") == 0.0:
-        out.spectrum = bunched_spectrum(cfg, coupling)
         try:
-            out.bunch_sigma_et = tooth_sigma_et(out.spectrum)
+            out.spectrum = bunched_spectrum(cfg, coupling)
+        except ResolutionError as exc:
+            out.errors.append(f"ERROR bunching harmonics: {exc}")
+        try:
+            out.bunch_sigma_et = None if out.spectrum is None else tooth_sigma_et(out.spectrum)
         except ResolutionError as exc:
             hint = "" if scenario == "modulated_resonance" else \
                 "; sigma_et_point_fs = 0 asks for that width: set sigma_et_point_fs > 0 " \

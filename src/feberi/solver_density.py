@@ -607,7 +607,7 @@ def grid_windows(packets, coupling: DipoleCoupling) -> list[TrainWindow]:
     halves = np.array([packet.window[1] for packet in packets])
     phi = evolve_vector(np.concatenate(starts), rows, np.repeat(2.0 * halves, 2))
     phi = phi.reshape(halves.size, 2, 2, -1)
-    w21 = coupling.tls.energy_gap / HBAR_EV_FS
+    w21 = coupling.tls.omega_21
     edge = np.exp(-1j * w21 * halves[:, None, None] * _FLIP)
     channels = np.einsum("sab,sian,sjbn,sij->sabij", edge, phi, phi.conj(), edge)
     return [TrainWindow(k.reshape(4, 4), 2.0 * half, w21) for k, half in zip(channels, halves)]

@@ -128,7 +128,7 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
 
     energies = coupling.kin.dispersion(grid.points)
     w = energies / HBAR_EV_FS
-    w21 = coupling.tls.energy_gap / HBAR_EV_FS
+    w21 = coupling.tls.omega_21
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
     product = circulant_product(kappa * kernel_column(grid, coupling), grid.n)
     # a stage is k = scale * f(t, u) with scale = dt/2, so the stages are

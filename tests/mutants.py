@@ -144,6 +144,13 @@ MUTANTS = (
            "if reach >= period:", "if False:",
            ("tests/test_cli.py::TestCommands"
             "::test_window_travel_reaching_the_position_period_is_config_error[256-True]",)),
+    Mutant("packet grids without sideband headroom", "qew.py",
+           "+ spec.sideband_count * spec.delta_p", "+ 0.0",
+           ("tests/test_qew.py::TestModulatedAmplitudes::test_normalized",)),
+    Mutant("comb sampled without its drift phase", "qew.py",
+           "if spec.drift_time != 0.0:", "if False:",
+           ("tests/test_qew.py::TestModulatedAmplitudes"
+            "::test_drifted_comb_is_the_exact_chirped_sideband_sum",)),
     Mutant("SVG x axis from the first point, not the least", "plotsvg.py",
            "x_lo, x_hi = float(xs_all.min())", "x_lo, x_hi = float(xs_all[0])",
            ("tests/test_cli.py::test_writer_bytes_equal_cell_by_cell_formatting",)),

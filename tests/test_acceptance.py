@@ -16,7 +16,7 @@ from feberi import analytic, solver_density as sd
 from feberi.cli import default_config
 from feberi.core import HBAR_EV_FS, TlsState
 from feberi.coulomb import m_spatial, m_tilde
-from feberi.qew import GaussianQewSpec, grid_for_spec
+from feberi.qew import GaussianQewSpec
 from feberi.scenarios import run_scenario
 from helpers import default_packet, run_gaussian_scenario
 
@@ -263,7 +263,7 @@ def test_criterion_10_unitarity_suite(kin, tls, coupling, ground_runs):
     # pure states: Tr rho = sum_k p_k |phi_k|^2 and
     # Tr rho^2 = sum_kl p_k p_l |<phi_k|phi_l>|^2
     spec = GaussianQewSpec.from_duration(kin, 0.1 * tls.period, t0=0.0)
-    grid = grid_for_spec(spec, coupling, 128)
+    grid = default_packet(spec, coupling, 128).grid
     h = sd.assemble_hamiltonian(grid, coupling)
     starts = np.stack([
         sd.initial_joint_vector(grid, spec, state, -1.0, tls.energy_gap)

@@ -38,9 +38,9 @@ from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsState, phase_tables
 from feberi.coulomb import DipoleCoupling, m_spatial
 from feberi.grid import interaction_window
 from feberi.qew import GaussianQewSpec, ModulatedQewSpec, ModulationSpectrum, \
-    ResolutionError, grid_for_spec, modulation_fourier_coefficients, optimal_drift_time
+    ResolutionError, modulation_fourier_coefficients, optimal_drift_time
 from feberi.solver_momentum import default_time_step, step_schedule
-from helpers import reconstruct
+from helpers import default_packet, reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -585,7 +585,7 @@ class TestPhaseTables:
         coupling = scenarios.coupling_for(cfg)
         kin = coupling.kin
         sigma = cfg["sweep"]["sigma_et_over_period"][0] * coupling.tls.period
-        grid = grid_for_spec(GaussianQewSpec.from_duration(kin, sigma), coupling, 1024)
+        grid = default_packet(GaussianQewSpec.from_duration(kin, sigma), coupling, 1024).grid
         t_start, t_end = interaction_window(sigma, coupling.transit_time, 0.0,
                                             **scenarios.window_factors(cfg))
         steps, _ = step_schedule((t_start, t_end), default_time_step(grid, coupling),

@@ -86,23 +86,6 @@ class TestCommands:
         assert main(["run", str(bad)]) == 2
         assert main(["run", str(tmp_path / "missing.ini")]) == 2
 
-    def test_numerical_error_exit_code(self, tmp_path):
-        text = ("[run]\nscenario = fig8_single_point\n"
-                f"output_dir = {tmp_path / 'o'}\n\n"
-                "[numerics]\nprofile_points_per_scale = 10\n")   # profile too coarse
-        assert main(["run", str(write(tmp_path, text))]) == 3
-
-    def test_modulated_profile_too_coarse_exit_code(self, tmp_path, caplog):
-        # the modulated Born spot checks obey the same profile resolution rule
-        out = tmp_path / "o"
-        text = ("[run]\nscenario = modulated_resonance\n"
-                f"output_dir = {out}\n\n"
-                "[numerics]\nprofile_points_per_scale = 10\n\n"
-                "[sweep]\nscan_points = 11\nspot_check_detunings = 0\n")
-        assert main(["run", str(write(tmp_path, text))]) == 3
-        assert "profile step" in caplog.text
-        assert not out.exists()
-
     def test_unwritable_output_dir_exit_code(self, tmp_path, caplog):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")
@@ -142,6 +125,15 @@ class TestCommands:
         ("fig3_ground", "sweep", "sigma_et_over_period ="),
         ("fig8_single_point", "physics", "impact_parameter_nm = nan"),
         ("fig8_single_point", "numerics", "profile_points_per_scale = 0"),
+        # a Born profile coarser than the step rule of every profile builder,
+        # scale/MIN_POINTS_PER_SCALE = scale/20: these runs used to pass
+        # validate and then exit 3
+        ("fig8_single_point", "numerics", "profile_points_per_scale = 10"),
+        ("fig8_single_point", "numerics", "profile_points_per_scale = 19"),
+        ("fig9_buildup", "numerics", "profile_points_per_scale = 10"),
+        ("fig9_buildup", "numerics", "profile_points_per_scale = 19"),
+        ("modulated_resonance", "numerics", "profile_points_per_scale = 10"),
+        ("modulated_resonance", "numerics", "profile_points_per_scale = 19"),
         ("fig8_single_point", "physics", "energy_gap_ev = -1"),
         ("fig8_single_point", "physics", "beam_energy_kev = 0"),
         ("fig9_buildup", "sweep", "correlated_electrons = 0"),
@@ -222,6 +214,32 @@ class TestCommands:
         message = str(refusal.value)
         assert message.startswith(f"{scenario} refused: {first or error}")
         assert error in message
+
+    @pytest.mark.parametrize("scenario, entry, dip", [
+        ("fig9_buildup", "harmonic_order = 2", "-0.135"),
+        ("modulated_resonance", "modulation_g = 10", "-0.236"),
+    ], ids=["fig9-order2", "resonance-g10"])
+    def test_bunching_harmonics_that_cannot_be_extracted_are_config_error(
+            self, tmp_path, caplog, capsys, scenario, entry, dip):
+        # two harmonics cannot hold fig9's comb, nor 24 the comb of g = 10: the
+        # reconstructed density dips below zero, so the plan has no spectrum.
+        # validate's report ends in the refusal, and run refuses before any work
+        out = tmp_path / "o"
+        cfg = write(tmp_path, f"[run]\nscenario = {scenario}\noutput_dir = {out}\n\n"
+                              f"[sweep]\n{entry}\n")
+        assert main(["validate", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        error = (f"ERROR bunching harmonics: reconstructed modulation density dips to {dip}; "
+                 "increase the harmonic order or sampling")
+        assert lines[-1] == error
+        assert [line for line in lines if line.startswith("ERROR")] == [error]
+        assert main(["run", str(cfg)]) == 2
+        assert f"{cfg}: {error}" in caplog.text
+        assert "running scenario" not in caplog.text
+        assert not out.exists()
+        with pytest.raises(DomainError) as refusal:
+            scenarios.run_scenario(load_config(cfg))    # the benchmark's path
+        assert str(refusal.value) == f"{scenario} refused: {error}"
 
     @pytest.mark.parametrize("scenario, entry, samples", [
         ("fig9_buildup", "sigma_et_point_fs = 1.5e-6", "1.103e+07"),

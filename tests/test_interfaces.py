@@ -1,5 +1,6 @@
 """The package's public surface: one physics value, one electron-train path,
-no module reaching into another's private names, and README's example runs."""
+one packet path, no module reaching into another's private names, and
+README's example runs."""
 
 import ast
 import dataclasses
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import feberi
-from feberi import analytic, born_dynamics, core, coulomb, qew, scenarios, solver_density
+from feberi import analytic, born_dynamics, core, coulomb, grid, qew, scenarios, \
+    solver_density
 from feberi.born_dynamics import InteractionProfile
 from feberi.core import TlsSpec
 from feberi.coulomb import DipoleCoupling
@@ -109,6 +111,36 @@ def test_one_electron_train_path():
         assert not hasattr(module, name), name
     assert "omega_21" not in inspect.signature(born_dynamics.train_window).parameters
     assert "kind" not in inspect.signature(born_dynamics.arrival_schedule).parameters
+
+
+def _spec_type_checks(path):
+    """The lines of ``path`` that call isinstance on a wavepacket spec type."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and any(isinstance(n, (ast.Name, ast.Attribute))
+                    and getattr(n, "id", getattr(n, "attr", "")).endswith("QewSpec")
+                    for n in ast.walk(node.args[1]))]
+
+
+def test_one_packet_path():
+    # a Gaussian packet is the comb of the one sideband n = 0, so
+    # packet_for_spec sizes and momentum_amplitudes samples every packet with
+    # no fork on its kind; the single-caller sizing layers and the two
+    # amplitude builders are gone
+    for module, name in [(grid, "build_grid"), (qew, "grid_for_spec"),
+                         (qew, "gaussian_momentum_amplitudes"),
+                         (qew, "modulated_momentum_amplitudes")]:
+        assert not hasattr(module, name), name
+    src = Path(feberi.__file__).resolve().parent
+    found = {path.name: _spec_type_checks(path) for path in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the view is class-level: a Gaussian spec keeps its three fields
+    assert _field_names(qew.GaussianQewSpec) == ("kin", "sigma_p0", "t0")
+    spec = qew.GaussianQewSpec(core.kinematics_from_kev(200.0), 1e-3)
+    orders, weights = spec.sideband_amplitudes()
+    assert spec.base is spec and (spec.sideband_count, spec.delta_p, spec.drift_time) == (0, 0, 0)
+    assert orders.tolist() == [0] and weights.tolist() == [1.0]
 
 
 def test_profile_builders_read_omega_21_from_their_coupling():

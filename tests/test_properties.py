@@ -17,7 +17,7 @@ from feberi.cli import _COMMON_SCHEMA, _SWEEP_SCHEMAS, ConfigError, load_config
 from feberi.core import HBAR_EV_FS, TWO_PI, DomainError, TlsSpec, kinematics_from_kev, \
     wrap_phase
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, build_grid, circulant_block, circulant_product, \
+from feberi.grid import MomentumGrid, circulant_block, circulant_product, \
     kernel_column
 from feberi.qew import GaussianQewSpec
 from feberi.solver_density import MAX_CHEBYSHEV_ORDER, _spectral_bounds, assemble_hamiltonian, \
@@ -154,7 +154,8 @@ def test_toeplitz_product_equals_dense(orientation, half_n, dp, rows, seed):
 def _assembly(orientation, sigma_p0, n=64):
     """An assembly on the grid that a packet of momentum width sigma_p0 needs."""
     cpl = COUPLINGS[orientation]
-    grid = build_grid(KIN, sigma_p0, cpl.recoil_momentum, n)
+    grid = MomentumGrid(n=n, p0=KIN.p0,
+                        p_cutoff=max(8.0 * sigma_p0, 6.0 * abs(cpl.recoil_momentum)))
     return assemble_hamiltonian(grid, cpl)
 
 

@@ -17,16 +17,15 @@ from feberi.qew import (
     _modulated_amplitude_comoving,
     _period_samples,
     gamma_parameter,
-    gaussian_momentum_amplitudes,
-    modulated_momentum_amplitudes,
     modulation_fourier_coefficients,
+    momentum_amplitudes,
     optimal_drift_time,
     packet_for_spec,
     sideband_cutoff,
     tooth_sigma_et,
 )
-from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid, build_grid
-from helpers import density_profile, reconstruct
+from feberi.grid import WINDOW_SIGMA_FACTOR, WINDOW_TRANSIT_FACTOR, MomentumGrid
+from helpers import default_packet, density_profile, reconstruct
 
 
 @pytest.fixture
@@ -74,34 +73,34 @@ class TestSpecs:
 
 class TestGaussianAmplitudes:
     def test_normalized(self, spec, coupling):
-        grid = build_grid(spec.kin, spec.sigma_p0, coupling.recoil_momentum, 256)
-        c = gaussian_momentum_amplitudes(spec, grid)
+        grid = default_packet(spec, coupling, 256).grid
+        c = momentum_amplitudes(spec, grid)
         assert np.sum(np.abs(c) ** 2) * grid.dp == pytest.approx(1.0, abs=1e-9)
 
     def test_peak_at_p0(self, spec, coupling):
-        grid = build_grid(spec.kin, spec.sigma_p0, coupling.recoil_momentum, 256)
-        c = gaussian_momentum_amplitudes(spec, grid)
+        grid = default_packet(spec, coupling, 256).grid
+        c = momentum_amplitudes(spec, grid)
         peak = int(np.argmax(np.abs(c)))
         assert peak == int(np.argmin(np.abs(grid.points - spec.kin.p0)))
 
     def test_second_moment(self, spec, kin):
         # 5-sigma half-width, 512 points: discrete moment within 0.1%
         grid = MomentumGrid(n=512, p0=kin.p0, p_cutoff=5.0 * spec.sigma_p0)
-        c = gaussian_momentum_amplitudes(spec, grid)
+        c = momentum_amplitudes(spec, grid)
         m2 = np.sum((grid.points - kin.p0) ** 2 * np.abs(c) ** 2) * grid.dp
         assert m2 == pytest.approx(spec.sigma_p0**2, rel=1e-3)
 
     def test_truncation_error(self, spec, kin):
         grid = MomentumGrid(n=64, p0=kin.p0, p_cutoff=2.0 * spec.sigma_p0)
         with pytest.raises(TruncationError):
-            gaussian_momentum_amplitudes(spec, grid)
+            momentum_amplitudes(spec, grid)
 
     def test_position_space_consistency(self, kin, spec, coupling):
         # discrete transform of the momentum amplitudes reproduces the waist
         # Gaussian at t = t0 (peak compared to 1e-6 relative)
         spec_t = GaussianQewSpec(kin=kin, sigma_p0=spec.sigma_p0, t0=0.37)
-        grid = build_grid(kin, spec.sigma_p0, coupling.recoil_momentum, 1024)
-        c = gaussian_momentum_amplitudes(spec_t, grid)
+        grid = default_packet(spec_t, coupling, 1024).grid
+        c = momentum_amplitudes(spec_t, grid)
         z = np.linspace(-3 * spec.sigma_z0, 3 * spec.sigma_z0, 7)
         phases = np.exp(1j * (np.outer(z, grid.points)
                               - spec_t.t0 * kin.dispersion(grid.points)[None, :])
@@ -119,16 +118,19 @@ class TestModulatedAmplitudes:
         base = GaussianQewSpec.from_duration(kin, 10.0)
         mod = ModulatedQewSpec(base=base, g=0.0, omega_b=tls.omega_21 / 2.0,
                                drift_time=0.0)
-        grid = build_grid(kin, base.sigma_p0, coupling.recoil_momentum, 256)
-        np.testing.assert_allclose(modulated_momentum_amplitudes(mod, grid),
-                                   gaussian_momentum_amplitudes(base, grid),
-                                   atol=1e-15)
+        grid = default_packet(base, coupling, 1024).grid
+        assert default_packet(mod, coupling, 1024).grid == grid
+        assert np.array_equal(momentum_amplitudes(mod, grid), momentum_amplitudes(base, grid))
 
     def test_normalized(self, mod_spec, coupling):
-        grid = build_grid(mod_spec.base.kin, mod_spec.base.sigma_p0,
-                          coupling.recoil_momentum, 512,
-                          extra_halfwidth=mod_spec.sideband_count * mod_spec.delta_p)
-        c = modulated_momentum_amplitudes(mod_spec, grid)
+        # the cutoff sets the packet's own headroom beside the outermost
+        # sideband, so the whole comb fits on the grid sized for it (512 and
+        # 1024 points under-resolve this 10 fs envelope)
+        base = mod_spec.base
+        grid = default_packet(mod_spec, coupling, 2048).grid
+        assert grid.p_cutoff == max(8.0 * base.sigma_p0, 6.0 * abs(coupling.recoil_momentum)) \
+            + mod_spec.sideband_count * mod_spec.delta_p
+        c = momentum_amplitudes(mod_spec, grid)
         assert np.sum(np.abs(c) ** 2) * grid.dp == pytest.approx(1.0, abs=1e-9)
 
     def test_sideband_weights(self, kin, tls, coupling):
@@ -136,18 +138,39 @@ class TestModulatedAmplitudes:
         base = GaussianQewSpec.from_duration(kin, 10.0)
         mod = ModulatedQewSpec(base=base, g=1.0, omega_b=tls.omega_21 / 2.0,
                                drift_time=0.0)
-        grid = build_grid(kin, base.sigma_p0, coupling.recoil_momentum, 4096,
-                          extra_halfwidth=(mod.sideband_count + 1) * mod.delta_p)
-        c = np.abs(modulated_momentum_amplitudes(mod, grid))
+        p_cutoff = max(8.0 * base.sigma_p0, 6.0 * abs(coupling.recoil_momentum)) \
+            + (mod.sideband_count + 1) * mod.delta_p
+        grid = MomentumGrid(n=4096, p0=kin.p0, p_cutoff=p_cutoff)
+        c = np.abs(momentum_amplitudes(mod, grid))
         i0 = int(np.argmin(np.abs(grid.points - kin.p0)))
         i1 = int(np.argmin(np.abs(grid.points - kin.p0 - mod.delta_p)))
         ratio = c[i1] / c[i0]
         assert ratio == pytest.approx(abs(jv(1, 2.0) / jv(0, 2.0)), rel=2e-3)
 
+    def test_drifted_comb_is_the_exact_chirped_sideband_sum(self, mod_spec, kin, coupling):
+        # at t = t0 = 0 the comb's position amplitude is its exact transform:
+        # with D_n = n dp T/(2 gamma^3 m), sideband n carries the phase
+        # n k (z - D_n), and the drift moves its envelope to 2 D_n and makes
+        # its width complex, 1/(4 a hbar^2) with a = 1/(4 sigma_p0^2) + i T/(2 gamma^3 m hbar)
+        grid = default_packet(mod_spec, coupling, 2048).grid
+        c = momentum_amplitudes(mod_spec, grid)
+        z = np.linspace(-2.0, 2.0, 601) * mod_spec.base.sigma_z0
+        psi = np.exp(1j * np.outer(z, grid.points - kin.p0) / HBAR_EV_FS) @ c
+        mass = kin.gamma**3 * ME_EV_FS2_NM2
+        a = 1.0 / (4.0 * mod_spec.base.sigma_p0**2) \
+            + 1j * mod_spec.drift_time / (2.0 * mass * HBAR_EV_FS)
+        k = mod_spec.delta_p / HBAR_EV_FS
+        orders, weights = mod_spec.sideband_amplitudes()
+        shifts = orders * mod_spec.delta_p * mod_spec.drift_time / (2.0 * mass)
+        exact = sum(w * np.exp(1j * n * k * (z - d) - (z - 2.0 * d) ** 2 / (4.0 * a * HBAR_EV_FS**2))
+                    for n, w, d in zip(orders, weights, shifts))
+        scale = np.vdot(exact, psi) / np.vdot(exact, exact)   # the transform's constant
+        assert np.max(np.abs(psi - scale * exact)) <= 1e-8 * np.max(np.abs(psi))
+
     def test_truncation_error(self, mod_spec, kin):
         grid = MomentumGrid(n=256, p0=kin.p0, p_cutoff=2.0 * mod_spec.delta_p)
         with pytest.raises(TruncationError):
-            modulated_momentum_amplitudes(mod_spec, grid)
+            momentum_amplitudes(mod_spec, grid)
 
 
 class TestDensityProfile:

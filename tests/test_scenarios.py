@@ -170,7 +170,7 @@ def test_grid_scenarios_size_nothing_after_the_plan(monkeypatch, scenario):
     def refuse(*args, **kwargs):
         raise AssertionError("sized after the plan")
 
-    rules = (qew.grid_for_spec, grid.interaction_window)
+    rules = (qew.packet_for_spec, grid.interaction_window)
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "feberi"]:
         for attr, value in list(vars(module).items()):
             if any(value is rule for rule in rules):

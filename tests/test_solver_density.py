@@ -35,8 +35,8 @@ from feberi.solver_density import (
     schrodinger_qew_vector,
     write_rho_b_bin,
 )
-from feberi.grid import build_grid, circulant_product, interaction_window
-from feberi.qew import grid_for_spec, packet_for_spec
+from feberi.grid import MomentumGrid, circulant_product, interaction_window
+from feberi.qew import packet_for_spec
 from feberi.solver_momentum import step_schedule
 from feberi.born_dynamics import _step_trains, arrival_schedule, quadratic_fit, \
     random_arrival_times, simulate_train_ensemble, train_window
@@ -50,7 +50,7 @@ def spec(kin, tls):
 
 @pytest.fixture
 def assembly(coupling, spec):
-    grid = grid_for_spec(spec, coupling, 128)
+    grid = default_packet(spec, coupling, 128).grid
     return assemble_hamiltonian(grid, coupling)
 
 
@@ -62,7 +62,7 @@ class TestAssembly:
     def test_negligible_dipole_leaves_free_part(self, kin, spec):
         tiny = TlsSpec.from_lab(2.0, 1e-9)
         cpl = DipoleCoupling(tiny, 2.4, kin)
-        grid = grid_for_spec(spec, cpl, 64)
+        grid = default_packet(spec, cpl, 64).grid
         h = assemble_hamiltonian(grid, cpl)
         off = h.h_total - np.diag(np.diag(h.h_total))
         assert np.max(np.abs(off)) < 1e-10
@@ -95,7 +95,7 @@ class TestAssembly:
                             lambda grid, cpl: column(grid, cpl) + 1e-3j * column(grid, parallel))
         cpl = DipoleCoupling(tls, 2.4, kin, "transverse")
         with pytest.raises(AssemblyError, match="not Hermitian"):
-            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), cpl)
+            assemble_hamiltonian(default_packet(spec, cpl, 128).grid, cpl)
 
 
 def kernel_matrix(h):
@@ -117,8 +117,8 @@ def gauged(request, kin, tls, spec):
     # a cutoff past the kernel's momentum width hbar*gamma/r_perp: the block
     # reaches far into the kernel's tail
     extra = 6.0 * HBAR_EV_FS * kin.gamma / 2.4
-    grid = build_grid(kin, spec.sigma_p0, cpl.recoil_momentum, 128,
-                      extra_halfwidth=extra)
+    grid = MomentumGrid(n=128, p0=kin.p0, p_cutoff=max(8.0 * spec.sigma_p0,
+                                                       6.0 * abs(cpl.recoil_momentum)) + extra)
     return cpl, assemble_hamiltonian(grid, cpl)
 
 
@@ -205,11 +205,11 @@ class TestRealGauge:
                             lambda grid, cpl: column(grid, cpl) + 1e-3 * column(grid, transverse))
         cpl = DipoleCoupling(tls, 2.4, kin, "parallel")
         with pytest.raises(AssemblyError, match="TLS gauge"):
-            assemble_hamiltonian(grid_for_spec(spec, cpl, 128), cpl)
+            assemble_hamiltonian(default_packet(spec, cpl, 128).grid, cpl)
 
 
 def test_assembly_stores_no_dense_matrix(coupling, spec):
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), coupling)
+    h = assemble_hamiltonian(default_packet(spec, coupling, 1024).grid, coupling)
     stored = {k: v.size for k, v in vars(h).items() if isinstance(v, np.ndarray)}
     assert set(stored) == {"h0f", "h0b", "h_ib", "coupling_column"}
     assert max(stored.values()) <= 2 * 1024
@@ -236,7 +236,7 @@ def test_evolve_vector_holds_one_copy_of_the_states():
     kin, tls = coupling.kin, coupling.tls
     sigma = cfg["sweep"]["sigma_et_over_period"][0] * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 1024), coupling)
+    h = assemble_hamiltonian(default_packet(spec, coupling, 1024).grid, coupling)
     t_start, t_end = interaction_window(sigma, coupling.transit_time, 0.0)
     psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
     tracemalloc.start()
@@ -520,7 +520,7 @@ def test_fig3_plateau_against_extended_precision():
     kin, tls = coupling.kin, coupling.tls
     sigma = 0.3 * tls.period
     spec = GaussianQewSpec.from_duration(kin, sigma, t0=0.0)
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), coupling)
+    h = assemble_hamiltonian(default_packet(spec, coupling, 128).grid, coupling)
     t_start, t_end = interaction_window(sigma, coupling.transit_time, 0.0)
     psi0 = initial_joint_vector(h.grid, spec, TlsState.ground(), t_start, tls.energy_gap)
     x = taylor_reference(h, psi0, t_end - t_start)
@@ -565,7 +565,7 @@ def test_trajectory_at_record_times_equals_one_call_per_time(tls, spec, kin,
     state = TlsState.equatorial(0.7)
     traj = run_qew_interaction(default_packet(spec, coupling, 128), state, coupling,
                                times=times, collect_rho_b=True)
-    h = assemble_hamiltonian(grid_for_spec(spec, coupling, 128), coupling)
+    h = assemble_hamiltonian(default_packet(spec, coupling, 128).grid, coupling)
     r_max = _spectral_bounds(h)[1] * (times[-1] - times[0]) / HBAR_EV_FS
     assert (_kept_orders(r_max, _chebyshev_points(r_max)) <= times.size) == streamed
     psi0 = initial_joint_vector(h.grid, spec, state, times[0], tls.energy_gap)
@@ -691,7 +691,7 @@ def eigh_train(rho_b0, qews, coupling, tls, n):
     h_total: each electron's TLS state is split into its eigenbranches, and
     each branch is propagated as a pure state with that electron's packet."""
     base = qews[0]
-    grid = grid_for_spec(base, coupling, n)
+    grid = default_packet(base, coupling, n).grid
     h = assemble_hamiltonian(grid, coupling)
     window_half = interaction_window(base.sigma_et, coupling.transit_time, 0.0)[1]
     w, v = np.linalg.eigh(h.h_total)

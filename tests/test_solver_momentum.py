@@ -5,9 +5,9 @@ import pytest
 
 from feberi.core import HBAR_EV_FS, DomainError, TlsSpec, TlsState
 from feberi.coulomb import DipoleCoupling, m_tilde
-from feberi.grid import MomentumGrid, build_grid, circulant_block, interaction_window, \
+from feberi.grid import MomentumGrid, circulant_block, interaction_window, \
     kernel_column
-from feberi.qew import GaussianQewSpec, gaussian_momentum_amplitudes, grid_for_spec
+from feberi.qew import GaussianQewSpec, momentum_amplitudes
 from feberi.solver_momentum import (
     MAX_RK4_STEPS,
     default_time_step,
@@ -15,7 +15,7 @@ from feberi.solver_momentum import (
     integrate,
     step_schedule,
 )
-from helpers import run_gaussian_scenario
+from helpers import default_packet, run_gaussian_scenario
 
 
 def toeplitz_kernel(grid, coupling):
@@ -30,7 +30,7 @@ def spec(kin, tls):
 
 class TestGrid:
     def test_spacing_and_centering(self, kin, spec, coupling):
-        g = build_grid(kin, spec.sigma_p0, coupling.recoil_momentum, 256)
+        g = default_packet(spec, coupling, 256).grid
         assert g.dp == pytest.approx(2.0 * g.p_cutoff / 256, rel=1e-14)
         assert abs(np.mean(g.points) - kin.p0) <= g.dp / 2
         assert g.p_cutoff >= max(8 * spec.sigma_p0, 6 * abs(coupling.recoil_momentum))
@@ -42,12 +42,12 @@ class TestGrid:
             MomentumGrid(n=32, p0=kin.p0, p_cutoff=1.0)
 
     def test_tail_mass_recorded(self, kin, spec, coupling):
-        g = build_grid(kin, spec.sigma_p0, coupling.recoil_momentum, 256)
+        g = default_packet(spec, coupling, 256).grid
         assert g.initial_tail_mass < 1e-8
 
     def test_second_moment_on_grid(self, kin, spec, coupling):
-        g = build_grid(kin, spec.sigma_p0, coupling.recoil_momentum, 256)
-        c = gaussian_momentum_amplitudes(spec, g)
+        g = default_packet(spec, coupling, 256).grid
+        c = momentum_amplitudes(spec, g)
         m2 = np.sum((g.points - kin.p0) ** 2 * np.abs(c) ** 2) * g.dp
         assert m2 == pytest.approx(spec.sigma_p0**2, rel=1e-3)
 
@@ -61,7 +61,7 @@ class TestCouplingMatrix:
 
     def test_anti_hermitian_pairing(self, coupling, coupling_parallel, spec):
         # kappa is imaginary, so U21 = -U12^dagger holds iff the kernel is Hermitian
-        g = grid_for_spec(spec, coupling, 64)
+        g = default_packet(spec, coupling, 64).grid
         for cpl in (coupling, coupling_parallel):
             mt = toeplitz_kernel(g, cpl)
             np.testing.assert_allclose(mt, mt.conj().T, rtol=1e-12, atol=1e-20)
@@ -69,14 +69,14 @@ class TestCouplingMatrix:
             np.testing.assert_allclose(u, -u.conj().T, rtol=1e-12, atol=1e-20)
 
     def test_phase_free_at_t0(self, coupling, spec):
-        g = grid_for_spec(spec, coupling, 64)
+        g = default_packet(spec, coupling, 64).grid
         k = np.arange(64)
         expected = _kappa(g) * m_tilde((k[:, None] - k[None, :]) * g.dp, coupling)
         np.testing.assert_allclose(_kappa(g) * toeplitz_kernel(g, coupling), expected,
                                    rtol=1e-12)
 
     def test_toeplitz_structure(self, coupling, coupling_parallel, spec):
-        g = grid_for_spec(spec, coupling, 64)
+        g = default_packet(spec, coupling, 64).grid
         for cpl in (coupling, coupling_parallel):
             mt = toeplitz_kernel(g, cpl)
             for d in (3, -5):
@@ -134,7 +134,7 @@ class TestStageKernel:
     def test_matches_reference_loop(self, coupling, coupling_parallel, spec, orientation,
                                     state):
         cpl = coupling if orientation == "transverse" else coupling_parallel
-        g = grid_for_spec(spec, cpl, 128)
+        g = default_packet(spec, cpl, 128).grid
         win = interaction_window(spec.sigma_et, cpl.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, state, win[0])
         dt = (win[1] - win[0]) / 302
@@ -152,7 +152,7 @@ class TestIntegration:
     def test_negligible_coupling_static(self, kin, spec):
         tiny = TlsSpec.from_lab(2.0, 1e-8)
         cpl = DipoleCoupling(tiny, 2.4, kin)
-        g = grid_for_spec(spec, cpl, 128)
+        g = default_packet(spec, cpl, 128).grid
         win = interaction_window(spec.sigma_et, cpl.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
         traj = integrate(s0, win, default_time_step(g, cpl), g, cpl)
@@ -161,7 +161,7 @@ class TestIntegration:
 
     def test_step_ceiling(self, coupling, spec):
         # a span of more than MAX_RK4_STEPS steps is refused before any step
-        g = grid_for_spec(spec, coupling, 128)
+        g = default_packet(spec, coupling, 128).grid
         s0 = initial_amplitudes(g, spec, TlsState.ground(), 0.0)
         dt = 1.0 / MAX_RK4_STEPS
         assert step_schedule((0.0, 1.0 + dt), dt, 1)[0] == MAX_RK4_STEPS + 1
@@ -169,7 +169,7 @@ class TestIntegration:
             integrate(s0, (0.0, 1.0 + dt), dt, g, coupling)
 
     def test_initial_factorization(self, coupling, spec):
-        g = grid_for_spec(spec, coupling, 128)
+        g = default_packet(spec, coupling, 128).grid
         state = TlsState.equatorial(0.9)
         s0 = initial_amplitudes(g, spec, state, -1.0)
         np.testing.assert_allclose(s0.v2 / s0.v1, state.c2 / state.c1, rtol=1e-12)
@@ -184,7 +184,7 @@ class TestIntegration:
         assert np.max(np.abs(resid)) <= 1e-3 * tls.energy_gap
 
     def test_dt_halving_converged(self, coupling, spec):
-        g = grid_for_spec(spec, coupling, 128)
+        g = default_packet(spec, coupling, 128).grid
         win = interaction_window(spec.sigma_et, coupling.transit_time, 0.0)
         s0 = initial_amplitudes(g, spec, TlsState.ground(), win[0])
         dt = default_time_step(g, coupling)
