@@ -91,30 +91,44 @@ def circulant_product(column: np.ndarray, n: int):
     shape, written into ``out`` if given.  x, times ``right``, goes straight
     into a zero-padded buffer kept between calls (the rows of the largest x
     so far, of which a smaller x takes the leading ones), and both transforms
-    run in place there, so a call allocates nothing; without ``out`` the
-    result is a view of that buffer, valid until the next call.
+    run in place there.  The buffer's views for an input shape (its first n
+    columns, the zero tail and the spectrum rows) are built on the first call
+    with that shape and dropped when the buffer grows, so a later call is one
+    fill of the tail, one multiply in, two transforms, one spectrum product and
+    one multiply out, and allocates no array of its own (numpy may still copy
+    an operand broadcast against x into a buffer of its own); without ``out``
+    the result is a view of that buffer, valid until the next call.
     """
     size = column.shape[-1]
     spectrum = fft.fft(column, axis=-1)
     padded = np.zeros((0, size), dtype=complex)
+    views = {}      # x.shape -> (padded rows, their first n columns, the rest, spectrum)
 
     def product(x: np.ndarray, left=None, right=None, out=None) -> np.ndarray:
         nonlocal padded
-        rows = x.size // n
-        if padded.shape[0] < rows:
-            padded = np.zeros((rows, size), dtype=complex)
-        buf = padded[:rows].reshape(x.shape[:-1] + (size,))
-        buf[..., n:] = 0.0
+        try:
+            buf, head, tail, spec = views[x.shape]
+        except KeyError:
+            rows = x.size // n
+            if padded.shape[0] < rows:
+                padded = np.zeros((rows, size), dtype=complex)
+                views.clear()
+            buf = padded[:rows].reshape(x.shape[:-1] + (size,))
+            head, tail = buf[..., :n], buf[..., n:]
+            spec = spectrum[:x.shape[0]] if spectrum.ndim == x.ndim > 1 else spectrum
+            views[x.shape] = buf, head, tail, spec
+        tail.fill(0.0)
         if right is None:
-            buf[..., :n] = x
+            np.copyto(head, x)
         else:
-            np.multiply(x, right, out=buf[..., :n])
-        y = fft.fft(buf, axis=-1, overwrite_x=True)
-        y *= spectrum[:x.shape[0]] if spectrum.ndim == x.ndim > 1 else spectrum
-        y = fft.ifft(y, axis=-1, overwrite_x=True)[..., :n]
+            np.multiply(x, right, out=head)
+        # complex input with overwrite_x: scipy transforms buf in place
+        fft.fft(buf, axis=-1, overwrite_x=True)
+        buf *= spec
+        fft.ifft(buf, axis=-1, overwrite_x=True)
         if left is None and out is None:
-            return y
-        return np.multiply(y, 1.0 if left is None else left, out=out)
+            return head
+        return np.multiply(head, 1.0 if left is None else left, out=out)
 
     return product
 

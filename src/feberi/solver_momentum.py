@@ -23,9 +23,12 @@ folded into the circulant's spectrum once, the inward factor is written
 straight into its zero-padded buffer and the outward factor, which carries
 the TLS rotation and the step scale, multiplies the truncated inverse
 transform into a preallocated stage array.  Every array of the step loop
-(factors, stages, stage input, the step's sum and a record's moduli) is
+(factors, stages, stage input, the step's sum and a record's squares) is
 allocated once before it, so a step is its eight transforms plus a fixed set
-of in-place array passes.
+of in-place array passes.  The four stages lie side by side, so the step's
+weighted sum (k1 + 2 k2 + 2 k3 + k4)/3 is one matrix-vector product over
+their float view, and a record takes |v|^2 as the sum of the squares of v's
+float view, with no complex modulus.
 
 Phase schedule.  Step k runs from t_k = t_start + k dt to t_{k+1}; its
 stages need ph at t_k, t_k + dt/2 and t_{k+1}.  ph(t_k) comes from the two
@@ -130,7 +133,11 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     w = energies / HBAR_EV_FS
     w21 = coupling.tls.omega_21
     kappa = grid.dp / (2.0j * math.pi * HBAR_EV_FS**2)
-    product = circulant_product(kappa * kernel_column(grid, coupling), grid.n)
+    # the column once for each amplitude vector, so that the spectrum has the
+    # padded pair's shape: numpy multiplies that in place, but copies a
+    # spectrum broadcast over the pair into a buffer first, on every call
+    column = kappa * kernel_column(grid, coupling)
+    product = circulant_product(np.broadcast_to(column, (2,) + column.shape), grid.n)
     # a stage is k = scale * f(t, u) with scale = dt/2, so the stages are
     # evaluated at v + k1, v + k2 and v + 2 k3, and the step adds
     # (k1 + 2 k2 + 2 k3 + k4)/3
@@ -143,12 +150,18 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     # the loop writes in place into these: ph at a step's start or end and at
     # its midpoint; the inward and outward factors at its start, midpoint and
     # end; the TLS rotation; the stages, the stage input and the step's sum;
-    # the squared moduli of a record
+    # the squares and the squared moduli of a record
     ph, ph_mid, in_now, in_mid, in_end = np.empty((5, grid.n), dtype=complex)
     out_now, out_mid, out_end = np.empty((3, 2, grid.n), dtype=complex)
     rot = np.empty((2, 1), dtype=complex)
     v = np.array([state0.v1, state0.v2], dtype=complex)
-    k1, k2, k3, k4, u, acc = np.empty((6,) + v.shape, dtype=complex)
+    stages = np.empty((4,) + v.shape, dtype=complex)
+    k1, k2, k3, k4 = stages
+    u, acc = np.empty((2,) + v.shape, dtype=complex)
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
+    stage_floats = stages.view(float).reshape(4, -1)
+    acc_floats = acc.view(float).reshape(-1)
+    squares = np.empty((2, 2 * grid.n))
     a = np.empty(v.shape)
 
     def factors(t, ph, inward, outward):
@@ -162,7 +175,8 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
     times, p1s, p2s, efs, norms = [], [], [], [], []
 
     def record(t, v):
-        np.square(np.abs(v, out=a), out=a)
+        np.square(v.view(float), out=squares)
+        np.add(squares[:, 0::2], squares[:, 1::2], out=a)
         p1, p2 = np.sum(a, axis=1) * grid.dp
         times.append(t)
         p1s.append(p1)
@@ -187,11 +201,7 @@ def integrate(state0: EntangledAmplitudes, t_span: tuple[float, float], dt: floa
         product(np.add(v, k2, out=u)[::-1], left=out_mid, right=in_mid, out=k3)
         np.multiply(k3, 2.0, out=u)
         product(np.add(u, v, out=u)[::-1], left=out_end, right=in_end, out=k4)
-        np.add(k2, k3, out=acc)
-        acc *= 2.0
-        acc += k1
-        acc += k4
-        acc *= 1.0 / 3.0
+        np.dot(weights, stage_floats, out=acc_floats)
         v += acc
         in_now, out_now, in_end, out_end = in_end, out_end, in_now, out_now
         if (step + 1) % record_every == 0 or step == n_steps - 1:

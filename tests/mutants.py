@@ -100,8 +100,16 @@ MUTANTS = (
            ("tests/test_solver_momentum.py::TestStageKernel::test_matches_reference_loop"
             "[transverse-rk4-ground]",)),
     Mutant("circulant pad's zero tail written once", "grid.py",
-           "buf[..., n:] = 0.0", "buf[..., n:n] = 0.0",
+           "tail.fill(0.0)", "tail[..., :0].fill(0.0)",
            ("tests/test_properties.py::test_circulant_product_keeps_its_zero_pad",)),
+    Mutant("product views kept across a buffer growth", "grid.py",
+           "views.clear()", "views.copy()",
+           ("tests/test_properties.py::test_circulant_product_views_follow_its_one_buffer",)),
+    Mutant("record without the imaginary part", "solver_momentum.py",
+           "np.add(squares[:, 0::2], squares[:, 1::2], out=a)",
+           "np.copyto(a, squares[:, 0::2])",
+           ("tests/test_solver_momentum.py::TestStageKernel::test_matches_reference_loop"
+            "[transverse-rk4-ground]",)),
     Mutant("series' sample block column bound", "solver_density.py",
            "cols = slice(first, first + step)",
            "cols = slice(first, first + step - 1)",

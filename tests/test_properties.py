@@ -5,6 +5,7 @@ parsing."""
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,39 @@ def test_circulant_product_keeps_its_zero_pad(n, extra, seed):
         want = (right * x) @ block.T
         got = product(x, right=right)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_circulant_product_views_follow_its_one_buffer():
+    # a stack of columns applied to a shrinking and growing number of rows, as
+    # the Chebyshev recurrence applies it: 3 rows, then 1 (the buffer's
+    # leading row), then 5 (the buffer grows), then 3 again.  Each product
+    # equals the dense block's; results without ``out`` are views of the one
+    # current buffer, so the views built before it grew are gone; and a warm
+    # call on a shape already seen allocates less than one row of it
+    n = 256
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((5, 2, 2 * n)) + 1j * rng.standard_normal((5, 2, 2 * n))
+    product = circulant_product(c, n)
+    results = []
+    for rows in (3, 1, 5, 3):
+        x = rng.standard_normal((rows, 2, n)) + 1j * rng.standard_normal((rows, 2, n))
+        want = np.array([circulant_block(col, n) @ row
+                         for col, row in zip(c[:rows].reshape(-1, 2 * n), x.reshape(-1, n))])
+        got = product(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
+        results.append(got)
+    assert np.shares_memory(results[2], results[3])
+    assert not np.shares_memory(results[0], results[3])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        product(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < x[0, 0].nbytes
 
 
 @pytest.mark.parametrize("orientation", ["transverse", "parallel"])

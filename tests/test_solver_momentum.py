@@ -103,7 +103,7 @@ def reference_integrate(state0, t_span, dt, grid, coupling, n_records):
         return _kappa(grid) * np.array([[rot], [np.conj(rot)]]) * y[::-1]
 
     def record(t, v):
-        a = np.abs(v) ** 2
+        a = v.real ** 2 + v.imag ** 2
         p1, p2 = np.sum(a[0]) * grid.dp, np.sum(a[1]) * grid.dp
         rows.append((t, p1, p2, np.sum(energies * (a[0] + a[1])) * grid.dp, p1 + p2))
 
