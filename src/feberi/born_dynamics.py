@@ -476,12 +476,16 @@ def arrival_schedule(n: int, omega_b: float, t_0l: float = 0.0,
 def random_arrival_times(n: int, seeds, mean_spacing: float,
                          t_0l: float = 0.0) -> np.ndarray:
     """Arrival times (S, N) of S random schedules of n electrons, one per seed:
-    continuous uniform gaps in [0.5, 1.5) mean_spacing with no phase relation."""
-    gaps = np.empty((len(seeds), n))
-    for row, seed in zip(gaps, seeds):
+    continuous uniform gaps in [0.5, 1.5) mean_spacing with no phase relation.
+    The gaps are scaled, summed and offset in the array returned, so no other
+    (S, N) array is made."""
+    times = np.empty((len(seeds), n))
+    for row, seed in zip(times, seeds):
         row[:] = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
-    times = t_0l + np.cumsum(gaps * mean_spacing, axis=1)
-    if np.any(np.diff(times) <= 0.0):
+    times *= mean_spacing
+    np.cumsum(times, axis=1, out=times)
+    times += t_0l
+    if np.any(times[:, 1:] <= times[:, :-1]):
         raise DomainError("arrival times must be strictly increasing")
     return times
 
@@ -538,11 +542,12 @@ def simulate_train_ensemble(state0: TlsState, times: np.ndarray,
     arrival times ``times`` (S, N), each electron passing through ``window``
     (Born or joint grid), stepped jointly by ``_step_trains``.  Warns if
     consecutive windows of any train overlap (the sequential model assumes
-    they do not)."""
-    gaps = np.diff(times, axis=1)
-    if np.any(gaps < window.length):
+    they do not).  The check keeps only the smallest gap, so the stepping
+    holds ``times`` and P2 and no other array of their size."""
+    min_gap = np.diff(times, axis=1).min(initial=np.inf)
+    if min_gap < window.length:
         warnings.warn(
-            f"interaction windows overlap (min gap {gaps.min():.3g} fs < "
+            f"interaction windows overlap (min gap {min_gap:.3g} fs < "
             f"{window.length:.3g} fs); sequential model is approximate here",
             RuntimeWarning)
     c = np.array([state0.c1, state0.c2], dtype=complex)

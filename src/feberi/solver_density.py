@@ -535,7 +535,7 @@ def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCouplin
     times = np.linspace(*packet.window, 300) if times is None else np.asarray(times, float)
     psi0 = initial_joint_vector(packet.grid, packet.spec, state, times[0],
                                 coupling.tls.energy_gap)
-    blocks = ((samples, states.T) for _, samples, states
+    blocks = ((samples, states) for _, samples, states
               in _propagated(psi0[None], h, (times - times[0])[None]))
     return _trajectory(times, blocks, h, collect_rho_b)
 
@@ -543,12 +543,13 @@ def run_qew_interaction(packet: Packet, state: TlsState, coupling: DipoleCouplin
 def _trajectory(times: np.ndarray, blocks, h: HamiltonianAssembly,
                 collect_rho_b: bool) -> DensityTrajectory:
     """The trajectory of the joint states that ``blocks`` yields at ``times``
-    as (sample indices, states (2N, b)).
+    as (sample indices, states (b, 2N), each row contiguous).
 
-    One pass per block computes every observable of its columns, so no
-    temporary outgrows a block.  With each state contiguous, every sum over a
-    state runs in the same order in a block as over a whole array, and each
-    output equals its whole-array formula bit for bit.
+    One pass per block reduces every observable of its rows from their float
+    view, real and imaginary parts interleaved, so a block makes no array of
+    its own size but the coupling product's.  With each state contiguous,
+    every sum over a state runs in the same order in a block as over a whole
+    array, and each output equals its whole-array formula bit for bit.
     """
     n = h.n
     size = times.size
@@ -558,17 +559,19 @@ def _trajectory(times: np.ndarray, blocks, h: HamiltonianAssembly,
     # by FFT on the coupling column, which holds r21 phi h_ip
     r21 = h.h_ib[0, 1]
     h_ip_times = circulant_product(h.coupling_column / (r21 * h.gauge), n)
+    h0f = np.repeat(h.h0f, 2)       # one weight per float of a state's half
     for cols, states in blocks:
-        blk = states.reshape(2, n, -1)
-        a = np.abs(blk)
-        a **= 2
-        p1[cols] = a[0].sum(axis=0)
-        p2[cols] = a[1].sum(axis=0)
-        e_free[cols] = np.einsum("n,ins->s", h.h0f, a)
-        e_int[cols] = 2.0 * r21 * np.real(np.einsum(
-            "sn,sn->s", blk[0].T.conj(), h_ip_times(blk[1].T)))
+        halves = states.reshape(-1, 2, n)
+        flat = halves.view(np.float64)          # (b, 2, 2N)
+        p1[cols] = np.einsum("bj,bj->b", flat[:, 0], flat[:, 0])
+        p2[cols] = np.einsum("bj,bj->b", flat[:, 1], flat[:, 1])
+        e_free[cols] = np.einsum("bij,bij,j->b", flat, flat, h0f)
+        # Re<a|c> is the dot product of the float views of a and c
+        e_int[cols] = 2.0 * r21 * np.einsum(
+            "bj,bj->b", flat[:, 0], h_ip_times(halves[:, 1]).view(np.float64))
         if collect_rho_b:
-            rho_b[cols] = np.einsum("ins,jns->sij", blk, blk.conj())
+            # rho_ij = <psi_j|psi_i>; vecdot conjugates its first operand itself
+            rho_b[cols] = np.vecdot(halves[:, None], halves[:, :, None])
     return DensityTrajectory(times=times, p1=p1, p2=p2, e_free=e_free,
                              e_bound=h.h0b[0] * p1 + h.h0b[1] * p2, e_int=e_int,
                              norm=p1 + p2, rho_b=rho_b)

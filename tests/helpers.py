@@ -61,9 +61,10 @@ def partial_trace_bound(psi):
 
 def observables(times, states, h, collect_rho_b):
     """The trajectory of the joint states (2N, T) sampled at ``times``, handed
-    to the solver's observables _SAMPLE_BLOCK samples at a time, as the
-    propagation hands over the states it sums a block of orders at a time."""
+    to the solver's observables _SAMPLE_BLOCK samples at a time as contiguous
+    (b, 2N) rows, as the propagation hands over the states it sums a block of
+    orders at a time."""
     step = _SAMPLE_BLOCK
-    blocks = ((slice(i, i + step), states[:, i:i + step])
-              for i in range(0, states.shape[-1], step))
+    rows = np.ascontiguousarray(states.T)
+    blocks = ((slice(i, i + step), rows[i:i + step]) for i in range(0, len(rows), step))
     return _trajectory(times, blocks, h, collect_rho_b)

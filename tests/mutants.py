@@ -65,6 +65,10 @@ MUTANTS = (
            ("tests/test_born_dynamics.py::TestTrains::test_ensemble_equals_loop",
             "tests/test_solver_density.py::TestSequentialTrain::test_channel_matches_eigh_train"
             "[mixed-random]")),
+    Mutant("ensemble gap array kept across the train stepping", "born_dynamics.py",
+           "min_gap = np.diff(times, axis=1).min(initial=np.inf)",
+           "gaps = np.diff(times, axis=1)\n    min_gap = gaps.min(initial=np.inf)",
+           ("tests/test_born_dynamics.py::test_random_ensemble_holds_two_arrays",)),
     Mutant("RK4 weight of the second midpoint stage", "born_dynamics.py",
            "(a + 2.0 * b + 2.0 * k + c", "(a + 2.0 * b + 1.0 * k + c",
            ("tests/test_born_dynamics.py::TestStepMatrixPropagator"

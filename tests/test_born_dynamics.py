@@ -251,6 +251,27 @@ class TestProfileCeiling:
         assert peak <= 32 * 2**20
 
 
+def test_random_ensemble_holds_two_arrays(fig9_point):
+    # default fig9's random trains at 1024 seeds x 400 electrons: the times
+    # are drawn, summed and offset in the array returned, and no gap array
+    # lives on beside the stepping's P2, so drawing and stepping peak at about
+    # two S x N float arrays, the times and P2
+    cfg = default_config("fig9_buildup")
+    window = train_window(fig9_point.coupling, fig9_point.bunch_sigma_et,
+                          **scenarios.profile_grid_args(cfg))
+    omega_b = fig9_point.coupling.tls.omega_21 / cfg["sweep"]["harmonic"]
+    spacing = cfg["sweep"]["mean_spacing_periods"] * TWO_PI / omega_b
+    s, n = 1024, 400
+    tracemalloc.start()
+    try:
+        times = random_arrival_times(n, range(s), spacing)
+        simulate_train_ensemble(TlsState.ground(), times, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * s * n * 8
+
+
 class TestEvolveTls:
     def test_zero_profile_is_identity(self, coupling, tls):
         grid = profile_time_grid(coupling, 0.05, 0.0)

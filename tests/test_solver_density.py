@@ -326,14 +326,16 @@ def test_observables_by_block_equal_whole_array_formulas(gauged, spec, tls, extr
     times = np.linspace(-1.0, 1.0, size)
     states = evolve_vector(psi0, h, times + 1.0)
     traj = observables(times, states, h, collect_rho_b=True)
-    psi = states.reshape(2, h.n, -1)
-    a = np.abs(psi) ** 2
+    psi = states.T.reshape(-1, 2, h.n)
+    flat = psi.view(np.float64)
     r21 = h.h_ib[0, 1]
-    h_ip_psi2 = circulant_product(h.coupling_column / (r21 * h.gauge), h.n)(psi[1].T)
-    want = {"p1": a[0].sum(axis=0), "p2": a[1].sum(axis=0),
-            "e_free": np.einsum("n,ins->s", h.h0f, a),
-            "e_int": 2.0 * r21 * np.real(np.einsum("sn,sn->s", psi[0].T.conj(), h_ip_psi2)),
-            "rho_b": np.einsum("ins,jns->sij", psi, psi.conj())}
+    h_ip_psi2 = circulant_product(h.coupling_column / (r21 * h.gauge), h.n)(psi[:, 1])
+    want = {"p1": np.einsum("sj,sj->s", flat[:, 0], flat[:, 0]),
+            "p2": np.einsum("sj,sj->s", flat[:, 1], flat[:, 1]),
+            "e_free": np.einsum("sij,sij,j->s", flat, flat, np.repeat(h.h0f, 2)),
+            "e_int": 2.0 * r21 * np.einsum("sj,sj->s", flat[:, 0],
+                                           h_ip_psi2.view(np.float64)),
+            "rho_b": np.vecdot(psi[:, None], psi[:, :, None])}
     want["e_bound"] = h.h0b[0] * want["p1"] + h.h0b[1] * want["p2"]
     want["norm"] = want["p1"] + want["p2"]
     for name, value in want.items():
